@@ -54,7 +54,7 @@ from .solvers import (
     save_branch,
     solve_bfd_reduced,
 )
-from .evolution import BlowUpError, run, suggest_dt
+from .evolution import AmplitudeBoundError, BlowUpError, run, suggest_dt
 
 
 def _require(cfg: dict, key: str):
@@ -329,7 +329,7 @@ def cmd_evolve(cfg: dict, out: str) -> int:
             snapshots_every=snapshots,
             outdir=out if snapshots is not None else None,
         )
-    except (BlowUpError, AssertionError) as exc:
+    except (BlowUpError, AmplitudeBoundError) as exc:
         cfgmod.write_json(os.path.join(out, "trajectory.json"),
                           {"status": "aborted", "error": str(exc)}, cfg)
         cfgmod.write_meta(out)

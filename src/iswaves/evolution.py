@@ -45,6 +45,21 @@ class BlowUpError(RuntimeError):
         self.t = t
 
 
+class AmplitudeBoundError(RuntimeError):
+    """Raised when sup|zeta| exceeds the a-priori bound alpha of data that
+    satisfies the global-existence criterion."""
+
+    def __init__(self, t: float, sup_zeta: float, alpha: float):
+        super().__init__(
+            f"amplitude bound violated: sup|zeta| = {sup_zeta:.6g} > alpha = "
+            f"{alpha:.6g} at t = {t:.6g}; the run is under-resolved "
+            "or the stepper is wrong"
+        )
+        self.t = t
+        self.sup_zeta = sup_zeta
+        self.alpha = alpha
+
+
 @dataclass
 class EvolutionState:
     """Fields plus running diagnostics at one instant."""
@@ -390,8 +405,8 @@ def run(
     conserved assembly); mass integrals of both fields are tracked always.
     When the initial data satisfies the global-existence criterion, the
     amplitude bound sup|zeta| <= alpha is asserted at every monitored step
-    and a violation aborts the run with a diagnostic (a violation can only
-    mean under-resolution or a bug).  Non-finite values abort with a
+    and a violation raises AmplitudeBoundError carrying t, the observed sup
+    and alpha (a violation can only mean under-resolution or a bug).  Non-finite values abort with a
     blow-up report carrying the time stamp.
     """
     fam = _canon_family(family)
@@ -470,11 +485,7 @@ def run(
                 h_now = hamiltonian_H(p, state)
                 h_drift.append(abs(h_now - h0) / max(abs(h0), 1e-15))
             if alpha_bound is not None and sz > alpha_bound * (1.0 + 1e-9):
-                raise AssertionError(
-                    f"amplitude bound violated: sup|zeta| = {sz:.6g} > alpha = "
-                    f"{alpha_bound:.6g} at t = {t:.6g}; the run is under-resolved "
-                    "or the stepper is wrong"
-                )
+                raise AmplitudeBoundError(t, sz, alpha_bound)
         if (
             snapshots_every is not None
             and outdir is not None

@@ -11,6 +11,22 @@ universal convergence oracle.
 All solves work in the even subspace: profiles are symmetrized about x = 0
 at every iteration, which pins the translation mode and keeps the Newton
 linearizations invertible.
+
+Inner linear solves.  Both Newton iterations (`newton_solve` and the polish
+in `solve_bfd_reduced`) solve their steps with preconditioned lgmres through
+one helper.  In the even subspace the right-hand side is projected like the
+operator, so the linear system is consistent.  After every lgmres outer
+cycle the helper recomputes the true residual ||b - A x|| (one extra matvec)
+and stops once that residual has not halved over the last two cycles,
+returning the best iterate seen: near the wave the requested inner tolerance
+can sit below the roundoff floor of the matvec, and further cycles only burn
+matvecs.  Each inner solve leaves one record
+{matvecs, exit, relative_residual, rtol} with exit one of "converged",
+"stagnated", "maxiter" or "nonfinite"; the records are returned under
+"inner_solves" in `return_info` and attached to the ConvergenceError
+diagnostics when a Newton iteration fails.  The inner forcing terms, the
+line searches, `tol_residual` and the 10x reduced-residual acceptance margin
+are unaffected.
 """
 
 from __future__ import annotations
@@ -317,6 +333,85 @@ def _unstack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[:n], u[n:]
 
 
+# inner-solve controls: the lgmres outer-cycle cap, and the stagnation exit
+# (the true residual must fall by _STALL_FACTOR every _STALL_CYCLES cycles)
+_INNER_MAXITER = 200
+_STALL_CYCLES = 2
+_STALL_FACTOR = 0.5
+
+
+class _InnerStop(Exception):
+    """Raised from the lgmres callback to end an inner solve early."""
+
+
+def _inner_solve(matvec, precond, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, dict]:
+    """Preconditioned lgmres for A x = rhs with a stagnation exit.
+
+    Returns the solution (the best iterate seen when the solve stops early)
+    and the record {matvecs, exit, relative_residual, rtol}.
+    """
+    n = rhs.shape[0]
+    matvecs = 0
+
+    def counted(v: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        return matvec(v)
+
+    lin = LinearOperator((n, n), matvec=counted)
+    pre = LinearOperator((n, n), matvec=precond)
+    bnorm = float(np.linalg.norm(rhs))
+    cycle_res: list[float] = []  # true residual at the start of each cycle
+    best_x, best_res = np.zeros_like(rhs), bnorm
+
+    def residual_of(x: np.ndarray) -> float:
+        return float(np.linalg.norm(rhs - lin.matvec(x)))
+
+    def monitor(x: np.ndarray) -> None:
+        nonlocal best_x, best_res
+        # lgmres starts from x = 0, whose residual is ||rhs||
+        res = residual_of(x) if cycle_res else bnorm
+        cycle_res.append(res)
+        if not math.isfinite(res):
+            raise _InnerStop("nonfinite")
+        if res < best_res:
+            best_x, best_res = x.copy(), res
+        if res <= rtol * bnorm:
+            return
+        if (
+            len(cycle_res) > _STALL_CYCLES
+            and res > _STALL_FACTOR * cycle_res[-1 - _STALL_CYCLES]
+        ):
+            raise _InnerStop("stagnated")
+
+    try:
+        x, info = lgmres(
+            lin, rhs, M=pre, rtol=rtol, atol=0.0, maxiter=_INNER_MAXITER, callback=monitor
+        )
+    except _InnerStop as stop:
+        x, res, exit_reason = best_x, best_res, stop.args[0]
+    else:
+        if info == 0:
+            exit_reason = "converged"
+            res = cycle_res[-1] if cycle_res else 0.0
+        else:
+            # below maxiter, lgmres gave up on a non-finite or singular
+            # least-squares update
+            exit_reason = "maxiter" if info >= _INNER_MAXITER else "nonfinite"
+            res = residual_of(x)
+            if not res < best_res:
+                x, res = best_x, best_res
+    if not np.all(np.isfinite(x)):
+        exit_reason = "nonfinite"
+    record = {
+        "matvecs": matvecs,
+        "exit": exit_reason,
+        "relative_residual": res / bnorm if bnorm > 0.0 else 0.0,
+        "rtol": float(rtol),
+    }
+    return x, record
+
+
 def newton_solve(
     family: str,
     p: ModelParams,
@@ -354,6 +449,7 @@ def newton_solve(
         xi, nu = _even(xi), _even(nu)
 
     history = []
+    inner: list[dict] = []
     rn = math.inf
     for it in range(cfg.max_iters):
         r1, r2 = sys.residual(xi, nu)
@@ -362,7 +458,11 @@ def newton_solve(
         if rn <= cfg.tol_residual:
             pair = WavePair(grid=grid, xi=xi, nu=nu)
             if return_info:
-                return pair, {"iterations": it, "residual_history": history}
+                return pair, {
+                    "iterations": it,
+                    "residual_history": history,
+                    "inner_solves": inner,
+                }
             return pair
 
         def jv(v: np.ndarray) -> np.ndarray:
@@ -374,12 +474,17 @@ def newton_solve(
                 j1, j2 = _even(j1), _even(j2)
             return _stack(j1, j2)
 
-        lin = LinearOperator((2 * n, 2 * n), matvec=jv)
-        pre = LinearOperator((2 * n, 2 * n), matvec=precond)
-        rhs = -_stack(r1, r2)
+        if enforce_even:
+            # the projected operator maps onto the even subspace; the odd
+            # roundoff in the residual lies outside its range and would cap
+            # the achievable inner residual
+            r1, r2 = _even(r1), _even(r2)
         rtol_inner = max(1e-13, min(1e-6, 1e-3 * rn))
-        du, info = lgmres(lin, rhs, M=pre, rtol=rtol_inner, atol=0.0, maxiter=200)
-        if not np.all(np.isfinite(du)) or (info != 0 and not enforce_even):
+        du, rec = _inner_solve(jv, precond, -_stack(r1, r2), rtol_inner)
+        inner.append(rec)
+        # in the even subspace a step that missed the inner tolerance is
+        # still tried: the line search accepts it iff it reduces the residual
+        if rec["exit"] == "nonfinite" or (rec["exit"] != "converged" and not enforce_even):
             hint = ""
             if not enforce_even:
                 hint = (
@@ -387,8 +492,8 @@ def newton_solve(
                     "enforce_even=True (even cosine subspace)"
                 )
             raise ConvergenceError(
-                f"inner linear solve stalled at Newton step {it}" + hint,
-                {"residual": float(rn), "lgmres_info": int(info)},
+                f"inner linear solve {rec['exit']} at Newton step {it}" + hint,
+                {"residual": float(rn), "inner_solves": inner},
             )
         d1, d2 = _unstack(du)
         t = cfg.newton_damping
@@ -404,12 +509,12 @@ def newton_solve(
         else:
             raise ConvergenceError(
                 f"Newton line search failed at residual {rn:.3e}",
-                {"residual": float(rn), "history": history},
+                {"residual": float(rn), "history": history, "inner_solves": inner},
             )
 
     raise ConvergenceError(
         f"Newton did not reach tol in {cfg.max_iters} steps (residual {rn:.3e})",
-        {"residual": float(rn), "history": history},
+        {"residual": float(rn), "history": history, "inner_solves": inner},
     )
 
 
@@ -627,6 +732,43 @@ def _bfd_tables(p: ModelParams, grid: Grid, mu2_mode: str):
     return jb, jc, jd, lt
 
 
+class _Reduced:
+    """Scalar reduced equation M_omega nu = G(nu) of the two-layer system."""
+
+    def __init__(self, p: ModelParams, grid: Grid, omega: float, mu2_mode: str):
+        jb, jc, jd, lt = _bfd_tables(p, grid, mu2_mode)
+        self.omega = omega
+        self.r = p.r
+        self.mhat = (1.0 - p.gamma) * lt - omega**2 * jb * jd / jc
+        self.inv_jc = 1.0 / jc
+        self.jb_jc = jb / jc
+        self.jd_jc = jd / jc
+
+    def source(self, nu: np.ndarray) -> np.ndarray:
+        """G(nu): the quadratic and cubic sources."""
+        omega, r = self.omega, self.r
+        inv_nu2 = apply_table(self.inv_jc, nu * nu)
+        return (
+            omega * r * apply_table(self.jb_jc, nu * nu)
+            + 2.0 * omega * r * nu * apply_table(self.jd_jc, nu)
+            + 2.0 * r * r * nu * inv_nu2
+        )
+
+    def residual(self, nu: np.ndarray) -> np.ndarray:
+        return apply_table(self.mhat, nu) - self.source(nu)
+
+    def jacobian_apply(self, nu: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Derivative of the residual at nu in the direction v."""
+        omega, r = self.omega, self.r
+        inv_nv = apply_table(self.inv_jc, nu * v)
+        term = (
+            2.0 * omega * r * apply_table(self.jb_jc, nu * v)
+            + 2.0 * omega * r * (v * apply_table(self.jd_jc, nu) + nu * apply_table(self.jd_jc, v))
+            + 2.0 * r * r * (v * apply_table(self.inv_jc, nu * nu) + 2.0 * nu * inv_nv)
+        )
+        return apply_table(self.mhat, v) - term
+
+
 def reconstruct_xi(p: ModelParams, grid: Grid, nu: np.ndarray, omega: float, mu2_mode: str = "auto") -> np.ndarray:
     """Second-equation reconstruction xi = J_c^{-1}(omega J nu + r nu^2)/(1-gamma)."""
     jb, jc, jd, lt = _bfd_tables(p, grid, mu2_mode)
@@ -658,27 +800,14 @@ def solve_bfd_reduced(
     cfg = cfg or SolverConfig()
     if grid is None:
         raise ValueError("grid is required")
-    jb, jc, jd, lt = _bfd_tables(p, grid, mu2_mode)
-    g = p.gamma
-    r = p.r
-    og = 1.0 - g
-    mhat = og * lt - omega**2 * jb * jd / jc
+    red = _Reduced(p, grid, omega, mu2_mode)
+    mhat = red.mhat
     if np.min(mhat) <= 0.0:
         raise ConvergenceError(
             f"reduced symbol takes non-positive values (min {np.min(mhat):.3e}); "
             "parameters are outside the admissible window"
         )
-
-    def gfun(nu: np.ndarray) -> np.ndarray:
-        inv_nu2 = apply_table(1.0 / jc, nu * nu)
-        return (
-            omega * r * apply_table(jb / jc, nu * nu)
-            + 2.0 * omega * r * nu * apply_table(jd / jc, nu)
-            + 2.0 * r * r * nu * inv_nu2
-        )
-
-    def reduced_residual(nu: np.ndarray) -> np.ndarray:
-        return apply_table(mhat, nu) - gfun(nu)
+    inv_mhat = 1.0 / mhat
 
     x = grid.x
     dx = grid.dx
@@ -691,7 +820,7 @@ def solve_bfd_reduced(
         best, best_dev = amps[0], math.inf
         for amp in amps:
             nu_try = amp * shape
-            den = dx * np.dot(gfun(nu_try), nu_try)
+            den = dx * np.dot(red.source(nu_try), nu_try)
             if den <= 0.0:
                 continue
             s_try = dx * np.dot(nu_try, apply_table(mhat, nu_try)) / den
@@ -706,14 +835,14 @@ def solve_bfd_reduced(
     pet_iters = min(cfg.max_iters, 300)
     switch_to_newton = False
     for it in range(pet_iters):
-        gn = gfun(nu)
+        gn = red.source(nu)
         den = dx * np.dot(gn, nu)
         if den == 0.0:
             raise ConvergenceError("iterate collapsed to the trivial branch")
         s_val = dx * np.dot(nu, apply_table(mhat, nu)) / den
         s_hist.append(s_val)
-        nu = _even(s_val**q * apply_table(1.0 / mhat, gn))
-        res = float(np.max(np.abs(reduced_residual(nu))))
+        nu = _even(s_val**q * apply_table(inv_mhat, gn))
+        res = float(np.max(np.abs(red.residual(nu))))
         history.append(res)
         if res <= 1e-8 or (it > 4 and res < 1e-5 and history[-1] > 0.5 * history[-2]):
             break
@@ -729,38 +858,29 @@ def solve_bfd_reduced(
     # Newton polish on the scalar equation, restricted to the even subspace
     # (the translation mode would otherwise leave an odd near-kernel in the
     # Krylov space)
-    n = grid.N
-
-    def jv(v: np.ndarray) -> np.ndarray:
-        v = _even(v)
-        inv_nv = apply_table(1.0 / jc, nu * v)
-        term = (
-            2.0 * omega * r * apply_table(jb / jc, nu * v)
-            + 2.0 * omega * r * (v * apply_table(jd / jc, nu) + nu * apply_table(jd / jc, v))
-            + 2.0 * r * r * (v * apply_table(1.0 / jc, nu * nu) + 2.0 * nu * inv_nv)
-        )
-        return _even(apply_table(mhat, v) - term)
-
-    pre = LinearOperator((n, n), matvec=lambda v: apply_table(1.0 / mhat, v))
-    lin = LinearOperator((n, n), matvec=jv)
+    inner: list[dict] = []
     newton_steps = 0
-    res = float(np.max(np.abs(reduced_residual(nu))))
+    res = float(np.max(np.abs(red.residual(nu))))
     while res > cfg.tol_residual and newton_steps < 40:
         rtol_inner = max(1e-12, min(1e-4, 0.01 * res))
         # a step that missed the inner tolerance is still tried: the line
         # search accepts it iff it reduces the nonlinear residual
-        dv, _ = lgmres(
-            lin, -reduced_residual(nu), M=pre, rtol=rtol_inner, atol=0.0, maxiter=200
+        dv, rec = _inner_solve(
+            lambda v: _even(red.jacobian_apply(nu, _even(v))),
+            lambda v: apply_table(inv_mhat, v),
+            -_even(red.residual(nu)),
+            rtol_inner,
         )
-        if not np.all(np.isfinite(dv)):
+        inner.append(rec)
+        if rec["exit"] == "nonfinite":
             raise ConvergenceError(
                 f"reduced Newton inner solve diverged (residual {res:.3e})",
-                {"residual": res},
+                {"residual": res, "inner_solves": inner},
             )
         t = 1.0
         while t >= 1.0 / 64.0:
             nu_try = _even(nu + t * dv)
-            res_try = float(np.max(np.abs(reduced_residual(nu_try))))
+            res_try = float(np.max(np.abs(red.residual(nu_try))))
             if res_try < res:
                 nu, res = nu_try, res_try
                 break
@@ -771,14 +891,15 @@ def solve_bfd_reduced(
             if res <= 10.0 * cfg.tol_residual:
                 break
             raise ConvergenceError(
-                f"reduced Newton stalled at residual {res:.3e}", {"residual": res}
+                f"reduced Newton stalled at residual {res:.3e}",
+                {"residual": res, "inner_solves": inner},
             )
         newton_steps += 1
 
     if res > 10.0 * cfg.tol_residual:
         raise ConvergenceError(
             f"reduced solve finished at residual {res:.3e} above tolerance",
-            {"residual": res, "petviashvili_history": history},
+            {"residual": res, "petviashvili_history": history, "inner_solves": inner},
         )
 
     xi = reconstruct_xi(p, grid, nu, omega, mu2_mode)
@@ -796,6 +917,7 @@ def solve_bfd_reduced(
             "petviashvili_iterations": len(history),
             "newton_steps": newton_steps,
             "used_newton_fallback": switch_to_newton,
+            "inner_solves": inner,
         }
     return pair
 

@@ -232,6 +232,27 @@ def test_cli_evolve_gaussian(p1_cfg, tmp_path):
     assert len(snaps) >= 2
 
 
+def test_cli_evolve_amplitude_bound_abort(p1_cfg, tmp_path, monkeypatch, capsys):
+    from iswaves import evolution
+
+    real = evolution.check_global_criterion
+    monkeypatch.setattr(
+        evolution, "check_global_criterion", lambda p, w: dict(real(p, w), alpha=1e-6)
+    )
+    out = str(tmp_path / "evo")
+    code = main([
+        "evolve", "--config", p1_cfg, "--out", out,
+        "--family", "bfd_finite", "--T", "0.2", "--dt", "0.02",
+        "--set", "grid.L=20", "--set", "grid.N=128",
+    ])
+    assert code == 1
+    traj = json.loads((tmp_path / "evo" / "trajectory.json").read_text())
+    assert traj["status"] == "aborted"
+    assert "amplitude bound violated" in traj["error"]
+    assert "at t = 0.02" in traj["error"]
+    assert "aborted" in capsys.readouterr().err
+
+
 def test_cli_sweep_small(tmp_path, capsys):
     out = str(tmp_path / "sw")
     code = main([

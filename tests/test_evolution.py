@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from iswaves import evolution
 from iswaves.evolution import (
+    AmplitudeBoundError,
     check_global_criterion,
     make_stepper,
     rhs,
@@ -225,3 +227,22 @@ def test_travelling_wave_preserved(p1_mu2_4, bfd_finite):
     rel_v = np.linalg.norm(final.nu - v_exact) / np.linalg.norm(v_exact)
     assert rel_z < 1e-8
     assert rel_v < 1e-8
+
+
+def test_amplitude_bound_violation_is_typed(p1_mu2_4, evo_grid, monkeypatch):
+    # a satisfied criterion with a tiny bound alpha
+    real = evolution.check_global_criterion
+    monkeypatch.setattr(
+        evolution, "check_global_criterion", lambda p, w: dict(real(p, w), alpha=1e-6)
+    )
+    init = WavePair(
+        grid=evo_grid, xi=0.02 * np.exp(-evo_grid.x**2), nu=np.zeros(evo_grid.N)
+    )
+    with pytest.raises(AmplitudeBoundError) as exc:
+        run("bfd_finite", p1_mu2_4, init, T=0.2, dt=0.02)
+    err = exc.value
+    # the first monitored step already exceeds the bound
+    assert err.t == pytest.approx(0.02)
+    assert err.alpha == 1e-6
+    assert err.sup_zeta > err.alpha
+    assert "t = 0.02" in str(err)

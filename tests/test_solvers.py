@@ -18,9 +18,12 @@ from iswaves.solvers import (
     solve_bfd_reduced,
     trivial_threshold,
 )
+from iswaves.solvers import _Reduced, _System
 from iswaves.spectral import WavePair, make_grid
 
 from conftest import P1_KW
+
+INNER_EXITS = {"converged", "stagnated", "maxiter", "nonfinite"}
 
 
 def test_canonical_family_names():
@@ -185,3 +188,112 @@ def test_branch_save_load_roundtrip(tmp_path, ilw_chain):
         assert np.allclose(a.nu, b.nu, atol=1e-15)
         assert np.allclose(a.xi, b.xi, atol=1e-15)
     assert (outdir / "schema.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Jacobians against central differences at converged waves
+# ---------------------------------------------------------------------------
+
+
+def _converged_wave(request, family):
+    """(params, speed, wave) of a converged session wave of `family`."""
+    if family == "BO":
+        branch = request.getfixturevalue("bo_branch")
+        return request.getfixturevalue("p1_inf"), branch.parameter_values[-1], branch.waves[-1]
+    if family == "ILW":
+        return request.getfixturevalue("p1_mu2_25"), 0.0, request.getfixturevalue("ilw_chain").waves[-1]
+    if family == "BFD_finite":
+        sol = request.getfixturevalue("bfd_finite")
+        return request.getfixturevalue("p1_mu2_4"), sol["omega"], sol["pair"]
+    sol = request.getfixturevalue("bfd_inf")
+    return request.getfixturevalue("p1_inf"), sol["omega"], sol["pair"]
+
+
+@pytest.mark.parametrize("family", ["BO", "ILW", "BFD_finite", "BFD_inf"])
+def test_system_jacobian_matches_central_difference(request, family):
+    p, speed, wave = _converged_wave(request, family)
+    sys_ = _System(family, p, wave.grid, speed)
+    x = wave.grid.x
+    scale = np.max(np.abs(wave.nu))
+    dxi = scale * np.exp(-((x - 0.5) ** 2))
+    dnu = scale * np.cos(x) / np.cosh(x)
+    h = 1e-3
+    j1, j2 = sys_.jacobian_apply(wave.xi, wave.nu, dxi, dnu)
+    p1, p2 = sys_.residual(wave.xi + h * dxi, wave.nu + h * dnu)
+    m1, m2 = sys_.residual(wave.xi - h * dxi, wave.nu - h * dnu)
+    fd = np.concatenate([(p1 - m1) / (2.0 * h), (p2 - m2) / (2.0 * h)])
+    jv = np.concatenate([j1, j2])
+    # the residual is quadratic, so the central difference is exact up to
+    # roundoff
+    assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-8
+
+
+@pytest.mark.parametrize("which, mode", [("bfd_finite", "finite"), ("bfd_inf", "infinite")])
+def test_reduced_jacobian_matches_central_difference(request, which, mode):
+    p = request.getfixturevalue("p1_mu2_4" if mode == "finite" else "p1_inf")
+    sol = request.getfixturevalue(which)
+    nu = sol["pair"].nu
+    red = _Reduced(p, sol["pair"].grid, sol["omega"], mode)
+    x = sol["pair"].grid.x
+    v = np.max(np.abs(nu)) * np.exp(-(x**2)) * np.cos(x)
+    h = 1e-3
+    jv = red.jacobian_apply(nu, v)
+    fd = (red.residual(nu + h * v) - red.residual(nu - h * v)) / (2.0 * h)
+    # O(h^2) from the cubic source: about 4e-7 here
+    assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# inner linear solves: no run to maxiter, every non-convergence reported
+# ---------------------------------------------------------------------------
+
+
+def _assert_inner_records_honest(records):
+    assert records
+    for rec in records:
+        assert rec["exit"] in INNER_EXITS
+        assert rec["exit"] != "maxiter"
+        assert 0 < rec["matvecs"] < 1000
+        assert np.isfinite(rec["relative_residual"])
+        if rec["exit"] == "converged":
+            assert rec["relative_residual"] <= rec["rtol"]
+        else:
+            assert rec["relative_residual"] > rec["rtol"]
+
+
+def test_reduced_solve_inner_solves_are_honest(p1_mu2_4, scfg):
+    grid = make_grid(8.0, 512)
+    pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, "finite", scfg, grid=grid, return_info=True)
+    assert info["full_residual"] <= 1e-9
+    assert len(info["inner_solves"]) >= info["newton_steps"]
+    _assert_inner_records_honest(info["inner_solves"])
+
+
+def test_depth_chain_inner_solves_are_honest(p1_inf, scfg):
+    # the first steps of the mu2 continuation, in 1/sqrt(mu2), on a coarse grid
+    grid = make_grid(50.0, 256)
+    nu0 = petviashvili_ground_state(p1_inf, grid, scfg)
+    pair, info = newton_solve(
+        "BO", p1_inf, 0.0, assemble_bo_pair(p1_inf, nu0), scfg, return_info=True
+    )
+    records = list(info["inner_solves"])
+    for t in (0.005, 0.01, 0.02, 0.04, 0.05):
+        p = ModelParams(mu2=1.0 / t**2, **P1_KW)
+        pair, info = newton_solve("ILW", p, 0.0, pair, scfg, return_info=True)
+        assert residual_norm("ILW", p, 0.0, pair) <= scfg.tol_residual
+        assert len(info["inner_solves"]) == info["iterations"]
+        records += info["inner_solves"]
+    _assert_inner_records_honest(records)
+
+
+def test_unpinned_newton_failure_carries_inner_records(p1_mu2_4, scfg):
+    # without the even projection the translation mode stalls the inner
+    # solve at the converged wave, and the failure must say so
+    grid = make_grid(8.0, 512)
+    pair = solve_bfd_reduced(p1_mu2_4, 0.1, "finite", scfg, grid=grid)
+    with pytest.raises(ConvergenceError) as exc:
+        newton_solve("BFD_finite", p1_mu2_4, 0.1, pair, scfg, enforce_even=False)
+    records = exc.value.diagnostics["inner_solves"]
+    assert records[-1]["exit"] != "converged"
+    assert records[-1]["exit"] in str(exc.value)
+    _assert_inner_records_honest(records)
