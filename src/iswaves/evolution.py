@@ -12,13 +12,22 @@ it reduces to pure phase rotation at speeds +-sqrt(AB); ETDRK4 integrates
 that part exactly and the quadratic terms explicitly.  An IMEX-BDF2
 stepper is provided as an independent cross-check.  Quadratic products are
 formed in physical space and dealiased by the 2/3 rule.
+
+The two fields always travel together as one stacked (2, .) array, so each
+nonlinear evaluation is one inverse and one forward real FFT (8 per ETDRK4
+step), with the constant flux coefficients premultiplied once per stepper.
+The run monitors read the spectral state (zhat, vhat) straight from q and
+need one stacked inverse FFT per monitored step: the H1 norms, the top-third
+energy fraction and the quadratic part of the Hamiltonian are Parseval sums
+with tables cached once per run; sup|zeta|, inf(1 - eps/gamma zeta), the
+masses and the cubic term of H are taken in physical space.  The amplitude
+bound is asserted at every monitored step.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +67,6 @@ class AmplitudeBoundError(RuntimeError):
         self.t = t
         self.sup_zeta = sup_zeta
         self.alpha = alpha
-
-
-@dataclass
-class EvolutionState:
-    """Fields plus running diagnostics at one instant."""
-
-    t: float
-    fields: WavePair
-    h_value: float | None
-    h_drift: float
-    min_one_minus: float
 
 
 def _canon_family(name: str) -> str:
@@ -136,7 +134,12 @@ def suggest_dt(family: str, p: ModelParams, grid: Grid, max_phase: float = math.
 
 
 class _CharacteristicBase:
-    """Shared machinery: transforms between (z, v) and q+- = zhat +- P vhat."""
+    """Shared machinery: transforms between (z, v) and q+- = zhat +- P vhat.
+
+    Both fields are carried as one stacked (2, .) array: rows (zeta, v) in
+    physical space, (zhat, vhat) as half spectra, (q+, q-) in characteristic
+    variables.
+    """
 
     def __init__(self, family: str, p: ModelParams, grid: Grid, dt: float, linear_only: bool):
         if dt <= 0.0:
@@ -154,50 +157,59 @@ class _CharacteristicBase:
                 "characteristic splitting needs positive symbol quotients; "
                 "parameters are outside the admissible window"
             )
-        self.t1, self.t2 = t1, t2
         self.pfac = np.sqrt(a_sym / b_sym)
+        self._half_over_pfac = 0.5 / self.pfac
         speed = np.sqrt(a_sym * b_sym)
         ik = 1j * grid.k_half
         # rows: q+ rotates with -ik*speed, q- with +ik*speed
         self.lam = np.vstack([-ik * speed, ik * speed])
-        self.mask = grid.dealias_mask()
-        self.ik = ik
+        g = p.gamma
+        mask = grid.dealias_mask()
+        # dealiased flux coefficients applied to the spectra of (zeta v, v^2);
+        # the second row carries the factor P of the characteristic variables
+        self._flux = np.vstack(
+            [
+                (p.epsilon / g) * mask * ik / t1,
+                self.pfac * ((p.epsilon / (2.0 * g)) * mask * ik / t2),
+            ]
+        )
+
+    def spectral(self, q: np.ndarray) -> np.ndarray:
+        """Half spectra (zhat, vhat) of the characteristic state q; no FFT."""
+        s = np.empty_like(q)
+        np.add(q[0], q[1], out=s[0])
+        s[0] *= 0.5
+        np.subtract(q[0], q[1], out=s[1])
+        s[1] *= self._half_over_pfac
+        return s
+
+    def physical(self, s: np.ndarray) -> np.ndarray:
+        """Samples (zeta, v) of the half spectra s: one inverse FFT."""
+        return np.fft.irfft(s, n=self.grid.N, axis=-1)
+
+    def from_spectral(self, s: np.ndarray) -> np.ndarray:
+        """Characteristic state q of the half spectra s = (zhat, vhat)."""
+        pv = self.pfac * s[1]
+        return np.stack([s[0] + pv, s[0] - pv])
 
     def encode(self, state: WavePair) -> np.ndarray:
-        zh = np.fft.rfft(state.xi)
-        vh = np.fft.rfft(state.nu)
-        return np.vstack([zh + self.pfac * vh, zh - self.pfac * vh])
+        return self.from_spectral(np.fft.rfft(np.stack([state.xi, state.nu]), axis=-1))
 
     def decode(self, q: np.ndarray) -> WavePair:
-        zh = 0.5 * (q[0] + q[1])
-        vh = 0.5 * (q[0] - q[1]) / self.pfac
-        n = self.grid.N
-        return WavePair(
-            grid=self.grid,
-            xi=np.fft.irfft(zh, n=n),
-            nu=np.fft.irfft(vh, n=n),
-        )
+        zv = self.physical(self.spectral(q))
+        return WavePair(grid=self.grid, xi=zv[0], nu=zv[1])
 
     def nonlinear(self, q: np.ndarray) -> np.ndarray:
         if self.linear_only:
             return np.zeros_like(q)
-        pair = self.decode(q)
-        g = self.p.gamma
-        f1 = (
-            (self.p.epsilon / g)
-            * self.mask
-            * self.ik
-            * np.fft.rfft(pair.xi * pair.nu)
-            / self.t1
-        )
-        f2 = (
-            (self.p.epsilon / (2.0 * g))
-            * self.mask
-            * self.ik
-            * np.fft.rfft(pair.nu**2)
-            / self.t2
-        )
-        return np.vstack([f1 + self.pfac * f2, f1 - self.pfac * f2])
+        zv = self.physical(self.spectral(q))
+        # one forward FFT of the stacked products (zeta v, v^2)
+        f = np.fft.rfft(zv[1] * zv, axis=-1)
+        f *= self._flux
+        out = np.empty_like(f)
+        np.add(f[0], f[1], out=out[0])
+        np.subtract(f[0], f[1], out=out[1])
+        return out
 
 
 class Etdrk4Stepper(_CharacteristicBase):
@@ -220,7 +232,8 @@ class Etdrk4Stepper(_CharacteristicBase):
         self.f1_w = self.dt * np.mean(
             (-4.0 - lr + np.exp(lr) * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=-1
         )
-        self.f2_w = self.dt * np.mean(
+        # carries the factor 2 with which the scheme weights (na + nb)
+        self.f2_w = 2.0 * self.dt * np.mean(
             (2.0 + lr + np.exp(lr) * (-2.0 + lr)) / lr**3, axis=-1
         )
         self.f3_w = self.dt * np.mean(
@@ -229,16 +242,17 @@ class Etdrk4Stepper(_CharacteristicBase):
 
     def advance(self, q: np.ndarray) -> np.ndarray:
         n0 = self.nonlinear(q)
-        qa = self.e_half * q + self.q_w * n0
+        eq = self.e_half * q
+        qa = eq + self.q_w * n0
         na = self.nonlinear(qa)
-        qb = self.e_half * q + self.q_w * na
+        qb = eq + self.q_w * na
         nb = self.nonlinear(qb)
         qc = self.e_half * qa + self.q_w * (2.0 * nb - n0)
         nc = self.nonlinear(qc)
         return (
             self.e_full * q
             + self.f1_w * n0
-            + 2.0 * self.f2_w * (na + nb)
+            + self.f2_w * (na + nb)
             + self.f3_w * nc
         )
 
@@ -370,21 +384,56 @@ def check_global_criterion(p: ModelParams, initial: WavePair) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _h1_norm(grid: Grid, u: np.ndarray) -> float:
-    uh = np.fft.rfft(u)
-    weights = np.full(grid.k_half.shape, 2.0)
-    weights[0] = 1.0
-    if grid.N % 2 == 0:
-        weights[-1] = 1.0
-    dens = (1.0 + grid.k_half**2) * weights * np.abs(uh) ** 2
-    return math.sqrt(float(np.sum(dens)) * grid.dx / grid.N)
+class _Monitor:
+    """Per-step diagnostics of one state, given as its half spectra
+    s = (zhat, vhat) and its samples zv = (zeta, v), both stacked (2, .).
 
+    The H1 norms, the top-third energy fraction and the quadratic part of H
+    are Parseval sums over the rfft bins with weights tabulated once;
+    sup|zeta|, inf(1 - eps/gamma zeta), the masses and the cubic term of H
+    are taken in physical space.
+    """
 
-def _top_third_fraction(grid: Grid, u: np.ndarray) -> float:
-    uh = np.abs(np.fft.rfft(u)) ** 2
-    cut = grid.dealias_cut
-    total = float(np.sum(uh))
-    return float(np.sum(uh[cut + 1 :]) / max(total, 1e-300))
+    def __init__(self, p: ModelParams, grid: Grid, track_h: bool):
+        self.r = p.epsilon / p.gamma
+        self.dx = grid.dx
+        m = grid.N // 2 + 1
+        # Parseval weights with the quadrature factor dx/N: the bins strictly
+        # between 0 and N/2 stand for two Fourier modes each
+        w = np.full(m, 2.0 * grid.dx / grid.N)
+        w[0] = w[-1] = grid.dx / grid.N
+        cols = [w, np.where(np.arange(m) > grid.dealias_cut, w, 0.0), (1.0 + grid.k_half**2) * w]
+        self.track_h = track_h
+        if track_h:
+            from .functionals import _hamiltonian_tables
+
+            jc, lt = _hamiltonian_tables(p, grid)
+            cols += [0.5 * (1.0 - p.gamma) * jc * w, 0.5 * lt * w]
+        # one row per real and per imaginary part of each bin, so that the
+        # squared float view of s is summed by a single product
+        self.weights = np.repeat(np.column_stack(cols), 2, axis=0)
+
+    def __call__(self, s: np.ndarray, zv: np.ndarray) -> tuple:
+        """(sup|zeta|, inf(1 - eps/gamma zeta), mass of zeta, mass of v,
+        H1 norm of zeta, H1 norm of v, top-third energy fraction, H or None)."""
+        sums = (np.square(s.view(np.float64)) @ self.weights).tolist()
+        (tot_z, top_z, h1_z, *quad_z), (tot_v, top_v, h1_v, *quad_v) = sums
+        zeta, v = zv
+        z_max, z_min = float(zeta.max()), float(zeta.min())
+        masses = zv.sum(axis=1) * self.dx
+        h = None
+        if self.track_h:
+            h = quad_z[0] + quad_v[1] - 0.5 * self.r * self.dx * float(np.dot(zeta, v * v))
+        return (
+            max(z_max, -z_min),
+            1.0 - self.r * z_max,  # eps/gamma > 0: the infimum sits at max zeta
+            float(masses[0]),
+            float(masses[1]),
+            math.sqrt(h1_z),
+            math.sqrt(h1_v),
+            max(top_z / max(tot_z, 1e-300), top_v / max(tot_v, 1e-300)),
+            h,
+        )
 
 
 def run(
@@ -403,11 +452,17 @@ def run(
 
     The Hamiltonian is tracked for the two-layer family when b = d (the
     conserved assembly); mass integrals of both fields are tracked always.
-    When the initial data satisfies the global-existence criterion, the
-    amplitude bound sup|zeta| <= alpha is asserted at every monitored step
-    and a violation raises AmplitudeBoundError carrying t, the observed sup
-    and alpha (a violation can only mean under-resolution or a bug).  Non-finite values abort with a
-    blow-up report carrying the time stamp.
+    Each monitored step reads (zhat, vhat) from the stepper's characteristic
+    state without a transform and makes one stacked inverse FFT for the
+    samples; the quadratic monitors (H1 norms, top-third energy fraction,
+    the quadratic part of H) are Parseval sums with tables cached once per
+    run, while sup|zeta|, the masses and the cubic term of H come from the
+    samples.  The initial values, h0 included, take the same path.  When the
+    initial data satisfies the global-existence criterion, the amplitude
+    bound sup|zeta| <= alpha is asserted at every monitored step and a
+    violation raises AmplitudeBoundError carrying t, the observed sup and
+    alpha (a violation can only mean under-resolution or a bug).  Non-finite
+    values abort with a blow-up report carrying the time stamp.
     """
     fam = _canon_family(family)
     grid = initial.grid
@@ -416,28 +471,9 @@ def run(
     stepper = make_stepper(integrator, fam, p, grid, dt_eff, linear_only)
 
     track_h = fam in ("BFD_finite", "BFD_inf") and abs(p.b - p.d) <= 1e-12
-    if track_h:
-        from .functionals import hamiltonian_H
-
     cond = None
     if fam in ("BFD_finite", "BFD_inf") and not linear_only:
         cond = check_global_criterion(p, initial)
-
-    dx = grid.dx
-    h0 = hamiltonian_H(p, initial) if track_h else None
-    mass_z0 = float(np.sum(initial.xi) * dx)
-    mass_v0 = float(np.sum(initial.nu) * dx)
-
-    times = [0.0]
-    h_drift = [0.0] if track_h else []
-    sup_z = [float(np.max(np.abs(initial.xi)))]
-    min_one = [float(np.min(1.0 - (p.epsilon / p.gamma) * initial.xi))]
-    h1_z = [_h1_norm(grid, initial.xi)]
-    h1_v = [_h1_norm(grid, initial.nu)]
-    top_frac = [max(_top_third_fraction(grid, initial.xi), _top_third_fraction(grid, initial.nu))]
-    mass_dz = [0.0]
-    mass_dv = [0.0]
-
     alpha_bound = None
     if cond is not None and cond.get("satisfied"):
         alpha_bound = cond["alpha"]
@@ -453,51 +489,48 @@ def run(
         "status": "completed",
     }
 
-    q = stepper.encode(initial)
+    monitor = _Monitor(p, grid, track_h)
+    zv = np.stack([initial.xi, initial.nu])
+    s = np.fft.rfft(zv, axis=-1)
+    q = stepper.from_spectral(s)
+    times = [0.0]
+    samples = [monitor(s, zv)]
     snap_next = snapshots_every
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
         pair_to_csv(initial, os.path.join(outdir, "snapshot_t0.csv"))
 
     t = 0.0
-    state = initial
     for istep in range(1, nsteps + 1):
         q = stepper.advance(q)
         t = istep * dt_eff
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             summary["status"] = "blow_up"
             summary["t_blow_up"] = t
             break
-        if istep % monitor_every == 0 or istep == nsteps:
-            state = stepper.decode(q)
+        monitored = istep % monitor_every == 0 or istep == nsteps
+        if monitored:
+            s = stepper.spectral(q)
+            zv = stepper.physical(s)
+            sample = monitor(s, zv)
             times.append(t)
-            sz = float(np.max(np.abs(state.xi)))
-            sup_z.append(sz)
-            min_one.append(float(np.min(1.0 - (p.epsilon / p.gamma) * state.xi)))
-            h1_z.append(_h1_norm(grid, state.xi))
-            h1_v.append(_h1_norm(grid, state.nu))
-            top_frac.append(
-                max(_top_third_fraction(grid, state.xi), _top_third_fraction(grid, state.nu))
-            )
-            mass_dz.append(abs(float(np.sum(state.xi) * dx) - mass_z0))
-            mass_dv.append(abs(float(np.sum(state.nu) * dx) - mass_v0))
-            if track_h:
-                h_now = hamiltonian_H(p, state)
-                h_drift.append(abs(h_now - h0) / max(abs(h0), 1e-15))
-            if alpha_bound is not None and sz > alpha_bound * (1.0 + 1e-9):
-                raise AmplitudeBoundError(t, sz, alpha_bound)
+            samples.append(sample)
+            if alpha_bound is not None and sample[0] > alpha_bound * (1.0 + 1e-9):
+                raise AmplitudeBoundError(t, sample[0], alpha_bound)
         if (
             snapshots_every is not None
             and outdir is not None
             and snap_next is not None
             and t + 1e-12 >= snap_next
         ):
-            state = stepper.decode(q)
-            pair_to_csv(state, os.path.join(outdir, f"snapshot_t{t:.6g}.csv"))
+            pair = WavePair(grid=grid, xi=zv[0], nu=zv[1]) if monitored else stepper.decode(q)
+            pair_to_csv(pair, os.path.join(outdir, f"snapshot_t{t:.6g}.csv"))
             snap_next += snapshots_every
 
     if summary["status"] == "completed":
-        summary["final_state"] = stepper.decode(q)
+        # the last step is always monitored, so zv holds the final samples
+        summary["final_state"] = WavePair(grid=grid, xi=zv[0], nu=zv[1])
+    sup_z, min_one, mass_z, mass_v, h1_z, h1_v, top_frac, h_values = map(list, zip(*samples))
     summary.update(
         {
             "t_final": t,
@@ -508,11 +541,13 @@ def run(
             "h1_zeta": h1_z,
             "h1_v": h1_v,
             "dealias_top_fraction_max": max(top_frac),
-            "mass_drift_zeta": max(mass_dz),
-            "mass_drift_v": max(mass_dv),
+            "mass_drift_zeta": max(abs(m - mass_z[0]) for m in mass_z),
+            "mass_drift_v": max(abs(m - mass_v[0]) for m in mass_v),
         }
     )
     if track_h:
+        h0 = h_values[0]
+        h_drift = [abs(h - h0) / max(abs(h0), 1e-15) for h in h_values]
         summary["h0"] = h0
         summary["h_drift"] = h_drift
         summary["h_drift_max"] = max(h_drift)

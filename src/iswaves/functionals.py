@@ -96,6 +96,24 @@ def constraint_F(p: ModelParams, w: WavePair) -> float:
     return p.r * inner(w.grid, w.xi, w.nu * w.nu)
 
 
+def _hamiltonian_tables(p: ModelParams, grid: Grid, coth_arg: str = "mu2"):
+    """Half-spectrum tables (J_c, L) of the quadratic part of H.
+
+    H's quadratic part is int (1-gamma)/2 zeta J_c zeta + 1/2 v L v; L carries
+    the coth factors at the depth scale selected by coth_arg.
+    """
+    g = p.gamma
+    depth = p.mu2 if coth_arg == "mu2" else p.mu
+    k = grid.k_half
+    lt = (
+        1.0 / g
+        - math.sqrt(p.mu) / g**2 * l1_symbol(k, depth)
+        - p.mu / g * p.a * k * k
+        + p.mu / g**3 * l1sq_symbol(k, depth)
+    )
+    return symbol_J(p, "c", grid).table_half, lt
+
+
 def hamiltonian_H(p: ModelParams, state: WavePair, coth_arg: str = "mu2") -> float:
     """Invariant of the b = d evolution.
 
@@ -113,16 +131,7 @@ def hamiltonian_H(p: ModelParams, state: WavePair, coth_arg: str = "mu2") -> flo
         raise ValueError(f"coth_arg must be 'mu2' or 'mu', got {coth_arg!r}")
     grid = state.grid
     g = p.gamma
-    depth = p.mu2 if coth_arg == "mu2" else p.mu
-    k = grid.k_half
-
-    lt = (
-        1.0 / g
-        - math.sqrt(p.mu) / g**2 * l1_symbol(k, depth)
-        - p.mu / g * p.a * k * k
-        + p.mu / g**3 * l1sq_symbol(k, depth)
-    )
-    jc = symbol_J(p, "c", grid).table_half
+    jc, lt = _hamiltonian_tables(p, grid, coth_arg)
     zeta, v = state.xi, state.nu
     value = 0.5 * (1.0 - g) * inner(grid, zeta, apply_table(jc, zeta))
     value += 0.5 * inner(grid, v, apply_table(lt, v))
@@ -192,8 +201,3 @@ def estimate_I_lambda(
     return IlambdaEstimate(
         value=value, residual=info["gradient_norm"], iterations=info["iterations"]
     )
-
-
-def report_to_csv(report: QuadraticFormReport, grid: Grid, path: str) -> None:
-    data = np.column_stack([grid.frequencies, report.min_eigen_by_freq])
-    np.savetxt(path, data, delimiter=",", header="k,min_eigen", comments="")

@@ -24,7 +24,9 @@ matvecs.  Each inner solve leaves one record
 {matvecs, exit, relative_residual, rtol} with exit one of "converged",
 "stagnated", "maxiter" or "nonfinite"; the records are returned under
 "inner_solves" in `return_info` and attached to the ConvergenceError
-diagnostics when a Newton iteration fails.  The inner forcing terms, the
+diagnostics when a Newton iteration fails.  Both continuations keep them per
+attempted step, accepted or rejected, in the branch diagnostics["steps"],
+which `save_branch` writes out.  The inner forcing terms, the
 line searches, `tol_residual` and the 10x reduced-residual acceptance margin
 are unaffected.
 """
@@ -523,6 +525,21 @@ def newton_solve(
 # ---------------------------------------------------------------------------
 
 
+def _step_record(parameter: float, info: dict, error: ConvergenceError | None = None) -> dict:
+    """Diagnostics of one continuation step: the parameter tried, whether the
+    Newton solve was accepted, and the records of its inner solves."""
+    record = {
+        "parameter": parameter,
+        "accepted": error is None,
+        "inner_solves": info.get("inner_solves", []),
+    }
+    if error is None:
+        record["iterations"] = info["iterations"]
+    else:
+        record["error"] = str(error)
+    return record
+
+
 def _continuation(
     family: str,
     p_of: "callable",
@@ -537,11 +554,13 @@ def _continuation(
     p_of(t) and speed_of(t) map the continuation parameter to model
     parameters and speed.  Steps grow on fast Newton solves (<= 3 iters)
     and halve on slow ones; collapse below min_step truncates the branch.
+    Every attempted step, accepted or rejected, leaves a `_step_record` in
+    diagnostics["steps"].
     """
     params = [start_param]
     waves = [start_pair]
     residuals = [residual_norm(family, p_of(start_param), speed_of(start_param), start_pair)]
-    diagnostics: dict = {"truncated": False}
+    diagnostics: dict = {"truncated": False, "steps": []}
 
     current_t = start_param
     current = start_pair
@@ -560,13 +579,15 @@ def _continuation(
                     cfg,
                     return_info=True,
                 )
-            except ConvergenceError:
+            except ConvergenceError as exc:
+                diagnostics["steps"].append(_step_record(t_next, exc.diagnostics, exc))
                 step *= 0.5
                 if step < cfg.min_step:
                     diagnostics["truncated"] = True
                     diagnostics["endpoint_estimate"] = current_t
                     return params, waves, residuals, diagnostics
                 continue
+            diagnostics["steps"].append(_step_record(t_next, info))
             iters = info["iterations"]
             current, current_t = pair, t_next
             if iters <= 3:
@@ -641,6 +662,8 @@ def continue_in_mu2(
     Continuation runs in the regularizing parameter 1/sqrt(mu2), which is 0
     at the infinite-depth endpoint.  The first stored sample is the starting
     pair itself (parameter value inf).  Milestones are mu2 values to store.
+    Every attempted step leaves a `_step_record`, keyed by its mu2 value, in
+    diagnostics["steps"].
     """
     cfg = cfg or SolverConfig()
     if start is None:
@@ -672,7 +695,7 @@ def continue_in_mu2(
     current = start
     current_t = 0.0
     step = cfg.continuation_step
-    diagnostics: dict = {"truncated": False}
+    diagnostics: dict = {"truncated": False, "steps": []}
     for mu2_target in milestones:
         target = 1.0 / math.sqrt(mu2_target)
         while target - current_t > 1e-15:
@@ -682,7 +705,8 @@ def continue_in_mu2(
                 pair, info = newton_solve(
                     "ILW", p_of(t_next), 0.0, current, cfg, return_info=True
                 )
-            except ConvergenceError:
+            except ConvergenceError as exc:
+                diagnostics["steps"].append(_step_record(1.0 / t_next**2, exc.diagnostics, exc))
                 step *= 0.5
                 if step < cfg.min_step:
                     diagnostics["truncated"] = True
@@ -697,6 +721,7 @@ def continue_in_mu2(
                         diagnostics=diagnostics,
                     )
                 continue
+            diagnostics["steps"].append(_step_record(1.0 / t_next**2, info))
             current, current_t = pair, t_next
             iters = info["iterations"]
             if iters <= 3:

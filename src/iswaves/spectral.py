@@ -313,16 +313,6 @@ def assert_resolved(values: np.ndarray, tol: float = 1e-12) -> None:
         )
 
 
-def field_to_csv(f: RealField, path: str) -> None:
-    data = np.column_stack([f.grid.x, f.values])
-    np.savetxt(path, data, delimiter=",", header="x,value", comments="")
-
-
-def multiplier_to_csv(m: Multiplier, path: str) -> None:
-    data = np.column_stack([m.grid.frequencies, m.table])
-    np.savetxt(path, data, delimiter=",", header="k,symbol", comments="")
-
-
 def pair_to_csv(w: WavePair, path: str) -> None:
     data = np.column_stack([w.grid.x, w.xi, w.nu])
     np.savetxt(path, data, delimiter=",", header="x,xi,nu", comments="")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iswaves import evolution
 from iswaves.evolution import (
@@ -15,6 +17,7 @@ from iswaves.evolution import (
     step,
     suggest_dt,
 )
+from iswaves.functionals import hamiltonian_H
 from iswaves.params import ModelParams
 from iswaves.spectral import WavePair, make_grid
 
@@ -246,3 +249,141 @@ def test_amplitude_bound_violation_is_typed(p1_mu2_4, evo_grid, monkeypatch):
     assert err.alpha == 1e-6
     assert err.sup_zeta > err.alpha
     assert "t = 0.02" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# evaluation path: stacked transforms, premultiplied fluxes, spectral monitors
+# ---------------------------------------------------------------------------
+
+
+def _random_pair(grid, seed, nyquist=False):
+    """Random smooth pair with energy in every rfft bin; band-limited (no
+    Nyquist mode) unless asked."""
+    rng = np.random.default_rng(seed)
+    m = grid.N // 2 + 1
+    decay = 1.0 / (1.0 + 0.1 * grid.k_half**2)
+    coef = decay * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
+    coef[:, 0] = coef[:, 0].real
+    coef[:, -1] = coef[:, -1].real if nyquist else 0.0
+    zv = 0.05 * np.fft.irfft(coef, n=grid.N, axis=-1) * grid.N
+    return WavePair(grid=grid, xi=zv[0], nu=zv[1])
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    counter = {"n": 0}
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            counter["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counter
+
+
+def test_transform_counts(p1_mu2_4, evo_grid, fft_calls):
+    init = _gaussian_pair(evo_grid)
+    stepper = make_stepper("etdrk4", "bfd_finite", p1_mu2_4, evo_grid, 0.01)
+    q = stepper.encode(init)
+    fft_calls["n"] = 0
+    stepper.advance(q)
+    assert fft_calls["n"] == 8
+
+    imex = make_stepper("imex", "bfd_finite", p1_mu2_4, evo_grid, 0.01)
+    q = imex.advance(imex.encode(init))
+    fft_calls["n"] = 0
+    imex.advance(q)
+    assert fft_calls["n"] == 2
+
+    # three more monitored ETDRK4 steps cost at most 3 * (8 + 1) transforms
+    fft_calls["n"] = 0
+    run("bfd_finite", p1_mu2_4, init, T=0.02, dt=0.01)
+    two = fft_calls["n"]
+    fft_calls["n"] = 0
+    run("bfd_finite", p1_mu2_4, init, T=0.05, dt=0.01)
+    assert fft_calls["n"] - two <= 3 * 9
+
+
+@pytest.mark.parametrize("family, which", [("bfd_finite", "p1_mu2_4"), ("bfd_inf", "p1_inf")])
+def test_spectral_monitors_match_direct_formulas(request, family, which):
+    p = request.getfixturevalue(which)
+    grid = make_grid(20.0, 256)
+    mask = grid.dealias_mask()
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * abs(b)
+
+    # the sampled spectral derivative drops the Nyquist mode, so the direct
+    # H1 formula holds for the band-limited state only
+    for state, check_h1 in ((_random_pair(grid, 7), True), (_random_pair(grid, 8, True), False)):
+        zv = np.stack([state.xi, state.nu])
+        monitor = evolution._Monitor(p, grid, track_h=True)
+        sup, min_one, mass_z, mass_v, h1_z, h1_v, top, h = monitor(np.fft.rfft(zv, axis=-1), zv)
+        assert close(h, hamiltonian_H(p, state))
+        fracs = []
+        for u, h1 in ((state.xi, h1_z), (state.nu, h1_v)):
+            uh = np.fft.rfft(u)
+            if check_h1:
+                ux = np.fft.irfft(1j * grid.k_half * uh, n=grid.N)
+                assert close(h1, math.sqrt(grid.dx * np.sum(u * u + ux * ux)))
+            high = np.fft.irfft((1.0 - mask) * uh, n=grid.N)
+            fracs.append(np.sum(high * high) / np.sum(u * u))
+        assert 0.0 < max(fracs) and close(top, max(fracs))
+        assert sup == np.max(np.abs(state.xi))
+        assert min_one == np.min(1.0 - (p.epsilon / p.gamma) * state.xi)
+        assert mass_z == pytest.approx(np.sum(state.xi) * grid.dx, rel=1e-13, abs=1e-15)
+        assert mass_v == pytest.approx(np.sum(state.nu) * grid.dx, rel=1e-13, abs=1e-15)
+
+        # run() takes h0 from the same path
+        out = run(family, p, state, T=1e-3, dt=1e-3)
+        assert close(out["h0"], hamiltonian_H(p, state))
+
+
+_STEPPER_CASES = [
+    ("bfd_finite", dict(P1_KW, mu2=4.0)),
+    ("bfd_inf", dict(P1_KW, mu2=np.inf)),
+    ("BO", dict(P1_KW, mu2=np.inf)),
+    ("ILW", dict(P1_KW, mu2=4.0)),
+]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    case=st.sampled_from(_STEPPER_CASES),
+    integrator=st.sampled_from(evolution.INTEGRATORS),
+    n=st.sampled_from([64, 128, 256]),
+    dt=st.floats(1e-3, 0.5),
+    seed=st.integers(0, 2**16),
+)
+def test_stepper_coefficients_property(case, integrator, n, dt, seed):
+    family, kw = case
+    p = ModelParams(**kw)
+    grid = make_grid(20.0, n)
+    state = _random_pair(grid, seed)
+
+    # decode(encode(w)) reproduces w to roundoff
+    stepper = make_stepper(integrator, family, p, grid, dt)
+    back = stepper.decode(stepper.encode(state))
+    for got, want in ((back.xi, state.xi), (back.nu, state.nu)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # the stepper's time derivative lam*q + N(q), decoded, is the
+    # physical-space reference rhs()
+    q = stepper.encode(state)
+    ref = rhs(family, p, state)
+    dz = stepper.decode(stepper.lam * q + stepper.nonlinear(q))
+    for got, want in ((dz.xi, ref.xi), (dz.nu, ref.nu)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # with the linear part alone one step is the exact rotation for ETDRK4
+    # and the trapezoidal (Cayley) factor for the IMEX start-up step
+    linear = make_stepper(integrator, family, p, grid, dt, linear_only=True)
+    q1 = linear.advance(q)
+    if integrator == "etdrk4":
+        exact = linear.e_full * q
+    else:
+        z = 0.5 * dt * linear.lam
+        exact = (1.0 + z) / (1.0 - z) * q
+    assert np.max(np.abs(q1 - exact)) <= 1e-13 * np.max(np.abs(q))

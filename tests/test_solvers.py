@@ -9,6 +9,7 @@ from iswaves.solvers import (
     SolverConfig,
     assemble_bo_pair,
     canonical_family,
+    continue_in_mu2,
     load_branch,
     newton_solve,
     petviashvili_ground_state,
@@ -269,21 +270,44 @@ def test_reduced_solve_inner_solves_are_honest(p1_mu2_4, scfg):
     _assert_inner_records_honest(info["inner_solves"])
 
 
-def test_depth_chain_inner_solves_are_honest(p1_inf, scfg):
-    # the first steps of the mu2 continuation, in 1/sqrt(mu2), on a coarse grid
+def test_depth_chain_inner_solves_are_honest(p1_inf, scfg, tmp_path):
+    # the first steps of the mu2 continuation, in 1/sqrt(mu2), on a coarse
+    # grid; the records are read back from the saved branch
+    grid = make_grid(50.0, 256)
+    branch = continue_in_mu2(p1_inf, 400.0, scfg, grid=grid)
+    save_branch(branch, str(tmp_path))
+    loaded = load_branch(str(tmp_path))
+    assert not loaded.diagnostics["truncated"]
+    assert max(loaded.residuals) <= scfg.tol_residual
+    steps = loaded.diagnostics["steps"]
+    assert steps == branch.diagnostics["steps"]
+    assert len(steps) >= 2
+    records = []
+    for step in steps:
+        assert step["parameter"] > 400.0 * (1.0 - 1e-12)
+        if step["accepted"]:
+            assert len(step["inner_solves"]) == step["iterations"]
+        records += step["inner_solves"]
+    assert steps[-1]["accepted"] and steps[-1]["parameter"] == pytest.approx(400.0)
+    _assert_inner_records_honest(records)
+
+
+def test_rejected_continuation_steps_keep_inner_records(p1_inf, scfg):
+    # one Newton iteration per step never certifies a wave: every step is
+    # rejected until the step size collapses, and each keeps its records
     grid = make_grid(50.0, 256)
     nu0 = petviashvili_ground_state(p1_inf, grid, scfg)
-    pair, info = newton_solve(
-        "BO", p1_inf, 0.0, assemble_bo_pair(p1_inf, nu0), scfg, return_info=True
-    )
-    records = list(info["inner_solves"])
-    for t in (0.005, 0.01, 0.02, 0.04, 0.05):
-        p = ModelParams(mu2=1.0 / t**2, **P1_KW)
-        pair, info = newton_solve("ILW", p, 0.0, pair, scfg, return_info=True)
-        assert residual_norm("ILW", p, 0.0, pair) <= scfg.tol_residual
-        assert len(info["inner_solves"]) == info["iterations"]
-        records += info["inner_solves"]
-    _assert_inner_records_honest(records)
+    start = newton_solve("BO", p1_inf, 0.0, assemble_bo_pair(p1_inf, nu0), scfg)
+    one_iter = SolverConfig(tol_residual=scfg.tol_residual, max_iters=1)
+    branch = continue_in_mu2(p1_inf, 400.0, one_iter, start=start)
+    assert branch.diagnostics["truncated"]
+    steps = branch.diagnostics["steps"]
+    assert len(steps) >= 2
+    for step in steps:
+        assert not step["accepted"]
+        assert "did not reach tol" in step["error"]
+        assert len(step["inner_solves"]) == 1
+    _assert_inner_records_honest([rec for step in steps for rec in step["inner_solves"]])
 
 
 def test_unpinned_newton_failure_carries_inner_records(p1_mu2_4, scfg):
