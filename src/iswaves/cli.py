@@ -22,7 +22,7 @@ from .kernels import (
     default_fit_window,
     fit_algebraic_tail,
     fit_exponential_tail,
-    kernel_fft_oracle,
+    kernel_oracle_at,
     kernel_K1,
     kernel_K2_plateau,
     kernel_K2_quadrature,
@@ -270,15 +270,17 @@ def cmd_kernel_check(cfg: dict, out: str) -> int:
             xs = [1.0, 2.0, 5.0]
             closed = [kernel_K3_series(p, x)[0] for x in xs]
 
-        oracle = kernel_fft_oracle(sym, grid)
-        idx = [int(round((x + grid.L) / grid.dx)) for x in xs]
-        ovals = [float(oracle.values[i]) for i in idx]
+        oracle, bins = kernel_oracle_at(sym, grid, xs)
+        ovals = [float(v) for v in oracle]
         diffs = [abs(c - o) for c, o in zip(closed, ovals)]
         results[name] = {
             "x": xs,
             "closed_form": closed,
             "oracle": ovals,
             "max_abs_diff": max(diffs),
+            "L": length,
+            "N": n,
+            "oracle_bins": bins,
         }
         worst = max(worst, max(diffs))
 
@@ -350,7 +352,8 @@ def cmd_evolve(cfg: dict, out: str) -> int:
 
 def cmd_sweep(cfg: dict, out: str) -> int:
     """Randomized admissibility sweep: positive quadratic forms, E >= 0."""
-    from .functionals import energy_E, quadratic_form_check
+    from .functionals import _energy_from_tables, _energy_tables, quadratic_form_check
+    from .spectral import WavePair
 
     draws = cfg.get("sweep.draws", 200)
     fields_per_draw = cfg.get("sweep.fields_per_draw", 5)
@@ -384,6 +387,7 @@ def cmd_sweep(cfg: dict, out: str) -> int:
         if form.global_min <= 0.0:
             violations.append({"draw": i, "kind": "quadratic_form",
                                "global_min": form.global_min})
+        tables = _energy_tables(p, grid)
         cut = grid.dealias_cut
         nk = grid.k_half.shape[0]
         for _ in range(fields_per_draw):
@@ -396,9 +400,7 @@ def cmd_sweep(cfg: dict, out: str) -> int:
             spec2[0] = spec2[0].real
             nu = np.fft.irfft(spec2, n=grid.N)
             scale = grid.dx * (np.dot(xi, xi) + np.dot(nu, nu))
-            from .spectral import WavePair
-
-            e_val = energy_E(p, omega, WavePair(grid=grid, xi=xi, nu=nu))
+            e_val = _energy_from_tables(p, omega, WavePair(grid=grid, xi=xi, nu=nu), tables)
             e_norm = e_val / scale
             min_energy = min(min_energy, e_norm)
             if e_norm < -1e-12:

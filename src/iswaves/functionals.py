@@ -79,16 +79,27 @@ def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     return float(grid.dx * np.dot(u, v))
 
 
-def energy_E(p: ModelParams, omega: float, w: WavePair, mu2_mode: str = "auto") -> float:
-    """E(xi, nu) = int (1-gamma)/2 xi J_c xi + 1/2 nu L nu - omega xi J_b nu."""
-    grid = w.grid
+def _energy_tables(p: ModelParams, grid: Grid, mu2_mode: str = "auto"):
+    """Half-spectrum tables (J_c, J_b, L) of E's quadratic form."""
     jc = symbol_J(p, "c", grid).table_half
     jb = symbol_J(p, "b", grid).table_half
     lt = _resolve_L(p, grid, mu2_mode).table_half
+    return jc, jb, lt
+
+
+def _energy_from_tables(p: ModelParams, omega: float, w: WavePair, tables) -> float:
+    """E on tables built by _energy_tables for w's grid."""
+    grid = w.grid
+    jc, jb, lt = tables
     quad = 0.5 * (1.0 - p.gamma) * inner(grid, w.xi, apply_table(jc, w.xi))
     quad += 0.5 * inner(grid, w.nu, apply_table(lt, w.nu))
     quad -= omega * inner(grid, w.xi, apply_table(jb, w.nu))
     return quad
+
+
+def energy_E(p: ModelParams, omega: float, w: WavePair, mu2_mode: str = "auto") -> float:
+    """E(xi, nu) = int (1-gamma)/2 xi J_c xi + 1/2 nu L nu - omega xi J_b nu."""
+    return _energy_from_tables(p, omega, w, _energy_tables(p, w.grid, mu2_mode))
 
 
 def constraint_F(p: ModelParams, w: WavePair) -> float:

@@ -5,19 +5,27 @@ waves: K (two-layer, infinite depth, algebraic with an oscillatory
 exponential part), K1 (exponential, finite depth), K2 (one-layer infinite
 depth, algebraic), and K3 (one-layer finite depth, exponential series).
 Each has a closed form or rapidly convergent quadrature/series here, plus
-an independent discrete-transform oracle (kernel_fft_oracle).
+an independent discrete-transform oracle (kernel_fft_oracle on the whole
+grid, kernel_oracle_at at chosen points).
 
 Transform convention: unitary, symmetric in the sqrt(2*pi) factor,
     khat(k) = (2*pi)^{-1/2} integral K(x) exp(-i k x) dx,
 so the oracle evaluates K(x) = (2*pi)^{-1/2} integral khat(k) exp(ikx) dk
 by a trapezoidal sum over the grid frequencies.  All closed forms and all
 comparisons in this module state their symbols in this convention.
+
+The symbols are even, so the sum is one real inverse transform (irfft) of
+the half spectrum.  At grid indices that are all multiples of a step
+dividing N/2, the phases depend on the frequency index only modulo
+M = N/step; the symbol table is first folded onto M bins and the transform
+has length M instead of N.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,14 +201,14 @@ def kernel_K3_series(
 # ---------------------------------------------------------------------------
 
 
-def kernel_fft_oracle(symbol: Multiplier, g: Grid) -> RealField:
-    """Inverse unitary transform of a tabulated kernel symbol, on the grid.
+def _oracle_values(symbol: Multiplier, g: Grid, step: int) -> np.ndarray:
+    """Trapezoidal oracle at the grid indices step*r, r = 0..M-1, M = N/step.
 
-    Approximates (2pi)^{-1/2} int khat(k) e^{ikx} dk by the trapezoidal sum
-    over the grid's frequency set; the alternating phase recenters the
-    output on x in [-L, L).  Refuses symbols that are not strictly positive
-    (all kernel symbols here are positive; a sign change would signal an
-    inadmissible parameter set).
+    step must divide N/2.  The oracle at grid index l is
+    (dk/sqrt(2pi)) sum_j (-1)^j khat_j exp(2 pi i j l/N); for l = step*r
+    both factors depend on j only modulo M (M is even), so the table is
+    folded onto M bins and one length-M irfft of the half of the folded,
+    even spectrum gives the values.
     """
     table = symbol.table
     if np.min(table) <= 0.0:
@@ -208,10 +216,45 @@ def kernel_fft_oracle(symbol: Multiplier, g: Grid) -> RealField:
             f"symbol {symbol.name!r} is not strictly positive on the grid"
         )
     n = g.N
+    m = n // step
+    folded = table.reshape(step, m).sum(axis=0)[: m // 2 + 1]
+    folded[1::2] *= -1.0
     dk = math.pi / g.L
-    phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    vals = dk / math.sqrt(2.0 * math.pi) * n * np.real(np.fft.ifft(table * phase))
-    return RealField(grid=g, values=vals)
+    return dk / math.sqrt(2.0 * math.pi) * m * np.fft.irfft(folded, n=m)
+
+
+def kernel_fft_oracle(symbol: Multiplier, g: Grid) -> RealField:
+    """Inverse unitary transform of a tabulated kernel symbol, on the grid.
+
+    Approximates (2pi)^{-1/2} int khat(k) e^{ikx} dk by the trapezoidal sum
+    over the grid's frequency set, computed as one irfft of the half
+    spectrum (the symbol is even); the alternating phase recenters the
+    output on x in [-L, L).  Refuses symbols that are not strictly positive
+    (all kernel symbols here are positive; a sign change would signal an
+    inadmissible parameter set).
+    """
+    return RealField(grid=g, values=_oracle_values(symbol, g, 1))
+
+
+def kernel_oracle_at(
+    symbol: Multiplier, g: Grid, xs: Sequence[float]
+) -> tuple[np.ndarray, int]:
+    """The kernel_fft_oracle values at the grid points nearest to xs.
+
+    The trapezoidal sum is evaluated only on the coarsest sub-lattice of
+    the grid that holds the requested indices: with step the greatest
+    common divisor of N/2 and the indices, the table is folded onto
+    M = N/step bins (kernel_fft_oracle's full transform when step is 1).
+    Returns the values and M, the number of bins transformed.
+    """
+    n = g.N
+    idx = [int(round((x + g.L) / g.dx)) for x in xs]
+    for x, i in zip(xs, idx):
+        if not 0 <= i < n:
+            raise ValueError(f"x = {x!r} is outside the grid's period [-L, L)")
+    step = math.gcd(n // 2, *idx)
+    vals = _oracle_values(symbol, g, step)
+    return vals[[i // step for i in idx]], n // step
 
 
 # ---------------------------------------------------------------------------

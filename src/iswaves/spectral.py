@@ -106,7 +106,6 @@ class Multiplier:
     """Even Fourier multiplier tabulated on a grid's frequencies."""
 
     name: str
-    eval: Callable[[np.ndarray], np.ndarray]
     table: np.ndarray
     grid: Grid
 
@@ -122,7 +121,7 @@ def make_multiplier(name: str, fn: Callable[[np.ndarray], np.ndarray], grid: Gri
     if table.shape != grid.frequencies.shape:
         raise ValueError("symbol function must be vectorized over the frequency array")
     table.setflags(write=False)
-    return Multiplier(name=name, eval=fn, table=table, grid=grid)
+    return Multiplier(name=name, table=table, grid=grid)
 
 
 def zcothz(z: np.ndarray) -> np.ndarray:

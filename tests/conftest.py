@@ -6,6 +6,7 @@ scoped so the unit suites and the acceptance suite share one computation.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from iswaves.params import ModelParams
 from iswaves.solvers import (
@@ -18,6 +19,10 @@ from iswaves.solvers import (
     solve_bfd_reduced,
 )
 from iswaves.spectral import make_grid
+
+# every run draws the same examples, and a slow example is not a failure
+settings.register_profile("iswaves", derandomize=True, deadline=None)
+settings.load_profile("iswaves")
 
 # canonical two-layer test point: equal quarter weights on b, d and the
 # remaining third split evenly between a and c

@@ -214,6 +214,25 @@ def test_cli_kernel_check_k1(tmp_path, capsys):
     assert "kernel-check" in capsys.readouterr().out
 
 
+def test_cli_kernel_check_reports_oracle_grids(p1_cfg, tmp_path):
+    # each kernel records its grid and the number of bins its oracle
+    # transformed: the sample points lie on 64- or 2048-point sub-lattices
+    out = str(tmp_path / "kc")
+    assert main(["kernel-check", "--config", p1_cfg, "--out", out]) == 0
+    data = json.loads((tmp_path / "kc" / "kernel_check.json").read_text())
+    expected = {
+        "K1": (16.0, 2**16, 64),
+        "K2": (1024.0, 2**22, 2048),
+        "K": (1024.0, 2**20, 2048),
+        "K3": (32.0, 2**21, 64),
+    }
+    for name, (length, n, bins) in expected.items():
+        entry = data[name]
+        assert (entry["L"], entry["N"], entry["oracle_bins"]) == (length, n, bins)
+        assert entry["max_abs_diff"] < 1e-5
+    assert data["max_abs_diff"] < 1e-5
+
+
 def test_cli_evolve_gaussian(p1_cfg, tmp_path):
     out = str(tmp_path / "evo")
     code = main([

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iswaves.kernels import (
     default_fit_window,
     fit_algebraic_tail,
     fit_exponential_tail,
     kernel_fft_oracle,
+    kernel_oracle_at,
     kernel_K1,
     kernel_K2_plateau,
     kernel_K2_quadrature,
@@ -30,43 +33,59 @@ def _oracle_at(oracle, xs):
 
 
 @pytest.fixture(scope="module")
-def k1_oracle():
+def k1_symbol():
     sigma = 3.0
     g = make_grid(16.0, 2**16)
-    sym = make_multiplier(
+    return make_multiplier(
         "k1_symbol", lambda k: math.sqrt(2.0 * math.pi) * sigma / (sigma**2 + k**2), g
     )
-    return kernel_fft_oracle(sym, g)
 
 
 @pytest.fixture(scope="module")
-def k2_oracle(p1_mu2_4):
+def k2_symbol(p1_mu2_4):
     p = p1_mu2_4
     alpha = p.gamma / ((p.beta - 1.0) * math.sqrt(p.mu))
     g = make_grid(1024.0, 2**22)
-    sym = make_multiplier("k2_symbol", lambda k: 1.0 / (abs(k) + alpha), g)
-    return kernel_fft_oracle(sym, g)
+    return make_multiplier("k2_symbol", lambda k: 1.0 / (abs(k) + alpha), g)
 
 
 @pytest.fixture(scope="module")
-def k_oracle(p1_inf):
+def k_symbol(p1_inf):
     rates = compute_decay_rates(p1_inf)
     ell, c_k = rates.ell, rates.c_K
     g = make_grid(1024.0, 2**20)
-    sym = make_multiplier("k_symbol", lambda k: 1.0 / (k**2 - ell * abs(k) + c_k), g)
-    return kernel_fft_oracle(sym, g)
+    return make_multiplier("k_symbol", lambda k: 1.0 / (k**2 - ell * abs(k) + c_k), g)
 
 
 @pytest.fixture(scope="module")
-def k3_oracle(p1_mu2_4):
+def k3_symbol(p1_mu2_4):
     rates = compute_decay_rates(p1_mu2_4)
     theta = rates.theta
     smu2 = math.sqrt(p1_mu2_4.mu2)
     g = make_grid(32.0, 2**21)
-    sym = make_multiplier(
+    return make_multiplier(
         "k3_symbol", lambda k: theta / (zcothz(smu2 * abs(k)) + theta), g
     )
-    return kernel_fft_oracle(sym, g)
+
+
+@pytest.fixture(scope="module")
+def k1_oracle(k1_symbol):
+    return kernel_fft_oracle(k1_symbol, k1_symbol.grid)
+
+
+@pytest.fixture(scope="module")
+def k2_oracle(k2_symbol):
+    return kernel_fft_oracle(k2_symbol, k2_symbol.grid)
+
+
+@pytest.fixture(scope="module")
+def k_oracle(k_symbol):
+    return kernel_fft_oracle(k_symbol, k_symbol.grid)
+
+
+@pytest.fixture(scope="module")
+def k3_oracle(k3_symbol):
+    return kernel_fft_oracle(k3_symbol, k3_symbol.grid)
 
 
 def test_k1_closed_form_vs_oracle(k1_oracle):
@@ -173,6 +192,97 @@ def test_oracle_rejects_nonpositive_symbol():
     sym = make_multiplier("indefinite", lambda k: k**2 - 1.0, g)
     with pytest.raises(ValueError):
         kernel_fft_oracle(sym, g)
+    # checked on the full table, before folding: the points below lie on a
+    # 4-bin sub-lattice, whose folded sums are all positive here
+    with pytest.raises(ValueError, match="not strictly positive"):
+        kernel_oracle_at(sym, g, [-10.0, -5.0, 0.0, 5.0])
+
+
+def test_oracle_at_refuses_points_off_the_period():
+    g = make_grid(10.0, 64)
+    sym = make_multiplier("k1", lambda k: 1.0 / (1.0 + k * k), g)
+    with pytest.raises(ValueError, match="outside"):
+        kernel_oracle_at(sym, g, [1.0, 10.0])
+    with pytest.raises(ValueError, match="outside"):
+        kernel_oracle_at(sym, g, [-10.5])
+
+
+# (name, sample points, bins transformed): the CLI's points plus the
+# plateau point x = 150 on the two half-width-1024 grids
+_CLI_POINTS = [
+    ("k1", [0.5, 1.0, 2.0, 4.0], 64),
+    ("k2", [1.0, 5.0, 10.0, 150.0], 2048),
+    ("k", [1.0, 2.0, 5.0, 150.0], 2048),
+    ("k3", [1.0, 2.0, 5.0], 64),
+]
+
+
+@pytest.mark.parametrize("name,xs,bins", _CLI_POINTS)
+def test_oracle_at_matches_full_oracle_on_cli_grids(request, name, xs, bins):
+    sym = request.getfixturevalue(f"{name}_symbol")
+    oracle = request.getfixturevalue(f"{name}_oracle")
+    vals, got_bins = kernel_oracle_at(sym, sym.grid, xs)
+    scale = np.max(np.abs(oracle.values))
+    assert np.max(np.abs(vals - _oracle_at(oracle, xs))) <= 1e-13 * scale
+    assert got_bins == bins
+
+
+def _direct_oracle(sym, g, idx):
+    # (dk/sqrt(2pi)) sum_j khat(k_j) cos(k_j x_i): the trapezoidal sum
+    # written out on the physical points, with no transform
+    dk = math.pi / g.L
+    k = g.frequencies
+    return np.array(
+        [dk / math.sqrt(2.0 * math.pi) * np.sum(sym.table * np.cos(k * g.x[i])) for i in idx]
+    )
+
+
+@pytest.mark.parametrize("n", [16, 50, 256])
+def test_full_oracle_matches_direct_sum(n):
+    g = make_grid(7.5, n)
+    sym = make_multiplier("lorentz", lambda k: 2.0 / (0.7 + k * k), g)
+    idx = [0, 1, n // 4, n // 2 - 1, n // 2, n - 1]
+    direct = _direct_oracle(sym, g, idx)
+    got = kernel_fft_oracle(sym, g).values[idx]
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_oracle_at_matches_full_oracle_property(data):
+    n = 2 * data.draw(st.integers(8, 2048), label="N/2")
+    length = data.draw(st.floats(0.5, 200.0), label="L")
+    a = data.draw(st.floats(0.05, 20.0), label="a")
+    if data.draw(st.booleans(), label="lorentzian"):
+        b = data.draw(st.floats(0.05, 20.0), label="b")
+        fn = lambda k: a / (b + k * k)
+    else:
+        fn = lambda k: 1.0 / (np.abs(k) + a)
+    g = make_grid(length, n)
+    sym = make_multiplier("property", fn, g)
+
+    specials = data.draw(
+        st.lists(st.sampled_from([0, n // 2, n - 1]), max_size=3), label="specials"
+    )
+    if data.draw(st.booleans(), label="on a coarse lattice"):
+        step = data.draw(st.sampled_from(_divisors(n // 2)), label="step")
+        rs = data.draw(st.lists(st.integers(0, n // step - 1), min_size=1, max_size=6))
+        idx = [step * r for r in rs]
+        specials = [i for i in specials if i % step == 0]
+    else:
+        idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    idx = idx + specials
+    xs = [float(g.x[i]) for i in idx]
+
+    full = kernel_fft_oracle(sym, g).values
+    vals, bins = kernel_oracle_at(sym, g, xs)
+    assert np.max(np.abs(vals - full[idx])) <= 1e-13 * np.max(np.abs(full))
+    assert bins % 2 == 0 and n % bins == 0
+    assert all(i % (n // bins) == 0 for i in idx)
 
 
 def test_fit_exponential_synthetic():
