@@ -29,6 +29,21 @@ attempted step, accepted or rejected, in the branch diagnostics["steps"],
 which `save_branch` writes out.  The inner forcing terms, the
 line searches, `tol_residual` and the 10x reduced-residual acceptance margin
 are unaffected.
+
+Transform economy.  Each solver transforms a field once, with the arithmetic
+of the per-multiplier formulas in the same order, so the results match those
+of applying each multiplier on its own.  The coupled
+systems take one stacked rfft of their two inputs and one stacked irfft of
+every multiplier row (2 rows for BO/ILW, 4 for the two-layer family); the
+Newton preconditioner does the same with its 2x2 block.  The reduced
+equation takes the rffts of nu and nu^2 (for a Jacobian matvec: of v and
+nu v) and one 4-row irfft; `_Reduced.linearize` applies the multipliers of
+nu alone once per Newton step, so a matvec makes 3 transforms.  The
+Petviashvili loops carry M nu (and G(nu)) from the residual of one iteration
+into the next, and both Newton loops carry the residual their line search
+accepted.  The start-up amplitude scan is closed-form: M is linear and
+G(a s) = a^2 Q(s) + a^3 C(s), so three inner products of one shape s give
+the ratio at every amplitude.
 """
 
 from __future__ import annotations
@@ -158,43 +173,42 @@ class _System:
                 # the infinite-depth system carries J_b in the second equation
                 self.jd = self.jb
         self.one_minus_gamma = 1.0 - g
+        # row i of the stacked transform applies _tables[i] to input _picks[i]
+        # (0: the xi-like field, 1: the nu-like field)
+        if self.family in ("BO", "ILW"):
+            self._tables = np.stack([self.op1, self.op2])
+            self._picks = [0, 1]
+        else:
+            self._tables = np.stack([self.jb, self.lt, self.jd, self.jc])
+            self._picks = [0, 1, 1, 0]
+
+    def _apply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Every multiplier row of the system on (a, b): one stacked rfft, one
+        stacked irfft.  BO/ILW rows: op1 a, op2 b; BFD rows: J_b a, L b, J_d b,
+        J_c a."""
+        f = np.fft.rfft(np.stack([a, b]), axis=-1)
+        return np.fft.irfft(self._tables * f[self._picks], n=self.grid.N, axis=-1)
 
     def residual(self, xi: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r, s = self.r, self.speed
+        rows = self._apply(xi, nu)
+        r1 = -s * rows[0] + rows[1] - 2.0 * r * xi * nu
         if self.family in ("BO", "ILW"):
-            r1 = -s * apply_table(self.op1, xi) + apply_table(self.op2, nu) - 2.0 * r * xi * nu
             r2 = -s * nu + self.one_minus_gamma * xi - r * nu * nu
         else:
-            r1 = -s * apply_table(self.jb, xi) + apply_table(self.lt, nu) - 2.0 * r * xi * nu
-            r2 = (
-                -s * apply_table(self.jd, nu)
-                + self.one_minus_gamma * apply_table(self.jc, xi)
-                - r * nu * nu
-            )
+            r2 = -s * rows[2] + self.one_minus_gamma * rows[3] - r * nu * nu
         return r1, r2
 
     def jacobian_apply(
         self, xi: np.ndarray, nu: np.ndarray, dxi: np.ndarray, dnu: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         r, s = self.r, self.speed
+        rows = self._apply(dxi, dnu)
+        j1 = -s * rows[0] + rows[1] - 2.0 * r * (nu * dxi + xi * dnu)
         if self.family in ("BO", "ILW"):
-            j1 = (
-                -s * apply_table(self.op1, dxi)
-                + apply_table(self.op2, dnu)
-                - 2.0 * r * (nu * dxi + xi * dnu)
-            )
             j2 = self.one_minus_gamma * dxi - (s + 2.0 * r * nu) * dnu
         else:
-            j1 = (
-                -s * apply_table(self.jb, dxi)
-                + apply_table(self.lt, dnu)
-                - 2.0 * r * (nu * dxi + xi * dnu)
-            )
-            j2 = (
-                self.one_minus_gamma * apply_table(self.jc, dxi)
-                - s * apply_table(self.jd, dnu)
-                - 2.0 * r * nu * dnu
-            )
+            j2 = self.one_minus_gamma * rows[3] - s * rows[2] - 2.0 * r * nu * dnu
         return j1, j2
 
     def linear_block_inverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -276,18 +290,21 @@ def petviashvili_ground_state(
         nu = math.sqrt(q2 / q4) * shape
     else:
         nu = np.asarray(guess, dtype=float).copy()
+    inv_mhat = 1.0 / mhat
     history = []
     s_val = math.inf
     res = math.inf
+    # M nu and eta nu^3 at the current iterate, carried over from the residual
+    m_nu, cube = apply_table(mhat, nu), eta * nu**3
     for it in range(cfg.max_iters):
-        cube = eta * nu**3
-        num = dx * np.dot(nu, apply_table(mhat, nu))
+        num = dx * np.dot(nu, m_nu)
         den = dx * np.dot(nu, cube)
         if den == 0.0:
             raise ConvergenceError("iterate collapsed to the trivial branch")
         s_val = num / den
-        nu = _even(s_val**q * apply_table(1.0 / mhat, cube))
-        res = float(np.max(np.abs(apply_table(mhat, nu) - eta * nu**3)))
+        nu = _even(s_val**q * apply_table(inv_mhat, cube))
+        m_nu, cube = apply_table(mhat, nu), eta * nu**3
+        res = float(np.max(np.abs(m_nu - cube)))
         history.append(res)
         if res <= cfg.tol_residual:
             break
@@ -324,15 +341,6 @@ def assemble_bo_pair(p: ModelParams, nu0: RealField) -> WavePair:
 # ---------------------------------------------------------------------------
 # Newton solves
 # ---------------------------------------------------------------------------
-
-
-def _stack(xi: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    return np.concatenate([xi, nu])
-
-
-def _unstack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = u.shape[0] // 2
-    return u[:n], u[n:]
 
 
 # inner-solve controls: the lgmres outer-cycle cap, and the stagnation exit
@@ -438,12 +446,9 @@ def newton_solve(
     i11, i12, i21, i22 = sys.linear_block_inverse()
 
     def precond(v: np.ndarray) -> np.ndarray:
-        p1, p2 = _unstack(v)
-        f1 = np.fft.rfft(p1)
-        f2 = np.fft.rfft(p2)
-        o1 = np.fft.irfft(i11 * f1 + i12 * f2, n=n)
-        o2 = np.fft.irfft(i21 * f1 + i22 * f2, n=n)
-        return _stack(o1, o2)
+        f1, f2 = np.fft.rfft(v.reshape(2, n), axis=-1)
+        out = np.fft.irfft(np.stack([i11 * f1 + i12 * f2, i21 * f1 + i22 * f2]), n=n, axis=-1)
+        return out.reshape(-1)
 
     xi = guess.xi.copy()
     nu = guess.nu.copy()
@@ -453,8 +458,10 @@ def newton_solve(
     history = []
     inner: list[dict] = []
     rn = math.inf
+    # the residual at the current iterate; after a step, the one the line
+    # search accepted
+    r1, r2 = sys.residual(xi, nu)
     for it in range(cfg.max_iters):
-        r1, r2 = sys.residual(xi, nu)
         rn = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
         history.append(float(rn))
         if rn <= cfg.tol_residual:
@@ -468,21 +475,22 @@ def newton_solve(
             return pair
 
         def jv(v: np.ndarray) -> np.ndarray:
-            d1, d2 = _unstack(v)
+            d = v.reshape(2, n)
             if enforce_even:
-                d1, d2 = _even(d1), _even(d2)
-            j1, j2 = sys.jacobian_apply(xi, nu, d1, d2)
+                d = _even(d)
+            out = np.stack(sys.jacobian_apply(xi, nu, d[0], d[1]))
             if enforce_even:
-                j1, j2 = _even(j1), _even(j2)
-            return _stack(j1, j2)
+                out = _even(out)
+            return out.reshape(-1)
 
+        rhs = np.stack([r1, r2])
         if enforce_even:
             # the projected operator maps onto the even subspace; the odd
             # roundoff in the residual lies outside its range and would cap
             # the achievable inner residual
-            r1, r2 = _even(r1), _even(r2)
+            rhs = _even(rhs)
         rtol_inner = max(1e-13, min(1e-6, 1e-3 * rn))
-        du, rec = _inner_solve(jv, precond, -_stack(r1, r2), rtol_inner)
+        du, rec = _inner_solve(jv, precond, -rhs.reshape(-1), rtol_inner)
         inner.append(rec)
         # in the even subspace a step that missed the inner tolerance is
         # still tried: the line search accepts it iff it reduces the residual
@@ -497,7 +505,7 @@ def newton_solve(
                 f"inner linear solve {rec['exit']} at Newton step {it}" + hint,
                 {"residual": float(rn), "inner_solves": inner},
             )
-        d1, d2 = _unstack(du)
+        d1, d2 = du.reshape(2, n)
         t = cfg.newton_damping
         while t >= 1.0 / 64.0:
             xt, nt = xi + t * d1, nu + t * d2
@@ -505,7 +513,7 @@ def newton_solve(
                 xt, nt = _even(xt), _even(nt)
             t1, t2 = sys.residual(xt, nt)
             if max(np.max(np.abs(t1)), np.max(np.abs(t2))) < rn:
-                xi, nu = xt, nt
+                xi, nu, r1, r2 = xt, nt, t1, t2
                 break
             t *= 0.5
         else:
@@ -764,34 +772,84 @@ class _Reduced:
         jb, jc, jd, lt = _bfd_tables(p, grid, mu2_mode)
         self.omega = omega
         self.r = p.r
+        self.n = grid.N
         self.mhat = (1.0 - p.gamma) * lt - omega**2 * jb * jd / jc
         self.inv_jc = 1.0 / jc
         self.jb_jc = jb / jc
         self.jd_jc = jd / jc
 
+    def _rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The four multipliers of the equation in one stacked irfft: rows
+        J_b/J_c a, J_d/J_c b, 1/J_c a, M b."""
+        fa = np.fft.rfft(a)
+        fb = np.fft.rfft(b)
+        stacked = np.stack([self.jb_jc * fa, self.jd_jc * fb, self.inv_jc * fa, self.mhat * fb])
+        return np.fft.irfft(stacked, n=self.n, axis=-1)
+
+    def parts(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(M nu, Q(nu), C(nu)): G(nu) = Q(nu) + C(nu), with Q homogeneous of
+        degree 2 and C of degree 3."""
+        omega, r = self.omega, self.r
+        b_nn, jd_n, inv_nn, m_n = self._rows(nu * nu, nu)
+        quad = omega * r * b_nn + 2.0 * omega * r * nu * jd_n
+        return m_n, quad, 2.0 * r * r * nu * inv_nn
+
+    def evaluate(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M nu, G(nu))."""
+        m_nu, quad, cubic = self.parts(nu)
+        return m_nu, quad + cubic
+
     def source(self, nu: np.ndarray) -> np.ndarray:
         """G(nu): the quadratic and cubic sources."""
-        omega, r = self.omega, self.r
-        inv_nu2 = apply_table(self.inv_jc, nu * nu)
-        return (
-            omega * r * apply_table(self.jb_jc, nu * nu)
-            + 2.0 * omega * r * nu * apply_table(self.jd_jc, nu)
-            + 2.0 * r * r * nu * inv_nu2
-        )
+        return self.evaluate(nu)[1]
 
     def residual(self, nu: np.ndarray) -> np.ndarray:
-        return apply_table(self.mhat, nu) - self.source(nu)
+        m_nu, g_nu = self.evaluate(nu)
+        return m_nu - g_nu
+
+    def linearize(self, nu: np.ndarray):
+        """The Jacobian of the residual at nu, as a function of the direction.
+
+        The multipliers of nu alone are applied once here; each call then
+        makes three transforms (rfft of v and of nu v, one stacked irfft).
+        """
+        omega, r = self.omega, self.r
+        _, jd_n, inv_nn, _ = self._rows(nu * nu, nu)
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            b_nv, jd_v, inv_nv, m_v = self._rows(nu * v, v)
+            term = (
+                2.0 * omega * r * b_nv
+                + 2.0 * omega * r * (v * jd_n + nu * jd_v)
+                + 2.0 * r * r * (v * inv_nn + 2.0 * nu * inv_nv)
+            )
+            return m_v - term
+
+        return apply
 
     def jacobian_apply(self, nu: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Derivative of the residual at nu in the direction v."""
-        omega, r = self.omega, self.r
-        inv_nv = apply_table(self.inv_jc, nu * v)
-        term = (
-            2.0 * omega * r * apply_table(self.jb_jc, nu * v)
-            + 2.0 * omega * r * (v * apply_table(self.jd_jc, nu) + nu * apply_table(self.jd_jc, v))
-            + 2.0 * r * r * (v * apply_table(self.inv_jc, nu * nu) + 2.0 * nu * inv_nv)
-        )
-        return apply_table(self.mhat, v) - term
+        return self.linearize(nu)(v)
+
+
+def _scan_ratios(red: _Reduced, shape: np.ndarray, dx: float, amps: np.ndarray) -> np.ndarray:
+    """S(a) = <a s, M a s>/<G(a s), a s> for the start-up amplitude scan; NaN
+    where the denominator is not positive.
+
+    M is linear and G(a s) = a^2 Q(s) + a^3 C(s), so with q2 = <s, M s>,
+    q3 = <Q(s), s> and q4 = <C(s), s> the ratio is a^2 q2/(a^3 q3 + a^4 q4):
+    one evaluation of the shape serves every amplitude.
+    """
+    m_s, quad_s, cubic_s = red.parts(shape)
+    q2 = dx * np.dot(shape, m_s)
+    q3 = dx * np.dot(quad_s, shape)
+    q4 = dx * np.dot(cubic_s, shape)
+    ratios = np.full(len(amps), np.nan)
+    for i, amp in enumerate(amps):
+        den = amp**3 * q3 + amp**4 * q4
+        if den > 0.0:
+            ratios[i] = amp**2 * q2 / den
+    return ratios
 
 
 def reconstruct_xi(p: ModelParams, grid: Grid, nu: np.ndarray, omega: float, mu2_mode: str = "auto") -> np.ndarray:
@@ -821,6 +879,13 @@ def solve_bfd_reduced(
     near the wave; a preconditioned Newton polish drives the reduced
     residual to tolerance.  xi is then reconstructed and the full system
     residual checked.
+
+    With return_info, the polish is described by "newton_steps",
+    "inner_solves", "polish_residual_history" (the reduced residual after
+    each accepted step) and "polish_exit": "converged" (tol_residual
+    reached), "floor" (a line search found no decrease and the residual was
+    accepted within the 10x margin) or "max_steps" (the step cap ended the
+    polish within that margin).
     """
     cfg = cfg or SolverConfig()
     if grid is None:
@@ -843,12 +908,8 @@ def solve_bfd_reduced(
         shape = 1.0 / np.cosh(x) ** 2
         amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(p) * 1e3
         best, best_dev = amps[0], math.inf
-        for amp in amps:
-            nu_try = amp * shape
-            den = dx * np.dot(red.source(nu_try), nu_try)
-            if den <= 0.0:
-                continue
-            s_try = dx * np.dot(nu_try, apply_table(mhat, nu_try)) / den
+        for amp, s_try in zip(amps, _scan_ratios(red, shape, dx, amps)):
+            # a skipped amplitude (NaN) never wins; ties keep the first
             if abs(s_try - 1.0) < best_dev:
                 best, best_dev = amp, abs(s_try - 1.0)
         nu = best * shape
@@ -859,15 +920,18 @@ def solve_bfd_reduced(
     s_hist = []
     pet_iters = min(cfg.max_iters, 300)
     switch_to_newton = False
+    # M nu and G(nu) at the current iterate, carried over from the residual
+    m_nu, gn = red.evaluate(nu)
     for it in range(pet_iters):
-        gn = red.source(nu)
         den = dx * np.dot(gn, nu)
         if den == 0.0:
             raise ConvergenceError("iterate collapsed to the trivial branch")
-        s_val = dx * np.dot(nu, apply_table(mhat, nu)) / den
+        s_val = dx * np.dot(nu, m_nu) / den
         s_hist.append(s_val)
         nu = _even(s_val**q * apply_table(inv_mhat, gn))
-        res = float(np.max(np.abs(red.residual(nu))))
+        m_nu, gn = red.evaluate(nu)
+        resid = m_nu - gn
+        res = float(np.max(np.abs(resid)))
         history.append(res)
         if res <= 1e-8 or (it > 4 and res < 1e-5 and history[-1] > 0.5 * history[-2]):
             break
@@ -884,16 +948,20 @@ def solve_bfd_reduced(
     # (the translation mode would otherwise leave an odd near-kernel in the
     # Krylov space)
     inner: list[dict] = []
+    polish_history: list[float] = []
+    polish_exit = "converged"
     newton_steps = 0
-    res = float(np.max(np.abs(red.residual(nu))))
+    # resid is the reduced residual at nu: from the last Petviashvili
+    # iteration, then the one the line search accepted
     while res > cfg.tol_residual and newton_steps < 40:
         rtol_inner = max(1e-12, min(1e-4, 0.01 * res))
+        jac = red.linearize(nu)
         # a step that missed the inner tolerance is still tried: the line
         # search accepts it iff it reduces the nonlinear residual
         dv, rec = _inner_solve(
-            lambda v: _even(red.jacobian_apply(nu, _even(v))),
+            lambda v: _even(jac(_even(v))),
             lambda v: apply_table(inv_mhat, v),
-            -_even(red.residual(nu)),
+            -_even(resid),
             rtol_inner,
         )
         inner.append(rec)
@@ -905,21 +973,26 @@ def solve_bfd_reduced(
         t = 1.0
         while t >= 1.0 / 64.0:
             nu_try = _even(nu + t * dv)
-            res_try = float(np.max(np.abs(red.residual(nu_try))))
+            resid_try = red.residual(nu_try)
+            res_try = float(np.max(np.abs(resid_try)))
             if res_try < res:
-                nu, res = nu_try, res_try
+                nu, resid, res = nu_try, resid_try, res_try
+                polish_history.append(res)
                 break
             t *= 0.5
         else:
             # no decrease found: the spectral roundoff floor; accept within
             # the documented 10x margin, fail otherwise
             if res <= 10.0 * cfg.tol_residual:
+                polish_exit = "floor"
                 break
             raise ConvergenceError(
                 f"reduced Newton stalled at residual {res:.3e}",
                 {"residual": res, "inner_solves": inner},
             )
         newton_steps += 1
+    if res > cfg.tol_residual and polish_exit == "converged":
+        polish_exit = "max_steps"
 
     if res > 10.0 * cfg.tol_residual:
         raise ConvergenceError(
@@ -943,6 +1016,8 @@ def solve_bfd_reduced(
             "newton_steps": newton_steps,
             "used_newton_fallback": switch_to_newton,
             "inner_solves": inner,
+            "polish_residual_history": polish_history,
+            "polish_exit": polish_exit,
         }
     return pair
 

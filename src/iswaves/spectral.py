@@ -288,10 +288,12 @@ def dealias_product(values: np.ndarray, mask_half: np.ndarray) -> np.ndarray:
 
 
 def symmetrize_even(values: np.ndarray) -> np.ndarray:
-    """Average a field with its reflection about x = 0."""
-    n = values.shape[0]
-    refl = (n - np.arange(n)) % n
-    return 0.5 * (values + values[refl])
+    """Average a field with its reflection about x = 0 (sample j with N - j,
+    along the last axis, so a stack of fields is projected row by row)."""
+    refl = np.empty_like(values)
+    refl[..., 0] = values[..., 0]
+    refl[..., 1:] = values[..., :0:-1]
+    return 0.5 * (values + refl)
 
 
 def nyquist_fraction(values: np.ndarray) -> float:
@@ -313,8 +315,13 @@ def assert_resolved(values: np.ndarray, tol: float = 1e-12) -> None:
 
 
 def pair_to_csv(w: WavePair, path: str) -> None:
+    """Write x, xi, nu as CSV with one header row, each value as %.18e (the
+    bytes np.savetxt writes), formatted in one operation."""
     data = np.column_stack([w.grid.x, w.xi, w.nu])
-    np.savetxt(path, data, delimiter=",", header="x,xi,nu", comments="")
+    text = ("%.18e,%.18e,%.18e\n" * data.shape[0]) % tuple(data.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write("x,xi,nu\n")
+        fh.write(text)
 
 
 def pair_from_csv(path: str) -> WavePair:

@@ -37,6 +37,21 @@ SHARP_KW = dict(
 )
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counter of numpy.fft transform calls made while the test runs."""
+    counter = {"n": 0}
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            counter["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counter
+
+
 @pytest.fixture(scope="session")
 def p1_inf():
     return ModelParams(mu2=np.inf, **P1_KW)

@@ -269,20 +269,6 @@ def _random_pair(grid, seed, nyquist=False):
     return WavePair(grid=grid, xi=zv[0], nu=zv[1])
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    counter = {"n": 0}
-    for name in ("rfft", "irfft", "fft", "ifft"):
-        fn = getattr(np.fft, name)
-
-        def counted(*args, _fn=fn, **kwargs):
-            counter["n"] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return counter
-
-
 def test_transform_counts(p1_mu2_4, evo_grid, fft_calls):
     init = _gaussian_pair(evo_grid)
     stepper = make_stepper("etdrk4", "bfd_finite", p1_mu2_4, evo_grid, 0.01)

@@ -19,8 +19,9 @@ from iswaves.solvers import (
     solve_bfd_reduced,
     trivial_threshold,
 )
-from iswaves.solvers import _Reduced, _System
-from iswaves.spectral import WavePair, make_grid
+from iswaves import solvers
+from iswaves.solvers import _Reduced, _System, _scan_ratios
+from iswaves.spectral import WavePair, apply_table, make_grid, symmetrize_even
 
 from conftest import P1_KW
 
@@ -158,6 +159,20 @@ def test_bfd_infinite_reduced(p1_inf, bfd_inf):
     assert float(np.max(pair.nu)) == pytest.approx(7.317108190056659, rel=1e-8)
     assert info["full_residual"] <= 1e-9
     assert residual_norm("BFD_inf", p1_inf, 0.1, pair) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "which, exit_reason", [("bfd_finite", "floor"), ("bfd_inf", "converged")]
+)
+def test_reduced_polish_reports_history_and_exit(request, which, exit_reason):
+    # bfd_finite ends on its roundoff floor within the 10x margin; bfd_inf
+    # reaches tol_residual
+    info = request.getfixturevalue(which)["info"]
+    assert info["polish_exit"] == exit_reason
+    history = info["polish_residual_history"]
+    assert len(history) == info["newton_steps"] >= 1
+    assert all(b < a for a, b in zip(history, history[1:]))
+    assert history[-1] == info["reduced_residual"]
 
 
 def test_bfd_auto_mode_dispatch(p1_mu2_4, bfd_finite, scfg):
@@ -321,3 +336,171 @@ def test_unpinned_newton_failure_carries_inner_records(p1_mu2_4, scfg):
     assert records[-1]["exit"] != "converged"
     assert records[-1]["exit"] in str(exc.value)
     _assert_inner_records_honest(records)
+
+
+# ---------------------------------------------------------------------------
+# transform economy: stacked evaluations against per-multiplier formulas,
+# transform counts, the closed-form amplitude scan
+# ---------------------------------------------------------------------------
+
+
+def _params_of(request, family):
+    return request.getfixturevalue("p1_inf" if family in ("BO", "BFD_inf") else "p1_mu2_4")
+
+
+def _random_even(grid, seed, rows=2):
+    """Smooth random even fields of unit size."""
+    rng = np.random.default_rng(seed)
+    m = grid.N // 2 + 1
+    coef = rng.standard_normal((rows, m)) * np.exp(-0.05 * np.arange(m))
+    return symmetrize_even(np.fft.irfft(coef, n=grid.N, axis=-1) * grid.N / 10.0)
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("family", ["BO", "ILW", "BFD_finite", "BFD_inf"])
+def test_system_stacked_evaluation_matches_multiplier_formulas(request, family):
+    grid = make_grid(20.0, 256)
+    sys_ = _System(family, _params_of(request, family), grid, 0.03)
+    xi, nu, dxi, dnu = _random_even(grid, 11, rows=4)
+    r, s, og = sys_.r, sys_.speed, sys_.one_minus_gamma
+    if family in ("BO", "ILW"):
+        r1 = -s * apply_table(sys_.op1, xi) + apply_table(sys_.op2, nu) - 2.0 * r * xi * nu
+        r2 = -s * nu + og * xi - r * nu * nu
+        j1 = -s * apply_table(sys_.op1, dxi) + apply_table(sys_.op2, dnu) - 2.0 * r * (nu * dxi + xi * dnu)
+        j2 = og * dxi - (s + 2.0 * r * nu) * dnu
+    else:
+        r1 = -s * apply_table(sys_.jb, xi) + apply_table(sys_.lt, nu) - 2.0 * r * xi * nu
+        r2 = -s * apply_table(sys_.jd, nu) + og * apply_table(sys_.jc, xi) - r * nu * nu
+        j1 = -s * apply_table(sys_.jb, dxi) + apply_table(sys_.lt, dnu) - 2.0 * r * (nu * dxi + xi * dnu)
+        j2 = og * apply_table(sys_.jc, dxi) - s * apply_table(sys_.jd, dnu) - 2.0 * r * nu * dnu
+    for got, want in zip(sys_.residual(xi, nu) + sys_.jacobian_apply(xi, nu, dxi, dnu), (r1, r2, j1, j2)):
+        assert _close(got, want)
+
+
+@pytest.mark.parametrize("which, mode", [("p1_mu2_4", "finite"), ("p1_inf", "infinite")])
+def test_reduced_stacked_evaluation_matches_multiplier_formulas(request, which, mode):
+    grid = make_grid(20.0, 256)
+    red = _Reduced(request.getfixturevalue(which), grid, 0.1, mode)
+    nu, v = _random_even(grid, 12)
+    omega, r = red.omega, red.r
+    source = (
+        omega * r * apply_table(red.jb_jc, nu * nu)
+        + 2.0 * omega * r * nu * apply_table(red.jd_jc, nu)
+        + 2.0 * r * r * nu * apply_table(red.inv_jc, nu * nu)
+    )
+    residual = apply_table(red.mhat, nu) - source
+    jac = apply_table(red.mhat, v) - (
+        2.0 * omega * r * apply_table(red.jb_jc, nu * v)
+        + 2.0 * omega * r * (v * apply_table(red.jd_jc, nu) + nu * apply_table(red.jd_jc, v))
+        + 2.0 * r * r * (v * apply_table(red.inv_jc, nu * nu) + 2.0 * nu * apply_table(red.inv_jc, nu * v))
+    )
+    assert _close(red.source(nu), source)
+    assert _close(red.residual(nu), residual)
+    assert _close(red.linearize(nu)(v), jac)
+    assert _close(red.jacobian_apply(nu, v), jac)
+    m_nu, quad, cubic = red.parts(nu)
+    assert _close(m_nu, apply_table(red.mhat, nu))
+    assert _close(cubic, 2.0 * r * r * nu * apply_table(red.inv_jc, nu * nu))
+
+
+@pytest.mark.parametrize("family", ["BO", "ILW", "BFD_finite", "BFD_inf"])
+def test_system_transform_counts(request, family, monkeypatch, fft_calls):
+    grid = make_grid(20.0, 256)
+    p = _params_of(request, family)
+    sys_ = _System(family, p, grid, 0.03)
+    xi, nu, dxi, dnu = _random_even(grid, 13, rows=4)
+    fft_calls["n"] = 0
+    sys_.residual(xi, nu)
+    assert fft_calls["n"] == 2
+    fft_calls["n"] = 0
+    sys_.jacobian_apply(xi, nu, dxi, dnu)
+    assert fft_calls["n"] == 2
+
+    # the Newton preconditioner, taken from the first inner solve
+    class Captured(Exception):
+        pass
+
+    def capture(matvec, precond, rhs, rtol):
+        raise Captured(precond)
+
+    monkeypatch.setattr(solvers, "_inner_solve", capture)
+    with pytest.raises(Captured) as caught:
+        newton_solve(family, p, 0.03, WavePair(grid=grid, xi=xi, nu=nu))
+    precond = caught.value.args[0]
+    fft_calls["n"] = 0
+    out = precond(np.concatenate([dxi, dnu]))
+    assert fft_calls["n"] == 2
+    assert out.shape == (2 * grid.N,)
+
+
+def test_reduced_matvec_transform_count(p1_mu2_4, fft_calls):
+    grid = make_grid(20.0, 256)
+    red = _Reduced(p1_mu2_4, grid, 0.1, "finite")
+    nu, v = _random_even(grid, 14)
+    jac = red.linearize(nu)
+    fft_calls["n"] = 0
+    jac(v)
+    assert fft_calls["n"] == 3
+
+
+def _fft_calls_per_iteration(fft_calls, solve):
+    """FFT calls of iteration k + 1 alone: solve(k + 1) minus solve(k)."""
+    counts = []
+    for iters in (3, 4):
+        fft_calls["n"] = 0
+        with pytest.raises(ConvergenceError):
+            solve(SolverConfig(tol_residual=1e-300, max_iters=iters))
+        counts.append(fft_calls["n"])
+    return counts[1] - counts[0]
+
+
+def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, fft_calls):
+    grid = make_grid(50.0, 512)
+    per_iter = _fft_calls_per_iteration(
+        fft_calls, lambda cfg: petviashvili_ground_state(p1_inf, grid, cfg)
+    )
+    assert 0 < per_iter <= 4
+
+    # the reduced iteration, ended at the first polish step
+    def stop(*args):
+        raise ConvergenceError("stop before the polish")
+
+    monkeypatch.setattr(solvers, "_inner_solve", stop)
+    grid = make_grid(8.0, 512)
+    per_iter = _fft_calls_per_iteration(
+        fft_calls, lambda cfg: solve_bfd_reduced(p1_mu2_4, 0.1, "finite", cfg, grid=grid)
+    )
+    assert 0 < per_iter <= 5
+
+
+@pytest.mark.parametrize(
+    "which, L, n, mode",
+    [
+        ("p1_mu2_4", 8.0, 2048, "finite"),
+        ("p_sharp", 16.0, 2048, "finite"),
+        ("p1_inf", 200.0, 4096, "infinite"),
+    ],
+)
+def test_closed_form_scan_matches_direct_ratios(request, which, L, n, mode):
+    # the bfd_finite, bfd_sharp and bfd_inf fixture problems
+    p = request.getfixturevalue(which)
+    grid = make_grid(L, n)
+    red = _Reduced(p, grid, 0.1, mode)
+    shape = 1.0 / np.cosh(grid.x) ** 2
+    amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(p) * 1e3
+    direct = np.full(amps.shape, np.nan)
+    for i, amp in enumerate(amps):
+        nu = amp * shape
+        den = grid.dx * np.dot(red.source(nu), nu)
+        if den > 0.0:
+            direct[i] = grid.dx * np.dot(nu, apply_table(red.mhat, nu)) / den
+    closed = _scan_ratios(red, shape, grid.dx, amps)
+    assert np.array_equal(np.isnan(closed), np.isnan(direct))
+    assert np.isfinite(direct).any()
+    ok = np.isfinite(direct)
+    assert np.max(np.abs(closed[ok] - direct[ok]) / np.abs(direct[ok])) <= 1e-12
+    # first minimizer of |S - 1|, as the solver's tie rule picks it
+    assert np.nanargmin(np.abs(closed - 1.0)) == np.nanargmin(np.abs(direct - 1.0))

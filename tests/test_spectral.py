@@ -188,6 +188,20 @@ def test_symmetrize_even_projects():
     assert np.max(np.abs(symmetrize_even(odd))) < 1e-14
 
 
+@pytest.mark.parametrize("n", [16, 64, 4096])
+def test_symmetrize_even_matches_index_reference(n):
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n)
+    refl = (n - np.arange(n)) % n
+    assert np.array_equal(symmetrize_even(u), 0.5 * (u + u[refl]))
+    # a stack of fields is projected row by row
+    stack = rng.standard_normal((2, n))
+    out = symmetrize_even(stack)
+    assert out.shape == (2, n)
+    for row, got in zip(stack, out):
+        assert np.array_equal(got, 0.5 * (row + row[refl]))
+
+
 def test_resolution_diagnostics():
     g = make_grid(10.0, 128)
     smooth = np.exp(-g.x**2)
@@ -208,6 +222,18 @@ def test_wave_pair_csv_roundtrip(tmp_path):
     assert back.grid.L == pytest.approx(7.0)
     assert np.allclose(back.xi, w.xi, atol=1e-15)
     assert np.allclose(back.nu, w.nu, atol=1e-15)
+
+
+def test_wave_pair_csv_matches_savetxt(tmp_path):
+    g = make_grid(7.0, 64)
+    xi = np.exp(-g.x**2) - 0.5
+    nu = np.cos(g.x) * np.exp(-(g.x**2))
+    xi[3], xi[4], nu[5], nu[6] = 0.0, -0.0, 1e-300, -5e-324
+    path = tmp_path / "pair.csv"
+    pair_to_csv(WavePair(grid=g, xi=xi, nu=nu), str(path))
+    ref = tmp_path / "ref.csv"
+    np.savetxt(ref, np.column_stack([g.x, xi, nu]), delimiter=",", header="x,xi,nu", comments="")
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_field_rejects_wrong_shape_and_nonfinite():
