@@ -39,7 +39,7 @@ from .params import (
     compute_f_min,
     ModelParams,
 )
-from .spectral import make_grid, make_multiplier, pair_to_csv, zcothz
+from .spectral import WavePair, make_grid, make_multiplier, pair_to_csv, resolve_depth, zcothz
 from .solvers import (
     ConvergenceError,
     SolitaryBranch,
@@ -54,7 +54,8 @@ from .solvers import (
     save_branch,
     solve_bfd_reduced,
 )
-from .evolution import AmplitudeBoundError, BlowUpError, run, suggest_dt
+from .evolution import AmplitudeBoundError, run, suggest_dt
+from .functionals import energy_E, quadratic_form_check
 
 
 def _require(cfg: dict, key: str):
@@ -94,29 +95,26 @@ def cmd_solve(cfg: dict, out: str) -> int:
     scfg = cfgmod.solver_from_config(cfg)
     family = canonical_family(_require(cfg, "solve.family"))
 
-    if family == "BO":
+    if family in ("BO", "ILW"):
         speed = cfg.get("solve.speed", 0.0)
-        nu0 = petviashvili_ground_state(p, grid, scfg)
-        pair = newton_solve("BO", p, 0.0, assemble_bo_pair(p, nu0), scfg)
-        if speed != 0.0:
-            branch = continue_in_c("BO", p, speed, scfg, start=pair, store_at=[speed])
-            pair = branch.waves[-1]
-        res = residual_norm("BO", p, speed, pair)
-        branch = SolitaryBranch("BO", [speed], [pair], [res])
-    elif family == "ILW":
-        if not p.finite_depth:
+        if family == "BO":
+            nu0 = petviashvili_ground_state(p, grid, scfg)
+            pair = newton_solve("BO", p, 0.0, assemble_bo_pair(p, nu0), scfg)
+        elif p.finite_depth:
+            pair = continue_in_mu2(p, p.mu2, scfg, grid=grid, milestones=[p.mu2]).waves[-1]
+        else:
             raise ConfigError("ILW solve needs finite params.mu2")
-        speed = cfg.get("solve.speed", 0.0)
-        chain = continue_in_mu2(p, p.mu2, scfg, grid=grid, milestones=[p.mu2])
-        pair = chain.waves[-1]
         if speed != 0.0:
-            branch = continue_in_c("ILW", p, speed, scfg, start=pair, store_at=[speed])
+            branch = continue_in_c(family, p, speed, scfg, start=pair, store_at=[speed])
             pair = branch.waves[-1]
-        res = residual_norm("ILW", p, speed, pair)
-        branch = SolitaryBranch("ILW", [speed], [pair], [res])
+        branch = SolitaryBranch(family, [speed], [pair], [residual_norm(family, p, speed, pair)])
     else:
         omega = _require(cfg, "solve.omega")
         mode = cfg.get("solve.mu2_mode", "finite" if family == "BFD_finite" else "infinite")
+        try:
+            resolve_depth(p, mode)
+        except ValueError as exc:
+            raise ConfigError(f"solve.mu2_mode: {exc}") from exc
         pair, info = solve_bfd_reduced(p, omega, mode, scfg, grid=grid, return_info=True)
         branch = SolitaryBranch(family, [omega], [pair], [info["full_residual"]])
 
@@ -313,8 +311,6 @@ def cmd_evolve(cfg: dict, out: str) -> int:
         amp = cfg.get("evolve.amplitude", 0.02)
         width = cfg.get("evolve.width", 1.0)
         bump = amp * np.exp(-((grid.x / width) ** 2))
-        from .spectral import WavePair
-
         initial = WavePair(grid=grid, xi=bump, nu=bump.copy())
     else:
         raise ConfigError("evolve.initial must be 'gaussian' or 'branch'")
@@ -331,7 +327,7 @@ def cmd_evolve(cfg: dict, out: str) -> int:
             snapshots_every=snapshots,
             outdir=out if snapshots is not None else None,
         )
-    except (BlowUpError, AmplitudeBoundError) as exc:
+    except AmplitudeBoundError as exc:
         cfgmod.write_json(os.path.join(out, "trajectory.json"),
                           {"status": "aborted", "error": str(exc)}, cfg)
         cfgmod.write_meta(out)
@@ -350,11 +346,17 @@ def cmd_evolve(cfg: dict, out: str) -> int:
     return 0 if summary["status"] == "completed" else 1
 
 
+def _band_limited_field(grid, rng) -> np.ndarray:
+    """A random real field whose spectrum fills the retained 2/3 band."""
+    cut = grid.dealias_cut
+    spec = np.zeros(grid.N // 2 + 1, dtype=complex)
+    spec[: cut + 1] = rng.standard_normal(cut + 1) + 1j * rng.standard_normal(cut + 1)
+    spec[0] = spec[0].real
+    return np.fft.irfft(spec, n=grid.N)
+
+
 def cmd_sweep(cfg: dict, out: str) -> int:
     """Randomized admissibility sweep: positive quadratic forms, E >= 0."""
-    from .functionals import _energy_from_tables, _energy_tables, quadratic_form_check
-    from .spectral import WavePair
-
     draws = cfg.get("sweep.draws", 200)
     fields_per_draw = cfg.get("sweep.fields_per_draw", 5)
     seed = cfg.get("seed", 0)
@@ -387,20 +389,10 @@ def cmd_sweep(cfg: dict, out: str) -> int:
         if form.global_min <= 0.0:
             violations.append({"draw": i, "kind": "quadratic_form",
                                "global_min": form.global_min})
-        tables = _energy_tables(p, grid)
-        cut = grid.dealias_cut
-        nk = grid.k_half.shape[0]
         for _ in range(fields_per_draw):
-            spec = np.zeros(nk, dtype=complex)
-            spec[: cut + 1] = rng.standard_normal(cut + 1) + 1j * rng.standard_normal(cut + 1)
-            spec[0] = spec[0].real
-            xi = np.fft.irfft(spec, n=grid.N)
-            spec2 = np.zeros(nk, dtype=complex)
-            spec2[: cut + 1] = rng.standard_normal(cut + 1) + 1j * rng.standard_normal(cut + 1)
-            spec2[0] = spec2[0].real
-            nu = np.fft.irfft(spec2, n=grid.N)
+            xi, nu = (_band_limited_field(grid, rng) for _ in range(2))
             scale = grid.dx * (np.dot(xi, xi) + np.dot(nu, nu))
-            e_val = _energy_from_tables(p, omega, WavePair(grid=grid, xi=xi, nu=nu), tables)
+            e_val = energy_E(p, omega, WavePair(grid=grid, xi=xi, nu=nu))
             e_norm = e_val / scale
             min_energy = min(min_energy, e_norm)
             if e_norm < -1e-12:
@@ -482,7 +474,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, BlowUpError, InadmissibleParameterError) as exc:
+    except (ConvergenceError, InadmissibleParameterError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

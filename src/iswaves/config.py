@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -62,7 +63,6 @@ KEY_REGISTRY: dict[str, str] = {
     "solver.tol_residual": "float",
     "solver.max_iters": "int",
     "solver.petviashvili_exponent": "float",
-    "solver.newton_damping": "float",
     "solver.continuation_step": "float",
     "solver.min_step": "float",
     "seed": "int",
@@ -171,18 +171,11 @@ def grid_from_config(cfg: dict) -> Grid:
 
 
 def solver_from_config(cfg: dict) -> SolverConfig:
-    kwargs = {}
-    for name in (
-        "tol_residual",
-        "max_iters",
-        "petviashvili_exponent",
-        "newton_damping",
-        "continuation_step",
-        "min_step",
-    ):
-        key = f"solver.{name}"
-        if key in cfg:
-            kwargs[name] = cfg[key]
+    kwargs = {
+        f.name: cfg[f"solver.{f.name}"]
+        for f in fields(SolverConfig)
+        if f"solver.{f.name}" in cfg
+    }
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:

@@ -32,26 +32,10 @@ import os
 import numpy as np
 
 from .params import ModelParams
-from .spectral import (
-    Grid,
-    WavePair,
-    pair_to_csv,
-    symbol_J,
-    symbol_L_inf,
-    symbol_L_mu2,
-    symbol_bo_ops,
-    symbol_ilw_ops,
-)
+from .solvers import FAMILY_DEPTH, canonical_family
+from .spectral import Grid, WavePair, pair_to_csv, symbols
 
 INTEGRATORS = ("etdrk4", "imex")
-
-
-class BlowUpError(RuntimeError):
-    """Raised when the state leaves the floating-point range."""
-
-    def __init__(self, t: float):
-        super().__init__(f"non-finite field values at t = {t:.6g}")
-        self.t = t
 
 
 class AmplitudeBoundError(RuntimeError):
@@ -69,28 +53,17 @@ class AmplitudeBoundError(RuntimeError):
         self.alpha = alpha
 
 
-def _canon_family(name: str) -> str:
-    from .solvers import canonical_family
-
-    return canonical_family(name)
-
-
-def _system_tables(family: str, p: ModelParams, grid: Grid):
-    """Half-spectrum tables (T1, S1, T2, S2) of the evolution structure."""
-    fam = _canon_family(family)
+def _structure(family: str, p: ModelParams, grid: Grid):
+    """Half-spectrum tables (T1, S1, T2, S2) of the evolution structure: the
+    one-layer operators with T2 = 1, S2 = 1 - gamma, or J_b, L, J_d and
+    (1 - gamma) J_c."""
+    fam = canonical_family(family)
+    sym = symbols(p, grid, FAMILY_DEPTH[fam])
     og = 1.0 - p.gamma
-    ones = np.ones_like(grid.k_half)
-    if fam == "BO":
-        dop, bop = symbol_bo_ops(p, grid)
-        return dop.table_half, bop.table_half, ones, og * ones
-    if fam == "ILW":
-        wop, zop = symbol_ilw_ops(p, grid)
-        return wop.table_half, zop.table_half, ones, og * ones
-    jb = symbol_J(p, "b", grid).table_half
-    jd = symbol_J(p, "d", grid).table_half
-    jc = symbol_J(p, "c", grid).table_half
-    lt = (symbol_L_mu2(p, grid) if fam == "BFD_finite" else symbol_L_inf(p, grid)).table_half
-    return jb, lt, jd, og * jc
+    if fam in ("BO", "ILW"):
+        ones = np.ones_like(grid.k_half)
+        return sym.op1, sym.op2, ones, og * ones
+    return sym.jb, sym.L, sym.jd, og * sym.jc
 
 
 def rhs(family: str, p: ModelParams, state: WavePair, linear_only: bool = False) -> WavePair:
@@ -100,7 +73,7 @@ def rhs(family: str, p: ModelParams, state: WavePair, linear_only: bool = False)
     are dealiased with the 2/3 rule before differentiation.
     """
     grid = state.grid
-    t1, s1, t2, s2 = _system_tables(family, p, grid)
+    t1, s1, t2, s2 = _structure(family, p, grid)
     mask = grid.dealias_mask()
     ik = 1j * grid.k_half
     g = p.gamma
@@ -120,7 +93,7 @@ def rhs(family: str, p: ModelParams, state: WavePair, linear_only: bool = False)
 
 def suggest_dt(family: str, p: ModelParams, grid: Grid, max_phase: float = math.pi / 4.0) -> float:
     """Largest dt for which the fastest linear mode advances < max_phase per step."""
-    t1, s1, t2, s2 = _system_tables(family, p, grid)
+    t1, s1, t2, s2 = _structure(family, p, grid)
     speed = np.sqrt((s1 / t1) * (s2 / t2))
     omega_max = float(np.max(grid.k_half * speed))
     if omega_max == 0.0:
@@ -144,12 +117,12 @@ class _CharacteristicBase:
     def __init__(self, family: str, p: ModelParams, grid: Grid, dt: float, linear_only: bool):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.family = _canon_family(family)
+        self.family = canonical_family(family)
         self.p = p
         self.grid = grid
         self.dt = float(dt)
         self.linear_only = linear_only
-        t1, s1, t2, s2 = _system_tables(self.family, p, grid)
+        t1, s1, t2, s2 = _structure(self.family, p, grid)
         a_sym = s1 / t1
         b_sym = s2 / t2
         if np.min(a_sym) <= 0.0 or np.min(b_sym) <= 0.0:
@@ -301,24 +274,6 @@ def make_stepper(
     raise ValueError(f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}")
 
 
-def step(
-    integrator: str,
-    family: str,
-    p: ModelParams,
-    state: WavePair,
-    dt: float,
-    linear_only: bool = False,
-) -> WavePair:
-    """Advance one step.  For repeated stepping build a stepper via
-    make_stepper and reuse it; this convenience wrapper re-derives the
-    coefficients each call."""
-    stepper = make_stepper(integrator, family, p, state.grid, dt, linear_only)
-    q = stepper.advance(stepper.encode(state))
-    if not np.all(np.isfinite(q)):
-        raise BlowUpError(dt)
-    return stepper.decode(q)
-
-
 # ---------------------------------------------------------------------------
 # global-existence criterion
 # ---------------------------------------------------------------------------
@@ -405,10 +360,9 @@ class _Monitor:
         cols = [w, np.where(np.arange(m) > grid.dealias_cut, w, 0.0), (1.0 + grid.k_half**2) * w]
         self.track_h = track_h
         if track_h:
-            from .functionals import _hamiltonian_tables
-
-            jc, lt = _hamiltonian_tables(p, grid)
-            cols += [0.5 * (1.0 - p.gamma) * jc * w, 0.5 * lt * w]
+            # H's quadratic part, with L at the depth of p
+            sym = symbols(p, grid)
+            cols += [0.5 * (1.0 - p.gamma) * sym.jc * w, 0.5 * sym.L * w]
         # one row per real and per imaginary part of each bin, so that the
         # squared float view of s is summed by a single product
         self.weights = np.repeat(np.column_stack(cols), 2, axis=0)
@@ -464,7 +418,7 @@ def run(
     alpha (a violation can only mean under-resolution or a bug).  Non-finite
     values abort with a blow-up report carrying the time stamp.
     """
-    fam = _canon_family(family)
+    fam = canonical_family(family)
     grid = initial.grid
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps

@@ -1,47 +1,44 @@
 """Solitary-wave solvers for the three model families.
 
-Four computation paths: Petviashvili fixed-point iteration for the
-infinite-depth one-layer ground state, damped Newton solves of the coupled
-travelling-wave systems, parameter continuation (in the speed c and in the
-depth parameter mu2), and constrained minimization of the energy on the
-constraint manifold {F = lambda}.  Every returned wave carries a
-direct-substitution residual of its governing system; that residual is the
-universal convergence oracle.
+Three iterations serve every solve.  A Petviashvili fixed-point iteration
+(`_petviashvili`) gives the infinite-depth one-layer ground state and starts
+the reduced two-layer solve.  One inexact Newton iteration (`_newton`) solves
+the coupled travelling-wave systems (`newton_solve`) and polishes the reduced
+equation (`solve_bfd_reduced`).  One natural continuation loop
+(`_continuation`) marches branches in the speed c and in the depth parameter
+mu2.  Constrained minimization of the energy on {F = lambda} is a fourth,
+independent path.  Every returned wave carries a direct-substitution residual
+of its governing system; that residual is the universal convergence oracle.
+The multiplier tables come from the shared `spectral.symbols` bundle.
 
 All solves work in the even subspace: profiles are symmetrized about x = 0
 at every iteration, which pins the translation mode and keeps the Newton
 linearizations invertible.
 
-Inner linear solves.  Both Newton iterations (`newton_solve` and the polish
-in `solve_bfd_reduced`) solve their steps with preconditioned lgmres through
-one helper.  In the even subspace the right-hand side is projected like the
-operator, so the linear system is consistent.  After every lgmres outer
-cycle the helper recomputes the true residual ||b - A x|| (one extra matvec)
-and stops once that residual has not halved over the last two cycles,
-returning the best iterate seen: near the wave the requested inner tolerance
-can sit below the roundoff floor of the matvec, and further cycles only burn
-matvecs.  Each inner solve leaves one record
-{matvecs, exit, relative_residual, rtol} with exit one of "converged",
-"stagnated", "maxiter" or "nonfinite"; the records are returned under
-"inner_solves" in `return_info` and attached to the ConvergenceError
-diagnostics when a Newton iteration fails.  Both continuations keep them per
-attempted step, accepted or rejected, in the branch diagnostics["steps"],
-which `save_branch` writes out.  The inner forcing terms, the
-line searches, `tol_residual` and the 10x reduced-residual acceptance margin
-are unaffected.
+Inner linear solves.  Each Newton step solves for its direction with
+preconditioned lgmres in `_inner_solve`.  In the even subspace the
+right-hand side is projected like the operator, so the linear system is
+consistent.  After every lgmres outer cycle the true residual ||b - A x||
+is recomputed (one extra matvec), and the solve stops, returning the best
+iterate seen, once that residual has not halved over the last two cycles:
+near the wave the requested inner tolerance can sit below the roundoff floor
+of the matvec.  Each inner solve leaves one record {matvecs, exit,
+relative_residual, rtol}, exit one of "converged", "stagnated", "maxiter" or
+"nonfinite"; the records are returned under "inner_solves" in `return_info`,
+attached to every ConvergenceError of a Newton iteration, and kept per
+attempted continuation step in the branch diagnostics["steps"], which
+`save_branch` writes out.
 
 Transform economy.  Each solver transforms a field once, with the arithmetic
-of the per-multiplier formulas in the same order, so the results match those
-of applying each multiplier on its own.  The coupled
-systems take one stacked rfft of their two inputs and one stacked irfft of
-every multiplier row (2 rows for BO/ILW, 4 for the two-layer family); the
-Newton preconditioner does the same with its 2x2 block.  The reduced
-equation takes the rffts of nu and nu^2 (for a Jacobian matvec: of v and
-nu v) and one 4-row irfft; `_Reduced.linearize` applies the multipliers of
-nu alone once per Newton step, so a matvec makes 3 transforms.  The
-Petviashvili loops carry M nu (and G(nu)) from the residual of one iteration
-into the next, and both Newton loops carry the residual their line search
-accepted.  The start-up amplitude scan is closed-form: M is linear and
+of the per-multiplier formulas in the same order.  The coupled systems take
+one stacked rfft of their two inputs and one stacked irfft of every
+multiplier row (2 rows for BO/ILW, 4 for the two-layer family), and so does
+the Newton preconditioner with its 2x2 block.  The reduced equation takes
+the rffts of nu and nu^2 (for a Jacobian matvec: of v and nu v) and one
+4-row irfft; `_Reduced.linearize` applies the multipliers of nu alone once
+per Newton step, so a matvec makes 3 transforms.  The Petviashvili and
+Newton iterations carry the residual of the accepted iterate into the next
+step.  The start-up amplitude scan is closed-form: M is linear and
 G(a s) = a^2 Q(s) + a^3 C(s), so three inner products of one shape s give
 the ratio at every amplitude.
 """
@@ -51,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -64,15 +61,13 @@ from .spectral import (
     apply_table,
     pair_from_csv,
     pair_to_csv,
-    symbol_J,
-    symbol_L_inf,
-    symbol_L_mu2,
-    symbol_bo_ops,
-    symbol_ilw_ops,
-    symmetrize_even,
+    symbols,
+    symmetrize_even as _even,
 )
 
 FAMILIES = ("BO", "ILW", "BFD_finite", "BFD_inf")
+# the depth of each family's symbols
+FAMILY_DEPTH = {"BO": "infinite", "ILW": "finite", "BFD_finite": "finite", "BFD_inf": "infinite"}
 
 
 class ConvergenceError(RuntimeError):
@@ -90,7 +85,6 @@ class SolverConfig:
     tol_residual: float = 1e-11
     max_iters: int = 500
     petviashvili_exponent: float = 2.0
-    newton_damping: float = 1.0
     continuation_step: float = 0.005
     min_step: float = 1e-5
 
@@ -135,17 +129,13 @@ def trivial_threshold(p: ModelParams) -> float:
     return 1e-3 * math.sqrt(1.0 / (eta * p.gamma))
 
 
-def _even(u: np.ndarray) -> np.ndarray:
-    return symmetrize_even(u)
-
-
 # ---------------------------------------------------------------------------
 # governing systems
 # ---------------------------------------------------------------------------
 
 
 class _System:
-    """Tabulated residual/Jacobian data for one family on one grid."""
+    """Residual/Jacobian data for one family on one grid."""
 
     def __init__(self, family: str, p: ModelParams, grid: Grid, speed: float):
         self.family = canonical_family(family)
@@ -153,63 +143,51 @@ class _System:
         self.grid = grid
         self.speed = float(speed)
         self.r = p.r
-        g = p.gamma
-        if self.family == "BO":
-            dop, bop = symbol_bo_ops(p, grid)
-            self.op1 = dop.table_half  # multiplies xi in eq 1
-            self.op2 = bop.table_half  # multiplies nu in eq 1
-        elif self.family == "ILW":
-            wop, zop = symbol_ilw_ops(p, grid)
-            self.op1 = wop.table_half
-            self.op2 = zop.table_half
-        else:
-            self.jb = symbol_J(p, "b", grid).table_half
-            self.jc = symbol_J(p, "c", grid).table_half
-            if self.family == "BFD_finite":
-                self.lt = symbol_L_mu2(p, grid).table_half
-                self.jd = symbol_J(p, "d", grid).table_half
-            else:
-                self.lt = symbol_L_inf(p, grid).table_half
-                # the infinite-depth system carries J_b in the second equation
-                self.jd = self.jb
-        self.one_minus_gamma = 1.0 - g
+        self.one_minus_gamma = 1.0 - p.gamma
+        sym = symbols(p, grid, FAMILY_DEPTH[self.family])
         # row i of the stacked transform applies _tables[i] to input _picks[i]
         # (0: the xi-like field, 1: the nu-like field)
         if self.family in ("BO", "ILW"):
+            # W, Z (finite depth) or D, B (infinite depth): xi and nu in eq 1
+            self.op1, self.op2 = sym.op1, sym.op2
             self._tables = np.stack([self.op1, self.op2])
             self._picks = [0, 1]
         else:
+            self.jb, self.jc, self.jd, self.lt = sym.jb, sym.jc, sym.j2, sym.L
             self._tables = np.stack([self.jb, self.lt, self.jd, self.jc])
             self._picks = [0, 1, 1, 0]
 
-    def _apply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Every multiplier row of the system on (a, b): one stacked rfft, one
-        stacked irfft.  BO/ILW rows: op1 a, op2 b; BFD rows: J_b a, L b, J_d b,
-        J_c a."""
-        f = np.fft.rfft(np.stack([a, b]), axis=-1)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """Every multiplier row of the system on the stack x = (a, b): one
+        rfft, one stacked irfft.  BO/ILW rows: op1 a, op2 b; BFD rows: J_b a,
+        L b, J_d b, J_c a."""
+        f = np.fft.rfft(x, axis=-1)
         return np.fft.irfft(self._tables * f[self._picks], n=self.grid.N, axis=-1)
 
-    def residual(self, xi: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """The residual stack (r1, r2) at x = (xi, nu)."""
         r, s = self.r, self.speed
-        rows = self._apply(xi, nu)
+        xi, nu = x
+        rows = self._apply(x)
         r1 = -s * rows[0] + rows[1] - 2.0 * r * xi * nu
         if self.family in ("BO", "ILW"):
             r2 = -s * nu + self.one_minus_gamma * xi - r * nu * nu
         else:
             r2 = -s * rows[2] + self.one_minus_gamma * rows[3] - r * nu * nu
-        return r1, r2
+        return np.stack([r1, r2])
 
-    def jacobian_apply(
-        self, xi: np.ndarray, nu: np.ndarray, dxi: np.ndarray, dnu: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def jacobian_apply(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The Jacobian at x = (xi, nu) applied to the stack d = (dxi, dnu)."""
         r, s = self.r, self.speed
-        rows = self._apply(dxi, dnu)
+        xi, nu = x
+        dxi, dnu = d
+        rows = self._apply(d)
         j1 = -s * rows[0] + rows[1] - 2.0 * r * (nu * dxi + xi * dnu)
         if self.family in ("BO", "ILW"):
             j2 = self.one_minus_gamma * dxi - (s + 2.0 * r * nu) * dnu
         else:
             j2 = self.one_minus_gamma * rows[3] - s * rows[2] - 2.0 * r * nu * dnu
-        return j1, j2
+        return np.stack([j1, j2])
 
     def linear_block_inverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-frequency inverse of the linear part, used as preconditioner."""
@@ -233,22 +211,38 @@ class _System:
         return a22 / det, -a12 / det, -a21 / det, a11 / det
 
 
-def system_residual(
-    family: str, p: ModelParams, speed: float, w: WavePair
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct-substitution residual fields of the governing system."""
-    sys = _System(family, p, w.grid, speed)
-    return sys.residual(w.xi, w.nu)
+def system_residual(family: str, p: ModelParams, speed: float, w: WavePair) -> np.ndarray:
+    """Direct-substitution residual fields (r1, r2) of the governing system."""
+    return _System(family, p, w.grid, speed).residual(np.stack([w.xi, w.nu]))
 
 
 def residual_norm(family: str, p: ModelParams, speed: float, w: WavePair) -> float:
-    r1, r2 = system_residual(family, p, speed, w)
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    return float(np.max(np.abs(system_residual(family, p, speed, w))))
 
 
 # ---------------------------------------------------------------------------
-# Petviashvili iteration for the infinite-depth one-layer ground state
+# Petviashvili iteration
 # ---------------------------------------------------------------------------
+
+
+def _petviashvili(evaluate, inv_m: np.ndarray, nu: np.ndarray, q: float, dx: float):
+    """Petviashvili iterates of M nu = G(nu), G homogeneous of degree > 1.
+
+    Each iteration sets nu <- S^q M^{-1} G(nu), projected onto the even
+    subspace, with the stabilizing factor S = <M nu, nu>/<G(nu), nu>.
+    evaluate(nu) returns (M nu, G(nu)); its value at one iterate gives both
+    that iterate's residual and the next iteration.  Yields (nu, S, M nu -
+    G(nu)) after every iteration; the caller owns the stopping rule.
+    """
+    m_nu, g_nu = evaluate(nu)
+    while True:
+        den = dx * np.dot(nu, g_nu)
+        if den == 0.0:
+            raise ConvergenceError("iterate collapsed to the trivial branch")
+        s_val = dx * np.dot(nu, m_nu) / den
+        nu = _even(s_val**q * apply_table(inv_m, g_nu))
+        m_nu, g_nu = evaluate(nu)
+        yield nu, s_val, m_nu - g_nu
 
 
 def petviashvili_ground_state(
@@ -290,21 +284,12 @@ def petviashvili_ground_state(
         nu = math.sqrt(q2 / q4) * shape
     else:
         nu = np.asarray(guess, dtype=float).copy()
-    inv_mhat = 1.0 / mhat
     history = []
     s_val = math.inf
     res = math.inf
-    # M nu and eta nu^3 at the current iterate, carried over from the residual
-    m_nu, cube = apply_table(mhat, nu), eta * nu**3
-    for it in range(cfg.max_iters):
-        num = dx * np.dot(nu, m_nu)
-        den = dx * np.dot(nu, cube)
-        if den == 0.0:
-            raise ConvergenceError("iterate collapsed to the trivial branch")
-        s_val = num / den
-        nu = _even(s_val**q * apply_table(inv_mhat, cube))
-        m_nu, cube = apply_table(mhat, nu), eta * nu**3
-        res = float(np.max(np.abs(m_nu - cube)))
+    iterates = _petviashvili(lambda u: (apply_table(mhat, u), eta * u**3), 1.0 / mhat, nu, q, dx)
+    for it, (nu, s_val, resid) in zip(range(cfg.max_iters), iterates):
+        res = float(np.max(np.abs(resid)))
         history.append(res)
         if res <= cfg.tol_residual:
             break
@@ -422,6 +407,85 @@ def _inner_solve(matvec, precond, rhs: np.ndarray, rtol: float) -> tuple[np.ndar
     return x, record
 
 
+def _newton(
+    x: np.ndarray,
+    r: np.ndarray,
+    residual,
+    linearize,
+    precond,
+    even: bool,
+    forcing,
+    max_steps: int,
+    tol: float,
+    floor: float | None = None,
+):
+    """Inexact Newton iteration with backtracking, shared by every Newton solve.
+
+    x is the iterate and r = residual(x); linearize(x) returns the Jacobian
+    at x as a function on arrays shaped like x, and precond acts on flat
+    vectors.  With even, iterates, steps and right-hand sides are projected
+    onto the even subspace.  Each step solves J d = -r with `_inner_solve`
+    to the relative tolerance forcing(||r||), then tries x + t d for
+    t = 1, 1/2, ..., 1/64 and accepts the first that lowers ||r|| (the max
+    norm), carrying its residual into the next step.  When no t does, the
+    iteration raises, unless floor is given and ||r|| <= floor: the residual
+    is then taken as the roundoff floor.  An inner solve that ends
+    non-finite, or unconverged outside the even subspace, raises.
+
+    Returns (x, r, history, inner, exit): ||r|| at the start and after every
+    accepted step, the inner-solve records, and exit "converged" (||r|| <=
+    tol), "floor" or "max_steps".  tol is tested before each step, so the
+    iteration ends with "max_steps" after its max_steps-th step, whose
+    residual is recorded but not tested.  Every ConvergenceError carries the
+    history and inner records.
+    """
+    project = _even if even else (lambda u: u)
+    rn = float(np.max(np.abs(r)))
+    history = [rn]
+    inner: list[dict] = []
+
+    def failure(message: str) -> ConvergenceError:
+        return ConvergenceError(
+            message, {"residual": rn, "history": history, "inner_solves": inner}
+        )
+
+    for _ in range(max_steps):
+        if rn <= tol:
+            return x, r, history, inner, "converged"
+        jac = linearize(x)
+        d, rec = _inner_solve(
+            lambda v: project(jac(project(v.reshape(x.shape)))).reshape(-1),
+            precond,
+            -project(r).reshape(-1),
+            forcing(rn),
+        )
+        inner.append(rec)
+        # in the even subspace a step that missed the inner tolerance is
+        # still tried: the line search accepts it iff it reduces the residual
+        if rec["exit"] == "nonfinite" or (rec["exit"] != "converged" and not even):
+            hint = "" if even else (
+                "; the translation mode is unpinned, solve with "
+                "enforce_even=True (even cosine subspace)"
+            )
+            raise failure(f"inner linear solve {rec['exit']} at Newton step {len(history) - 1}" + hint)
+        d = d.reshape(x.shape)
+        t = 1.0
+        while t >= 1.0 / 64.0:
+            x_try = project(x + t * d)
+            r_try = residual(x_try)
+            rn_try = float(np.max(np.abs(r_try)))
+            if rn_try < rn:
+                x, r, rn = x_try, r_try, rn_try
+                history.append(rn)
+                break
+            t *= 0.5
+        else:
+            if floor is not None and rn <= floor:
+                return x, r, history, inner, "floor"
+            raise failure(f"Newton line search failed at residual {rn:.3e}")
+    return x, r, history, inner, "max_steps"
+
+
 def newton_solve(
     family: str,
     p: ModelParams,
@@ -431,7 +495,7 @@ def newton_solve(
     enforce_even: bool = True,
     return_info: bool = False,
 ):
-    """Damped Newton iteration on the stacked (xi, nu) system.
+    """Newton iteration on the stacked (xi, nu) system.
 
     The linear solves run preconditioned lgmres with the per-frequency 2x2
     inverse of the linear part; the nonlinear terms are diagonal.  Without
@@ -440,8 +504,7 @@ def newton_solve(
     """
     cfg = cfg or SolverConfig()
     sys = _System(family, p, guess.grid, speed)
-    grid = guess.grid
-    n = grid.N
+    n = guess.grid.N
 
     i11, i12, i21, i22 = sys.linear_block_inverse()
 
@@ -450,82 +513,33 @@ def newton_solve(
         out = np.fft.irfft(np.stack([i11 * f1 + i12 * f2, i21 * f1 + i22 * f2]), n=n, axis=-1)
         return out.reshape(-1)
 
-    xi = guess.xi.copy()
-    nu = guess.nu.copy()
+    x = np.stack([guess.xi, guess.nu])
     if enforce_even:
-        xi, nu = _even(xi), _even(nu)
-
-    history = []
-    inner: list[dict] = []
-    rn = math.inf
-    # the residual at the current iterate; after a step, the one the line
-    # search accepted
-    r1, r2 = sys.residual(xi, nu)
-    for it in range(cfg.max_iters):
-        rn = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
-        history.append(float(rn))
-        if rn <= cfg.tol_residual:
-            pair = WavePair(grid=grid, xi=xi, nu=nu)
-            if return_info:
-                return pair, {
-                    "iterations": it,
-                    "residual_history": history,
-                    "inner_solves": inner,
-                }
-            return pair
-
-        def jv(v: np.ndarray) -> np.ndarray:
-            d = v.reshape(2, n)
-            if enforce_even:
-                d = _even(d)
-            out = np.stack(sys.jacobian_apply(xi, nu, d[0], d[1]))
-            if enforce_even:
-                out = _even(out)
-            return out.reshape(-1)
-
-        rhs = np.stack([r1, r2])
-        if enforce_even:
-            # the projected operator maps onto the even subspace; the odd
-            # roundoff in the residual lies outside its range and would cap
-            # the achievable inner residual
-            rhs = _even(rhs)
-        rtol_inner = max(1e-13, min(1e-6, 1e-3 * rn))
-        du, rec = _inner_solve(jv, precond, -rhs.reshape(-1), rtol_inner)
-        inner.append(rec)
-        # in the even subspace a step that missed the inner tolerance is
-        # still tried: the line search accepts it iff it reduces the residual
-        if rec["exit"] == "nonfinite" or (rec["exit"] != "converged" and not enforce_even):
-            hint = ""
-            if not enforce_even:
-                hint = (
-                    "; the translation mode is unpinned, solve with "
-                    "enforce_even=True (even cosine subspace)"
-                )
-            raise ConvergenceError(
-                f"inner linear solve {rec['exit']} at Newton step {it}" + hint,
-                {"residual": float(rn), "inner_solves": inner},
-            )
-        d1, d2 = du.reshape(2, n)
-        t = cfg.newton_damping
-        while t >= 1.0 / 64.0:
-            xt, nt = xi + t * d1, nu + t * d2
-            if enforce_even:
-                xt, nt = _even(xt), _even(nt)
-            t1, t2 = sys.residual(xt, nt)
-            if max(np.max(np.abs(t1)), np.max(np.abs(t2))) < rn:
-                xi, nu, r1, r2 = xt, nt, t1, t2
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError(
-                f"Newton line search failed at residual {rn:.3e}",
-                {"residual": float(rn), "history": history, "inner_solves": inner},
-            )
-
-    raise ConvergenceError(
-        f"Newton did not reach tol in {cfg.max_iters} steps (residual {rn:.3e})",
-        {"residual": float(rn), "history": history, "inner_solves": inner},
+        x = _even(x)
+    x, _, history, inner, exit_reason = _newton(
+        x,
+        sys.residual(x),
+        sys.residual,
+        lambda u: (lambda d: sys.jacobian_apply(u, d)),
+        precond,
+        enforce_even,
+        lambda rn: max(1e-13, min(1e-6, 1e-3 * rn)),
+        cfg.max_iters,
+        cfg.tol_residual,
     )
+    if exit_reason != "converged":
+        raise ConvergenceError(
+            f"Newton did not reach tol in {cfg.max_iters} steps (residual {history[-1]:.3e})",
+            {"residual": history[-1], "history": history, "inner_solves": inner},
+        )
+    pair = WavePair(grid=guess.grid, xi=x[0], nu=x[1])
+    if return_info:
+        return pair, {
+            "iterations": len(history) - 1,
+            "residual_history": history,
+            "inner_solves": inner,
+        }
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -550,64 +564,72 @@ def _step_record(parameter: float, info: dict, error: ConvergenceError | None = 
 
 def _continuation(
     family: str,
-    p_of: "callable",
-    speed_of: "callable",
-    start_pair: WavePair,
-    start_param: float,
+    p_of,
+    speed_of,
+    start: WavePair,
     targets: list[float],
     cfg: SolverConfig,
+    step_cap: float,
+    start_family: str,
+    label,
+    truncation_key: str,
 ) -> tuple[list[float], list[WavePair], list[float], dict]:
-    """March a branch through `targets` with adaptive natural continuation.
+    """March a branch from t = 0 through `targets` with adaptive natural
+    continuation.
 
     p_of(t) and speed_of(t) map the continuation parameter to model
-    parameters and speed.  Steps grow on fast Newton solves (<= 3 iters)
-    and halve on slow ones; collapse below min_step truncates the branch.
-    Every attempted step, accepted or rejected, leaves a `_step_record` in
-    diagnostics["steps"].
+    parameters and speed; the wave at t = 0 belongs to start_family, every
+    other to family.  Steps grow on fast Newton solves (<= 3 iters, up to
+    step_cap) and halve on slow ones; collapse below min_step truncates the
+    branch and stores label(t) of its last wave under truncation_key.
+    Every attempted step, accepted or rejected, leaves a `_step_record`
+    keyed by label(t) in diagnostics["steps"].  Returns the t of every
+    stored wave, the waves, their residuals and the diagnostics.
     """
-    params = [start_param]
-    waves = [start_pair]
-    residuals = [residual_norm(family, p_of(start_param), speed_of(start_param), start_pair)]
+    ts = [0.0]
+    waves = [start]
+    residuals = [residual_norm(start_family, p_of(0.0), speed_of(0.0), start)]
     diagnostics: dict = {"truncated": False, "steps": []}
 
-    current_t = start_param
-    current = start_pair
+    current_t = 0.0
+    current = start
     step = cfg.continuation_step
     for target in targets:
         direction = 1.0 if target >= current_t else -1.0
         while abs(target - current_t) > 1e-15:
-            h = min(step, abs(target - current_t)) * direction
-            t_next = current_t + h
+            t_next = current_t + min(step, abs(target - current_t)) * direction
             try:
                 pair, info = newton_solve(
-                    family,
-                    p_of(t_next),
-                    speed_of(t_next),
-                    current,
-                    cfg,
-                    return_info=True,
+                    family, p_of(t_next), speed_of(t_next), current, cfg, return_info=True
                 )
             except ConvergenceError as exc:
-                diagnostics["steps"].append(_step_record(t_next, exc.diagnostics, exc))
+                diagnostics["steps"].append(_step_record(label(t_next), exc.diagnostics, exc))
                 step *= 0.5
                 if step < cfg.min_step:
                     diagnostics["truncated"] = True
-                    diagnostics["endpoint_estimate"] = current_t
-                    return params, waves, residuals, diagnostics
+                    diagnostics[truncation_key] = label(current_t)
+                    return ts, waves, residuals, diagnostics
                 continue
-            diagnostics["steps"].append(_step_record(t_next, info))
+            diagnostics["steps"].append(_step_record(label(t_next), info))
             iters = info["iterations"]
             current, current_t = pair, t_next
             if iters <= 3:
-                step = min(step * 2.0, cfg.continuation_step * 64.0)
+                step = min(step * 2.0, step_cap)
             elif iters >= 8:
                 step = max(step * 0.5, cfg.min_step)
-        params.append(current_t)
+        ts.append(current_t)
         waves.append(current)
-        residuals.append(
-            residual_norm(family, p_of(current_t), speed_of(current_t), current)
-        )
-    return params, waves, residuals, diagnostics
+        fam = start_family if current_t == 0.0 else family
+        residuals.append(residual_norm(fam, p_of(current_t), speed_of(current_t), current))
+    return ts, waves, residuals, diagnostics
+
+
+def _bo_start(p: ModelParams, grid: Grid | None, cfg: SolverConfig) -> WavePair:
+    """The c = 0 BO pair: the ground state, lifted and solved by Newton."""
+    if grid is None:
+        raise ValueError("provide a grid or a starting pair")
+    nu0 = petviashvili_ground_state(p, grid, cfg)
+    return newton_solve("BO", p, 0.0, assemble_bo_pair(p, nu0), cfg)
 
 
 def continue_in_c(
@@ -630,31 +652,25 @@ def continue_in_c(
     if fam not in ("BO", "ILW"):
         raise ValueError("continue_in_c supports the one-layer families (BO, ILW)")
     if start is None:
-        if grid is None:
-            raise ValueError("provide a grid or a starting pair")
         if fam == "ILW":
             raise ValueError("ILW continuation needs the c = 0 pair from continue_in_mu2")
-        nu0 = petviashvili_ground_state(p, grid, cfg)
-        start = newton_solve(fam, p, 0.0, assemble_bo_pair(p, nu0), cfg)
+        start = _bo_start(p, grid, cfg)
     if store_at is None:
         store_at = list(np.linspace(c_max / 8.0, c_max, 8))
 
     params, waves, residuals, diag = _continuation(
         fam,
-        p_of=lambda t: p,
-        speed_of=lambda t: t,
-        start_pair=start,
-        start_param=0.0,
-        targets=sorted(store_at, key=abs),
-        cfg=cfg,
+        lambda t: p,
+        lambda t: t,
+        start,
+        sorted(store_at, key=abs),
+        cfg,
+        step_cap=cfg.continuation_step * 64.0,
+        start_family=fam,
+        label=lambda t: t,
+        truncation_key="endpoint_estimate",
     )
-    return SolitaryBranch(
-        family=fam,
-        parameter_values=params,
-        waves=waves,
-        residuals=residuals,
-        diagnostics=diag,
-    )
+    return SolitaryBranch(fam, params, waves, residuals, diagnostics=diag)
 
 
 def continue_in_mu2(
@@ -667,85 +683,40 @@ def continue_in_mu2(
 ) -> SolitaryBranch:
     """Branch of c = 0 finite-depth pairs in mu2, from the infinite-depth wave.
 
-    Continuation runs in the regularizing parameter 1/sqrt(mu2), which is 0
-    at the infinite-depth endpoint.  The first stored sample is the starting
-    pair itself (parameter value inf).  Milestones are mu2 values to store.
-    Every attempted step leaves a `_step_record`, keyed by its mu2 value, in
-    diagnostics["steps"].
+    Continuation runs in the regularizing parameter t = 1/sqrt(mu2), which is
+    0 at the infinite-depth endpoint.  The first stored sample is the
+    starting pair itself (parameter value inf).  Milestones are mu2 values to
+    store.  Every attempted step leaves a `_step_record`, keyed by its mu2
+    value, in diagnostics["steps"].
     """
     cfg = cfg or SolverConfig()
     if start is None:
-        if grid is None:
-            raise ValueError("provide a grid or a starting pair")
-        nu0 = petviashvili_ground_state(p, grid, cfg)
-        start = newton_solve("BO", p, 0.0, assemble_bo_pair(p, nu0), cfg)
+        start = _bo_start(p, grid, cfg)
     if milestones is None:
         milestones = [mu2_min]
     milestones = sorted(milestones, reverse=True)
     if min(milestones) < mu2_min:
         raise ValueError("milestones must lie at or above mu2_min")
 
-    def p_of(t: float) -> ModelParams:
-        mu2 = math.inf if t == 0.0 else 1.0 / t**2
-        return ModelParams(
-            gamma=p.gamma, epsilon=p.epsilon, mu=p.mu,
-            a=p.a, b=p.b, c=p.c, d=p.d, mu2=mu2, beta=p.beta,
-        )
+    def mu2_of(t: float) -> float:
+        return math.inf if t == 0.0 else 1.0 / t**2
 
-    def family_of(t: float) -> str:
-        return "BO" if t == 0.0 else "ILW"
-
-    # the endpoint itself: the BO pair, stored bit-for-bit
-    params = [math.inf]
-    waves = [start]
-    residuals = [residual_norm("BO", p_of(0.0), 0.0, start)]
-
-    current = start
-    current_t = 0.0
-    step = cfg.continuation_step
-    diagnostics: dict = {"truncated": False, "steps": []}
-    for mu2_target in milestones:
-        target = 1.0 / math.sqrt(mu2_target)
-        while target - current_t > 1e-15:
-            h = min(step, target - current_t)
-            t_next = current_t + h
-            try:
-                pair, info = newton_solve(
-                    "ILW", p_of(t_next), 0.0, current, cfg, return_info=True
-                )
-            except ConvergenceError as exc:
-                diagnostics["steps"].append(_step_record(1.0 / t_next**2, exc.diagnostics, exc))
-                step *= 0.5
-                if step < cfg.min_step:
-                    diagnostics["truncated"] = True
-                    diagnostics["sigma_estimate"] = (
-                        math.inf if current_t == 0.0 else 1.0 / current_t**2
-                    )
-                    return SolitaryBranch(
-                        family="ILW",
-                        parameter_values=params,
-                        waves=waves,
-                        residuals=residuals,
-                        diagnostics=diagnostics,
-                    )
-                continue
-            diagnostics["steps"].append(_step_record(1.0 / t_next**2, info))
-            current, current_t = pair, t_next
-            iters = info["iterations"]
-            if iters <= 3:
-                step = min(step * 2.0, 0.25)
-            elif iters >= 8:
-                step = max(step * 0.5, cfg.min_step)
-        params.append(mu2_target)
-        waves.append(current)
-        residuals.append(residual_norm(family_of(current_t), p_of(current_t), 0.0, current))
-    return SolitaryBranch(
-        family="ILW",
-        parameter_values=params,
-        waves=waves,
-        residuals=residuals,
-        diagnostics=diagnostics,
+    ts, waves, residuals, diag = _continuation(
+        "ILW",
+        lambda t: replace(p, mu2=mu2_of(t)),
+        lambda t: 0.0,
+        start,
+        [1.0 / math.sqrt(m) for m in milestones],
+        cfg,
+        step_cap=0.25,
+        start_family="BO",
+        label=mu2_of,
+        truncation_key="sigma_estimate",
     )
+    # the endpoint is the BO pair, stored bit-for-bit; the others are stored
+    # under their milestone
+    params = [math.inf] + milestones[: len(ts) - 1]
+    return SolitaryBranch("ILW", params, waves, residuals, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -753,27 +724,17 @@ def continue_in_mu2(
 # ---------------------------------------------------------------------------
 
 
-def _bfd_tables(p: ModelParams, grid: Grid, mu2_mode: str):
-    jb = symbol_J(p, "b", grid).table_half
-    jc = symbol_J(p, "c", grid).table_half
-    if mu2_mode == "finite" or (mu2_mode == "auto" and p.finite_depth):
-        lt = symbol_L_mu2(p, grid).table_half
-        jd = symbol_J(p, "d", grid).table_half
-    else:
-        lt = symbol_L_inf(p, grid).table_half
-        jd = jb
-    return jb, jc, jd, lt
-
-
 class _Reduced:
     """Scalar reduced equation M_omega nu = G(nu) of the two-layer system."""
 
     def __init__(self, p: ModelParams, grid: Grid, omega: float, mu2_mode: str):
-        jb, jc, jd, lt = _bfd_tables(p, grid, mu2_mode)
+        sym = symbols(p, grid, mu2_mode)
+        jb, jc, jd = sym.jb, sym.jc, sym.j2
+        self.finite = sym.finite
         self.omega = omega
         self.r = p.r
         self.n = grid.N
-        self.mhat = (1.0 - p.gamma) * lt - omega**2 * jb * jd / jc
+        self.mhat = (1.0 - p.gamma) * sym.L - omega**2 * jb * jd / jc
         self.inv_jc = 1.0 / jc
         self.jb_jc = jb / jc
         self.jd_jc = jd / jc
@@ -799,10 +760,6 @@ class _Reduced:
         m_nu, quad, cubic = self.parts(nu)
         return m_nu, quad + cubic
 
-    def source(self, nu: np.ndarray) -> np.ndarray:
-        """G(nu): the quadratic and cubic sources."""
-        return self.evaluate(nu)[1]
-
     def residual(self, nu: np.ndarray) -> np.ndarray:
         m_nu, g_nu = self.evaluate(nu)
         return m_nu - g_nu
@@ -827,10 +784,6 @@ class _Reduced:
 
         return apply
 
-    def jacobian_apply(self, nu: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Derivative of the residual at nu in the direction v."""
-        return self.linearize(nu)(v)
-
 
 def _scan_ratios(red: _Reduced, shape: np.ndarray, dx: float, amps: np.ndarray) -> np.ndarray:
     """S(a) = <a s, M a s>/<G(a s), a s> for the start-up amplitude scan; NaN
@@ -854,9 +807,9 @@ def _scan_ratios(red: _Reduced, shape: np.ndarray, dx: float, amps: np.ndarray) 
 
 def reconstruct_xi(p: ModelParams, grid: Grid, nu: np.ndarray, omega: float, mu2_mode: str = "auto") -> np.ndarray:
     """Second-equation reconstruction xi = J_c^{-1}(omega J nu + r nu^2)/(1-gamma)."""
-    jb, jc, jd, lt = _bfd_tables(p, grid, mu2_mode)
-    rhs = omega * apply_table(jd, nu) + p.r * nu * nu
-    return apply_table(1.0 / jc, rhs) / (1.0 - p.gamma)
+    sym = symbols(p, grid, mu2_mode)
+    rhs = omega * apply_table(sym.j2, nu) + p.r * nu * nu
+    return apply_table(1.0 / sym.jc, rhs) / (1.0 - p.gamma)
 
 
 def solve_bfd_reduced(
@@ -915,22 +868,12 @@ def solve_bfd_reduced(
         nu = best * shape
     else:
         nu = np.asarray(guess, dtype=float).copy()
-    q = cfg.petviashvili_exponent
     history = []
     s_hist = []
-    pet_iters = min(cfg.max_iters, 300)
     switch_to_newton = False
-    # M nu and G(nu) at the current iterate, carried over from the residual
-    m_nu, gn = red.evaluate(nu)
-    for it in range(pet_iters):
-        den = dx * np.dot(gn, nu)
-        if den == 0.0:
-            raise ConvergenceError("iterate collapsed to the trivial branch")
-        s_val = dx * np.dot(nu, m_nu) / den
+    iterates = _petviashvili(red.evaluate, inv_mhat, nu, cfg.petviashvili_exponent, dx)
+    for it, (nu, s_val, resid) in zip(range(min(cfg.max_iters, 300)), iterates):
         s_hist.append(s_val)
-        nu = _even(s_val**q * apply_table(inv_mhat, gn))
-        m_nu, gn = red.evaluate(nu)
-        resid = m_nu - gn
         res = float(np.max(np.abs(resid)))
         history.append(res)
         if res <= 1e-8 or (it > 4 and res < 1e-5 and history[-1] > 0.5 * history[-2]):
@@ -946,54 +889,21 @@ def solve_bfd_reduced(
 
     # Newton polish on the scalar equation, restricted to the even subspace
     # (the translation mode would otherwise leave an odd near-kernel in the
-    # Krylov space)
-    inner: list[dict] = []
-    polish_history: list[float] = []
-    polish_exit = "converged"
-    newton_steps = 0
-    # resid is the reduced residual at nu: from the last Petviashvili
-    # iteration, then the one the line search accepted
-    while res > cfg.tol_residual and newton_steps < 40:
-        rtol_inner = max(1e-12, min(1e-4, 0.01 * res))
-        jac = red.linearize(nu)
-        # a step that missed the inner tolerance is still tried: the line
-        # search accepts it iff it reduces the nonlinear residual
-        dv, rec = _inner_solve(
-            lambda v: _even(jac(_even(v))),
-            lambda v: apply_table(inv_mhat, v),
-            -_even(resid),
-            rtol_inner,
-        )
-        inner.append(rec)
-        if rec["exit"] == "nonfinite":
-            raise ConvergenceError(
-                f"reduced Newton inner solve diverged (residual {res:.3e})",
-                {"residual": res, "inner_solves": inner},
-            )
-        t = 1.0
-        while t >= 1.0 / 64.0:
-            nu_try = _even(nu + t * dv)
-            resid_try = red.residual(nu_try)
-            res_try = float(np.max(np.abs(resid_try)))
-            if res_try < res:
-                nu, resid, res = nu_try, resid_try, res_try
-                polish_history.append(res)
-                break
-            t *= 0.5
-        else:
-            # no decrease found: the spectral roundoff floor; accept within
-            # the documented 10x margin, fail otherwise
-            if res <= 10.0 * cfg.tol_residual:
-                polish_exit = "floor"
-                break
-            raise ConvergenceError(
-                f"reduced Newton stalled at residual {res:.3e}",
-                {"residual": res, "inner_solves": inner},
-            )
-        newton_steps += 1
-    if res > cfg.tol_residual and polish_exit == "converged":
-        polish_exit = "max_steps"
-
+    # Krylov space); a failed line search within the 10x margin is the
+    # spectral roundoff floor
+    nu, _, polish, inner, polish_exit = _newton(
+        nu,
+        resid,
+        red.residual,
+        red.linearize,
+        lambda v: apply_table(inv_mhat, v),
+        True,
+        lambda rn: max(1e-12, min(1e-4, 0.01 * rn)),
+        40,
+        cfg.tol_residual,
+        floor=10.0 * cfg.tol_residual,
+    )
+    res = polish[-1]
     if res > 10.0 * cfg.tol_residual:
         raise ConvergenceError(
             f"reduced solve finished at residual {res:.3e} above tolerance",
@@ -1002,7 +912,7 @@ def solve_bfd_reduced(
 
     xi = reconstruct_xi(p, grid, nu, omega, mu2_mode)
     pair = WavePair(grid=grid, xi=_even(xi), nu=nu)
-    family = "BFD_finite" if (mu2_mode == "finite" or (mu2_mode == "auto" and p.finite_depth)) else "BFD_inf"
+    family = "BFD_finite" if red.finite else "BFD_inf"
     full_res = residual_norm(family, p, omega, pair)
     if full_res > 10.0 * max(cfg.tol_residual, res):
         raise ConvergenceError(
@@ -1013,10 +923,10 @@ def solve_bfd_reduced(
             "reduced_residual": res,
             "full_residual": full_res,
             "petviashvili_iterations": len(history),
-            "newton_steps": newton_steps,
+            "newton_steps": len(polish) - 1,
             "used_newton_fallback": switch_to_newton,
             "inner_solves": inner,
-            "polish_residual_history": polish_history,
+            "polish_residual_history": polish[1:],
             "polish_exit": polish_exit,
         }
     return pair
@@ -1051,9 +961,9 @@ def constrained_minimize(
     cfg = cfg or SolverConfig()
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
-    jb, jc, jd, lt = _bfd_tables(p, grid, mu2_mode)
-    g = p.gamma
-    og = 1.0 - g
+    sym = symbols(p, grid, mu2_mode)
+    jb, jc, lt = sym.jb, sym.jc, sym.L
+    og = 1.0 - p.gamma
     r = p.r
     n = grid.N
     dx = grid.dx

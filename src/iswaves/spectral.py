@@ -1,29 +1,25 @@
 """Periodic pseudo-spectral core: grids, transforms, Fourier multipliers.
 
 All operators of the three model families are even Fourier multipliers, so
-real fields stay real under application.  Symbols are tabulated on the full
-symmetric frequency set k_j = pi j / L (FFT ordering); application uses the
-half-spectrum rfft path.  Removable singularities at k = 0 and the
-cancellation-prone coth evaluation are handled explicitly.
+real fields stay real under application.  The model symbols (J_b, J_c, J_d,
+L and the one-layer pairs W, Z and D, B) live in one read-only `Symbols`
+bundle per (params, grid, depth), tabulated on the half spectrum
+k_half = pi j / L, j = 0..N/2, to which the rfft path applies them.  `make_multiplier`
+tabulates other symbols on the full FFT frequency set for the kernel
+oracles.  Removable singularities at k = 0 and the cancellation-prone coth
+evaluation are handled explicitly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .params import ModelParams
-
-
-class SingularOperatorError(ValueError):
-    """Inverting a multiplier whose symbol comes too close to zero."""
-
-
-class GridMismatchError(ValueError):
-    """Operands live on different grids."""
 
 
 @dataclass(frozen=True)
@@ -109,11 +105,6 @@ class Multiplier:
     table: np.ndarray
     grid: Grid
 
-    @property
-    def table_half(self) -> np.ndarray:
-        # rfft bins 0..N/2; symbols are even so the Nyquist value carries over
-        return self.table[: self.grid.N // 2 + 1]
-
 
 def make_multiplier(name: str, fn: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Multiplier:
     """Tabulate the even symbol fn(|k|) on the grid."""
@@ -152,127 +143,72 @@ def l1_symbol(k: np.ndarray, mu2: float) -> np.ndarray:
     return zcothz(s * k) / s
 
 
-def l1sq_symbol(k: np.ndarray, mu2: float) -> np.ndarray:
-    """k^2 coth^2(sqrt(mu2)|k|); value 1/mu2 at k = 0; k^2 when mu2 = inf."""
-    k = np.abs(np.asarray(k, dtype=float))
-    if not math.isfinite(mu2):
-        return k * k
-    s = math.sqrt(mu2)
-    return (zcothz(s * k) / s) ** 2
+def resolve_depth(p: ModelParams, mu2_mode: str = "auto") -> bool:
+    """True for the finite-depth symbols: mu2_mode "finite", "infinite", or
+    "auto" (finite exactly when p.mu2 is)."""
+    if mu2_mode == "auto":
+        return p.finite_depth
+    if mu2_mode not in ("finite", "infinite"):
+        raise ValueError(f"mu2_mode must be finite, infinite, or auto; got {mu2_mode!r}")
+    if mu2_mode == "finite" and not p.finite_depth:
+        raise ValueError("the finite-depth symbols need a finite mu2")
+    return mu2_mode == "finite"
 
 
-def symbol_J(p: ModelParams, which: str, grid: Grid) -> Multiplier:
-    """J_b, J_d (1 + mu*coeff*k^2) or J_c (1 - mu*c*k^2)."""
-    if which == "b":
-        fn = lambda k: 1.0 + p.mu * p.b * k * k
-    elif which == "d":
-        fn = lambda k: 1.0 + p.mu * p.d * k * k
-    elif which == "c":
-        fn = lambda k: 1.0 - p.mu * p.c * k * k
-    else:
-        raise ValueError(f"which must be one of b, c, d; got {which!r}")
-    return make_multiplier(f"J_{which}", fn, grid)
+class Symbols:
+    """Half-spectrum symbol tables of one (ModelParams, Grid, depth).
 
-
-def symbol_L_mu2(p: ModelParams, grid: Grid) -> Multiplier:
-    """Finite-depth dispersion symbol.
-
-    L(k) = 1/gamma - (sqrt(mu)/gamma^2) |k|coth(sqrt(mu2)|k|)
-           - (mu/gamma) a k^2 + (mu/gamma^3) k^2 coth^2(sqrt(mu2)|k|),
-    with the removable value 1/gamma - sqrt(mu)/(gamma^2 sqrt(mu2))
-    + mu/(gamma^3 mu2) at k = 0.
+    Every table is read-only and evaluated on k = grid.k_half = |k|:
+      jb, jc, jd  J_b = 1 + mu b k^2, J_c = 1 - mu c k^2, J_d = 1 + mu d k^2;
+      j2          the J of the solvers' second equation: J_d at finite
+                  depth, J_b at infinite depth;
+      l1          |k| coth(sqrt(mu2)|k|) at finite depth, |k| at infinite;
+      L           the dispersion symbol, at finite depth
+                  1/gamma - (sqrt(mu)/gamma^2) l1 - (mu/gamma) a k^2
+                  + (mu/gamma^3) l1^2 (at k = 0: 1/gamma
+                  - sqrt(mu)/(gamma^2 sqrt(mu2)) + mu/(gamma^3 mu2)), at
+                  infinite depth 1/gamma - (sqrt(mu)/gamma^2)|k|
+                  + (mu/gamma)(1/gamma^2 - a) k^2;
+      op1, op2    the one-layer operators W, Z (finite depth) or D, B
+                  (infinite depth): 1 + (beta/gamma) sqrt(mu) l1 and
+                  (1 + ((beta - 1)/gamma) sqrt(mu) l1)/gamma.
+    `symbols` hands out one shared instance per key, so the solver
+    residuals, E, H and the evolution operator read the same tables.
     """
-    if not p.finite_depth:
-        raise ValueError("symbol_L_mu2 requires finite mu2")
-    g = p.gamma
 
-    def fn(k: np.ndarray) -> np.ndarray:
-        k = np.abs(np.asarray(k, dtype=float))
-        return (
-            1.0 / g
-            - math.sqrt(p.mu) / g**2 * l1_symbol(k, p.mu2)
-            - p.mu / g * p.a * k * k
-            + p.mu / g**3 * l1sq_symbol(k, p.mu2)
-        )
-
-    return make_multiplier("L_mu2", fn, grid)
-
-
-def symbol_L_inf(p: ModelParams, grid: Grid) -> Multiplier:
-    """Infinite-depth dispersion symbol 1/gamma - (sqrt(mu)/gamma^2)|k| + (mu/gamma)(1/gamma^2 - a)k^2."""
-    g = p.gamma
-
-    def fn(k: np.ndarray) -> np.ndarray:
-        k = np.abs(np.asarray(k, dtype=float))
-        return 1.0 / g - math.sqrt(p.mu) / g**2 * k + p.mu / g * (1.0 / g**2 - p.a) * k * k
-
-    return make_multiplier("L_inf", fn, grid)
+    def __init__(self, p: ModelParams, grid: Grid, finite: bool):
+        k = grid.k_half
+        g, mu = p.gamma, p.mu
+        self.finite = finite
+        self.jb = 1.0 + mu * p.b * k * k
+        self.jc = 1.0 - mu * p.c * k * k
+        self.jd = 1.0 + mu * p.d * k * k
+        self.j2 = self.jd if finite else self.jb
+        self.l1 = l1_symbol(k, p.mu2) if finite else k
+        if finite:
+            self.L = (
+                1.0 / g
+                - math.sqrt(mu) / g**2 * self.l1
+                - mu / g * p.a * k * k
+                + mu / g**3 * self.l1**2
+            )
+        else:
+            self.L = 1.0 / g - math.sqrt(mu) / g**2 * k + mu / g * (1.0 / g**2 - p.a) * k * k
+        self.op1 = 1.0 + p.beta / g * math.sqrt(mu) * self.l1
+        self.op2 = (1.0 + (p.beta - 1.0) / g * math.sqrt(mu) * self.l1) / g
+        for table in (self.jb, self.jc, self.jd, self.l1, self.L, self.op1, self.op2):
+            table.setflags(write=False)
 
 
-def symbol_L(p: ModelParams, grid: Grid) -> Multiplier:
-    """Dispersion symbol for p, dispatching on finite vs infinite mu2."""
-    return symbol_L_mu2(p, grid) if p.finite_depth else symbol_L_inf(p, grid)
+def symbols(p: ModelParams, grid: Grid, mu2_mode: str = "auto") -> Symbols:
+    """The shared symbol tables of (p, grid) at the depth mu2_mode selects."""
+    return _symbols(p, grid, resolve_depth(p, mu2_mode))
 
 
-def symbol_ilw_ops(p: ModelParams, grid: Grid) -> tuple[Multiplier, Multiplier]:
-    """Finite-depth one-layer operators (W, Z)."""
-    if not p.finite_depth:
-        raise ValueError("symbol_ilw_ops requires finite mu2")
-    g, beta, mu, mu2 = p.gamma, p.beta, p.mu, p.mu2
-
-    def w_fn(k: np.ndarray) -> np.ndarray:
-        return 1.0 + beta / g * math.sqrt(mu) * l1_symbol(k, mu2)
-
-    def z_fn(k: np.ndarray) -> np.ndarray:
-        return (1.0 + (beta - 1.0) / g * math.sqrt(mu) * l1_symbol(k, mu2)) / g
-
-    return make_multiplier("W", w_fn, grid), make_multiplier("Z", z_fn, grid)
-
-
-def symbol_bo_ops(p: ModelParams, grid: Grid) -> tuple[Multiplier, Multiplier]:
-    """Infinite-depth one-layer operators (D, B)."""
-    g, beta, mu = p.gamma, p.beta, p.mu
-
-    def d_fn(k: np.ndarray) -> np.ndarray:
-        return 1.0 + beta / g * math.sqrt(mu) * np.abs(k)
-
-    def b_fn(k: np.ndarray) -> np.ndarray:
-        return (1.0 + (beta - 1.0) / g * math.sqrt(mu) * np.abs(k)) / g
-
-    return make_multiplier("D", d_fn, grid), make_multiplier("B", b_fn, grid)
-
-
-def symbol_min_finite(p: ModelParams, omega: float, grid: Grid) -> float:
-    """min over the grid of L_mu2(k) - |omega| J_b(k); positive for admissible triples."""
-    lt = symbol_L(p, grid).table
-    jb = symbol_J(p, "b", grid).table
-    return float(np.min(lt - abs(omega) * jb))
-
-
-def _check_grids(m: Multiplier, f: RealField) -> None:
-    if m.grid is not f.grid and (m.grid.N != f.grid.N or m.grid.L != f.grid.L):
-        raise GridMismatchError(f"multiplier {m.name} tabulated on a different grid")
-
-
-def apply_multiplier(m: Multiplier, f: RealField) -> RealField:
-    """Pointwise spectral multiplication; real in, real out."""
-    _check_grids(m, f)
-    half = m.table[: f.grid.N // 2 + 1]
-    out = np.fft.irfft(half * np.fft.rfft(f.values), n=f.grid.N)
-    return RealField(grid=f.grid, values=out)
-
-
-def invert_multiplier(m: Multiplier, f: RealField) -> RealField:
-    """Divide the spectrum by the symbol; refuses near-singular symbols."""
-    _check_grids(m, f)
-    half = m.table[: f.grid.N // 2 + 1]
-    small = np.min(np.abs(m.table))
-    if small <= 1e-12:
-        raise SingularOperatorError(
-            f"symbol {m.name} has min |value| = {small:.3e}; inversion refused"
-        )
-    out = np.fft.irfft(np.fft.rfft(f.values) / half, n=f.grid.N)
-    return RealField(grid=f.grid, values=out)
+# bounded: every continuation step has parameters of its own
+@lru_cache(maxsize=32)
+def _symbols(p: ModelParams, grid: Grid, finite: bool) -> Symbols:
+    return Symbols(p, grid, finite)
 
 
 def apply_table(table_half: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from iswaves.cli import main
 from iswaves.config import (
+    KEY_REGISTRY,
     ConfigError,
     apply_overrides,
     load_config,
@@ -15,8 +17,10 @@ from iswaves.config import (
     parse_assignment,
     resolved_config,
     sanitize,
+    solver_from_config,
     write_json,
 )
+from iswaves.solvers import SolverConfig
 
 P1_LINES = """\
 # canonical two-layer point
@@ -55,6 +59,33 @@ def test_parse_assignment_rejections():
         parse_assignment("grid.N = twelve")
     with pytest.raises(ConfigError, match="key = value"):
         parse_assignment("params.gamma 0.5")
+
+
+def test_solver_keys_follow_solver_config():
+    # one key per SolverConfig field, read back into that field
+    names = [f.name for f in fields(SolverConfig)]
+    assert sorted(k for k in KEY_REGISTRY if k.startswith("solver.")) == sorted(
+        f"solver.{name}" for name in names
+    )
+    cfg = dict(
+        parse_assignment(line)
+        for line in (
+            "solver.tol_residual = 1e-10",
+            "solver.max_iters = 7",
+            "solver.petviashvili_exponent = 1.5",
+            "solver.continuation_step = 0.01",
+            "solver.min_step = 1e-4",
+        )
+    )
+    assert solver_from_config(cfg) == SolverConfig(
+        tol_residual=1e-10, max_iters=7, petviashvili_exponent=1.5,
+        continuation_step=0.01, min_step=1e-4,
+    )
+    assert solver_from_config({}) == SolverConfig()
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        parse_assignment("solver.newton_damping = 1.0")
+    with pytest.raises(ConfigError, match="max_iters"):
+        solver_from_config({"solver.max_iters": 0})
 
 
 def test_load_config(tmp_path, p1_cfg):
@@ -152,6 +183,23 @@ def test_cli_config_error_exits_2(p1_cfg, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "missing required keys" in err
+
+
+def test_cli_solve_rejects_bad_mu2_mode(p1_cfg, tmp_path, capsys):
+    # a misspelt mode once solved the infinite-depth problem and reported it
+    # as BFD_finite; a finite mode needs a finite mu2
+    args = [
+        "solve", "--config", p1_cfg,
+        "--set", "grid.L=8", "--set", "grid.N=256",
+        "--set", "solve.family=bfd_finite", "--set", "solve.omega=0.1",
+    ]
+    for extra in (["solve.mu2_mode=finte"], ["solve.mu2_mode=finite", "params.mu2=inf"]):
+        out = tmp_path / extra[-1]
+        sets = [a for s in extra for a in ("--set", s)]
+        assert main(args + sets + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "solve.mu2_mode" in err
+        assert not (out / "report.json").exists()
 
 
 def test_cli_solve_decay_pipeline(p1_cfg, tmp_path, capsys):

@@ -14,12 +14,11 @@ from iswaves.evolution import (
     make_stepper,
     rhs,
     run,
-    step,
     suggest_dt,
 )
 from iswaves.functionals import hamiltonian_H
 from iswaves.params import ModelParams
-from iswaves.spectral import WavePair, make_grid
+from iswaves.spectral import WavePair, make_grid, symbols
 
 from conftest import P1_KW
 
@@ -61,9 +60,11 @@ def test_rhs_linear_structure(p1_mu2_4, evo_grid):
 
 
 def test_step_matches_run(p1_mu2_4, evo_grid):
+    # one stepper advance from the encoded state against a one-step run
     state = _gaussian_pair(evo_grid)
     dt = 0.01
-    one = step("etdrk4", "bfd_finite", p1_mu2_4, state, dt)
+    stepper = make_stepper("etdrk4", "bfd_finite", p1_mu2_4, evo_grid, dt)
+    one = stepper.decode(stepper.advance(stepper.encode(state)))
     out = run("bfd_finite", p1_mu2_4, state, T=dt, dt=dt)
     final = out["final_state"]
     assert out["steps"] == 1
@@ -119,13 +120,12 @@ def test_integrators_agree(p1_mu2_4, evo_grid):
 def test_linear_flow_exact(p1_mu2_4, evo_grid):
     # in characteristic variables the linear flow is diagonal; ETDRK4 must
     # reproduce the analytic propagator to roundoff
-    from iswaves.evolution import _system_tables
-
     init = _gaussian_pair(evo_grid)
     T = 1.0
     out = run("bfd_finite", p1_mu2_4, init, T=T, dt=0.25, linear_only=True)["final_state"]
 
-    t1, s1, t2, s2 = _system_tables("bfd_finite", p1_mu2_4, evo_grid)
+    sym = symbols(p1_mu2_4, evo_grid)
+    t1, s1, t2, s2 = sym.jb, sym.L, sym.jd, 0.5 * sym.jc
     pfac = np.sqrt((s1 / t1) / (s2 / t2))
     lam = 1j * evo_grid.k_half * np.sqrt((s1 / t1) * (s2 / t2))
     zh = np.fft.rfft(init.xi)
@@ -373,3 +373,20 @@ def test_stepper_coefficients_property(case, integrator, n, dt, seed):
         z = 0.5 * dt * linear.lam
         exact = (1.0 + z) / (1.0 - z) * q
     assert np.max(np.abs(q1 - exact)) <= 1e-13 * np.max(np.abs(q))
+
+
+@pytest.mark.parametrize(
+    "family, mu2", [("BO", np.inf), ("ILW", 4.0), ("bfd_finite", 4.0), ("bfd_inf", np.inf)]
+)
+def test_structure_tables_follow_family(family, mu2, evo_grid):
+    # the evolution reads J_d in its second equation at both depths, unlike
+    # the solvers' infinite-depth system; d != b tells them apart
+    p = ModelParams(**dict(P1_KW, d=0.3, mu2=mu2))
+    sym = symbols(p, evo_grid)
+    t1, s1, t2, s2 = evolution._structure(family, p, evo_grid)
+    if family in ("BO", "ILW"):
+        want = (sym.op1, sym.op2, np.ones_like(evo_grid.k_half), np.full_like(evo_grid.k_half, 0.5))
+    else:
+        want = (sym.jb, sym.L, sym.jd, 0.5 * sym.jc)
+    for got, table in zip((t1, s1, t2, s2), want):
+        assert np.array_equal(got, table)

@@ -20,7 +20,7 @@ from iswaves.solvers import (
     trivial_threshold,
 )
 from iswaves import solvers
-from iswaves.solvers import _Reduced, _System, _scan_ratios
+from iswaves.solvers import _newton, _Reduced, _System, _scan_ratios
 from iswaves.spectral import WavePair, apply_table, make_grid, symmetrize_even
 
 from conftest import P1_KW
@@ -234,9 +234,10 @@ def test_system_jacobian_matches_central_difference(request, family):
     dxi = scale * np.exp(-((x - 0.5) ** 2))
     dnu = scale * np.cos(x) / np.cosh(x)
     h = 1e-3
-    j1, j2 = sys_.jacobian_apply(wave.xi, wave.nu, dxi, dnu)
-    p1, p2 = sys_.residual(wave.xi + h * dxi, wave.nu + h * dnu)
-    m1, m2 = sys_.residual(wave.xi - h * dxi, wave.nu - h * dnu)
+    x, d = np.stack([wave.xi, wave.nu]), np.stack([dxi, dnu])
+    j1, j2 = sys_.jacobian_apply(x, d)
+    p1, p2 = sys_.residual(x + h * d)
+    m1, m2 = sys_.residual(x - h * d)
     fd = np.concatenate([(p1 - m1) / (2.0 * h), (p2 - m2) / (2.0 * h)])
     jv = np.concatenate([j1, j2])
     # the residual is quadratic, so the central difference is exact up to
@@ -253,7 +254,7 @@ def test_reduced_jacobian_matches_central_difference(request, which, mode):
     x = sol["pair"].grid.x
     v = np.max(np.abs(nu)) * np.exp(-(x**2)) * np.cos(x)
     h = 1e-3
-    jv = red.jacobian_apply(nu, v)
+    jv = red.linearize(nu)(v)
     fd = (red.residual(nu + h * v) - red.residual(nu - h * v)) / (2.0 * h)
     # O(h^2) from the cubic source: about 4e-7 here
     assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-5
@@ -376,7 +377,8 @@ def test_system_stacked_evaluation_matches_multiplier_formulas(request, family):
         r2 = -s * apply_table(sys_.jd, nu) + og * apply_table(sys_.jc, xi) - r * nu * nu
         j1 = -s * apply_table(sys_.jb, dxi) + apply_table(sys_.lt, dnu) - 2.0 * r * (nu * dxi + xi * dnu)
         j2 = og * apply_table(sys_.jc, dxi) - s * apply_table(sys_.jd, dnu) - 2.0 * r * nu * dnu
-    for got, want in zip(sys_.residual(xi, nu) + sys_.jacobian_apply(xi, nu, dxi, dnu), (r1, r2, j1, j2)):
+    x, d = np.stack([xi, nu]), np.stack([dxi, dnu])
+    for got, want in zip([*sys_.residual(x), *sys_.jacobian_apply(x, d)], (r1, r2, j1, j2)):
         assert _close(got, want)
 
 
@@ -397,10 +399,9 @@ def test_reduced_stacked_evaluation_matches_multiplier_formulas(request, which, 
         + 2.0 * omega * r * (v * apply_table(red.jd_jc, nu) + nu * apply_table(red.jd_jc, v))
         + 2.0 * r * r * (v * apply_table(red.inv_jc, nu * nu) + 2.0 * nu * apply_table(red.inv_jc, nu * v))
     )
-    assert _close(red.source(nu), source)
+    assert _close(red.evaluate(nu)[1], source)
     assert _close(red.residual(nu), residual)
     assert _close(red.linearize(nu)(v), jac)
-    assert _close(red.jacobian_apply(nu, v), jac)
     m_nu, quad, cubic = red.parts(nu)
     assert _close(m_nu, apply_table(red.mhat, nu))
     assert _close(cubic, 2.0 * r * r * nu * apply_table(red.inv_jc, nu * nu))
@@ -412,11 +413,12 @@ def test_system_transform_counts(request, family, monkeypatch, fft_calls):
     p = _params_of(request, family)
     sys_ = _System(family, p, grid, 0.03)
     xi, nu, dxi, dnu = _random_even(grid, 13, rows=4)
+    x, d = np.stack([xi, nu]), np.stack([dxi, dnu])
     fft_calls["n"] = 0
-    sys_.residual(xi, nu)
+    sys_.residual(x)
     assert fft_calls["n"] == 2
     fft_calls["n"] = 0
-    sys_.jacobian_apply(xi, nu, dxi, dnu)
+    sys_.jacobian_apply(x, d)
     assert fft_calls["n"] == 2
 
     # the Newton preconditioner, taken from the first inner solve
@@ -494,7 +496,7 @@ def test_closed_form_scan_matches_direct_ratios(request, which, L, n, mode):
     direct = np.full(amps.shape, np.nan)
     for i, amp in enumerate(amps):
         nu = amp * shape
-        den = grid.dx * np.dot(red.source(nu), nu)
+        den = grid.dx * np.dot(red.evaluate(nu)[1], nu)
         if den > 0.0:
             direct[i] = grid.dx * np.dot(nu, apply_table(red.mhat, nu)) / den
     closed = _scan_ratios(red, shape, grid.dx, amps)
@@ -504,3 +506,81 @@ def test_closed_form_scan_matches_direct_ratios(request, which, L, n, mode):
     assert np.max(np.abs(closed[ok] - direct[ok]) / np.abs(direct[ok])) <= 1e-12
     # first minimizer of |S - 1|, as the solver's tie rule picks it
     assert np.nanargmin(np.abs(closed - 1.0)) == np.nanargmin(np.abs(direct - 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the shared Newton iteration and the depth resolution of the reduced solve
+# ---------------------------------------------------------------------------
+
+
+def test_newton_step_cap_counts_steps(p1_inf, bo_state, scfg):
+    # tol is tested before each step: a solve that needs k steps succeeds
+    # with max_iters = k + 1 and fails with k, after making the same k steps
+    pair = bo_state["pair"]
+    g = pair.grid
+    bump = 1e-3 * np.exp(-g.x**2)
+    guess = WavePair(grid=g, xi=pair.xi + bump, nu=pair.nu - bump)
+    _, info = newton_solve("BO", p1_inf, 0.0, guess, scfg, return_info=True)
+    k = info["iterations"]
+    assert k >= 2
+    enough = SolverConfig(tol_residual=scfg.tol_residual, max_iters=k + 1)
+    assert newton_solve("BO", p1_inf, 0.0, guess, enough, return_info=True)[1] == info
+    short = SolverConfig(tol_residual=scfg.tol_residual, max_iters=k)
+    with pytest.raises(ConvergenceError, match=f"did not reach tol in {k} steps") as exc:
+        newton_solve("BO", p1_inf, 0.0, guess, short)
+    diag = exc.value.diagnostics
+    assert diag["history"] == info["residual_history"]
+    assert diag["residual"] == info["residual_history"][-1]
+    assert diag["inner_solves"] == info["inner_solves"]
+
+
+def test_newton_failed_search_raises_or_accepts_floor():
+    # a residual that no step lowers: the line search fails at t = 1/64
+    x = np.linspace(0.0, 1.0, 8)
+    const = np.full(8, 3e-11)
+    args = (
+        x,
+        const,
+        lambda u: const,
+        lambda u: (lambda d: d),
+        lambda v: v,
+        False,
+        lambda rn: 1e-6,
+        5,
+        1e-11,
+    )
+    with pytest.raises(ConvergenceError, match="line search failed") as exc:
+        _newton(*args)
+    assert exc.value.diagnostics["history"] == [3e-11]
+    assert [rec["exit"] for rec in exc.value.diagnostics["inner_solves"]] == ["converged"]
+    # within the floor the residual is accepted as it stands
+    out, r, history, inner, exit_reason = _newton(*args, floor=1e-10)
+    assert exit_reason == "floor"
+    assert out is x and r is const and history == [3e-11] and len(inner) == 1
+    with pytest.raises(ConvergenceError, match="line search failed"):
+        _newton(*args, floor=1e-11)
+
+
+def test_newton_converges_on_linear_residual():
+    # residual(x) = a x - b is linear: the first full step solves it
+    a = np.arange(1.0, 9.0)
+    b = np.linspace(-1.0, 1.0, 8)
+    out, r, history, inner, exit_reason = _newton(
+        np.zeros(8), -b, lambda u: a * u - b, lambda u: (lambda d: a * d), lambda v: v,
+        False, lambda rn: 1e-13, 5, 1e-11,
+    )
+    assert exit_reason == "converged"
+    assert np.max(np.abs(out - b / a)) <= 1e-11
+    assert len(history) == 2 and history[-1] == float(np.max(np.abs(r)))
+    assert [rec["exit"] for rec in inner] == ["converged"]
+
+
+def test_reduced_solve_rejects_unknown_mu2_mode(p1_mu2_4, p1_inf, scfg):
+    # a misspelt mode once meant infinite depth
+    grid = make_grid(8.0, 256)
+    with pytest.raises(ValueError, match="mu2_mode"):
+        solve_bfd_reduced(p1_mu2_4, 0.1, "finte", scfg, grid=grid)
+    with pytest.raises(ValueError, match="finite mu2"):
+        solve_bfd_reduced(p1_inf, 0.1, "finite", scfg, grid=grid)
+    with pytest.raises(ValueError, match="mu2_mode"):
+        reconstruct_xi(p1_mu2_4, grid, np.zeros(256), 0.1, "Finite")

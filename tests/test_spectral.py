@@ -8,34 +8,24 @@ import pytest
 
 from iswaves.params import ModelParams
 from iswaves.spectral import (
-    Grid,
-    GridMismatchError,
-    Multiplier,
     RealField,
-    SingularOperatorError,
     WavePair,
-    apply_multiplier,
     apply_table,
     assert_resolved,
     dealias_product,
-    invert_multiplier,
     l1_symbol,
-    l1sq_symbol,
     make_grid,
     make_multiplier,
     nyquist_fraction,
     pair_from_csv,
     pair_to_csv,
-    symbol_J,
-    symbol_L,
-    symbol_L_inf,
-    symbol_L_mu2,
-    symbol_bo_ops,
-    symbol_ilw_ops,
-    symbol_min_finite,
+    resolve_depth,
+    symbols,
     symmetrize_even,
     zcothz,
 )
+
+from conftest import P1_KW
 
 
 def test_grid_layout():
@@ -73,25 +63,27 @@ def test_l1_symbol_finite_and_infinite():
     assert vals[-1] == pytest.approx(50.0, rel=1e-12)
     assert np.all(vals >= np.abs(k))
     assert np.allclose(l1_symbol(k, np.inf), np.abs(k))
-    assert np.allclose(l1sq_symbol(k, 4.0), vals**2, rtol=1e-13)
 
 
 def test_j_symbols(p1_mu2_4):
     # J_b = 1 + mu b k^2 and J_d likewise; J_c = 1 - mu c k^2 (c < 0 makes
     # all three uniformly positive)
     g = make_grid(20.0, 128)
-    k2 = g.frequencies**2
-    assert np.allclose(symbol_J(p1_mu2_4, "b", g).table, 1.0 + 0.1 * 0.25 * k2)
-    assert np.allclose(symbol_J(p1_mu2_4, "d", g).table, 1.0 + 0.1 * 0.25 * k2)
-    assert np.allclose(symbol_J(p1_mu2_4, "c", g).table, 1.0 + 0.1 / 12.0 * k2)
+    k2 = g.k_half**2
+    sym = symbols(p1_mu2_4, g)
+    assert np.allclose(sym.jb, 1.0 + 0.1 * 0.25 * k2)
+    assert np.allclose(sym.jd, 1.0 + 0.1 * 0.25 * k2)
+    assert np.allclose(sym.jc, 1.0 + 0.1 / 12.0 * k2)
 
 
 def test_dispersive_symbol_matches_infinite_limit(p1_inf):
-    # for mu2 = inf the dedicated formula and the general one coincide
+    # for mu2 = inf the dedicated formula and the finite-depth one with
+    # |k| coth(sqrt(mu2)|k|) -> |k| coincide
     g = make_grid(20.0, 256)
-    a = symbol_L(p1_inf, g).table
-    b = symbol_L_inf(p1_inf, g).table
-    assert np.allclose(a, b, rtol=1e-14)
+    k = g.k_half
+    gam, mu, a = 0.5, 0.1, -1.0 / 12
+    general = 1 / gam - math.sqrt(mu) / gam**2 * k - mu / gam * a * k * k + mu / gam**3 * k * k
+    assert np.allclose(symbols(p1_inf, g).L, general, rtol=1e-14)
 
 
 def test_dispersive_symbol_depth_convergence():
@@ -99,10 +91,10 @@ def test_dispersive_symbol_depth_convergence():
     g = make_grid(20.0, 256)
     base = dict(gamma=0.5, b=0.25, d=0.25, a=-1.0 / 12, c=-1.0 / 12, mu=0.1,
                 epsilon=0.1)
-    target = symbol_L_inf(ModelParams(mu2=np.inf, **base), g).table
+    target = symbols(ModelParams(mu2=np.inf, **base), g).L
     errs = []
     for mu2 in (1e2, 1e4, 1e8):
-        t = symbol_L_mu2(ModelParams(mu2=mu2, **base), g).table
+        t = symbols(ModelParams(mu2=mu2, **base), g).L
         errs.append(np.max(np.abs(t - target)))
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] < 1e-3
@@ -110,58 +102,123 @@ def test_dispersive_symbol_depth_convergence():
 
 def test_one_layer_operator_pairs(p1_mu2_4, p1_inf):
     g = make_grid(20.0, 128)
-    w_op, z_op = symbol_ilw_ops(p1_mu2_4, g)
-    d_op, b_op = symbol_bo_ops(p1_inf, g)
-    k = np.abs(g.frequencies)
+    ilw = symbols(p1_mu2_4, g)
+    bo = symbols(p1_inf, g)
+    k = g.k_half
     beta, gam, mu = 2.0, 0.5, 0.1
     l1 = l1_symbol(k, 4.0)
-    assert np.allclose(w_op.table, 1.0 + beta / gam * math.sqrt(mu) * l1, rtol=1e-13)
+    assert np.allclose(ilw.op1, 1.0 + beta / gam * math.sqrt(mu) * l1, rtol=1e-13)
     assert np.allclose(
-        z_op.table, (1.0 + (beta - 1.0) / gam * math.sqrt(mu) * l1) / gam, rtol=1e-13
+        ilw.op2, (1.0 + (beta - 1.0) / gam * math.sqrt(mu) * l1) / gam, rtol=1e-13
     )
-    assert np.allclose(d_op.table, 1.0 + beta / gam * math.sqrt(mu) * k, rtol=1e-13)
+    assert np.allclose(bo.op1, 1.0 + beta / gam * math.sqrt(mu) * k, rtol=1e-13)
     assert np.allclose(
-        b_op.table, (1.0 + (beta - 1.0) / gam * math.sqrt(mu) * k) / gam, rtol=1e-13
+        bo.op2, (1.0 + (beta - 1.0) / gam * math.sqrt(mu) * k) / gam, rtol=1e-13
     )
 
 
 def test_symbol_min_positive_inside_window(p1_mu2_4):
-    # the admissibility threshold is a sufficient bound: the symbol stays
-    # positive for admissible speeds, and an absurd speed drags it negative
+    # the admissibility threshold is a sufficient bound: the symbol
+    # L - |omega| J_b stays positive for admissible speeds, and an absurd
+    # speed drags it negative
     g = make_grid(20.0, 1024)
-    assert symbol_min_finite(p1_mu2_4, 0.1, g) > 0.0
-    assert symbol_min_finite(p1_mu2_4, 2.0, g) < 0.0
+    sym = symbols(p1_mu2_4, g)
+    assert np.min(sym.L - 0.1 * sym.jb) > 0.0
+    assert np.min(sym.L - 2.0 * sym.jb) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the symbol bundle: exact formulas, read-only tables, one instance per key
+# ---------------------------------------------------------------------------
+
+
+def _formulas(p, k, finite):
+    """The bundle's tables written out on k = |k|."""
+    g, mu = p.gamma, p.mu
+    if finite:
+        s = math.sqrt(p.mu2)
+        l1 = zcothz(s * k) / s
+        L = 1.0 / g - math.sqrt(mu) / g**2 * l1 - mu / g * p.a * k * k + mu / g**3 * l1**2
+    else:
+        l1 = k
+        L = 1.0 / g - math.sqrt(mu) / g**2 * k + mu / g * (1.0 / g**2 - p.a) * k * k
+    jb = 1.0 + mu * p.b * k * k
+    jd = 1.0 + mu * p.d * k * k
+    return {
+        "jb": jb,
+        "jc": 1.0 - mu * p.c * k * k,
+        "jd": jd,
+        "j2": jd if finite else jb,
+        "l1": l1,
+        "L": L,
+        "op1": 1.0 + p.beta / g * math.sqrt(mu) * l1,
+        "op2": (1.0 + (p.beta - 1.0) / g * math.sqrt(mu) * l1) / g,
+    }
+
+
+# the four families: BO and BFD_inf read the infinite-depth bundle, ILW and
+# BFD_finite the finite-depth one; d != b separates J_d from J_b
+_FAMILY_CASES = {
+    "BO": (dict(P1_KW), "infinite"),
+    "ILW": (dict(P1_KW, mu2=25.0), "finite"),
+    "BFD_finite": (dict(P1_KW, mu2=4.0, d=0.3), "finite"),
+    "BFD_inf": (dict(P1_KW, d=0.3), "infinite"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_CASES))
+@pytest.mark.parametrize("n", [256, 1000, 4096])
+def test_symbol_bundle_matches_formulas(family, n):
+    kw, mode = _FAMILY_CASES[family]
+    p = ModelParams(**kw)
+    g = make_grid(50.0, n)
+    sym = symbols(p, g, mode)
+    assert sym.finite == (mode == "finite")
+    want = _formulas(p, np.abs(2.0 * math.pi * np.fft.rfftfreq(n, d=g.dx)), sym.finite)
+    for name, table in want.items():
+        got = getattr(sym, name)
+        assert got.shape == (n // 2 + 1,)
+        assert np.array_equal(got, table), name
+
+
+def test_symbol_bundle_tables_are_read_only(p1_mu2_4):
+    sym = symbols(p1_mu2_4, make_grid(20.0, 64))
+    for name in ("jb", "jc", "jd", "j2", "l1", "L", "op1", "op2"):
+        with pytest.raises(ValueError):
+            getattr(sym, name)[1] = 0.0
+
+
+def test_symbol_bundle_is_shared_per_key(p1_mu2_4, p1_inf):
+    g = make_grid(20.0, 64)
+    sym = symbols(p1_mu2_4, g)
+    # equal keys: an equal grid and equal parameters built anew, and the
+    # mode that resolves to the same depth
+    assert symbols(ModelParams(mu2=4.0, **P1_KW), make_grid(20.0, 64)) is sym
+    assert symbols(p1_mu2_4, g, "finite") is sym
+    assert symbols(p1_mu2_4, g, "infinite") is not sym
+    assert symbols(p1_mu2_4, g, "infinite") is symbols(p1_mu2_4, g, "infinite")
+    assert symbols(p1_inf, g) is symbols(p1_inf, g, "infinite")
+    assert symbols(p1_mu2_4, make_grid(20.0, 128)) is not sym
+
+
+def test_depth_resolver(p1_mu2_4, p1_inf):
+    assert resolve_depth(p1_mu2_4) is True
+    assert resolve_depth(p1_inf) is False
+    assert resolve_depth(p1_mu2_4, "infinite") is False
+    with pytest.raises(ValueError, match="mu2_mode"):
+        resolve_depth(p1_mu2_4, "finte")
+    with pytest.raises(ValueError, match="finite mu2"):
+        resolve_depth(p1_inf, "finite")
+    with pytest.raises(ValueError):
+        symbols(p1_inf, make_grid(20.0, 64), "finite")
 
 
 def test_apply_multiplier_exact_on_modes():
     g = make_grid(5.0, 64)
     m = make_multiplier("ksq", lambda k: k**2, g)
     k3 = 3 * math.pi / 5.0
-    f = RealField(grid=g, values=np.cos(k3 * g.x))
-    out = apply_multiplier(m, f)
-    assert np.allclose(out.values, k3**2 * np.cos(k3 * g.x), atol=1e-12)
-
-
-def test_invert_multiplier_roundtrip_and_refusal():
-    g = make_grid(5.0, 64)
-    m = make_multiplier("one_plus_ksq", lambda k: 1.0 + k**2, g)
-    rng = np.random.default_rng(3)
-    f = RealField(grid=g, values=rng.standard_normal(64))
-    back = invert_multiplier(m, apply_multiplier(m, f))
-    assert np.allclose(back.values, f.values, atol=1e-12)
-
-    sing = make_multiplier("absk", lambda k: np.abs(k), g)
-    with pytest.raises(SingularOperatorError):
-        invert_multiplier(sing, f)
-
-
-def test_grid_mismatch_detected():
-    g1 = make_grid(5.0, 64)
-    g2 = make_grid(5.0, 128)
-    m = make_multiplier("one", lambda k: np.ones_like(k), g1)
-    f = RealField(grid=g2, values=np.zeros(128))
-    with pytest.raises(GridMismatchError):
-        apply_multiplier(m, f)
+    out = apply_table(m.table[: g.N // 2 + 1], np.cos(k3 * g.x))
+    assert np.allclose(out, k3**2 * np.cos(k3 * g.x), atol=1e-12)
 
 
 def test_dealias_product_removes_aliased_energy():
