@@ -211,13 +211,10 @@ class _System:
         return a22 / det, -a12 / det, -a21 / det, a11 / det
 
 
-def system_residual(family: str, p: ModelParams, speed: float, w: WavePair) -> np.ndarray:
-    """Direct-substitution residual fields (r1, r2) of the governing system."""
-    return _System(family, p, w.grid, speed).residual(np.stack([w.xi, w.nu]))
-
-
 def residual_norm(family: str, p: ModelParams, speed: float, w: WavePair) -> float:
-    return float(np.max(np.abs(system_residual(family, p, speed, w))))
+    """Max norm of the direct-substitution residual of the governing system."""
+    r = _System(family, p, w.grid, speed).residual(np.stack([w.xi, w.nu]))
+    return float(np.max(np.abs(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +519,10 @@ def newton_solve(
         sys.residual,
         lambda u: (lambda d: sys.jacobian_apply(u, d)),
         precond,
-        enforce_even,
-        lambda rn: max(1e-13, min(1e-6, 1e-3 * rn)),
-        cfg.max_iters,
-        cfg.tol_residual,
+        even=enforce_even,
+        forcing=lambda rn: max(1e-13, min(1e-6, 1e-3 * rn)),
+        max_steps=cfg.max_iters,
+        tol=cfg.tol_residual,
     )
     if exit_reason != "converged":
         raise ConvergenceError(
@@ -897,10 +894,10 @@ def solve_bfd_reduced(
         red.residual,
         red.linearize,
         lambda v: apply_table(inv_mhat, v),
-        True,
-        lambda rn: max(1e-12, min(1e-4, 0.01 * rn)),
-        40,
-        cfg.tol_residual,
+        even=True,
+        forcing=lambda rn: max(1e-12, min(1e-4, 0.01 * rn)),
+        max_steps=40,
+        tol=cfg.tol_residual,
         floor=10.0 * cfg.tol_residual,
     )
     res = polish[-1]
