@@ -464,7 +464,8 @@ def _newton(
                 "; the translation mode is unpinned, solve with "
                 "enforce_even=True (even cosine subspace)"
             )
-            raise failure(f"inner linear solve {rec['exit']} at Newton step {len(history) - 1}" + hint)
+            step = len(history) - 1
+            raise failure(f"inner linear solve {rec['exit']} at Newton step {step}" + hint)
         d = d.reshape(x.shape)
         t = 1.0
         while t >= 1.0 / 64.0:

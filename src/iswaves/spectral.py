@@ -4,10 +4,10 @@ All operators of the three model families are even Fourier multipliers, so
 real fields stay real under application.  The model symbols (J_b, J_c, J_d,
 L and the one-layer pairs W, Z and D, B) live in one read-only `Symbols`
 bundle per (params, grid, depth), tabulated on the half spectrum
-k_half = pi j / L, j = 0..N/2, to which the rfft path applies them.  `make_multiplier`
-tabulates other symbols on the full FFT frequency set for the kernel
-oracles.  Removable singularities at k = 0 and the cancellation-prone coth
-evaluation are handled explicitly.
+k_half = pi j / L, j = 0..N/2, to which the rfft path applies them.
+`make_multiplier` tabulates other symbols on the full FFT frequency set for
+the kernel oracles.  Removable singularities at k = 0 and the
+cancellation-prone coth evaluation are handled explicitly.
 """
 
 from __future__ import annotations
