@@ -7,8 +7,6 @@ laws are measured on actual computed waves, including a case where the
 honest answer is a flagged, unreliable fit.
 """
 
-import math
-
 import numpy as np
 
 from iswaves import (
@@ -21,24 +19,19 @@ from iswaves import (
     kernel_K3_series,
     kernel_K_quadrature,
     kernel_fft_oracle,
+    kernel_symbol,
     make_grid,
-    make_multiplier,
     solve_bfd_reduced,
 )
 from iswaves.kernels import kernel_K2_plateau, kernel_K_plateau
-from iswaves.spectral import zcothz
 
 kw = dict(gamma=0.5, b=0.25, d=0.25, a=-1.0 / 12.0, c=-1.0 / 12.0, mu=0.1, epsilon=0.1)
 p_fin = ModelParams(mu2=4.0, **kw)
 p_inf = ModelParams(mu2=np.inf, **kw)
 
 print("closed forms vs FFT symbol inversion:")
-rates_inf = compute_decay_rates(p_inf)
 g = make_grid(1024.0, 2**20)
-sym = make_multiplier(
-    "k", lambda k: 1.0 / (k**2 - rates_inf.ell * abs(k) + rates_inf.c_K), g
-)
-oracle = kernel_fft_oracle(sym, g)
+oracle = kernel_fft_oracle(kernel_symbol("K", p_inf), g)
 for x in (1.0, 2.0, 5.0):
     closed = kernel_K_quadrature(p_inf, x)
     disc = float(oracle.values[int(round((x + g.L) / g.dx))])
@@ -48,12 +41,8 @@ print(f"  (K1(1) = {kernel_K1(3.0, 1.0):.6f}, K2(1) = "
       f"{kernel_K2_quadrature(p_fin, 1.0):.6f}, plateau of x^2 K2 = "
       f"{kernel_K2_plateau(p_fin):.6f})")
 
-theta = compute_decay_rates(p_fin).theta
 g3 = make_grid(32.0, 2**19)
-smu2 = math.sqrt(p_fin.mu2)
-o3 = kernel_fft_oracle(
-    make_multiplier("k3", lambda k: theta / (zcothz(smu2 * abs(k)) + theta), g3), g3
-)
+o3 = kernel_fft_oracle(kernel_symbol("K3", p_fin), g3)
 val, bound = kernel_K3_series(p_fin, 2.0)
 print(f"  K3(2): series {val:.10f} (truncation <= {bound:.1e})   "
       f"oracle {float(o3.values[int(round((2.0 + g3.L) / g3.dx))]):.10f}")

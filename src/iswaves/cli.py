@@ -23,6 +23,7 @@ from .kernels import (
     fit_algebraic_tail,
     fit_exponential_tail,
     kernel_oracle_at,
+    kernel_symbol,
     kernel_K1,
     kernel_K2_plateau,
     kernel_K2_quadrature,
@@ -39,7 +40,7 @@ from .params import (
     compute_f_min,
     ModelParams,
 )
-from .spectral import WavePair, make_grid, make_multiplier, pair_to_csv, resolve_depth, zcothz
+from .spectral import WavePair, make_grid, pair_to_csv, resolve_depth
 from .solvers import (
     ConvergenceError,
     SolitaryBranch,
@@ -54,7 +55,7 @@ from .solvers import (
     save_branch,
     solve_bfd_reduced,
 )
-from .evolution import AmplitudeBoundError, run, suggest_dt
+from .evolution import INTEGRATORS, AmplitudeBoundError, run, suggest_dt
 from .functionals import energy_E, quadratic_form_check
 
 
@@ -62,6 +63,29 @@ def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"missing required key {key!r}")
     return cfg[key]
+
+
+def _family(key: str, name: str) -> str:
+    try:
+        return canonical_family(name)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _positive(key: str, value):
+    """The value of key, which must be positive and finite when given."""
+    if value is not None and not 0.0 < value < math.inf:
+        raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+    return value
+
+
+def _sample(cfg: dict, key: str, branch: SolitaryBranch) -> WavePair:
+    """The wave of branch at index cfg[key], the last one by default."""
+    count = len(branch.waves)
+    index = cfg.get(key, count - 1)
+    if not 0 <= index < count:
+        raise ConfigError(f"{key} must lie in [0, {count}), got {index}")
+    return branch.waves[index]
 
 
 def _outdir(args) -> str:
@@ -93,7 +117,7 @@ def cmd_solve(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
     grid = cfgmod.grid_from_config(cfg)
     scfg = cfgmod.solver_from_config(cfg)
-    family = canonical_family(_require(cfg, "solve.family"))
+    family = _family("solve.family", _require(cfg, "solve.family"))
 
     if family in ("BO", "ILW"):
         speed = cfg.get("solve.speed", 0.0)
@@ -142,7 +166,7 @@ def cmd_continue(cfg: dict, out: str) -> int:
         milestones = [float(t) for t in cfg["continue.milestones"].split(",") if t.strip()]
 
     if parameter == "c":
-        family = cfg.get("continue.family", "BO")
+        family = _family("continue.family", cfg.get("continue.family", "BO"))
         target = _require(cfg, "continue.target")
         branch = continue_in_c(family, p, target, scfg, grid=grid, store_at=milestones)
     elif parameter == "mu2":
@@ -168,8 +192,7 @@ def cmd_continue(cfg: dict, out: str) -> int:
 
 def cmd_decay(cfg: dict, out: str) -> int:
     branch = load_branch(_require(cfg, "decay.branch_dir"))
-    sample = cfg.get("decay.sample", len(branch.waves) - 1)
-    wave = branch.waves[sample]
+    wave = _sample(cfg, "decay.sample", branch)
     field_name = cfg.get("decay.field", "nu")
     if field_name not in ("xi", "nu"):
         raise ConfigError("decay.field must be 'xi' or 'nu'")
@@ -204,12 +227,13 @@ def cmd_decay(cfg: dict, out: str) -> int:
     return 0
 
 
-_KERNEL_GRIDS = {
-    # verified grids: closed form vs discrete-transform oracle at <= 2.5e-7
-    "K1": (16.0, 2**16),
-    "K2": (1024.0, 2**22),
-    "K": (1024.0, 2**20),
-    "K3": (32.0, 2**21),
+_KERNELS = {
+    # name: grid (L, N), sample points and closed form (p, sigma, x); the
+    # grids are verified, closed form vs discrete-transform oracle at <= 2.5e-7
+    "K1": (16.0, 2**16, [0.5, 1.0, 2.0, 4.0], lambda p, sigma, x: kernel_K1(sigma, x)),
+    "K2": (1024.0, 2**22, [1.0, 5.0, 10.0], lambda p, sigma, x: kernel_K2_quadrature(p, x)),
+    "K": (1024.0, 2**20, [1.0, 2.0, 5.0], lambda p, sigma, x: kernel_K_quadrature(p, x)),
+    "K3": (32.0, 2**21, [1.0, 2.0, 5.0], lambda p, sigma, x: kernel_K3_series(p, x)[0]),
 }
 
 
@@ -219,56 +243,20 @@ def cmd_kernel_check(cfg: dict, out: str) -> int:
         w.strip() for w in which.split(",") if w.strip()
     ]
     for name in names:
-        if name not in _KERNEL_GRIDS:
+        if name not in _KERNELS:
             raise ConfigError(f"kernel.which entries must be among K, K1, K2, K3; got {name!r}")
     p = cfgmod.params_from_config(cfg) if "params.gamma" in cfg else None
-    sigma = cfg.get("kernel.sigma", 3.0)
+    sigma = _positive("kernel.sigma", cfg.get("kernel.sigma", 3.0))
     results = {}
     worst = 0.0
     for name in names:
-        length, n = _KERNEL_GRIDS[name]
-        grid = make_grid(length, n)
-
-        if name == "K1":
-            sym = make_multiplier(
-                "k1_symbol",
-                lambda k: math.sqrt(2.0 * math.pi) * sigma / (sigma**2 + k**2),
-                grid,
-            )
-            xs = [0.5, 1.0, 2.0, 4.0]
-            closed = [kernel_K1(sigma, x) for x in xs]
-        elif name == "K2":
-            if p is None:
-                raise ConfigError("kernel K2 needs params.* keys")
-            alpha = p.gamma / ((p.beta - 1.0) * math.sqrt(p.mu))
-            sym = make_multiplier("k2_symbol", lambda k: 1.0 / (abs(k) + alpha), grid)
-            xs = [1.0, 5.0, 10.0]
-            closed = [kernel_K2_quadrature(p, x) for x in xs]
-        elif name == "K":
-            if p is None:
-                raise ConfigError("kernel K needs params.* keys")
-            rates = compute_decay_rates(p)
-            ell, c_k = rates.ell, rates.c_K
-            sym = make_multiplier(
-                "k_symbol", lambda k: 1.0 / (k**2 - ell * abs(k) + c_k), grid
-            )
-            xs = [1.0, 2.0, 5.0]
-            closed = [kernel_K_quadrature(p, x) for x in xs]
-        else:
-            if p is None or not p.finite_depth:
-                raise ConfigError("kernel K3 needs params.* keys with finite mu2")
-            rates = compute_decay_rates(p)
-            theta = rates.theta
-            smu2 = math.sqrt(p.mu2)
-            sym = make_multiplier(
-                "k3_symbol",
-                lambda k: theta / (zcothz(smu2 * abs(k)) + theta),
-                grid,
-            )
-            xs = [1.0, 2.0, 5.0]
-            closed = [kernel_K3_series(p, x)[0] for x in xs]
-
-        oracle, bins = kernel_oracle_at(sym, grid, xs)
+        length, n, xs, closed_form = _KERNELS[name]
+        if name == "K3" and (p is None or not p.finite_depth):
+            raise ConfigError("kernel K3 needs params.* keys with finite mu2")
+        if name != "K1" and p is None:
+            raise ConfigError(f"kernel {name} needs params.* keys")
+        closed = [closed_form(p, sigma, x) for x in xs]
+        oracle, bins = kernel_oracle_at(kernel_symbol(name, p, sigma), make_grid(length, n), xs)
         ovals = [float(v) for v in oracle]
         diffs = [abs(c - o) for c, o in zip(closed, ovals)]
         results[name] = {
@@ -296,15 +284,16 @@ def cmd_kernel_check(cfg: dict, out: str) -> int:
 
 def cmd_evolve(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
-    family = _require(cfg, "evolve.family")
-    T = _require(cfg, "evolve.T")
+    family = _family("evolve.family", _require(cfg, "evolve.family"))
+    T = _positive("evolve.T", _require(cfg, "evolve.T"))
     integrator = cfg.get("evolve.integrator", "etdrk4")
+    if integrator not in INTEGRATORS:
+        raise ConfigError(f"evolve.integrator must be one of {INTEGRATORS}, got {integrator!r}")
 
     initial_kind = cfg.get("evolve.initial", "gaussian")
     if initial_kind == "branch":
         branch = load_branch(_require(cfg, "evolve.branch_dir"))
-        sample = cfg.get("evolve.sample", len(branch.waves) - 1)
-        initial = branch.waves[sample]
+        initial = _sample(cfg, "evolve.sample", branch)
         grid = initial.grid
     elif initial_kind == "gaussian":
         grid = cfgmod.grid_from_config(cfg)
@@ -315,10 +304,10 @@ def cmd_evolve(cfg: dict, out: str) -> int:
     else:
         raise ConfigError("evolve.initial must be 'gaussian' or 'branch'")
 
-    dt = cfg.get("evolve.dt")
+    dt = _positive("evolve.dt", cfg.get("evolve.dt"))
     if dt is None:
         dt = suggest_dt(family, p, grid)
-    snapshots = cfg.get("evolve.snapshots_every")
+    snapshots = _positive("evolve.snapshots_every", cfg.get("evolve.snapshots_every"))
 
     try:
         summary = run(

@@ -66,31 +66,6 @@ def _structure(family: str, p: ModelParams, grid: Grid):
     return sym.jb, sym.L, sym.jd, og * sym.jc
 
 
-def rhs(family: str, p: ModelParams, state: WavePair, linear_only: bool = False) -> WavePair:
-    """Time derivative (dz/dt, dv/dt) of the evolution system.
-
-    The elliptic factors are inverted spectrally; both quadratic products
-    are dealiased with the 2/3 rule before differentiation.
-    """
-    grid = state.grid
-    t1, s1, t2, s2 = _structure(family, p, grid)
-    mask = grid.dealias_mask()
-    ik = 1j * grid.k_half
-    g = p.gamma
-    n = grid.N
-
-    zh = np.fft.rfft(state.xi)
-    vh = np.fft.rfft(state.nu)
-    flux1 = s1 * vh
-    flux2 = s2 * zh
-    if not linear_only:
-        flux1 = flux1 - (p.epsilon / g) * mask * np.fft.rfft(state.xi * state.nu)
-        flux2 = flux2 - (p.epsilon / (2.0 * g)) * mask * np.fft.rfft(state.nu**2)
-    dz = -np.fft.irfft(ik * flux1 / t1, n=n)
-    dv = -np.fft.irfft(ik * flux2 / t2, n=n)
-    return WavePair(grid=grid, xi=dz, nu=dv)
-
-
 def suggest_dt(family: str, p: ModelParams, grid: Grid, max_phase: float = math.pi / 4.0) -> float:
     """Largest dt for which the fastest linear mode advances < max_phase per step."""
     t1, s1, t2, s2 = _structure(family, p, grid)

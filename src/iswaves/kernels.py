@@ -4,8 +4,9 @@ Four convolution kernels govern the far-field behavior of the solitary
 waves: K (two-layer, infinite depth, algebraic with an oscillatory
 exponential part), K1 (exponential, finite depth), K2 (one-layer infinite
 depth, algebraic), and K3 (one-layer finite depth, exponential series).
-Each has a closed form or rapidly convergent quadrature/series here, plus
-an independent discrete-transform oracle (kernel_fft_oracle on the whole
+Each has a closed form or rapidly convergent quadrature/series here, its
+symbol as a function of |k| (kernel_symbol), and an independent
+discrete-transform oracle of that symbol (kernel_fft_oracle on the whole
 grid, kernel_oracle_at at chosen points).
 
 Transform convention: unitary, symmetric in the sqrt(2*pi) factor,
@@ -17,24 +18,29 @@ comparisons in this module state their symbols in this convention.
 The symbols are even, so the sum is one real inverse transform (irfft) of
 the half spectrum.  At grid indices that are all multiples of a step
 dividing N/2, the phases depend on the frequency index only modulo
-M = N/step; the symbol table is first folded onto M bins and the transform
-has length M instead of N.
+M = N/step: the N frequencies form step rows of M bins, which are added in
+order, and the transform has length M instead of N.  Only the first
+M/2 + 1 bins of each row enter, and every |k| of the grid is among them, so
+the symbol is evaluated a block of rows at a time on those bins alone.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
 from .params import ModelParams, compute_decay_rates
-from .spectral import Grid, Multiplier, RealField
+from .spectral import Grid, RealField, zcothz
 
 _EPS = np.finfo(float).eps
+# the convention of every kernel symbol: a vectorized function of |k|
+Symbol = Callable[[np.ndarray], np.ndarray]
+# symbol values evaluated per block of rows in the oracle's fold
+_FOLD_BLOCK = 2**16
 
 
 def _infinite_depth_constants(p: ModelParams) -> tuple[float, float, float]:
@@ -56,10 +62,6 @@ class DecayReport:
     r_squared: float
     flags: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
-
-    @property
-    def reliable(self) -> bool:
-        return not self.flags
 
     def to_dict(self) -> dict:
         return {
@@ -84,6 +86,28 @@ def _laplace_cutoff(x: float) -> float:
     return 40.0 / abs(x)
 
 
+def _k2_alpha(p: ModelParams) -> float:
+    return p.gamma / ((p.beta - 1.0) * math.sqrt(p.mu))
+
+
+def kernel_symbol(name: str, p: ModelParams | None, sigma: float | None = None) -> Symbol:
+    """The symbol of kernel name (K, K1, K2 or K3) as a function of |k|, as
+    each closed form states it; only K1 reads sigma, and only the others p."""
+    if name == "K1":
+        return lambda k: math.sqrt(2.0 * math.pi) * sigma / (sigma**2 + k**2)
+    if name == "K2":
+        alpha = _k2_alpha(p)
+        return lambda k: 1.0 / (abs(k) + alpha)
+    if name == "K":
+        ell, c_k, _ = _infinite_depth_constants(p)
+        return lambda k: 1.0 / (k**2 - ell * abs(k) + c_k)
+    if name == "K3":
+        theta = compute_decay_rates(p).theta
+        smu2 = math.sqrt(p.mu2)
+        return lambda k: theta / (zcothz(smu2 * abs(k)) + theta)
+    raise ValueError(f"kernel must be K, K1, K2 or K3; got {name!r}")
+
+
 def kernel_K1(sigma: float, x: float) -> float:
     """Exponential kernel pi*exp(-sigma|x|); transform of sqrt(2pi)*sigma/(sigma^2+k^2)."""
     if sigma <= 0.0:
@@ -99,7 +123,7 @@ def kernel_K2_quadrature(p: ModelParams, x: float) -> float:
     """
     if x == 0.0:
         raise ValueError("K2 is singular at x = 0 (logarithmic divergence)")
-    alpha = p.gamma / ((p.beta - 1.0) * math.sqrt(p.mu))
+    alpha = _k2_alpha(p)
     ax = abs(x)
     upper = max(_laplace_cutoff(ax), 10.0 * alpha)
 
@@ -155,8 +179,7 @@ def kernel_K_plateau(p: ModelParams) -> float:
 
 def kernel_K2_plateau(p: ModelParams) -> float:
     """Large-x limit of x^2 K2(x): sqrt(2/pi)/alpha^2."""
-    alpha = p.gamma / ((p.beta - 1.0) * math.sqrt(p.mu))
-    return math.sqrt(2.0 / math.pi) / alpha**2
+    return math.sqrt(2.0 / math.pi) / _k2_alpha(p) ** 2
 
 
 def kernel_K3_series(
@@ -201,30 +224,37 @@ def kernel_K3_series(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_values(symbol: Multiplier, g: Grid, step: int) -> np.ndarray:
-    """Trapezoidal oracle at the grid indices step*r, r = 0..M-1, M = N/step.
+def _oracle_values(fn: Symbol, g: Grid, step: int) -> np.ndarray:
+    """Trapezoidal oracle of the symbol fn(|k|) at the grid indices step*r,
+    r = 0..M-1, M = N/step.
 
     step must divide N/2.  The oracle at grid index l is
     (dk/sqrt(2pi)) sum_j (-1)^j khat_j exp(2 pi i j l/N); for l = step*r
-    both factors depend on j only modulo M (M is even), so the table is
+    both factors depend on j only modulo M (M is even), so the symbol is
     folded onto M bins and one length-M irfft of the half of the folded,
-    even spectrum gives the values.
+    even spectrum gives the values.  Row s holds the indices j = s*M + c,
+    c = 0..M/2, at |k_j| = 2 pi min(j, N - j)/(N dx) as np.fft.fftfreq has
+    it; adding the rows in order is the full table's reshape(step, M).sum(0).
     """
-    table = symbol.table
-    if np.min(table) <= 0.0:
-        raise ValueError(
-            f"symbol {symbol.name!r} is not strictly positive on the grid"
-        )
     n = g.N
     m = n // step
-    folded = table.reshape(step, m).sum(axis=0)[: m // 2 + 1]
+    half = m // 2 + 1
+    per_block = max(1, _FOLD_BLOCK // half)
+    folded = np.zeros(half)
+    for s0 in range(0, step, per_block):
+        j = np.arange(s0, min(s0 + per_block, step))[:, None] * m + np.arange(half)
+        vals = fn(2.0 * math.pi * (np.minimum(j, n - j) * (1.0 / (n * g.dx))))
+        if np.min(vals) <= 0.0:
+            raise ValueError("symbol is not strictly positive on the grid")
+        for row in vals:
+            folded += row
     folded[1::2] *= -1.0
     dk = math.pi / g.L
     return dk / math.sqrt(2.0 * math.pi) * m * np.fft.irfft(folded, n=m)
 
 
-def kernel_fft_oracle(symbol: Multiplier, g: Grid) -> RealField:
-    """Inverse unitary transform of a tabulated kernel symbol, on the grid.
+def kernel_fft_oracle(fn: Symbol, g: Grid) -> RealField:
+    """Inverse unitary transform of the kernel symbol fn(|k|), on the grid.
 
     Approximates (2pi)^{-1/2} int khat(k) e^{ikx} dk by the trapezoidal sum
     over the grid's frequency set, computed as one irfft of the half
@@ -233,17 +263,15 @@ def kernel_fft_oracle(symbol: Multiplier, g: Grid) -> RealField:
     (all kernel symbols here are positive; a sign change would signal an
     inadmissible parameter set).
     """
-    return RealField(grid=g, values=_oracle_values(symbol, g, 1))
+    return RealField(grid=g, values=_oracle_values(fn, g, 1))
 
 
-def kernel_oracle_at(
-    symbol: Multiplier, g: Grid, xs: Sequence[float]
-) -> tuple[np.ndarray, int]:
+def kernel_oracle_at(fn: Symbol, g: Grid, xs: Sequence[float]) -> tuple[np.ndarray, int]:
     """The kernel_fft_oracle values at the grid points nearest to xs.
 
     The trapezoidal sum is evaluated only on the coarsest sub-lattice of
     the grid that holds the requested indices: with step the greatest
-    common divisor of N/2 and the indices, the table is folded onto
+    common divisor of N/2 and the indices, the symbol is folded onto
     M = N/step bins (kernel_fft_oracle's full transform when step is 1).
     Returns the values and M, the number of bins transformed.
     """
@@ -253,7 +281,7 @@ def kernel_oracle_at(
         if not 0 <= i < n:
             raise ValueError(f"x = {x!r} is outside the grid's period [-L, L)")
     step = math.gcd(n // 2, *idx)
-    vals = _oracle_values(symbol, g, step)
+    vals = _oracle_values(fn, g, step)
     return vals[[i // step for i in idx]], n // step
 
 
@@ -388,20 +416,3 @@ def fit_exponential_tail(
         flags=flags,
         details={"resolvable_rate_cap": cap, "effective_predicted": effective},
     )
-
-
-def kernel_samples_to_csv(path: str, x, values, bounds=None) -> None:
-    """Write kernel samples: columns x, value and truncation_bound when given."""
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if bounds is None:
-            writer.writerow(["x", "value"])
-            for xi, vi in zip(x, values):
-                writer.writerow([repr(float(xi)), repr(float(vi))])
-        else:
-            bounds = np.asarray(bounds, dtype=float)
-            writer.writerow(["x", "value", "truncation_bound"])
-            for xi, vi, bi in zip(x, values, bounds):
-                writer.writerow([repr(float(xi)), repr(float(vi)), repr(float(bi))])

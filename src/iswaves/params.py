@@ -64,38 +64,6 @@ class ModelParams:
     def finite_depth(self) -> bool:
         return math.isfinite(self.mu2)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelParams":
-        mu2 = data.get("mu2", math.inf)
-        if isinstance(mu2, str):
-            if mu2.strip().lower() not in ("inf", "infinity"):
-                raise InadmissibleParameterError(f"mu2 must be a number or 'inf', got {mu2!r}")
-            mu2 = math.inf
-        return cls(
-            gamma=float(data["gamma"]),
-            epsilon=float(data["epsilon"]),
-            mu=float(data["mu"]),
-            a=float(data["a"]),
-            b=float(data["b"]),
-            c=float(data["c"]),
-            d=float(data["d"]),
-            mu2=float(mu2),
-            beta=float(data.get("beta", 2.0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "mu": self.mu,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "mu2": "inf" if not self.finite_depth else self.mu2,
-            "beta": self.beta,
-        }
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -143,20 +111,6 @@ class DecayRates:
     discriminant: float | None = None
     ilw_rate: float | None = None
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "algebraic_plateau_K": self.algebraic_plateau_K,
-            "sigma": self.sigma,
-            "sigma0": self.sigma0,
-            "eta_roots": list(self.eta_roots),
-            "theta": self.theta,
-            "ell": self.ell,
-            "c_K": self.c_K,
-            "discriminant": self.discriminant,
-            "ilw_rate": self.ilw_rate,
-            "notes": list(self.notes),
-        }
 
 
 SUM_RULE_TOL = 1e-12
@@ -318,17 +272,6 @@ def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
         ilw_rate=ilw_rate,
         notes=tuple(notes),
     )
-
-
-def check_kernel_discriminant(p: ModelParams) -> bool:
-    """True when 4 c_K - ell^2 > 0, i.e. the infinite-depth kernel symbol has no real zeros."""
-    g = p.gamma
-    beta1 = -(p.mu / g) * (p.a - 1.0 / g**2)
-    if beta1 <= 0.0:
-        return False
-    ell = math.sqrt(p.mu) / (beta1 * g**2)
-    c_K = 1.0 / (beta1 * g)
-    return 4.0 * c_K - ell**2 > 0.0
 
 
 def admissibility_report(p: ModelParams, omega: float) -> AdmissibilityReport:

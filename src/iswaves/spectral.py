@@ -4,18 +4,16 @@ All operators of the three model families are even Fourier multipliers, so
 real fields stay real under application.  The model symbols (J_b, J_c, J_d,
 L and the one-layer pairs W, Z and D, B) live in one read-only `Symbols`
 bundle per (params, grid, depth), tabulated on the half spectrum
-k_half = pi j / L, j = 0..N/2, to which the rfft path applies them.
-`make_multiplier` tabulates other symbols on the full FFT frequency set for
-the kernel oracles.  Removable singularities at k = 0 and the
+k_half = pi j / L, j = 0..N/2, to which the rfft path applies them; a grid
+builds x and k_half on first use.  Removable singularities at k = 0 and the
 cancellation-prone coth evaluation are handled explicitly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,13 +26,22 @@ class Grid:
 
     L: float
     N: int
-    x: np.ndarray = field(repr=False, compare=False)
-    frequencies: np.ndarray = field(repr=False, compare=False)
-    k_half: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dx(self) -> float:
         return 2.0 * self.L / self.N
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        x = -self.L + self.dx * np.arange(self.N)
+        x.setflags(write=False)
+        return x
+
+    @cached_property
+    def k_half(self) -> np.ndarray:
+        k = 2.0 * math.pi * np.fft.rfftfreq(self.N, d=self.dx)
+        k.setflags(write=False)
+        return k
 
     @property
     def dealias_cut(self) -> int:
@@ -56,13 +63,7 @@ def make_grid(L: float, N: int) -> Grid:
         raise ValueError(f"N must be even and >= 16, got {N}")
     if L <= 0:
         raise ValueError(f"L must be positive, got {L}")
-    dx = 2.0 * L / N
-    x = -L + dx * np.arange(N)
-    freqs = 2.0 * math.pi * np.fft.fftfreq(N, d=dx)
-    k_half = 2.0 * math.pi * np.fft.rfftfreq(N, d=dx)
-    for arr in (x, freqs, k_half):
-        arr.setflags(write=False)
-    return Grid(L=float(L), N=int(N), x=x, frequencies=freqs, k_half=k_half)
+    return Grid(L=float(L), N=int(N))
 
 
 @dataclass(frozen=True)
@@ -95,24 +96,6 @@ class WavePair:
             if vals.shape != (self.grid.N,):
                 raise ValueError(f"{name} length does not match grid")
             object.__setattr__(self, name, vals)
-
-
-@dataclass(frozen=True)
-class Multiplier:
-    """Even Fourier multiplier tabulated on a grid's frequencies."""
-
-    name: str
-    table: np.ndarray
-    grid: Grid
-
-
-def make_multiplier(name: str, fn: Callable[[np.ndarray], np.ndarray], grid: Grid) -> Multiplier:
-    """Tabulate the even symbol fn(|k|) on the grid."""
-    table = np.asarray(fn(np.abs(grid.frequencies)), dtype=float)
-    if table.shape != grid.frequencies.shape:
-        raise ValueError("symbol function must be vectorized over the frequency array")
-    table.setflags(write=False)
-    return Multiplier(name=name, table=table, grid=grid)
 
 
 def zcothz(z: np.ndarray) -> np.ndarray:
@@ -217,12 +200,6 @@ def apply_table(table_half: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(table_half * np.fft.rfft(values), n=n)
 
 
-def dealias_product(values: np.ndarray, mask_half: np.ndarray) -> np.ndarray:
-    """Project a pointwise product back onto the retained 2/3 band."""
-    n = values.shape[0]
-    return np.fft.irfft(mask_half * np.fft.rfft(values), n=n)
-
-
 def symmetrize_even(values: np.ndarray) -> np.ndarray:
     """Average a field with its reflection about x = 0 (sample j with N - j,
     along the last axis, so a stack of fields is projected row by row)."""
@@ -230,24 +207,6 @@ def symmetrize_even(values: np.ndarray) -> np.ndarray:
     refl[..., 0] = values[..., 0]
     refl[..., 1:] = values[..., :0:-1]
     return 0.5 * (values + refl)
-
-
-def nyquist_fraction(values: np.ndarray) -> float:
-    """Relative magnitude of the Nyquist coefficient; a resolution diagnostic."""
-    spec = np.fft.rfft(values)
-    denom = np.max(np.abs(spec))
-    if denom == 0.0:
-        return 0.0
-    return float(np.abs(spec[-1]) / denom)
-
-
-def assert_resolved(values: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise if the Nyquist amplitude exceeds tol; never silently filters."""
-    frac = nyquist_fraction(values)
-    if frac > tol:
-        raise ValueError(
-            f"field is under-resolved: Nyquist fraction {frac:.3e} exceeds {tol:.1e}"
-        )
 
 
 def pair_to_csv(w: WavePair, path: str) -> None:

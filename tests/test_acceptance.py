@@ -23,6 +23,7 @@ from iswaves.kernels import (
     kernel_K3_series,
     kernel_K_plateau,
     kernel_K_quadrature,
+    kernel_symbol,
 )
 from iswaves.params import (
     compute_decay_rates,
@@ -39,7 +40,7 @@ from iswaves.solvers import (
     petviashvili_ground_state,
     residual_norm,
 )
-from iswaves.spectral import WavePair, make_grid, make_multiplier, zcothz
+from iswaves.spectral import WavePair, make_grid
 
 
 def _report(capsys, n, ok, detail):
@@ -234,39 +235,28 @@ def test_criterion_07_kernel_oracles(p1_inf, p1_mu2_4, capsys):
     diffs = {}
 
     g1 = make_grid(16.0, 2**16)
-    sym = make_multiplier(
-        "k1", lambda k: math.sqrt(2.0 * math.pi) * 3.0 / (9.0 + k**2), g1
-    )
-    o1 = kernel_fft_oracle(sym, g1)
+    o1 = kernel_fft_oracle(kernel_symbol("K1", None, 3.0), g1)
     diffs["K1"] = max(
         abs(kernel_K1(3.0, x) - float(o1.values[int(round((x + g1.L) / g1.dx))]))
         for x in (0.5, 1.0, 2.0, 4.0)
     )
 
-    alpha = p1_mu2_4.gamma / ((p1_mu2_4.beta - 1.0) * math.sqrt(p1_mu2_4.mu))
     g2 = make_grid(1024.0, 2**22)
-    o2 = kernel_fft_oracle(make_multiplier("k2", lambda k: 1.0 / (abs(k) + alpha), g2), g2)
+    o2 = kernel_fft_oracle(kernel_symbol("K2", p1_mu2_4), g2)
     diffs["K2"] = max(
         abs(kernel_K2_quadrature(p1_mu2_4, x) - float(o2.values[int(round((x + g2.L) / g2.dx))]))
         for x in (1.0, 5.0, 10.0)
     )
 
-    rates = compute_decay_rates(p1_inf)
-    ell, c_k = rates.ell, rates.c_K
     gk = make_grid(1024.0, 2**20)
-    ok_sym = make_multiplier("k", lambda k: 1.0 / (k**2 - ell * abs(k) + c_k), gk)
-    o3 = kernel_fft_oracle(ok_sym, gk)
+    o3 = kernel_fft_oracle(kernel_symbol("K", p1_inf), gk)
     diffs["K"] = max(
         abs(kernel_K_quadrature(p1_inf, x) - float(o3.values[int(round((x + gk.L) / gk.dx))]))
         for x in (1.0, 2.0, 5.0)
     )
 
-    theta = compute_decay_rates(p1_mu2_4).theta
-    smu2 = math.sqrt(p1_mu2_4.mu2)
     g3 = make_grid(32.0, 2**21)
-    o4 = kernel_fft_oracle(
-        make_multiplier("k3", lambda k: theta / (zcothz(smu2 * abs(k)) + theta), g3), g3
-    )
+    o4 = kernel_fft_oracle(kernel_symbol("K3", p1_mu2_4), g3)
     diffs["K3"] = max(
         abs(kernel_K3_series(p1_mu2_4, x)[0] - float(o4.values[int(round((x + g3.L) / g3.dx))]))
         for x in (1.0, 2.0, 5.0)

@@ -1,0 +1,98 @@
+"""The public API has callers: every public module-level function and class
+of the package is used by the package itself, a demo or the benchmark.
+
+A name that only tests call is a second implementation kept alive by its
+own test; it belongs in the tests, as a reference, or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "iswaves"
+# re-exporting a name in __init__ is not a use of it
+CALLERS = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"] + sorted(
+    p for d in ("demos", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
+
+ALLOWED = {
+    # the closed-form f(x) whose minimum compute_f_min returns; criterion 1
+    # scans it as the independent reference for f_min
+    "symbol_f",
+}
+
+
+def _public_definitions():
+    """(name, file, first line, last line) of each public top-level def."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out.append((node.name, path, node.lineno, node.end_lineno))
+    return out
+
+
+def _locals(fn) -> set:
+    """Names a function binds: its parameters and every assignment target."""
+    a = fn.args
+    names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+    return names | {
+        n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+
+
+def _collect(node, path, shadowed, uses) -> None:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        shadowed = shadowed | _locals(node)
+    names = []
+    if isinstance(node, ast.Name) and node.id not in shadowed:
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, ast.ImportFrom):
+        names = [alias.name for alias in node.names]
+    for name in names:
+        uses.setdefault(name, []).append((path, node.lineno))
+    for child in ast.iter_child_nodes(node):
+        _collect(child, path, shadowed, uses)
+
+
+def _uses() -> dict:
+    """name -> [(file, line)] of every identifier (a local variable of the
+    same name excepted), attribute and import."""
+    uses: dict = {}
+    for path in CALLERS:
+        _collect(ast.parse(path.read_text()), path, frozenset(), uses)
+    return uses
+
+
+def _unused() -> list:
+    """Public names with no use outside their own definition, counting uses
+    inside other unused definitions as none, until no more are found."""
+    defs = _public_definitions()
+    uses = _uses()
+    dead: set = set()
+    while True:
+        spans = [(path, first, last) for name, path, first, last in defs if name in dead]
+        found = set()
+        for name, path, first, last in defs:
+            excluded = spans + [(path, first, last)]
+            live = [
+                (p, line) for p, line in uses.get(name, ())
+                if not any(p == q and a <= line <= b for q, a, b in excluded)
+            ]
+            if not live and name not in ALLOWED:
+                found.add(name)
+        if found == dead:
+            return sorted(f"{path.stem}.{name}" for name, path, *_ in defs if name in dead)
+        dead = found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = _unused()
+    assert unused == [], f"public names with no caller in src/, demos/ or perfbench/: {unused}"
+
+
+def test_allowlist_is_current():
+    defined = {name for name, *_ in _public_definitions()}
+    assert ALLOWED <= defined

@@ -333,3 +333,43 @@ def test_cli_sweep_small(tmp_path, capsys):
     assert data["violations"] == []
     assert data["min_quadratic_form"] > 0.0
     assert "sweep" in capsys.readouterr().out
+
+
+# (subcommand, --set overrides, the key the error must name); each case
+# once raised an uncaught exception or ran with the bad value
+_BAD_VALUES = [
+    ("solve", ["solve.family=XYZ"], "solve.family"),
+    ("evolve", ["evolve.family=foo"], "evolve.family"),
+    ("evolve", ["evolve.integrator=rk4"], "evolve.integrator"),
+    ("evolve", ["evolve.T=-1"], "evolve.T"),
+    ("evolve", ["evolve.T=0.01", "evolve.dt=-0.1"], "evolve.dt"),
+    ("evolve", ["evolve.snapshots_every=0"], "evolve.snapshots_every"),
+    ("evolve", ["evolve.initial=branch", "evolve.sample=2"], "evolve.sample"),
+    ("kernel-check", ["kernel.sigma=-1"], "kernel.sigma"),
+    ("decay", ["decay.sample=99"], "decay.sample"),
+    ("decay", ["decay.sample=-2"], "decay.sample"),
+]
+_BASE_SETS = {
+    "solve": ["grid.L=8", "grid.N=64", "solve.omega=0.1"],
+    "evolve": ["grid.L=20", "grid.N=64", "evolve.family=bfd_finite", "evolve.T=0.1"],
+    "kernel-check": ["kernel.which=K1"],
+    "decay": [],
+}
+
+
+@pytest.mark.parametrize("command,sets,key", _BAD_VALUES)
+def test_cli_rejects_bad_values(p1_cfg, tmp_path, capsys, command, sets, key):
+    from iswaves.solvers import SolitaryBranch, save_branch
+    from iswaves.spectral import WavePair, make_grid
+
+    g = make_grid(8.0, 16)
+    bump = np.exp(-(g.x**2))
+    two = SolitaryBranch("BO", [0.0, 0.01], [WavePair(g, bump, bump)] * 2, [0.0, 0.0])
+    save_branch(two, str(tmp_path / "branch"))
+    branch = [f"decay.branch_dir={tmp_path}/branch", f"evolve.branch_dir={tmp_path}/branch"]
+    args = [command, "--config", p1_cfg, "--out", str(tmp_path / "o")]
+    for s in branch + _BASE_SETS[command] + sets:
+        args += ["--set", s]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err

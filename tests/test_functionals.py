@@ -88,7 +88,7 @@ def test_quadratic_form_window_detection(p1_mu2_4):
     inside = quadratic_form_check(p1_mu2_4, 0.1, g)
     assert inside.global_min > 0.0
     assert inside.coercivity_const > 0.0
-    assert inside.min_eigen_by_freq.shape == g.frequencies.shape
+    assert inside.min_eigen_by_freq.shape == (g.N,)
     outside = quadratic_form_check(p1_mu2_4, 0.17, g)
     assert outside.global_min < 0.0
 
