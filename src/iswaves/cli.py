@@ -167,6 +167,12 @@ def cmd_continue(cfg: dict, out: str) -> int:
 
     if parameter == "c":
         family = _family("continue.family", cfg.get("continue.family", "BO"))
+        if family != "BO":
+            # the two-layer families have no c-continuation, and the ILW branch
+            # starts from the c = 0 pair that only continue_in_mu2 builds
+            raise ConfigError(
+                f"continue.family must be BO for continue.parameter = c, got {family!r}"
+            )
         target = _require(cfg, "continue.target")
         branch = continue_in_c(family, p, target, scfg, grid=grid, store_at=milestones)
     elif parameter == "mu2":

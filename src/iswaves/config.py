@@ -204,9 +204,10 @@ def sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
+        # finite built-in floats, the bulk of a trajectory, pass unchanged
+        return [v if type(v) is float and -math.inf < v < math.inf else sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
+        return sanitize(obj.tolist())
     if isinstance(obj, (np.floating,)):
         obj = float(obj)
     if isinstance(obj, (np.integer,)):
@@ -226,9 +227,9 @@ def write_json(path: str, obj: dict, config: dict | None = None) -> None:
     if config is not None:
         payload["config"] = resolved_config(config)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_meta(outdir: str, extra: dict | None = None) -> None:

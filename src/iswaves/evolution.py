@@ -15,9 +15,12 @@ formed in physical space and dealiased by the 2/3 rule.
 
 The two fields always travel together as one stacked (2, .) array, so each
 nonlinear evaluation is one inverse and one forward real FFT (8 per ETDRK4
-step), with the constant flux coefficients premultiplied once per stepper.
-The run monitors read the spectral state (zhat, vhat) straight from q and
-need one stacked inverse FFT per monitored step: the H1 norms, the top-third
+step), with the constant flux coefficients premultiplied once per stepper
+and the ETDRK4 stages evaluated in buffers allocated once per stepper.
+Each step keeps its first stage: the half spectra, samples and products
+(zeta v, v^2) of the state it starts from.  The run monitors read state n
+from there once step n + 1 is taken, so they add no transform; only the
+last state pays one stacked inverse FFT.  The H1 norms, the top-third
 energy fraction and the quadratic part of the Hamiltonian are Parseval sums
 with tables cached once per run; sup|zeta|, inf(1 - eps/gamma zeta), the
 masses and the cubic term of H are taken in physical space.  The amplitude
@@ -121,10 +124,16 @@ class _CharacteristicBase:
                 self.pfac * ((p.epsilon / (2.0 * g)) * mask * ik / t2),
             ]
         )
+        # the first stage of the last advance, kept for the run monitors: the
+        # half spectra, samples and products (zeta v, v^2) of its start state
+        self.stage = (np.empty_like(self.lam), np.empty((2, grid.N)), np.empty((2, grid.N)))
+        # the same for the later stages, and the spectra of their products
+        self._scratch = tuple(np.empty_like(b) for b in self.stage)
+        self._f = np.empty_like(self.lam)
 
-    def spectral(self, q: np.ndarray) -> np.ndarray:
+    def spectral(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half spectra (zhat, vhat) of the characteristic state q; no FFT."""
-        s = np.empty_like(q)
+        s = np.empty_like(q) if out is None else out
         np.add(q[0], q[1], out=s[0])
         s[0] *= 0.5
         np.subtract(q[0], q[1], out=s[1])
@@ -147,14 +156,20 @@ class _CharacteristicBase:
         zv = self.physical(self.spectral(q))
         return WavePair(grid=self.grid, xi=zv[0], nu=zv[1])
 
-    def nonlinear(self, q: np.ndarray) -> np.ndarray:
+    def nonlinear(self, q: np.ndarray, out: np.ndarray, stage: tuple | None = None) -> np.ndarray:
+        """N(q) written into out.  The stage's half spectra s, samples zv and
+        products (zeta v, v^2) are formed in the buffers `stage`, or in
+        scratch buffers when it is None."""
         if self.linear_only:
-            return np.zeros_like(q)
-        zv = self.physical(self.spectral(q))
+            out[...] = 0.0
+            return out
+        s, zv, prod = self._scratch if stage is None else stage
+        self.spectral(q, out=s)
+        np.fft.irfft(s, n=self.grid.N, axis=-1, out=zv)
+        np.multiply(zv[1], zv, out=prod)
         # one forward FFT of the stacked products (zeta v, v^2)
-        f = np.fft.rfft(zv[1] * zv, axis=-1)
+        f = np.fft.rfft(prod, axis=-1, out=self._f)
         f *= self._flux
-        out = np.empty_like(f)
         np.add(f[0], f[1], out=out[0])
         np.subtract(f[0], f[1], out=out[1])
         return out
@@ -187,22 +202,40 @@ class Etdrk4Stepper(_CharacteristicBase):
         self.f3_w = self.dt * np.mean(
             (-4.0 - 3.0 * lr - lr**2 + np.exp(lr) * (4.0 - lr)) / lr**3, axis=-1
         )
+        # stage values (n0, na, nb, nc), stage states (e_half q, qa, qb, qc)
+        # and one scratch array, allocated once
+        self._bufs = [np.empty_like(self.lam) for _ in range(9)]
 
     def advance(self, q: np.ndarray) -> np.ndarray:
-        n0 = self.nonlinear(q)
-        eq = self.e_half * q
-        qa = eq + self.q_w * n0
-        na = self.nonlinear(qa)
-        qb = eq + self.q_w * na
-        nb = self.nonlinear(qb)
-        qc = self.e_half * qa + self.q_w * (2.0 * nb - n0)
-        nc = self.nonlinear(qc)
-        return (
-            self.e_full * q
-            + self.f1_w * n0
-            + self.f2_w * (na + nb)
-            + self.f3_w * nc
-        )
+        # every product keeps the operand order of the plain expressions
+        #   qa = e_half q + q_w n0,  qb = e_half q + q_w na,
+        #   qc = e_half qa + q_w (2 nb - n0),
+        #   q' = e_full q + f1_w n0 + f2_w (na + nb) + f3_w nc
+        n0, na, nb, nc, eq, qa, qb, qc, tmp = self._bufs
+        self.nonlinear(q, n0, self.stage)
+        np.multiply(self.e_half, q, out=eq)
+        np.multiply(self.q_w, n0, out=tmp)
+        np.add(eq, tmp, out=qa)
+        self.nonlinear(qa, na)
+        np.multiply(self.q_w, na, out=tmp)
+        np.add(eq, tmp, out=qb)
+        self.nonlinear(qb, nb)
+        np.multiply(2.0, nb, out=tmp)
+        np.subtract(tmp, n0, out=tmp)
+        np.multiply(self.q_w, tmp, out=tmp)
+        np.multiply(self.e_half, qa, out=qc)
+        np.add(qc, tmp, out=qc)
+        self.nonlinear(qc, nc)
+        # the new state is the one array allocated per step: callers keep it
+        out = np.multiply(self.e_full, q)
+        np.multiply(self.f1_w, n0, out=tmp)
+        out += tmp
+        np.add(na, nb, out=tmp)
+        np.multiply(self.f2_w, tmp, out=tmp)
+        out += tmp
+        np.multiply(self.f3_w, nc, out=tmp)
+        out += tmp
+        return out
 
 
 class ImexBdf2Stepper(_CharacteristicBase):
@@ -218,16 +251,16 @@ class ImexBdf2Stepper(_CharacteristicBase):
     def advance(self, q: np.ndarray) -> np.ndarray:
         if self.prev_q is None:
             # first step: trapezoidal IMEX startup at the same order budget
-            n0 = self.nonlinear(q)
+            n0 = self.nonlinear(q, np.empty_like(q), self.stage)
             inv1 = 1.0 / (1.0 - 0.5 * self.dt * self.lam)
             qmid = inv1 * (q + 0.5 * self.dt * (self.lam * q) + self.dt * n0)
-            nmid = self.nonlinear(qmid)
+            nmid = self.nonlinear(qmid, np.empty_like(q))
             qn = inv1 * (
                 q + 0.5 * self.dt * (self.lam * q) + 0.5 * self.dt * (n0 + nmid)
             )
             self.prev_q, self.prev_n = q, n0
             return qn
-        n_cur = self.nonlinear(q)
+        n_cur = self.nonlinear(q, np.empty_like(q), self.stage)
         rhs_q = 2.0 * q - 0.5 * self.prev_q + self.dt * (2.0 * n_cur - self.prev_n)
         qn = self._inv * rhs_q
         self.prev_q, self.prev_n = q, n_cur
@@ -342,17 +375,18 @@ class _Monitor:
         # squared float view of s is summed by a single product
         self.weights = np.repeat(np.column_stack(cols), 2, axis=0)
 
-    def __call__(self, s: np.ndarray, zv: np.ndarray) -> tuple:
+    def __call__(self, s: np.ndarray, zv: np.ndarray, v2: np.ndarray) -> tuple:
         """(sup|zeta|, inf(1 - eps/gamma zeta), mass of zeta, mass of v,
-        H1 norm of zeta, H1 norm of v, top-third energy fraction, H or None)."""
+        H1 norm of zeta, H1 norm of v, top-third energy fraction, H or None)
+        of the state with half spectra s, samples zv and v^2 = v2."""
         sums = (np.square(s.view(np.float64)) @ self.weights).tolist()
         (tot_z, top_z, h1_z, *quad_z), (tot_v, top_v, h1_v, *quad_v) = sums
-        zeta, v = zv
+        zeta = zv[0]
         z_max, z_min = float(zeta.max()), float(zeta.min())
         masses = zv.sum(axis=1) * self.dx
         h = None
         if self.track_h:
-            h = quad_z[0] + quad_v[1] - 0.5 * self.r * self.dx * float(np.dot(zeta, v * v))
+            h = quad_z[0] + quad_v[1] - 0.5 * self.r * self.dx * float(np.dot(zeta, v2))
         return (
             max(z_max, -z_min),
             1.0 - self.r * z_max,  # eps/gamma > 0: the infimum sits at max zeta
@@ -381,17 +415,23 @@ def run(
 
     The Hamiltonian is tracked for the two-layer family when b = d (the
     conserved assembly); mass integrals of both fields are tracked always.
-    Each monitored step reads (zhat, vhat) from the stepper's characteristic
-    state without a transform and makes one stacked inverse FFT for the
-    samples; the quadratic monitors (H1 norms, top-third energy fraction,
-    the quadratic part of H) are Parseval sums with tables cached once per
-    run, while sup|zeta|, the masses and the cubic term of H come from the
-    samples.  The initial values, h0 included, take the same path.  When the
-    initial data satisfies the global-existence criterion, the amplitude
+    State n is monitored one step late, once step n + 1 is taken, from that
+    step's first stage: its half spectra (zhat, vhat), its samples and the
+    products (zeta v, v^2), so the monitors add no transform.  Only the last
+    state, and every state of a linear-only run (which forms no stage), pay
+    their own stacked inverse FFT.  The quadratic monitors (H1 norms,
+    top-third energy fraction, the quadratic part of H) are Parseval sums
+    with tables cached once per run, while sup|zeta|, the masses and the
+    cubic term of H come from the samples; the initial values, h0 included,
+    take the same path from the initial data's own transform.  Snapshots
+    are written from the same samples, after the state's monitors.  When
+    the initial data satisfies the global-existence criterion, the amplitude
     bound sup|zeta| <= alpha is asserted at every monitored step and a
-    violation raises AmplitudeBoundError carrying t, the observed sup and
-    alpha (a violation can only mean under-resolution or a bug).  Non-finite
-    values abort with a blow-up report carrying the time stamp.
+    violation raises AmplitudeBoundError carrying the state's own t, the
+    observed sup and alpha (a violation can only mean under-resolution or a
+    bug).  Every step's state is tested for non-finite values after the
+    previous state is monitored; a blow-up ends the run with a report
+    carrying the time stamp.
     """
     fam = canonical_family(family)
     grid = initial.grid
@@ -423,42 +463,61 @@ def run(
     s = np.fft.rfft(zv, axis=-1)
     q = stepper.from_spectral(s)
     times = [0.0]
-    samples = [monitor(s, zv)]
-    snap_next = snapshots_every
+    samples = [monitor(s, zv, zv[1] * zv[1])]
+    snap_next = None
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
         pair_to_csv(initial, os.path.join(outdir, "snapshot_t0.csv"))
+        snap_next = snapshots_every
 
+    def observe(n: int, q_n: np.ndarray, staged: bool) -> np.ndarray | None:
+        """Monitor and snapshot state n, from the stepper's first stage when
+        `staged`, else from its own transform of q_n; the samples used, or
+        None when state n is neither monitored nor saved."""
+        nonlocal snap_next
+        t_n = n * dt_eff
+        monitored = n % monitor_every == 0 or n == nsteps
+        snap = snap_next is not None and t_n + 1e-12 >= snap_next
+        if not (monitored or snap):
+            return None
+        if staged:
+            s, zv, prod = stepper.stage
+            v2 = prod[1]
+        else:
+            s = stepper.spectral(q_n)
+            zv = stepper.physical(s)
+            v2 = zv[1] * zv[1]
+        if monitored:
+            sample = monitor(s, zv, v2)
+            times.append(t_n)
+            samples.append(sample)
+            if alpha_bound is not None and sample[0] > alpha_bound * (1.0 + 1e-9):
+                raise AmplitudeBoundError(t_n, sample[0], alpha_bound)
+        if snap:
+            pair = WavePair(grid=grid, xi=zv[0], nu=zv[1])
+            pair_to_csv(pair, os.path.join(outdir, f"snapshot_t{t_n:.6g}.csv"))
+            snap_next += snapshots_every
+        return zv
+
+    # state n is observed once step n + 1 is taken, from that step's first
+    # stage, which holds its spectra, samples and products; the last state
+    # and linear-only runs (no stage) pay their own transform
+    staged = not linear_only
     t = 0.0
     for istep in range(1, nsteps + 1):
-        q = stepper.advance(q)
+        q_prev, q = q, stepper.advance(q)
+        if istep > 1:
+            observe(istep - 1, q_prev, staged)
         t = istep * dt_eff
         if not np.isfinite(q).all():
             summary["status"] = "blow_up"
             summary["t_blow_up"] = t
             break
-        monitored = istep % monitor_every == 0 or istep == nsteps
-        if monitored:
-            s = stepper.spectral(q)
-            zv = stepper.physical(s)
-            sample = monitor(s, zv)
-            times.append(t)
-            samples.append(sample)
-            if alpha_bound is not None and sample[0] > alpha_bound * (1.0 + 1e-9):
-                raise AmplitudeBoundError(t, sample[0], alpha_bound)
-        if (
-            snapshots_every is not None
-            and outdir is not None
-            and snap_next is not None
-            and t + 1e-12 >= snap_next
-        ):
-            pair = WavePair(grid=grid, xi=zv[0], nu=zv[1]) if monitored else stepper.decode(q)
-            pair_to_csv(pair, os.path.join(outdir, f"snapshot_t{t:.6g}.csv"))
-            snap_next += snapshots_every
-
-    if summary["status"] == "completed":
-        # the last step is always monitored, so zv holds the final samples
+    else:
+        # the last state is always monitored, from its own fresh samples
+        zv = observe(nsteps, q, False)
         summary["final_state"] = WavePair(grid=grid, xi=zv[0], nu=zv[1])
+
     sup_z, min_one, mass_z, mass_v, h1_z, h1_v, top_frac, h_values = map(list, zip(*samples))
     summary.update(
         {

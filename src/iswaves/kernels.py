@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .params import ModelParams, compute_decay_rates
+from .params import InadmissibleParameterError, ModelParams, compute_decay_rates
 from .spectral import Grid, RealField, zcothz
 
 _EPS = np.finfo(float).eps
@@ -46,7 +46,7 @@ _FOLD_BLOCK = 2**16
 def _infinite_depth_constants(p: ModelParams) -> tuple[float, float, float]:
     rates = compute_decay_rates(p)
     if rates.ell is None or rates.c_K is None:
-        raise ValueError("kernel constants undefined: " + "; ".join(rates.notes))
+        raise InadmissibleParameterError("kernel constants undefined: " + "; ".join(rates.notes))
     return rates.ell, rates.c_K, rates.discriminant
 
 
@@ -150,7 +150,7 @@ def kernel_K_quadrature(p: ModelParams, x: float) -> float:
         raise ValueError("K is not evaluated at x = 0")
     ell, c_k, disc = _infinite_depth_constants(p)
     if disc <= 0.0:
-        raise ValueError(f"4 c_K - ell^2 = {disc:.6g} must be positive")
+        raise InadmissibleParameterError(f"4 c_K - ell^2 = {disc:.6g} must be positive")
     ax = abs(x)
     upper = max(_laplace_cutoff(ax), 10.0 * math.sqrt(c_k))
 

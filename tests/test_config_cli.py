@@ -262,6 +262,15 @@ def test_cli_kernel_check_k1(tmp_path, capsys):
     assert "kernel-check" in capsys.readouterr().out
 
 
+def test_cli_kernel_check_undefined_kernel_exits_1(p1_cfg, tmp_path, capsys):
+    # a = 3.5 leaves 4 c_K - ell^2 negative: K has no closed form
+    out = str(tmp_path / "kc")
+    args = ["kernel-check", "--config", p1_cfg, "--out", out]
+    assert main(args + ["--set", "params.a=3.5", "--set", "kernel.which=K"]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "4 c_K - ell^2" in err
+
+
 def test_cli_kernel_check_reports_oracle_grids(p1_cfg, tmp_path):
     # each kernel records its grid and the number of bins its oracle
     # transformed: the sample points lie on 64- or 2048-point sub-lattices
@@ -348,12 +357,15 @@ _BAD_VALUES = [
     ("kernel-check", ["kernel.sigma=-1"], "kernel.sigma"),
     ("decay", ["decay.sample=99"], "decay.sample"),
     ("decay", ["decay.sample=-2"], "decay.sample"),
+    ("continue", ["continue.family=bfd_finite"], "continue.family"),
+    ("continue", ["continue.family=ILW"], "continue.family"),
 ]
 _BASE_SETS = {
     "solve": ["grid.L=8", "grid.N=64", "solve.omega=0.1"],
     "evolve": ["grid.L=20", "grid.N=64", "evolve.family=bfd_finite", "evolve.T=0.1"],
     "kernel-check": ["kernel.which=K1"],
     "decay": [],
+    "continue": ["grid.L=8", "grid.N=64", "continue.parameter=c", "continue.target=0.1"],
 }
 
 

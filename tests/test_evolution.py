@@ -1,6 +1,8 @@
 """Time integration: steppers, conservation, the small-data criterion."""
 
+import inspect
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from iswaves.evolution import (
 )
 from iswaves.functionals import hamiltonian_H
 from iswaves.params import ModelParams
-from iswaves.spectral import WavePair, make_grid, symbols
+from iswaves.spectral import WavePair, make_grid, pair_to_csv, symbols
 
 from conftest import P1_KW
 
@@ -309,13 +311,139 @@ def test_transform_counts(p1_mu2_4, evo_grid, fft_calls):
     imex.advance(q)
     assert fft_calls["n"] == 2
 
-    # three more monitored ETDRK4 steps cost at most 3 * (8 + 1) transforms
+    # the monitors read each state from the next step's first stage, so
+    # three more monitored ETDRK4 steps cost exactly the stepper's 3 * 8
     fft_calls["n"] = 0
     run("bfd_finite", p1_mu2_4, init, T=0.02, dt=0.01)
     two = fft_calls["n"]
     fft_calls["n"] = 0
     run("bfd_finite", p1_mu2_4, init, T=0.05, dt=0.01)
-    assert fft_calls["n"] - two <= 3 * 9
+    assert fft_calls["n"] - two == 3 * 8
+
+
+def test_steppers_define_advance():
+    # perfbench/tracing.py times the steppers by patching advance(self, q)
+    # in each class's own namespace
+    for cls in (evolution.Etdrk4Stepper, evolution.ImexBdf2Stepper):
+        assert list(inspect.signature(cls.__dict__["advance"]).parameters) == ["self", "q"]
+
+
+def _per_step_reference(stepper, monitor, initial, nsteps, monitor_every, snapshots_every,
+                        outdir, alpha):
+    """run()'s loop as it was before the monitors moved into the stepper:
+    advance, test finiteness, then transform and monitor the new state.
+    Returns (status, t, times, final samples or None)."""
+    grid = initial.grid
+    zv = np.stack([initial.xi, initial.nu])
+    s = np.fft.rfft(zv, axis=-1)
+    q = stepper.from_spectral(s)
+    times = [0.0]
+    monitor(s, zv, zv[1] * zv[1])
+    pair_to_csv(initial, os.path.join(outdir, "snapshot_t0.csv"))
+    snap_next = snapshots_every
+    t = 0.0
+    for istep in range(1, nsteps + 1):
+        q = stepper.advance(q)
+        t = istep * stepper.dt
+        if not np.isfinite(q).all():
+            return "blow_up", t, times, None
+        monitored = istep % monitor_every == 0 or istep == nsteps
+        if monitored:
+            s = stepper.spectral(q)
+            zv = stepper.physical(s)
+            sample = monitor(s, zv, zv[1] * zv[1])
+            times.append(t)
+            if alpha is not None and sample[0] > alpha * (1.0 + 1e-9):
+                raise AmplitudeBoundError(t, sample[0], alpha)
+        if t + 1e-12 >= snap_next:
+            pair = WavePair(grid=grid, xi=zv[0], nu=zv[1]) if monitored else stepper.decode(q)
+            pair_to_csv(pair, os.path.join(outdir, f"snapshot_t{t:.6g}.csv"))
+            snap_next += snapshots_every
+    return "completed", t, times, zv
+
+
+@pytest.mark.parametrize(
+    "integrator, monitor_every, amplitude, alpha, linear_only, status",
+    [
+        ("etdrk4", 1, 0.5, None, False, "completed"),
+        ("etdrk4", 3, 0.5, None, False, "completed"),
+        ("imex", 1, 0.5, None, False, "completed"),
+        ("imex", 3, 0.5, None, False, "completed"),
+        ("etdrk4", 3, 0.5, None, True, "completed"),
+        ("etdrk4", 1, 200.0, None, False, "blow_up"),
+        ("imex", 3, 200.0, None, False, "blow_up"),
+        # sup|zeta| first exceeds alpha at t = 0.35 (t = 0.45 monitored every
+        # third step), and at t = 0.45 for alpha = 0.0275
+        ("etdrk4", 1, 0.02, 0.0265, False, "aborted"),
+        ("etdrk4", 3, 0.02, 0.0265, False, "aborted"),
+        ("imex", 1, 0.02, 0.0275, False, "aborted"),
+    ],
+)
+def test_run_equals_per_step_loop(
+    p1_mu2_4, tmp_path, monkeypatch, integrator, monitor_every, amplitude, alpha, linear_only,
+    status,
+):
+    # run() monitors each state one step late, from the stepper's first
+    # stage; every sample, time, snapshot and the final state must equal
+    # those of the per-step loop, bit for bit
+    grid = make_grid(20.0, 64)
+    bump = amplitude * np.exp(-(grid.x**2))
+    init = WavePair(grid=grid, xi=bump, nu=bump.copy())
+    T, nsteps, snaps = 2.0, 40, 0.35
+    if alpha is not None:
+        real = evolution.check_global_criterion
+        monkeypatch.setattr(
+            evolution, "check_global_criterion", lambda p, w: dict(real(p, w), alpha=alpha)
+        )
+    monitors = []
+
+    class Recording(evolution._Monitor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.samples = []
+            monitors.append(self)
+
+        def __call__(self, *args):
+            self.samples.append(super().__call__(*args))
+            return self.samples[-1]
+
+    monkeypatch.setattr(evolution, "_Monitor", Recording)
+
+    def outcome(outdir, go):
+        """go(outdir)'s result (an abort as its t, sup and alpha), the files
+        it wrote and the samples of the monitor it made."""
+        outdir.mkdir()
+        with np.errstate(all="ignore"):
+            try:
+                got = go(str(outdir))
+            except AmplitudeBoundError as exc:
+                got = ("aborted", exc.t, exc.sup_zeta, exc.alpha)
+        return got, {f.name: f.read_bytes() for f in outdir.iterdir()}, monitors[-1].samples
+
+    def with_run(outdir):
+        out = run(
+            "bfd_finite", p1_mu2_4, init, T=T, dt=T / nsteps, integrator=integrator,
+            linear_only=linear_only, monitor_every=monitor_every,
+            snapshots_every=snaps, outdir=outdir,
+        )
+        final = out.get("final_state")
+        zv = None if final is None else np.stack([final.xi, final.nu])
+        return out["status"], out.get("t_blow_up", out["t_final"]), out["times"], zv
+
+    def with_loop(outdir):
+        stepper = make_stepper(integrator, "bfd_finite", p1_mu2_4, grid, T / nsteps, linear_only)
+        return _per_step_reference(
+            stepper, Recording(p1_mu2_4, grid, True), init, nsteps, monitor_every, snaps,
+            outdir, alpha,
+        )
+
+    got, got_files, got_samples = outcome(tmp_path / "run", with_run)
+    want, want_files, want_samples = outcome(tmp_path / "loop", with_loop)
+    assert got[0] == status
+    assert got[:3] == want[:3]
+    assert (got[3] is None and want[3] is None) or np.array_equal(got[3], want[3])
+    assert got_samples == want_samples
+    assert got_files == want_files
 
 
 @pytest.mark.parametrize("family, which", [("bfd_finite", "p1_mu2_4"), ("bfd_inf", "p1_inf")])
@@ -332,7 +460,9 @@ def test_spectral_monitors_match_direct_formulas(request, family, which):
     for state, check_h1 in ((_random_pair(grid, 7), True), (_random_pair(grid, 8, True), False)):
         zv = np.stack([state.xi, state.nu])
         monitor = evolution._Monitor(p, grid, track_h=True)
-        sup, min_one, mass_z, mass_v, h1_z, h1_v, top, h = monitor(np.fft.rfft(zv, axis=-1), zv)
+        sup, min_one, mass_z, mass_v, h1_z, h1_v, top, h = monitor(
+            np.fft.rfft(zv, axis=-1), zv, zv[1] * zv[1]
+        )
         assert close(h, hamiltonian_H(p, state))
         fracs = []
         for u, h1 in ((state.xi, h1_z), (state.nu, h1_v)):
@@ -385,7 +515,7 @@ def test_stepper_coefficients_property(case, integrator, n, dt, seed):
     # physical-space reference rhs()
     q = stepper.encode(state)
     ref = rhs(family, p, state)
-    dz = stepper.decode(stepper.lam * q + stepper.nonlinear(q))
+    dz = stepper.decode(stepper.lam * q + stepper.nonlinear(q, np.empty_like(q)))
     for got, want in ((dz.xi, ref.xi), (dz.nu, ref.nu)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
