@@ -45,7 +45,7 @@ print(f"  dealiased band fraction {out['dealias_top_fraction_max']:.2e}")
 
 print("\ntransporting a computed solitary wave at its own speed:")
 omega = 0.1
-pair, _ = solve_bfd_reduced(p, omega, "finite", SolverConfig(tol_residual=1e-11),
+pair, _ = solve_bfd_reduced(p, omega, SolverConfig(tol_residual=1e-11),
                             grid=make_grid(8.0, 2048), return_info=True)
 T = 4.0
 traj = run("bfd_finite", p, pair, T=T, dt=2e-3)

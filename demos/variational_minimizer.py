@@ -38,7 +38,7 @@ print(f"Lagrange multiplier K = {k_mult:.6f} (positive as required)")
 print(f"multiplier misfit {info['lagrange_misfit_rel']:.2e}")
 
 wave = rescale_to_wave(minimizer, k_mult)
-direct, dinfo = solve_bfd_reduced(p, omega, "finite", cfg, grid=grid, return_info=True)
+direct, dinfo = solve_bfd_reduced(p, omega, cfg, grid=grid, return_info=True)
 rel = np.max(np.abs(direct.nu - wave.nu)) / np.max(np.abs(direct.nu))
 print(f"\nreduced-equation solve: residual {dinfo['full_residual']:.2e}")
 print(f"profiles agree to {rel:.2e} relative (two independent methods)")

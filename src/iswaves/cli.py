@@ -38,14 +38,14 @@ from .params import (
     compute_speed_window,
     compute_mu2_threshold,
     compute_f_min,
+    family_params,
     ModelParams,
 )
-from .spectral import WavePair, make_grid, pair_to_csv, resolve_depth
+from .spectral import WavePair, make_grid, pair_to_csv
 from .solvers import (
     ConvergenceError,
     SolitaryBranch,
     assemble_bo_pair,
-    canonical_family,
     continue_in_c,
     continue_in_mu2,
     load_branch,
@@ -65,9 +65,12 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _family(key: str, name: str) -> str:
+def _family(key: str, name: str, p: ModelParams) -> tuple[str, ModelParams]:
+    """The family the value of key names, and p at its depth."""
     try:
-        return canonical_family(name)
+        return family_params(name, p)
+    except InadmissibleParameterError as exc:
+        raise ConfigError(f"params.mu2: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -117,29 +120,22 @@ def cmd_solve(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
     grid = cfgmod.grid_from_config(cfg)
     scfg = cfgmod.solver_from_config(cfg)
-    family = _family("solve.family", _require(cfg, "solve.family"))
+    family, p = _family("solve.family", _require(cfg, "solve.family"), p)
 
     if family in ("BO", "ILW"):
         speed = cfg.get("solve.speed", 0.0)
         if family == "BO":
             nu0 = petviashvili_ground_state(p, grid, scfg)
             pair = newton_solve("BO", p, 0.0, assemble_bo_pair(p, nu0), scfg)
-        elif p.finite_depth:
-            pair = continue_in_mu2(p, p.mu2, scfg, grid=grid, milestones=[p.mu2]).waves[-1]
         else:
-            raise ConfigError("ILW solve needs finite params.mu2")
+            pair = continue_in_mu2(p, p.mu2, scfg, grid=grid, milestones=[p.mu2]).waves[-1]
         if speed != 0.0:
             branch = continue_in_c(family, p, speed, scfg, start=pair, store_at=[speed])
             pair = branch.waves[-1]
         branch = SolitaryBranch(family, [speed], [pair], [residual_norm(family, p, speed, pair)])
     else:
         omega = _require(cfg, "solve.omega")
-        mode = cfg.get("solve.mu2_mode", "finite" if family == "BFD_finite" else "infinite")
-        try:
-            resolve_depth(p, mode)
-        except ValueError as exc:
-            raise ConfigError(f"solve.mu2_mode: {exc}") from exc
-        pair, info = solve_bfd_reduced(p, omega, mode, scfg, grid=grid, return_info=True)
+        pair, info = solve_bfd_reduced(p, omega, scfg, grid=grid, return_info=True)
         branch = SolitaryBranch(family, [omega], [pair], [info["full_residual"]])
 
     save_branch(branch, os.path.join(out, "branch"), cfgmod.resolved_config(cfg))
@@ -163,10 +159,13 @@ def cmd_continue(cfg: dict, out: str) -> int:
     parameter = cfg.get("continue.parameter", "c")
     milestones = None
     if "continue.milestones" in cfg:
-        milestones = [float(t) for t in cfg["continue.milestones"].split(",") if t.strip()]
+        try:
+            milestones = [float(t) for t in cfg["continue.milestones"].split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"continue.milestones must list numbers: {exc}") from exc
 
     if parameter == "c":
-        family = _family("continue.family", cfg.get("continue.family", "BO"))
+        family, p = _family("continue.family", cfg.get("continue.family", "BO"), p)
         if family != "BO":
             # the two-layer families have no c-continuation, and the ILW branch
             # starts from the c = 0 pair that only continue_in_mu2 builds
@@ -176,7 +175,11 @@ def cmd_continue(cfg: dict, out: str) -> int:
         target = _require(cfg, "continue.target")
         branch = continue_in_c(family, p, target, scfg, grid=grid, store_at=milestones)
     elif parameter == "mu2":
-        target = _require(cfg, "continue.target")
+        target = _positive("continue.target", _require(cfg, "continue.target"))
+        if any(m < target for m in milestones or ()):
+            raise ConfigError(
+                f"continue.milestones must lie at or above continue.target = {target!r}"
+            )
         branch = continue_in_mu2(p, target, scfg, grid=grid, milestones=milestones)
     else:
         raise ConfigError("continue.parameter must be 'c' or 'mu2'")
@@ -185,7 +188,7 @@ def cmd_continue(cfg: dict, out: str) -> int:
     report = {
         "family": branch.family,
         "parameter": parameter,
-        "parameter_values": ["inf" if math.isinf(v) else v for v in branch.parameter_values],
+        "parameter_values": branch.parameter_values,
         "residuals": branch.residuals,
         "diagnostics": branch.diagnostics,
     }
@@ -290,7 +293,7 @@ def cmd_kernel_check(cfg: dict, out: str) -> int:
 
 def cmd_evolve(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
-    family = _family("evolve.family", _require(cfg, "evolve.family"))
+    family, p = _family("evolve.family", _require(cfg, "evolve.family"), p)
     T = _positive("evolve.T", _require(cfg, "evolve.T"))
     integrator = cfg.get("evolve.integrator", "etdrk4")
     if integrator not in INTEGRATORS:
@@ -438,14 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        if name == "evolve":
-            sp.add_argument("--family", help="shorthand for --set evolve.family=...")
-            sp.add_argument("--T", type=float, help="shorthand for --set evolve.T=...")
-            sp.add_argument("--dt", type=float, help="shorthand for --set evolve.dt=...")
-            sp.add_argument(
-                "--snapshots-every", type=float,
-                help="shorthand for --set evolve.snapshots_every=...",
-            )
     return parser
 
 
@@ -455,15 +450,6 @@ def main(argv=None) -> int:
     try:
         cfg = cfgmod.load_config(args.config) if args.config else {}
         cfg = cfgmod.apply_overrides(cfg, args.set)
-        if args.command == "evolve":
-            if args.family is not None:
-                cfg["evolve.family"] = args.family
-            if args.T is not None:
-                cfg["evolve.T"] = args.T
-            if args.dt is not None:
-                cfg["evolve.dt"] = args.dt
-            if args.snapshots_every is not None:
-                cfg["evolve.snapshots_every"] = args.snapshots_every
         out = _outdir(args)
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:

@@ -70,7 +70,6 @@ KEY_REGISTRY: dict[str, str] = {
     "solve.family": "str",
     "solve.speed": "float",
     "solve.omega": "float",
-    "solve.mu2_mode": "str",
     "continue.parameter": "str",
     "continue.family": "str",
     "continue.target": "float",
@@ -232,14 +231,12 @@ def write_json(path: str, obj: dict, config: dict | None = None) -> None:
         fh.write(text)
 
 
-def write_meta(outdir: str, extra: dict | None = None) -> None:
+def write_meta(outdir: str) -> None:
     """Wall-clock and environment notes, isolated from the reports."""
     meta = {
         "created": datetime.now(timezone.utc).isoformat(),
         "numpy_version": np.__version__,
     }
-    if extra:
-        meta.update(extra)
     with open(os.path.join(outdir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -34,8 +34,7 @@ import os
 
 import numpy as np
 
-from .params import ModelParams
-from .solvers import FAMILY_DEPTH, canonical_family
+from .params import InadmissibleParameterError, ModelParams, family_params
 from .spectral import Grid, WavePair, pair_to_csv, symbols
 
 INTEGRATORS = ("etdrk4", "imex")
@@ -59,9 +58,9 @@ class AmplitudeBoundError(RuntimeError):
 def _structure(family: str, p: ModelParams, grid: Grid):
     """Half-spectrum tables (T1, S1, T2, S2) of the evolution structure: the
     one-layer operators with T2 = 1, S2 = 1 - gamma, or J_b, L, J_d and
-    (1 - gamma) J_c."""
-    fam = canonical_family(family)
-    sym = symbols(p, grid, FAMILY_DEPTH[fam])
+    (1 - gamma) J_c, at the family's depth."""
+    fam, p = family_params(family, p)
+    sym = symbols(p, grid)
     og = 1.0 - p.gamma
     if fam in ("BO", "ILW"):
         ones = np.ones_like(grid.k_half)
@@ -69,10 +68,24 @@ def _structure(family: str, p: ModelParams, grid: Grid):
     return sym.jb, sym.L, sym.jd, og * sym.jc
 
 
+def _quotients(family: str, p: ModelParams, grid: Grid):
+    """(T1, T2, A, B) with the symbol quotients A = S1/T1 and B = S2/T2,
+    which the characteristic splitting needs positive."""
+    t1, s1, t2, s2 = _structure(family, p, grid)
+    a_sym = s1 / t1
+    b_sym = s2 / t2
+    if np.min(a_sym) <= 0.0 or np.min(b_sym) <= 0.0:
+        raise InadmissibleParameterError(
+            "characteristic splitting needs positive symbol quotients; "
+            "parameters are outside the admissible window"
+        )
+    return t1, t2, a_sym, b_sym
+
+
 def suggest_dt(family: str, p: ModelParams, grid: Grid, max_phase: float = math.pi / 4.0) -> float:
     """Largest dt for which the fastest linear mode advances < max_phase per step."""
-    t1, s1, t2, s2 = _structure(family, p, grid)
-    speed = np.sqrt((s1 / t1) * (s2 / t2))
+    _, _, a_sym, b_sym = _quotients(family, p, grid)
+    speed = np.sqrt(a_sym * b_sym)
     omega_max = float(np.max(grid.k_half * speed))
     if omega_max == 0.0:
         raise ValueError("grid has no nonzero modes")
@@ -95,19 +108,12 @@ class _CharacteristicBase:
     def __init__(self, family: str, p: ModelParams, grid: Grid, dt: float, linear_only: bool):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.family = canonical_family(family)
+        self.family, p = family_params(family, p)
         self.p = p
         self.grid = grid
         self.dt = float(dt)
         self.linear_only = linear_only
-        t1, s1, t2, s2 = _structure(self.family, p, grid)
-        a_sym = s1 / t1
-        b_sym = s2 / t2
-        if np.min(a_sym) <= 0.0 or np.min(b_sym) <= 0.0:
-            raise ValueError(
-                "characteristic splitting needs positive symbol quotients; "
-                "parameters are outside the admissible window"
-            )
+        t1, t2, a_sym, b_sym = _quotients(self.family, p, grid)
         self.pfac = np.sqrt(a_sym / b_sym)
         self._half_over_pfac = 0.5 / self.pfac
         speed = np.sqrt(a_sym * b_sym)
@@ -178,17 +184,17 @@ class _CharacteristicBase:
 class Etdrk4Stepper(_CharacteristicBase):
     """Exponential time differencing RK4; exact on the linear part.
 
-    The phi-function weights are evaluated by contour averaging over a full
-    circle of radius 1 around each dt*lambda, which is stable for the purely
-    imaginary spectra arising here.
+    The phi-function weights are evaluated by contour averaging over 32
+    points of a full circle of radius 1 around each dt*lambda, which is
+    stable for the purely imaginary spectra arising here.
     """
 
-    def __init__(self, family, p, grid, dt, linear_only=False, contour_points: int = 32):
+    def __init__(self, family, p, grid, dt, linear_only=False):
         super().__init__(family, p, grid, dt, linear_only)
         ldt = self.dt * self.lam
         self.e_full = np.exp(ldt)
         self.e_half = np.exp(0.5 * ldt)
-        m = contour_points
+        m = 32
         rts = np.exp(2j * math.pi * (np.arange(1, m + 1) - 0.5) / m)
         lr = ldt[..., None] + rts[None, None, :]
         self.q_w = self.dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=-1)
@@ -413,7 +419,9 @@ def run(
 ) -> dict:
     """Integrate to time T, recording conservation and amplitude monitors.
 
-    The Hamiltonian is tracked for the two-layer family when b = d (the
+    p is taken at the family's depth (`family_params`), so the stepper, the
+    monitors and the global-existence criterion read the same symbols.  The
+    Hamiltonian is tracked for the two-layer family when b = d (the
     conserved assembly); mass integrals of both fields are tracked always.
     State n is monitored one step late, once step n + 1 is taken, from that
     step's first stage: its half spectra (zhat, vhat), its samples and the
@@ -433,7 +441,7 @@ def run(
     previous state is monitored; a blow-up ends the run with a report
     carrying the time stamp.
     """
-    fam = canonical_family(family)
+    fam, p = family_params(family, p)
     grid = initial.grid
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps

@@ -53,10 +53,10 @@ def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     return float(grid.dx * np.dot(u, v))
 
 
-def energy_E(p: ModelParams, omega: float, w: WavePair, mu2_mode: str = "auto") -> float:
+def energy_E(p: ModelParams, omega: float, w: WavePair) -> float:
     """E(xi, nu) = int (1-gamma)/2 xi J_c xi + 1/2 nu L nu - omega xi J_b nu."""
     grid = w.grid
-    sym = symbols(p, grid, mu2_mode)
+    sym = symbols(p, grid)
     quad = 0.5 * (1.0 - p.gamma) * inner(grid, w.xi, apply_table(sym.jc, w.xi))
     quad += 0.5 * inner(grid, w.nu, apply_table(sym.L, w.nu))
     quad -= omega * inner(grid, w.xi, apply_table(sym.jb, w.nu))
@@ -84,9 +84,7 @@ def hamiltonian_H(p: ModelParams, state: WavePair) -> float:
     return value
 
 
-def quadratic_form_check(
-    p: ModelParams, omega: float, grid: Grid, mu2_mode: str = "auto"
-) -> QuadraticFormReport:
+def quadratic_form_check(p: ModelParams, omega: float, grid: Grid) -> QuadraticFormReport:
     """Frequency-wise positivity of the quadratic part of E.
 
     Uses the sharp diagonal split: both (1-gamma)J_c - |omega|J_b and
@@ -95,7 +93,7 @@ def quadratic_form_check(
     The symbols are even, so the half-spectrum values are mirrored onto the
     full frequency set.
     """
-    sym = symbols(p, grid, mu2_mode)
+    sym = symbols(p, grid)
     w = abs(omega)
     m1 = (1.0 - p.gamma) * sym.jc - w * sym.jb
     m2 = sym.L - w * sym.jb
@@ -109,20 +107,15 @@ def quadratic_form_check(
 
 
 def estimate_I_lambda(
-    p: ModelParams,
-    omega: float,
-    lam: float,
-    grid: Grid,
-    cfg=None,
-    mu2_mode: str = "auto",
+    p: ModelParams, omega: float, lam: float, grid: Grid, cfg=None
 ) -> IlambdaEstimate:
     """Upper estimate of I_lambda = inf{E : F = lambda} via constrained descent."""
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     from .solvers import constrained_minimize
 
-    pair, _, info = constrained_minimize(p, omega, lam, grid, cfg=cfg, mu2_mode=mu2_mode)
-    value = energy_E(p, omega, pair, mu2_mode=mu2_mode)
+    pair, _, info = constrained_minimize(p, omega, lam, grid, cfg=cfg)
+    value = energy_E(p, omega, pair)
     return IlambdaEstimate(
         value=value, residual=info["gradient_norm"], iterations=info["iterations"]
     )

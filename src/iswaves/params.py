@@ -4,17 +4,18 @@ The two-layer models handled by this package are parametrized by the density
 ratio gamma in (0, 1), the amplitude and depth parameters epsilon and mu, the
 dispersion coefficients (a, b, c, d), the lower-layer depth parameter mu2
 (possibly infinite), and the shear coefficient beta > 1 used by the one-layer
-reductions.  This module holds the closed-form admissibility quantities: the
-speed window, the minimum of the dispersion symbol, the minimal admissible
-mu2, the amplitude constant M, and the tail decay rates (sigma, sigma0, the
-algebraic plateau constant, and the eta-roots driving the finite-depth
-exponential rates).
+reductions.  `family_params` names the four systems (BO, ILW, BFD_finite,
+BFD_inf) and fixes the depth each one solves at.  This module also holds
+the closed-form admissibility quantities: the speed window, the minimum of
+the dispersion symbol, the minimal admissible mu2, the amplitude constant M,
+and the tail decay rates (sigma, sigma0, the algebraic plateau constant,
+and the eta-roots driving the finite-depth exponential rates).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,6 +64,34 @@ class ModelParams:
     @property
     def finite_depth(self) -> bool:
         return math.isfinite(self.mu2)
+
+
+FAMILIES = ("BO", "ILW", "BFD_finite", "BFD_inf")
+_FAMILY_NAMES = {
+    "bo": "BO",
+    "ilw": "ILW",
+    "bfd_finite": "BFD_finite",
+    "bfd_inf": "BFD_inf",
+    "bfd_infinite": "BFD_inf",
+}
+
+
+def family_params(name: str, p: ModelParams) -> tuple[str, ModelParams]:
+    """The canonical family name and p at the family's depth.
+
+    The depth is part of the system a wave solves: BO and BFD_inf are the
+    mu2 = inf members of the ILW and BFD_finite classes, so they get p with
+    mu2 = inf, while ILW and BFD_finite need a finite mu2.
+    """
+    key = name.strip().lower().replace("-", "_")
+    if key not in _FAMILY_NAMES:
+        raise ValueError(f"unknown family {name!r}; expected one of {FAMILIES}")
+    family = _FAMILY_NAMES[key]
+    if family in ("BO", "BFD_inf"):
+        return family, replace(p, mu2=math.inf) if p.finite_depth else p
+    if not p.finite_depth:
+        raise InadmissibleParameterError(f"the {family} family needs a finite mu2, got inf")
+    return family, p
 
 
 @dataclass(frozen=True)

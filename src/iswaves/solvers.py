@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .params import ModelParams
+from .params import ModelParams, family_params
 from .spectral import (
     Grid,
     RealField,
@@ -64,11 +64,6 @@ from .spectral import (
     symbols,
     symmetrize_even as _even,
 )
-
-FAMILIES = ("BO", "ILW", "BFD_finite", "BFD_inf")
-# the depth of each family's symbols
-FAMILY_DEPTH = {"BO": "infinite", "ILW": "finite", "BFD_finite": "finite", "BFD_inf": "infinite"}
-
 
 class ConvergenceError(RuntimeError):
     """Solver failed to reach the requested residual; diagnostics attached."""
@@ -109,20 +104,6 @@ class SolitaryBranch:
     diagnostics: dict = field(default_factory=dict)
 
 
-def canonical_family(name: str) -> str:
-    key = name.strip().lower().replace("-", "_")
-    table = {
-        "bo": "BO",
-        "ilw": "ILW",
-        "bfd_finite": "BFD_finite",
-        "bfd_inf": "BFD_inf",
-        "bfd_infinite": "BFD_inf",
-    }
-    if key not in table:
-        raise ValueError(f"unknown family {name!r}; expected one of {FAMILIES}")
-    return table[key]
-
-
 def trivial_threshold(p: ModelParams) -> float:
     """Amplitude scale below which a profile counts as the trivial branch."""
     eta = p.epsilon**2 / (2.0 * p.gamma**2 * (1.0 - p.gamma))
@@ -135,16 +116,17 @@ def trivial_threshold(p: ModelParams) -> float:
 
 
 class _System:
-    """Residual/Jacobian data for one family on one grid."""
+    """Residual/Jacobian data for one family on one grid, at the family's
+    depth."""
 
     def __init__(self, family: str, p: ModelParams, grid: Grid, speed: float):
-        self.family = canonical_family(family)
+        self.family, p = family_params(family, p)
         self.p = p
         self.grid = grid
         self.speed = float(speed)
         self.r = p.r
         self.one_minus_gamma = 1.0 - p.gamma
-        sym = symbols(p, grid, FAMILY_DEPTH[self.family])
+        sym = symbols(p, grid)
         # row i of the stacked transform applies _tables[i] to input _picks[i]
         # (0: the xi-like field, 1: the nu-like field)
         if self.family in ("BO", "ILW"):
@@ -410,7 +392,6 @@ def _newton(
     residual,
     linearize,
     precond,
-    even: bool,
     forcing,
     max_steps: int,
     tol: float,
@@ -420,14 +401,13 @@ def _newton(
 
     x is the iterate and r = residual(x); linearize(x) returns the Jacobian
     at x as a function on arrays shaped like x, and precond acts on flat
-    vectors.  With even, iterates, steps and right-hand sides are projected
-    onto the even subspace.  Each step solves J d = -r with `_inner_solve`
-    to the relative tolerance forcing(||r||), then tries x + t d for
-    t = 1, 1/2, ..., 1/64 and accepts the first that lowers ||r|| (the max
-    norm), carrying its residual into the next step.  When no t does, the
-    iteration raises, unless floor is given and ||r|| <= floor: the residual
-    is then taken as the roundoff floor.  An inner solve that ends
-    non-finite, or unconverged outside the even subspace, raises.
+    vectors.  Iterates, steps and right-hand sides are projected onto the
+    even subspace.  Each step solves J d = -r with `_inner_solve` to the
+    relative tolerance forcing(||r||), then tries x + t d for t = 1, 1/2,
+    ..., 1/64 and accepts the first that lowers ||r|| (the max norm),
+    carrying its residual into the next step.  When no t does, the iteration
+    raises, unless floor is given and ||r|| <= floor: the residual is then
+    taken as the roundoff floor.  An inner solve that ends non-finite raises.
 
     Returns (x, r, history, inner, exit): ||r|| at the start and after every
     accepted step, the inner-solve records, and exit "converged" (||r|| <=
@@ -436,7 +416,6 @@ def _newton(
     residual is recorded but not tested.  Every ConvergenceError carries the
     history and inner records.
     """
-    project = _even if even else (lambda u: u)
     rn = float(np.max(np.abs(r)))
     history = [rn]
     inner: list[dict] = []
@@ -451,25 +430,20 @@ def _newton(
             return x, r, history, inner, "converged"
         jac = linearize(x)
         d, rec = _inner_solve(
-            lambda v: project(jac(project(v.reshape(x.shape)))).reshape(-1),
+            lambda v: _even(jac(_even(v.reshape(x.shape)))).reshape(-1),
             precond,
-            -project(r).reshape(-1),
+            -_even(r).reshape(-1),
             forcing(rn),
         )
         inner.append(rec)
-        # in the even subspace a step that missed the inner tolerance is
-        # still tried: the line search accepts it iff it reduces the residual
-        if rec["exit"] == "nonfinite" or (rec["exit"] != "converged" and not even):
-            hint = "" if even else (
-                "; the translation mode is unpinned, solve with "
-                "enforce_even=True (even cosine subspace)"
-            )
-            step = len(history) - 1
-            raise failure(f"inner linear solve {rec['exit']} at Newton step {step}" + hint)
+        # a step that missed the inner tolerance is still tried: the line
+        # search accepts it iff it reduces the residual
+        if rec["exit"] == "nonfinite":
+            raise failure(f"inner linear solve nonfinite at Newton step {len(history) - 1}")
         d = d.reshape(x.shape)
         t = 1.0
         while t >= 1.0 / 64.0:
-            x_try = project(x + t * d)
+            x_try = _even(x + t * d)
             r_try = residual(x_try)
             rn_try = float(np.max(np.abs(r_try)))
             if rn_try < rn:
@@ -490,15 +464,14 @@ def newton_solve(
     speed: float,
     guess: WavePair,
     cfg: SolverConfig | None = None,
-    enforce_even: bool = True,
     return_info: bool = False,
 ):
     """Newton iteration on the stacked (xi, nu) system.
 
     The linear solves run preconditioned lgmres with the per-frequency 2x2
-    inverse of the linear part; the nonlinear terms are diagonal.  Without
-    the even-subspace projection the translation mode makes the Jacobian
-    singular, which surfaces as an inner-solver stall.
+    inverse of the linear part; the nonlinear terms are diagonal.  The
+    iterates stay in the even subspace, which pins the translation mode
+    that would make the Jacobian singular.
     """
     cfg = cfg or SolverConfig()
     sys = _System(family, p, guess.grid, speed)
@@ -511,16 +484,13 @@ def newton_solve(
         out = np.fft.irfft(np.stack([i11 * f1 + i12 * f2, i21 * f1 + i22 * f2]), n=n, axis=-1)
         return out.reshape(-1)
 
-    x = np.stack([guess.xi, guess.nu])
-    if enforce_even:
-        x = _even(x)
+    x = _even(np.stack([guess.xi, guess.nu]))
     x, _, history, inner, exit_reason = _newton(
         x,
         sys.residual(x),
         sys.residual,
         lambda u: (lambda d: sys.jacobian_apply(u, d)),
         precond,
-        even=enforce_even,
         forcing=lambda rn: max(1e-13, min(1e-6, 1e-3 * rn)),
         max_steps=cfg.max_iters,
         tol=cfg.tol_residual,
@@ -646,7 +616,7 @@ def continue_in_c(
     c_max); the c = 0 endpoint is always stored first.
     """
     cfg = cfg or SolverConfig()
-    fam = canonical_family(family)
+    fam, p = family_params(family, p)
     if fam not in ("BO", "ILW"):
         raise ValueError("continue_in_c supports the one-layer families (BO, ILW)")
     if start is None:
@@ -688,6 +658,8 @@ def continue_in_mu2(
     value, in diagnostics["steps"].
     """
     cfg = cfg or SolverConfig()
+    if not mu2_min > 0.0:
+        raise ValueError(f"mu2_min must be positive, got {mu2_min}")
     if start is None:
         start = _bo_start(p, grid, cfg)
     if milestones is None:
@@ -725,10 +697,9 @@ def continue_in_mu2(
 class _Reduced:
     """Scalar reduced equation M_omega nu = G(nu) of the two-layer system."""
 
-    def __init__(self, p: ModelParams, grid: Grid, omega: float, mu2_mode: str):
-        sym = symbols(p, grid, mu2_mode)
+    def __init__(self, p: ModelParams, grid: Grid, omega: float):
+        sym = symbols(p, grid)
         jb, jc, jd = sym.jb, sym.jc, sym.j2
-        self.finite = sym.finite
         self.omega = omega
         self.r = p.r
         self.n = grid.N
@@ -803,9 +774,9 @@ def _scan_ratios(red: _Reduced, shape: np.ndarray, dx: float, amps: np.ndarray) 
     return ratios
 
 
-def reconstruct_xi(p: ModelParams, grid: Grid, nu: np.ndarray, omega: float, mu2_mode: str = "auto") -> np.ndarray:
+def reconstruct_xi(p: ModelParams, grid: Grid, nu: np.ndarray, omega: float) -> np.ndarray:
     """Second-equation reconstruction xi = J_c^{-1}(omega J nu + r nu^2)/(1-gamma)."""
-    sym = symbols(p, grid, mu2_mode)
+    sym = symbols(p, grid)
     rhs = omega * apply_table(sym.j2, nu) + p.r * nu * nu
     return apply_table(1.0 / sym.jc, rhs) / (1.0 - p.gamma)
 
@@ -813,7 +784,6 @@ def reconstruct_xi(p: ModelParams, grid: Grid, nu: np.ndarray, omega: float, mu2
 def solve_bfd_reduced(
     p: ModelParams,
     omega: float,
-    mu2_mode: str = "auto",
     cfg: SolverConfig | None = None,
     grid: Grid | None = None,
     guess: np.ndarray | None = None,
@@ -823,8 +793,8 @@ def solve_bfd_reduced(
 
     Eliminating xi through the second equation leaves
         M_omega nu = G(nu),
-    M_omega = (1-gamma) L - omega^2 J_b J J_c^{-1} with J = J_d (finite) or
-    J_b (infinite), and G(nu) collecting the quadratic and cubic sources.
+    M_omega = (1-gamma) L - omega^2 J_b J J_c^{-1} with J = J_d (finite mu2,
+    the BFD_finite system) or J_b (mu2 = inf, BFD_inf), and G(nu) collecting the quadratic and cubic sources.
     A Petviashvili iteration (the configured exponent; the source is
     predominantly quadratic, for which q = 2 is optimal) takes the iterate
     near the wave; a preconditioned Newton polish drives the reduced
@@ -841,7 +811,7 @@ def solve_bfd_reduced(
     cfg = cfg or SolverConfig()
     if grid is None:
         raise ValueError("grid is required")
-    red = _Reduced(p, grid, omega, mu2_mode)
+    red = _Reduced(p, grid, omega)
     mhat = red.mhat
     if np.min(mhat) <= 0.0:
         raise ConvergenceError(
@@ -895,7 +865,6 @@ def solve_bfd_reduced(
         red.residual,
         red.linearize,
         lambda v: apply_table(inv_mhat, v),
-        even=True,
         forcing=lambda rn: max(1e-12, min(1e-4, 0.01 * rn)),
         max_steps=40,
         tol=cfg.tol_residual,
@@ -908,9 +877,9 @@ def solve_bfd_reduced(
             {"residual": res, "petviashvili_history": history, "inner_solves": inner},
         )
 
-    xi = reconstruct_xi(p, grid, nu, omega, mu2_mode)
+    xi = reconstruct_xi(p, grid, nu, omega)
     pair = WavePair(grid=grid, xi=_even(xi), nu=nu)
-    family = "BFD_finite" if red.finite else "BFD_inf"
+    family = "BFD_finite" if p.finite_depth else "BFD_inf"
     full_res = residual_norm(family, p, omega, pair)
     if full_res > 10.0 * max(cfg.tol_residual, res):
         raise ConvergenceError(
@@ -941,7 +910,6 @@ def constrained_minimize(
     lam: float,
     grid: Grid,
     cfg: SolverConfig | None = None,
-    mu2_mode: str = "auto",
     gradient_tol: float = 1e-8,
 ):
     """Minimize E on {F = lambda} by metric-preconditioned projected descent.
@@ -959,7 +927,7 @@ def constrained_minimize(
     cfg = cfg or SolverConfig()
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
-    sym = symbols(p, grid, mu2_mode)
+    sym = symbols(p, grid)
     jb, jc, lt = sym.jb, sym.jc, sym.L
     og = 1.0 - p.gamma
     r = p.r

@@ -3,10 +3,10 @@
 All operators of the three model families are even Fourier multipliers, so
 real fields stay real under application.  The model symbols (J_b, J_c, J_d,
 L and the one-layer pairs W, Z and D, B) live in one read-only `Symbols`
-bundle per (params, grid, depth), tabulated on the half spectrum
-k_half = pi j / L, j = 0..N/2, to which the rfft path applies them; a grid
-builds x and k_half on first use.  Removable singularities at k = 0 and the
-cancellation-prone coth evaluation are handled explicitly.
+bundle per (params, grid), at the depth of params.mu2, tabulated on the
+half spectrum k_half = pi j / L, j = 0..N/2, to which the rfft path applies
+them; a grid builds x and k_half on first use.  Removable singularities at
+k = 0 and the cancellation-prone coth evaluation are handled explicitly.
 """
 
 from __future__ import annotations
@@ -126,20 +126,9 @@ def l1_symbol(k: np.ndarray, mu2: float) -> np.ndarray:
     return zcothz(s * k) / s
 
 
-def resolve_depth(p: ModelParams, mu2_mode: str = "auto") -> bool:
-    """True for the finite-depth symbols: mu2_mode "finite", "infinite", or
-    "auto" (finite exactly when p.mu2 is)."""
-    if mu2_mode == "auto":
-        return p.finite_depth
-    if mu2_mode not in ("finite", "infinite"):
-        raise ValueError(f"mu2_mode must be finite, infinite, or auto; got {mu2_mode!r}")
-    if mu2_mode == "finite" and not p.finite_depth:
-        raise ValueError("the finite-depth symbols need a finite mu2")
-    return mu2_mode == "finite"
-
-
 class Symbols:
-    """Half-spectrum symbol tables of one (ModelParams, Grid, depth).
+    """Half-spectrum symbol tables of one (ModelParams, Grid), at finite depth
+    when p.mu2 is finite and at infinite depth when it is inf.
 
     Every table is read-only and evaluated on k = grid.k_half = |k|:
       jb, jc, jd  J_b = 1 + mu b k^2, J_c = 1 - mu c k^2, J_d = 1 + mu d k^2;
@@ -159,10 +148,10 @@ class Symbols:
     residuals, E, H and the evolution operator read the same tables.
     """
 
-    def __init__(self, p: ModelParams, grid: Grid, finite: bool):
+    def __init__(self, p: ModelParams, grid: Grid):
         k = grid.k_half
         g, mu = p.gamma, p.mu
-        self.finite = finite
+        finite = p.finite_depth
         self.jb = 1.0 + mu * p.b * k * k
         self.jc = 1.0 - mu * p.c * k * k
         self.jd = 1.0 + mu * p.d * k * k
@@ -183,15 +172,11 @@ class Symbols:
             table.setflags(write=False)
 
 
-def symbols(p: ModelParams, grid: Grid, mu2_mode: str = "auto") -> Symbols:
-    """The shared symbol tables of (p, grid) at the depth mu2_mode selects."""
-    return _symbols(p, grid, resolve_depth(p, mu2_mode))
-
-
 # bounded: every continuation step has parameters of its own
 @lru_cache(maxsize=32)
-def _symbols(p: ModelParams, grid: Grid, finite: bool) -> Symbols:
-    return Symbols(p, grid, finite)
+def symbols(p: ModelParams, grid: Grid) -> Symbols:
+    """The shared symbol tables of (p, grid), at the depth of p.mu2."""
+    return Symbols(p, grid)
 
 
 def apply_table(table_half: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -114,27 +114,21 @@ def ilw_chain(p1_mu2_25, scfg):
 @pytest.fixture(scope="session")
 def bfd_finite(p1_mu2_4, scfg):
     grid = make_grid(8.0, 2048)
-    pair, info = solve_bfd_reduced(
-        p1_mu2_4, 0.1, "finite", scfg, grid=grid, return_info=True
-    )
+    pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, scfg, grid=grid, return_info=True)
     return {"pair": pair, "info": info, "omega": 0.1}
 
 
 @pytest.fixture(scope="session")
 def bfd_sharp(p_sharp, scfg):
     grid = make_grid(16.0, 2048)
-    pair, info = solve_bfd_reduced(
-        p_sharp, 0.1, "finite", scfg, grid=grid, return_info=True
-    )
+    pair, info = solve_bfd_reduced(p_sharp, 0.1, scfg, grid=grid, return_info=True)
     return {"pair": pair, "info": info, "omega": 0.1}
 
 
 @pytest.fixture(scope="session")
 def bfd_inf(p1_inf, scfg):
     grid = make_grid(200.0, 4096)
-    pair, info = solve_bfd_reduced(
-        p1_inf, 0.1, "infinite", scfg, grid=grid, return_info=True
-    )
+    pair, info = solve_bfd_reduced(p1_inf, 0.1, scfg, grid=grid, return_info=True)
     return {"pair": pair, "info": info, "omega": 0.1}
 
 
@@ -146,7 +140,7 @@ def variational(p1_mu2_4, scfg):
     grid = make_grid(200.0, 2048)
     pair, k_mult, info = constrained_minimize(p1_mu2_4, 0.1, 1.0, grid, scfg)
     wave = rescale_to_wave(pair, k_mult)
-    direct = solve_bfd_reduced(p1_mu2_4, 0.1, "finite", scfg, grid=grid)
+    direct = solve_bfd_reduced(p1_mu2_4, 0.1, scfg, grid=grid)
     return {
         "grid": grid,
         "minimizer": pair,

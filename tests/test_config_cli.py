@@ -186,20 +186,43 @@ def test_cli_config_error_exits_2(p1_cfg, tmp_path, capsys):
 
 
 def test_cli_solve_rejects_bad_mu2_mode(p1_cfg, tmp_path, capsys):
-    # a misspelt mode once solved the infinite-depth problem and reported it
-    # as BFD_finite; a finite mode needs a finite mu2
+    # the family fixes the depth: there is no solve.mu2_mode key, and
+    # BFD_finite at mu2 = inf is refused instead of solved at another depth
     args = [
         "solve", "--config", p1_cfg,
         "--set", "grid.L=8", "--set", "grid.N=256",
         "--set", "solve.family=bfd_finite", "--set", "solve.omega=0.1",
     ]
-    for extra in (["solve.mu2_mode=finte"], ["solve.mu2_mode=finite", "params.mu2=inf"]):
-        out = tmp_path / extra[-1]
-        sets = [a for s in extra for a in ("--set", s)]
-        assert main(args + sets + ["--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "solve.mu2_mode" in err
+    cases = [
+        ("solve.mu2_mode=finite", "config error: unknown configuration key 'solve.mu2_mode'"),
+        ("params.mu2=inf", "config error: params.mu2: "),
+    ]
+    for extra, message in cases:
+        out = tmp_path / extra.partition("=")[0]
+        assert main(args + ["--set", extra, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+
+def test_cli_solve_bfd_inf_ignores_the_given_mu2(p1_cfg, tmp_path, capsys):
+    # BFD_inf is the mu2 = inf system: a finite params.mu2 writes the same
+    # wave as mu2 = inf, and the wave is certified as a BFD_inf solution
+    from iswaves.solvers import load_branch, residual_norm
+
+    samples = []
+    for mu2 in ("4", "inf"):
+        out = tmp_path / mu2
+        assert main([
+            "solve", "--config", p1_cfg, "--out", str(out),
+            "--set", f"params.mu2={mu2}", "--set", "grid.L=200", "--set", "grid.N=512",
+            "--set", "solve.family=BFD_inf", "--set", "solve.omega=0.1",
+        ]) == 0
+        samples.append((out / "branch" / "sample_000.csv").read_bytes())
+    assert samples[0] == samples[1]
+    wave = load_branch(str(tmp_path / "4" / "branch")).waves[0]
+    p_inf = params_from_config(load_config(p1_cfg) | {"params.mu2": math.inf})
+    assert residual_norm("BFD_inf", p_inf, 0.1, wave) <= 1e-9
+    capsys.readouterr()
 
 
 def test_cli_solve_decay_pipeline(p1_cfg, tmp_path, capsys):
@@ -294,8 +317,8 @@ def test_cli_evolve_gaussian(p1_cfg, tmp_path):
     out = str(tmp_path / "evo")
     code = main([
         "evolve", "--config", p1_cfg, "--out", out,
-        "--family", "bfd_finite", "--T", "0.2", "--dt", "0.02",
-        "--snapshots-every", "0.1",
+        "--set", "evolve.family=bfd_finite", "--set", "evolve.T=0.2", "--set", "evolve.dt=0.02",
+        "--set", "evolve.snapshots_every=0.1",
         "--set", "grid.L=20", "--set", "grid.N=128",
     ])
     assert code == 0
@@ -318,7 +341,7 @@ def test_cli_evolve_amplitude_bound_abort(p1_cfg, tmp_path, monkeypatch, capsys)
     out = str(tmp_path / "evo")
     code = main([
         "evolve", "--config", p1_cfg, "--out", out,
-        "--family", "bfd_finite", "--T", "0.2", "--dt", "0.02",
+        "--set", "evolve.family=bfd_finite", "--set", "evolve.T=0.2", "--set", "evolve.dt=0.02",
         "--set", "grid.L=20", "--set", "grid.N=128",
     ])
     assert code == 1
@@ -327,6 +350,20 @@ def test_cli_evolve_amplitude_bound_abort(p1_cfg, tmp_path, monkeypatch, capsys)
     assert "amplitude bound violated" in traj["error"]
     assert "at t = 0.02" in traj["error"]
     assert "aborted" in capsys.readouterr().err
+
+
+def test_cli_evolve_outside_characteristic_window_exits_1(p1_cfg, tmp_path, capsys):
+    # c > 0 makes the characteristic splitting impossible: a numerical
+    # failure (exit 1), whether dt is given or suggested
+    args = [
+        "evolve", "--config", p1_cfg, "--out", str(tmp_path / "evo"),
+        "--set", "grid.L=20", "--set", "grid.N=256", "--set", "evolve.family=bfd_finite",
+        "--set", "evolve.T=0.1", "--set", "params.c=0.1", "--set", "params.a=-0.5",
+    ]
+    for dt in ([], ["--set", "evolve.dt=0.02"]):
+        assert main(args + dt) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure: characteristic splitting needs positive" in err
 
 
 def test_cli_sweep_small(tmp_path, capsys):
@@ -359,6 +396,20 @@ _BAD_VALUES = [
     ("decay", ["decay.sample=-2"], "decay.sample"),
     ("continue", ["continue.family=bfd_finite"], "continue.family"),
     ("continue", ["continue.family=ILW"], "continue.family"),
+    ("continue", ["continue.parameter=mu2", "continue.target=-1"], "continue.target"),
+    (
+        "continue",
+        ["continue.parameter=mu2", "continue.target=25", "continue.milestones=400,10"],
+        "continue.milestones",
+    ),
+    (
+        "continue",
+        ["continue.parameter=mu2", "continue.target=25", "continue.milestones=400,abc"],
+        "continue.milestones",
+    ),
+    ("evolve", ["params.mu2=inf"], "params.mu2"),
+    ("evolve", ["evolve.family=ilw", "params.mu2=inf"], "params.mu2"),
+    ("solve", ["solve.family=ilw", "params.mu2=inf"], "params.mu2"),
 ]
 _BASE_SETS = {
     "solve": ["grid.L=8", "grid.N=64", "solve.omega=0.1"],

@@ -244,6 +244,18 @@ def test_hamiltonian_drift_and_monitors(p1_mu2_4, tmp_path):
     assert len(snaps) >= 3  # t = 0 plus one per unit time
 
 
+def test_run_reads_the_family_depth(p1_mu2_4, p1_inf, evo_grid):
+    # BFD_inf is the mu2 = inf system: the mu2 it is given changes neither
+    # the trajectory nor its monitors (H and the global-existence bound)
+    init = WavePair(grid=evo_grid, xi=0.02 * np.exp(-evo_grid.x**2), nu=np.zeros(evo_grid.N))
+    got, want = (run("bfd_inf", p, init, T=0.5, dt=0.02) for p in (p1_mu2_4, p1_inf))
+    final_got, final_want = got.pop("final_state"), want.pop("final_state")
+    assert got == want
+    assert np.array_equal(final_got.xi, final_want.xi)
+    assert np.array_equal(final_got.nu, final_want.nu)
+    assert got["h_drift_max"] < 1e-10
+
+
 def test_travelling_wave_preserved(p1_mu2_4, bfd_finite):
     pair = bfd_finite["pair"]
     omega = bfd_finite["omega"]

@@ -29,11 +29,11 @@ def _random_band_limited_pair(grid, rng):
     return WavePair(grid=grid, xi=field(), nu=field())
 
 
-def energy_E_spectral(p, omega, w, mu2_mode="auto"):
+def energy_E_spectral(p, omega, w):
     """Frequency-space evaluation of E via the symbol matrix (Plancherel path)."""
     grid = w.grid
     n = grid.N
-    sym = symbols(p, grid, mu2_mode)
+    sym = symbols(p, grid)
     xh = np.fft.rfft(w.xi)
     nh = np.fft.rfft(w.nu)
     # Parseval weights: interior rfft bins count twice

@@ -18,6 +18,7 @@ from iswaves.params import (
     compute_mu2_threshold,
     compute_speed_window,
     eta_roots,
+    family_params,
     symbol_f,
     validate_bfd_params,
 )
@@ -43,6 +44,27 @@ def test_parameter_range_rejection(kw):
     base.update(kw)
     with pytest.raises(InadmissibleParameterError):
         ModelParams(**base)
+
+
+def test_canonical_family_names(p1_mu2_4, p1_inf):
+    assert family_params("bo", p1_inf) == ("BO", p1_inf)
+    assert family_params("ILW", p1_mu2_4) == ("ILW", p1_mu2_4)
+    assert family_params("bfd_finite", p1_mu2_4) == ("BFD_finite", p1_mu2_4)
+    assert family_params(" BFD-infinite", p1_inf) == ("BFD_inf", p1_inf)
+    with pytest.raises(ValueError, match="unknown family"):
+        family_params("kdv", p1_inf)
+
+
+def test_family_params_set_the_depth(p1_mu2_4, p1_inf):
+    # the mu2 = inf members take p at infinite depth, whatever mu2 it carries;
+    # the finite-depth members refuse mu2 = inf
+    for name in ("BO", "BFD_inf"):
+        assert family_params(name, p1_mu2_4)[1] == p1_inf
+        assert family_params(name, p1_inf)[1] is p1_inf
+    for name in ("ILW", "BFD_finite"):
+        assert family_params(name, p1_mu2_4)[1] is p1_mu2_4
+        with pytest.raises(InadmissibleParameterError, match="finite mu2"):
+            family_params(name, p1_inf)
 
 
 def test_speed_window_value(p1_mu2_4):

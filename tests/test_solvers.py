@@ -8,7 +8,6 @@ from iswaves.solvers import (
     ConvergenceError,
     SolverConfig,
     assemble_bo_pair,
-    canonical_family,
     continue_in_mu2,
     load_branch,
     newton_solve,
@@ -26,14 +25,6 @@ from iswaves.spectral import WavePair, apply_table, make_grid, symmetrize_even
 from conftest import P1_KW
 
 INNER_EXITS = {"converged", "stagnated", "maxiter", "nonfinite"}
-
-
-def test_canonical_family_names():
-    assert canonical_family("bo") == "BO"
-    assert canonical_family("ILW") == "ILW"
-    assert canonical_family("bfd_finite") == "BFD_finite"
-    with pytest.raises(ValueError):
-        canonical_family("kdv")
 
 
 def test_solver_config_validation():
@@ -147,7 +138,7 @@ def test_bfd_finite_reduced(p1_mu2_4, bfd_finite):
     assert info["full_residual"] <= 1e-9
     assert info["reduced_residual"] <= 1e-9
     # reconstruction consistency: xi is the second-equation inverse image
-    xi2 = reconstruct_xi(p1_mu2_4, pair.grid, pair.nu, 0.1, "finite")
+    xi2 = reconstruct_xi(p1_mu2_4, pair.grid, pair.nu, 0.1)
     assert np.max(np.abs(xi2 - pair.xi)) < 1e-10
     n = pair.grid.N
     refl = (n - np.arange(n)) % n
@@ -173,13 +164,6 @@ def test_reduced_polish_reports_history_and_exit(request, which, exit_reason):
     assert len(history) == info["newton_steps"] >= 1
     assert all(b < a for a, b in zip(history, history[1:]))
     assert history[-1] == info["reduced_residual"]
-
-
-def test_bfd_auto_mode_dispatch(p1_mu2_4, bfd_finite, scfg):
-    pair_auto = solve_bfd_reduced(
-        p1_mu2_4, 0.1, "auto", scfg, grid=bfd_finite["pair"].grid
-    )
-    assert np.max(np.abs(pair_auto.nu - bfd_finite["pair"].nu)) < 1e-9
 
 
 def test_constrained_minimizer_agrees_with_reduced(variational):
@@ -245,12 +229,12 @@ def test_system_jacobian_matches_central_difference(request, family):
     assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-8
 
 
-@pytest.mark.parametrize("which, mode", [("bfd_finite", "finite"), ("bfd_inf", "infinite")])
-def test_reduced_jacobian_matches_central_difference(request, which, mode):
-    p = request.getfixturevalue("p1_mu2_4" if mode == "finite" else "p1_inf")
+@pytest.mark.parametrize("which, depth", [("bfd_finite", "finite"), ("bfd_inf", "infinite")])
+def test_reduced_jacobian_matches_central_difference(request, which, depth):
+    p = request.getfixturevalue("p1_mu2_4" if depth == "finite" else "p1_inf")
     sol = request.getfixturevalue(which)
     nu = sol["pair"].nu
-    red = _Reduced(p, sol["pair"].grid, sol["omega"], mode)
+    red = _Reduced(p, sol["pair"].grid, sol["omega"])
     x = sol["pair"].grid.x
     v = np.max(np.abs(nu)) * np.exp(-(x**2)) * np.cos(x)
     h = 1e-3
@@ -280,7 +264,7 @@ def _assert_inner_records_honest(records):
 
 def test_reduced_solve_inner_solves_are_honest(p1_mu2_4, scfg):
     grid = make_grid(8.0, 512)
-    pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, "finite", scfg, grid=grid, return_info=True)
+    pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, scfg, grid=grid, return_info=True)
     assert info["full_residual"] <= 1e-9
     assert len(info["inner_solves"]) >= info["newton_steps"]
     _assert_inner_records_honest(info["inner_solves"])
@@ -326,19 +310,6 @@ def test_rejected_continuation_steps_keep_inner_records(p1_inf, scfg):
     _assert_inner_records_honest([rec for step in steps for rec in step["inner_solves"]])
 
 
-def test_unpinned_newton_failure_carries_inner_records(p1_mu2_4, scfg):
-    # without the even projection the translation mode stalls the inner
-    # solve at the converged wave, and the failure must say so
-    grid = make_grid(8.0, 512)
-    pair = solve_bfd_reduced(p1_mu2_4, 0.1, "finite", scfg, grid=grid)
-    with pytest.raises(ConvergenceError) as exc:
-        newton_solve("BFD_finite", p1_mu2_4, 0.1, pair, scfg, enforce_even=False)
-    records = exc.value.diagnostics["inner_solves"]
-    assert records[-1]["exit"] != "converged"
-    assert records[-1]["exit"] in str(exc.value)
-    _assert_inner_records_honest(records)
-
-
 # ---------------------------------------------------------------------------
 # transform economy: stacked evaluations against per-multiplier formulas,
 # transform counts, the closed-form amplitude scan
@@ -382,10 +353,12 @@ def test_system_stacked_evaluation_matches_multiplier_formulas(request, family):
         assert _close(got, want)
 
 
-@pytest.mark.parametrize("which, mode", [("p1_mu2_4", "finite"), ("p1_inf", "infinite")])
-def test_reduced_stacked_evaluation_matches_multiplier_formulas(request, which, mode):
+@pytest.mark.parametrize("which, depth", [("p1_mu2_4", "finite"), ("p1_inf", "infinite")])
+def test_reduced_stacked_evaluation_matches_multiplier_formulas(request, which, depth):
     grid = make_grid(20.0, 256)
-    red = _Reduced(request.getfixturevalue(which), grid, 0.1, mode)
+    p = request.getfixturevalue(which)
+    assert p.finite_depth == (depth == "finite")
+    red = _Reduced(p, grid, 0.1)
     nu, v = _random_even(grid, 12)
     omega, r = red.omega, red.r
     source = (
@@ -440,7 +413,7 @@ def test_system_transform_counts(request, family, monkeypatch, fft_calls):
 
 def test_reduced_matvec_transform_count(p1_mu2_4, fft_calls):
     grid = make_grid(20.0, 256)
-    red = _Reduced(p1_mu2_4, grid, 0.1, "finite")
+    red = _Reduced(p1_mu2_4, grid, 0.1)
     nu, v = _random_even(grid, 14)
     jac = red.linearize(nu)
     fft_calls["n"] = 0
@@ -473,24 +446,25 @@ def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, 
     monkeypatch.setattr(solvers, "_inner_solve", stop)
     grid = make_grid(8.0, 512)
     per_iter = _fft_calls_per_iteration(
-        fft_calls, lambda cfg: solve_bfd_reduced(p1_mu2_4, 0.1, "finite", cfg, grid=grid)
+        fft_calls, lambda cfg: solve_bfd_reduced(p1_mu2_4, 0.1, cfg, grid=grid)
     )
     assert 0 < per_iter <= 5
 
 
 @pytest.mark.parametrize(
-    "which, L, n, mode",
+    "which, L, n, depth",
     [
         ("p1_mu2_4", 8.0, 2048, "finite"),
         ("p_sharp", 16.0, 2048, "finite"),
         ("p1_inf", 200.0, 4096, "infinite"),
     ],
 )
-def test_closed_form_scan_matches_direct_ratios(request, which, L, n, mode):
+def test_closed_form_scan_matches_direct_ratios(request, which, L, n, depth):
     # the bfd_finite, bfd_sharp and bfd_inf fixture problems
     p = request.getfixturevalue(which)
+    assert p.finite_depth == (depth == "finite")
     grid = make_grid(L, n)
-    red = _Reduced(p, grid, 0.1, mode)
+    red = _Reduced(p, grid, 0.1)
     shape = 1.0 / np.cosh(grid.x) ** 2
     amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(p) * 1e3
     direct = np.full(amps.shape, np.nan)
@@ -509,7 +483,7 @@ def test_closed_form_scan_matches_direct_ratios(request, which, L, n, mode):
 
 
 # ---------------------------------------------------------------------------
-# the shared Newton iteration and the depth resolution of the reduced solve
+# the shared Newton iteration
 # ---------------------------------------------------------------------------
 
 
@@ -536,7 +510,8 @@ def test_newton_step_cap_counts_steps(p1_inf, bo_state, scfg):
 
 def test_newton_failed_search_raises_or_accepts_floor():
     # a residual that no step lowers: the line search fails at t = 1/64
-    x = np.linspace(0.0, 1.0, 8)
+    # an even iterate: cos(pi j / 4) is unchanged by the reflection j -> 8 - j
+    x = np.cos(np.pi * np.arange(8) / 4.0)
     const = np.full(8, 3e-11)
     args = (
         x,
@@ -544,7 +519,6 @@ def test_newton_failed_search_raises_or_accepts_floor():
         lambda u: const,
         lambda u: (lambda d: d),
         lambda v: v,
-        False,
         lambda rn: 1e-6,
         5,
         1e-11,
@@ -562,25 +536,15 @@ def test_newton_failed_search_raises_or_accepts_floor():
 
 
 def test_newton_converges_on_linear_residual():
-    # residual(x) = a x - b is linear: the first full step solves it
-    a = np.arange(1.0, 9.0)
-    b = np.linspace(-1.0, 1.0, 8)
+    # residual(x) = a x - b is linear: the first full step solves it; a and
+    # b are even, so the solution b / a lies in the even subspace
+    a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 4.0, 3.0, 2.0])
+    b = np.cos(np.pi * np.arange(8) / 4.0)
     out, r, history, inner, exit_reason = _newton(
         np.zeros(8), -b, lambda u: a * u - b, lambda u: (lambda d: a * d), lambda v: v,
-        False, lambda rn: 1e-13, 5, 1e-11,
+        lambda rn: 1e-13, 5, 1e-11,
     )
     assert exit_reason == "converged"
     assert np.max(np.abs(out - b / a)) <= 1e-11
     assert len(history) == 2 and history[-1] == float(np.max(np.abs(r)))
     assert [rec["exit"] for rec in inner] == ["converged"]
-
-
-def test_reduced_solve_rejects_unknown_mu2_mode(p1_mu2_4, p1_inf, scfg):
-    # a misspelt mode once meant infinite depth
-    grid = make_grid(8.0, 256)
-    with pytest.raises(ValueError, match="mu2_mode"):
-        solve_bfd_reduced(p1_mu2_4, 0.1, "finte", scfg, grid=grid)
-    with pytest.raises(ValueError, match="finite mu2"):
-        solve_bfd_reduced(p1_inf, 0.1, "finite", scfg, grid=grid)
-    with pytest.raises(ValueError, match="mu2_mode"):
-        reconstruct_xi(p1_mu2_4, grid, np.zeros(256), 0.1, "Finite")

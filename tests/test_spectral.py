@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from iswaves.params import ModelParams
+from iswaves.params import ModelParams, family_params
 from iswaves.spectral import (
     RealField,
     WavePair,
@@ -15,7 +15,6 @@ from iswaves.spectral import (
     make_grid,
     pair_from_csv,
     pair_to_csv,
-    resolve_depth,
     symbols,
     symmetrize_even,
     zcothz,
@@ -152,25 +151,25 @@ def _formulas(p, k, finite):
     }
 
 
-# the four families: BO and BFD_inf read the infinite-depth bundle, ILW and
-# BFD_finite the finite-depth one; d != b separates J_d from J_b
+# the four families, each at finite mu2: BO and BFD_inf read the
+# infinite-depth bundle, ILW and BFD_finite the finite-depth one; d != b
+# separates J_d from J_b
 _FAMILY_CASES = {
-    "BO": (dict(P1_KW), "infinite"),
-    "ILW": (dict(P1_KW, mu2=25.0), "finite"),
-    "BFD_finite": (dict(P1_KW, mu2=4.0, d=0.3), "finite"),
-    "BFD_inf": (dict(P1_KW, d=0.3), "infinite"),
+    "BO": dict(P1_KW, mu2=4.0),
+    "ILW": dict(P1_KW, mu2=25.0),
+    "BFD_finite": dict(P1_KW, mu2=4.0, d=0.3),
+    "BFD_inf": dict(P1_KW, mu2=4.0, d=0.3),
 }
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILY_CASES))
 @pytest.mark.parametrize("n", [256, 1000, 4096])
 def test_symbol_bundle_matches_formulas(family, n):
-    kw, mode = _FAMILY_CASES[family]
-    p = ModelParams(**kw)
+    _, p = family_params(family, ModelParams(**_FAMILY_CASES[family]))
+    assert p.finite_depth == (family in ("ILW", "BFD_finite"))
     g = make_grid(50.0, n)
-    sym = symbols(p, g, mode)
-    assert sym.finite == (mode == "finite")
-    want = _formulas(p, np.abs(2.0 * math.pi * np.fft.rfftfreq(n, d=g.dx)), sym.finite)
+    sym = symbols(p, g)
+    want = _formulas(p, np.abs(2.0 * math.pi * np.fft.rfftfreq(n, d=g.dx)), p.finite_depth)
     for name, table in want.items():
         got = getattr(sym, name)
         assert got.shape == (n // 2 + 1,)
@@ -187,26 +186,22 @@ def test_symbol_bundle_tables_are_read_only(p1_mu2_4):
 def test_symbol_bundle_is_shared_per_key(p1_mu2_4, p1_inf):
     g = make_grid(20.0, 64)
     sym = symbols(p1_mu2_4, g)
-    # equal keys: an equal grid and equal parameters built anew, and the
-    # mode that resolves to the same depth
+    # equal keys: an equal grid and equal parameters built anew
     assert symbols(ModelParams(mu2=4.0, **P1_KW), make_grid(20.0, 64)) is sym
-    assert symbols(p1_mu2_4, g, "finite") is sym
-    assert symbols(p1_mu2_4, g, "infinite") is not sym
-    assert symbols(p1_mu2_4, g, "infinite") is symbols(p1_mu2_4, g, "infinite")
-    assert symbols(p1_inf, g) is symbols(p1_inf, g, "infinite")
+    assert symbols(p1_inf, g) is not sym
     assert symbols(p1_mu2_4, make_grid(20.0, 128)) is not sym
 
 
 def test_depth_resolver(p1_mu2_4, p1_inf):
-    assert resolve_depth(p1_mu2_4) is True
-    assert resolve_depth(p1_inf) is False
-    assert resolve_depth(p1_mu2_4, "infinite") is False
-    with pytest.raises(ValueError, match="mu2_mode"):
-        resolve_depth(p1_mu2_4, "finte")
-    with pytest.raises(ValueError, match="finite mu2"):
-        resolve_depth(p1_inf, "finite")
-    with pytest.raises(ValueError):
-        symbols(p1_inf, make_grid(20.0, 64), "finite")
+    # the tables take their depth from p.mu2 alone; a family fixes that
+    # depth through family_params, so the mu2 = inf families read the
+    # infinite-depth bundle whatever mu2 they are given
+    g = make_grid(20.0, 64)
+    assert not np.array_equal(symbols(p1_mu2_4, g).L, symbols(p1_inf, g).L)
+    for family in ("BO", "BFD_inf"):
+        assert symbols(family_params(family, p1_mu2_4)[1], g) is symbols(p1_inf, g)
+    for family in ("ILW", "BFD_finite"):
+        assert symbols(family_params(family, p1_mu2_4)[1], g) is symbols(p1_mu2_4, g)
 
 
 def test_apply_multiplier_exact_on_modes():
