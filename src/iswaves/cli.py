@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -91,6 +92,19 @@ def _sample(cfg: dict, key: str, branch: SolitaryBranch) -> WavePair:
     return branch.waves[index]
 
 
+def _matvecs(inner_solves: list[dict]) -> int:
+    return sum(rec["matvecs"] for rec in inner_solves)
+
+
+def _continued(work: dict, branch: SolitaryBranch) -> WavePair:
+    """The last wave of a continuation branch; the Newton steps of its
+    accepted steps and the matvecs of all its steps are added to work."""
+    for step in branch.diagnostics["steps"]:
+        work["newton_steps"] += step.get("iterations", 0)
+        work["inner_matvecs"] += _matvecs(step["inner_solves"])
+    return branch.waves[-1]
+
+
 def _outdir(args) -> str:
     out = args.out or "out"
     os.makedirs(out, exist_ok=True)
@@ -124,19 +138,32 @@ def cmd_solve(cfg: dict, out: str) -> int:
 
     if family in ("BO", "ILW"):
         speed = cfg.get("solve.speed", 0.0)
-        if family == "BO":
-            nu0 = petviashvili_ground_state(p, grid, scfg)
-            pair = newton_solve("BO", p, 0.0, assemble_bo_pair(p, nu0), scfg)
-        else:
-            pair = continue_in_mu2(p, p.mu2, scfg, grid=grid, milestones=[p.mu2]).waves[-1]
+        nu0, ground = petviashvili_ground_state(p, grid, scfg, return_info=True)
+        pair, newton = newton_solve(
+            "BO", p, 0.0, assemble_bo_pair(p, nu0), scfg, return_info=True
+        )
+        work = {
+            "petviashvili_iterations": ground["iterations"],
+            "newton_steps": newton["iterations"],
+            "inner_matvecs": _matvecs(newton["inner_solves"]),
+        }
+        if family == "ILW":
+            chain = continue_in_mu2(p, p.mu2, scfg, start=pair, milestones=[p.mu2])
+            pair = _continued(work, chain)
         if speed != 0.0:
             branch = continue_in_c(family, p, speed, scfg, start=pair, store_at=[speed])
-            pair = branch.waves[-1]
+            pair = _continued(work, branch)
         branch = SolitaryBranch(family, [speed], [pair], [residual_norm(family, p, speed, pair)])
     else:
         omega = _require(cfg, "solve.omega")
         pair, info = solve_bfd_reduced(p, omega, scfg, grid=grid, return_info=True)
         branch = SolitaryBranch(family, [omega], [pair], [info["full_residual"]])
+        work = {
+            "petviashvili_iterations": info["petviashvili_iterations"],
+            "newton_steps": info["newton_steps"],
+            "inner_matvecs": _matvecs(info["inner_solves"]),
+            "polish_exit": info["polish_exit"],
+        }
 
     save_branch(branch, os.path.join(out, "branch"), cfgmod.resolved_config(cfg))
     report = {
@@ -145,6 +172,7 @@ def cmd_solve(cfg: dict, out: str) -> int:
         "residuals": branch.residuals,
         "amplitude_nu": [float(np.max(np.abs(w.nu))) for w in branch.waves],
         "amplitude_xi": [float(np.max(np.abs(w.xi))) for w in branch.waves],
+        "work": work,
     }
     cfgmod.write_json(os.path.join(out, "report.json"), report, cfg)
     cfgmod.write_meta(out)
@@ -173,9 +201,20 @@ def cmd_continue(cfg: dict, out: str) -> int:
                 f"continue.family must be BO for continue.parameter = c, got {family!r}"
             )
         target = _require(cfg, "continue.target")
+        if any(abs(m) > abs(target) for m in milestones or ()):
+            raise ConfigError(
+                f"continue.milestones must lie within |continue.target| = {abs(target)!r}"
+            )
         branch = continue_in_c(family, p, target, scfg, grid=grid, store_at=milestones)
     elif parameter == "mu2":
         target = _positive("continue.target", _require(cfg, "continue.target"))
+        if "continue.family" in cfg:
+            # the branch is ILW below mu2 = inf whatever params.mu2 says
+            family, _ = _family("continue.family", cfg["continue.family"], replace(p, mu2=target))
+            if family != "ILW":
+                raise ConfigError(
+                    f"continue.family must be ILW for continue.parameter = mu2, got {family!r}"
+                )
         if any(m < target for m in milestones or ()):
             raise ConfigError(
                 f"continue.milestones must lie at or above continue.target = {target!r}"

@@ -276,6 +276,51 @@ def test_cli_solve_is_deterministic(p1_cfg, tmp_path):
     assert b1 == b2
 
 
+@pytest.mark.parametrize(
+    "sets, keys",
+    [
+        (["params.mu2=inf", "grid.L=50", "solve.family=BO"], set()),
+        (["grid.L=8", "solve.family=BFD_finite", "solve.omega=0.1"], {"polish_exit"}),
+    ],
+)
+def test_cli_solve_reports_work_counts(p1_cfg, tmp_path, sets, keys):
+    args = ["solve", "--config", p1_cfg, "--set", "grid.N=512"]
+    for s in sets:
+        args += ["--set", s]
+    assert main(args + ["--out", str(tmp_path / "r1")]) == 0
+    assert main(args + ["--out", str(tmp_path / "r2")]) == 0
+    b1 = (tmp_path / "r1" / "report.json").read_bytes()
+    assert b1 == (tmp_path / "r2" / "report.json").read_bytes()
+    work = json.loads(b1)["work"]
+    assert set(work) == {"petviashvili_iterations", "newton_steps", "inner_matvecs"} | keys
+    assert work["petviashvili_iterations"] >= 1
+    assert all(isinstance(work[k], int) and work[k] >= 0 for k in work if k != "polish_exit")
+    if keys:
+        assert work["newton_steps"] >= 1 and work["inner_matvecs"] >= 1
+        assert work["polish_exit"] in ("converged", "floor", "max_steps")
+
+
+def test_cli_decay_parses_only_its_sample(p1_cfg, tmp_path, capsys):
+    from iswaves.solvers import SolitaryBranch, save_branch
+    from iswaves.spectral import WavePair, make_grid
+
+    g = make_grid(50.0, 256)
+    bump = 1.0 / (1.0 + g.x**2)
+    three = SolitaryBranch("BO", [0.0, 0.01, 0.02], [WavePair(g, bump, bump)] * 3, [0.0] * 3)
+    save_branch(three, str(tmp_path / "branch"))
+    # the samples decay does not fit are unreadable
+    for name in ("sample_001.csv", "sample_002.csv"):
+        (tmp_path / "branch" / name).write_text("not a wave\n")
+    args = [
+        "decay", "--config", p1_cfg, "--out", str(tmp_path / "dec"),
+        "--set", f"decay.branch_dir={tmp_path}/branch",
+        "--set", "decay.window_lo=8", "--set", "decay.window_hi=16",
+    ]
+    assert main(args + ["--set", "decay.sample=0"]) == 0
+    assert main(args + ["--set", "decay.sample=3"]) == 2
+    assert "decay.sample must lie in [0, 3), got 3" in capsys.readouterr().err
+
+
 def test_cli_kernel_check_k1(tmp_path, capsys):
     out = str(tmp_path / "kc")
     code = main(["kernel-check", "--out", out, "--set", "kernel.which=K1"])
@@ -410,6 +455,12 @@ _BAD_VALUES = [
     ("evolve", ["params.mu2=inf"], "params.mu2"),
     ("evolve", ["evolve.family=ilw", "params.mu2=inf"], "params.mu2"),
     ("solve", ["solve.family=ilw", "params.mu2=inf"], "params.mu2"),
+    ("continue", ["continue.target=0.001", "continue.milestones=0.005,0.01"], "continue.target"),
+    (
+        "continue",
+        ["continue.parameter=mu2", "continue.target=25", "continue.family=BFD_finite"],
+        "continue.family",
+    ),
 ]
 _BASE_SETS = {
     "solve": ["grid.L=8", "grid.N=64", "solve.omega=0.1"],

@@ -19,7 +19,7 @@ from iswaves.solvers import (
     trivial_threshold,
 )
 from iswaves import solvers
-from iswaves.solvers import _newton, _Reduced, _System, _scan_ratios
+from iswaves.solvers import _inner_solve, _newton, _petviashvili, _Reduced, _System, _scan_ratios
 from iswaves.spectral import WavePair, apply_table, make_grid, symmetrize_even
 
 from conftest import P1_KW
@@ -50,6 +50,11 @@ def test_ground_state_frozen_amplitude(bo_state):
     assert np.allclose(vals, vals[(n - np.arange(n)) % n], atol=1e-12)
     assert np.min(vals) >= -1e-8 * np.max(vals)
     assert np.abs(vals[0]) < 1e-3 * np.max(vals)
+
+
+def test_ground_state_iteration_count(bo_state):
+    # Anderson-mixed Petviashvili; the plain iteration took 93
+    assert bo_state["info"]["iterations"] <= 40
 
 
 def test_ground_state_scaling_symmetry():
@@ -164,6 +169,12 @@ def test_reduced_polish_reports_history_and_exit(request, which, exit_reason):
     assert len(history) == info["newton_steps"] >= 1
     assert all(b < a for a, b in zip(history, history[1:]))
     assert history[-1] == info["reduced_residual"]
+
+
+@pytest.mark.parametrize("which", ["bfd_finite", "bfd_sharp", "bfd_inf"])
+def test_reduced_start_iteration_count(request, which):
+    # the plain iteration took 44, 52 and 54
+    assert request.getfixturevalue(which)["info"]["petviashvili_iterations"] <= 25
 
 
 def test_constrained_minimizer_agrees_with_reduced(variational):
@@ -421,21 +432,32 @@ def test_reduced_matvec_transform_count(p1_mu2_4, fft_calls):
     assert fft_calls["n"] == 3
 
 
-def _fft_calls_per_iteration(fft_calls, solve):
-    """FFT calls of iteration k + 1 alone: solve(k + 1) minus solve(k)."""
+def _fft_calls_per_iteration(fft_calls, monkeypatch, solve):
+    """FFT calls per iteration, averaged over iterations 3 to 9: solve(9)
+    minus solve(2), over 7.  Every one of them is an Anderson-mixed step."""
+    mixed = {"n": 0}
+    mixing = solvers._anderson_mixing
+
+    def counted(*args):
+        mixed["n"] += 1
+        return mixing(*args)
+
+    monkeypatch.setattr(solvers, "_anderson_mixing", counted)
     counts = []
-    for iters in (3, 4):
-        fft_calls["n"] = 0
+    for iters in (2, 9):
+        fft_calls["n"] = mixed["n"] = 0
         with pytest.raises(ConvergenceError):
             solve(SolverConfig(tol_residual=1e-300, max_iters=iters))
-        counts.append(fft_calls["n"])
-    return counts[1] - counts[0]
+        counts.append((fft_calls["n"], mixed["n"]))
+    (ffts_2, mixed_2), (ffts_9, mixed_9) = counts
+    assert mixed_9 - mixed_2 == 7
+    return (ffts_9 - ffts_2) / 7
 
 
 def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, fft_calls):
     grid = make_grid(50.0, 512)
     per_iter = _fft_calls_per_iteration(
-        fft_calls, lambda cfg: petviashvili_ground_state(p1_inf, grid, cfg)
+        fft_calls, monkeypatch, lambda cfg: petviashvili_ground_state(p1_inf, grid, cfg)
     )
     assert 0 < per_iter <= 4
 
@@ -446,9 +468,80 @@ def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, 
     monkeypatch.setattr(solvers, "_inner_solve", stop)
     grid = make_grid(8.0, 512)
     per_iter = _fft_calls_per_iteration(
-        fft_calls, lambda cfg: solve_bfd_reduced(p1_mu2_4, 0.1, cfg, grid=grid)
+        fft_calls, monkeypatch, lambda cfg: solve_bfd_reduced(p1_mu2_4, 0.1, cfg, grid=grid)
     )
     assert 0 < per_iter <= 5
+
+
+def _plain_petviashvili(evaluate, inv_m, nu, q, dx, iters):
+    """The unaccelerated iteration nu <- even(S^q M^{-1} G(nu)), written out."""
+    out = []
+    for _ in range(iters):
+        m_nu, g_nu = evaluate(nu)
+        s_val = dx * np.dot(nu, m_nu) / (dx * np.dot(nu, g_nu))
+        nu = symmetrize_even(s_val**q * apply_table(inv_m, g_nu))
+        out.append(nu)
+    return out
+
+
+def test_petviashvili_guard_keeps_the_plain_iterate(p1_mu2_4, monkeypatch):
+    # a fit the guard refuses leaves the plain iteration, bit for bit
+    grid = make_grid(8.0, 256)
+    red = _Reduced(p1_mu2_4, grid, 0.1)
+    nu0 = 3.0 * trivial_threshold(p1_mu2_4) * 1e3 / np.cosh(grid.x) ** 2
+    args = (red.evaluate, 1.0 / red.mhat, nu0, 2.0, grid.dx)
+    monkeypatch.setattr(solvers, "_anderson_mixing", lambda d_res, res: None)
+    mixed = [nu for _, (nu, _, _) in zip(range(8), _petviashvili(*args))]
+    plain = _plain_petviashvili(*args, iters=8)
+    assert all(np.array_equal(a, b) for a, b in zip(mixed, plain))
+    monkeypatch.undo()
+    accelerated = [nu for _, (nu, _, _) in zip(range(8), _petviashvili(*args))]
+    assert np.array_equal(accelerated[0], plain[0])
+    assert not np.array_equal(accelerated[1], plain[1])
+    assert all(np.array_equal(nu, nu[grid.reflect_indices()]) for nu in accelerated)
+
+    # a refused fit restarts the window from the plain iterate
+    rows = []
+    mixing = solvers._anderson_mixing
+
+    def refuse_third(d_res, res):
+        rows.append(d_res.shape[0])
+        return None if len(rows) == 3 else mixing(d_res, res)
+
+    monkeypatch.setattr(solvers, "_anderson_mixing", refuse_third)
+    for _ in zip(range(10), _petviashvili(*args)):
+        pass
+    assert rows == [1, 2, 3, 1, 2, 3, 4, 5]
+
+
+def test_petviashvili_guard_refuses_bad_fits():
+    d_res = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert np.array_equal(solvers._anderson_mixing(d_res, np.array([2.0, 3.0, 0.0])), [2.0, 3.0])
+    assert solvers._anderson_mixing(1e-20 * d_res, np.array([1.0, 1.0, 0.0])) is None
+    assert solvers._anderson_mixing(d_res, np.array([np.nan, 1.0, 0.0])) is None
+
+
+def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo):
+    # started at a converged wave the window's differences are roundoff, or
+    # exactly zero for a constant fixed point of M = G = identity
+    import warnings
+
+    nu0 = bo_state["nu0"].values
+    alpha = (p1_inf.beta - 1.0) / p1_inf.gamma**2 * np.sqrt(p1_inf.mu)
+    eta = p1_inf.epsilon**2 / (2.0 * p1_inf.gamma**2 * (1.0 - p1_inf.gamma))
+    mhat = alpha * grid_bo.k_half + 1.0 / p1_inf.gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iterates = _petviashvili(
+            lambda u: (apply_table(mhat, u), eta * u**3), 1.0 / mhat, nu0, 1.5, grid_bo.dx
+        )
+        for _, (nu, s_val, resid) in zip(range(12), iterates):
+            assert np.all(np.isfinite(nu)) and np.isfinite(s_val)
+            assert np.max(np.abs(resid)) <= 1e-10
+        ones = np.ones(8)
+        iterates = _petviashvili(lambda u: (u, u), np.ones(5), ones, 1.5, 0.1)
+        for _, (nu, s_val, resid) in zip(range(12), iterates):
+            assert np.array_equal(nu, ones) and s_val == 1.0 and not np.any(resid)
 
 
 @pytest.mark.parametrize(
@@ -548,3 +641,13 @@ def test_newton_converges_on_linear_residual():
     assert np.max(np.abs(out - b / a)) <= 1e-11
     assert len(history) == 2 and history[-1] == float(np.max(np.abs(r)))
     assert [rec["exit"] for rec in inner] == ["converged"]
+
+
+@pytest.mark.parametrize("n", [4, 8, 10, 16])
+def test_inner_solve_recovers_from_invariant_krylov_space(n):
+    # lgmres returns x = 0 here: its Krylov space is invariant after one step
+    b = np.linspace(-1.0, 1.0, n)
+    x, rec = _inner_solve(lambda v: v, lambda v: v, b, 1e-10)
+    assert rec["exit"] == "converged"
+    assert rec["relative_residual"] <= 1e-10
+    assert np.max(np.abs(x - b)) <= 1e-15
