@@ -526,18 +526,13 @@ def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo):
     # exactly zero for a constant fixed point of M = G = identity
     import warnings
 
-    nu0 = bo_state["nu0"].values
-    alpha = (p1_inf.beta - 1.0) / p1_inf.gamma**2 * np.sqrt(p1_inf.mu)
-    eta = p1_inf.epsilon**2 / (2.0 * p1_inf.gamma**2 * (1.0 - p1_inf.gamma))
-    mhat = alpha * grid_bo.k_half + 1.0 / p1_inf.gamma
+    cfg = SolverConfig(tol_residual=1e-300, max_iters=12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        iterates = _petviashvili(
-            lambda u: (apply_table(mhat, u), eta * u**3), 1.0 / mhat, nu0, 1.5, grid_bo.dx
-        )
-        for _, (nu, s_val, resid) in zip(range(12), iterates):
-            assert np.all(np.isfinite(nu)) and np.isfinite(s_val)
-            assert np.max(np.abs(resid)) <= 1e-10
+        with pytest.raises(ConvergenceError, match="no convergence in 12") as exc:
+            petviashvili_ground_state(p1_inf, grid_bo, cfg, guess=bo_state["nu0"].values)
+        assert exc.value.diagnostics["residual"] <= 1e-10
+        assert abs(exc.value.diagnostics["S"] - 1.0) <= 1e-12
         ones = np.ones(8)
         iterates = _petviashvili(lambda u: (u, u), np.ones(5), ones, 1.5, 0.1)
         for _, (nu, s_val, resid) in zip(range(12), iterates):
