@@ -13,12 +13,9 @@ import numpy as np
 from iswaves import (
     ModelParams,
     SolverConfig,
-    assemble_bo_pair,
     continue_in_c,
     continue_in_mu2,
     make_grid,
-    newton_solve,
-    petviashvili_ground_state,
 )
 
 kw = dict(gamma=0.5, b=0.25, d=0.25, a=-1.0 / 12.0, c=-1.0 / 12.0, mu=0.1, epsilon=0.1)
@@ -26,12 +23,11 @@ p = ModelParams(mu2=np.inf, **kw)
 cfg = SolverConfig(tol_residual=1e-11)
 
 grid = make_grid(200.0, 2048)
-nu0 = petviashvili_ground_state(p, grid, cfg)
-start = newton_solve("BO", p, 0.0, assemble_bo_pair(p, nu0), cfg)
-ref = np.max(np.abs(start.nu))
 
 print("speed continuation from the ground state:")
-branch = continue_in_c("BO", p, 0.02, cfg, start=start, store_at=[0.005, 0.01, 0.02])
+branch = continue_in_c("BO", p, 0.02, cfg, grid=grid, store_at=[0.005, 0.01, 0.02])
+start = branch.waves[0]
+ref = np.max(np.abs(start.nu))
 print(f"  {'c':>7}   residual    ||nu_c - nu_0|| / ||nu_0||")
 for c, w, r in zip(branch.parameter_values, branch.waves, branch.residuals):
     dev = np.max(np.abs(w.nu - start.nu)) / ref

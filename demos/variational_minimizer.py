@@ -1,7 +1,7 @@
 """Cross-validate the reduced-equation solver against constrained minimization.
 
 Solitary waves arise two independent ways: as solutions of a reduced
-nonlocal equation (Newton iteration) and as minimizers of the energy E
+nonlocal equation (Petviashvili iteration) and as minimizers of the energy E
 subject to fixed cubic constraint F (projected gradient descent with a
 Lagrange multiplier K).  Both are computed here on the same grid; after
 the K-rescaling that turns a minimizer into a travelling wave, the two

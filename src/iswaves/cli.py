@@ -46,13 +46,9 @@ from .spectral import WavePair, make_grid, pair_to_csv
 from .solvers import (
     ConvergenceError,
     SolitaryBranch,
-    assemble_bo_pair,
     continue_in_c,
     continue_in_mu2,
     load_branch,
-    newton_solve,
-    petviashvili_ground_state,
-    residual_norm,
     save_branch,
     solve_bfd_reduced,
 )
@@ -92,17 +88,26 @@ def _sample(cfg: dict, key: str, branch: SolitaryBranch) -> WavePair:
     return branch.waves[index]
 
 
-def _matvecs(inner_solves: list[dict]) -> int:
-    return sum(rec["matvecs"] for rec in inner_solves)
+def _solves(branch: SolitaryBranch) -> list[dict]:
+    """The records of a branch's accepted solves, its start first."""
+    diag = branch.diagnostics
+    start = [diag["start"]] if "start" in diag else []
+    return start + [step for step in diag["steps"] if step["accepted"]]
 
 
-def _continued(work: dict, branch: SolitaryBranch) -> WavePair:
-    """The last wave of a continuation branch; the Newton steps of its
-    accepted steps and the matvecs of all its steps are added to work."""
-    for step in branch.diagnostics["steps"]:
-        work["newton_steps"] += step.get("iterations", 0)
-        work["inner_matvecs"] += _matvecs(step["inner_solves"])
+def _last_wave(branch: SolitaryBranch) -> WavePair:
+    """The last wave of a branch that reached its last milestone."""
+    diag = branch.diagnostics
+    if diag["truncated"]:
+        ended = diag.get("endpoint_estimate", diag.get("sigma_estimate"))
+        raise ConvergenceError(f"the {branch.family} branch ended at {ended!r}")
     return branch.waves[-1]
+
+
+def _work(solves: list[dict]) -> dict:
+    """report.json's work counts: the iterations of the accepted solves and
+    the exit of the last one."""
+    return {"iterations": sum(s["iterations"] for s in solves), "exit": solves[-1]["exit"]}
 
 
 def _outdir(args) -> str:
@@ -138,32 +143,21 @@ def cmd_solve(cfg: dict, out: str) -> int:
 
     if family in ("BO", "ILW"):
         speed = cfg.get("solve.speed", 0.0)
-        nu0, ground = petviashvili_ground_state(p, grid, scfg, return_info=True)
-        pair, newton = newton_solve(
-            "BO", p, 0.0, assemble_bo_pair(p, nu0), scfg, return_info=True
-        )
-        work = {
-            "petviashvili_iterations": ground["iterations"],
-            "newton_steps": newton["iterations"],
-            "inner_matvecs": _matvecs(newton["inner_solves"]),
-        }
+        solves, start = [], None
         if family == "ILW":
-            chain = continue_in_mu2(p, p.mu2, scfg, start=pair, milestones=[p.mu2])
-            pair = _continued(work, chain)
-        if speed != 0.0:
-            branch = continue_in_c(family, p, speed, scfg, start=pair, store_at=[speed])
-            pair = _continued(work, branch)
-        branch = SolitaryBranch(family, [speed], [pair], [residual_norm(family, p, speed, pair)])
+            # the ILW wave is solved from the BO wave at its own mu2
+            chain = continue_in_mu2(p, p.mu2, scfg, grid=grid, milestones=[p.mu2])
+            solves, start = _solves(chain), _last_wave(chain)
+        store_at = [speed] if speed != 0.0 else []
+        wave = continue_in_c(family, p, speed, scfg, grid=grid, start=start, store_at=store_at)
+        solves += _solves(wave)
+        branch = SolitaryBranch(family, [speed], [_last_wave(wave)], [wave.residuals[-1]])
+        work = _work(solves)
     else:
         omega = _require(cfg, "solve.omega")
         pair, info = solve_bfd_reduced(p, omega, scfg, grid=grid, return_info=True)
         branch = SolitaryBranch(family, [omega], [pair], [info["full_residual"]])
-        work = {
-            "petviashvili_iterations": info["petviashvili_iterations"],
-            "newton_steps": info["newton_steps"],
-            "inner_matvecs": _matvecs(info["inner_solves"]),
-            "polish_exit": info["polish_exit"],
-        }
+        work = _work([info])
 
     save_branch(branch, os.path.join(out, "branch"), cfgmod.resolved_config(cfg))
     report = {
@@ -230,6 +224,7 @@ def cmd_continue(cfg: dict, out: str) -> int:
         "parameter_values": branch.parameter_values,
         "residuals": branch.residuals,
         "diagnostics": branch.diagnostics,
+        "work": _work(_solves(branch)),
     }
     cfgmod.write_json(os.path.join(out, "report.json"), report, cfg)
     cfgmod.write_meta(out)

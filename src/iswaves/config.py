@@ -62,8 +62,6 @@ KEY_REGISTRY: dict[str, str] = {
     "grid.N": "int",
     "solver.tol_residual": "float",
     "solver.max_iters": "int",
-    "solver.petviashvili_exponent": "float",
-    "solver.continuation_step": "float",
     "solver.min_step": "float",
     "seed": "int",
     "validate.omega": "float",

@@ -1,20 +1,19 @@
 """Shared fixtures: parameter sets and the expensive solitary-wave solves.
 
-The heavy solves (continuation chains, reduced Newton polishes) are session
+The heavy solves (continuation chains, reduced solves) are session
 scoped so the unit suites and the acceptance suite share one computation.
 """
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import settings
 
 from iswaves.params import ModelParams
 from iswaves.solvers import (
     SolverConfig,
-    assemble_bo_pair,
     continue_in_c,
     continue_in_mu2,
-    newton_solve,
     petviashvili_ground_state,
     solve_bfd_reduced,
 )
@@ -39,16 +38,18 @@ SHARP_KW = dict(
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counter of numpy.fft transform calls made while the test runs."""
+    """Counter of the numpy.fft and scipy.fft transform calls made while the
+    test runs."""
     counter = {"n": 0}
-    for name in ("rfft", "irfft", "fft", "ifft"):
-        fn = getattr(np.fft, name)
+    for module in (np.fft, scipy.fft):
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            fn = getattr(module, name)
 
-        def counted(*args, _fn=fn, **kwargs):
-            counter["n"] += 1
-            return _fn(*args, **kwargs)
+            def counted(*args, _fn=fn, **kwargs):
+                counter["n"] += 1
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return counter
 
 
@@ -86,7 +87,7 @@ def grid_bo():
 def bo_state(p1_inf, grid_bo, scfg):
     """Ground state of the scalar limit equation plus its lifted c = 0 pair."""
     nu0, info = petviashvili_ground_state(p1_inf, grid_bo, scfg, return_info=True)
-    pair = newton_solve("BO", p1_inf, 0.0, assemble_bo_pair(p1_inf, nu0), scfg)
+    pair = continue_in_c("BO", p1_inf, 0.0, scfg, grid=grid_bo, store_at=[]).waves[0]
     return {"nu0": nu0, "info": info, "pair": pair}
 
 

@@ -35,8 +35,6 @@ from iswaves.params import (
 )
 from iswaves.solvers import (
     SolverConfig,
-    assemble_bo_pair,
-    newton_solve,
     petviashvili_ground_state,
     residual_norm,
 )

@@ -72,18 +72,14 @@ def test_solver_keys_follow_solver_config():
         for line in (
             "solver.tol_residual = 1e-10",
             "solver.max_iters = 7",
-            "solver.petviashvili_exponent = 1.5",
-            "solver.continuation_step = 0.01",
             "solver.min_step = 1e-4",
         )
     )
-    assert solver_from_config(cfg) == SolverConfig(
-        tol_residual=1e-10, max_iters=7, petviashvili_exponent=1.5,
-        continuation_step=0.01, min_step=1e-4,
-    )
+    assert solver_from_config(cfg) == SolverConfig(tol_residual=1e-10, max_iters=7, min_step=1e-4)
     assert solver_from_config({}) == SolverConfig()
-    with pytest.raises(ConfigError, match="unknown configuration key"):
-        parse_assignment("solver.newton_damping = 1.0")
+    for key in ("newton_damping", "petviashvili_exponent", "continuation_step"):
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            parse_assignment(f"solver.{key} = 1.0")
     with pytest.raises(ConfigError, match="max_iters"):
         solver_from_config({"solver.max_iters": 0})
 
@@ -280,7 +276,9 @@ def test_cli_solve_is_deterministic(p1_cfg, tmp_path):
     "sets, keys",
     [
         (["params.mu2=inf", "grid.L=50", "solve.family=BO"], set()),
-        (["grid.L=8", "solve.family=BFD_finite", "solve.omega=0.1"], {"polish_exit"}),
+        (["grid.L=8", "solve.family=BFD_finite", "solve.omega=0.1"], set()),
+        (["params.mu2=25", "grid.L=50", "solve.family=ILW"], set()),
+        (["params.mu2=inf", "grid.L=50", "solve.family=BO", "solve.speed=0.01"], set()),
     ],
 )
 def test_cli_solve_reports_work_counts(p1_cfg, tmp_path, sets, keys):
@@ -292,12 +290,51 @@ def test_cli_solve_reports_work_counts(p1_cfg, tmp_path, sets, keys):
     b1 = (tmp_path / "r1" / "report.json").read_bytes()
     assert b1 == (tmp_path / "r2" / "report.json").read_bytes()
     work = json.loads(b1)["work"]
-    assert set(work) == {"petviashvili_iterations", "newton_steps", "inner_matvecs"} | keys
-    assert work["petviashvili_iterations"] >= 1
-    assert all(isinstance(work[k], int) and work[k] >= 0 for k in work if k != "polish_exit")
-    if keys:
-        assert work["newton_steps"] >= 1 and work["inner_matvecs"] >= 1
-        assert work["polish_exit"] in ("converged", "floor", "max_steps")
+    assert set(work) == {"iterations", "exit"} | keys
+    assert isinstance(work["iterations"], int) and work["iterations"] >= 1
+    assert work["exit"] in ("converged", "floor")
+
+
+def test_cli_solve_outside_the_speed_window_exits_1(p1_cfg, tmp_path, capsys):
+    # M_c = op2 - c^2 op1/(1 - gamma) turns negative near c = 0.738: the
+    # continuation from c = 0 ends there, and no wave is written
+    args = ["solve", "--config", p1_cfg, "--out", str(tmp_path)]
+    for s in ("params.mu2=inf", "grid.L=50", "grid.N=256", "solve.family=BO", "solve.speed=0.75"):
+        args += ["--set", s]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: the BO branch ended at 0.73" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ["continue.parameter=c", "continue.target=0.02", "continue.milestones=0.01,0.02"],
+        ["continue.parameter=mu2", "continue.target=25", "continue.milestones=400,25"],
+    ],
+    ids=["c", "mu2"],
+)
+def test_cli_continue_reports_work_counts(p1_cfg, tmp_path, sets):
+    args = ["continue", "--config", p1_cfg, "--set", "params.mu2=inf"]
+    args += ["--set", "grid.L=50", "--set", "grid.N=256"]
+    for s in sets:
+        args += ["--set", s]
+    assert main(args + ["--out", str(tmp_path / "r1")]) == 0
+    assert main(args + ["--out", str(tmp_path / "r2")]) == 0
+    b1 = (tmp_path / "r1" / "report.json").read_bytes()
+    assert b1 == (tmp_path / "r2" / "report.json").read_bytes()
+    report = json.loads(b1)
+    diag = report["diagnostics"]
+    assert not diag["truncated"] and len(report["parameter_values"]) == 3
+    # the start and every step in order, each milestone from the last wave
+    assert [step["accepted"] for step in diag["steps"]] == [True, True]
+    assert all(step["exit"] in ("converged", "floor") for step in diag["steps"])
+    work = report["work"]
+    assert set(work) == {"iterations", "exit"}
+    solves = [diag["start"]] + diag["steps"]
+    assert work["iterations"] == sum(step["iterations"] for step in solves)
+    assert work["exit"] == diag["steps"][-1]["exit"]
 
 
 def test_cli_decay_parses_only_its_sample(p1_cfg, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Solitary-wave solvers: ground states, Newton polish, continuation."""
+"""Solitary-wave solvers: the reduced equation, its iteration, continuation."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,9 @@ from iswaves.params import ModelParams
 from iswaves.solvers import (
     ConvergenceError,
     SolverConfig,
-    assemble_bo_pair,
+    continue_in_c,
     continue_in_mu2,
     load_branch,
-    newton_solve,
     petviashvili_ground_state,
     reconstruct_xi,
     residual_norm,
@@ -19,20 +18,23 @@ from iswaves.solvers import (
     trivial_threshold,
 )
 from iswaves import solvers
-from iswaves.solvers import _inner_solve, _newton, _petviashvili, _Reduced, _System, _scan_ratios
-from iswaves.spectral import WavePair, apply_table, make_grid, symmetrize_even
+from iswaves.solvers import _petviashvili, _Reduced, _System, _scan_ratios
+from iswaves.spectral import WavePair, apply_table, make_grid, symbols, symmetrize_even
 
 from conftest import P1_KW
 
-INNER_EXITS = {"converged", "stagnated", "maxiter", "nonfinite"}
-
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(petviashvili_exponent=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(petviashvili_exponent=3.0)
-    assert SolverConfig().petviashvili_exponent == 2.0
+    with pytest.raises(ValueError, match="tol_residual"):
+        SolverConfig(tol_residual=0.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=0)
+    # the bisection of a continuation ends at min_step
+    with pytest.raises(ValueError, match="min_step"):
+        SolverConfig(min_step=0.0)
+    # the exponent is a module constant, no longer a field
+    with pytest.raises(TypeError):
+        SolverConfig(petviashvili_exponent=2.0)
 
 
 def test_trivial_threshold_positive(p1_inf):
@@ -73,19 +75,9 @@ def test_ground_state_scaling_symmetry():
 def test_lifted_pair_solves_system(p1_inf, bo_state):
     pair = bo_state["pair"]
     assert residual_norm("BO", p1_inf, 0.0, pair) <= 1e-9
-    # the lift: xi = r nu^2/(1 - gamma)
-    direct = assemble_bo_pair(p1_inf, bo_state["nu0"])
-    assert np.max(np.abs(direct.xi - 0.1 / 0.5 * direct.nu**2)) < 1e-14
-
-
-def test_newton_recovers_from_perturbation(p1_inf, bo_state, scfg):
-    pair = bo_state["pair"]
-    g = pair.grid
-    bump = 1e-3 * np.exp(-g.x**2)
-    guess = WavePair(grid=g, xi=pair.xi + bump, nu=pair.nu - bump)
-    out = newton_solve("BO", p1_inf, 0.0, guess, scfg)
-    assert residual_norm("BO", p1_inf, 0.0, out) <= 1e-10
-    assert np.max(np.abs(out.nu - pair.nu)) < 1e-8
+    # the lift: xi = r nu^2/(1 - gamma), of the ground state itself
+    assert np.array_equal(pair.nu, bo_state["nu0"].values)
+    assert np.max(np.abs(pair.xi - 0.1 / 0.5 * pair.nu**2)) < 1e-14
 
 
 def test_petviashvili_failure_is_reported(p1_inf):
@@ -141,7 +133,7 @@ def test_bfd_finite_reduced(p1_mu2_4, bfd_finite):
     pair, info = bfd_finite["pair"], bfd_finite["info"]
     assert float(np.max(pair.nu)) == pytest.approx(7.11564672199347, rel=1e-8)
     assert info["full_residual"] <= 1e-9
-    assert info["reduced_residual"] <= 1e-9
+    assert info["residual"] <= 1e-9
     # reconstruction consistency: xi is the second-equation inverse image
     xi2 = reconstruct_xi(p1_mu2_4, pair.grid, pair.nu, 0.1)
     assert np.max(np.abs(xi2 - pair.xi)) < 1e-10
@@ -160,21 +152,54 @@ def test_bfd_infinite_reduced(p1_inf, bfd_inf):
 @pytest.mark.parametrize(
     "which, exit_reason", [("bfd_finite", "floor"), ("bfd_inf", "converged")]
 )
-def test_reduced_polish_reports_history_and_exit(request, which, exit_reason):
+def test_reduced_solve_reports_exit(request, scfg, which, exit_reason):
     # bfd_finite ends on its roundoff floor within the 10x margin; bfd_inf
     # reaches tol_residual
     info = request.getfixturevalue(which)["info"]
-    assert info["polish_exit"] == exit_reason
-    history = info["polish_residual_history"]
-    assert len(history) == info["newton_steps"] >= 1
-    assert all(b < a for a, b in zip(history, history[1:]))
-    assert history[-1] == info["reduced_residual"]
+    assert info["exit"] == exit_reason
+    assert set(info) == {"iterations", "exit", "residual", "S_minus_1", "full_residual"}
+    bound = scfg.tol_residual if exit_reason == "converged" else 10.0 * scfg.tol_residual
+    assert info["residual"] <= bound
+    if exit_reason == "floor":
+        assert info["residual"] > scfg.tol_residual
+        assert info["iterations"] >= solvers._STALL_ITERS
+    assert abs(info["S_minus_1"]) <= 1e-9
+
+
+@pytest.mark.parametrize("tol, outcome", [(1e-12, "floor"), (1e-13, "stagnation")])
+def test_stop_rule_floor_and_stagnation(p1_mu2_4, tol, outcome):
+    # at N = 512 the reduced residual of bfd_finite stops halving near 5e-12:
+    # within 10 tol the best iterate is returned, beyond it the solve fails
+    grid = make_grid(8.0, 512)
+    cfg = SolverConfig(tol_residual=tol)
+    if outcome == "floor":
+        pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, cfg, grid=grid, return_info=True)
+        assert info["exit"] == "floor"
+        assert tol < info["residual"] <= 10.0 * tol
+        assert info["full_residual"] <= 1e-9
+        assert residual_norm("BFD_finite", p1_mu2_4, 0.1, pair) == info["full_residual"]
+    else:
+        with pytest.raises(ConvergenceError, match="stagnation") as exc:
+            solve_bfd_reduced(p1_mu2_4, 0.1, cfg, grid=grid)
+        assert exc.value.diagnostics["residual"] > 10.0 * tol
+
+
+def test_speed_branch_negative_speeds(p1_inf, scfg):
+    grid = make_grid(50.0, 512)
+    branch = continue_in_c("BO", p1_inf, -0.08, scfg, grid=grid, store_at=[-0.02, -0.05, -0.08])
+    assert not branch.diagnostics["truncated"]
+    assert branch.parameter_values == [0.0, -0.02, -0.05, -0.08]
+    assert all(r <= 1e-9 for r in branch.residuals)
+    steps = branch.diagnostics["steps"]
+    assert [step["accepted"] for step in steps] == [True, True, True]
+    assert all(step["iterations"] <= 25 for step in steps)
 
 
 @pytest.mark.parametrize("which", ["bfd_finite", "bfd_sharp", "bfd_inf"])
 def test_reduced_start_iteration_count(request, which):
-    # the plain iteration took 44, 52 and 54
-    assert request.getfixturevalue(which)["info"]["petviashvili_iterations"] <= 25
+    # the unmixed iteration took 44, 52 and 54 to 1e-8; the floor exits of
+    # bfd_finite and bfd_sharp include the stall window
+    assert request.getfixturevalue(which)["info"]["iterations"] <= 25
 
 
 def test_constrained_minimizer_agrees_with_reduced(variational):
@@ -202,123 +227,109 @@ def test_branch_save_load_roundtrip(tmp_path, ilw_chain):
 
 
 # ---------------------------------------------------------------------------
-# Jacobians against central differences at converged waves
+# the reduced equation against the two-field systems
 # ---------------------------------------------------------------------------
 
 
-def _converged_wave(request, family):
-    """(params, speed, wave) of a converged session wave of `family`."""
-    if family == "BO":
-        branch = request.getfixturevalue("bo_branch")
-        return request.getfixturevalue("p1_inf"), branch.parameter_values[-1], branch.waves[-1]
-    if family == "ILW":
-        return request.getfixturevalue("p1_mu2_25"), 0.0, request.getfixturevalue("ilw_chain").waves[-1]
-    if family == "BFD_finite":
-        sol = request.getfixturevalue("bfd_finite")
-        return request.getfixturevalue("p1_mu2_4"), sol["omega"], sol["pair"]
-    sol = request.getfixturevalue("bfd_inf")
-    return request.getfixturevalue("p1_inf"), sol["omega"], sol["pair"]
+@pytest.mark.parametrize("c", [0.0, 0.01, -0.01])
+@pytest.mark.parametrize("family", ["BO", "ILW"])
+def test_one_layer_reduced_residual_is_system_row_one(request, family, c):
+    # with xi = (c nu + r nu^2)/(1 - gamma) the second equation holds and
+    # the first is M_c nu - G(nu)
+    grid = make_grid(20.0, 256)
+    p = _params_of(request, family)
+    nu = _random_even(grid, 21, rows=1)[0]
+    red = _Reduced(family, p, grid, c)
+    m_nu, g_nu = red.evaluate(nu)
+    row1, row2 = _System(family, p, grid, c).residual(np.stack([red.lift(nu), nu]))
+    scale = np.max(np.abs(m_nu))
+    assert np.max(np.abs((m_nu - g_nu) - row1)) <= 1e-14 * scale
+    assert np.max(np.abs(row2)) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("family", ["BO", "ILW", "BFD_finite", "BFD_inf"])
-def test_system_jacobian_matches_central_difference(request, family):
-    p, speed, wave = _converged_wave(request, family)
-    sys_ = _System(family, p, wave.grid, speed)
-    x = wave.grid.x
-    scale = np.max(np.abs(wave.nu))
-    dxi = scale * np.exp(-((x - 0.5) ** 2))
-    dnu = scale * np.cos(x) / np.cosh(x)
-    h = 1e-3
-    x, d = np.stack([wave.xi, wave.nu]), np.stack([dxi, dnu])
-    j1, j2 = sys_.jacobian_apply(x, d)
-    p1, p2 = sys_.residual(x + h * d)
-    m1, m2 = sys_.residual(x - h * d)
-    fd = np.concatenate([(p1 - m1) / (2.0 * h), (p2 - m2) / (2.0 * h)])
-    jv = np.concatenate([j1, j2])
-    # the residual is quadratic, so the central difference is exact up to
-    # roundoff
-    assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-8
-
-
-@pytest.mark.parametrize("which, depth", [("bfd_finite", "finite"), ("bfd_inf", "infinite")])
-def test_reduced_jacobian_matches_central_difference(request, which, depth):
-    p = request.getfixturevalue("p1_mu2_4" if depth == "finite" else "p1_inf")
-    sol = request.getfixturevalue(which)
-    nu = sol["pair"].nu
-    red = _Reduced(p, sol["pair"].grid, sol["omega"])
-    x = sol["pair"].grid.x
-    v = np.max(np.abs(nu)) * np.exp(-(x**2)) * np.cos(x)
-    h = 1e-3
-    jv = red.linearize(nu)(v)
-    fd = (red.residual(nu + h * v) - red.residual(nu - h * v)) / (2.0 * h)
-    # O(h^2) from the cubic source: about 4e-7 here
-    assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-5
-
-
-# ---------------------------------------------------------------------------
-# inner linear solves: no run to maxiter, every non-convergence reported
-# ---------------------------------------------------------------------------
-
-
-def _assert_inner_records_honest(records):
-    assert records
-    for rec in records:
-        assert rec["exit"] in INNER_EXITS
-        assert rec["exit"] != "maxiter"
-        assert 0 < rec["matvecs"] < 1000
-        assert np.isfinite(rec["relative_residual"])
-        if rec["exit"] == "converged":
-            assert rec["relative_residual"] <= rec["rtol"]
-        else:
-            assert rec["relative_residual"] > rec["rtol"]
-
-
-def test_reduced_solve_inner_solves_are_honest(p1_mu2_4, scfg):
+def test_nonpositive_stabilizing_factor_fails_fast(p1_mu2_4, capfd):
+    # a negative start makes <G(nu), nu> < 0: S < 0, and S^q with q = 3/2
+    # would be NaN
     grid = make_grid(8.0, 512)
-    pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, scfg, grid=grid, return_info=True)
-    assert info["full_residual"] <= 1e-9
-    assert len(info["inner_solves"]) >= info["newton_steps"]
-    _assert_inner_records_honest(info["inner_solves"])
+    guess = -0.05 / np.cosh(grid.x) ** 2
+    with pytest.raises(ConvergenceError, match="iterate 0: stabilizing factor S = -") as exc:
+        solve_bfd_reduced(p1_mu2_4, 0.1, SolverConfig(), grid=grid, guess=guess)
+    diag = exc.value.diagnostics
+    assert diag["iteration"] == 0 and diag["S"] < 0.0 and np.isfinite(diag["residual"])
+    assert capfd.readouterr() == ("", "")
+    # a non-finite start is refused the same way, before anything is mixed
+    guess = np.full(grid.N, np.nan)
+    with pytest.raises(ConvergenceError, match="iterate 0") as exc:
+        solve_bfd_reduced(p1_mu2_4, 0.1, SolverConfig(), grid=grid, guess=guess)
+    assert not np.isfinite(exc.value.diagnostics["residual"])
+    assert capfd.readouterr() == ("", "")
 
 
-def test_depth_chain_inner_solves_are_honest(p1_inf, scfg, tmp_path):
-    # the first steps of the mu2 continuation, in 1/sqrt(mu2), on a coarse
-    # grid; the records are read back from the saved branch
+def test_reduced_symbol_must_be_positive(p1_inf):
+    # M_c = op2 - c^2 op1/(1 - gamma) > 0 needs c^2 < (1 - gamma) min op2/op1,
+    # here about 1/2
     grid = make_grid(50.0, 256)
-    branch = continue_in_mu2(p1_inf, 400.0, scfg, grid=grid)
+    with pytest.raises(ConvergenceError, match="non-positive values"):
+        _Reduced("BO", p1_inf, grid, 0.75)
+    assert np.min(_Reduced("BO", p1_inf, grid, 0.7).mhat) > 0.0
+
+
+def test_continuation_truncates_where_the_symbol_turns(p1_inf, scfg):
+    # the milestone 0.75 lies past the speed where M_c stays positive: the
+    # loop bisects back toward the last solved speed and ends there
+    grid = make_grid(50.0, 256)
+    branch = continue_in_c("BO", p1_inf, 0.75, scfg, grid=grid, store_at=[0.01, 0.75])
+    diag = branch.diagnostics
+    assert diag["truncated"]
+    assert branch.parameter_values == [0.0, 0.01]
+    assert all(r <= 1e-9 for r in branch.residuals)
+    steps = diag["steps"]
+    assert steps[0]["accepted"] and steps[0]["parameter"] == 0.01
+    failed = [step for step in steps if not step["accepted"]]
+    assert failed[0]["parameter"] == 0.75
+    solved = [step["parameter"] for step in steps if step["accepted"]]
+    assert diag["endpoint_estimate"] == solved[-1]
+    assert 0.01 <= diag["endpoint_estimate"] < 0.75
+    # the endpoint is resolved to min_step: a failure lies within it
+    assert any(0.0 < step["parameter"] - solved[-1] <= scfg.min_step for step in failed)
+
+
+def test_depth_chain_step_records(p1_inf, scfg, tmp_path):
+    # the mu2 continuation in 1/sqrt(mu2) on a coarse grid, each milestone
+    # solved from the last; the records are read back from the saved branch
+    grid = make_grid(50.0, 256)
+    branch = continue_in_mu2(p1_inf, 100.0, scfg, grid=grid, milestones=[400.0, 100.0])
     save_branch(branch, str(tmp_path))
     loaded = load_branch(str(tmp_path))
     assert not loaded.diagnostics["truncated"]
     assert max(loaded.residuals) <= scfg.tol_residual
+    assert loaded.diagnostics == branch.diagnostics
+    assert set(branch.diagnostics["start"]) == {"iterations", "exit"}
     steps = loaded.diagnostics["steps"]
-    assert steps == branch.diagnostics["steps"]
-    assert len(steps) >= 2
-    records = []
+    assert [step["parameter"] for step in steps] == pytest.approx([400.0, 100.0])
     for step in steps:
-        assert step["parameter"] > 400.0 * (1.0 - 1e-12)
-        if step["accepted"]:
-            assert len(step["inner_solves"]) == step["iterations"]
-        records += step["inner_solves"]
-    assert steps[-1]["accepted"] and steps[-1]["parameter"] == pytest.approx(400.0)
-    _assert_inner_records_honest(records)
+        assert step["accepted"] and step["exit"] in ("converged", "floor")
+        assert 1 <= step["iterations"] <= 25
 
 
-def test_rejected_continuation_steps_keep_inner_records(p1_inf, scfg):
-    # one Newton iteration per step never certifies a wave: every step is
-    # rejected until the step size collapses, and each keeps its records
+def test_rejected_continuation_steps_are_recorded(p1_inf, scfg):
+    # one iteration per solve never certifies a wave: every solve is
+    # rejected and the loop bisects toward mu2 = inf until min_step
     grid = make_grid(50.0, 256)
-    nu0 = petviashvili_ground_state(p1_inf, grid, scfg)
-    start = newton_solve("BO", p1_inf, 0.0, assemble_bo_pair(p1_inf, nu0), scfg)
+    start = continue_in_c("BO", p1_inf, 0.0, scfg, grid=grid, store_at=[]).waves[0]
     one_iter = SolverConfig(tol_residual=scfg.tol_residual, max_iters=1)
     branch = continue_in_mu2(p1_inf, 400.0, one_iter, start=start)
     assert branch.diagnostics["truncated"]
+    assert branch.diagnostics["sigma_estimate"] == np.inf
+    assert "start" not in branch.diagnostics
     steps = branch.diagnostics["steps"]
     assert len(steps) >= 2
     for step in steps:
         assert not step["accepted"]
-        assert "did not reach tol" in step["error"]
-        assert len(step["inner_solves"]) == 1
-    _assert_inner_records_honest([rec for step in steps for rec in step["inner_solves"]])
+        assert "no convergence in 1 iterations" in step["error"]
+    ts = [1.0 / np.sqrt(step["parameter"]) for step in steps]
+    assert ts == pytest.approx([0.05 / 2**i for i in range(len(steps))])
+    assert ts[-1] <= one_iter.min_step < ts[-2]
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +358,15 @@ def _close(a, b):
 def test_system_stacked_evaluation_matches_multiplier_formulas(request, family):
     grid = make_grid(20.0, 256)
     sys_ = _System(family, _params_of(request, family), grid, 0.03)
-    xi, nu, dxi, dnu = _random_even(grid, 11, rows=4)
+    xi, nu = _random_even(grid, 11)
     r, s, og = sys_.r, sys_.speed, sys_.one_minus_gamma
     if family in ("BO", "ILW"):
         r1 = -s * apply_table(sys_.op1, xi) + apply_table(sys_.op2, nu) - 2.0 * r * xi * nu
         r2 = -s * nu + og * xi - r * nu * nu
-        j1 = -s * apply_table(sys_.op1, dxi) + apply_table(sys_.op2, dnu) - 2.0 * r * (nu * dxi + xi * dnu)
-        j2 = og * dxi - (s + 2.0 * r * nu) * dnu
     else:
         r1 = -s * apply_table(sys_.jb, xi) + apply_table(sys_.lt, nu) - 2.0 * r * xi * nu
         r2 = -s * apply_table(sys_.jd, nu) + og * apply_table(sys_.jc, xi) - r * nu * nu
-        j1 = -s * apply_table(sys_.jb, dxi) + apply_table(sys_.lt, dnu) - 2.0 * r * (nu * dxi + xi * dnu)
-        j2 = og * apply_table(sys_.jc, dxi) - s * apply_table(sys_.jd, dnu) - 2.0 * r * nu * dnu
-    x, d = np.stack([xi, nu]), np.stack([dxi, dnu])
-    for got, want in zip([*sys_.residual(x), *sys_.jacobian_apply(x, d)], (r1, r2, j1, j2)):
+    for got, want in zip(sys_.residual(np.stack([xi, nu])), (r1, r2)):
         assert _close(got, want)
 
 
@@ -369,67 +375,31 @@ def test_reduced_stacked_evaluation_matches_multiplier_formulas(request, which, 
     grid = make_grid(20.0, 256)
     p = request.getfixturevalue(which)
     assert p.finite_depth == (depth == "finite")
-    red = _Reduced(p, grid, 0.1)
-    nu, v = _random_even(grid, 12)
-    omega, r = red.omega, red.r
-    source = (
-        omega * r * apply_table(red.jb_jc, nu * nu)
-        + 2.0 * omega * r * nu * apply_table(red.jd_jc, nu)
-        + 2.0 * r * r * nu * apply_table(red.inv_jc, nu * nu)
+    red = _Reduced("BFD_finite" if depth == "finite" else "BFD_inf", p, grid, 0.1)
+    sym = symbols(p, grid)
+    nu = _random_even(grid, 12, rows=1)[0]
+    omega, r = 0.1, p.r
+    j = sym.jd if depth == "finite" else sym.jb
+    mhat = (1.0 - p.gamma) * sym.L - omega**2 * sym.jb * j / sym.jc
+    quad = omega * r * apply_table(sym.jb / sym.jc, nu * nu) + 2.0 * omega * r * nu * apply_table(
+        j / sym.jc, nu
     )
-    residual = apply_table(red.mhat, nu) - source
-    jac = apply_table(red.mhat, v) - (
-        2.0 * omega * r * apply_table(red.jb_jc, nu * v)
-        + 2.0 * omega * r * (v * apply_table(red.jd_jc, nu) + nu * apply_table(red.jd_jc, v))
-        + 2.0 * r * r * (v * apply_table(red.inv_jc, nu * nu) + 2.0 * nu * apply_table(red.inv_jc, nu * v))
-    )
-    assert _close(red.evaluate(nu)[1], source)
-    assert _close(red.residual(nu), residual)
-    assert _close(red.linearize(nu)(v), jac)
-    m_nu, quad, cubic = red.parts(nu)
-    assert _close(m_nu, apply_table(red.mhat, nu))
-    assert _close(cubic, 2.0 * r * r * nu * apply_table(red.inv_jc, nu * nu))
+    cubic = 2.0 * r * r * nu * apply_table(1.0 / sym.jc, nu * nu)
+    m_nu, q_nu, c_nu = red.parts(nu)
+    assert _close(m_nu, apply_table(mhat, nu))
+    assert _close(q_nu, quad)
+    assert _close(c_nu, cubic)
+    assert _close(red.evaluate(nu)[1], quad + cubic)
 
 
 @pytest.mark.parametrize("family", ["BO", "ILW", "BFD_finite", "BFD_inf"])
-def test_system_transform_counts(request, family, monkeypatch, fft_calls):
+def test_system_transform_counts(request, family, fft_calls):
     grid = make_grid(20.0, 256)
-    p = _params_of(request, family)
-    sys_ = _System(family, p, grid, 0.03)
-    xi, nu, dxi, dnu = _random_even(grid, 13, rows=4)
-    x, d = np.stack([xi, nu]), np.stack([dxi, dnu])
+    sys_ = _System(family, _params_of(request, family), grid, 0.03)
+    x = _random_even(grid, 13)
     fft_calls["n"] = 0
     sys_.residual(x)
     assert fft_calls["n"] == 2
-    fft_calls["n"] = 0
-    sys_.jacobian_apply(x, d)
-    assert fft_calls["n"] == 2
-
-    # the Newton preconditioner, taken from the first inner solve
-    class Captured(Exception):
-        pass
-
-    def capture(matvec, precond, rhs, rtol):
-        raise Captured(precond)
-
-    monkeypatch.setattr(solvers, "_inner_solve", capture)
-    with pytest.raises(Captured) as caught:
-        newton_solve(family, p, 0.03, WavePair(grid=grid, xi=xi, nu=nu))
-    precond = caught.value.args[0]
-    fft_calls["n"] = 0
-    out = precond(np.concatenate([dxi, dnu]))
-    assert fft_calls["n"] == 2
-    assert out.shape == (2 * grid.N,)
-
-
-def test_reduced_matvec_transform_count(p1_mu2_4, fft_calls):
-    grid = make_grid(20.0, 256)
-    red = _Reduced(p1_mu2_4, grid, 0.1)
-    nu, v = _random_even(grid, 14)
-    jac = red.linearize(nu)
-    fft_calls["n"] = 0
-    jac(v)
-    assert fft_calls["n"] == 3
 
 
 def _fft_calls_per_iteration(fft_calls, monkeypatch, solve):
@@ -455,22 +425,26 @@ def _fft_calls_per_iteration(fft_calls, monkeypatch, solve):
 
 
 def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, fft_calls):
+    # every iteration: one stacked rfft and one stacked irfft of the
+    # equation's rows, and the rfft/irfft pair of M^-1
     grid = make_grid(50.0, 512)
     per_iter = _fft_calls_per_iteration(
         fft_calls, monkeypatch, lambda cfg: petviashvili_ground_state(p1_inf, grid, cfg)
     )
-    assert 0 < per_iter <= 4
+    assert per_iter == 4
 
-    # the reduced iteration, ended at the first polish step
-    def stop(*args):
-        raise ConvergenceError("stop before the polish")
+    # the one-layer equation away from c = 0, from the ground state
+    nu0 = petviashvili_ground_state(p1_inf, grid).values
+    per_iter = _fft_calls_per_iteration(
+        fft_calls, monkeypatch, lambda cfg: solvers._solve(_Reduced("BO", p1_inf, grid, 0.01), nu0, cfg)
+    )
+    assert per_iter == 4
 
-    monkeypatch.setattr(solvers, "_inner_solve", stop)
     grid = make_grid(8.0, 512)
     per_iter = _fft_calls_per_iteration(
         fft_calls, monkeypatch, lambda cfg: solve_bfd_reduced(p1_mu2_4, 0.1, cfg, grid=grid)
     )
-    assert 0 < per_iter <= 5
+    assert per_iter == 4
 
 
 def _plain_petviashvili(evaluate, inv_m, nu, q, dx, iters):
@@ -487,7 +461,7 @@ def _plain_petviashvili(evaluate, inv_m, nu, q, dx, iters):
 def test_petviashvili_guard_keeps_the_plain_iterate(p1_mu2_4, monkeypatch):
     # a fit the guard refuses leaves the plain iteration, bit for bit
     grid = make_grid(8.0, 256)
-    red = _Reduced(p1_mu2_4, grid, 0.1)
+    red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
     nu0 = 3.0 * trivial_threshold(p1_mu2_4) * 1e3 / np.cosh(grid.x) ** 2
     args = (red.evaluate, 1.0 / red.mhat, nu0, 2.0, grid.dx)
     monkeypatch.setattr(solvers, "_anderson_mixing", lambda d_res, res: None)
@@ -552,7 +526,7 @@ def test_closed_form_scan_matches_direct_ratios(request, which, L, n, depth):
     p = request.getfixturevalue(which)
     assert p.finite_depth == (depth == "finite")
     grid = make_grid(L, n)
-    red = _Reduced(p, grid, 0.1)
+    red = _Reduced("BFD_finite" if depth == "finite" else "BFD_inf", p, grid, 0.1)
     shape = 1.0 / np.cosh(grid.x) ** 2
     amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(p) * 1e3
     direct = np.full(amps.shape, np.nan)
@@ -568,81 +542,3 @@ def test_closed_form_scan_matches_direct_ratios(request, which, L, n, depth):
     assert np.max(np.abs(closed[ok] - direct[ok]) / np.abs(direct[ok])) <= 1e-12
     # first minimizer of |S - 1|, as the solver's tie rule picks it
     assert np.nanargmin(np.abs(closed - 1.0)) == np.nanargmin(np.abs(direct - 1.0))
-
-
-# ---------------------------------------------------------------------------
-# the shared Newton iteration
-# ---------------------------------------------------------------------------
-
-
-def test_newton_step_cap_counts_steps(p1_inf, bo_state, scfg):
-    # tol is tested before each step: a solve that needs k steps succeeds
-    # with max_iters = k + 1 and fails with k, after making the same k steps
-    pair = bo_state["pair"]
-    g = pair.grid
-    bump = 1e-3 * np.exp(-g.x**2)
-    guess = WavePair(grid=g, xi=pair.xi + bump, nu=pair.nu - bump)
-    _, info = newton_solve("BO", p1_inf, 0.0, guess, scfg, return_info=True)
-    k = info["iterations"]
-    assert k >= 2
-    enough = SolverConfig(tol_residual=scfg.tol_residual, max_iters=k + 1)
-    assert newton_solve("BO", p1_inf, 0.0, guess, enough, return_info=True)[1] == info
-    short = SolverConfig(tol_residual=scfg.tol_residual, max_iters=k)
-    with pytest.raises(ConvergenceError, match=f"did not reach tol in {k} steps") as exc:
-        newton_solve("BO", p1_inf, 0.0, guess, short)
-    diag = exc.value.diagnostics
-    assert diag["history"] == info["residual_history"]
-    assert diag["residual"] == info["residual_history"][-1]
-    assert diag["inner_solves"] == info["inner_solves"]
-
-
-def test_newton_failed_search_raises_or_accepts_floor():
-    # a residual that no step lowers: the line search fails at t = 1/64
-    # an even iterate: cos(pi j / 4) is unchanged by the reflection j -> 8 - j
-    x = np.cos(np.pi * np.arange(8) / 4.0)
-    const = np.full(8, 3e-11)
-    args = (
-        x,
-        const,
-        lambda u: const,
-        lambda u: (lambda d: d),
-        lambda v: v,
-        lambda rn: 1e-6,
-        5,
-        1e-11,
-    )
-    with pytest.raises(ConvergenceError, match="line search failed") as exc:
-        _newton(*args)
-    assert exc.value.diagnostics["history"] == [3e-11]
-    assert [rec["exit"] for rec in exc.value.diagnostics["inner_solves"]] == ["converged"]
-    # within the floor the residual is accepted as it stands
-    out, r, history, inner, exit_reason = _newton(*args, floor=1e-10)
-    assert exit_reason == "floor"
-    assert out is x and r is const and history == [3e-11] and len(inner) == 1
-    with pytest.raises(ConvergenceError, match="line search failed"):
-        _newton(*args, floor=1e-11)
-
-
-def test_newton_converges_on_linear_residual():
-    # residual(x) = a x - b is linear: the first full step solves it; a and
-    # b are even, so the solution b / a lies in the even subspace
-    a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 4.0, 3.0, 2.0])
-    b = np.cos(np.pi * np.arange(8) / 4.0)
-    out, r, history, inner, exit_reason = _newton(
-        np.zeros(8), -b, lambda u: a * u - b, lambda u: (lambda d: a * d), lambda v: v,
-        lambda rn: 1e-13, 5, 1e-11,
-    )
-    assert exit_reason == "converged"
-    assert np.max(np.abs(out - b / a)) <= 1e-11
-    assert len(history) == 2 and history[-1] == float(np.max(np.abs(r)))
-    assert [rec["exit"] for rec in inner] == ["converged"]
-
-
-@pytest.mark.parametrize("n", [4, 8, 10, 16])
-def test_inner_solve_recovers_from_invariant_krylov_space(n):
-    # lgmres returns x = 0 here: its Krylov space is invariant after one step
-    b = np.linspace(-1.0, 1.0, n)
-    x, rec = _inner_solve(lambda v: v, lambda v: v, b, 1e-10)
-    assert rec["exit"] == "converged"
-    assert rec["relative_residual"] <= 1e-10
-    assert np.max(np.abs(x - b)) <= 1e-15
