@@ -1,5 +1,7 @@
 """Solitary-wave solvers: the reduced equation, its iteration, continuation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -152,9 +154,10 @@ def test_bfd_infinite_reduced(p1_inf, bfd_inf):
 @pytest.mark.parametrize(
     "which, exit_reason", [("bfd_finite", "floor"), ("bfd_inf", "converged")]
 )
-def test_reduced_solve_reports_exit(request, scfg, which, exit_reason):
-    # bfd_finite ends on its roundoff floor within the 10x margin; bfd_inf
-    # reaches tol_residual
+def test_reduced_polish_reports_history_and_exit(request, scfg, which, exit_reason):
+    # the exits the BFD Newton polish reported are now those of the reduced
+    # solve's one stop rule: bfd_finite ends on its roundoff floor within the
+    # 10x margin; bfd_inf reaches tol_residual
     info = request.getfixturevalue(which)["info"]
     assert info["exit"] == exit_reason
     assert set(info) == {"iterations", "exit", "residual", "S_minus_1", "full_residual"}
@@ -164,6 +167,24 @@ def test_reduced_solve_reports_exit(request, scfg, which, exit_reason):
         assert info["residual"] > scfg.tol_residual
         assert info["iterations"] >= solvers._STALL_ITERS
     assert abs(info["S_minus_1"]) <= 1e-9
+
+
+def test_reduced_solve_inner_solves_are_honest(p1_mu2_4, scfg):
+    # the record of the reduced solve is what the returned wave gives when
+    # it is evaluated afresh
+    grid = make_grid(8.0, 512)
+    pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, scfg, grid=grid, return_info=True)
+    red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
+    m_nu, g_nu = red.evaluate(pair.nu)
+    assert info["residual"] == float(np.max(np.abs(m_nu - g_nu)))
+    assert info["full_residual"] == residual_norm("BFD_finite", p1_mu2_4, 0.1, pair) <= 1e-9
+    assert np.array_equal(pair.xi, red.lift(pair.nu))
+    assert 1 <= info["iterations"] <= scfg.max_iters
+    if info["exit"] == "converged":
+        assert info["residual"] <= scfg.tol_residual
+    else:
+        assert info["exit"] == "floor"
+        assert scfg.tol_residual < info["residual"] <= 10.0 * scfg.tol_residual
 
 
 @pytest.mark.parametrize("tol, outcome", [(1e-12, "floor"), (1e-13, "stagnation")])
@@ -294,9 +315,10 @@ def test_continuation_truncates_where_the_symbol_turns(p1_inf, scfg):
     assert any(0.0 < step["parameter"] - solved[-1] <= scfg.min_step for step in failed)
 
 
-def test_depth_chain_step_records(p1_inf, scfg, tmp_path):
+def test_depth_chain_inner_solves_are_honest(p1_inf, scfg, tmp_path):
     # the mu2 continuation in 1/sqrt(mu2) on a coarse grid, each milestone
     # solved from the last; the records are read back from the saved branch
+    # and each one is what a fresh solve of its milestone reports
     grid = make_grid(50.0, 256)
     branch = continue_in_mu2(p1_inf, 100.0, scfg, grid=grid, milestones=[400.0, 100.0])
     save_branch(branch, str(tmp_path))
@@ -307,14 +329,19 @@ def test_depth_chain_step_records(p1_inf, scfg, tmp_path):
     assert set(branch.diagnostics["start"]) == {"iterations", "exit"}
     steps = loaded.diagnostics["steps"]
     assert [step["parameter"] for step in steps] == pytest.approx([400.0, 100.0])
-    for step in steps:
+    for step, before, after in zip(steps, branch.waves, branch.waves[1:]):
         assert step["accepted"] and step["exit"] in ("converged", "floor")
         assert 1 <= step["iterations"] <= 25
+        red = _Reduced("ILW", replace(p1_inf, mu2=step["parameter"]), grid, 0.0)
+        pair, info = solvers._solve(red, before.nu, scfg)
+        assert (info["iterations"], info["exit"]) == (step["iterations"], step["exit"])
+        assert np.array_equal(pair.nu, after.nu)
 
 
-def test_rejected_continuation_steps_are_recorded(p1_inf, scfg):
+def test_rejected_continuation_steps_keep_inner_records(p1_inf, scfg):
     # one iteration per solve never certifies a wave: every solve is
-    # rejected and the loop bisects toward mu2 = inf until min_step
+    # rejected, keeps the error of its solve, and the loop bisects toward
+    # mu2 = inf until min_step
     grid = make_grid(50.0, 256)
     start = continue_in_c("BO", p1_inf, 0.0, scfg, grid=grid, store_at=[]).waves[0]
     one_iter = SolverConfig(tol_residual=scfg.tol_residual, max_iters=1)
@@ -330,6 +357,83 @@ def test_rejected_continuation_steps_are_recorded(p1_inf, scfg):
     ts = [1.0 / np.sqrt(step["parameter"]) for step in steps]
     assert ts == pytest.approx([0.05 / 2**i for i in range(len(steps))])
     assert ts[-1] <= one_iter.min_step < ts[-2]
+
+
+# ---------------------------------------------------------------------------
+# Jacobians, written out from the multiplier formulas, against central
+# differences of the residuals at converged waves
+# ---------------------------------------------------------------------------
+
+
+def _converged_wave(request, family):
+    """(params, speed, wave) of a converged session wave of `family`."""
+    if family == "BO":
+        branch = request.getfixturevalue("bo_branch")
+        return request.getfixturevalue("p1_inf"), branch.parameter_values[-1], branch.waves[-1]
+    if family == "ILW":
+        return request.getfixturevalue("p1_mu2_25"), 0.0, request.getfixturevalue("ilw_chain").waves[-1]
+    if family == "BFD_finite":
+        sol = request.getfixturevalue("bfd_finite")
+        return request.getfixturevalue("p1_mu2_4"), sol["omega"], sol["pair"]
+    sol = request.getfixturevalue("bfd_inf")
+    return request.getfixturevalue("p1_inf"), sol["omega"], sol["pair"]
+
+
+@pytest.mark.parametrize("family", ["BO", "ILW", "BFD_finite", "BFD_inf"])
+def test_system_jacobian_matches_central_difference(request, family):
+    p, speed, wave = _converged_wave(request, family)
+    sys_ = _System(family, p, wave.grid, speed)
+    r, s, og = sys_.r, sys_.speed, sys_.one_minus_gamma
+    x = wave.grid.x
+    xi, nu = wave.xi, wave.nu
+    scale = np.max(np.abs(nu))
+    dxi = scale * np.exp(-((x - 0.5) ** 2))
+    dnu = scale * np.cos(x) / np.cosh(x)
+    nonlinear = 2.0 * r * (nu * dxi + xi * dnu)
+    if family in ("BO", "ILW"):
+        j1 = -s * apply_table(sys_.op1, dxi) + apply_table(sys_.op2, dnu) - nonlinear
+        j2 = og * dxi - (s + 2.0 * r * nu) * dnu
+    else:
+        j1 = -s * apply_table(sys_.jb, dxi) + apply_table(sys_.lt, dnu) - nonlinear
+        j2 = og * apply_table(sys_.jc, dxi) - s * apply_table(sys_.jd, dnu) - 2.0 * r * nu * dnu
+    h = 1e-3
+    w, d = np.stack([xi, nu]), np.stack([dxi, dnu])
+    p1, p2 = sys_.residual(w + h * d)
+    m1, m2 = sys_.residual(w - h * d)
+    fd = np.concatenate([(p1 - m1) / (2.0 * h), (p2 - m2) / (2.0 * h)])
+    jv = np.concatenate([j1, j2])
+    # the residual is quadratic, so the central difference is exact up to
+    # roundoff
+    assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-8
+
+
+@pytest.mark.parametrize("which, depth", [("bfd_finite", "finite"), ("bfd_inf", "infinite")])
+def test_reduced_jacobian_matches_central_difference(request, which, depth):
+    p = request.getfixturevalue("p1_mu2_4" if depth == "finite" else "p1_inf")
+    sol = request.getfixturevalue(which)
+    grid, nu, omega, r = sol["pair"].grid, sol["pair"].nu, sol["omega"], p.r
+    red = _Reduced("BFD_finite" if depth == "finite" else "BFD_inf", p, grid, omega)
+    sym = symbols(p, grid)
+    j = sym.jd if depth == "finite" else sym.jb
+    mhat = (1.0 - p.gamma) * sym.L - omega**2 * sym.jb * j / sym.jc
+    x = grid.x
+    v = np.max(np.abs(nu)) * np.exp(-(x**2)) * np.cos(x)
+    jv = (
+        apply_table(mhat, v)
+        - 2.0 * omega * r * apply_table(sym.jb / sym.jc, nu * v)
+        - 2.0 * omega * r * (v * apply_table(j / sym.jc, nu) + nu * apply_table(j / sym.jc, v))
+        - 2.0 * r * r * v * apply_table(1.0 / sym.jc, nu * nu)
+        - 4.0 * r * r * nu * apply_table(1.0 / sym.jc, nu * v)
+    )
+
+    def residual(u):
+        m_u, g_u = red.evaluate(u)
+        return m_u - g_u
+
+    h = 1e-3
+    fd = (residual(nu + h * v) - residual(nu - h * v)) / (2.0 * h)
+    # O(h^2) from the cubic source: about 4e-7 here
+    assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-5
 
 
 # ---------------------------------------------------------------------------
