@@ -6,10 +6,11 @@ Each system has the structure
     T2 dv/dt = -d/dx [ S2 z - (eps/2 gamma) v^2 ]
 
 with elliptic factors T1, T2 and dispersive multipliers S1, S2 depending on
-the family.  The linear part is diagonalized by the characteristic
-variables q+- = zhat +- P vhat, P = sqrt(A/B), A = S1/T1, B = S2/T2, where
-it reduces to pure phase rotation at speeds +-sqrt(AB); ETDRK4 integrates
-that part exactly and the quadratic terms explicitly.  An IMEX-BDF2
+the family: the tables of `spectral.structure`, which the solvers read too.
+The linear part is diagonalized by the characteristic variables
+q+- = zhat +- P vhat, P = sqrt(A/B), A = S1/T1, B = S2/T2, where it reduces
+to pure phase rotation at speeds +-sqrt(AB); ETDRK4 integrates that part
+exactly and the quadratic terms explicitly.  An IMEX-BDF2
 stepper is provided as an independent cross-check.  Quadratic products are
 formed in physical space and dealiased by the 2/3 rule.
 
@@ -24,7 +25,7 @@ last state pays one stacked inverse FFT.  The H1 norms, the top-third
 energy fraction and the quadratic part of the Hamiltonian are Parseval sums
 with tables cached once per run; sup|zeta|, inf(1 - eps/gamma zeta), the
 masses and the cubic term of H are taken in physical space.  The amplitude
-bound is asserted at every monitored step.
+bound is asserted at every step.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 import numpy as np
 
 from .params import InadmissibleParameterError, ModelParams, family_params
-from .spectral import Grid, WavePair, pair_to_csv, symbols
+from .spectral import Grid, WavePair, pair_to_csv, structure, symbols
 
 INTEGRATORS = ("etdrk4", "imex")
 
@@ -55,23 +56,10 @@ class AmplitudeBoundError(RuntimeError):
         self.alpha = alpha
 
 
-def _structure(family: str, p: ModelParams, grid: Grid):
-    """Half-spectrum tables (T1, S1, T2, S2) of the evolution structure: the
-    one-layer operators with T2 = 1, S2 = 1 - gamma, or J_b, L, J_d and
-    (1 - gamma) J_c, at the family's depth."""
-    fam, p = family_params(family, p)
-    sym = symbols(p, grid)
-    og = 1.0 - p.gamma
-    if fam in ("BO", "ILW"):
-        ones = np.ones_like(grid.k_half)
-        return sym.op1, sym.op2, ones, og * ones
-    return sym.jb, sym.L, sym.jd, og * sym.jc
-
-
 def _quotients(family: str, p: ModelParams, grid: Grid):
-    """(T1, T2, A, B) with the symbol quotients A = S1/T1 and B = S2/T2,
-    which the characteristic splitting needs positive."""
-    t1, s1, t2, s2 = _structure(family, p, grid)
+    """(T1, T2, A = S1/T1, B = S2/T2) of the family's `structure`; the
+    characteristic splitting needs the quotients A and B positive."""
+    _, _, (t1, s1, t2, s2) = structure(family, p, grid)
     a_sym = s1 / t1
     b_sym = s2 / t2
     if np.min(a_sym) <= 0.0 or np.min(b_sym) <= 0.0:
@@ -82,14 +70,18 @@ def _quotients(family: str, p: ModelParams, grid: Grid):
     return t1, t2, a_sym, b_sym
 
 
-def suggest_dt(family: str, p: ModelParams, grid: Grid, max_phase: float = math.pi / 4.0) -> float:
-    """Largest dt for which the fastest linear mode advances < max_phase per step."""
+# the phase by which the fastest linear mode may advance in a suggested step
+_MAX_PHASE = math.pi / 4.0
+
+
+def suggest_dt(family: str, p: ModelParams, grid: Grid) -> float:
+    """Largest dt for which the fastest linear mode advances < _MAX_PHASE per step."""
     _, _, a_sym, b_sym = _quotients(family, p, grid)
     speed = np.sqrt(a_sym * b_sym)
     omega_max = float(np.max(grid.k_half * speed))
     if omega_max == 0.0:
         raise ValueError("grid has no nonzero modes")
-    return max_phase / omega_max
+    return _MAX_PHASE / omega_max
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +97,12 @@ class _CharacteristicBase:
     variables.
     """
 
-    def __init__(self, family: str, p: ModelParams, grid: Grid, dt: float, linear_only: bool):
+    def __init__(self, family: str, p: ModelParams, grid: Grid, dt: float):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.family, p = family_params(family, p)
-        self.p = p
         self.grid = grid
         self.dt = float(dt)
-        self.linear_only = linear_only
-        t1, t2, a_sym, b_sym = _quotients(self.family, p, grid)
+        t1, t2, a_sym, b_sym = _quotients(family, p, grid)
         self.pfac = np.sqrt(a_sym / b_sym)
         self._half_over_pfac = 0.5 / self.pfac
         speed = np.sqrt(a_sym * b_sym)
@@ -166,9 +155,6 @@ class _CharacteristicBase:
         """N(q) written into out.  The stage's half spectra s, samples zv and
         products (zeta v, v^2) are formed in the buffers `stage`, or in
         scratch buffers when it is None."""
-        if self.linear_only:
-            out[...] = 0.0
-            return out
         s, zv, prod = self._scratch if stage is None else stage
         self.spectral(q, out=s)
         np.fft.irfft(s, n=self.grid.N, axis=-1, out=zv)
@@ -189,8 +175,8 @@ class Etdrk4Stepper(_CharacteristicBase):
     stable for the purely imaginary spectra arising here.
     """
 
-    def __init__(self, family, p, grid, dt, linear_only=False):
-        super().__init__(family, p, grid, dt, linear_only)
+    def __init__(self, family, p, grid, dt):
+        super().__init__(family, p, grid, dt)
         ldt = self.dt * self.lam
         self.e_full = np.exp(ldt)
         self.e_half = np.exp(0.5 * ldt)
@@ -248,8 +234,8 @@ class ImexBdf2Stepper(_CharacteristicBase):
     """Second-order IMEX-BDF2: implicit exact-diagonal linear part,
     explicitly extrapolated nonlinear part.  Cross-check integrator."""
 
-    def __init__(self, family, p, grid, dt, linear_only=False):
-        super().__init__(family, p, grid, dt, linear_only)
+    def __init__(self, family, p, grid, dt):
+        super().__init__(family, p, grid, dt)
         self.prev_q = None
         self.prev_n = None
         self._inv = 1.0 / (1.5 - self.dt * self.lam)
@@ -273,18 +259,11 @@ class ImexBdf2Stepper(_CharacteristicBase):
         return qn
 
 
-def make_stepper(
-    integrator: str,
-    family: str,
-    p: ModelParams,
-    grid: Grid,
-    dt: float,
-    linear_only: bool = False,
-):
+def make_stepper(integrator: str, family: str, p: ModelParams, grid: Grid, dt: float):
     if integrator == "etdrk4":
-        return Etdrk4Stepper(family, p, grid, dt, linear_only)
+        return Etdrk4Stepper(family, p, grid, dt)
     if integrator == "imex":
-        return ImexBdf2Stepper(family, p, grid, dt, linear_only)
+        return ImexBdf2Stepper(family, p, grid, dt)
     raise ValueError(f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}")
 
 
@@ -412,8 +391,6 @@ def run(
     T: float,
     dt: float,
     integrator: str = "etdrk4",
-    linear_only: bool = False,
-    monitor_every: int = 1,
     snapshots_every: float | None = None,
     outdir: str | None = None,
 ) -> dict:
@@ -426,18 +403,17 @@ def run(
     State n is monitored one step late, once step n + 1 is taken, from that
     step's first stage: its half spectra (zhat, vhat), its samples and the
     products (zeta v, v^2), so the monitors add no transform.  Only the last
-    state, and every state of a linear-only run (which forms no stage), pay
-    their own stacked inverse FFT.  The quadratic monitors (H1 norms,
-    top-third energy fraction, the quadratic part of H) are Parseval sums
-    with tables cached once per run, while sup|zeta|, the masses and the
-    cubic term of H come from the samples; the initial values, h0 included,
-    take the same path from the initial data's own transform.  Snapshots
-    are written from the same samples, after the state's monitors.  When
-    the initial data satisfies the global-existence criterion, the amplitude
-    bound sup|zeta| <= alpha is asserted at every monitored step and a
-    violation raises AmplitudeBoundError carrying the state's own t, the
-    observed sup and alpha (a violation can only mean under-resolution or a
-    bug).  Every step's state is tested for non-finite values after the
+    state pays its own stacked inverse FFT.  The quadratic monitors (H1
+    norms, top-third energy fraction, the quadratic part of H) are Parseval
+    sums with tables cached once per run, while sup|zeta|, the masses and
+    the cubic term of H come from the samples; the initial values, h0
+    included, take the same path from the initial data's own transform.
+    Snapshots are written from the same samples, after the state's
+    monitors.  When the initial data satisfies the global-existence
+    criterion, the amplitude bound sup|zeta| <= alpha is asserted at every
+    step and a violation raises AmplitudeBoundError carrying the state's own
+    t, the observed sup and alpha (a violation can only mean under-resolution
+    or a bug).  Every step's state is tested for non-finite values after the
     previous state is monitored; a blow-up ends the run with a report
     carrying the time stamp.
     """
@@ -445,15 +421,12 @@ def run(
     grid = initial.grid
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
-    stepper = make_stepper(integrator, fam, p, grid, dt_eff, linear_only)
+    stepper = make_stepper(integrator, fam, p, grid, dt_eff)
 
-    track_h = fam in ("BFD_finite", "BFD_inf") and abs(p.b - p.d) <= 1e-12
-    cond = None
-    if fam in ("BFD_finite", "BFD_inf") and not linear_only:
-        cond = check_global_criterion(p, initial)
-    alpha_bound = None
-    if cond is not None and cond.get("satisfied"):
-        alpha_bound = cond["alpha"]
+    two_layer = fam in ("BFD_finite", "BFD_inf")
+    track_h = two_layer and abs(p.b - p.d) <= 1e-12
+    cond = check_global_criterion(p, initial) if two_layer else None
+    alpha_bound = cond["alpha"] if cond is not None and cond.get("satisfied") else None
 
     summary: dict = {
         "family": fam,
@@ -461,7 +434,6 @@ def run(
         "T": T,
         "dt": dt_eff,
         "steps": nsteps,
-        "linear_only": linear_only,
         "condH": cond,
         "status": "completed",
     }
@@ -478,52 +450,39 @@ def run(
         pair_to_csv(initial, os.path.join(outdir, "snapshot_t0.csv"))
         snap_next = snapshots_every
 
-    def observe(n: int, q_n: np.ndarray, staged: bool) -> np.ndarray | None:
-        """Monitor and snapshot state n, from the stepper's first stage when
-        `staged`, else from its own transform of q_n; the samples used, or
-        None when state n is neither monitored nor saved."""
+    def observe(n: int, s: np.ndarray, zv: np.ndarray, v2: np.ndarray) -> None:
+        """Monitor state n from its half spectra s, samples zv and v^2 = v2,
+        and snapshot it when one is due."""
         nonlocal snap_next
         t_n = n * dt_eff
-        monitored = n % monitor_every == 0 or n == nsteps
-        snap = snap_next is not None and t_n + 1e-12 >= snap_next
-        if not (monitored or snap):
-            return None
-        if staged:
-            s, zv, prod = stepper.stage
-            v2 = prod[1]
-        else:
-            s = stepper.spectral(q_n)
-            zv = stepper.physical(s)
-            v2 = zv[1] * zv[1]
-        if monitored:
-            sample = monitor(s, zv, v2)
-            times.append(t_n)
-            samples.append(sample)
-            if alpha_bound is not None and sample[0] > alpha_bound * (1.0 + 1e-9):
-                raise AmplitudeBoundError(t_n, sample[0], alpha_bound)
-        if snap:
+        sample = monitor(s, zv, v2)
+        times.append(t_n)
+        samples.append(sample)
+        if alpha_bound is not None and sample[0] > alpha_bound * (1.0 + 1e-9):
+            raise AmplitudeBoundError(t_n, sample[0], alpha_bound)
+        if snap_next is not None and t_n + 1e-12 >= snap_next:
             pair = WavePair(grid=grid, xi=zv[0], nu=zv[1])
             pair_to_csv(pair, os.path.join(outdir, f"snapshot_t{t_n:.6g}.csv"))
             snap_next += snapshots_every
-        return zv
 
     # state n is observed once step n + 1 is taken, from that step's first
     # stage, which holds its spectra, samples and products; the last state
-    # and linear-only runs (no stage) pay their own transform
-    staged = not linear_only
+    # pays its own transform
     t = 0.0
     for istep in range(1, nsteps + 1):
-        q_prev, q = q, stepper.advance(q)
+        q = stepper.advance(q)
         if istep > 1:
-            observe(istep - 1, q_prev, staged)
+            s, zv, prod = stepper.stage
+            observe(istep - 1, s, zv, prod[1])
         t = istep * dt_eff
         if not np.isfinite(q).all():
             summary["status"] = "blow_up"
             summary["t_blow_up"] = t
             break
     else:
-        # the last state is always monitored, from its own fresh samples
-        zv = observe(nsteps, q, False)
+        s = stepper.spectral(q)
+        zv = stepper.physical(s)
+        observe(nsteps, s, zv, zv[1] * zv[1])
         summary["final_state"] = WavePair(grid=grid, xi=zv[0], nu=zv[1])
 
     sup_z, min_one, mass_z, mass_v, h1_z, h1_v, top_frac, h_values = map(list, zip(*samples))

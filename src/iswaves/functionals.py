@@ -64,8 +64,7 @@ def energy_E(p: ModelParams, omega: float, w: WavePair) -> float:
 
 
 def hamiltonian_H(p: ModelParams, state: WavePair) -> float:
-    """Invariant of the b = d evolution.
-
+    """Invariant of the b = d evolution, E at omega = 0 less the cubic term:
     H = int (1-gamma)/2 zeta J_c zeta + 1/2 v L v - (epsilon/2gamma) zeta v^2,
     with L at the depth of p.  Expanded, the quadratic part contains
     (1-gamma)/2 (zeta^2 - mu c |zeta_x|^2), the v^2, |v_x|^2 and the two
@@ -74,14 +73,8 @@ def hamiltonian_H(p: ModelParams, state: WavePair) -> float:
     """
     if abs(p.b - p.d) > 1e-12:
         raise ValueError("hamiltonian_H requires b = d (Hamiltonian case)")
-    grid = state.grid
-    g = p.gamma
-    sym = symbols(p, grid)
     zeta, v = state.xi, state.nu
-    value = 0.5 * (1.0 - g) * inner(grid, zeta, apply_table(sym.jc, zeta))
-    value += 0.5 * inner(grid, v, apply_table(sym.L, v))
-    value -= p.epsilon / (2.0 * g) * inner(grid, zeta, v * v)
-    return value
+    return energy_E(p, 0.0, state) - p.r * inner(state.grid, zeta, v * v)
 
 
 def quadratic_form_check(p: ModelParams, omega: float, grid: Grid) -> QuadraticFormReport:

@@ -1,22 +1,28 @@
 """Solitary-wave solvers for the three model families.
 
-One scalar equation serves every travelling wave.  The second equation of
-each two-field system gives xi in terms of nu, and substituting it into the
-first leaves the reduced equation M nu = G(nu) (`_Reduced`):
-  - BO and ILW: the second equation is algebraic, xi = (c nu + r nu^2)/(1-gamma),
-    so M = op2 - c^2 op1/(1-gamma) and G(nu) = c r op1(nu^2)/(1-gamma) + 2 r xi nu;
-    at c = 0 this is the ground-state problem with M = op2;
-  - BFD: xi = J_c^{-1}(c J nu + r nu^2)/(1-gamma), so M = (1-gamma) L -
-    c^2 J_b J J_c^{-1} and G collects a quadratic and a cubic source.
-One Petviashvili fixed-point iteration (`_petviashvili`) solves it for every
-family, and one stop rule ends it (`_solve`): the reduced residual reaches
-tol_residual (exit "converged"), or it stops halving for _STALL_ITERS
-iterations within 10 tol_residual (exit "floor", the spectral roundoff
-floor).  One continuation loop (`_continuation`) marches branches in the
-speed c and in the depth parameter mu2, each milestone warm-started from the
-last wave solved.  Constrained minimization of the energy on {F = lambda} is
-an independent path.  The multiplier tables come from the shared
-`spectral.symbols` bundle.
+One scalar equation serves every travelling wave.  Every family's system
+is stated once, by the tables (T1, S1, T2, S2) of `spectral.structure`: a
+wave of speed c solves
+
+    -c T1 xi + S1 nu - 2 r xi nu = 0,   -c T2 nu + S2 xi - r nu^2 = 0.
+
+The second equation gives the lift xi = S2^{-1}(c T2 nu + r nu^2), and
+substituting it into the first leaves the reduced equation M nu = G(nu)
+(`_Reduced`) with
+
+    M = S1 - c^2 T1 T2 / S2,   G(nu) = c r T1 S2^{-1}(nu^2) + 2 r xi nu,
+
+row one of the system for BO and ILW (T2 = 1, S2 = 1 - gamma: the lift is
+algebraic, and at c = 0 M = op2 is the ground-state problem) and (1 - gamma)
+times row one for BFD (T2 = J_d, S2 = (1 - gamma) J_c), the scale in which
+tol_residual is stated.  One Petviashvili fixed-point iteration
+(`_petviashvili`) solves it for every family, and one stop rule ends it
+(`_solve`): the reduced residual reaches tol_residual (exit "converged"), or
+it stops halving for _STALL_ITERS iterations within 10 tol_residual (exit
+"floor", the spectral roundoff floor).  One continuation loop
+(`_continuation`) marches branches in the speed c and in the depth parameter
+mu2, each milestone warm-started from the last wave solved.  Constrained
+minimization of the energy on {F = lambda} is an independent path.
 
 Certification.  Every returned wave carries the direct-substitution residual
 of its two-field system (`residual_norm`, through `_System`), code the
@@ -46,10 +52,11 @@ at every iteration, which pins the translation mode.
 
 Transform economy.  An iteration makes four transforms: one stacked rfft of
 (nu^2, nu) (of nu alone for BO/ILW at c = 0), one stacked irfft of every
-multiplier row, and the rfft/irfft pair of M^{-1}.  The iteration carries
-the residual of each iterate into the next step, and the BFD start-up
-amplitude scan is closed-form: M is linear and G(a s) = a^2 Q(s) + a^3 C(s),
-so three inner products of one shape s give the ratio at every amplitude.
+multiplier row, and the rfft/irfft pair of M^{-1}; scalar tables multiply
+in physical space.  The iteration carries the residual of each iterate
+into the next step, and the BFD start-up amplitude scan is closed-form: M
+is linear and G(a s) = a^2 Q(s) + a^3 C(s), so three inner products of one
+shape s give the ratio at every amplitude.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ from .spectral import (
     apply_table,
     pair_from_csv,
     pair_to_csv,
+    structure,
     symbols,
     symmetrize_even as _even,
 )
@@ -120,52 +128,49 @@ def trivial_threshold(p: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# governing systems: the certification residual
+# governing systems: the certification residual and the reduced equation
 # ---------------------------------------------------------------------------
 
 
+class _RowPlan:
+    """Tables applied to fields, planned once: row i applies tables[i] to
+    fields[picks[i]].  The multipliers take one stacked rfft of the fields
+    they read and one stacked irfft; a scalar table multiplies in physical
+    space."""
+
+    def __init__(self, tables, picks, n: int):
+        self._n = n
+        self._rows = [(t, k, isinstance(t, np.ndarray)) for t, k in zip(tables, picks)]
+        arrays = [(t, k) for t, k, is_array in self._rows if is_array]
+        self._reads = sorted({k for _, k in arrays})
+        self._stack = np.stack([t for t, _ in arrays])
+        self._picks = [self._reads.index(k) for _, k in arrays]
+
+    def __call__(self, fields) -> list[np.ndarray]:
+        spectra = np.fft.rfft(np.stack([fields[k] for k in self._reads]), axis=-1)
+        rows = iter(np.fft.irfft(self._stack * spectra[self._picks], n=self._n, axis=-1))
+        return [next(rows) if is_array else t * fields[k] for t, k, is_array in self._rows]
+
+
 class _System:
-    """The two-field residual of one family on one grid, at the family's
-    depth."""
+    """The two-field residual of one family at speed c, at the family's
+    depth: (-c T1 xi + S1 nu - 2 r xi nu, -c T2 nu + S2 xi - r nu^2) with
+    the tables of `structure`."""
 
     def __init__(self, family: str, p: ModelParams, grid: Grid, speed: float):
-        self.family, p = family_params(family, p)
-        self.p = p
-        self.grid = grid
+        _, self.p, tables = structure(family, p, grid)
         self.speed = float(speed)
-        self.r = p.r
-        self.one_minus_gamma = 1.0 - p.gamma
-        sym = symbols(p, grid)
-        # row i of the stacked transform applies _tables[i] to input _picks[i]
-        # (0: the xi-like field, 1: the nu-like field)
-        if self.family in ("BO", "ILW"):
-            # W, Z (finite depth) or D, B (infinite depth): xi and nu in eq 1
-            self.op1, self.op2 = sym.op1, sym.op2
-            self._tables = np.stack([self.op1, self.op2])
-            self._picks = [0, 1]
-        else:
-            self.jb, self.jc, self.jd, self.lt = sym.jb, sym.jc, sym.j2, sym.L
-            self._tables = np.stack([self.jb, self.lt, self.jd, self.jc])
-            self._picks = [0, 1, 1, 0]
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """Every multiplier row of the system on the stack x = (a, b): one
-        rfft, one stacked irfft.  BO/ILW rows: op1 a, op2 b; BFD rows: J_b a,
-        L b, J_d b, J_c a."""
-        f = np.fft.rfft(x, axis=-1)
-        return np.fft.irfft(self._tables * f[self._picks], n=self.grid.N, axis=-1)
+        # T1 and S2 act on xi, S1 and T2 on nu
+        self._plan = _RowPlan(tables, (0, 1, 1, 0), grid.N)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """The residual stack (r1, r2) at x = (xi, nu)."""
-        r, s = self.r, self.speed
+        r, c = self.p.r, self.speed
         xi, nu = x
-        rows = self._apply(x)
-        r1 = -s * rows[0] + rows[1] - 2.0 * r * xi * nu
-        if self.family in ("BO", "ILW"):
-            r2 = -s * nu + self.one_minus_gamma * xi - r * nu * nu
-        else:
-            r2 = -s * rows[2] + self.one_minus_gamma * rows[3] - r * nu * nu
-        return np.stack([r1, r2])
+        t1_xi, s1_nu, t2_nu, s2_xi = self._plan(x)
+        return np.stack(
+            [-c * t1_xi + s1_nu - 2.0 * r * xi * nu, -c * t2_nu + s2_xi - r * nu * nu]
+        )
 
 
 def residual_norm(family: str, p: ModelParams, speed: float, w: WavePair) -> float:
@@ -174,66 +179,41 @@ def residual_norm(family: str, p: ModelParams, speed: float, w: WavePair) -> flo
     return float(np.max(np.abs(r)))
 
 
-# ---------------------------------------------------------------------------
-# the reduced scalar equation
-# ---------------------------------------------------------------------------
-
-
 class _Reduced:
     """The scalar reduced equation M nu = G(nu) of one family at speed c, at
     the family's depth (see the module docstring).  Refuses a speed at which
     M takes non-positive values: the wave's speed has left the window."""
 
     def __init__(self, family: str, p: ModelParams, grid: Grid, speed: float):
-        self.family, p = family_params(family, p)
-        self.p = p
+        self.family, self.p, (t1, s1, t2, s2) = structure(family, p, grid)
         self.grid = grid
         self.speed = c = float(speed)
-        self.r = r = p.r
-        self.one_minus_gamma = og = 1.0 - p.gamma
-        sym = symbols(p, grid)
-        # row i of the stacked irfft applies _tables[i] to input _picks[i] of
-        # (nu^2, nu), or of (nu,) when no row needs nu^2
-        if self.family in ("BO", "ILW"):
-            self.mhat = sym.op2 - c * c / og * sym.op1
-            if c == 0.0:
-                tables, self._picks = [self.mhat], [0]
-            else:
-                tables, self._picks = [c * r / og * sym.op1, self.mhat], [0, 1]
-        else:
-            jb, jc, j2 = sym.jb, sym.jc, sym.j2
-            self.mhat = og * sym.L - c * c * jb * j2 / jc
-            tables, self._picks = [jb / jc, j2 / jc, 1.0 / jc, self.mhat], [0, 1, 0, 1]
-        self._squares = len(tables) > 1
-        self._tables = np.stack(tables)
+        # row one of the system for a scalar S2 (BO, ILW); times 1 - gamma for
+        # a multiplier S2 (BFD), the scale in which its tolerances are stated
+        scale = 1.0 if np.isscalar(s2) else 1.0 - self.p.gamma
+        self._scale_r = scale * self.p.r
+        self.mhat = scale * (s1 - c * c * t1 * t2 / s2)
+        # rows on (nu^2, nu): M nu and 1/S2 nu^2, and at c != 0 the rows that c
+        # multiplies, T1/S2 nu^2 and T2/S2 nu
+        tables = [self.mhat, 1.0 / s2] + ([t1 / s2, t2 / s2] if c else [])
+        self._plan = _RowPlan(tables, (1, 0, 0, 1), grid.N)
         if np.min(self.mhat) <= 0.0:
             raise ConvergenceError(
                 f"reduced symbol takes non-positive values (min {np.min(self.mhat):.3e}) at "
                 f"speed {c!r}; parameters are outside the admissible window"
             )
 
-    def _rows(self, nu: np.ndarray) -> np.ndarray:
-        """Every multiplier row of the equation in one stacked rfft and one
-        stacked irfft: BO/ILW rows c r op1/(1-gamma) nu^2 (c != 0) and M nu;
-        BFD rows J_b/J_c nu^2, J/J_c nu, 1/J_c nu^2 and M nu."""
-        x = np.stack([nu * nu, nu]) if self._squares else nu[None]
-        f = np.fft.rfft(x, axis=-1)
-        return np.fft.irfft(self._tables * f[self._picks], n=self.grid.N, axis=-1)
-
     def parts(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M nu, Q(nu), C(nu)): G(nu) = Q(nu) + C(nu), with Q homogeneous of
         degree 2 and C of degree 3."""
-        c, r = self.speed, self.r
-        rows = self._rows(nu)
-        if self.family in ("BO", "ILW"):
-            og = self.one_minus_gamma
-            quad = 2.0 * c * r / og * nu * nu
-            if self._squares:
-                quad += rows[0]
-            return rows[-1], quad, 2.0 * r * r / og * nu**3
-        b_nn, j_n, inv_nn, m_n = rows
-        quad = c * r * b_nn + 2.0 * c * r * nu * j_n
-        return m_n, quad, 2.0 * r * r * nu * inv_nn
+        m_nu, inv_sq, *c_rows = self._plan((nu * nu, nu))
+        k, c = self._scale_r, self.speed
+        if c_rows:
+            t1_sq, t2_nu = c_rows
+            quad = k * c * t1_sq + 2.0 * k * c * nu * t2_nu
+        else:
+            quad = np.zeros_like(nu)
+        return m_nu, quad, 2.0 * k * self.p.r * nu * inv_sq
 
     def evaluate(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(M nu, G(nu))."""
@@ -241,17 +221,11 @@ class _Reduced:
         return m_nu, quad + cubic
 
     def lift(self, nu: np.ndarray) -> np.ndarray:
-        """The xi that solves the second equation with nu."""
-        if self.family in ("BO", "ILW"):
-            return (self.speed * nu + self.r * nu * nu) / self.one_minus_gamma
-        return _even(reconstruct_xi(self.p, self.grid, nu, self.speed))
-
-
-def reconstruct_xi(p: ModelParams, grid: Grid, nu: np.ndarray, omega: float) -> np.ndarray:
-    """Second-equation reconstruction xi = J_c^{-1}(omega J nu + r nu^2)/(1-gamma)."""
-    sym = symbols(p, grid)
-    rhs = omega * apply_table(sym.j2, nu) + p.r * nu * nu
-    return apply_table(1.0 / sym.jc, rhs) / (1.0 - p.gamma)
+        """The xi = c T2/S2 nu + r/S2 nu^2 that solves the second equation
+        with nu."""
+        _, inv_sq, *c_rows = self._plan((nu * nu, nu))
+        xi = self.p.r * inv_sq
+        return _even(self.speed * c_rows[1] + xi if c_rows else xi)
 
 
 # ---------------------------------------------------------------------------
@@ -393,24 +367,19 @@ def _solve(red: _Reduced, nu: np.ndarray, cfg: SolverConfig) -> tuple[WavePair, 
     }
 
 
-def _bo_start(
-    p: ModelParams, grid: Grid | None, cfg: SolverConfig, guess: np.ndarray | None = None
-) -> tuple[WavePair, dict]:
+def _bo_start(p: ModelParams, grid: Grid | None, cfg: SolverConfig) -> tuple[WavePair, dict]:
     """The c = 0 BO pair: the even positive ground state of op2 nu = 2 r^2
     nu^3/(1-gamma) and xi = r nu^2/(1-gamma), with its `_solve` record."""
     if grid is None:
         raise ValueError("provide a grid or a starting pair")
     red = _Reduced("BO", p, grid, 0.0)
-    if guess is None:
-        # Lorentzian-squared bump at the dispersive width; the amplitude is
-        # fixed by S(amp) = 1, which is scale-invariant (a raw-residual
-        # search would collapse to the trivial branch as amp -> 0)
-        width = (p.beta - 1.0) / p.gamma * math.sqrt(p.mu)
-        shape = 1.0 / (1.0 + (grid.x / width) ** 2) ** 2
-        m_s, _, cubic_s = red.parts(shape)
-        nu = math.sqrt(np.dot(shape, m_s) / np.dot(shape, cubic_s)) * shape
-    else:
-        nu = np.asarray(guess, dtype=float).copy()
+    # Lorentzian-squared bump at the dispersive width; the amplitude is fixed
+    # by S(amp) = 1, which is scale-invariant (a raw-residual search would
+    # collapse to the trivial branch as amp -> 0)
+    width = (p.beta - 1.0) / p.gamma * math.sqrt(p.mu)
+    shape = 1.0 / (1.0 + (grid.x / width) ** 2) ** 2
+    m_s, _, cubic_s = red.parts(shape)
+    nu = math.sqrt(np.dot(shape, m_s) / np.dot(shape, cubic_s)) * shape
     pair, info = _solve(red, nu, cfg)
     if np.min(pair.nu) < -1e-6 * np.max(np.abs(pair.nu)):
         raise ConvergenceError(
@@ -424,19 +393,18 @@ def petviashvili_ground_state(
     p: ModelParams,
     grid: Grid,
     cfg: SolverConfig | None = None,
-    guess: np.ndarray | None = None,
     return_info: bool = False,
 ):
     """Even positive ground state nu of the BO equation at c = 0,
     alpha|D| nu + nu/gamma = eta nu^3 (the reduced one-layer equation
     op2 nu = 2 r^2 nu^3/(1-gamma) at infinite depth).
 
-    Solved by `_solve` from guess, or from a Lorentzian-squared bump whose
-    amplitude makes the stabilizing factor 1.  With return_info, also
+    Solved by `_solve` from a Lorentzian-squared bump whose amplitude makes
+    the stabilizing factor 1.  With return_info, also
     returns the `_solve` record (iterations, exit, residual, S_minus_1 and
     the system residual of the lifted pair).
     """
-    pair, info = _bo_start(p, grid, cfg or SolverConfig(), guess)
+    pair, info = _bo_start(p, grid, cfg or SolverConfig())
     out = RealField(grid=grid, values=pair.nu)
     if return_info:
         return out, info
@@ -470,9 +438,8 @@ def _continuation(
     of that wave under truncation_key.  A speed at which M is not positive
     is such a failure.  Every solve leaves a record in diagnostics["steps"]:
     its parameter label(t), whether it was accepted, and its iterations and
-    exit or its error.  Returns the t
-    of every stored wave, the waves, their system residuals and the
-    diagnostics.
+    exit or its error.  Returns the t of every stored wave, the waves, their
+    system residuals and the diagnostics.
     """
     ts = [0.0]
     waves = [start]
@@ -568,30 +535,34 @@ def continue_in_mu2(
     mu2_min: float,
     cfg: SolverConfig | None = None,
     grid: Grid | None = None,
-    start: WavePair | None = None,
     milestones: list[float] | None = None,
 ) -> SolitaryBranch:
     """Branch of c = 0 finite-depth pairs in mu2, from the infinite-depth wave.
 
     Continuation runs in the regularizing parameter t = 1/sqrt(mu2), which is
-    0 at the infinite-depth endpoint.  The first stored sample is the
-    starting pair itself (parameter value inf), the BO ground state when not
-    supplied (its `_solve` record is kept under diagnostics["start"]); the
-    first milestone is solved from it.  Milestones are mu2 values to store,
-    solved in decreasing order.  Every solve leaves a record, keyed by its
-    mu2 value, in diagnostics["steps"].
+    0 at the infinite-depth endpoint.  The first stored sample is the BO
+    ground state (parameter value inf; its `_solve` record is kept under
+    diagnostics["start"]); the first milestone is solved from it.
+    Milestones are mu2 values to store, solved in decreasing order, each at
+    the exact mu2 given; a bisection midpoint t is solved at 1/t^2.  Every
+    solve leaves a record, keyed by its mu2 value, in diagnostics["steps"].
     """
     cfg = cfg or SolverConfig()
     if not mu2_min > 0.0:
         raise ValueError(f"mu2_min must be positive, got {mu2_min}")
-    start, start_res, diag0 = _start_of("BO", p, grid, start, cfg)
+    start, start_res, diag0 = _start_of("BO", p, grid, None, cfg)
     if milestones is None:
         milestones = [mu2_min]
     milestones = sorted(milestones, reverse=True)
     if min(milestones) < mu2_min:
         raise ValueError("milestones must lie at or above mu2_min")
 
+    targets = [1.0 / math.sqrt(m) for m in milestones]
+    exact = dict(zip(targets, milestones))
+
     def mu2_of(t: float) -> float:
+        if t in exact:
+            return exact[t]
         return math.inf if t == 0.0 else 1.0 / t**2
 
     ts, waves, residuals, diag = _continuation(
@@ -600,7 +571,7 @@ def continue_in_mu2(
         lambda t: 0.0,
         start,
         start_res,
-        [1.0 / math.sqrt(m) for m in milestones],
+        targets,
         cfg,
         label=mu2_of,
         truncation_key="sigma_estimate",
@@ -641,19 +612,18 @@ def solve_bfd_reduced(
     omega: float,
     cfg: SolverConfig | None = None,
     grid: Grid | None = None,
-    guess: np.ndarray | None = None,
     return_info: bool = False,
 ):
     """Solitary pair of the two-layer system via the scalar reduced equation.
 
     Eliminating xi through the second equation leaves
         M_omega nu = G(nu),
-    M_omega = (1-gamma) L - omega^2 J_b J J_c^{-1} with J = J_d (finite mu2,
-    the BFD_finite system) or J_b (mu2 = inf, BFD_inf), and G(nu) collecting
-    the quadratic and cubic sources.  `_solve` takes it from guess, or from a
+    M_omega = (1-gamma) L - omega^2 J_b J_d J_c^{-1} at the depth of p (the
+    BFD_finite system for finite mu2, BFD_inf for mu2 = inf), and G(nu)
+    collecting the quadratic and cubic sources.  `_solve` takes it from a
     sech^2 bump whose amplitude makes the stabilizing factor closest to 1,
     to tol_residual or to its roundoff floor within 10 tol_residual; xi is
-    then reconstructed and the full system residual checked.
+    then lifted and the full system residual checked.
 
     With return_info, also returns the `_solve` record: iterations, exit
     ("converged" or "floor"), residual (the reduced residual), S_minus_1
@@ -663,21 +633,17 @@ def solve_bfd_reduced(
     if grid is None:
         raise ValueError("grid is required")
     red = _Reduced("BFD_finite" if p.finite_depth else "BFD_inf", p, grid, omega)
-    if guess is None:
-        # unit-width even bump; the amplitude comes from the scale-invariant
-        # condition S(amp) = 1 scanned over a wide range (a raw-residual
-        # search would collapse to the trivial branch as amp -> 0)
-        shape = 1.0 / np.cosh(grid.x) ** 2
-        amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(p) * 1e3
-        best, best_dev = amps[0], math.inf
-        for amp, s_try in zip(amps, _scan_ratios(red, shape, grid.dx, amps)):
-            # a skipped amplitude (NaN) never wins; ties keep the first
-            if abs(s_try - 1.0) < best_dev:
-                best, best_dev = amp, abs(s_try - 1.0)
-        nu = best * shape
-    else:
-        nu = np.asarray(guess, dtype=float).copy()
-    pair, info = _solve(red, nu, cfg)
+    # unit-width even bump; the amplitude comes from the scale-invariant
+    # condition S(amp) = 1 scanned over a wide range (a raw-residual search
+    # would collapse to the trivial branch as amp -> 0)
+    shape = 1.0 / np.cosh(grid.x) ** 2
+    amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(p) * 1e3
+    best, best_dev = amps[0], math.inf
+    for amp, s_try in zip(amps, _scan_ratios(red, shape, grid.dx, amps)):
+        # a skipped amplitude (NaN) never wins; ties keep the first
+        if abs(s_try - 1.0) < best_dev:
+            best, best_dev = amp, abs(s_try - 1.0)
+    pair, info = _solve(red, best * shape, cfg)
     if return_info:
         return pair, info
     return pair
@@ -688,13 +654,16 @@ def solve_bfd_reduced(
 # ---------------------------------------------------------------------------
 
 
+# the projected-gradient norm at which the constrained descent stops
+_GRADIENT_TOL = 1e-8
+
+
 def constrained_minimize(
     p: ModelParams,
     omega: float,
     lam: float,
     grid: Grid,
     cfg: SolverConfig | None = None,
-    gradient_tol: float = 1e-8,
 ):
     """Minimize E on {F = lambda} by metric-preconditioned projected descent.
 
@@ -774,7 +743,7 @@ def constrained_minimize(
         d2 = u2 - beta_coef * w2
         gnorm = math.sqrt(dx * (np.dot(d1, d1) + np.dot(d2, d2)))
         it_done = it + 1
-        if gnorm <= gradient_tol:
+        if gnorm <= _GRADIENT_TOL:
             break
         tau_try = min(1.0, tau * 1.5)
         accepted = False
@@ -807,7 +776,7 @@ def constrained_minimize(
         "constraint": f_val(xi, nu),
         "lagrange_misfit_rel": mis / max(scale, 1e-300),
     }
-    if gnorm > gradient_tol:
+    if gnorm > _GRADIENT_TOL:
         info["stalled"] = True
     pair = WavePair(grid=grid, xi=xi, nu=nu)
     return pair, float(k_mult), info

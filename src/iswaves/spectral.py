@@ -5,8 +5,10 @@ real fields stay real under application.  The model symbols (J_b, J_c, J_d,
 L and the one-layer pairs W, Z and D, B) live in one read-only `Symbols`
 bundle per (params, grid), at the depth of params.mu2, tabulated on the
 half spectrum k_half = pi j / L, j = 0..N/2, to which the rfft path applies
-them; a grid builds x and k_half on first use.  Removable singularities at
-k = 0 and the cancellation-prone coth evaluation are handled explicitly.
+them; a grid builds x and k_half on first use.  `structure` maps a family
+to the tables of its system, the one place where the family decides the
+equation.  Removable singularities at k = 0 and the cancellation-prone coth
+evaluation are handled explicitly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .params import ModelParams
+from .params import ModelParams, family_params
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,6 @@ class Symbols:
 
     Every table is read-only and evaluated on k = grid.k_half = |k|:
       jb, jc, jd  J_b = 1 + mu b k^2, J_c = 1 - mu c k^2, J_d = 1 + mu d k^2;
-      j2          the J of the solvers' second equation: J_d at finite
-                  depth, J_b at infinite depth;
       l1          |k| coth(sqrt(mu2)|k|) at finite depth, |k| at infinite;
       L           the dispersion symbol, at finite depth
                   1/gamma - (sqrt(mu)/gamma^2) l1 - (mu/gamma) a k^2
@@ -145,7 +145,8 @@ class Symbols:
                   (infinite depth): 1 + (beta/gamma) sqrt(mu) l1 and
                   (1 + ((beta - 1)/gamma) sqrt(mu) l1)/gamma.
     `symbols` hands out one shared instance per key, so the solver
-    residuals, E, H and the evolution operator read the same tables.
+    residuals, E, H and the evolution operator read the same tables, and
+    `structure` arranges them into the tables of each family's system.
     """
 
     def __init__(self, p: ModelParams, grid: Grid):
@@ -155,7 +156,6 @@ class Symbols:
         self.jb = 1.0 + mu * p.b * k * k
         self.jc = 1.0 - mu * p.c * k * k
         self.jd = 1.0 + mu * p.d * k * k
-        self.j2 = self.jd if finite else self.jb
         self.l1 = l1_symbol(k, p.mu2) if finite else k
         if finite:
             self.L = (
@@ -177,6 +177,24 @@ class Symbols:
 def symbols(p: ModelParams, grid: Grid) -> Symbols:
     """The shared symbol tables of (p, grid), at the depth of p.mu2."""
     return Symbols(p, grid)
+
+
+def structure(family: str, p: ModelParams, grid: Grid):
+    """(family, p, (T1, S1, T2, S2)): the family's name and p at its depth
+    (`family_params`), and the tables of its system
+
+        T1 xi_t = -(S1 nu - 2 r xi nu)_x,   T2 nu_t = -(S2 xi - r nu^2)_x,
+
+    whose solitary waves of speed c solve -c T1 xi + S1 nu - 2 r xi nu = 0
+    and -c T2 nu + S2 xi - r nu^2 = 0.  The tables are (op1, op2, 1,
+    1 - gamma) for BO and ILW, the last two Python scalars, and (J_b, L, J_d,
+    (1 - gamma) J_c) for BFD at either depth."""
+    fam, p = family_params(family, p)
+    sym = symbols(p, grid)
+    og = 1.0 - p.gamma
+    if fam in ("BO", "ILW"):
+        return fam, p, (sym.op1, sym.op2, 1.0, og)
+    return fam, p, (sym.jb, sym.L, sym.jd, og * sym.jc)
 
 
 def apply_table(table_half: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """The public API has callers: every public module-level function and class
-of the package is used by the package itself, a demo or the benchmark.
+of the package is used by the package itself, a demo or the benchmark, and
+every defaulted parameter of a public function is passed by one of them.
 
 A name that only tests call is a second implementation kept alive by its
-own test; it belongs in the tests, as a reference, or nowhere.
+own test; it belongs in the tests, as a reference, or nowhere.  So does an
+option that only tests pass.
 """
 
 import ast
@@ -19,6 +21,13 @@ ALLOWED = {
     # the closed-form f(x) whose minimum compute_f_min returns; criterion 1
     # scans it as the independent reference for f_min
     "symbol_f",
+}
+
+
+OPTIONS_ALLOWED = {
+    # the truncation-bound test varies the number of series terms to show
+    # the bound shrinking; every caller takes the default
+    "kernel_K3_series.n_terms",
 }
 
 
@@ -96,3 +105,60 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 def test_allowlist_is_current():
     defined = {name for name, *_ in _public_definitions()}
     assert ALLOWED <= defined
+
+
+def _options():
+    """(function.parameter, position or None) of every defaulted parameter
+    of a public top-level function; None for a keyword-only one."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                out += [(f"{node.name}.{x.arg}", i) for i, x in enumerate(positional) if i >= first]
+                out += [
+                    (f"{node.name}.{x.arg}", None)
+                    for x, default in zip(a.kwonlyargs, a.kw_defaults)
+                    if default is not None
+                ]
+    return out
+
+
+def _passed() -> dict:
+    """name -> the positions and keywords some call of that name passes in
+    src/, demos/ or perfbench/; "*" when a call unpacks arguments."""
+    passed: dict = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            got = passed.setdefault(name, set())
+            got.update("*" if isinstance(x, ast.Starred) else i for i, x in enumerate(node.args))
+            got.update(kw.arg or "*" for kw in node.keywords)
+    return passed
+
+
+def _unpassed_options() -> list:
+    passed = _passed()
+    out = []
+    for option, position in _options():
+        name, param = option.split(".")
+        got = passed.get(name, set())
+        if not ({"*", param, position} & got) and option not in OPTIONS_ALLOWED:
+            out.append(option)
+    return sorted(out)
+
+
+def test_every_option_is_passed_outside_the_tests():
+    unpassed = _unpassed_options()
+    assert unpassed == [], (
+        f"defaulted parameters no caller in src/, demos/ or perfbench/ passes: {unpassed}"
+    )
+
+
+def test_option_allowlist_is_current():
+    assert OPTIONS_ALLOWED <= {option for option, _ in _options()}

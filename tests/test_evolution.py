@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iswaves import evolution
+from iswaves import evolution, solvers
 from iswaves.evolution import (
-    _structure,
     AmplitudeBoundError,
     check_global_criterion,
     make_stepper,
@@ -20,20 +19,21 @@ from iswaves.evolution import (
 )
 from iswaves.functionals import hamiltonian_H
 from iswaves.params import ModelParams
-from iswaves.spectral import WavePair, make_grid, pair_to_csv, symbols
+from iswaves.spectral import WavePair, apply_table, make_grid, pair_to_csv, structure, symbols
 
 from conftest import P1_KW
 
 
-def rhs(family, p, state, linear_only=False):
+def rhs(family, p, state, linear=False):
     """Time derivative (dz/dt, dv/dt) of the evolution system, formed in
-    physical space: the reference for the steppers' lam*q + N(q).
+    physical space: the reference for the steppers' lam*q + N(q); of its
+    linear part alone when `linear`.
 
     The elliptic factors are inverted spectrally; both quadratic products
     are dealiased with the 2/3 rule before differentiation.
     """
     grid = state.grid
-    t1, s1, t2, s2 = _structure(family, p, grid)
+    _, _, (t1, s1, t2, s2) = structure(family, p, grid)
     mask = grid.dealias_mask()
     ik = 1j * grid.k_half
     g = p.gamma
@@ -43,7 +43,7 @@ def rhs(family, p, state, linear_only=False):
     vh = np.fft.rfft(state.nu)
     flux1 = s1 * vh
     flux2 = s2 * zh
-    if not linear_only:
+    if not linear:
         flux1 = flux1 - (p.epsilon / g) * mask * np.fft.rfft(state.xi * state.nu)
         flux2 = flux2 - (p.epsilon / (2.0 * g)) * mask * np.fft.rfft(state.nu**2)
     dz = -np.fft.irfft(ik * flux1 / t1, n=n)
@@ -62,14 +62,13 @@ def evo_grid():
     return make_grid(20.0, 256)
 
 
-def test_suggest_dt_sanity(p1_mu2_4, evo_grid):
+def test_suggest_dt_sanity(p1_mu2_4, evo_grid, monkeypatch):
     dt = suggest_dt("bfd_finite", p1_mu2_4, evo_grid)
     assert dt > 0.0
     finer = make_grid(20.0, 512)
     assert suggest_dt("bfd_finite", p1_mu2_4, finer) < dt
-    assert suggest_dt(
-        "bfd_finite", p1_mu2_4, evo_grid, max_phase=math.pi / 2.0
-    ) == pytest.approx(2.0 * dt)
+    monkeypatch.setattr(evolution, "_MAX_PHASE", math.pi / 2.0)
+    assert suggest_dt("bfd_finite", p1_mu2_4, evo_grid) == pytest.approx(2.0 * dt)
 
 
 def test_rhs_zero_mean(p1_mu2_4, evo_grid):
@@ -82,7 +81,7 @@ def test_rhs_zero_mean(p1_mu2_4, evo_grid):
 def test_rhs_linear_structure(p1_mu2_4, evo_grid):
     # with nu = 0 the linearized first equation is quiescent
     state = WavePair(grid=evo_grid, xi=np.exp(-evo_grid.x**2), nu=np.zeros(evo_grid.N))
-    out = rhs("bfd_finite", p1_mu2_4, state, linear_only=True)
+    out = rhs("bfd_finite", p1_mu2_4, state, linear=True)
     assert np.max(np.abs(out.xi)) == 0.0
     assert np.max(np.abs(out.nu)) > 0.0
 
@@ -145,12 +144,24 @@ def test_integrators_agree(p1_mu2_4, evo_grid):
     assert np.max(np.abs(a.xi - b.xi)) < 5e-4
 
 
-def test_linear_flow_exact(p1_mu2_4, evo_grid):
+def _zero_nonlinear(q, out, stage=None):
+    """A stepper's nonlinear term, zeroed: the stepper then integrates the
+    linear part alone."""
+    out[...] = 0.0
+    return out
+
+
+def test_linear_flow_exact(p1_mu2_4, evo_grid, monkeypatch):
     # in characteristic variables the linear flow is diagonal; ETDRK4 must
     # reproduce the analytic propagator to roundoff
     init = _gaussian_pair(evo_grid)
     T = 1.0
-    out = run("bfd_finite", p1_mu2_4, init, T=T, dt=0.25, linear_only=True)["final_state"]
+    stepper = make_stepper("etdrk4", "bfd_finite", p1_mu2_4, evo_grid, 0.25)
+    monkeypatch.setattr(stepper, "nonlinear", _zero_nonlinear)
+    q = stepper.encode(init)
+    for _ in range(4):
+        q = stepper.advance(q)
+    out = stepper.decode(q)
 
     sym = symbols(p1_mu2_4, evo_grid)
     t1, s1, t2, s2 = sym.jb, sym.L, sym.jd, 0.5 * sym.jc
@@ -340,8 +351,7 @@ def test_steppers_define_advance():
         assert list(inspect.signature(cls.__dict__["advance"]).parameters) == ["self", "q"]
 
 
-def _per_step_reference(stepper, monitor, initial, nsteps, monitor_every, snapshots_every,
-                        outdir, alpha):
+def _per_step_reference(stepper, monitor, initial, nsteps, snapshots_every, outdir, alpha):
     """run()'s loop as it was before the monitors moved into the stepper:
     advance, test finiteness, then transform and monitor the new state.
     Returns (status, t, times, final samples or None)."""
@@ -359,41 +369,34 @@ def _per_step_reference(stepper, monitor, initial, nsteps, monitor_every, snapsh
         t = istep * stepper.dt
         if not np.isfinite(q).all():
             return "blow_up", t, times, None
-        monitored = istep % monitor_every == 0 or istep == nsteps
-        if monitored:
-            s = stepper.spectral(q)
-            zv = stepper.physical(s)
-            sample = monitor(s, zv, zv[1] * zv[1])
-            times.append(t)
-            if alpha is not None and sample[0] > alpha * (1.0 + 1e-9):
-                raise AmplitudeBoundError(t, sample[0], alpha)
+        s = stepper.spectral(q)
+        zv = stepper.physical(s)
+        sample = monitor(s, zv, zv[1] * zv[1])
+        times.append(t)
+        if alpha is not None and sample[0] > alpha * (1.0 + 1e-9):
+            raise AmplitudeBoundError(t, sample[0], alpha)
         if t + 1e-12 >= snap_next:
-            pair = WavePair(grid=grid, xi=zv[0], nu=zv[1]) if monitored else stepper.decode(q)
+            pair = WavePair(grid=grid, xi=zv[0], nu=zv[1])
             pair_to_csv(pair, os.path.join(outdir, f"snapshot_t{t:.6g}.csv"))
             snap_next += snapshots_every
     return "completed", t, times, zv
 
 
 @pytest.mark.parametrize(
-    "integrator, monitor_every, amplitude, alpha, linear_only, status",
+    "integrator, amplitude, alpha, status",
     [
-        ("etdrk4", 1, 0.5, None, False, "completed"),
-        ("etdrk4", 3, 0.5, None, False, "completed"),
-        ("imex", 1, 0.5, None, False, "completed"),
-        ("imex", 3, 0.5, None, False, "completed"),
-        ("etdrk4", 3, 0.5, None, True, "completed"),
-        ("etdrk4", 1, 200.0, None, False, "blow_up"),
-        ("imex", 3, 200.0, None, False, "blow_up"),
-        # sup|zeta| first exceeds alpha at t = 0.35 (t = 0.45 monitored every
-        # third step), and at t = 0.45 for alpha = 0.0275
-        ("etdrk4", 1, 0.02, 0.0265, False, "aborted"),
-        ("etdrk4", 3, 0.02, 0.0265, False, "aborted"),
-        ("imex", 1, 0.02, 0.0275, False, "aborted"),
+        ("etdrk4", 0.5, None, "completed"),
+        ("imex", 0.5, None, "completed"),
+        ("etdrk4", 200.0, None, "blow_up"),
+        ("imex", 200.0, None, "blow_up"),
+        # sup|zeta| first exceeds alpha at t = 0.35, and at t = 0.45 for
+        # alpha = 0.0275
+        ("etdrk4", 0.02, 0.0265, "aborted"),
+        ("imex", 0.02, 0.0275, "aborted"),
     ],
 )
 def test_run_equals_per_step_loop(
-    p1_mu2_4, tmp_path, monkeypatch, integrator, monitor_every, amplitude, alpha, linear_only,
-    status,
+    p1_mu2_4, tmp_path, monkeypatch, integrator, amplitude, alpha, status,
 ):
     # run() monitors each state one step late, from the stepper's first
     # stage; every sample, time, snapshot and the final state must equal
@@ -435,7 +438,6 @@ def test_run_equals_per_step_loop(
     def with_run(outdir):
         out = run(
             "bfd_finite", p1_mu2_4, init, T=T, dt=T / nsteps, integrator=integrator,
-            linear_only=linear_only, monitor_every=monitor_every,
             snapshots_every=snaps, outdir=outdir,
         )
         final = out.get("final_state")
@@ -443,10 +445,9 @@ def test_run_equals_per_step_loop(
         return out["status"], out.get("t_blow_up", out["t_final"]), out["times"], zv
 
     def with_loop(outdir):
-        stepper = make_stepper(integrator, "bfd_finite", p1_mu2_4, grid, T / nsteps, linear_only)
+        stepper = make_stepper(integrator, "bfd_finite", p1_mu2_4, grid, T / nsteps)
         return _per_step_reference(
-            stepper, Recording(p1_mu2_4, grid, True), init, nsteps, monitor_every, snaps,
-            outdir, alpha,
+            stepper, Recording(p1_mu2_4, grid, True), init, nsteps, snaps, outdir, alpha
         )
 
     got, got_files, got_samples = outcome(tmp_path / "run", with_run)
@@ -454,7 +455,10 @@ def test_run_equals_per_step_loop(
     assert got[0] == status
     assert got[:3] == want[:3]
     assert (got[3] is None and want[3] is None) or np.array_equal(got[3], want[3])
-    assert got_samples == want_samples
+    # bit for bit, a NaN of a blown-up state equal to a NaN
+    assert len(got_samples) == len(want_samples)
+    for a, b in zip(got_samples, want_samples):
+        assert np.array_equal(np.array(a, dtype=float), np.array(b, dtype=float), equal_nan=True)
     assert got_files == want_files
 
 
@@ -533,7 +537,8 @@ def test_stepper_coefficients_property(case, integrator, n, dt, seed):
 
     # with the linear part alone one step is the exact rotation for ETDRK4
     # and the trapezoidal (Cayley) factor for the IMEX start-up step
-    linear = make_stepper(integrator, family, p, grid, dt, linear_only=True)
+    linear = make_stepper(integrator, family, p, grid, dt)
+    linear.nonlinear = _zero_nonlinear
     q1 = linear.advance(q)
     if integrator == "etdrk4":
         exact = linear.e_full * q
@@ -547,14 +552,34 @@ def test_stepper_coefficients_property(case, integrator, n, dt, seed):
     "family, mu2", [("BO", np.inf), ("ILW", 4.0), ("bfd_finite", 4.0), ("bfd_inf", np.inf)]
 )
 def test_structure_tables_follow_family(family, mu2, evo_grid):
-    # the evolution reads J_d in its second equation at both depths, unlike
-    # the solvers' infinite-depth system; d != b tells them apart
+    # the solver and the evolution read one set of tables: J_d in the second
+    # equation at both depths, which d != b tells apart from J_b
     p = ModelParams(**dict(P1_KW, d=0.3, mu2=mu2))
     sym = symbols(p, evo_grid)
-    t1, s1, t2, s2 = evolution._structure(family, p, evo_grid)
+    _, _, tables = structure(family, p, evo_grid)
     if family in ("BO", "ILW"):
-        want = (sym.op1, sym.op2, np.ones_like(evo_grid.k_half), np.full_like(evo_grid.k_half, 0.5))
+        want = (sym.op1, sym.op2, 1.0, 0.5)
     else:
         want = (sym.jb, sym.L, sym.jd, 0.5 * sym.jc)
-    for got, table in zip((t1, s1, t2, s2), want):
+    for got, table in zip(tables, want):
         assert np.array_equal(got, table)
+    t1, s1, t2, s2 = want
+
+    # the evolution's quotients
+    e_t1, e_t2, a_sym, b_sym = evolution._quotients(family, p, evo_grid)
+    for got, table in zip((e_t1, e_t2, a_sym, b_sym), (t1, t2, s1 / t1, s2 / t2)):
+        assert np.array_equal(got, table)
+
+    # the solver's certificate at speed c, from the same tables
+    c, r = 0.03, p.r
+    state = _random_pair(evo_grid, 5)
+    xi, nu = state.xi, state.nu
+
+    def table_on(table, u):
+        return apply_table(table, u) if np.ndim(table) else table * u
+
+    r1 = -c * table_on(t1, xi) + table_on(s1, nu) - 2.0 * r * xi * nu
+    r2 = -c * table_on(t2, nu) + table_on(s2, xi) - r * nu * nu
+    got = solvers._System(family, p, evo_grid, c).residual(np.stack([xi, nu]))
+    for row, want_row in zip(got, (r1, r2)):
+        assert np.max(np.abs(row - want_row)) <= 1e-13 * np.max(np.abs(want_row))

@@ -13,7 +13,6 @@ from iswaves.solvers import (
     continue_in_mu2,
     load_branch,
     petviashvili_ground_state,
-    reconstruct_xi,
     residual_norm,
     save_branch,
     solve_bfd_reduced,
@@ -137,7 +136,10 @@ def test_bfd_finite_reduced(p1_mu2_4, bfd_finite):
     assert info["full_residual"] <= 1e-9
     assert info["residual"] <= 1e-9
     # reconstruction consistency: xi is the second-equation inverse image
-    xi2 = reconstruct_xi(p1_mu2_4, pair.grid, pair.nu, 0.1)
+    # xi = J_c^{-1}(omega J_d nu + r nu^2)/(1 - gamma)
+    sym = symbols(p1_mu2_4, pair.grid)
+    rhs = 0.1 * apply_table(sym.jd, pair.nu) + p1_mu2_4.r * pair.nu**2
+    xi2 = apply_table(1.0 / sym.jc, rhs) / (1.0 - p1_mu2_4.gamma)
     assert np.max(np.abs(xi2 - pair.xi)) < 1e-10
     n = pair.grid.N
     refl = (n - np.arange(n)) % n
@@ -272,16 +274,17 @@ def test_nonpositive_stabilizing_factor_fails_fast(p1_mu2_4, capfd):
     # a negative start makes <G(nu), nu> < 0: S < 0, and S^q with q = 3/2
     # would be NaN
     grid = make_grid(8.0, 512)
+    red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
     guess = -0.05 / np.cosh(grid.x) ** 2
     with pytest.raises(ConvergenceError, match="iterate 0: stabilizing factor S = -") as exc:
-        solve_bfd_reduced(p1_mu2_4, 0.1, SolverConfig(), grid=grid, guess=guess)
+        solvers._solve(red, guess, SolverConfig())
     diag = exc.value.diagnostics
     assert diag["iteration"] == 0 and diag["S"] < 0.0 and np.isfinite(diag["residual"])
     assert capfd.readouterr() == ("", "")
     # a non-finite start is refused the same way, before anything is mixed
     guess = np.full(grid.N, np.nan)
     with pytest.raises(ConvergenceError, match="iterate 0") as exc:
-        solve_bfd_reduced(p1_mu2_4, 0.1, SolverConfig(), grid=grid, guess=guess)
+        solvers._solve(red, guess, SolverConfig())
     assert not np.isfinite(exc.value.diagnostics["residual"])
     assert capfd.readouterr() == ("", "")
 
@@ -328,7 +331,8 @@ def test_depth_chain_inner_solves_are_honest(p1_inf, scfg, tmp_path):
     assert loaded.diagnostics == branch.diagnostics
     assert set(branch.diagnostics["start"]) == {"iterations", "exit"}
     steps = loaded.diagnostics["steps"]
-    assert [step["parameter"] for step in steps] == pytest.approx([400.0, 100.0])
+    # each milestone is solved and labelled at the mu2 given, not at 1/t^2
+    assert [step["parameter"] for step in steps] == [400.0, 100.0]
     for step, before, after in zip(steps, branch.waves, branch.waves[1:]):
         assert step["accepted"] and step["exit"] in ("converged", "floor")
         assert 1 <= step["iterations"] <= 25
@@ -338,17 +342,19 @@ def test_depth_chain_inner_solves_are_honest(p1_inf, scfg, tmp_path):
         assert np.array_equal(pair.nu, after.nu)
 
 
-def test_rejected_continuation_steps_keep_inner_records(p1_inf, scfg):
+def test_rejected_continuation_steps_keep_inner_records(p1_inf, scfg, monkeypatch):
     # one iteration per solve never certifies a wave: every solve is
     # rejected, keeps the error of its solve, and the loop bisects toward
-    # mu2 = inf until min_step
+    # mu2 = inf until min_step; the ground state it starts from is solved
+    # to scfg
     grid = make_grid(50.0, 256)
-    start = continue_in_c("BO", p1_inf, 0.0, scfg, grid=grid, store_at=[]).waves[0]
+    start = solvers._bo_start(p1_inf, grid, scfg)
+    monkeypatch.setattr(solvers, "_bo_start", lambda p, grid, cfg: start)
     one_iter = SolverConfig(tol_residual=scfg.tol_residual, max_iters=1)
-    branch = continue_in_mu2(p1_inf, 400.0, one_iter, start=start)
+    branch = continue_in_mu2(p1_inf, 400.0, one_iter, grid=grid)
     assert branch.diagnostics["truncated"]
     assert branch.diagnostics["sigma_estimate"] == np.inf
-    assert "start" not in branch.diagnostics
+    assert branch.diagnostics["start"] == {k: start[1][k] for k in ("iterations", "exit")}
     steps = branch.diagnostics["steps"]
     assert len(steps) >= 2
     for step in steps:
@@ -383,7 +389,8 @@ def _converged_wave(request, family):
 def test_system_jacobian_matches_central_difference(request, family):
     p, speed, wave = _converged_wave(request, family)
     sys_ = _System(family, p, wave.grid, speed)
-    r, s, og = sys_.r, sys_.speed, sys_.one_minus_gamma
+    sym = symbols(p, wave.grid)
+    r, s, og = p.r, speed, 1.0 - p.gamma
     x = wave.grid.x
     xi, nu = wave.xi, wave.nu
     scale = np.max(np.abs(nu))
@@ -391,11 +398,11 @@ def test_system_jacobian_matches_central_difference(request, family):
     dnu = scale * np.cos(x) / np.cosh(x)
     nonlinear = 2.0 * r * (nu * dxi + xi * dnu)
     if family in ("BO", "ILW"):
-        j1 = -s * apply_table(sys_.op1, dxi) + apply_table(sys_.op2, dnu) - nonlinear
+        j1 = -s * apply_table(sym.op1, dxi) + apply_table(sym.op2, dnu) - nonlinear
         j2 = og * dxi - (s + 2.0 * r * nu) * dnu
     else:
-        j1 = -s * apply_table(sys_.jb, dxi) + apply_table(sys_.lt, dnu) - nonlinear
-        j2 = og * apply_table(sys_.jc, dxi) - s * apply_table(sys_.jd, dnu) - 2.0 * r * nu * dnu
+        j1 = -s * apply_table(sym.jb, dxi) + apply_table(sym.L, dnu) - nonlinear
+        j2 = og * apply_table(sym.jc, dxi) - s * apply_table(sym.jd, dnu) - 2.0 * r * nu * dnu
     h = 1e-3
     w, d = np.stack([xi, nu]), np.stack([dxi, dnu])
     p1, p2 = sys_.residual(w + h * d)
@@ -414,14 +421,14 @@ def test_reduced_jacobian_matches_central_difference(request, which, depth):
     grid, nu, omega, r = sol["pair"].grid, sol["pair"].nu, sol["omega"], p.r
     red = _Reduced("BFD_finite" if depth == "finite" else "BFD_inf", p, grid, omega)
     sym = symbols(p, grid)
-    j = sym.jd if depth == "finite" else sym.jb
-    mhat = (1.0 - p.gamma) * sym.L - omega**2 * sym.jb * j / sym.jc
+    mhat = (1.0 - p.gamma) * sym.L - omega**2 * sym.jb * sym.jd / sym.jc
     x = grid.x
     v = np.max(np.abs(nu)) * np.exp(-(x**2)) * np.cos(x)
     jv = (
         apply_table(mhat, v)
         - 2.0 * omega * r * apply_table(sym.jb / sym.jc, nu * v)
-        - 2.0 * omega * r * (v * apply_table(j / sym.jc, nu) + nu * apply_table(j / sym.jc, v))
+        - 2.0 * omega * r * v * apply_table(sym.jd / sym.jc, nu)
+        - 2.0 * omega * r * nu * apply_table(sym.jd / sym.jc, v)
         - 2.0 * r * r * v * apply_table(1.0 / sym.jc, nu * nu)
         - 4.0 * r * r * nu * apply_table(1.0 / sym.jc, nu * v)
     )
@@ -458,18 +465,28 @@ def _close(a, b):
     return np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("family", ["BO", "ILW", "BFD_finite", "BFD_inf"])
-def test_system_stacked_evaluation_matches_multiplier_formulas(request, family):
+@pytest.mark.parametrize(
+    "family, d",
+    [pytest.param(f, None, id=f) for f in ("BO", "ILW", "BFD_finite", "BFD_inf")]
+    + [pytest.param("BFD_inf", 0.3, id="BFD_inf-d_ne_b")],
+)
+def test_system_stacked_evaluation_matches_multiplier_formulas(request, family, d):
+    # with d != b at infinite depth the second equation reads J_d, the table
+    # the evolution integrates, not J_b
     grid = make_grid(20.0, 256)
-    sys_ = _System(family, _params_of(request, family), grid, 0.03)
+    p = _params_of(request, family)
+    if d is not None:
+        p = replace(p, d=d)
+    sys_ = _System(family, p, grid, 0.03)
+    sym = symbols(p, grid)
     xi, nu = _random_even(grid, 11)
-    r, s, og = sys_.r, sys_.speed, sys_.one_minus_gamma
+    r, s, og = p.r, 0.03, 1.0 - p.gamma
     if family in ("BO", "ILW"):
-        r1 = -s * apply_table(sys_.op1, xi) + apply_table(sys_.op2, nu) - 2.0 * r * xi * nu
+        r1 = -s * apply_table(sym.op1, xi) + apply_table(sym.op2, nu) - 2.0 * r * xi * nu
         r2 = -s * nu + og * xi - r * nu * nu
     else:
-        r1 = -s * apply_table(sys_.jb, xi) + apply_table(sys_.lt, nu) - 2.0 * r * xi * nu
-        r2 = -s * apply_table(sys_.jd, nu) + og * apply_table(sys_.jc, xi) - r * nu * nu
+        r1 = -s * apply_table(sym.jb, xi) + apply_table(sym.L, nu) - 2.0 * r * xi * nu
+        r2 = -s * apply_table(sym.jd, nu) + og * apply_table(sym.jc, xi) - r * nu * nu
     for got, want in zip(sys_.residual(np.stack([xi, nu])), (r1, r2)):
         assert _close(got, want)
 
@@ -483,10 +500,9 @@ def test_reduced_stacked_evaluation_matches_multiplier_formulas(request, which, 
     sym = symbols(p, grid)
     nu = _random_even(grid, 12, rows=1)[0]
     omega, r = 0.1, p.r
-    j = sym.jd if depth == "finite" else sym.jb
-    mhat = (1.0 - p.gamma) * sym.L - omega**2 * sym.jb * j / sym.jc
+    mhat = (1.0 - p.gamma) * sym.L - omega**2 * sym.jb * sym.jd / sym.jc
     quad = omega * r * apply_table(sym.jb / sym.jc, nu * nu) + 2.0 * omega * r * nu * apply_table(
-        j / sym.jc, nu
+        sym.jd / sym.jc, nu
     )
     cubic = 2.0 * r * r * nu * apply_table(1.0 / sym.jc, nu * nu)
     m_nu, q_nu, c_nu = red.parts(nu)
@@ -608,7 +624,7 @@ def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="no convergence in 12") as exc:
-            petviashvili_ground_state(p1_inf, grid_bo, cfg, guess=bo_state["nu0"].values)
+            solvers._solve(_Reduced("BO", p1_inf, grid_bo, 0.0), bo_state["nu0"].values, cfg)
         assert exc.value.diagnostics["residual"] <= 1e-10
         assert abs(exc.value.diagnostics["S"] - 1.0) <= 1e-12
         ones = np.ones(8)

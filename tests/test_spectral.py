@@ -143,7 +143,6 @@ def _formulas(p, k, finite):
         "jb": jb,
         "jc": 1.0 - mu * p.c * k * k,
         "jd": jd,
-        "j2": jd if finite else jb,
         "l1": l1,
         "L": L,
         "op1": 1.0 + p.beta / g * math.sqrt(mu) * l1,
@@ -178,7 +177,7 @@ def test_symbol_bundle_matches_formulas(family, n):
 
 def test_symbol_bundle_tables_are_read_only(p1_mu2_4):
     sym = symbols(p1_mu2_4, make_grid(20.0, 64))
-    for name in ("jb", "jc", "jd", "j2", "l1", "L", "op1", "op2"):
+    for name in ("jb", "jc", "jd", "l1", "L", "op1", "op2"):
         with pytest.raises(ValueError):
             getattr(sym, name)[1] = 0.0
 
