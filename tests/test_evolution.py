@@ -382,21 +382,34 @@ def _per_step_reference(stepper, monitor, initial, nsteps, snapshots_every, outd
     return "completed", t, times, zv
 
 
+def _run_case(integrator, snap_stride, amplitude, alpha, status):
+    """A case of test_run_equals_per_step_loop, its id read as integrator,
+    snapshot stride in steps, amplitude, alpha, linear flow (False: every
+    case integrates the full nonlinear system) and status."""
+    return pytest.param(
+        integrator, snap_stride, amplitude, alpha, status,
+        id=f"{integrator}-{snap_stride}-{amplitude}-{alpha}-False-{status}",
+    )
+
+
 @pytest.mark.parametrize(
-    "integrator, amplitude, alpha, status",
+    "integrator, snap_stride, amplitude, alpha, status",
     [
-        ("etdrk4", 0.5, None, "completed"),
-        ("imex", 0.5, None, "completed"),
-        ("etdrk4", 200.0, None, "blow_up"),
-        ("imex", 200.0, None, "blow_up"),
+        _run_case("etdrk4", 1, 0.5, None, "completed"),
+        _run_case("etdrk4", 3, 0.5, None, "completed"),
+        _run_case("imex", 1, 0.5, None, "completed"),
+        _run_case("imex", 3, 0.5, None, "completed"),
+        _run_case("etdrk4", 1, 200.0, None, "blow_up"),
+        _run_case("imex", 3, 200.0, None, "blow_up"),
         # sup|zeta| first exceeds alpha at t = 0.35, and at t = 0.45 for
         # alpha = 0.0275
-        ("etdrk4", 0.02, 0.0265, "aborted"),
-        ("imex", 0.02, 0.0275, "aborted"),
+        _run_case("etdrk4", 1, 0.02, 0.0265, "aborted"),
+        _run_case("etdrk4", 3, 0.02, 0.0265, "aborted"),
+        _run_case("imex", 1, 0.02, 0.0275, "aborted"),
     ],
 )
 def test_run_equals_per_step_loop(
-    p1_mu2_4, tmp_path, monkeypatch, integrator, amplitude, alpha, status,
+    p1_mu2_4, tmp_path, monkeypatch, integrator, snap_stride, amplitude, alpha, status,
 ):
     # run() monitors each state one step late, from the stepper's first
     # stage; every sample, time, snapshot and the final state must equal
@@ -404,7 +417,8 @@ def test_run_equals_per_step_loop(
     grid = make_grid(20.0, 64)
     bump = amplitude * np.exp(-(grid.x**2))
     init = WavePair(grid=grid, xi=bump, nu=bump.copy())
-    T, nsteps, snaps = 2.0, 40, 0.35
+    T, nsteps = 2.0, 40
+    snaps = snap_stride * T / nsteps
     if alpha is not None:
         real = evolution.check_global_criterion
         monkeypatch.setattr(
