@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -461,6 +462,9 @@ _COMMANDS = {
 }
 
 
+# built once per process: parse_args reads the parser and keeps no state in it
+# (an appended --set list is a fresh copy, the shared default stays empty)
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iswaves",

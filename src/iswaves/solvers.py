@@ -53,10 +53,11 @@ at every iteration, which pins the translation mode.
 Transform economy.  An iteration makes four transforms: one stacked rfft of
 (nu^2, nu) (of nu alone for BO/ILW at c = 0), one stacked irfft of every
 multiplier row, and the rfft/irfft pair of M^{-1}; scalar tables multiply
-in physical space.  The iteration carries the residual of each iterate
-into the next step, and the BFD start-up amplitude scan is closed-form: M
-is linear and G(a s) = a^2 Q(s) + a^3 C(s), so three inner products of one
-shape s give the ratio at every amplitude.
+in physical space.  The lift of xi reads only its own rows, scalars for BO
+and ILW, so there it makes no transform.  The iteration carries the
+residual of each iterate into the next step, and the BFD start-up amplitude
+scan is closed-form: M is linear and G(a s) = a^2 Q(s) + a^3 C(s), so three
+inner products of one shape s give the ratio at every amplitude.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ from .spectral import (
     RealField,
     WavePair,
     apply_table,
+    make_grid,
     pair_from_csv,
-    pair_to_csv,
     structure,
     symbols,
     symmetrize_even as _even,
@@ -136,19 +137,21 @@ class _RowPlan:
     """Tables applied to fields, planned once: row i applies tables[i] to
     fields[picks[i]].  The multipliers take one stacked rfft of the fields
     they read and one stacked irfft; a scalar table multiplies in physical
-    space."""
+    space, and a plan of scalar tables alone makes no transform."""
 
     def __init__(self, tables, picks, n: int):
         self._n = n
         self._rows = [(t, k, isinstance(t, np.ndarray)) for t, k in zip(tables, picks)]
         arrays = [(t, k) for t, k, is_array in self._rows if is_array]
         self._reads = sorted({k for _, k in arrays})
-        self._stack = np.stack([t for t, _ in arrays])
+        self._stack = np.stack([t for t, _ in arrays]) if arrays else None
         self._picks = [self._reads.index(k) for _, k in arrays]
 
     def __call__(self, fields) -> list[np.ndarray]:
-        spectra = np.fft.rfft(np.stack([fields[k] for k in self._reads]), axis=-1)
-        rows = iter(np.fft.irfft(self._stack * spectra[self._picks], n=self._n, axis=-1))
+        rows = iter(())
+        if self._reads:
+            spectra = np.fft.rfft(np.stack([fields[k] for k in self._reads]), axis=-1)
+            rows = iter(np.fft.irfft(self._stack * spectra[self._picks], n=self._n, axis=-1))
         return [next(rows) if is_array else t * fields[k] for t, k, is_array in self._rows]
 
 
@@ -197,6 +200,9 @@ class _Reduced:
         # multiplies, T1/S2 nu^2 and T2/S2 nu
         tables = [self.mhat, 1.0 / s2] + ([t1 / s2, t2 / s2] if c else [])
         self._plan = _RowPlan(tables, (1, 0, 0, 1), grid.N)
+        # the lift's own rows, 1/S2 nu^2 and at c != 0 T2/S2 nu: scalars, and
+        # so no transform, for BO and ILW
+        self._lift = _RowPlan([tables[1], *tables[3:]], (0, 1), grid.N)
         if np.min(self.mhat) <= 0.0:
             raise ConvergenceError(
                 f"reduced symbol takes non-positive values (min {np.min(self.mhat):.3e}) at "
@@ -223,9 +229,9 @@ class _Reduced:
     def lift(self, nu: np.ndarray) -> np.ndarray:
         """The xi = c T2/S2 nu + r/S2 nu^2 that solves the second equation
         with nu."""
-        _, inv_sq, *c_rows = self._plan((nu * nu, nu))
+        inv_sq, *t2_nu = self._lift((nu * nu, nu))
         xi = self.p.r * inv_sq
-        return _even(self.speed * c_rows[1] + xi if c_rows else xi)
+        return _even(self.speed * t2_nu[0] + xi if t2_nu else xi)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +617,8 @@ def solve_bfd_reduced(
     p: ModelParams,
     omega: float,
     cfg: SolverConfig | None = None,
-    grid: Grid | None = None,
+    *,
+    grid: Grid,
     return_info: bool = False,
 ):
     """Solitary pair of the two-layer system via the scalar reduced equation.
@@ -630,8 +637,6 @@ def solve_bfd_reduced(
     and full_residual.
     """
     cfg = cfg or SolverConfig()
-    if grid is None:
-        raise ValueError("grid is required")
     red = _Reduced("BFD_finite" if p.finite_depth else "BFD_inf", p, grid, omega)
     # unit-width even bump; the amplitude comes from the scale-invariant
     # condition S(amp) = 1 scanned over a wide range (a raw-residual search
@@ -793,12 +798,16 @@ def rescale_to_wave(pair: WavePair, k_mult: float) -> WavePair:
 
 
 def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None) -> None:
-    """Write branch.json plus one (x, xi, nu) CSV per sample."""
+    """Write branch.json, schema.json and one binary sample per wave:
+    sample_NNN.npy, a C-ordered float64 array of shape (3, N) with rows x,
+    xi, nu, written by np.save without pickling.  branch.json lists the
+    sample names in order."""
     os.makedirs(outdir, exist_ok=True)
     sample_files = []
     for i, wave in enumerate(branch.waves):
-        name = f"sample_{i:03d}.csv"
-        pair_to_csv(wave, os.path.join(outdir, name))
+        name = f"sample_{i:03d}.npy"
+        data = np.stack([wave.grid.x, wave.xi, wave.nu])
+        np.save(os.path.join(outdir, name), data, allow_pickle=False)
         sample_files.append(name)
     meta = {
         "family": branch.family,
@@ -817,15 +826,26 @@ def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None)
         fh.write("\n")
     schema = {
         "branch.json": "branch metadata: family, parameter_values, residuals, lagrange_K, samples",
-        "sample_*.csv": "columns: x, xi, nu (comma separated, one header row)",
+        "sample_*.npy": "float64 array of shape (3, N), C order, rows x, xi, nu "
+        "(np.load(path, allow_pickle=False)); the grid is (L, N) = (-x[0], N)",
     }
     with open(os.path.join(outdir, "schema.json"), "w") as fh:
         json.dump(schema, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _read_sample(path: str) -> WavePair:
+    """The wave of one stored sample: a .npy array of rows (x, xi, nu) on the
+    grid (-x[0], N), or an (x, xi, nu) CSV of an older branch."""
+    if not path.endswith(".npy"):
+        return pair_from_csv(path)
+    x, xi, nu = np.load(path, allow_pickle=False)
+    return WavePair(grid=make_grid(-x[0], x.shape[0]), xi=xi, nu=nu)
+
+
 class _StoredWaves(Sequence):
-    """The waves of a saved branch, each parsed from its CSV on first use."""
+    """The waves of a saved branch, each read from its sample file on first
+    use (`_read_sample`)."""
 
     def __init__(self, paths: list[str]):
         self._paths = paths
@@ -838,13 +858,14 @@ class _StoredWaves(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         if self._waves[index] is None:
-            self._waves[index] = pair_from_csv(self._paths[index])
+            self._waves[index] = _read_sample(self._paths[index])
         return self._waves[index]
 
 
 def load_branch(outdir: str) -> SolitaryBranch:
-    """Read a branch written by `save_branch`; a sample's CSV is parsed when
-    its wave is first used."""
+    """Read a branch written by `save_branch`; each sample that branch.json
+    lists (.npy, or the CSV of an older branch) is read when its wave is
+    first used."""
     with open(os.path.join(outdir, "branch.json")) as fh:
         meta = json.load(fh)
     waves = _StoredWaves([os.path.join(outdir, name) for name in meta["samples"]])

@@ -181,6 +181,33 @@ def test_cli_config_error_exits_2(p1_cfg, tmp_path, capsys):
     assert "config error" in err and "missing required keys" in err
 
 
+def test_cli_main_reuses_one_parser(p1_cfg, tmp_path, capsys):
+    # the parser is built once per process; no call leaves anything behind
+    # in it, neither --set overrides nor a usage error
+    from iswaves.cli import build_parser
+
+    assert build_parser() is build_parser()
+    args = ["validate", "--config", p1_cfg]
+    assert main(args + ["--out", str(tmp_path / "a"), "--set", "validate.omega=0.2"]) == 1
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    report = json.loads((tmp_path / "b" / "admissibility.json").read_text())
+    assert report["admissible"] is True
+    assert "validate.omega" not in report["config"]
+    assert build_parser().parse_args(["validate"]).set == []
+
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--bogus"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    assert main(args + ["--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "c" / "admissibility.json").read_bytes() == (
+        tmp_path / "b" / "admissibility.json"
+    ).read_bytes()
+    capsys.readouterr()
+
+
 def test_cli_solve_rejects_bad_mu2_mode(p1_cfg, tmp_path, capsys):
     # the family fixes the depth: there is no solve.mu2_mode key, and
     # BFD_finite at mu2 = inf is refused instead of solved at another depth
@@ -213,7 +240,7 @@ def test_cli_solve_bfd_inf_ignores_the_given_mu2(p1_cfg, tmp_path, capsys):
             "--set", f"params.mu2={mu2}", "--set", "grid.L=200", "--set", "grid.N=512",
             "--set", "solve.family=BFD_inf", "--set", "solve.omega=0.1",
         ]) == 0
-        samples.append((out / "branch" / "sample_000.csv").read_bytes())
+        samples.append((out / "branch" / "sample_000.npy").read_bytes())
     assert samples[0] == samples[1]
     wave = load_branch(str(tmp_path / "4" / "branch")).waves[0]
     p_inf = params_from_config(load_config(p1_cfg) | {"params.mu2": math.inf})
@@ -270,6 +297,13 @@ def test_cli_solve_is_deterministic(p1_cfg, tmp_path):
     b1 = (tmp_path / "r1" / "report.json").read_bytes()
     b2 = (tmp_path / "r2" / "report.json").read_bytes()
     assert b1 == b2
+    # the branch directory, binary samples included, repeats byte for byte
+    names = sorted(p.name for p in (tmp_path / "r1" / "branch").iterdir())
+    assert names == ["branch.json", "sample_000.npy", "schema.json"]
+    assert names == sorted(p.name for p in (tmp_path / "r2" / "branch").iterdir())
+    for name in names:
+        one = (tmp_path / "r1" / "branch" / name).read_bytes()
+        assert one == (tmp_path / "r2" / "branch" / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -345,8 +379,10 @@ def test_cli_decay_parses_only_its_sample(p1_cfg, tmp_path, capsys):
     bump = 1.0 / (1.0 + g.x**2)
     three = SolitaryBranch("BO", [0.0, 0.01, 0.02], [WavePair(g, bump, bump)] * 3, [0.0] * 3)
     save_branch(three, str(tmp_path / "branch"))
-    # the samples decay does not fit are unreadable
-    for name in ("sample_001.csv", "sample_002.csv"):
+    # the samples decay does not fit, as branch.json names them, are unreadable
+    listed = json.loads((tmp_path / "branch" / "branch.json").read_text())["samples"]
+    assert len(listed) == 3
+    for name in listed[1:]:
         (tmp_path / "branch" / name).write_text("not a wave\n")
     args = [
         "decay", "--config", p1_cfg, "--out", str(tmp_path / "dec"),
@@ -354,6 +390,9 @@ def test_cli_decay_parses_only_its_sample(p1_cfg, tmp_path, capsys):
         "--set", "decay.window_lo=8", "--set", "decay.window_hi=16",
     ]
     assert main(args + ["--set", "decay.sample=0"]) == 0
+    # the corruption bites: a listed sample that decay reads does not load
+    with pytest.raises(ValueError):
+        main(args + ["--set", "decay.sample=1"])
     assert main(args + ["--set", "decay.sample=3"]) == 2
     assert "decay.sample must lie in [0, 3), got 3" in capsys.readouterr().err
 

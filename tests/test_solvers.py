@@ -1,13 +1,17 @@
 """Solitary-wave solvers: the reduced equation, its iteration, continuation."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from iswaves.config import load_config, params_from_config
 from iswaves.params import ModelParams
 from iswaves.solvers import (
     ConvergenceError,
+    SolitaryBranch,
     SolverConfig,
     continue_in_c,
     continue_in_mu2,
@@ -244,9 +248,59 @@ def test_branch_save_load_roundtrip(tmp_path, ilw_chain):
     assert np.isinf(back.parameter_values[0])
     assert back.parameter_values[1:] == ilw_chain.parameter_values[1:]
     for a, b in zip(back.waves, ilw_chain.waves):
-        assert np.allclose(a.nu, b.nu, atol=1e-15)
-        assert np.allclose(a.xi, b.xi, atol=1e-15)
+        assert a.grid == b.grid
+        assert np.array_equal(a.nu, b.nu) and np.array_equal(a.xi, b.xi)
     assert (outdir / "schema.json").exists()
+
+
+@pytest.mark.parametrize("which", ["bo_branch", "bfd_finite"])
+def test_branch_samples_are_binary_and_bit_exact(request, tmp_path, which):
+    # a BO branch at N = 4096 and a BFD wave come back bit for bit, on the
+    # same Grid(L, N); each sample is one C-ordered float64 (3, N) array with
+    # rows x, xi, nu
+    if which == "bo_branch":
+        branch = request.getfixturevalue("bo_branch")
+        assert branch.waves[0].grid.N == 4096
+    else:
+        sol = request.getfixturevalue("bfd_finite")
+        info = sol["info"]
+        branch = SolitaryBranch("BFD_finite", [sol["omega"]], [sol["pair"]], [info["full_residual"]])
+    save_branch(branch, str(tmp_path))
+    back = load_branch(str(tmp_path))
+    assert len(back.waves) == len(branch.waves)
+    for a, b in zip(back.waves, branch.waves):
+        assert a.grid == b.grid
+        assert np.array_equal(a.xi, b.xi) and np.array_equal(a.nu, b.nu)
+    listed = json.loads((tmp_path / "branch.json").read_text())["samples"]
+    assert listed == [f"sample_{i:03d}.npy" for i in range(len(branch.waves))]
+    assert not list(tmp_path.glob("*.csv"))
+    for name, wave in zip(listed, branch.waves):
+        data = np.load(tmp_path / name, allow_pickle=False)
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert data.shape == (3, wave.grid.N)
+        assert np.array_equal(data, np.stack([wave.grid.x, wave.xi, wave.nu]))
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize(
+    "stored, config, family",
+    [("bo_branch", "c_branch", "BO"), ("bfd_finite_wave", "bfd_finite", "BFD_finite")],
+)
+def test_stored_csv_branches_still_load_and_certify(stored, config, family):
+    # branches whose samples are CSV text load through the same load_branch,
+    # every sample certifies at 1e-9, and reading writes nothing
+    outdir = BENCH / "inputs" / stored
+    before = {path.name: path.read_bytes() for path in outdir.iterdir()}
+    listed = json.loads(before["branch.json"])["samples"]
+    assert listed and all(name.endswith(".csv") for name in listed)
+    branch = load_branch(str(outdir))
+    p = params_from_config(load_config(str(BENCH / "configs" / f"{config}.cfg")))
+    assert len(branch.waves) == len(listed)
+    for speed, wave in zip(branch.parameter_values, branch.waves):
+        assert residual_norm(family, p, speed, wave) <= 1e-9
+    assert {path.name: path.read_bytes() for path in outdir.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +574,35 @@ def test_system_transform_counts(request, family, fft_calls):
     fft_calls["n"] = 0
     sys_.residual(x)
     assert fft_calls["n"] == 2
+
+
+@pytest.mark.parametrize("c", [0.0, 0.01])
+@pytest.mark.parametrize(
+    "family, calls", [("BO", 0), ("ILW", 0), ("BFD_finite", 2), ("BFD_inf", 2)]
+)
+def test_lift_transform_counts(request, family, c, calls, fft_calls):
+    # the lift reads its own rows 1/S2 nu^2 and c T2/S2 nu: scalars for BO
+    # and ILW, so no transform, one stacked rfft/irfft pair for BFD; the
+    # result is the one the whole row plan gives, bit for bit
+    grid = make_grid(20.0, 256)
+    red = _Reduced(family, _params_of(request, family), grid, c)
+    nu = _random_even(grid, 5, rows=1)[0]
+    fft_calls["n"] = 0
+    xi = red.lift(nu)
+    assert fft_calls["n"] == calls
+    _, inv_sq, *c_rows = red._plan((nu * nu, nu))
+    whole = red.p.r * inv_sq
+    assert np.array_equal(xi, symmetrize_even(c * c_rows[1] + whole if c_rows else whole))
+
+
+def test_one_layer_solve_transform_count(p1_inf, fft_calls):
+    # the start's parts and evaluation (2 each), four per iteration and the
+    # certificate (2); the lift adds none (it made 2 while it evaluated the
+    # whole row plan)
+    grid = make_grid(50.0, 512)
+    fft_calls["n"] = 0
+    _, info = petviashvili_ground_state(p1_inf, grid, return_info=True)
+    assert fft_calls["n"] == 4 * info["iterations"] + 6
 
 
 def _fft_calls_per_iteration(fft_calls, monkeypatch, solve):
