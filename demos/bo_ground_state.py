@@ -3,8 +3,9 @@
 The scalar limit equation is solved by Petviashvili iteration: a fixed
 point scheme whose stabilizing factor S converges to 1 exactly when the
 iterate converges to a genuine solution.  At zero speed the second equation
-of the coupled system is algebraic, xi = r nu^2/(1 - gamma), so the scalar
-profile lifts to a two-component solitary pair with no further solve.
+of the coupled system is algebraic, xi = r nu^2/(1 - gamma), so `solve`
+lifts the scalar profile to a two-component solitary pair with no further
+solve; the pair is then certified on the coupled system.
 """
 
 import numpy as np
@@ -12,11 +13,10 @@ import numpy as np
 from iswaves import (
     ModelParams,
     SolverConfig,
-    WavePair,
     fit_algebraic_tail,
     make_grid,
-    petviashvili_ground_state,
     residual_norm,
+    solve,
 )
 
 p = ModelParams(
@@ -26,14 +26,14 @@ p = ModelParams(
 grid = make_grid(200.0, 4096)
 cfg = SolverConfig(tol_residual=1e-11)
 
-nu0, info = petviashvili_ground_state(p, grid, cfg, return_info=True)
+pair, info = solve("BO", p, 0.0, cfg, grid=grid)
+nu0 = pair.nu
 print(f"Petviashvili: {info['iterations']} iterations, "
       f"residual {info['residual']:.3e}, |S - 1| = {abs(info['S_minus_1']):.3e}")
-print(f"amplitude max nu0 = {np.max(nu0.values):.9f}")
+print(f"amplitude max nu0 = {np.max(nu0):.9f}")
 print(f"even profile: max |nu0(x) - nu0(-x)| = "
-      f"{np.max(np.abs(nu0.values - nu0.values[grid.reflect_indices()])):.3e}")
+      f"{np.max(np.abs(nu0 - nu0[grid.reflect_indices()])):.3e}")
 
-pair = WavePair(grid=grid, xi=p.r / (1.0 - p.gamma) * nu0.values**2, nu=nu0.values)
 print(f"\nlifted pair residual on the coupled system: "
       f"{residual_norm('BO', p, 0.0, pair):.3e}")
 print(f"surface amplitude max xi = {np.max(pair.xi):.9f}")

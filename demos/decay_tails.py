@@ -21,7 +21,7 @@ from iswaves import (
     kernel_fft_oracle,
     kernel_symbol,
     make_grid,
-    solve_bfd_reduced,
+    solve,
 )
 from iswaves.kernels import kernel_K2_plateau, kernel_K_plateau
 
@@ -34,7 +34,7 @@ g = make_grid(1024.0, 2**20)
 oracle = kernel_fft_oracle(kernel_symbol("K", p_inf), g)
 for x in (1.0, 2.0, 5.0):
     closed = kernel_K_quadrature(p_inf, x)
-    disc = float(oracle.values[int(round((x + g.L) / g.dx))])
+    disc = float(oracle[int(round((x + g.L) / g.dx))])
     print(f"  K({x}):  quadrature {closed:+.8f}   oracle {disc:+.8f}")
 print(f"  large-x law x^2 K -> {kernel_K_plateau(p_inf):+.6f}")
 print(f"  (K1(1) = {kernel_K1(3.0, 1.0):.6f}, K2(1) = "
@@ -45,14 +45,14 @@ g3 = make_grid(32.0, 2**19)
 o3 = kernel_fft_oracle(kernel_symbol("K3", p_fin), g3)
 val, bound = kernel_K3_series(p_fin, 2.0)
 print(f"  K3(2): series {val:.10f} (truncation <= {bound:.1e})   "
-      f"oracle {float(o3.values[int(round((2.0 + g3.L) / g3.dx))]):.10f}")
+      f"oracle {float(o3[int(round((2.0 + g3.L) / g3.dx))]):.10f}")
 
 # a steep-tail parameter point: the predicted exponential rate is attained
 sharp = ModelParams(gamma=0.5, b=8.0 / 3.0, d=8.0 / 3.0, a=-4.0, c=-1.0,
                     mu=0.1, epsilon=0.1, mu2=0.8)
 sigma = compute_decay_rates(sharp).sigma
 cfg = SolverConfig(tol_residual=1e-11)
-pair, _ = solve_bfd_reduced(sharp, 0.1, cfg, grid=make_grid(16.0, 2048), return_info=True)
+pair, _ = solve("BFD_finite", sharp, 0.1, cfg, grid=make_grid(16.0, 2048))
 fit = fit_exponential_tail(pair.grid.x, pair.nu, window=(4.8, 14.4), predicted=sigma)
 print(f"\nsteep-tail wave: fitted rate {fit.measured:.5f} vs predicted "
       f"sigma = {sigma:.5f} ({fit.rel_error:.2%} off), r^2 = {fit.r_squared:.6f}")
@@ -60,7 +60,7 @@ print(f"resolvable-rate cap on this grid: {fit.details['resolvable_rate_cap']:.2
 
 # the canonical point has an oscillatory finite-depth tail: the fitter
 # must refuse to certify a clean exponential law there
-pair2, _ = solve_bfd_reduced(p_fin, 0.1, cfg, grid=make_grid(8.0, 2048), return_info=True)
+pair2, _ = solve("BFD_finite", p_fin, 0.1, cfg, grid=make_grid(8.0, 2048))
 sigma2 = compute_decay_rates(p_fin).sigma
 fit2 = fit_exponential_tail(pair2.grid.x, pair2.nu, window=(2.4, 7.2), predicted=sigma2)
 print(f"\noscillatory-tail wave: fitted rate {fit2.measured:.4f}, "

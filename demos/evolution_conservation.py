@@ -16,7 +16,7 @@ from iswaves import (
     check_global_criterion,
     make_grid,
     run,
-    solve_bfd_reduced,
+    solve,
     suggest_dt,
 )
 
@@ -45,8 +45,8 @@ print(f"  dealiased band fraction {out['dealias_top_fraction_max']:.2e}")
 
 print("\ntransporting a computed solitary wave at its own speed:")
 omega = 0.1
-pair, _ = solve_bfd_reduced(p, omega, SolverConfig(tol_residual=1e-11),
-                            grid=make_grid(8.0, 2048), return_info=True)
+pair, _ = solve("BFD_finite", p, omega, SolverConfig(tol_residual=1e-11),
+                grid=make_grid(8.0, 2048))
 T = 4.0
 traj = run("bfd_finite", p, pair, T=T, dt=2e-3)
 final = traj["final_state"]

@@ -25,7 +25,7 @@ cfg = SolverConfig(tol_residual=1e-11)
 grid = make_grid(200.0, 2048)
 
 print("speed continuation from the ground state:")
-branch = continue_in_c("BO", p, 0.02, cfg, grid=grid, store_at=[0.005, 0.01, 0.02])
+branch = continue_in_c(p, 0.02, cfg, grid=grid, store_at=[0.005, 0.01, 0.02])
 start = branch.waves[0]
 ref = np.max(np.abs(start.nu))
 print(f"  {'c':>7}   residual    ||nu_c - nu_0|| / ||nu_0||")

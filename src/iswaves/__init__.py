@@ -20,7 +20,6 @@ from .params import (
 )
 from .spectral import (
     Grid,
-    RealField,
     Symbols,
     WavePair,
     make_grid,
@@ -28,7 +27,6 @@ from .spectral import (
 )
 from .functionals import (
     energy_E,
-    estimate_I_lambda,
     hamiltonian_H,
     quadratic_form_check,
 )
@@ -40,10 +38,9 @@ from .solvers import (
     continue_in_c,
     continue_in_mu2,
     load_branch,
-    petviashvili_ground_state,
     residual_norm,
     save_branch,
-    solve_bfd_reduced,
+    solve,
 )
 from .kernels import (
     DecayReport,
@@ -77,7 +74,6 @@ __all__ = [
     "Grid",
     "InadmissibleParameterError",
     "ModelParams",
-    "RealField",
     "SolitaryBranch",
     "SolverConfig",
     "Symbols",
@@ -93,7 +89,6 @@ __all__ = [
     "continue_in_c",
     "continue_in_mu2",
     "energy_E",
-    "estimate_I_lambda",
     "family_params",
     "fit_algebraic_tail",
     "fit_exponential_tail",
@@ -108,12 +103,11 @@ __all__ = [
     "load_branch",
     "make_grid",
     "make_stepper",
-    "petviashvili_ground_state",
     "quadratic_form_check",
     "residual_norm",
     "run",
     "save_branch",
-    "solve_bfd_reduced",
+    "solve",
     "suggest_dt",
     "symbols",
     "validate_bfd_params",

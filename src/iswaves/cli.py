@@ -51,7 +51,7 @@ from .solvers import (
     continue_in_mu2,
     load_branch,
     save_branch,
-    solve_bfd_reduced,
+    solve,
 )
 from .evolution import INTEGRATORS, AmplitudeBoundError, run, suggest_dt
 from .functionals import energy_E, quadratic_form_check
@@ -80,13 +80,23 @@ def _positive(key: str, value):
     return value
 
 
-def _sample(cfg: dict, key: str, branch: SolitaryBranch) -> WavePair:
-    """The wave of branch at index cfg[key], the last one by default."""
+def _sample(cfg: dict, dir_key: str, key: str) -> tuple[SolitaryBranch, WavePair]:
+    """The branch saved under cfg[dir_key] and its wave at index cfg[key],
+    the last one by default; a branch or sample that cannot be read is a
+    configuration error of dir_key."""
+    path = _require(cfg, dir_key)
+    try:
+        branch = load_branch(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{dir_key}: {exc}") from exc
     count = len(branch.waves)
     index = cfg.get(key, count - 1)
     if not 0 <= index < count:
         raise ConfigError(f"{key} must lie in [0, {count}), got {index}")
-    return branch.waves[index]
+    try:
+        return branch, branch.waves[index]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{dir_key}: {exc}") from exc
 
 
 def _solves(branch: SolitaryBranch) -> list[dict]:
@@ -94,15 +104,6 @@ def _solves(branch: SolitaryBranch) -> list[dict]:
     diag = branch.diagnostics
     start = [diag["start"]] if "start" in diag else []
     return start + [step for step in diag["steps"] if step["accepted"]]
-
-
-def _last_wave(branch: SolitaryBranch) -> WavePair:
-    """The last wave of a branch that reached its last milestone."""
-    diag = branch.diagnostics
-    if diag["truncated"]:
-        ended = diag.get("endpoint_estimate", diag.get("sigma_estimate"))
-        raise ConvergenceError(f"the {branch.family} branch ended at {ended!r}")
-    return branch.waves[-1]
 
 
 def _work(solves: list[dict]) -> dict:
@@ -141,24 +142,13 @@ def cmd_solve(cfg: dict, out: str) -> int:
     grid = cfgmod.grid_from_config(cfg)
     scfg = cfgmod.solver_from_config(cfg)
     family, p = _family("solve.family", _require(cfg, "solve.family"), p)
-
+    # the one-layer families travel at solve.speed, BFD at solve.omega
     if family in ("BO", "ILW"):
         speed = cfg.get("solve.speed", 0.0)
-        solves, start = [], None
-        if family == "ILW":
-            # the ILW wave is solved from the BO wave at its own mu2
-            chain = continue_in_mu2(p, p.mu2, scfg, grid=grid, milestones=[p.mu2])
-            solves, start = _solves(chain), _last_wave(chain)
-        store_at = [speed] if speed != 0.0 else []
-        wave = continue_in_c(family, p, speed, scfg, grid=grid, start=start, store_at=store_at)
-        solves += _solves(wave)
-        branch = SolitaryBranch(family, [speed], [_last_wave(wave)], [wave.residuals[-1]])
-        work = _work(solves)
     else:
-        omega = _require(cfg, "solve.omega")
-        pair, info = solve_bfd_reduced(p, omega, scfg, grid=grid, return_info=True)
-        branch = SolitaryBranch(family, [omega], [pair], [info["full_residual"]])
-        work = _work([info])
+        speed = _require(cfg, "solve.omega")
+    pair, info = solve(family, p, speed, scfg, grid=grid)
+    branch = SolitaryBranch(family, [speed], [pair], [info["full_residual"]])
 
     save_branch(branch, os.path.join(out, "branch"), cfgmod.resolved_config(cfg))
     report = {
@@ -167,7 +157,7 @@ def cmd_solve(cfg: dict, out: str) -> int:
         "residuals": branch.residuals,
         "amplitude_nu": [float(np.max(np.abs(w.nu))) for w in branch.waves],
         "amplitude_xi": [float(np.max(np.abs(w.xi))) for w in branch.waves],
-        "work": work,
+        "work": _work([info]),
     }
     cfgmod.write_json(os.path.join(out, "report.json"), report, cfg)
     cfgmod.write_meta(out)
@@ -190,8 +180,8 @@ def cmd_continue(cfg: dict, out: str) -> int:
     if parameter == "c":
         family, p = _family("continue.family", cfg.get("continue.family", "BO"), p)
         if family != "BO":
-            # the two-layer families have no c-continuation, and the ILW branch
-            # starts from the c = 0 pair that only continue_in_mu2 builds
+            # continue_in_c is the BO branch; `solve` reaches one ILW wave at
+            # c != 0, and the two-layer families have no c-continuation
             raise ConfigError(
                 f"continue.family must be BO for continue.parameter = c, got {family!r}"
             )
@@ -200,7 +190,7 @@ def cmd_continue(cfg: dict, out: str) -> int:
             raise ConfigError(
                 f"continue.milestones must lie within |continue.target| = {abs(target)!r}"
             )
-        branch = continue_in_c(family, p, target, scfg, grid=grid, store_at=milestones)
+        branch = continue_in_c(p, target, scfg, grid=grid, store_at=milestones)
     elif parameter == "mu2":
         target = _positive("continue.target", _require(cfg, "continue.target"))
         if "continue.family" in cfg:
@@ -235,14 +225,12 @@ def cmd_continue(cfg: dict, out: str) -> int:
 
 
 def cmd_decay(cfg: dict, out: str) -> int:
-    branch = load_branch(_require(cfg, "decay.branch_dir"))
-    wave = _sample(cfg, "decay.sample", branch)
+    branch, wave = _sample(cfg, "decay.branch_dir", "decay.sample")
     field_name = cfg.get("decay.field", "nu")
     if field_name not in ("xi", "nu"):
         raise ConfigError("decay.field must be 'xi' or 'nu'")
     values = wave.nu if field_name == "nu" else wave.xi
     kind = cfg.get("decay.kind", "algebraic")
-    window = None
     if "decay.window_lo" in cfg or "decay.window_hi" in cfg:
         window = (
             cfg.get("decay.window_lo", 0.3 * wave.grid.L),
@@ -336,8 +324,7 @@ def cmd_evolve(cfg: dict, out: str) -> int:
 
     initial_kind = cfg.get("evolve.initial", "gaussian")
     if initial_kind == "branch":
-        branch = load_branch(_require(cfg, "evolve.branch_dir"))
-        initial = _sample(cfg, "evolve.sample", branch)
+        _, initial = _sample(cfg, "evolve.branch_dir", "evolve.sample")
         grid = initial.grid
     elif initial_kind == "gaussian":
         grid = cfgmod.grid_from_config(cfg)
@@ -483,8 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (2) or the help (0)
+        return exc.code
     try:
         cfg = cfgmod.load_config(args.config) if args.config else {}
         cfg = cfgmod.apply_overrides(cfg, args.set)

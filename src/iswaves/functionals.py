@@ -36,18 +36,6 @@ class QuadraticFormReport:
     coercivity_const: float
 
 
-@dataclass(frozen=True)
-class IlambdaEstimate:
-    """Achieved value of the constrained infimum, with solver diagnostics."""
-
-    value: float
-    residual: float
-    iterations: int
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     """Discrete L2 inner product with the exact periodic quadrature weight dx."""
     return float(grid.dx * np.dot(u, v))
@@ -96,19 +84,4 @@ def quadratic_form_check(p: ModelParams, omega: float, grid: Grid) -> QuadraticF
     coercivity = float(np.min(half / (1.0 + grid.k_half**2)))
     return QuadraticFormReport(
         min_eigen_by_freq=min_eigen, global_min=global_min, coercivity_const=coercivity
-    )
-
-
-def estimate_I_lambda(
-    p: ModelParams, omega: float, lam: float, grid: Grid, cfg=None
-) -> IlambdaEstimate:
-    """Upper estimate of I_lambda = inf{E : F = lambda} via constrained descent."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    from .solvers import constrained_minimize
-
-    pair, _, info = constrained_minimize(p, omega, lam, grid, cfg=cfg)
-    value = energy_E(p, omega, pair)
-    return IlambdaEstimate(
-        value=value, residual=info["gradient_norm"], iterations=info["iterations"]
     )

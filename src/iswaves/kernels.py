@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .params import InadmissibleParameterError, ModelParams, compute_decay_rates
-from .spectral import Grid, RealField, zcothz
+from .spectral import Grid, zcothz
 
 _EPS = np.finfo(float).eps
 # the convention of every kernel symbol: a vectorized function of |k|
@@ -253,7 +253,7 @@ def _oracle_values(fn: Symbol, g: Grid, step: int) -> np.ndarray:
     return dk / math.sqrt(2.0 * math.pi) * m * np.fft.irfft(folded, n=m)
 
 
-def kernel_fft_oracle(fn: Symbol, g: Grid) -> RealField:
+def kernel_fft_oracle(fn: Symbol, g: Grid) -> np.ndarray:
     """Inverse unitary transform of the kernel symbol fn(|k|), on the grid.
 
     Approximates (2pi)^{-1/2} int khat(k) e^{ikx} dk by the trapezoidal sum
@@ -261,9 +261,9 @@ def kernel_fft_oracle(fn: Symbol, g: Grid) -> RealField:
     spectrum (the symbol is even); the alternating phase recenters the
     output on x in [-L, L).  Refuses symbols that are not strictly positive
     (all kernel symbols here are positive; a sign change would signal an
-    inadmissible parameter set).
+    inadmissible parameter set).  Returns the values at the points g.x.
     """
-    return RealField(grid=g, values=_oracle_values(fn, g, 1))
+    return _oracle_values(fn, g, 1)
 
 
 def kernel_oracle_at(fn: Symbol, g: Grid, xs: Sequence[float]) -> tuple[np.ndarray, int]:
@@ -295,19 +295,16 @@ def default_fit_window(g: Grid) -> tuple[float, float]:
     return 0.3 * g.L, 0.9 * g.L
 
 
-def _profile_arrays(profile, values=None) -> tuple[np.ndarray, np.ndarray, float | None]:
-    if isinstance(profile, RealField):
-        return profile.grid.x, profile.values, profile.grid.L
-    x = np.asarray(profile, dtype=float)
+def _profile_arrays(x, values) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
     v = np.asarray(values, dtype=float)
     if x.shape != v.shape:
         raise ValueError("x and values must have matching shapes")
-    return x, v, None
+    return x, v
 
 
 def fit_algebraic_tail(
-    profile, values=None, window: tuple[float, float] | None = None,
-    predicted: float | None = None,
+    x, values, window: tuple[float, float], predicted: float | None = None
 ) -> DecayReport:
     """Fit an x^{-2} tail: plateau of x^2 * profile over the window.
 
@@ -317,11 +314,7 @@ def fit_algebraic_tail(
     taken from the log-log regression of |v| against x, whose slope should
     sit near -2 for a true algebraic tail (slope reported in details).
     """
-    x, v, domain_l = _profile_arrays(profile, values)
-    if window is None:
-        if domain_l is None:
-            raise ValueError("window is required for raw sample arrays")
-        window = (0.3 * domain_l, 0.9 * domain_l)
+    x, v = _profile_arrays(x, values)
     lo, hi = window
     sel = (x >= lo) & (x <= hi)
     xs, vs = x[sel], v[sel]
@@ -363,8 +356,7 @@ def fit_algebraic_tail(
 
 
 def fit_exponential_tail(
-    profile, values=None, window: tuple[float, float] | None = None,
-    predicted: float | None = None,
+    x, values, window: tuple[float, float], predicted: float | None = None
 ) -> DecayReport:
     """Fit an exponential tail: least-squares slope of log|v| over the window.
 
@@ -374,11 +366,7 @@ def fit_exponential_tail(
     predicted rate is compared against min(predicted, cap).  r^2 below 0.99
     raises the unreliable-fit flag.
     """
-    x, v, domain_l = _profile_arrays(profile, values)
-    if window is None:
-        if domain_l is None:
-            raise ValueError("window is required for raw sample arrays")
-        window = (0.3 * domain_l, 0.9 * domain_l)
+    x, v = _profile_arrays(x, values)
     lo, hi = window
     floor = 100.0 * _EPS * np.max(np.abs(v))
     sel = (x >= lo) & (x <= hi) & (np.abs(v) > floor)

@@ -1,5 +1,14 @@
 """Solitary-wave solvers for the three model families.
 
+`solve(family, p, speed, cfg, grid=grid)` is the one way to a single wave,
+and the one place where the family decides the path to it: a BFD wave is
+solved directly from a sech^2 bump; a BO wave starts from the ground state
+at c = 0 and an ILW wave from the same ground state continued in depth to
+its own mu2 (the path of `continue_in_mu2`), and either is then continued
+in speed to c != 0 (the path of `continue_in_c`).  It returns the wave and
+the record of its last solve, whose iterations count every accepted solve
+on the way.
+
 One scalar equation serves every travelling wave.  Every family's system
 is stated once, by the tables (T1, S1, T2, S2) of `spectral.structure`: a
 wave of speed c solves
@@ -75,7 +84,6 @@ from .functionals import energy_E
 from .params import ModelParams, family_params
 from .spectral import (
     Grid,
-    RealField,
     WavePair,
     apply_table,
     make_grid,
@@ -373,11 +381,9 @@ def _solve(red: _Reduced, nu: np.ndarray, cfg: SolverConfig) -> tuple[WavePair, 
     }
 
 
-def _bo_start(p: ModelParams, grid: Grid | None, cfg: SolverConfig) -> tuple[WavePair, dict]:
+def _bo_start(p: ModelParams, grid: Grid, cfg: SolverConfig) -> tuple[WavePair, dict]:
     """The c = 0 BO pair: the even positive ground state of op2 nu = 2 r^2
     nu^3/(1-gamma) and xi = r nu^2/(1-gamma), with its `_solve` record."""
-    if grid is None:
-        raise ValueError("provide a grid or a starting pair")
     red = _Reduced("BO", p, grid, 0.0)
     # Lorentzian-squared bump at the dispersive width; the amplitude is fixed
     # by S(amp) = 1, which is scale-invariant (a raw-residual search would
@@ -395,28 +401,6 @@ def _bo_start(p: ModelParams, grid: Grid | None, cfg: SolverConfig) -> tuple[Wav
     return pair, info
 
 
-def petviashvili_ground_state(
-    p: ModelParams,
-    grid: Grid,
-    cfg: SolverConfig | None = None,
-    return_info: bool = False,
-):
-    """Even positive ground state nu of the BO equation at c = 0,
-    alpha|D| nu + nu/gamma = eta nu^3 (the reduced one-layer equation
-    op2 nu = 2 r^2 nu^3/(1-gamma) at infinite depth).
-
-    Solved by `_solve` from a Lorentzian-squared bump whose amplitude makes
-    the stabilizing factor 1.  With return_info, also
-    returns the `_solve` record (iterations, exit, residual, S_minus_1 and
-    the system residual of the lifted pair).
-    """
-    pair, info = _bo_start(p, grid, cfg or SolverConfig())
-    out = RealField(grid=grid, values=pair.nu)
-    if return_info:
-        return out, info
-    return out
-
-
 # ---------------------------------------------------------------------------
 # continuation
 # ---------------------------------------------------------------------------
@@ -426,15 +410,15 @@ def _continuation(
     family: str,
     p_of,
     speed_of,
-    start: WavePair,
-    start_residual: float,
+    start: tuple[WavePair, dict],
     targets: list[float],
     cfg: SolverConfig,
     label,
     truncation_key: str,
-) -> tuple[list[float], list[WavePair], list[float], dict]:
-    """March a branch from t = 0 through `targets`, each solved by `_solve`
-    warm-started from the last wave solved.
+) -> tuple[list[float], list[WavePair], list[dict], dict]:
+    """March a branch from the wave and `_solve` record start at t = 0
+    through `targets`, each solved by `_solve` warm-started from the last
+    wave solved.
 
     p_of(t) and speed_of(t) map the continuation parameter to model
     parameters and speed; every wave but the start belongs to family.  When
@@ -445,14 +429,13 @@ def _continuation(
     is such a failure.  Every solve leaves a record in diagnostics["steps"]:
     its parameter label(t), whether it was accepted, and its iterations and
     exit or its error.  Returns the t of every stored wave, the waves, their
-    system residuals and the diagnostics.
+    `_solve` records and the diagnostics.
     """
-    ts = [0.0]
-    waves = [start]
-    residuals = [start_residual]
+    current, current_info = start
+    current_t = 0.0
+    ts, waves, infos = [current_t], [current], [current_info]
     diagnostics: dict = {"truncated": False, "steps": []}
 
-    current_t, current, current_res = 0.0, start, start_residual
     for target in targets:
         t_try = target
         while current_t != target:
@@ -466,7 +449,7 @@ def _continuation(
                 if abs(t_try - current_t) <= cfg.min_step:
                     diagnostics["truncated"] = True
                     diagnostics[truncation_key] = label(current_t)
-                    return ts, waves, residuals, diagnostics
+                    return ts, waves, infos, diagnostics
                 t_try = 0.5 * (current_t + t_try)
                 continue
             diagnostics["steps"].append(
@@ -477,92 +460,37 @@ def _continuation(
                     "exit": info["exit"],
                 }
             )
-            current, current_t, current_res = pair, t_try, info["full_residual"]
+            current, current_t, current_info = pair, t_try, info
             t_try = target
         ts.append(current_t)
         waves.append(current)
-        residuals.append(current_res)
-    return ts, waves, residuals, diagnostics
+        infos.append(current_info)
+    return ts, waves, infos, diagnostics
 
 
-def _start_of(
-    family: str, p: ModelParams, grid: Grid | None, start: WavePair | None, cfg: SolverConfig
-) -> tuple[WavePair, float, dict]:
-    """The starting pair and its system residual; the BO ground state, with
-    its record under "start", when no start is given."""
-    if start is not None:
-        return start, residual_norm(family, p, 0.0, start), {}
-    pair, info = _bo_start(p, grid, cfg)
-    return pair, info["full_residual"], {"start": {k: info[k] for k in ("iterations", "exit")}}
-
-
-def continue_in_c(
-    family: str,
-    p: ModelParams,
-    c_max: float,
-    cfg: SolverConfig | None = None,
-    grid: Grid | None = None,
-    start: WavePair | None = None,
-    store_at: list[float] | None = None,
-) -> SolitaryBranch:
-    """Branch of travelling pairs in the speed c, from the c = 0 wave.
-
-    The c = 0 pair is the ground state when not supplied (its `_solve`
-    record is kept under diagnostics["start"]).  Stored samples are the
-    milestones in store_at (default: eight points up to c_max), solved in
-    order of |c|; the c = 0 endpoint is always stored first.
-    """
-    cfg = cfg or SolverConfig()
-    fam, p = family_params(family, p)
-    if fam not in ("BO", "ILW"):
-        raise ValueError("continue_in_c supports the one-layer families (BO, ILW)")
-    if start is None and fam == "ILW":
-        raise ValueError("ILW continuation needs the c = 0 pair from continue_in_mu2")
-    start, start_res, diag0 = _start_of(fam, p, grid, start, cfg)
-    if store_at is None:
-        store_at = list(np.linspace(c_max / 8.0, c_max, 8))
-
-    params, waves, residuals, diag = _continuation(
-        fam,
+def _speed_leg(family: str, p: ModelParams, start: tuple[WavePair, dict], speeds, cfg):
+    """`_continuation` in the speed c of a one-layer family at p, from the
+    c = 0 wave start through speeds, in order of |c|."""
+    return _continuation(
+        family,
         lambda t: p,
         lambda t: t,
         start,
-        start_res,
-        sorted(store_at, key=abs),
+        sorted(speeds, key=abs),
         cfg,
         label=lambda t: t,
         truncation_key="endpoint_estimate",
     )
-    return SolitaryBranch(fam, params, waves, residuals, diagnostics=diag0 | diag)
 
 
-def continue_in_mu2(
-    p: ModelParams,
-    mu2_min: float,
-    cfg: SolverConfig | None = None,
-    grid: Grid | None = None,
-    milestones: list[float] | None = None,
-) -> SolitaryBranch:
-    """Branch of c = 0 finite-depth pairs in mu2, from the infinite-depth wave.
+def _depth_leg(p: ModelParams, start: tuple[WavePair, dict], milestones: list[float], cfg):
+    """`_continuation` of the c = 0 ILW wave from the BO wave start through
+    the mu2 milestones, in the order given.
 
-    Continuation runs in the regularizing parameter t = 1/sqrt(mu2), which is
-    0 at the infinite-depth endpoint.  The first stored sample is the BO
-    ground state (parameter value inf; its `_solve` record is kept under
-    diagnostics["start"]); the first milestone is solved from it.
-    Milestones are mu2 values to store, solved in decreasing order, each at
-    the exact mu2 given; a bisection midpoint t is solved at 1/t^2.  Every
-    solve leaves a record, keyed by its mu2 value, in diagnostics["steps"].
+    Continuation runs in the regularizing parameter t = 1/sqrt(mu2), which
+    is 0 at the infinite-depth endpoint; each milestone is solved and
+    labelled at the exact mu2 given, a bisection midpoint t at 1/t^2.
     """
-    cfg = cfg or SolverConfig()
-    if not mu2_min > 0.0:
-        raise ValueError(f"mu2_min must be positive, got {mu2_min}")
-    start, start_res, diag0 = _start_of("BO", p, grid, None, cfg)
-    if milestones is None:
-        milestones = [mu2_min]
-    milestones = sorted(milestones, reverse=True)
-    if min(milestones) < mu2_min:
-        raise ValueError("milestones must lie at or above mu2_min")
-
     targets = [1.0 / math.sqrt(m) for m in milestones]
     exact = dict(zip(targets, milestones))
 
@@ -571,21 +499,79 @@ def continue_in_mu2(
             return exact[t]
         return math.inf if t == 0.0 else 1.0 / t**2
 
-    ts, waves, residuals, diag = _continuation(
+    return _continuation(
         "ILW",
         lambda t: replace(p, mu2=mu2_of(t)),
         lambda t: 0.0,
         start,
-        start_res,
         targets,
         cfg,
         label=mu2_of,
         truncation_key="sigma_estimate",
     )
+
+
+def _start_record(info: dict) -> dict:
+    """The diagnostics entry of a branch's ground state."""
+    return {"start": {k: info[k] for k in ("iterations", "exit")}}
+
+
+def continue_in_c(
+    p: ModelParams,
+    c_max: float,
+    cfg: SolverConfig | None = None,
+    *,
+    grid: Grid,
+    store_at: list[float] | None = None,
+) -> SolitaryBranch:
+    """Branch of BO travelling pairs in the speed c, from the ground state.
+
+    The ground state's `_solve` record is kept under diagnostics["start"].
+    Stored samples are the milestones in store_at (default: eight points up
+    to c_max), solved in order of |c|; the c = 0 endpoint is always stored
+    first.
+    """
+    cfg = cfg or SolverConfig()
+    start = _bo_start(p, grid, cfg)
+    if store_at is None:
+        store_at = list(np.linspace(c_max / 8.0, c_max, 8))
+    params, waves, infos, diag = _speed_leg("BO", p, start, store_at, cfg)
+    residuals = [info["full_residual"] for info in infos]
+    diag = _start_record(start[1]) | diag
+    return SolitaryBranch("BO", params, waves, residuals, diagnostics=diag)
+
+
+def continue_in_mu2(
+    p: ModelParams,
+    mu2_min: float,
+    cfg: SolverConfig | None = None,
+    *,
+    grid: Grid,
+    milestones: list[float] | None = None,
+) -> SolitaryBranch:
+    """Branch of c = 0 finite-depth pairs in mu2, from the infinite-depth wave
+    (`_depth_leg`).
+
+    The first stored sample is the BO ground state (parameter value inf; its
+    `_solve` record is kept under diagnostics["start"]); the first milestone
+    is solved from it.  Milestones are mu2 values to store, solved in
+    decreasing order.  Every solve leaves a record, keyed by its mu2 value,
+    in diagnostics["steps"].
+    """
+    cfg = cfg or SolverConfig()
+    if not mu2_min > 0.0:
+        raise ValueError(f"mu2_min must be positive, got {mu2_min}")
+    milestones = sorted([mu2_min] if milestones is None else milestones, reverse=True)
+    if min(milestones) < mu2_min:
+        raise ValueError("milestones must lie at or above mu2_min")
+    start = _bo_start(p, grid, cfg)
+    ts, waves, infos, diag = _depth_leg(p, start, milestones, cfg)
     # the endpoint is the BO pair, stored bit-for-bit; the others are stored
     # under their milestone
     params = [math.inf] + milestones[: len(ts) - 1]
-    return SolitaryBranch("ILW", params, waves, residuals, diagnostics=diag0 | diag)
+    residuals = [info["full_residual"] for info in infos]
+    diag = _start_record(start[1]) | diag
+    return SolitaryBranch("ILW", params, waves, residuals, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -613,45 +599,59 @@ def _scan_ratios(red: _Reduced, shape: np.ndarray, dx: float, amps: np.ndarray) 
     return ratios
 
 
-def solve_bfd_reduced(
-    p: ModelParams,
-    omega: float,
-    cfg: SolverConfig | None = None,
-    *,
-    grid: Grid,
-    return_info: bool = False,
-):
-    """Solitary pair of the two-layer system via the scalar reduced equation.
-
-    Eliminating xi through the second equation leaves
-        M_omega nu = G(nu),
-    M_omega = (1-gamma) L - omega^2 J_b J_d J_c^{-1} at the depth of p (the
-    BFD_finite system for finite mu2, BFD_inf for mu2 = inf), and G(nu)
-    collecting the quadratic and cubic sources.  `_solve` takes it from a
-    sech^2 bump whose amplitude makes the stabilizing factor closest to 1,
-    to tol_residual or to its roundoff floor within 10 tol_residual; xi is
-    then lifted and the full system residual checked.
-
-    With return_info, also returns the `_solve` record: iterations, exit
-    ("converged" or "floor"), residual (the reduced residual), S_minus_1
-    and full_residual.
-    """
-    cfg = cfg or SolverConfig()
-    red = _Reduced("BFD_finite" if p.finite_depth else "BFD_inf", p, grid, omega)
-    # unit-width even bump; the amplitude comes from the scale-invariant
-    # condition S(amp) = 1 scanned over a wide range (a raw-residual search
-    # would collapse to the trivial branch as amp -> 0)
+def _bfd_solve(red: _Reduced, cfg: SolverConfig) -> tuple[WavePair, dict]:
+    """The BFD wave of red's equation by `_solve`, from a unit-width sech^2
+    bump whose amplitude makes the stabilizing factor closest to 1."""
+    grid = red.grid
+    # the amplitude comes from the scale-invariant condition S(amp) = 1
+    # scanned over a wide range (a raw-residual search would collapse to the
+    # trivial branch as amp -> 0)
     shape = 1.0 / np.cosh(grid.x) ** 2
-    amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(p) * 1e3
+    amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(red.p) * 1e3
     best, best_dev = amps[0], math.inf
     for amp, s_try in zip(amps, _scan_ratios(red, shape, grid.dx, amps)):
         # a skipped amplitude (NaN) never wins; ties keep the first
         if abs(s_try - 1.0) < best_dev:
             best, best_dev = amp, abs(s_try - 1.0)
-    pair, info = _solve(red, best * shape, cfg)
-    if return_info:
-        return pair, info
-    return pair
+    return _solve(red, best * shape, cfg)
+
+
+# ---------------------------------------------------------------------------
+# one solve for every family
+# ---------------------------------------------------------------------------
+
+
+def solve(
+    family: str, p: ModelParams, speed: float, cfg: SolverConfig | None = None, *, grid: Grid
+) -> tuple[WavePair, dict]:
+    """The solitary wave of family at speed c (omega for BFD) on grid, and
+    the `_solve` record of its last solve: iterations (counting every
+    accepted solve on the way), exit, residual, S_minus_1, full_residual.
+
+    p is taken at the family's depth (`family_params`).  BFD waves solve the
+    reduced equation from a sech^2 bump (`_bfd_solve`).  BO starts from the
+    ground state (`_bo_start`); ILW continues that in depth to p.mu2
+    (`_depth_leg`, the path of `continue_in_mu2`); at c != 0 both then
+    continue in speed to c (`_speed_leg`).  A leg that ends before its
+    milestone raises ConvergenceError.
+    """
+    cfg = cfg or SolverConfig()
+    fam, p = family_params(family, p)
+    if fam not in ("BO", "ILW"):
+        return _bfd_solve(_Reduced(fam, p, grid, speed), cfg)
+    legs = [lambda s: _depth_leg(p, s, [p.mu2], cfg)] if fam == "ILW" else []
+    if speed:
+        legs.append(lambda s: _speed_leg(fam, p, s, [speed], cfg))
+    wave, info = _bo_start(p, grid, cfg)
+    iterations = info["iterations"]
+    for leg in legs:
+        _, waves, infos, diag = leg((wave, info))
+        if diag["truncated"]:
+            ended = diag.get("endpoint_estimate", diag.get("sigma_estimate"))
+            raise ConvergenceError(f"the {fam} branch ended at {ended!r}")
+        wave, info = waves[-1], infos[-1]
+        iterations += sum(step["iterations"] for step in diag["steps"] if step["accepted"])
+    return wave, info | {"iterations": iterations}
 
 
 # ---------------------------------------------------------------------------
@@ -836,11 +836,15 @@ def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None)
 
 def _read_sample(path: str) -> WavePair:
     """The wave of one stored sample: a .npy array of rows (x, xi, nu) on the
-    grid (-x[0], N), or an (x, xi, nu) CSV of an older branch."""
-    if not path.endswith(".npy"):
-        return pair_from_csv(path)
-    x, xi, nu = np.load(path, allow_pickle=False)
-    return WavePair(grid=make_grid(-x[0], x.shape[0]), xi=xi, nu=nu)
+    grid (-x[0], N), or an (x, xi, nu) CSV of an older branch.  A file that
+    holds no such wave raises ValueError naming the file."""
+    try:
+        if not path.endswith(".npy"):
+            return pair_from_csv(path)
+        x, xi, nu = np.load(path, allow_pickle=False)
+        return WavePair(grid=make_grid(-x[0], x.shape[0]), xi=xi, nu=nu)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 class _StoredWaves(Sequence):

@@ -69,22 +69,6 @@ def make_grid(L: float, N: int) -> Grid:
 
 
 @dataclass(frozen=True)
-class RealField:
-    """Real-valued grid function."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.N,):
-            raise ValueError(f"field length {vals.shape} does not match grid N={self.grid.N}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
 class WavePair:
     """Solitary-wave profile pair (xi, nu) on a common grid."""
 
@@ -223,7 +207,11 @@ def pair_to_csv(w: WavePair, path: str) -> None:
 
 
 def pair_from_csv(path: str) -> WavePair:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """The wave of an (x, xi, nu) CSV with one header row, on the grid
+    (-x[0], N); a file without three columns raises ValueError."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 3:
+        raise ValueError(f"expected the columns x, xi, nu, got an array of shape {data.shape}")
     x = data[:, 0]
     n = x.shape[0]
     L = -x[0]

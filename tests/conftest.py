@@ -10,13 +10,7 @@ import scipy.fft
 from hypothesis import settings
 
 from iswaves.params import ModelParams
-from iswaves.solvers import (
-    SolverConfig,
-    continue_in_c,
-    continue_in_mu2,
-    petviashvili_ground_state,
-    solve_bfd_reduced,
-)
+from iswaves.solvers import SolverConfig, continue_in_c, continue_in_mu2, solve
 from iswaves.spectral import make_grid
 
 # every run draws the same examples, and a slow example is not a failure
@@ -85,18 +79,16 @@ def grid_bo():
 
 @pytest.fixture(scope="session")
 def bo_state(p1_inf, grid_bo, scfg):
-    """Ground state of the scalar limit equation plus its lifted c = 0 pair."""
-    nu0, info = petviashvili_ground_state(p1_inf, grid_bo, scfg, return_info=True)
-    pair = continue_in_c("BO", p1_inf, 0.0, scfg, grid=grid_bo, store_at=[]).waves[0]
-    return {"nu0": nu0, "info": info, "pair": pair}
+    """The c = 0 BO pair, the ground state of the scalar limit equation and
+    its lift, with the record of its solve."""
+    pair, info = solve("BO", p1_inf, 0.0, scfg, grid=grid_bo)
+    return {"pair": pair, "info": info}
 
 
 @pytest.fixture(scope="session")
-def bo_branch(p1_inf, bo_state, scfg):
+def bo_branch(p1_inf, grid_bo, scfg):
     """Speed continuation of the c = 0 pair with milestones stored."""
-    return continue_in_c(
-        "BO", p1_inf, 0.02, scfg, start=bo_state["pair"], store_at=[0.005, 0.01, 0.02]
-    )
+    return continue_in_c(p1_inf, 0.02, scfg, grid=grid_bo, store_at=[0.005, 0.01, 0.02])
 
 
 @pytest.fixture(scope="session")
@@ -115,21 +107,21 @@ def ilw_chain(p1_mu2_25, scfg):
 @pytest.fixture(scope="session")
 def bfd_finite(p1_mu2_4, scfg):
     grid = make_grid(8.0, 2048)
-    pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, scfg, grid=grid, return_info=True)
+    pair, info = solve("BFD_finite", p1_mu2_4, 0.1, scfg, grid=grid)
     return {"pair": pair, "info": info, "omega": 0.1}
 
 
 @pytest.fixture(scope="session")
 def bfd_sharp(p_sharp, scfg):
     grid = make_grid(16.0, 2048)
-    pair, info = solve_bfd_reduced(p_sharp, 0.1, scfg, grid=grid, return_info=True)
+    pair, info = solve("BFD_finite", p_sharp, 0.1, scfg, grid=grid)
     return {"pair": pair, "info": info, "omega": 0.1}
 
 
 @pytest.fixture(scope="session")
 def bfd_inf(p1_inf, scfg):
     grid = make_grid(200.0, 4096)
-    pair, info = solve_bfd_reduced(p1_inf, 0.1, scfg, grid=grid, return_info=True)
+    pair, info = solve("BFD_inf", p1_inf, 0.1, scfg, grid=grid)
     return {"pair": pair, "info": info, "omega": 0.1}
 
 
@@ -141,7 +133,7 @@ def variational(p1_mu2_4, scfg):
     grid = make_grid(200.0, 2048)
     pair, k_mult, info = constrained_minimize(p1_mu2_4, 0.1, 1.0, grid, scfg)
     wave = rescale_to_wave(pair, k_mult)
-    direct = solve_bfd_reduced(p1_mu2_4, 0.1, scfg, grid=grid)
+    direct, _ = solve("BFD_finite", p1_mu2_4, 0.1, scfg, grid=grid)
     return {
         "grid": grid,
         "minimizer": pair,

@@ -12,7 +12,7 @@ from scipy.optimize import minimize_scalar
 
 from iswaves.cli import main
 from iswaves.evolution import run
-from iswaves.functionals import estimate_I_lambda, quadratic_form_check
+from iswaves.functionals import quadratic_form_check
 from iswaves.kernels import (
     fit_algebraic_tail,
     fit_exponential_tail,
@@ -35,8 +35,9 @@ from iswaves.params import (
 )
 from iswaves.solvers import (
     SolverConfig,
-    petviashvili_ground_state,
+    constrained_minimize,
     residual_norm,
+    solve,
 )
 from iswaves.spectral import WavePair, make_grid
 
@@ -115,10 +116,10 @@ def test_criterion_03_petviashvili_ground_state(p1_inf, bo_state, scfg, capsys):
 
     half = dataclasses.replace(p1_inf, epsilon=p1_inf.epsilon / 2.0)
     g = make_grid(50.0, 512)
-    nu_full = petviashvili_ground_state(p1_inf, g, scfg)
-    nu_half = petviashvili_ground_state(half, g, scfg)
-    scale_err = float(np.max(np.abs(nu_half.values - 2.0 * nu_full.values)))
-    scale_err /= float(np.max(np.abs(nu_half.values)))
+    nu_full = solve("BO", p1_inf, 0.0, scfg, grid=g)[0].nu
+    nu_half = solve("BO", half, 0.0, scfg, grid=g)[0].nu
+    scale_err = float(np.max(np.abs(nu_half - 2.0 * nu_full)))
+    scale_err /= float(np.max(np.abs(nu_half)))
 
     ok = res <= 1e-10 and s_err <= 1e-12 and scale_err <= 1e-8
     _report(
@@ -207,11 +208,12 @@ def test_criterion_05_branch_limits(p1_inf, bo_state, bo_branch, ilw_chain, caps
 
 def test_criterion_06_variational_structure(p1_mu2_4, variational, scfg, capsys):
     grid = variational["grid"]
-    base = estimate_I_lambda(p1_mu2_4, 0.1, 1.0, grid, cfg=scfg)
+    # I(lambda) is the minimizer's energy at its constraint level
+    base = variational["info"]["energy"]
     ratio_errs = []
     for tau in (0.5, 2.0, 4.0):
-        est = estimate_I_lambda(p1_mu2_4, 0.1, tau, grid, cfg=scfg)
-        ratio_errs.append(abs(est.value / base.value / tau ** (2.0 / 3.0) - 1.0))
+        energy = constrained_minimize(p1_mu2_4, 0.1, tau, grid, scfg)[2]["energy"]
+        ratio_errs.append(abs(energy / base / tau ** (2.0 / 3.0) - 1.0))
 
     k_mult = variational["K"]
     direct, wave = variational["direct"], variational["wave"]
@@ -235,36 +237,36 @@ def test_criterion_07_kernel_oracles(p1_inf, p1_mu2_4, capsys):
     g1 = make_grid(16.0, 2**16)
     o1 = kernel_fft_oracle(kernel_symbol("K1", None, 3.0), g1)
     diffs["K1"] = max(
-        abs(kernel_K1(3.0, x) - float(o1.values[int(round((x + g1.L) / g1.dx))]))
+        abs(kernel_K1(3.0, x) - float(o1[int(round((x + g1.L) / g1.dx))]))
         for x in (0.5, 1.0, 2.0, 4.0)
     )
 
     g2 = make_grid(1024.0, 2**22)
     o2 = kernel_fft_oracle(kernel_symbol("K2", p1_mu2_4), g2)
     diffs["K2"] = max(
-        abs(kernel_K2_quadrature(p1_mu2_4, x) - float(o2.values[int(round((x + g2.L) / g2.dx))]))
+        abs(kernel_K2_quadrature(p1_mu2_4, x) - float(o2[int(round((x + g2.L) / g2.dx))]))
         for x in (1.0, 5.0, 10.0)
     )
 
     gk = make_grid(1024.0, 2**20)
     o3 = kernel_fft_oracle(kernel_symbol("K", p1_inf), gk)
     diffs["K"] = max(
-        abs(kernel_K_quadrature(p1_inf, x) - float(o3.values[int(round((x + gk.L) / gk.dx))]))
+        abs(kernel_K_quadrature(p1_inf, x) - float(o3[int(round((x + gk.L) / gk.dx))]))
         for x in (1.0, 2.0, 5.0)
     )
 
     g3 = make_grid(32.0, 2**21)
     o4 = kernel_fft_oracle(kernel_symbol("K3", p1_mu2_4), g3)
     diffs["K3"] = max(
-        abs(kernel_K3_series(p1_mu2_4, x)[0] - float(o4.values[int(round((x + g3.L) / g3.dx))]))
+        abs(kernel_K3_series(p1_mu2_4, x)[0] - float(o4[int(round((x + g3.L) / g3.dx))]))
         for x in (1.0, 2.0, 5.0)
     )
 
     x_far = 150.0
     kp = kernel_K_plateau(p1_inf)
     k2p = kernel_K2_plateau(p1_mu2_4)
-    rec_k = x_far**2 * float(o3.values[int(round((x_far + gk.L) / gk.dx))])
-    rec_k2 = x_far**2 * float(o2.values[int(round((x_far + g2.L) / g2.dx))])
+    rec_k = x_far**2 * float(o3[int(round((x_far + gk.L) / gk.dx))])
+    rec_k2 = x_far**2 * float(o2[int(round((x_far + g2.L) / g2.dx))])
     plat_err = max(abs(rec_k - kp) / abs(kp), abs(rec_k2 - k2p) / k2p)
 
     worst = max(diffs.values())

@@ -1,10 +1,12 @@
 """The public API has callers: every public module-level function and class
 of the package is used by the package itself, a demo or the benchmark, and
-every defaulted parameter of a public function is passed by one of them.
+every defaulted parameter of a public function is passed by one of them,
+and not by all of them as the same literal.
 
 A name that only tests call is a second implementation kept alive by its
 own test; it belongs in the tests, as a reference, or nowhere.  So does an
-option that only tests pass.
+option that only tests pass, or one that every caller sets to the same
+literal: its value belongs in the function.
 """
 
 import ast
@@ -126,29 +128,45 @@ def _options():
     return out
 
 
-def _passed() -> dict:
-    """name -> the positions and keywords some call of that name passes in
-    src/, demos/ or perfbench/; "*" when a call unpacks arguments."""
-    passed: dict = {}
+def _calls() -> dict:
+    """name -> one {position or keyword: argument} per call of that name in
+    src/, demos/ or perfbench/; an unpacked argument is keyed "*"."""
+    calls: dict = {}
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
-            got = passed.setdefault(name, set())
-            got.update("*" if isinstance(x, ast.Starred) else i for i, x in enumerate(node.args))
-            got.update(kw.arg or "*" for kw in node.keywords)
-    return passed
+            args = {"*" if isinstance(x, ast.Starred) else i: x for i, x in enumerate(node.args)}
+            args.update({kw.arg or "*": kw.value for kw in node.keywords})
+            calls.setdefault(name, []).append(args)
+    return calls
 
 
 def _unpassed_options() -> list:
-    passed = _passed()
+    calls = _calls()
     out = []
     for option, position in _options():
         name, param = option.split(".")
-        got = passed.get(name, set())
+        got = set().union(*calls.get(name, ()))
         if not ({"*", param, position} & got) and option not in OPTIONS_ALLOWED:
+            out.append(option)
+    return sorted(out)
+
+
+def _constant_options() -> list:
+    """Options that every call passes, each time as the same literal."""
+    calls = _calls()
+    out = []
+    for option, position in _options():
+        name, param = option.split(".")
+        values = [call.get(param, call.get(position)) for call in calls.get(name, ())]
+        if (
+            values
+            and all(isinstance(v, ast.Constant) for v in values)
+            and len({repr(v.value) for v in values}) == 1
+        ):
             out.append(option)
     return sorted(out)
 
@@ -162,3 +180,9 @@ def test_every_option_is_passed_outside_the_tests():
 
 def test_option_allowlist_is_current():
     assert OPTIONS_ALLOWED <= {option for option, _ in _options()}
+
+
+def test_no_option_is_always_passed_as_one_constant():
+    # an option every caller sets to the same value is that value
+    constant = _constant_options()
+    assert constant == [], f"defaulted parameters every caller passes as one literal: {constant}"

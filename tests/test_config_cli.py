@@ -195,12 +195,11 @@ def test_cli_main_reuses_one_parser(p1_cfg, tmp_path, capsys):
     assert "validate.omega" not in report["config"]
     assert build_parser().parse_args(["validate"]).set == []
 
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "--bogus"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    # argparse's usage errors and help return their exit codes
+    assert main(["validate", "--bogus"]) == 2
+    assert main(["no-such-command"]) == 2
+    assert main(["validate", "--help"]) == 0
+    assert "usage: iswaves validate" in capsys.readouterr().out
     assert main(args + ["--out", str(tmp_path / "c")]) == 0
     assert (tmp_path / "c" / "admissibility.json").read_bytes() == (
         tmp_path / "b" / "admissibility.json"
@@ -313,6 +312,8 @@ def test_cli_solve_is_deterministic(p1_cfg, tmp_path):
         (["grid.L=8", "solve.family=BFD_finite", "solve.omega=0.1"], set()),
         (["params.mu2=25", "grid.L=50", "solve.family=ILW"], set()),
         (["params.mu2=inf", "grid.L=50", "solve.family=BO", "solve.speed=0.01"], set()),
+        (["params.mu2=25", "grid.L=50", "solve.family=ILW", "solve.speed=0.01"], set()),
+        (["params.mu2=inf", "grid.L=200", "solve.family=BFD_inf", "solve.omega=0.1"], set()),
     ],
 )
 def test_cli_solve_reports_work_counts(p1_cfg, tmp_path, sets, keys):
@@ -390,11 +391,57 @@ def test_cli_decay_parses_only_its_sample(p1_cfg, tmp_path, capsys):
         "--set", "decay.window_lo=8", "--set", "decay.window_hi=16",
     ]
     assert main(args + ["--set", "decay.sample=0"]) == 0
+    capsys.readouterr()
     # the corruption bites: a listed sample that decay reads does not load
-    with pytest.raises(ValueError):
-        main(args + ["--set", "decay.sample=1"])
+    assert main(args + ["--set", "decay.sample=1"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: decay.branch_dir: {tmp_path}/branch/{listed[1]}: " in err
     assert main(args + ["--set", "decay.sample=3"]) == 2
     assert "decay.sample must lie in [0, 3), got 3" in capsys.readouterr().err
+
+
+def _unreadable_branch(tmp_path, case) -> str:
+    """A branch directory that cannot be read as a wave: missing, with a
+    CSV sample of two columns, or with a corrupt .npy sample."""
+    from iswaves.solvers import SolitaryBranch, save_branch
+    from iswaves.spectral import WavePair, make_grid
+
+    outdir = tmp_path / "branch"
+    if case == "missing":
+        return str(outdir)
+    g = make_grid(50.0, 256)
+    bump = 1.0 / (1.0 + g.x**2)
+    save_branch(SolitaryBranch("BO", [0.0], [WavePair(g, bump, bump)], [0.0]), str(outdir))
+    if case == "bad_csv":
+        meta = json.loads((outdir / "branch.json").read_text())
+        meta["samples"] = ["sample_000.csv"]
+        (outdir / "branch.json").write_text(json.dumps(meta))
+        (outdir / "sample_000.csv").write_text("x,xi,nu\n1.0,2.0\n3.0,4.0\n")
+    else:
+        (outdir / "sample_000.npy").write_bytes(b"not a wave\n")
+    return str(outdir)
+
+
+@pytest.mark.parametrize("case", ["missing", "bad_csv", "bad_npy"])
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        ("decay", ["decay.window_lo=8", "decay.window_hi=16"]),
+        ("evolve", ["evolve.family=BO", "evolve.initial=branch", "evolve.T=0.1"]),
+    ],
+    ids=["decay", "evolve"],
+)
+def test_cli_unreadable_branch_exits_2(p1_cfg, tmp_path, capsys, case, command, sets):
+    # a branch that cannot be read is a configuration error of its key
+    key = f"{command}.branch_dir"
+    args = [command, "--config", p1_cfg, "--out", str(tmp_path / "out")]
+    for s in sets + [f"{key}={_unreadable_branch(tmp_path, case)}"]:
+        args += ["--set", s]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    names = {"missing": "branch.json", "bad_csv": "sample_000.csv", "bad_npy": "sample_000.npy"}
+    assert names[case] in err
 
 
 def test_cli_kernel_check_k1(tmp_path, capsys):

@@ -5,12 +5,12 @@ import pytest
 
 from iswaves.functionals import (
     energy_E,
-    estimate_I_lambda,
     hamiltonian_H,
     inner,
     quadratic_form_check,
 )
 from iswaves.params import ModelParams
+from iswaves.solvers import constrained_minimize
 from iswaves.spectral import WavePair, make_grid, symbols
 
 from conftest import P1_KW
@@ -125,4 +125,4 @@ def test_hamiltonian_quadratic_part_matches_energy(p1_mu2_4):
 def test_i_lambda_rejects_nonpositive_lambda(p1_mu2_4):
     g = make_grid(20.0, 128)
     with pytest.raises(ValueError):
-        estimate_I_lambda(p1_mu2_4, 0.1, 0.0, g)
+        constrained_minimize(p1_mu2_4, 0.1, 0.0, g)

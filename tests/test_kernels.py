@@ -30,9 +30,14 @@ from iswaves.spectral import make_grid
 
 
 def _oracle_at(oracle, xs):
-    g = oracle.grid
+    g, values = oracle
     idx = [int(round((x + g.L) / g.dx)) for x in xs]
-    return [float(oracle.values[i]) for i in idx]
+    return [float(values[i]) for i in idx]
+
+
+def _oracle(fn, g):
+    """The grid and kernel_fft_oracle's values on it."""
+    return g, kernel_fft_oracle(fn, g)
 
 
 @pytest.fixture(scope="module")
@@ -58,22 +63,22 @@ def k3_symbol(p1_mu2_4):
 # the oracles on the CLI's kernel-check grids
 @pytest.fixture(scope="module")
 def k1_oracle(k1_symbol):
-    return kernel_fft_oracle(k1_symbol, make_grid(16.0, 2**16))
+    return _oracle(k1_symbol, make_grid(16.0, 2**16))
 
 
 @pytest.fixture(scope="module")
 def k2_oracle(k2_symbol):
-    return kernel_fft_oracle(k2_symbol, make_grid(1024.0, 2**22))
+    return _oracle(k2_symbol, make_grid(1024.0, 2**22))
 
 
 @pytest.fixture(scope="module")
 def k_oracle(k_symbol):
-    return kernel_fft_oracle(k_symbol, make_grid(1024.0, 2**20))
+    return _oracle(k_symbol, make_grid(1024.0, 2**20))
 
 
 @pytest.fixture(scope="module")
 def k3_oracle(k3_symbol):
-    return kernel_fft_oracle(k3_symbol, make_grid(32.0, 2**21))
+    return _oracle(k3_symbol, make_grid(32.0, 2**21))
 
 
 def test_k1_closed_form_vs_oracle(k1_oracle):
@@ -209,8 +214,8 @@ _CLI_POINTS = [
 def test_oracle_at_matches_full_oracle_on_cli_grids(request, name, xs, bins):
     sym = request.getfixturevalue(f"{name}_symbol")
     oracle = request.getfixturevalue(f"{name}_oracle")
-    vals, got_bins = kernel_oracle_at(sym, oracle.grid, xs)
-    scale = np.max(np.abs(oracle.values))
+    vals, got_bins = kernel_oracle_at(sym, oracle[0], xs)
+    scale = np.max(np.abs(oracle[1]))
     assert np.max(np.abs(vals - _oracle_at(oracle, xs))) <= 1e-13 * scale
     assert got_bins == bins
 
@@ -237,7 +242,7 @@ def test_full_oracle_matches_direct_sum(n):
     sym = lambda k: 2.0 / (0.7 + k * k)  # noqa: E731
     idx = [0, 1, n // 4, n // 2 - 1, n // 2, n - 1]
     direct = _direct_oracle(sym, g, idx)
-    got = kernel_fft_oracle(sym, g).values[idx]
+    got = kernel_fft_oracle(sym, g)[idx]
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
@@ -271,7 +276,7 @@ def test_oracle_at_matches_full_oracle_property(data):
     idx = idx + specials
     xs = [float(g.x[i]) for i in idx]
 
-    full = kernel_fft_oracle(fn, g).values
+    full = kernel_fft_oracle(fn, g)
     vals, bins = kernel_oracle_at(fn, g, xs)
     assert np.max(np.abs(vals - full[idx])) <= 1e-13 * np.max(np.abs(full))
     assert bins % 2 == 0 and n % bins == 0
@@ -319,10 +324,7 @@ def test_oracle_at_memory_on_the_k2_grid(k2_symbol):
 def test_fit_exponential_synthetic():
     g = make_grid(30.0, 1024)
     field_vals = np.exp(-3.0 * np.abs(g.x))
-    from iswaves.spectral import RealField
-
-    prof = RealField(grid=g, values=field_vals)
-    rep = fit_exponential_tail(prof, window=(2.0, 8.0), predicted=3.0)
+    rep = fit_exponential_tail(g.x, field_vals, window=(2.0, 8.0), predicted=3.0)
     assert rep.kind == "exponential"
     assert rep.measured == pytest.approx(3.0, rel=1e-6)
     assert rep.r_squared > 0.999999
@@ -336,10 +338,7 @@ def test_fit_exponential_synthetic():
 def test_fit_exponential_cap_flag():
     # a predicted rate steeper than the window can resolve is capped and flagged
     g = make_grid(30.0, 1024)
-    from iswaves.spectral import RealField
-
-    prof = RealField(grid=g, values=np.exp(-3.0 * np.abs(g.x)))
-    rep = fit_exponential_tail(prof, window=(2.0, 8.0), predicted=50.0)
+    rep = fit_exponential_tail(g.x, np.exp(-3.0 * np.abs(g.x)), window=(2.0, 8.0), predicted=50.0)
     assert "rate-capped-by-grid" in rep.flags
     assert rep.details["effective_predicted"] == rep.details["resolvable_rate_cap"]
     assert rep.details["resolvable_rate_cap"] < 50.0
@@ -379,8 +378,10 @@ def test_fit_window_handling():
     assert default_fit_window(g) == (12.0, 36.0)
     x = np.linspace(0.1, 10.0, 100)
     v = 1.0 / (1.0 + x**2)
-    with pytest.raises(ValueError):
-        fit_algebraic_tail(x, v)  # raw arrays need an explicit window
+    with pytest.raises(TypeError):
+        fit_algebraic_tail(x, v)  # the window is required
+    with pytest.raises(ValueError, match="matching shapes"):
+        fit_algebraic_tail(x, v[1:], window=(1.0, 9.0))
     with pytest.raises(ValueError):
         fit_algebraic_tail(x, v, window=(9.95, 10.0))  # fewer than 8 samples
     # a profile that has dropped below the noise floor leaves no usable samples

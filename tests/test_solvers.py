@@ -16,10 +16,9 @@ from iswaves.solvers import (
     continue_in_c,
     continue_in_mu2,
     load_branch,
-    petviashvili_ground_state,
     residual_norm,
     save_branch,
-    solve_bfd_reduced,
+    solve,
     trivial_threshold,
 )
 from iswaves import solvers
@@ -47,12 +46,11 @@ def test_trivial_threshold_positive(p1_inf):
 
 
 def test_ground_state_frozen_amplitude(bo_state):
-    nu0, info = bo_state["nu0"], bo_state["info"]
-    assert float(np.max(nu0.values)) == pytest.approx(13.393894896770515, rel=1e-9)
+    vals, info = bo_state["pair"].nu, bo_state["info"]
+    assert float(np.max(vals)) == pytest.approx(13.393894896770515, rel=1e-9)
     assert info["residual"] <= 1e-10
     assert abs(info["S_minus_1"]) <= 1e-12
     # even, positive, decaying
-    vals = nu0.values
     n = vals.shape[0]
     assert np.allclose(vals, vals[(n - np.arange(n)) % n], atol=1e-12)
     assert np.min(vals) >= -1e-8 * np.max(vals)
@@ -72,16 +70,15 @@ def test_ground_state_scaling_symmetry():
     p_full = ModelParams(mu2=np.inf, **base)
     half = dict(base, epsilon=base["epsilon"] / 2.0)
     p_half = ModelParams(mu2=np.inf, **half)
-    nu_full = petviashvili_ground_state(p_full, g, cfg).values
-    nu_half = petviashvili_ground_state(p_half, g, cfg).values
+    nu_full = solve("BO", p_full, 0.0, cfg, grid=g)[0].nu
+    nu_half = solve("BO", p_half, 0.0, cfg, grid=g)[0].nu
     assert np.max(np.abs(nu_half - 2.0 * nu_full)) / np.max(nu_half) < 1e-8
 
 
 def test_lifted_pair_solves_system(p1_inf, bo_state):
     pair = bo_state["pair"]
-    assert residual_norm("BO", p1_inf, 0.0, pair) <= 1e-9
-    # the lift: xi = r nu^2/(1 - gamma), of the ground state itself
-    assert np.array_equal(pair.nu, bo_state["nu0"].values)
+    assert residual_norm("BO", p1_inf, 0.0, pair) == bo_state["info"]["full_residual"] <= 1e-9
+    # the lift: xi = r nu^2/(1 - gamma)
     assert np.max(np.abs(pair.xi - 0.1 / 0.5 * pair.nu**2)) < 1e-14
 
 
@@ -89,7 +86,7 @@ def test_petviashvili_failure_is_reported(p1_inf):
     g = make_grid(50.0, 512)
     cfg = SolverConfig(tol_residual=1e-13, max_iters=3)
     with pytest.raises(ConvergenceError) as exc:
-        petviashvili_ground_state(p1_inf, g, cfg)
+        solve("BO", p1_inf, 0.0, cfg, grid=g)
     assert exc.value.diagnostics  # carries S and residual context
 
 
@@ -179,7 +176,7 @@ def test_reduced_solve_inner_solves_are_honest(p1_mu2_4, scfg):
     # the record of the reduced solve is what the returned wave gives when
     # it is evaluated afresh
     grid = make_grid(8.0, 512)
-    pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, scfg, grid=grid, return_info=True)
+    pair, info = solve("BFD_finite", p1_mu2_4, 0.1, scfg, grid=grid)
     red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
     m_nu, g_nu = red.evaluate(pair.nu)
     assert info["residual"] == float(np.max(np.abs(m_nu - g_nu)))
@@ -200,20 +197,20 @@ def test_stop_rule_floor_and_stagnation(p1_mu2_4, tol, outcome):
     grid = make_grid(8.0, 512)
     cfg = SolverConfig(tol_residual=tol)
     if outcome == "floor":
-        pair, info = solve_bfd_reduced(p1_mu2_4, 0.1, cfg, grid=grid, return_info=True)
+        pair, info = solve("BFD_finite", p1_mu2_4, 0.1, cfg, grid=grid)
         assert info["exit"] == "floor"
         assert tol < info["residual"] <= 10.0 * tol
         assert info["full_residual"] <= 1e-9
         assert residual_norm("BFD_finite", p1_mu2_4, 0.1, pair) == info["full_residual"]
     else:
         with pytest.raises(ConvergenceError, match="stagnation") as exc:
-            solve_bfd_reduced(p1_mu2_4, 0.1, cfg, grid=grid)
+            solve("BFD_finite", p1_mu2_4, 0.1, cfg, grid=grid)
         assert exc.value.diagnostics["residual"] > 10.0 * tol
 
 
 def test_speed_branch_negative_speeds(p1_inf, scfg):
     grid = make_grid(50.0, 512)
-    branch = continue_in_c("BO", p1_inf, -0.08, scfg, grid=grid, store_at=[-0.02, -0.05, -0.08])
+    branch = continue_in_c(p1_inf, -0.08, scfg, grid=grid, store_at=[-0.02, -0.05, -0.08])
     assert not branch.diagnostics["truncated"]
     assert branch.parameter_values == [0.0, -0.02, -0.05, -0.08]
     assert all(r <= 1e-9 for r in branch.residuals)
@@ -356,7 +353,7 @@ def test_continuation_truncates_where_the_symbol_turns(p1_inf, scfg):
     # the milestone 0.75 lies past the speed where M_c stays positive: the
     # loop bisects back toward the last solved speed and ends there
     grid = make_grid(50.0, 256)
-    branch = continue_in_c("BO", p1_inf, 0.75, scfg, grid=grid, store_at=[0.01, 0.75])
+    branch = continue_in_c(p1_inf, 0.75, scfg, grid=grid, store_at=[0.01, 0.75])
     diag = branch.diagnostics
     assert diag["truncated"]
     assert branch.parameter_values == [0.0, 0.01]
@@ -394,6 +391,31 @@ def test_depth_chain_inner_solves_are_honest(p1_inf, scfg, tmp_path):
         pair, info = solvers._solve(red, before.nu, scfg)
         assert (info["iterations"], info["exit"]) == (step["iterations"], step["exit"])
         assert np.array_equal(pair.nu, after.nu)
+
+
+@pytest.mark.parametrize("family, speed", [("BO", 0.0), ("BO", 0.01), ("ILW", 0.0)])
+def test_solve_returns_the_wave_the_continuations_store(p1_inf, scfg, family, speed):
+    # solve reaches a one-layer wave along the public continuations' path:
+    # the same wave bit for bit, its certificate, and the iterations of every
+    # accepted solve on the way, from the ground state on
+    grid = make_grid(50.0, 256)
+    if family == "BO":
+        p = p1_inf
+        branch = continue_in_c(p, speed, scfg, grid=grid, store_at=[speed] if speed else [])
+    else:
+        p = replace(p1_inf, mu2=25.0)
+        branch = continue_in_mu2(p, 25.0, scfg, grid=grid)
+    pair, info = solve(family, p, speed, scfg, grid=grid)
+    stored = branch.waves[-1]
+    assert pair.grid == stored.grid
+    assert np.array_equal(pair.nu, stored.nu) and np.array_equal(pair.xi, stored.xi)
+    assert set(info) == {"iterations", "exit", "residual", "S_minus_1", "full_residual"}
+    assert info["full_residual"] == branch.residuals[-1]
+    diag = branch.diagnostics
+    solves = [diag["start"]] + [step for step in diag["steps"] if step["accepted"]]
+    assert len(solves) == (2 if speed or family == "ILW" else 1)
+    assert info["iterations"] == sum(step["iterations"] for step in solves)
+    assert info["exit"] == solves[-1]["exit"]
 
 
 def test_rejected_continuation_steps_keep_inner_records(p1_inf, scfg, monkeypatch):
@@ -601,7 +623,7 @@ def test_one_layer_solve_transform_count(p1_inf, fft_calls):
     # whole row plan)
     grid = make_grid(50.0, 512)
     fft_calls["n"] = 0
-    _, info = petviashvili_ground_state(p1_inf, grid, return_info=True)
+    _, info = solve("BO", p1_inf, 0.0, grid=grid)
     assert fft_calls["n"] == 4 * info["iterations"] + 6
 
 
@@ -632,12 +654,12 @@ def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, 
     # equation's rows, and the rfft/irfft pair of M^-1
     grid = make_grid(50.0, 512)
     per_iter = _fft_calls_per_iteration(
-        fft_calls, monkeypatch, lambda cfg: petviashvili_ground_state(p1_inf, grid, cfg)
+        fft_calls, monkeypatch, lambda cfg: solve("BO", p1_inf, 0.0, cfg, grid=grid)
     )
     assert per_iter == 4
 
     # the one-layer equation away from c = 0, from the ground state
-    nu0 = petviashvili_ground_state(p1_inf, grid).values
+    nu0 = solve("BO", p1_inf, 0.0, grid=grid)[0].nu
     per_iter = _fft_calls_per_iteration(
         fft_calls, monkeypatch, lambda cfg: solvers._solve(_Reduced("BO", p1_inf, grid, 0.01), nu0, cfg)
     )
@@ -645,7 +667,7 @@ def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, 
 
     grid = make_grid(8.0, 512)
     per_iter = _fft_calls_per_iteration(
-        fft_calls, monkeypatch, lambda cfg: solve_bfd_reduced(p1_mu2_4, 0.1, cfg, grid=grid)
+        fft_calls, monkeypatch, lambda cfg: solve("BFD_finite", p1_mu2_4, 0.1, cfg, grid=grid)
     )
     assert per_iter == 4
 
@@ -707,7 +729,7 @@ def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="no convergence in 12") as exc:
-            solvers._solve(_Reduced("BO", p1_inf, grid_bo, 0.0), bo_state["nu0"].values, cfg)
+            solvers._solve(_Reduced("BO", p1_inf, grid_bo, 0.0), bo_state["pair"].nu, cfg)
         assert exc.value.diagnostics["residual"] <= 1e-10
         assert abs(exc.value.diagnostics["S"] - 1.0) <= 1e-12
         ones = np.ones(8)

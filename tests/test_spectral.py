@@ -8,7 +8,6 @@ import pytest
 
 from iswaves.params import ModelParams, family_params
 from iswaves.spectral import (
-    RealField,
     WavePair,
     apply_table,
     l1_symbol,
@@ -270,16 +269,6 @@ def test_wave_pair_csv_matches_savetxt(tmp_path):
     ref = tmp_path / "ref.csv"
     np.savetxt(ref, np.column_stack([g.x, xi, nu]), delimiter=",", header="x,xi,nu", comments="")
     assert path.read_bytes() == ref.read_bytes()
-
-
-def test_field_rejects_wrong_shape_and_nonfinite():
-    g = make_grid(5.0, 64)
-    with pytest.raises(ValueError):
-        RealField(grid=g, values=np.zeros(32))
-    bad = np.zeros(64)
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        RealField(grid=g, values=bad)
 
 
 def test_grid_arrays_read_only():
