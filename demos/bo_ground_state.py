@@ -12,7 +12,6 @@ import numpy as np
 
 from iswaves import (
     ModelParams,
-    SolverConfig,
     fit_algebraic_tail,
     make_grid,
     residual_norm,
@@ -24,9 +23,8 @@ p = ModelParams(
     mu=0.1, epsilon=0.1, mu2=np.inf,
 )
 grid = make_grid(200.0, 4096)
-cfg = SolverConfig(tol_residual=1e-11)
 
-pair, info = solve("BO", p, 0.0, cfg, grid=grid)
+pair, info = solve("BO", p, 0.0, grid=grid)
 nu0 = pair.nu
 print(f"Petviashvili: {info['iterations']} iterations, "
       f"residual {info['residual']:.3e}, |S - 1| = {abs(info['S_minus_1']):.3e}")

@@ -11,7 +11,6 @@ import numpy as np
 
 from iswaves import (
     ModelParams,
-    SolverConfig,
     compute_decay_rates,
     fit_exponential_tail,
     kernel_K1,
@@ -51,8 +50,7 @@ print(f"  K3(2): series {val:.10f} (truncation <= {bound:.1e})   "
 sharp = ModelParams(gamma=0.5, b=8.0 / 3.0, d=8.0 / 3.0, a=-4.0, c=-1.0,
                     mu=0.1, epsilon=0.1, mu2=0.8)
 sigma = compute_decay_rates(sharp).sigma
-cfg = SolverConfig(tol_residual=1e-11)
-pair, _ = solve("BFD_finite", sharp, 0.1, cfg, grid=make_grid(16.0, 2048))
+pair, _ = solve("BFD_finite", sharp, 0.1, grid=make_grid(16.0, 2048))
 fit = fit_exponential_tail(pair.grid.x, pair.nu, window=(4.8, 14.4), predicted=sigma)
 print(f"\nsteep-tail wave: fitted rate {fit.measured:.5f} vs predicted "
       f"sigma = {sigma:.5f} ({fit.rel_error:.2%} off), r^2 = {fit.r_squared:.6f}")
@@ -60,7 +58,7 @@ print(f"resolvable-rate cap on this grid: {fit.details['resolvable_rate_cap']:.2
 
 # the canonical point has an oscillatory finite-depth tail: the fitter
 # must refuse to certify a clean exponential law there
-pair2, _ = solve("BFD_finite", p_fin, 0.1, cfg, grid=make_grid(8.0, 2048))
+pair2, _ = solve("BFD_finite", p_fin, 0.1, grid=make_grid(8.0, 2048))
 sigma2 = compute_decay_rates(p_fin).sigma
 fit2 = fit_exponential_tail(pair2.grid.x, pair2.nu, window=(2.4, 7.2), predicted=sigma2)
 print(f"\noscillatory-tail wave: fitted rate {fit2.measured:.4f}, "

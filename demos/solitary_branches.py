@@ -12,7 +12,6 @@ import numpy as np
 
 from iswaves import (
     ModelParams,
-    SolverConfig,
     continue_in_c,
     continue_in_mu2,
     make_grid,
@@ -20,12 +19,11 @@ from iswaves import (
 
 kw = dict(gamma=0.5, b=0.25, d=0.25, a=-1.0 / 12.0, c=-1.0 / 12.0, mu=0.1, epsilon=0.1)
 p = ModelParams(mu2=np.inf, **kw)
-cfg = SolverConfig(tol_residual=1e-11)
 
 grid = make_grid(200.0, 2048)
 
 print("speed continuation from the ground state:")
-branch = continue_in_c(p, 0.02, cfg, grid=grid, store_at=[0.005, 0.01, 0.02])
+branch = continue_in_c(p, [0.005, 0.01, 0.02], grid=grid)
 start = branch.waves[0]
 ref = np.max(np.abs(start.nu))
 print(f"  {'c':>7}   residual    ||nu_c - nu_0|| / ||nu_0||")
@@ -44,8 +42,7 @@ print(f"  sign symmetry: (xi, -nu) solves at speed -c with residual "
 
 print("\ndepth continuation from infinite mu2:")
 grid2 = make_grid(50.0, 8192)
-chain = continue_in_mu2(ModelParams(mu2=25.0, **kw), 25.0, cfg,
-                        grid=grid2, milestones=[400.0, 100.0, 25.0])
+chain = continue_in_mu2(ModelParams(mu2=25.0, **kw), [400.0, 100.0, 25.0], grid=grid2)
 base = chain.waves[0]
 bref = np.max(np.abs(base.nu))
 print(f"  {'mu2':>7}   residual    ||nu_mu2 - nu_inf|| / ||nu_inf||")

@@ -14,7 +14,6 @@ import numpy as np
 
 from iswaves import (
     ModelParams,
-    SolverConfig,
     constrained_minimize,
     make_grid,
     residual_norm,
@@ -28,9 +27,8 @@ p = ModelParams(
 )
 omega = 0.1
 grid = make_grid(200.0, 2048)
-cfg = SolverConfig(tol_residual=1e-11)
 
-minimizer, k_mult, info = constrained_minimize(p, omega, 1.0, grid, cfg=cfg)
+minimizer, k_mult, info = constrained_minimize(p, omega, 1.0, grid)
 print(f"constrained minimizer: {info['iterations']} iterations, "
       f"gradient norm {info['gradient_norm']:.2e}")
 print(f"constraint F = {info['constraint']:.12f} (target 1)")
@@ -38,7 +36,7 @@ print(f"Lagrange multiplier K = {k_mult:.6f} (positive as required)")
 print(f"multiplier misfit {info['lagrange_misfit_rel']:.2e}")
 
 wave = rescale_to_wave(minimizer, k_mult)
-direct, dinfo = solve("BFD_finite", p, omega, cfg, grid=grid)
+direct, dinfo = solve("BFD_finite", p, omega, grid=grid)
 rel = np.max(np.abs(direct.nu - wave.nu)) / np.max(np.abs(direct.nu))
 print(f"\nreduced-equation solve: residual {dinfo['full_residual']:.2e}")
 print(f"profiles agree to {rel:.2e} relative (two independent methods)")
@@ -50,6 +48,6 @@ print("\ntwo-thirds scaling of the minimum energy I(lambda):")
 base = info["energy"]
 print(f"  I(1) = {base:.9f}")
 for tau in (0.5, 2.0, 4.0):
-    energy = constrained_minimize(p, omega, tau, grid, cfg=cfg)[2]["energy"]
+    energy = constrained_minimize(p, omega, tau, grid)[2]["energy"]
     print(f"  I({tau:>3}) / I(1) = {energy / base:.9f}   "
           f"tau^(2/3) = {tau ** (2.0 / 3.0):.9f}")

@@ -33,7 +33,6 @@ from .functionals import (
 from .solvers import (
     ConvergenceError,
     SolitaryBranch,
-    SolverConfig,
     constrained_minimize,
     continue_in_c,
     continue_in_mu2,
@@ -75,7 +74,6 @@ __all__ = [
     "InadmissibleParameterError",
     "ModelParams",
     "SolitaryBranch",
-    "SolverConfig",
     "Symbols",
     "WavePair",
     "admissibility_report",

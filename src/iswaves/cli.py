@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache
 
 import numpy as np
@@ -45,6 +45,7 @@ from .params import (
 )
 from .spectral import WavePair, make_grid, pair_to_csv
 from .solvers import (
+    TOL_RESIDUAL,
     ConvergenceError,
     SolitaryBranch,
     continue_in_c,
@@ -127,7 +128,7 @@ def cmd_validate(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
     omega = cfg.get("validate.omega", 0.0)
     report = admissibility_report(p, omega)
-    cfgmod.write_json(os.path.join(out, "admissibility.json"), report.to_dict(), cfg)
+    cfgmod.write_json(os.path.join(out, "admissibility.json"), asdict(report), cfg)
     cfgmod.write_meta(out)
     status = "admissible" if report.admissible else "inadmissible"
     print(f"validate: {status} (speed bound {report.speed_bound:.6g}, "
@@ -140,14 +141,13 @@ def cmd_validate(cfg: dict, out: str) -> int:
 def cmd_solve(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
     grid = cfgmod.grid_from_config(cfg)
-    scfg = cfgmod.solver_from_config(cfg)
     family, p = _family("solve.family", _require(cfg, "solve.family"), p)
     # the one-layer families travel at solve.speed, BFD at solve.omega
     if family in ("BO", "ILW"):
         speed = cfg.get("solve.speed", 0.0)
     else:
         speed = _require(cfg, "solve.omega")
-    pair, info = solve(family, p, speed, scfg, grid=grid)
+    pair, info = solve(family, p, speed, grid=grid)
     branch = SolitaryBranch(family, [speed], [pair], [info["full_residual"]])
 
     save_branch(branch, os.path.join(out, "branch"), cfgmod.resolved_config(cfg))
@@ -168,7 +168,6 @@ def cmd_solve(cfg: dict, out: str) -> int:
 def cmd_continue(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
     grid = cfgmod.grid_from_config(cfg)
-    scfg = cfgmod.solver_from_config(cfg)
     parameter = cfg.get("continue.parameter", "c")
     milestones = None
     if "continue.milestones" in cfg:
@@ -190,7 +189,9 @@ def cmd_continue(cfg: dict, out: str) -> int:
             raise ConfigError(
                 f"continue.milestones must lie within |continue.target| = {abs(target)!r}"
             )
-        branch = continue_in_c(p, target, scfg, grid=grid, store_at=milestones)
+        if milestones is None:
+            milestones = list(np.linspace(target / 8.0, target, 8))
+        branch = continue_in_c(p, milestones, grid=grid)
     elif parameter == "mu2":
         target = _positive("continue.target", _require(cfg, "continue.target"))
         if "continue.family" in cfg:
@@ -204,7 +205,7 @@ def cmd_continue(cfg: dict, out: str) -> int:
             raise ConfigError(
                 f"continue.milestones must lie at or above continue.target = {target!r}"
             )
-        branch = continue_in_mu2(p, target, scfg, grid=grid, milestones=milestones)
+        branch = continue_in_mu2(p, milestones or [target], grid=grid)
     else:
         raise ConfigError("continue.parameter must be 'c' or 'mu2'")
 
@@ -231,13 +232,8 @@ def cmd_decay(cfg: dict, out: str) -> int:
         raise ConfigError("decay.field must be 'xi' or 'nu'")
     values = wave.nu if field_name == "nu" else wave.xi
     kind = cfg.get("decay.kind", "algebraic")
-    if "decay.window_lo" in cfg or "decay.window_hi" in cfg:
-        window = (
-            cfg.get("decay.window_lo", 0.3 * wave.grid.L),
-            cfg.get("decay.window_hi", 0.9 * wave.grid.L),
-        )
-    else:
-        window = default_fit_window(wave.grid)
+    lo, hi = default_fit_window(wave.grid)
+    window = (cfg.get("decay.window_lo", lo), cfg.get("decay.window_hi", hi))
     predicted = cfg.get("decay.predicted")
     if predicted is None and "params.gamma" in cfg:
         p = cfgmod.params_from_config(cfg)
@@ -252,7 +248,7 @@ def cmd_decay(cfg: dict, out: str) -> int:
     else:
         raise ConfigError("decay.kind must be 'algebraic' or 'exponential'")
 
-    cfgmod.write_json(os.path.join(out, f"decay_{field_name}.json"), report.to_dict(), cfg)
+    cfgmod.write_json(os.path.join(out, f"decay_{field_name}.json"), asdict(report), cfg)
     cfgmod.write_meta(out)
     print(f"decay: {kind} fit of {field_name}: measured {report.measured:.6g}, "
           f"r^2 {report.r_squared:.6f}, flags {report.flags}")
@@ -478,6 +474,8 @@ def main(argv=None) -> int:
     try:
         cfg = cfgmod.load_config(args.config) if args.config else {}
         cfg = cfgmod.apply_overrides(cfg, args.set)
+        if cfg.get("solver.tol_residual", TOL_RESIDUAL) != TOL_RESIDUAL:
+            raise ConfigError(f"solver.tol_residual is fixed at {TOL_RESIDUAL:g}")
         out = _outdir(args)
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:

@@ -1,7 +1,7 @@
 """Run configuration: flat dotted-key files, validation, deterministic output.
 
 Config files are plain text, one `key = value` per line, `#` comments,
-with dotted section prefixes (params.gamma, grid.N, solver.tol_residual).
+with dotted section prefixes (params.gamma, grid.N, solve.family).
 The flat format diffs cleanly across experiment folders.  Every key is
 checked against a registry; unknown keys are rejected rather than ignored
 so typos cannot silently change an experiment.
@@ -16,14 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .params import ModelParams
 from .spectral import Grid, make_grid
-from .solvers import SolverConfig
 
 
 class ConfigError(ValueError):
@@ -36,16 +34,7 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
-def _parse_int(text: str) -> int:
-    v = int(text)
-    return v
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-_PARSERS = {"float": _parse_float, "int": _parse_int, "str": _parse_str}
+_PARSERS = {"float": _parse_float, "int": int, "str": str}
 
 # full registry of accepted keys: name -> value kind
 KEY_REGISTRY: dict[str, str] = {
@@ -60,9 +49,9 @@ KEY_REGISTRY: dict[str, str] = {
     "params.beta": "float",
     "grid.L": "float",
     "grid.N": "int",
+    # accepted only at the fixed solvers.TOL_RESIDUAL (`cli.main`), for the
+    # configs that state it
     "solver.tol_residual": "float",
-    "solver.max_iters": "int",
-    "solver.min_step": "float",
     "seed": "int",
     "validate.omega": "float",
     "solve.family": "str",
@@ -163,18 +152,6 @@ def grid_from_config(cfg: dict) -> Grid:
         raise ConfigError("missing required keys: grid.L, grid.N")
     try:
         return make_grid(cfg["grid.L"], cfg["grid.N"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def solver_from_config(cfg: dict) -> SolverConfig:
-    kwargs = {
-        f.name: cfg[f"solver.{f.name}"]
-        for f in fields(SolverConfig)
-        if f"solver.{f.name}" in cfg
-    }
-    try:
-        return SolverConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

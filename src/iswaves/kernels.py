@@ -63,18 +63,6 @@ class DecayReport:
     flags: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "measured": self.measured,
-            "predicted": self.predicted,
-            "rel_error": self.rel_error,
-            "fit_window": list(self.fit_window),
-            "r_squared": self.r_squared,
-            "flags": list(self.flags),
-            "details": dict(self.details),
-        }
-
 
 # ---------------------------------------------------------------------------
 # closed forms and quadratures

@@ -8,8 +8,8 @@ reductions.  `family_params` names the four systems (BO, ILW, BFD_finite,
 BFD_inf) and fixes the depth each one solves at.  This module also holds
 the closed-form admissibility quantities: the speed window, the minimum of
 the dispersion symbol, the minimal admissible mu2, the amplitude constant M,
-and the tail decay rates (sigma, sigma0, the algebraic plateau constant,
-and the eta-roots driving the finite-depth exponential rates).
+and the tail decay rates (sigma, sigma0, the infinite-depth kernel
+constants, and the eta-roots driving the finite-depth exponential rates).
 """
 
 from __future__ import annotations
@@ -106,17 +106,6 @@ class AdmissibilityReport:
     admissible: bool
     violations: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "speed_bound": self.speed_bound,
-            "f_min": self.f_min,
-            "beta0_tilde": self.beta0_tilde,
-            "mu2_threshold": self.mu2_threshold,
-            "M_value": self.M_value,
-            "admissible": self.admissible,
-            "violations": list(self.violations),
-        }
-
 
 @dataclass(frozen=True)
 class DecayRates:
@@ -124,13 +113,13 @@ class DecayRates:
 
     sigma is the exponential rate bound for the finite-mu2 velocity profile,
     sigma0 the corresponding rate for the interface profile (capped by the
-    inverse-operator scale sqrt(-c mu)).  algebraic_plateau_K is the limit of
-    x^2 K(x) for the infinite-depth kernel.  theta and eta_roots drive the
-    finite-depth one-layer rates: the wave decays like exp(-eta_1 |x|/sqrt(mu2)).
+    inverse-operator scale sqrt(-c mu)).  ell and c_K are the constants of
+    the infinite-depth kernel (its large-x law is `kernels.kernel_K_plateau`).
+    theta and eta_roots drive the finite-depth one-layer rates: the wave
+    decays like exp(-eta_1 |x|/sqrt(mu2)).
     Entries are None when undefined for the given parameters; notes say why.
     """
 
-    algebraic_plateau_K: float | None
     sigma: float | None
     sigma0: float | None
     eta_roots: tuple[float, ...]
@@ -254,12 +243,11 @@ def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
     notes: list[str] = []
 
     beta1 = -(p.mu / g) * (p.a - 1.0 / g**2)
-    ell = c_K = disc = plateau = None
+    ell = c_K = disc = None
     if beta1 > 0.0:
         ell = math.sqrt(p.mu) / (beta1 * g**2)
         c_K = 1.0 / (beta1 * g)
         disc = 4.0 * c_K - ell**2
-        plateau = -2.0 * ell / (c_K**2 * math.sqrt(2.0 * math.pi))
     else:
         notes.append("beta1 <= 0: infinite-depth kernel constants undefined")
 
@@ -290,7 +278,6 @@ def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
         ilw_rate = roots[0] / math.sqrt(p.mu2)
 
     return DecayRates(
-        algebraic_plateau_K=plateau,
         sigma=sigma,
         sigma0=sigma0,
         eta_roots=roots,

@@ -1,6 +1,6 @@
 """Solitary-wave solvers for the three model families.
 
-`solve(family, p, speed, cfg, grid=grid)` is the one way to a single wave,
+`solve(family, p, speed, grid=grid)` is the one way to a single wave,
 and the one place where the family decides the path to it: a BFD wave is
 solved directly from a sech^2 bump; a BO wave starts from the ground state
 at c = 0 and an ILW wave from the same ground state continued in depth to
@@ -24,10 +24,10 @@ substituting it into the first leaves the reduced equation M nu = G(nu)
 row one of the system for BO and ILW (T2 = 1, S2 = 1 - gamma: the lift is
 algebraic, and at c = 0 M = op2 is the ground-state problem) and (1 - gamma)
 times row one for BFD (T2 = J_d, S2 = (1 - gamma) J_c), the scale in which
-tol_residual is stated.  One Petviashvili fixed-point iteration
+TOL_RESIDUAL is stated.  One Petviashvili fixed-point iteration
 (`_petviashvili`) solves it for every family, and one stop rule ends it
-(`_solve`): the reduced residual reaches tol_residual (exit "converged"), or
-it stops halving for _STALL_ITERS iterations within 10 tol_residual (exit
+(`_solve`): the reduced residual reaches TOL_RESIDUAL (exit "converged"), or
+it stops halving for _STALL_ITERS iterations within 10 TOL_RESIDUAL (exit
 "floor", the spectral roundoff floor).  One continuation loop
 (`_continuation`) marches branches in the speed c and in the depth parameter
 mu2, each milestone warm-started from the last wave solved.  Constrained
@@ -36,7 +36,7 @@ minimization of the energy on {F = lambda} is an independent path.
 Certification.  Every returned wave carries the direct-substitution residual
 of its two-field system (`residual_norm`, through `_System`), code the
 solver itself does not run; a wave whose system residual exceeds 10 times
-its reduced residual (or tol_residual) is refused.
+its reduced residual (or TOL_RESIDUAL) is refused.
 
 Accelerated Petviashvili.  The fixed point converges only linearly, so
 `_petviashvili` mixes its iterates (Anderson type II over the last
@@ -101,21 +101,12 @@ class ConvergenceError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iteration controls shared by all solvers."""
-
-    tol_residual: float = 1e-11
-    max_iters: int = 500
-    min_step: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if self.tol_residual <= 0.0:
-            raise ValueError("tol_residual must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.min_step > 0.0:
-            raise ValueError("min_step must be positive")
+# the reduced residual every solve reaches (or its floor within 10 times it);
+# the iterations a solve, and the constrained descent, may take; the distance
+# in the continuation parameter within which a failed solve ends a branch
+TOL_RESIDUAL = 1e-11
+_MAX_ITERS = 500
+_MIN_STEP = 1e-5
 
 
 @dataclass
@@ -126,7 +117,6 @@ class SolitaryBranch:
     parameter_values: list[float]
     waves: Sequence[WavePair]
     residuals: list[float]
-    lagrange_K: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -327,31 +317,30 @@ def _petviashvili(evaluate, inv_m: np.ndarray, nu: np.ndarray, q: float, dx: flo
         yield nu, s_val, res
 
 
-def _solve(red: _Reduced, nu: np.ndarray, cfg: SolverConfig) -> tuple[WavePair, dict]:
+def _solve(red: _Reduced, nu: np.ndarray) -> tuple[WavePair, dict]:
     """The wave of red's equation reached by `_petviashvili` from nu, and its
     record {iterations, exit, residual, S_minus_1, full_residual}.
 
-    Stop rule: the reduced residual reaches tol_residual (exit "converged"),
+    Stop rule: the reduced residual reaches TOL_RESIDUAL (exit "converged"),
     or it has not halved the smallest residual so far for _STALL_ITERS
-    iterations while that one lies within 10 tol_residual (exit "floor"); the
+    iterations while that one lies within 10 TOL_RESIDUAL (exit "floor"); the
     iterate of the smallest residual is returned.  A stall above that margin,
-    max_iters iterations, a collapse to the trivial branch or a system
-    residual above 10 max(tol_residual, reduced residual) raise.
+    _MAX_ITERS iterations, a collapse to the trivial branch or a system
+    residual above 10 max(TOL_RESIDUAL, reduced residual) raise.
     """
-    tol = cfg.tol_residual
     best_res, best_nu, best_s = math.inf, nu, math.nan
     stalled = iterations = 0
     exit_reason = None
     iterates = _petviashvili(red.evaluate, 1.0 / red.mhat, nu, _EXPONENT, red.grid.dx)
-    for iterations, (nu, s_val, res) in enumerate(islice(iterates, cfg.max_iters), 1):
+    for iterations, (nu, s_val, res) in enumerate(islice(iterates, _MAX_ITERS), 1):
         stalled = 0 if res <= 0.5 * best_res else stalled + 1
         if res < best_res:
             best_res, best_nu, best_s = res, nu, s_val
-        if res <= tol:
+        if res <= TOL_RESIDUAL:
             exit_reason = "converged"
             break
         if stalled >= _STALL_ITERS:
-            if best_res > 10.0 * tol:
+            if best_res > 10.0 * TOL_RESIDUAL:
                 raise ConvergenceError(
                     f"stagnation: S = {best_s:.6f}, residual {best_res:.3e} not halving",
                     {"S": best_s, "residual": best_res, "iterations": iterations},
@@ -360,14 +349,14 @@ def _solve(red: _Reduced, nu: np.ndarray, cfg: SolverConfig) -> tuple[WavePair, 
             break
     if exit_reason is None:
         raise ConvergenceError(
-            f"no convergence in {cfg.max_iters} iterations (residual {best_res:.3e})",
+            f"no convergence in {_MAX_ITERS} iterations (residual {best_res:.3e})",
             {"S": best_s, "residual": best_res, "iterations": iterations},
         )
     if np.max(np.abs(best_nu)) < trivial_threshold(red.p):
         raise ConvergenceError("converged to the trivial branch (amplitude collapse)")
     pair = WavePair(grid=red.grid, xi=red.lift(best_nu), nu=best_nu)
     full_res = residual_norm(red.family, red.p, red.speed, pair)
-    if full_res > 10.0 * max(tol, best_res):
+    if full_res > 10.0 * max(TOL_RESIDUAL, best_res):
         raise ConvergenceError(
             f"full-system residual {full_res:.3e} inconsistent with reduced residual "
             f"{best_res:.3e}"
@@ -381,7 +370,7 @@ def _solve(red: _Reduced, nu: np.ndarray, cfg: SolverConfig) -> tuple[WavePair, 
     }
 
 
-def _bo_start(p: ModelParams, grid: Grid, cfg: SolverConfig) -> tuple[WavePair, dict]:
+def _bo_start(p: ModelParams, grid: Grid) -> tuple[WavePair, dict]:
     """The c = 0 BO pair: the even positive ground state of op2 nu = 2 r^2
     nu^3/(1-gamma) and xi = r nu^2/(1-gamma), with its `_solve` record."""
     red = _Reduced("BO", p, grid, 0.0)
@@ -392,7 +381,7 @@ def _bo_start(p: ModelParams, grid: Grid, cfg: SolverConfig) -> tuple[WavePair, 
     shape = 1.0 / (1.0 + (grid.x / width) ** 2) ** 2
     m_s, _, cubic_s = red.parts(shape)
     nu = math.sqrt(np.dot(shape, m_s) / np.dot(shape, cubic_s)) * shape
-    pair, info = _solve(red, nu, cfg)
+    pair, info = _solve(red, nu)
     if np.min(pair.nu) < -1e-6 * np.max(np.abs(pair.nu)):
         raise ConvergenceError(
             f"loss of positivity: min nu = {np.min(pair.nu):.3e}",
@@ -412,7 +401,6 @@ def _continuation(
     speed_of,
     start: tuple[WavePair, dict],
     targets: list[float],
-    cfg: SolverConfig,
     label,
     truncation_key: str,
 ) -> tuple[list[float], list[WavePair], list[dict], dict]:
@@ -424,7 +412,7 @@ def _continuation(
     parameters and speed; every wave but the start belongs to family.  When
     a solve fails, the loop bisects back toward the last solved t and, once
     a midpoint solves, tries the target again from there; a failure within
-    min_step of the last solved t truncates the branch and stores label(t)
+    _MIN_STEP of the last solved t truncates the branch and stores label(t)
     of that wave under truncation_key.  A speed at which M is not positive
     is such a failure.  Every solve leaves a record in diagnostics["steps"]:
     its parameter label(t), whether it was accepted, and its iterations and
@@ -441,12 +429,12 @@ def _continuation(
         while current_t != target:
             try:
                 red = _Reduced(family, p_of(t_try), current.grid, speed_of(t_try))
-                pair, info = _solve(red, current.nu, cfg)
+                pair, info = _solve(red, current.nu)
             except ConvergenceError as exc:
                 diagnostics["steps"].append(
                     {"parameter": label(t_try), "accepted": False, "error": str(exc)}
                 )
-                if abs(t_try - current_t) <= cfg.min_step:
+                if abs(t_try - current_t) <= _MIN_STEP:
                     diagnostics["truncated"] = True
                     diagnostics[truncation_key] = label(current_t)
                     return ts, waves, infos, diagnostics
@@ -468,7 +456,7 @@ def _continuation(
     return ts, waves, infos, diagnostics
 
 
-def _speed_leg(family: str, p: ModelParams, start: tuple[WavePair, dict], speeds, cfg):
+def _speed_leg(family: str, p: ModelParams, start: tuple[WavePair, dict], speeds):
     """`_continuation` in the speed c of a one-layer family at p, from the
     c = 0 wave start through speeds, in order of |c|."""
     return _continuation(
@@ -477,13 +465,12 @@ def _speed_leg(family: str, p: ModelParams, start: tuple[WavePair, dict], speeds
         lambda t: t,
         start,
         sorted(speeds, key=abs),
-        cfg,
         label=lambda t: t,
         truncation_key="endpoint_estimate",
     )
 
 
-def _depth_leg(p: ModelParams, start: tuple[WavePair, dict], milestones: list[float], cfg):
+def _depth_leg(p: ModelParams, start: tuple[WavePair, dict], milestones: list[float]):
     """`_continuation` of the c = 0 ILW wave from the BO wave start through
     the mu2 milestones, in the order given.
 
@@ -505,7 +492,6 @@ def _depth_leg(p: ModelParams, start: tuple[WavePair, dict], milestones: list[fl
         lambda t: 0.0,
         start,
         targets,
-        cfg,
         label=mu2_of,
         truncation_key="sigma_estimate",
     )
@@ -516,56 +502,35 @@ def _start_record(info: dict) -> dict:
     return {"start": {k: info[k] for k in ("iterations", "exit")}}
 
 
-def continue_in_c(
-    p: ModelParams,
-    c_max: float,
-    cfg: SolverConfig | None = None,
-    *,
-    grid: Grid,
-    store_at: list[float] | None = None,
-) -> SolitaryBranch:
+def continue_in_c(p: ModelParams, speeds: list[float], *, grid: Grid) -> SolitaryBranch:
     """Branch of BO travelling pairs in the speed c, from the ground state.
 
     The ground state's `_solve` record is kept under diagnostics["start"].
-    Stored samples are the milestones in store_at (default: eight points up
-    to c_max), solved in order of |c|; the c = 0 endpoint is always stored
-    first.
+    Stored samples are the speeds given, solved in order of |c|; the c = 0
+    endpoint is always stored first.
     """
-    cfg = cfg or SolverConfig()
-    start = _bo_start(p, grid, cfg)
-    if store_at is None:
-        store_at = list(np.linspace(c_max / 8.0, c_max, 8))
-    params, waves, infos, diag = _speed_leg("BO", p, start, store_at, cfg)
+    start = _bo_start(p, grid)
+    params, waves, infos, diag = _speed_leg("BO", p, start, speeds)
     residuals = [info["full_residual"] for info in infos]
     diag = _start_record(start[1]) | diag
     return SolitaryBranch("BO", params, waves, residuals, diagnostics=diag)
 
 
-def continue_in_mu2(
-    p: ModelParams,
-    mu2_min: float,
-    cfg: SolverConfig | None = None,
-    *,
-    grid: Grid,
-    milestones: list[float] | None = None,
-) -> SolitaryBranch:
+def continue_in_mu2(p: ModelParams, depths: list[float], *, grid: Grid) -> SolitaryBranch:
     """Branch of c = 0 finite-depth pairs in mu2, from the infinite-depth wave
     (`_depth_leg`).
 
     The first stored sample is the BO ground state (parameter value inf; its
-    `_solve` record is kept under diagnostics["start"]); the first milestone
-    is solved from it.  Milestones are mu2 values to store, solved in
-    decreasing order.  Every solve leaves a record, keyed by its mu2 value,
-    in diagnostics["steps"].
+    `_solve` record is kept under diagnostics["start"]); the first depth is
+    solved from it.  The depths are the mu2 values to store, solved in
+    decreasing order; each must be positive.  Every solve leaves a record,
+    keyed by its mu2 value, in diagnostics["steps"].
     """
-    cfg = cfg or SolverConfig()
-    if not mu2_min > 0.0:
-        raise ValueError(f"mu2_min must be positive, got {mu2_min}")
-    milestones = sorted([mu2_min] if milestones is None else milestones, reverse=True)
-    if min(milestones) < mu2_min:
-        raise ValueError("milestones must lie at or above mu2_min")
-    start = _bo_start(p, grid, cfg)
-    ts, waves, infos, diag = _depth_leg(p, start, milestones, cfg)
+    if not all(m > 0.0 for m in depths):
+        raise ValueError(f"every depth mu2 must be positive, got {depths}")
+    milestones = sorted(depths, reverse=True)
+    start = _bo_start(p, grid)
+    ts, waves, infos, diag = _depth_leg(p, start, milestones)
     # the endpoint is the BO pair, stored bit-for-bit; the others are stored
     # under their milestone
     params = [math.inf] + milestones[: len(ts) - 1]
@@ -599,7 +564,7 @@ def _scan_ratios(red: _Reduced, shape: np.ndarray, dx: float, amps: np.ndarray) 
     return ratios
 
 
-def _bfd_solve(red: _Reduced, cfg: SolverConfig) -> tuple[WavePair, dict]:
+def _bfd_solve(red: _Reduced) -> tuple[WavePair, dict]:
     """The BFD wave of red's equation by `_solve`, from a unit-width sech^2
     bump whose amplitude makes the stabilizing factor closest to 1."""
     grid = red.grid
@@ -613,7 +578,7 @@ def _bfd_solve(red: _Reduced, cfg: SolverConfig) -> tuple[WavePair, dict]:
         # a skipped amplitude (NaN) never wins; ties keep the first
         if abs(s_try - 1.0) < best_dev:
             best, best_dev = amp, abs(s_try - 1.0)
-    return _solve(red, best * shape, cfg)
+    return _solve(red, best * shape)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +586,7 @@ def _bfd_solve(red: _Reduced, cfg: SolverConfig) -> tuple[WavePair, dict]:
 # ---------------------------------------------------------------------------
 
 
-def solve(
-    family: str, p: ModelParams, speed: float, cfg: SolverConfig | None = None, *, grid: Grid
-) -> tuple[WavePair, dict]:
+def solve(family: str, p: ModelParams, speed: float, *, grid: Grid) -> tuple[WavePair, dict]:
     """The solitary wave of family at speed c (omega for BFD) on grid, and
     the `_solve` record of its last solve: iterations (counting every
     accepted solve on the way), exit, residual, S_minus_1, full_residual.
@@ -635,14 +598,13 @@ def solve(
     continue in speed to c (`_speed_leg`).  A leg that ends before its
     milestone raises ConvergenceError.
     """
-    cfg = cfg or SolverConfig()
     fam, p = family_params(family, p)
     if fam not in ("BO", "ILW"):
-        return _bfd_solve(_Reduced(fam, p, grid, speed), cfg)
-    legs = [lambda s: _depth_leg(p, s, [p.mu2], cfg)] if fam == "ILW" else []
+        return _bfd_solve(_Reduced(fam, p, grid, speed))
+    legs = [lambda s: _depth_leg(p, s, [p.mu2])] if fam == "ILW" else []
     if speed:
-        legs.append(lambda s: _speed_leg(fam, p, s, [speed], cfg))
-    wave, info = _bo_start(p, grid, cfg)
+        legs.append(lambda s: _speed_leg(fam, p, s, [speed]))
+    wave, info = _bo_start(p, grid)
     iterations = info["iterations"]
     for leg in legs:
         _, waves, infos, diag = leg((wave, info))
@@ -663,13 +625,7 @@ def solve(
 _GRADIENT_TOL = 1e-8
 
 
-def constrained_minimize(
-    p: ModelParams,
-    omega: float,
-    lam: float,
-    grid: Grid,
-    cfg: SolverConfig | None = None,
-):
+def constrained_minimize(p: ModelParams, omega: float, lam: float, grid: Grid):
     """Minimize E on {F = lambda} by metric-preconditioned projected descent.
 
     The descent direction is the A^{-1}-gradient of E (A the per-frequency
@@ -682,7 +638,6 @@ def constrained_minimize(
     Returns (pair, K, info); info carries the gradient norm, iteration
     count, and the relative least-squares misfit of the multiplier relation.
     """
-    cfg = cfg or SolverConfig()
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     sym = symbols(p, grid)
@@ -737,7 +692,7 @@ def constrained_minimize(
     e_cur = e_val(xi, nu)
     gnorm = math.inf
     it_done = 0
-    for it in range(max(cfg.max_iters, 200)):
+    for it in range(_MAX_ITERS):
         ge1, ge2 = grad_e(xi, nu)
         gf1, gf2 = grad_f(xi, nu)
         u1, u2 = metric_inverse(ge1, ge2)
@@ -815,7 +770,6 @@ def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None)
             "inf" if math.isinf(v) else v for v in branch.parameter_values
         ],
         "residuals": branch.residuals,
-        "lagrange_K": branch.lagrange_K,
         "samples": sample_files,
         "diagnostics": branch.diagnostics,
     }
@@ -825,7 +779,7 @@ def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None)
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     schema = {
-        "branch.json": "branch metadata: family, parameter_values, residuals, lagrange_K, samples",
+        "branch.json": "branch metadata: family, parameter_values, residuals, samples",
         "sample_*.npy": "float64 array of shape (3, N), C order, rows x, xi, nu "
         "(np.load(path, allow_pickle=False)); the grid is (L, N) = (-x[0], N)",
     }
@@ -879,6 +833,5 @@ def load_branch(outdir: str) -> SolitaryBranch:
         parameter_values=params,
         waves=waves,
         residuals=[float(v) for v in meta["residuals"]],
-        lagrange_K=meta.get("lagrange_K"),
         diagnostics=meta.get("diagnostics", {}),
     )

@@ -14,6 +14,7 @@ evaluation are handled explicitly.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -208,8 +209,12 @@ def pair_to_csv(w: WavePair, path: str) -> None:
 
 def pair_from_csv(path: str) -> WavePair:
     """The wave of an (x, xi, nu) CSV with one header row, on the grid
-    (-x[0], N); a file without three columns raises ValueError."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    (-x[0], N); a file without three columns, or without data rows, raises
+    ValueError."""
+    with warnings.catch_warnings():
+        # a file without data rows is refused below, by its shape
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 3:
         raise ValueError(f"expected the columns x, xi, nu, got an array of shape {data.shape}")
     x = data[:, 0]

@@ -10,7 +10,7 @@ import scipy.fft
 from hypothesis import settings
 
 from iswaves.params import ModelParams
-from iswaves.solvers import SolverConfig, continue_in_c, continue_in_mu2, solve
+from iswaves.solvers import continue_in_c, continue_in_mu2, solve
 from iswaves.spectral import make_grid
 
 # every run draws the same examples, and a slow example is not a failure
@@ -68,72 +68,65 @@ def p_sharp():
 
 
 @pytest.fixture(scope="session")
-def scfg():
-    return SolverConfig(tol_residual=1e-11)
-
-
-@pytest.fixture(scope="session")
 def grid_bo():
     return make_grid(200.0, 4096)
 
 
 @pytest.fixture(scope="session")
-def bo_state(p1_inf, grid_bo, scfg):
+def bo_state(p1_inf, grid_bo):
     """The c = 0 BO pair, the ground state of the scalar limit equation and
     its lift, with the record of its solve."""
-    pair, info = solve("BO", p1_inf, 0.0, scfg, grid=grid_bo)
+    pair, info = solve("BO", p1_inf, 0.0, grid=grid_bo)
     return {"pair": pair, "info": info}
 
 
 @pytest.fixture(scope="session")
-def bo_branch(p1_inf, grid_bo, scfg):
+def bo_branch(p1_inf, grid_bo):
     """Speed continuation of the c = 0 pair with milestones stored."""
-    return continue_in_c(p1_inf, 0.02, scfg, grid=grid_bo, store_at=[0.005, 0.01, 0.02])
+    return continue_in_c(p1_inf, [0.005, 0.01, 0.02], grid=grid_bo)
 
 
 @pytest.fixture(scope="session")
-def ilw_chain(p1_mu2_25, scfg):
+def ilw_chain(p1_mu2_25):
     """Depth continuation from the infinite-depth pair down to mu2 = 25.
 
     The grid is sized for the decay fit: rate ~ 0.56 needs e^{-rate*2L}
     negligible and the core needs dx ~ 0.012.
     """
     grid = make_grid(50.0, 8192)
-    return continue_in_mu2(
-        p1_mu2_25, 25.0, scfg, grid=grid, milestones=[400.0, 100.0, 25.0]
-    )
+    return continue_in_mu2(p1_mu2_25, [400.0, 100.0, 25.0], grid=grid)
 
 
 @pytest.fixture(scope="session")
-def bfd_finite(p1_mu2_4, scfg):
+def bfd_finite(p1_mu2_4):
     grid = make_grid(8.0, 2048)
-    pair, info = solve("BFD_finite", p1_mu2_4, 0.1, scfg, grid=grid)
+    pair, info = solve("BFD_finite", p1_mu2_4, 0.1, grid=grid)
     return {"pair": pair, "info": info, "omega": 0.1}
 
 
 @pytest.fixture(scope="session")
-def bfd_sharp(p_sharp, scfg):
+def bfd_sharp(p_sharp):
     grid = make_grid(16.0, 2048)
-    pair, info = solve("BFD_finite", p_sharp, 0.1, scfg, grid=grid)
+    pair, info = solve("BFD_finite", p_sharp, 0.1, grid=grid)
     return {"pair": pair, "info": info, "omega": 0.1}
 
 
 @pytest.fixture(scope="session")
-def bfd_inf(p1_inf, scfg):
+def bfd_inf(p1_inf):
     grid = make_grid(200.0, 4096)
-    pair, info = solve("BFD_inf", p1_inf, 0.1, scfg, grid=grid)
+    pair, info = solve("BFD_inf", p1_inf, 0.1, grid=grid)
     return {"pair": pair, "info": info, "omega": 0.1}
 
 
 @pytest.fixture(scope="session")
-def variational(p1_mu2_4, scfg):
+def variational(p1_mu2_4):
     """Constrained minimizer vs the reduced-equation solve on one grid."""
     from iswaves.solvers import constrained_minimize, rescale_to_wave
 
     grid = make_grid(200.0, 2048)
-    pair, k_mult, info = constrained_minimize(p1_mu2_4, 0.1, 1.0, grid, scfg)
+    pair, k_mult, info = constrained_minimize(p1_mu2_4, 0.1, 1.0, grid)
     wave = rescale_to_wave(pair, k_mult)
-    direct, _ = solve("BFD_finite", p1_mu2_4, 0.1, scfg, grid=grid)
+    direct, _ = solve("BFD_finite", p1_mu2_4, 0.1, grid=grid)
     return {
         "grid": grid,
         "minimizer": pair,

@@ -34,7 +34,6 @@ from iswaves.params import (
     symbol_f,
 )
 from iswaves.solvers import (
-    SolverConfig,
     constrained_minimize,
     residual_norm,
     solve,
@@ -107,7 +106,7 @@ def test_criterion_02_positivity_sweep(p1_mu2_4, tmp_path, capsys):
     assert detect.global_min < 0.0
 
 
-def test_criterion_03_petviashvili_ground_state(p1_inf, bo_state, scfg, capsys):
+def test_criterion_03_petviashvili_ground_state(p1_inf, bo_state, capsys):
     info = bo_state["info"]
     res = info["residual"]
     s_err = abs(info["S_minus_1"])
@@ -116,8 +115,8 @@ def test_criterion_03_petviashvili_ground_state(p1_inf, bo_state, scfg, capsys):
 
     half = dataclasses.replace(p1_inf, epsilon=p1_inf.epsilon / 2.0)
     g = make_grid(50.0, 512)
-    nu_full = solve("BO", p1_inf, 0.0, scfg, grid=g)[0].nu
-    nu_half = solve("BO", half, 0.0, scfg, grid=g)[0].nu
+    nu_full = solve("BO", p1_inf, 0.0, grid=g)[0].nu
+    nu_half = solve("BO", half, 0.0, grid=g)[0].nu
     scale_err = float(np.max(np.abs(nu_half - 2.0 * nu_full)))
     scale_err /= float(np.max(np.abs(nu_half)))
 
@@ -206,13 +205,13 @@ def test_criterion_05_branch_limits(p1_inf, bo_state, bo_branch, ilw_chain, caps
     assert flip_res <= 1e-9
 
 
-def test_criterion_06_variational_structure(p1_mu2_4, variational, scfg, capsys):
+def test_criterion_06_variational_structure(p1_mu2_4, variational, capsys):
     grid = variational["grid"]
     # I(lambda) is the minimizer's energy at its constraint level
     base = variational["info"]["energy"]
     ratio_errs = []
     for tau in (0.5, 2.0, 4.0):
-        energy = constrained_minimize(p1_mu2_4, 0.1, tau, grid, scfg)[2]["energy"]
+        energy = constrained_minimize(p1_mu2_4, 0.1, tau, grid)[2]["energy"]
         ratio_errs.append(abs(energy / base / tau ** (2.0 / 3.0) - 1.0))
 
     k_mult = variational["K"]

@@ -1,7 +1,8 @@
 """The public API has callers: every public module-level function and class
 of the package is used by the package itself, a demo or the benchmark, and
-every defaulted parameter of a public function is passed by one of them,
-and not by all of them as the same literal.
+every defaulted parameter of a public function, and every defaulted field of
+a public dataclass, is passed by one of them, and not by all of them as the
+same literal.
 
 A name that only tests call is a second implementation kept alive by its
 own test; it belongs in the tests, as a reference, or nowhere.  So does an
@@ -109,12 +110,28 @@ def test_allowlist_is_current():
     assert ALLOWED <= defined
 
 
+def _is_dataclass(node) -> bool:
+    """Whether a class is decorated @dataclass or @dataclass(...)."""
+    decorators = [getattr(d, "func", d) for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators)
+
+
+def _dataclass_options(node):
+    """(Class.field, position) of every defaulted field of a dataclass: the
+    fields are its constructor's parameters, in order."""
+    fields = [x for x in node.body if isinstance(x, ast.AnnAssign)]
+    return [(f"{node.name}.{x.target.id}", i) for i, x in enumerate(fields) if x.value is not None]
+
+
 def _options():
     """(function.parameter, position or None) of every defaulted parameter
-    of a public top-level function; None for a keyword-only one."""
+    of a public top-level function, None for a keyword-only one, and
+    (Class.field, position) of every defaulted field of a public dataclass."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                out += _dataclass_options(node) if _is_dataclass(node) else []
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 a = node.args
                 positional = a.posonlyargs + a.args
@@ -174,7 +191,8 @@ def _constant_options() -> list:
 def test_every_option_is_passed_outside_the_tests():
     unpassed = _unpassed_options()
     assert unpassed == [], (
-        f"defaulted parameters no caller in src/, demos/ or perfbench/ passes: {unpassed}"
+        f"defaulted parameters or fields no caller in src/, demos/ or perfbench/ passes: "
+        f"{unpassed}"
     )
 
 
@@ -185,4 +203,6 @@ def test_option_allowlist_is_current():
 def test_no_option_is_always_passed_as_one_constant():
     # an option every caller sets to the same value is that value
     constant = _constant_options()
-    assert constant == [], f"defaulted parameters every caller passes as one literal: {constant}"
+    assert constant == [], (
+        f"defaulted parameters or fields every caller passes as one literal: {constant}"
+    )

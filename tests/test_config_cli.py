@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,10 +16,8 @@ from iswaves.config import (
     parse_assignment,
     resolved_config,
     sanitize,
-    solver_from_config,
     write_json,
 )
-from iswaves.solvers import SolverConfig
 
 P1_LINES = """\
 # canonical two-layer point
@@ -61,27 +58,21 @@ def test_parse_assignment_rejections():
         parse_assignment("params.gamma 0.5")
 
 
-def test_solver_keys_follow_solver_config():
-    # one key per SolverConfig field, read back into that field
-    names = [f.name for f in fields(SolverConfig)]
-    assert sorted(k for k in KEY_REGISTRY if k.startswith("solver.")) == sorted(
-        f"solver.{name}" for name in names
-    )
-    cfg = dict(
-        parse_assignment(line)
-        for line in (
-            "solver.tol_residual = 1e-10",
-            "solver.max_iters = 7",
-            "solver.min_step = 1e-4",
-        )
-    )
-    assert solver_from_config(cfg) == SolverConfig(tol_residual=1e-10, max_iters=7, min_step=1e-4)
-    assert solver_from_config({}) == SolverConfig()
-    for key in ("newton_damping", "petviashvili_exponent", "continuation_step"):
-        with pytest.raises(ConfigError, match="unknown configuration key"):
-            parse_assignment(f"solver.{key} = 1.0")
-    with pytest.raises(ConfigError, match="max_iters"):
-        solver_from_config({"solver.max_iters": 0})
+def test_solver_keys_follow_solver_config(p1_cfg, tmp_path, capsys):
+    # the solver settings are constants of solvers.py: solver.tol_residual is
+    # accepted at its fixed value only, and no other solver key exists
+    assert [k for k in KEY_REGISTRY if k.startswith("solver.")] == ["solver.tol_residual"]
+    args = ["validate", "--config", p1_cfg, "--out", str(tmp_path / "o"), "--set"]
+    assert main(args + ["solver.tol_residual = 1e-11"]) == 0
+    capsys.readouterr()
+    for value in ("1e-10", "1e-12", "0"):
+        assert main(args + [f"solver.tol_residual = {value}"]) == 2
+        assert capsys.readouterr().err == "config error: solver.tol_residual is fixed at 1e-11\n"
+    for key in ("max_iters", "min_step", "newton_damping", "petviashvili_exponent",
+                "continuation_step"):
+        assert main(args + [f"solver.{key} = 7"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown configuration key 'solver.{key}'\n"
 
 
 def test_load_config(tmp_path, p1_cfg):
@@ -402,7 +393,8 @@ def test_cli_decay_parses_only_its_sample(p1_cfg, tmp_path, capsys):
 
 def _unreadable_branch(tmp_path, case) -> str:
     """A branch directory that cannot be read as a wave: missing, with a
-    CSV sample of two columns, or with a corrupt .npy sample."""
+    CSV sample of two columns or of a header alone, or with a corrupt .npy
+    sample."""
     from iswaves.solvers import SolitaryBranch, save_branch
     from iswaves.spectral import WavePair, make_grid
 
@@ -412,17 +404,20 @@ def _unreadable_branch(tmp_path, case) -> str:
     g = make_grid(50.0, 256)
     bump = 1.0 / (1.0 + g.x**2)
     save_branch(SolitaryBranch("BO", [0.0], [WavePair(g, bump, bump)], [0.0]), str(outdir))
-    if case == "bad_csv":
+    if case in ("bad_csv", "empty_csv"):
         meta = json.loads((outdir / "branch.json").read_text())
         meta["samples"] = ["sample_000.csv"]
         (outdir / "branch.json").write_text(json.dumps(meta))
-        (outdir / "sample_000.csv").write_text("x,xi,nu\n1.0,2.0\n3.0,4.0\n")
+        rows = "1.0,2.0\n3.0,4.0\n" if case == "bad_csv" else ""
+        (outdir / "sample_000.csv").write_text("x,xi,nu\n" + rows)
     else:
         (outdir / "sample_000.npy").write_bytes(b"not a wave\n")
     return str(outdir)
 
 
-@pytest.mark.parametrize("case", ["missing", "bad_csv", "bad_npy"])
+# a warning on the way, such as numpy's on a file without data, fails the test
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["missing", "bad_csv", "empty_csv", "bad_npy"])
 @pytest.mark.parametrize(
     "command, sets",
     [
@@ -439,9 +434,9 @@ def test_cli_unreadable_branch_exits_2(p1_cfg, tmp_path, capsys, case, command, 
         args += ["--set", s]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key}: ")
-    names = {"missing": "branch.json", "bad_csv": "sample_000.csv", "bad_npy": "sample_000.npy"}
-    assert names[case] in err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+    names = {"missing": "branch.json", "bad_npy": "sample_000.npy"}
+    assert names.get(case, "sample_000.csv") in err
 
 
 def test_cli_kernel_check_k1(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -331,8 +332,8 @@ def test_fit_exponential_synthetic():
     assert rep.flags == []
     assert rep.rel_error < 1e-6
     assert rep.details["resolvable_rate_cap"] > 3.0
-    d = rep.to_dict()
-    assert d["kind"] == "exponential" and d["fit_window"] == [2.0, 8.0]
+    d = asdict(rep)
+    assert d["kind"] == "exponential" and d["fit_window"] == (2.0, 8.0)
 
 
 def test_fit_exponential_cap_flag():

@@ -12,7 +12,6 @@ from iswaves.params import ModelParams
 from iswaves.solvers import (
     ConvergenceError,
     SolitaryBranch,
-    SolverConfig,
     continue_in_c,
     continue_in_mu2,
     load_branch,
@@ -26,19 +25,6 @@ from iswaves.solvers import _petviashvili, _Reduced, _System, _scan_ratios
 from iswaves.spectral import WavePair, apply_table, make_grid, symbols, symmetrize_even
 
 from conftest import P1_KW
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError, match="tol_residual"):
-        SolverConfig(tol_residual=0.0)
-    with pytest.raises(ValueError, match="max_iters"):
-        SolverConfig(max_iters=0)
-    # the bisection of a continuation ends at min_step
-    with pytest.raises(ValueError, match="min_step"):
-        SolverConfig(min_step=0.0)
-    # the exponent is a module constant, no longer a field
-    with pytest.raises(TypeError):
-        SolverConfig(petviashvili_exponent=2.0)
 
 
 def test_trivial_threshold_positive(p1_inf):
@@ -65,13 +51,12 @@ def test_ground_state_iteration_count(bo_state):
 def test_ground_state_scaling_symmetry():
     # halving epsilon quarters the cubic coefficient and doubles the wave
     g = make_grid(50.0, 512)
-    cfg = SolverConfig(tol_residual=1e-11)
     base = dict(P1_KW)
     p_full = ModelParams(mu2=np.inf, **base)
     half = dict(base, epsilon=base["epsilon"] / 2.0)
     p_half = ModelParams(mu2=np.inf, **half)
-    nu_full = solve("BO", p_full, 0.0, cfg, grid=g)[0].nu
-    nu_half = solve("BO", p_half, 0.0, cfg, grid=g)[0].nu
+    nu_full = solve("BO", p_full, 0.0, grid=g)[0].nu
+    nu_half = solve("BO", p_half, 0.0, grid=g)[0].nu
     assert np.max(np.abs(nu_half - 2.0 * nu_full)) / np.max(nu_half) < 1e-8
 
 
@@ -82,11 +67,12 @@ def test_lifted_pair_solves_system(p1_inf, bo_state):
     assert np.max(np.abs(pair.xi - 0.1 / 0.5 * pair.nu**2)) < 1e-14
 
 
-def test_petviashvili_failure_is_reported(p1_inf):
+def test_petviashvili_failure_is_reported(p1_inf, monkeypatch):
     g = make_grid(50.0, 512)
-    cfg = SolverConfig(tol_residual=1e-13, max_iters=3)
+    monkeypatch.setattr(solvers, "TOL_RESIDUAL", 1e-13)
+    monkeypatch.setattr(solvers, "_MAX_ITERS", 3)
     with pytest.raises(ConvergenceError) as exc:
-        solve("BO", p1_inf, 0.0, cfg, grid=g)
+        solve("BO", p1_inf, 0.0, grid=g)
     assert exc.value.diagnostics  # carries S and residual context
 
 
@@ -157,60 +143,61 @@ def test_bfd_infinite_reduced(p1_inf, bfd_inf):
 @pytest.mark.parametrize(
     "which, exit_reason", [("bfd_finite", "floor"), ("bfd_inf", "converged")]
 )
-def test_reduced_polish_reports_history_and_exit(request, scfg, which, exit_reason):
+def test_reduced_polish_reports_history_and_exit(request, which, exit_reason):
     # the exits the BFD Newton polish reported are now those of the reduced
     # solve's one stop rule: bfd_finite ends on its roundoff floor within the
-    # 10x margin; bfd_inf reaches tol_residual
+    # 10x margin; bfd_inf reaches TOL_RESIDUAL
+    tol = solvers.TOL_RESIDUAL
     info = request.getfixturevalue(which)["info"]
     assert info["exit"] == exit_reason
     assert set(info) == {"iterations", "exit", "residual", "S_minus_1", "full_residual"}
-    bound = scfg.tol_residual if exit_reason == "converged" else 10.0 * scfg.tol_residual
-    assert info["residual"] <= bound
+    assert info["residual"] <= (tol if exit_reason == "converged" else 10.0 * tol)
     if exit_reason == "floor":
-        assert info["residual"] > scfg.tol_residual
+        assert info["residual"] > tol
         assert info["iterations"] >= solvers._STALL_ITERS
     assert abs(info["S_minus_1"]) <= 1e-9
 
 
-def test_reduced_solve_inner_solves_are_honest(p1_mu2_4, scfg):
+def test_reduced_solve_inner_solves_are_honest(p1_mu2_4):
     # the record of the reduced solve is what the returned wave gives when
     # it is evaluated afresh
+    tol = solvers.TOL_RESIDUAL
     grid = make_grid(8.0, 512)
-    pair, info = solve("BFD_finite", p1_mu2_4, 0.1, scfg, grid=grid)
+    pair, info = solve("BFD_finite", p1_mu2_4, 0.1, grid=grid)
     red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
     m_nu, g_nu = red.evaluate(pair.nu)
     assert info["residual"] == float(np.max(np.abs(m_nu - g_nu)))
     assert info["full_residual"] == residual_norm("BFD_finite", p1_mu2_4, 0.1, pair) <= 1e-9
     assert np.array_equal(pair.xi, red.lift(pair.nu))
-    assert 1 <= info["iterations"] <= scfg.max_iters
+    assert 1 <= info["iterations"] <= solvers._MAX_ITERS
     if info["exit"] == "converged":
-        assert info["residual"] <= scfg.tol_residual
+        assert info["residual"] <= tol
     else:
         assert info["exit"] == "floor"
-        assert scfg.tol_residual < info["residual"] <= 10.0 * scfg.tol_residual
+        assert tol < info["residual"] <= 10.0 * tol
 
 
 @pytest.mark.parametrize("tol, outcome", [(1e-12, "floor"), (1e-13, "stagnation")])
-def test_stop_rule_floor_and_stagnation(p1_mu2_4, tol, outcome):
+def test_stop_rule_floor_and_stagnation(p1_mu2_4, monkeypatch, tol, outcome):
     # at N = 512 the reduced residual of bfd_finite stops halving near 5e-12:
     # within 10 tol the best iterate is returned, beyond it the solve fails
     grid = make_grid(8.0, 512)
-    cfg = SolverConfig(tol_residual=tol)
+    monkeypatch.setattr(solvers, "TOL_RESIDUAL", tol)
     if outcome == "floor":
-        pair, info = solve("BFD_finite", p1_mu2_4, 0.1, cfg, grid=grid)
+        pair, info = solve("BFD_finite", p1_mu2_4, 0.1, grid=grid)
         assert info["exit"] == "floor"
         assert tol < info["residual"] <= 10.0 * tol
         assert info["full_residual"] <= 1e-9
         assert residual_norm("BFD_finite", p1_mu2_4, 0.1, pair) == info["full_residual"]
     else:
         with pytest.raises(ConvergenceError, match="stagnation") as exc:
-            solve("BFD_finite", p1_mu2_4, 0.1, cfg, grid=grid)
+            solve("BFD_finite", p1_mu2_4, 0.1, grid=grid)
         assert exc.value.diagnostics["residual"] > 10.0 * tol
 
 
-def test_speed_branch_negative_speeds(p1_inf, scfg):
+def test_speed_branch_negative_speeds(p1_inf):
     grid = make_grid(50.0, 512)
-    branch = continue_in_c(p1_inf, -0.08, scfg, grid=grid, store_at=[-0.02, -0.05, -0.08])
+    branch = continue_in_c(p1_inf, [-0.02, -0.05, -0.08], grid=grid)
     assert not branch.diagnostics["truncated"]
     assert branch.parameter_values == [0.0, -0.02, -0.05, -0.08]
     assert all(r <= 1e-9 for r in branch.residuals)
@@ -328,14 +315,14 @@ def test_nonpositive_stabilizing_factor_fails_fast(p1_mu2_4, capfd):
     red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
     guess = -0.05 / np.cosh(grid.x) ** 2
     with pytest.raises(ConvergenceError, match="iterate 0: stabilizing factor S = -") as exc:
-        solvers._solve(red, guess, SolverConfig())
+        solvers._solve(red, guess)
     diag = exc.value.diagnostics
     assert diag["iteration"] == 0 and diag["S"] < 0.0 and np.isfinite(diag["residual"])
     assert capfd.readouterr() == ("", "")
     # a non-finite start is refused the same way, before anything is mixed
     guess = np.full(grid.N, np.nan)
     with pytest.raises(ConvergenceError, match="iterate 0") as exc:
-        solvers._solve(red, guess, SolverConfig())
+        solvers._solve(red, guess)
     assert not np.isfinite(exc.value.diagnostics["residual"])
     assert capfd.readouterr() == ("", "")
 
@@ -349,11 +336,11 @@ def test_reduced_symbol_must_be_positive(p1_inf):
     assert np.min(_Reduced("BO", p1_inf, grid, 0.7).mhat) > 0.0
 
 
-def test_continuation_truncates_where_the_symbol_turns(p1_inf, scfg):
+def test_continuation_truncates_where_the_symbol_turns(p1_inf):
     # the milestone 0.75 lies past the speed where M_c stays positive: the
     # loop bisects back toward the last solved speed and ends there
     grid = make_grid(50.0, 256)
-    branch = continue_in_c(p1_inf, 0.75, scfg, grid=grid, store_at=[0.01, 0.75])
+    branch = continue_in_c(p1_inf, [0.01, 0.75], grid=grid)
     diag = branch.diagnostics
     assert diag["truncated"]
     assert branch.parameter_values == [0.0, 0.01]
@@ -365,20 +352,20 @@ def test_continuation_truncates_where_the_symbol_turns(p1_inf, scfg):
     solved = [step["parameter"] for step in steps if step["accepted"]]
     assert diag["endpoint_estimate"] == solved[-1]
     assert 0.01 <= diag["endpoint_estimate"] < 0.75
-    # the endpoint is resolved to min_step: a failure lies within it
-    assert any(0.0 < step["parameter"] - solved[-1] <= scfg.min_step for step in failed)
+    # the endpoint is resolved to _MIN_STEP: a failure lies within it
+    assert any(0.0 < step["parameter"] - solved[-1] <= solvers._MIN_STEP for step in failed)
 
 
-def test_depth_chain_inner_solves_are_honest(p1_inf, scfg, tmp_path):
+def test_depth_chain_inner_solves_are_honest(p1_inf, tmp_path):
     # the mu2 continuation in 1/sqrt(mu2) on a coarse grid, each milestone
     # solved from the last; the records are read back from the saved branch
     # and each one is what a fresh solve of its milestone reports
     grid = make_grid(50.0, 256)
-    branch = continue_in_mu2(p1_inf, 100.0, scfg, grid=grid, milestones=[400.0, 100.0])
+    branch = continue_in_mu2(p1_inf, [400.0, 100.0], grid=grid)
     save_branch(branch, str(tmp_path))
     loaded = load_branch(str(tmp_path))
     assert not loaded.diagnostics["truncated"]
-    assert max(loaded.residuals) <= scfg.tol_residual
+    assert max(loaded.residuals) <= solvers.TOL_RESIDUAL
     assert loaded.diagnostics == branch.diagnostics
     assert set(branch.diagnostics["start"]) == {"iterations", "exit"}
     steps = loaded.diagnostics["steps"]
@@ -388,24 +375,24 @@ def test_depth_chain_inner_solves_are_honest(p1_inf, scfg, tmp_path):
         assert step["accepted"] and step["exit"] in ("converged", "floor")
         assert 1 <= step["iterations"] <= 25
         red = _Reduced("ILW", replace(p1_inf, mu2=step["parameter"]), grid, 0.0)
-        pair, info = solvers._solve(red, before.nu, scfg)
+        pair, info = solvers._solve(red, before.nu)
         assert (info["iterations"], info["exit"]) == (step["iterations"], step["exit"])
         assert np.array_equal(pair.nu, after.nu)
 
 
 @pytest.mark.parametrize("family, speed", [("BO", 0.0), ("BO", 0.01), ("ILW", 0.0)])
-def test_solve_returns_the_wave_the_continuations_store(p1_inf, scfg, family, speed):
+def test_solve_returns_the_wave_the_continuations_store(p1_inf, family, speed):
     # solve reaches a one-layer wave along the public continuations' path:
     # the same wave bit for bit, its certificate, and the iterations of every
     # accepted solve on the way, from the ground state on
     grid = make_grid(50.0, 256)
     if family == "BO":
         p = p1_inf
-        branch = continue_in_c(p, speed, scfg, grid=grid, store_at=[speed] if speed else [])
+        branch = continue_in_c(p, [speed] if speed else [], grid=grid)
     else:
         p = replace(p1_inf, mu2=25.0)
-        branch = continue_in_mu2(p, 25.0, scfg, grid=grid)
-    pair, info = solve(family, p, speed, scfg, grid=grid)
+        branch = continue_in_mu2(p, [25.0], grid=grid)
+    pair, info = solve(family, p, speed, grid=grid)
     stored = branch.waves[-1]
     assert pair.grid == stored.grid
     assert np.array_equal(pair.nu, stored.nu) and np.array_equal(pair.xi, stored.xi)
@@ -418,16 +405,16 @@ def test_solve_returns_the_wave_the_continuations_store(p1_inf, scfg, family, sp
     assert info["exit"] == solves[-1]["exit"]
 
 
-def test_rejected_continuation_steps_keep_inner_records(p1_inf, scfg, monkeypatch):
+def test_rejected_continuation_steps_keep_inner_records(p1_inf, monkeypatch):
     # one iteration per solve never certifies a wave: every solve is
     # rejected, keeps the error of its solve, and the loop bisects toward
-    # mu2 = inf until min_step; the ground state it starts from is solved
-    # to scfg
+    # mu2 = inf until _MIN_STEP; the ground state it starts from is solved
+    # with the default iteration cap
     grid = make_grid(50.0, 256)
-    start = solvers._bo_start(p1_inf, grid, scfg)
-    monkeypatch.setattr(solvers, "_bo_start", lambda p, grid, cfg: start)
-    one_iter = SolverConfig(tol_residual=scfg.tol_residual, max_iters=1)
-    branch = continue_in_mu2(p1_inf, 400.0, one_iter, grid=grid)
+    start = solvers._bo_start(p1_inf, grid)
+    monkeypatch.setattr(solvers, "_bo_start", lambda p, grid: start)
+    monkeypatch.setattr(solvers, "_MAX_ITERS", 1)
+    branch = continue_in_mu2(p1_inf, [400.0], grid=grid)
     assert branch.diagnostics["truncated"]
     assert branch.diagnostics["sigma_estimate"] == np.inf
     assert branch.diagnostics["start"] == {k: start[1][k] for k in ("iterations", "exit")}
@@ -438,7 +425,7 @@ def test_rejected_continuation_steps_keep_inner_records(p1_inf, scfg, monkeypatc
         assert "no convergence in 1 iterations" in step["error"]
     ts = [1.0 / np.sqrt(step["parameter"]) for step in steps]
     assert ts == pytest.approx([0.05 / 2**i for i in range(len(steps))])
-    assert ts[-1] <= one_iter.min_step < ts[-2]
+    assert ts[-1] <= solvers._MIN_STEP < ts[-2]
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +615,9 @@ def test_one_layer_solve_transform_count(p1_inf, fft_calls):
 
 
 def _fft_calls_per_iteration(fft_calls, monkeypatch, solve):
-    """FFT calls per iteration, averaged over iterations 3 to 9: solve(9)
-    minus solve(2), over 7.  Every one of them is an Anderson-mixed step."""
+    """FFT calls per iteration, averaged over iterations 3 to 9: solve() with
+    an iteration cap of 9 minus with one of 2, over 7, at a tolerance no
+    iterate reaches.  Every one of them is an Anderson-mixed step."""
     mixed = {"n": 0}
     mixing = solvers._anderson_mixing
 
@@ -638,11 +626,13 @@ def _fft_calls_per_iteration(fft_calls, monkeypatch, solve):
         return mixing(*args)
 
     monkeypatch.setattr(solvers, "_anderson_mixing", counted)
+    monkeypatch.setattr(solvers, "TOL_RESIDUAL", 1e-300)
     counts = []
     for iters in (2, 9):
+        monkeypatch.setattr(solvers, "_MAX_ITERS", iters)
         fft_calls["n"] = mixed["n"] = 0
         with pytest.raises(ConvergenceError):
-            solve(SolverConfig(tol_residual=1e-300, max_iters=iters))
+            solve()
         counts.append((fft_calls["n"], mixed["n"]))
     (ffts_2, mixed_2), (ffts_9, mixed_9) = counts
     assert mixed_9 - mixed_2 == 7
@@ -653,21 +643,22 @@ def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, 
     # every iteration: one stacked rfft and one stacked irfft of the
     # equation's rows, and the rfft/irfft pair of M^-1
     grid = make_grid(50.0, 512)
+    # solved before the helper caps the iterations
+    nu0 = solve("BO", p1_inf, 0.0, grid=grid)[0].nu
     per_iter = _fft_calls_per_iteration(
-        fft_calls, monkeypatch, lambda cfg: solve("BO", p1_inf, 0.0, cfg, grid=grid)
+        fft_calls, monkeypatch, lambda: solve("BO", p1_inf, 0.0, grid=grid)
     )
     assert per_iter == 4
 
     # the one-layer equation away from c = 0, from the ground state
-    nu0 = solve("BO", p1_inf, 0.0, grid=grid)[0].nu
     per_iter = _fft_calls_per_iteration(
-        fft_calls, monkeypatch, lambda cfg: solvers._solve(_Reduced("BO", p1_inf, grid, 0.01), nu0, cfg)
+        fft_calls, monkeypatch, lambda: solvers._solve(_Reduced("BO", p1_inf, grid, 0.01), nu0)
     )
     assert per_iter == 4
 
     grid = make_grid(8.0, 512)
     per_iter = _fft_calls_per_iteration(
-        fft_calls, monkeypatch, lambda cfg: solve("BFD_finite", p1_mu2_4, 0.1, cfg, grid=grid)
+        fft_calls, monkeypatch, lambda: solve("BFD_finite", p1_mu2_4, 0.1, grid=grid)
     )
     assert per_iter == 4
 
@@ -720,16 +711,17 @@ def test_petviashvili_guard_refuses_bad_fits():
     assert solvers._anderson_mixing(d_res, np.array([np.nan, 1.0, 0.0])) is None
 
 
-def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo):
+def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo, monkeypatch):
     # started at a converged wave the window's differences are roundoff, or
     # exactly zero for a constant fixed point of M = G = identity
     import warnings
 
-    cfg = SolverConfig(tol_residual=1e-300, max_iters=12)
+    monkeypatch.setattr(solvers, "TOL_RESIDUAL", 1e-300)
+    monkeypatch.setattr(solvers, "_MAX_ITERS", 12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="no convergence in 12") as exc:
-            solvers._solve(_Reduced("BO", p1_inf, grid_bo, 0.0), bo_state["pair"].nu, cfg)
+            solvers._solve(_Reduced("BO", p1_inf, grid_bo, 0.0), bo_state["pair"].nu)
         assert exc.value.diagnostics["residual"] <= 1e-10
         assert abs(exc.value.diagnostics["S"] - 1.0) <= 1e-12
         ones = np.ones(8)
