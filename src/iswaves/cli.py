@@ -143,10 +143,11 @@ def cmd_solve(cfg: dict, out: str) -> int:
     grid = cfgmod.grid_from_config(cfg)
     family, p = _family("solve.family", _require(cfg, "solve.family"), p)
     # the one-layer families travel at solve.speed, BFD at solve.omega
-    if family in ("BO", "ILW"):
-        speed = cfg.get("solve.speed", 0.0)
-    else:
-        speed = _require(cfg, "solve.omega")
+    one_layer = family in ("BO", "ILW")
+    key, other = ("solve.speed", "solve.omega") if one_layer else ("solve.omega", "solve.speed")
+    if other in cfg:
+        raise ConfigError(f"{other} does not apply to {family}; set {key}")
+    speed = cfg.get(key, 0.0) if one_layer else _require(cfg, key)
     pair, info = solve(family, p, speed, grid=grid)
     branch = SolitaryBranch(family, [speed], [pair], [info["full_residual"]])
 

@@ -157,15 +157,8 @@ def grid_from_config(cfg: dict) -> Grid:
 
 
 def resolved_config(cfg: dict) -> dict:
-    """Config as a serializable dict with infinities as the string 'inf'."""
-    out = {}
-    for key in sorted(cfg):
-        v = cfg[key]
-        if isinstance(v, float) and math.isinf(v):
-            out[key] = "inf"
-        else:
-            out[key] = v
-    return out
+    """Config as a serializable dict, keys sorted, values encoded by `sanitize`."""
+    return sanitize({key: cfg[key] for key in sorted(cfg)})
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,9 @@ import os
 
 import numpy as np
 
+from .functionals import energy_tables, hamiltonian_H
 from .params import InadmissibleParameterError, ModelParams, family_params
-from .spectral import Grid, WavePair, pair_to_csv, structure, symbols
+from .spectral import Grid, WavePair, pair_to_csv, structure
 
 INTEGRATORS = ("etdrk4", "imex")
 
@@ -301,8 +302,6 @@ def check_global_criterion(p: ModelParams, initial: WavePair) -> dict:
     else:
         report["degenerate"] = False
 
-    from .functionals import hamiltonian_H
-
     h = hamiltonian_H(p, initial)
     g = p.gamma
     threshold = g**2 * (1.0 - g) * math.sqrt(p.mu * abs(p.c)) / p.epsilon**2
@@ -353,9 +352,9 @@ class _Monitor:
         cols = [w, np.where(np.arange(m) > grid.dealias_cut, w, 0.0), (1.0 + grid.k_half**2) * w]
         self.track_h = track_h
         if track_h:
-            # H's quadratic part, with L at the depth of p
-            sym = symbols(p, grid)
-            cols += [0.5 * (1.0 - p.gamma) * sym.jc * w, 0.5 * sym.L * w]
+            # H's quadratic part: E's diagonal tables at omega = 0
+            a11, _, a22 = energy_tables(p, 0.0, grid)
+            cols += [0.5 * a11 * w, 0.5 * a22 * w]
         # one row per real and per imaginary part of each bin, so that the
         # squared float view of s is summed by a single product
         self.weights = np.repeat(np.column_stack(cols), 2, axis=0)

@@ -4,8 +4,12 @@ The energy and the constraint F = r int xi nu^2 drive the
 constrained-minimization construction of solitary waves; the Hamiltonian is
 the invariant monitored along time evolution.  The quadratic-form check
 certifies positivity of E per frequency, which is the computable content of
-the admissibility window.  All of them read the shared `spectral.symbols`
-tables.
+the admissibility window.  E's quadratic form A is stated once:
+`energy_tables` reads its three half-spectrum tables from the BFD tables of
+`spectral.structure`, and `energy_gradient` applies A to a stacked (xi, nu)
+pair, which is grad E, with one rfft/irfft pair.  E, H, the positivity
+check, the evolution monitor and `solvers.constrained_minimize` all read
+these two.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
-from .spectral import Grid, WavePair, apply_table, symbols
+from .spectral import Grid, WavePair, structure
 
 
 @dataclass(frozen=True)
@@ -23,7 +27,7 @@ class QuadraticFormReport:
     """Per-frequency positivity analysis of the quadratic part of E.
 
     min_eigen_by_freq[j] is the smaller of the two split symbols
-    (1-gamma) J_c(k_j) - |omega| J_b(k_j)  and  L(k_j) - |omega| J_b(k_j),
+    (1-gamma) J_c(k_j) - |omega J_b(k_j)|  and  L(k_j) - |omega J_b(k_j)|,
     the diagonal comparison obtained from the Young split of the cross term.
     This split is what makes the speed window sharp in the min{1, |c|/b}
     direction; the raw 2x2 eigenvalue bound is strictly weaker there.
@@ -37,18 +41,39 @@ class QuadraticFormReport:
 
 
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
-    """Discrete L2 inner product with the exact periodic quadrature weight dx."""
-    return float(grid.dx * np.dot(u, v))
+    """Discrete L2 inner product with the exact periodic quadrature weight dx,
+    of two fields or of two stacked (2, N) pairs."""
+    return float(grid.dx * np.vdot(u, v))
+
+
+def energy_tables(p: ModelParams, omega: float, grid: Grid) -> tuple[np.ndarray, ...]:
+    """(A11, A12, A22), the half-spectrum tables of the symbol matrix
+
+        A(k) = [[(1-gamma) J_c, -omega J_b], [-omega J_b, L]]
+
+    of E's quadratic form, at the depth of p: E = 1/2 <x, A x> for the pair
+    x = (xi, nu).  They are the BFD tables (S2, -omega T1, S1) of `structure`,
+    so E - K F has the BFD travelling-wave system at c = omega as its
+    Euler-Lagrange equations when b = d."""
+    family = "BFD_finite" if p.finite_depth else "BFD_inf"
+    _, _, (t1, s1, _, s2) = structure(family, p, grid)
+    return s2, -omega * t1, s1
+
+
+def energy_gradient(tables: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """grad E = A x of a stacked (2, N) pair x, by one rfft/irfft pair;
+    tables are the `energy_tables`."""
+    a11, a12, a22 = tables
+    f = np.fft.rfft(x, axis=-1)
+    ax = np.stack([a11 * f[0] + a12 * f[1], a12 * f[0] + a22 * f[1]])
+    return np.fft.irfft(ax, n=x.shape[-1], axis=-1)
 
 
 def energy_E(p: ModelParams, omega: float, w: WavePair) -> float:
-    """E(xi, nu) = int (1-gamma)/2 xi J_c xi + 1/2 nu L nu - omega xi J_b nu."""
-    grid = w.grid
-    sym = symbols(p, grid)
-    quad = 0.5 * (1.0 - p.gamma) * inner(grid, w.xi, apply_table(sym.jc, w.xi))
-    quad += 0.5 * inner(grid, w.nu, apply_table(sym.L, w.nu))
-    quad -= omega * inner(grid, w.xi, apply_table(sym.jb, w.nu))
-    return quad
+    """E(xi, nu) = int (1-gamma)/2 xi J_c xi + 1/2 nu L nu - omega xi J_b nu,
+    that is 1/2 <x, A x>."""
+    x = np.stack([w.xi, w.nu])
+    return 0.5 * inner(w.grid, x, energy_gradient(energy_tables(p, omega, w.grid), x))
 
 
 def hamiltonian_H(p: ModelParams, state: WavePair) -> float:
@@ -68,17 +93,14 @@ def hamiltonian_H(p: ModelParams, state: WavePair) -> float:
 def quadratic_form_check(p: ModelParams, omega: float, grid: Grid) -> QuadraticFormReport:
     """Frequency-wise positivity of the quadratic part of E.
 
-    Uses the sharp diagonal split: both (1-gamma)J_c - |omega|J_b and
-    L - |omega|J_b must stay positive.  The coercivity constant is
-    min_k min_eigen(k)/(1 + k^2), certifying E >= C/2 ||(xi,nu)||_{1x1}^2.
-    The symbols are even, so the half-spectrum values are mirrored onto the
-    full frequency set.
+    Uses the sharp diagonal split: both A11 - |A12| and A22 - |A12| must stay
+    positive.  The coercivity constant is min_k min_eigen(k)/(1 + k^2),
+    certifying E >= C/2 ||(xi,nu)||_{1x1}^2.  The symbols are even, so the
+    half-spectrum values are mirrored onto the full frequency set.
     """
-    sym = symbols(p, grid)
-    w = abs(omega)
-    m1 = (1.0 - p.gamma) * sym.jc - w * sym.jb
-    m2 = sym.L - w * sym.jb
-    half = np.minimum(m1, m2)
+    a11, a12, a22 = energy_tables(p, omega, grid)
+    cross = np.abs(a12)
+    half = np.minimum(a11 - cross, a22 - cross)
     min_eigen = np.concatenate([half, half[-2:0:-1]])
     global_min = float(np.min(half))
     coercivity = float(np.min(half / (1.0 + grid.k_half**2)))

@@ -159,6 +159,12 @@ def compute_speed_window(p: ModelParams) -> float:
     return (1.0 - p.gamma) * min(1.0, abs(p.c) / p.b)
 
 
+def _beta0_tilde(p: ModelParams, omega: float) -> float:
+    """beta0_tilde = -[b|omega| + (a - 1/gamma^2)/gamma], the x^2 coefficient
+    of f over mu."""
+    return -(p.b * abs(omega) + (p.a - 1.0 / p.gamma**2) / p.gamma)
+
+
 def compute_f_min(p: ModelParams, omega: float) -> tuple[float, float, float]:
     """Minimum of the dispersion symbol f over x >= 0, with its location.
 
@@ -167,7 +173,7 @@ def compute_f_min(p: ModelParams, omega: float) -> tuple[float, float, float]:
     (f_min, x0, beta0_tilde) with x0 the minimizing frequency.
     """
     g = p.gamma
-    beta0_tilde = -(p.b * abs(omega) + (p.a - 1.0 / g**2) / g)
+    beta0_tilde = _beta0_tilde(p, omega)
     if beta0_tilde <= 0.0:
         raise InadmissibleParameterError(
             f"beta0_tilde = {beta0_tilde:.6g} <= 0: symbol unbounded below"
@@ -181,8 +187,8 @@ def symbol_f(p: ModelParams, omega: float, x) -> np.ndarray:
     """The quadratic-in-x lower bound symbol f(x) whose minimum is f_min."""
     g = p.gamma
     x = np.abs(np.asarray(x, dtype=float))
-    beta0_tilde = -(p.b * abs(omega) + (p.a - 1.0 / g**2) / g)
-    return (1.0 / g - abs(omega)) - math.sqrt(p.mu) / g**2 * x + p.mu * beta0_tilde * x**2
+    quad = p.mu * _beta0_tilde(p, omega)
+    return (1.0 / g - abs(omega)) - math.sqrt(p.mu) / g**2 * x + quad * x**2
 
 
 def compute_mu2_threshold(p: ModelParams, omega: float) -> float:
@@ -294,11 +300,10 @@ def admissibility_report(p: ModelParams, omega: float) -> AdmissibilityReport:
     """Assemble the full admissibility report for (p, omega)."""
     violations = list(validate_bfd_params(p))
     speed_bound = compute_speed_window(p) if p.b > 0.0 else 0.0
+    beta0_tilde = _beta0_tilde(p, omega)
     try:
-        f_min, _, beta0_tilde = compute_f_min(p, omega)
+        f_min = compute_f_min(p, omega)[0]
     except InadmissibleParameterError:
-        g = p.gamma
-        beta0_tilde = -(p.b * abs(omega) + (p.a - 1.0 / g**2) / g)
         f_min = -math.inf
         violations.append("symbol unbounded below")
     if f_min > 0.0:

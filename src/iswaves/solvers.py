@@ -31,7 +31,10 @@ it stops halving for _STALL_ITERS iterations within 10 TOL_RESIDUAL (exit
 "floor", the spectral roundoff floor).  One continuation loop
 (`_continuation`) marches branches in the speed c and in the depth parameter
 mu2, each milestone warm-started from the last wave solved.  Constrained
-minimization of the energy on {F = lambda} is an independent path.
+minimization of the energy on {F = lambda} is an independent path
+(`constrained_minimize`): E's quadratic form A (`functionals`) is its
+metric, so an iteration makes one metric solve of grad F and one
+application of A per trial step, a stacked rfft/irfft pair each.
 
 Certification.  Every returned wave carries the direct-substitution residual
 of its two-field system (`residual_norm`, through `_System`), code the
@@ -80,7 +83,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .functionals import energy_E
+from .functionals import energy_gradient, energy_tables, inner
 from .params import ModelParams, family_params
 from .spectral import (
     Grid,
@@ -89,7 +92,6 @@ from .spectral import (
     make_grid,
     pair_from_csv,
     structure,
-    symbols,
     symmetrize_even as _even,
 )
 
@@ -628,117 +630,90 @@ _GRADIENT_TOL = 1e-8
 def constrained_minimize(p: ModelParams, omega: float, lam: float, grid: Grid):
     """Minimize E on {F = lambda} by metric-preconditioned projected descent.
 
-    The descent direction is the A^{-1}-gradient of E (A the per-frequency
-    symbol matrix of the quadratic part) projected to be tangent to the
-    constraint; after each trial step the iterate is rescaled by
-    (lambda/F)^{1/3}, which restores F = lambda exactly by cubic
-    homogeneity.  The Lagrange multiplier K is extracted from the
-    stationarity relation grad E = K grad F by least squares.
+    The metric is A, the symbol matrix of E's quadratic form
+    (`energy_tables`), so the A^{-1}-gradient of E = 1/2 <x, A x> is the
+    iterate x itself; the descent direction is x less its multiple of
+    A^{-1} grad F that makes it tangent to the constraint.  After each trial
+    step the iterate is rescaled by (lambda/F)^{1/3}, which restores
+    F = lambda exactly by cubic homogeneity.  The step delta is accepted when
+    the exact change of E, <A x, delta> + 1/2 <delta, A delta>, is negative:
+    a comparison of two values of E cannot see a decrease below eps |E|.
+    The Lagrange multiplier K is extracted from the stationarity relation
+    grad E = K grad F by least squares.
 
     Returns (pair, K, info); info carries the gradient norm, iteration
     count, and the relative least-squares misfit of the multiplier relation.
     """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
-    sym = symbols(p, grid)
-    jb, jc, lt = sym.jb, sym.jc, sym.L
-    og = 1.0 - p.gamma
-    r = p.r
-    n = grid.N
-    dx = grid.dx
-
-    a11 = og * jc
-    a12 = -omega * jb
-    a22 = lt
+    tables = energy_tables(p, omega, grid)
+    a11, a12, a22 = tables
     det = a11 * a22 - a12 * a12
     if np.min(det) <= 0.0:
         raise ConvergenceError("quadratic form is not positive definite; inadmissible (p, omega)")
+    r = p.r
 
-    def metric_inverse(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f1 = np.fft.rfft(g1)
-        f2 = np.fft.rfft(g2)
-        o1 = np.fft.irfft((a22 * f1 - a12 * f2) / det, n=n)
-        o2 = np.fft.irfft((a11 * f2 - a12 * f1) / det, n=n)
-        return o1, o2
+    def metric_inverse(g: np.ndarray) -> np.ndarray:
+        f = np.fft.rfft(g, axis=-1)
+        out = np.stack([a22 * f[0] - a12 * f[1], a11 * f[1] - a12 * f[0]]) / det
+        return np.fft.irfft(out, n=grid.N, axis=-1)
 
-    def e_val(xi: np.ndarray, nu: np.ndarray) -> float:
-        return energy_E(p, omega, WavePair(grid=grid, xi=xi, nu=nu))
+    def f_val(x: np.ndarray) -> float:
+        return r * inner(grid, x[0], x[1] * x[1])
 
-    def f_val(xi: np.ndarray, nu: np.ndarray) -> float:
-        return float(r * dx * np.dot(xi, nu * nu))
+    def grad_f(x: np.ndarray) -> np.ndarray:
+        return np.stack([r * x[1] * x[1], 2.0 * r * x[0] * x[1]])
 
-    def grad_e(xi: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ge1 = og * apply_table(jc, xi) - omega * apply_table(jb, nu)
-        ge2 = apply_table(lt, nu) - omega * apply_table(jb, xi)
-        return ge1, ge2
-
-    def grad_f(xi: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return r * nu * nu, 2.0 * r * xi * nu
-
-    def rescale(xi: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fv = f_val(xi, nu)
+    def rescale(x: np.ndarray) -> np.ndarray:
+        fv = f_val(x)
         if fv <= 0.0:
             raise ConvergenceError("constraint value became non-positive during descent")
-        s = (lam / fv) ** (1.0 / 3.0)
-        return s * xi, s * nu
+        return (lam / fv) ** (1.0 / 3.0) * x
 
-    x = grid.x
-    bump = 1.0 / np.cosh(x / 2.0) ** 2 if np.max(np.abs(x)) < 100 else 1.0 / (1.0 + x * x)
-    nu = bump.copy()
-    xi = 0.5 * bump**2
-    xi, nu = rescale(_even(xi), _even(nu))
+    xs = grid.x
+    bump = 1.0 / np.cosh(xs / 2.0) ** 2 if np.max(np.abs(xs)) < 100 else 1.0 / (1.0 + xs * xs)
+    x = rescale(_even(np.stack([0.5 * bump**2, bump])))
+    ax = energy_gradient(tables, x)
 
     tau = 1.0
-    e_cur = e_val(xi, nu)
     gnorm = math.inf
     it_done = 0
     for it in range(_MAX_ITERS):
-        ge1, ge2 = grad_e(xi, nu)
-        gf1, gf2 = grad_f(xi, nu)
-        u1, u2 = metric_inverse(ge1, ge2)
-        w1, w2 = metric_inverse(gf1, gf2)
-        denom = dx * (np.dot(gf1, w1) + np.dot(gf2, w2))
-        beta_coef = dx * (np.dot(gf1, u1) + np.dot(gf2, u2)) / denom
-        d1 = u1 - beta_coef * w1
-        d2 = u2 - beta_coef * w2
-        gnorm = math.sqrt(dx * (np.dot(d1, d1) + np.dot(d2, d2)))
+        gf = grad_f(x)
+        w = metric_inverse(gf)
+        d = x - np.vdot(gf, x) / np.vdot(gf, w) * w
+        gnorm = math.sqrt(inner(grid, d, d))
         it_done = it + 1
         if gnorm <= _GRADIENT_TOL:
             break
         tau_try = min(1.0, tau * 1.5)
         accepted = False
         while tau_try > 1e-8:
-            xt = _even(xi - tau_try * d1)
-            nt = _even(nu - tau_try * d2)
-            xt, nt = rescale(xt, nt)
-            e_new = e_val(xt, nt)
-            if e_new < e_cur:
-                xi, nu, e_cur, tau = xt, nt, e_new, tau_try
+            xt = rescale(_even(x - tau_try * d))
+            delta = xt - x
+            a_delta = energy_gradient(tables, delta)
+            if np.vdot(ax, delta) + 0.5 * np.vdot(delta, a_delta) < 0.0:
+                x, ax, tau = xt, ax + a_delta, tau_try
                 accepted = True
                 break
             tau_try *= 0.5
         if not accepted:
             break
 
-    ge1, ge2 = grad_e(xi, nu)
-    gf1, gf2 = grad_f(xi, nu)
-    num = dx * (np.dot(ge1, gf1) + np.dot(ge2, gf2))
-    den = dx * (np.dot(gf1, gf1) + np.dot(gf2, gf2))
-    k_mult = num / den
-    mis1 = ge1 - k_mult * gf1
-    mis2 = ge2 - k_mult * gf2
-    mis = math.sqrt(dx * (np.dot(mis1, mis1) + np.dot(mis2, mis2)))
-    scale = math.sqrt(dx * (np.dot(ge1, ge1) + np.dot(ge2, ge2)))
+    ax = energy_gradient(tables, x)
+    gf = grad_f(x)
+    k_mult = np.vdot(ax, gf) / np.vdot(gf, gf)
+    mis = ax - k_mult * gf
     info = {
         "iterations": it_done,
         "gradient_norm": gnorm,
-        "energy": e_cur,
-        "constraint": f_val(xi, nu),
-        "lagrange_misfit_rel": mis / max(scale, 1e-300),
+        "energy": 0.5 * inner(grid, x, ax),
+        "constraint": f_val(x),
+        "lagrange_misfit_rel": float(np.linalg.norm(mis) / max(np.linalg.norm(ax), 1e-300)),
     }
     if gnorm > _GRADIENT_TOL:
         info["stalled"] = True
-    pair = WavePair(grid=grid, xi=xi, nu=nu)
+    pair = WavePair(grid=grid, xi=x[0], nu=x[1])
     return pair, float(k_mult), info
 
 

@@ -7,7 +7,6 @@ plain pytest run of this file doubles as the release checklist.
 import math
 
 import numpy as np
-import pytest
 from scipy.optimize import minimize_scalar
 
 from iswaves.cli import main

@@ -206,3 +206,32 @@ def test_no_option_is_always_passed_as_one_constant():
     assert constant == [], (
         f"defaulted parameters or fields every caller passes as one literal: {constant}"
     )
+
+
+def _unused_imports(path: Path) -> list:
+    """'file:line name' of each name a module imports and never reads; a
+    name listed in the module's __all__ is read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts}
+    rel = path.relative_to(ROOT)
+    return [f"{rel}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # the project runs no linter, so this is its one check for dead imports
+    paths = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert unused == [], f"imported and never read: {unused}"

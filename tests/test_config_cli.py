@@ -114,6 +114,11 @@ def test_resolved_config_and_sanitize():
     resolved = resolved_config({"params.mu2": math.inf, "grid.N": 256})
     assert resolved["params.mu2"] == "inf"
     assert resolved["grid.N"] == 256
+    # one inf/nan encoding, that of sanitize: -inf is "-inf", not "inf"
+    cfg = {"z": -math.inf, "b": math.inf, "n": math.nan, "f": 0.5, "s": "x"}
+    resolved = resolved_config(cfg)
+    assert resolved == sanitize(cfg) and list(resolved) == sorted(cfg)
+    assert resolved["z"] == "-inf" and resolved["n"] == "nan"
 
     out = sanitize(
         {
@@ -158,6 +163,13 @@ def test_cli_validate_pass_and_fail(p1_cfg, tmp_path, capsys):
     report = json.loads((tmp_path / "bad" / "admissibility.json").read_text())
     assert report["admissible"] is False
     assert any("speed" in v for v in report["violations"])
+
+    code = main([
+        "validate", "--config", p1_cfg, "--out", bad, "--set", "validate.omega=-inf",
+    ])
+    assert code == 1
+    report = json.loads((tmp_path / "bad" / "admissibility.json").read_text())
+    assert report["config"]["validate.omega"] == "-inf"
 
 
 def test_cli_config_error_exits_2(p1_cfg, tmp_path, capsys):
@@ -319,6 +331,27 @@ def test_cli_solve_reports_work_counts(p1_cfg, tmp_path, sets, keys):
     assert set(work) == {"iterations", "exit"} | keys
     assert isinstance(work["iterations"], int) and work["iterations"] >= 1
     assert work["exit"] in ("converged", "floor")
+
+
+@pytest.mark.parametrize(
+    "family, key, read",
+    [
+        ("BFD_finite", "solve.speed", "solve.omega"),
+        ("BFD_inf", "solve.speed", "solve.omega"),
+        ("BO", "solve.omega", "solve.speed"),
+        ("ILW", "solve.omega", "solve.speed"),
+    ],
+)
+def test_cli_solve_refuses_the_speed_key_its_family_does_not_read(
+    p1_cfg, tmp_path, capsys, family, key, read
+):
+    args = ["solve", "--config", p1_cfg, "--out", str(tmp_path), "--set", "grid.N=256"]
+    for s in ("grid.L=8", f"solve.family={family}", f"{key}=0.3"):
+        args += ["--set", s]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} does not apply to {family}; set {read}\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_solve_outside_the_speed_window_exits_1(p1_cfg, tmp_path, capsys):

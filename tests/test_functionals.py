@@ -5,6 +5,8 @@ import pytest
 
 from iswaves.functionals import (
     energy_E,
+    energy_gradient,
+    energy_tables,
     hamiltonian_H,
     inner,
     quadratic_form_check,
@@ -12,8 +14,6 @@ from iswaves.functionals import (
 from iswaves.params import ModelParams
 from iswaves.solvers import constrained_minimize
 from iswaves.spectral import WavePair, make_grid, symbols
-
-from conftest import P1_KW
 
 
 def _random_band_limited_pair(grid, rng):
@@ -62,6 +62,32 @@ def test_energy_physical_equals_spectral(p1_mu2_4):
         a = energy_E(p1_mu2_4, 0.1, w)
         b = energy_E_spectral(p1_mu2_4, 0.1, w)
         assert a == pytest.approx(b, rel=1e-11)
+
+
+@pytest.mark.parametrize("depth", ["p1_mu2_4", "p1_inf"])
+def test_energy_gradient_matches_finite_differences(request, depth):
+    # E is quadratic, so the central difference along v is <grad E, v> up to
+    # roundoff, and the second difference is h^2 <v, A v>
+    p = request.getfixturevalue(depth)
+    g = make_grid(20.0, 256)
+    rng = np.random.default_rng(3)
+    h = 1e-3
+    for omega in (0.1, -0.05):
+        tables = energy_tables(p, omega, g)
+        w = _random_band_limited_pair(g, rng)
+        x = np.stack([w.xi, w.nu])
+        grad = energy_gradient(tables, x)
+        for _ in range(3):
+            dv = _random_band_limited_pair(g, rng)
+            v = np.stack([dv.xi, dv.nu])
+            e_plus, e_mid, e_minus = (
+                energy_E(p, omega, WavePair(grid=g, xi=y[0], nu=y[1]))
+                for y in (x + h * v, x, x - h * v)
+            )
+            assert (e_plus - e_minus) / (2.0 * h) == pytest.approx(inner(g, grad, v), rel=1e-9)
+            assert (e_plus - 2.0 * e_mid + e_minus) / h**2 == pytest.approx(
+                inner(g, v, energy_gradient(tables, v)), rel=1e-6
+            )
 
 
 def test_energy_nonnegative_for_admissible_speed(p1_mu2_4, p1_inf):

@@ -3,7 +3,6 @@
 import math
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
@@ -24,7 +23,7 @@ from iswaves.params import (
     validate_bfd_params,
 )
 
-from conftest import P1_KW, SHARP_KW
+from conftest import P1_KW
 
 
 def test_derived_coefficient_and_depth_flag(p1_mu2_4, p1_inf):

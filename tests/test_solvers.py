@@ -224,6 +224,16 @@ def test_constrained_minimizer_agrees_with_reduced(variational):
     assert rel < 1e-4
 
 
+def test_constrained_minimizer_transform_count(p1_mu2_4, fft_calls):
+    # an iteration makes the metric solve of grad F and one A delta per
+    # trial step, a stacked rfft/irfft pair each; the start and the end make
+    # one A x each
+    grid = make_grid(200.0, 2048)
+    fft_calls["n"] = 0
+    _, _, info = solvers.constrained_minimize(p1_mu2_4, 0.1, 1.0, grid)
+    assert fft_calls["n"] <= 6 * info["iterations"]
+
+
 def test_branch_save_load_roundtrip(tmp_path, ilw_chain):
     outdir = tmp_path / "branch"
     save_branch(ilw_chain, str(outdir), config={"note": "roundtrip"})
