@@ -108,9 +108,14 @@ def _solves(branch: SolitaryBranch) -> list[dict]:
 
 
 def _work(solves: list[dict]) -> dict:
-    """report.json's work counts: the iterations of the accepted solves and
-    the exit of the last one."""
-    return {"iterations": sum(s["iterations"] for s in solves), "exit": solves[-1]["exit"]}
+    """report.json's work counts: the iterations and the mixing restarts
+    (refused Anderson fits) of the accepted solves, and the exit of the last
+    one."""
+    return {
+        "iterations": sum(s["iterations"] for s in solves),
+        "mixing_restarts": sum(s["mixing_restarts"] for s in solves),
+        "exit": solves[-1]["exit"],
+    }
 
 
 def _outdir(args) -> str:

@@ -6,8 +6,8 @@ solved directly from a sech^2 bump; a BO wave starts from the ground state
 at c = 0 and an ILW wave from the same ground state continued in depth to
 its own mu2 (the path of `continue_in_mu2`), and either is then continued
 in speed to c != 0 (the path of `continue_in_c`).  It returns the wave and
-the record of its last solve, whose iterations count every accepted solve
-on the way.
+the record of its last solve, whose iterations and mixing restarts count
+every accepted solve on the way.
 
 One scalar equation serves every travelling wave.  Every family's system
 is stated once, by the tables (T1, S1, T2, S2) of `spectral.structure`: a
@@ -45,10 +45,17 @@ Accelerated Petviashvili.  The fixed point converges only linearly, so
 `_petviashvili` mixes its iterates (Anderson type II over the last
 _ANDERSON_DEPTH differences; Walker & Ni, SIAM J. Numer. Anal. 49 (2011)):
 each plain iterate is replaced by the least-squares combination of the
-window's images.  The combination is taken in physical space and costs no
-transform, and every yielded residual is the true residual M nu - G(nu) of
-the yielded iterate.  A fit that fails, is not finite or has a coefficient
-above _MAX_MIXING keeps the plain iterate and restarts the window.  Against
+window's images.  The window keeps its residual and image differences in
+two preallocated rings of _ANDERSON_DEPTH rows, one new row each per
+iteration (`_AndersonWindow`), and the fit solves the k x k normal equations
+(k <= _ANDERSON_DEPTH) of one Gram product, so a mixing step costs O(k N)
+and allocates no window-sized array.  The combination is taken in physical
+space and costs no transform, and every yielded residual is the true
+residual M nu - G(nu) of the yielded iterate.  A fit that is singular, is
+not finite or has a coefficient above _MAX_MIXING keeps the plain iterate
+and restarts the window; the normal equations square the window's
+condition number, so an ill-conditioned fit restarts too, and every solve
+records its restarts (mixing_restarts).  Against
 cycling minimal polynomial and reduced rank extrapolation (windows 3 to 8;
 Sidi 2017) it reached the same certified residuals with the fewest
 transforms.  With the mixing, the exponents q = 3/2 and 2 take the same
@@ -82,6 +89,7 @@ from dataclasses import dataclass, field, replace
 from itertools import count, islice
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .functionals import energy_gradient, energy_tables, inner
 from .params import ModelParams, family_params
@@ -251,10 +259,14 @@ _STALL_ITERS = 12
 
 
 def _anderson_mixing(d_res: np.ndarray, res: np.ndarray) -> np.ndarray | None:
-    """The coefficients theta minimizing ||res - theta d_res||, or None when
-    they are not finite or exceed _MAX_MIXING."""
+    """The coefficients theta minimizing ||res - theta d_res||, from the
+    normal equations (d_res d_res^T) theta = d_res res, or None when they are
+    singular, not finite or exceed _MAX_MIXING."""
+    # the Gram product by dgemm: numpy takes d_res @ d_res.T to syrk, which
+    # is about 4 times slower at k <= 5 rows of N >= 1024
+    gram = dgemm(1.0, d_res.T, d_res.T, trans_a=True)
     try:
-        theta = np.linalg.lstsq(d_res.T, res, rcond=None)[0]
+        theta = np.linalg.solve(gram, d_res @ res)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > _MAX_MIXING:
@@ -262,7 +274,47 @@ def _anderson_mixing(d_res: np.ndarray, res: np.ndarray) -> np.ndarray | None:
     return theta
 
 
-def _petviashvili(evaluate, inv_m: np.ndarray, nu: np.ndarray, q: float, dx: float):
+class _AndersonWindow:
+    """The mixing window of `_petviashvili`: the differences of consecutive
+    fixed-point residuals F(nu) - nu and of consecutive images F over the last
+    _ANDERSON_DEPTH + 1 iterates, kept in two (_ANDERSON_DEPTH, N) rings that
+    take one new row per iteration.  restarts counts the refused fits."""
+
+    def __init__(self, n: int):
+        self._d_res = np.empty((_ANDERSON_DEPTH, n))
+        self._d_img = np.empty((_ANDERSON_DEPTH, n))
+        # the newest iterate's residual, and the buffer of the next one
+        self._res, self._spare = np.empty(n), np.empty(n)
+        self._img = None  # the newest iterate's image; None in an empty window
+        self._rows = self._head = 0
+        self.restarts = 0
+
+    def mix(self, nu: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The iterate that follows nu, whose plain image is f: the mixed
+        iterate, or f itself when the window held only nu or the fit was
+        refused (which empties the window)."""
+        res = np.subtract(f, nu, out=self._spare)
+        mixed = f
+        if self._img is not None:
+            head = self._head
+            np.subtract(res, self._res, out=self._d_res[head])
+            np.subtract(f, self._img, out=self._d_img[head])
+            self._head = (head + 1) % _ANDERSON_DEPTH
+            self._rows = min(self._rows + 1, _ANDERSON_DEPTH)
+            theta = _anderson_mixing(self._d_res[: self._rows], res)
+            if theta is None:
+                self.restarts += 1
+                self._img, self._rows, self._head = None, 0, 0
+                return f
+            mixed = _even(f - theta @ self._d_img[: self._rows])
+        self._img = f
+        self._res, self._spare = res, self._res
+        return mixed
+
+
+def _petviashvili(
+    evaluate, inv_m: np.ndarray, nu: np.ndarray, q: float, dx: float, window=None
+):
     """Anderson-accelerated Petviashvili iterates of M nu = G(nu), G
     homogeneous of degree > 1 or a sum of such terms.
 
@@ -273,24 +325,31 @@ def _petviashvili(evaluate, inv_m: np.ndarray, nu: np.ndarray, q: float, dx: flo
     the window of past iterates, with theta the least-squares fit of the
     newest fixed-point residual F(nu_k) - nu_k by the window's residual
     differences; the result is projected onto the even subspace.  The
+    window (`_AndersonWindow`) keeps those differences in two preallocated
+    rings of _ANDERSON_DEPTH rows, one row each written per iteration, and
+    theta solves the k x k normal equations of the fit (k <= _ANDERSON_DEPTH),
+    so a mixing step costs O(k N) and allocates no window-sized array.  The
     combination is taken in physical space, so it costs no transform: an
     iteration makes the transforms of one M^{-1} and one evaluate, as the
-    plain iteration does.  Guard: a fit that fails, is not finite or has a
-    coefficient above _MAX_MIXING keeps the plain iterate and restarts the
-    window from it.  An iterate whose S is not positive and finite, or whose
-    residual is not finite, raises a ConvergenceError carrying the iterate's
-    index (0 for the start), S and residual, before anything is mixed.
+    plain iteration does.  Guard: a fit that is singular, is not finite or
+    has a coefficient above _MAX_MIXING keeps the plain iterate and restarts
+    the window from it; the normal equations square the window's condition
+    number, so an ill-conditioned fit ends there too.  An iterate whose S is
+    not positive and finite, or whose residual is not finite, raises a
+    ConvergenceError carrying the iterate's index (0 for the start), S and
+    residual, before anything is mixed.
 
     evaluate(nu) returns (M nu, G(nu)); its value at one iterate gives both
     that iterate's residual and the next iteration.  Yields (nu, S, ||M nu -
     G(nu)||_inf) after every iteration, S of the iterate the step started
     from; the residual is always that of the yielded nu, so the caller's
-    stopping rule reads a true residual.
+    stopping rule reads a true residual.  window, when given, is the empty
+    `_AndersonWindow` to mix in, whose restarts the caller reads.
     """
+    if window is None:
+        window = _AndersonWindow(nu.size)
     m_nu, g_nu = evaluate(nu)
     res = float(np.max(np.abs(m_nu - g_nu)))
-    xs: list[np.ndarray] = []  # the window's iterates ...
-    fs: list[np.ndarray] = []  # ... and their plain images F
     for it in count():
         den = dx * np.dot(nu, g_nu)
         if den == 0.0:
@@ -302,18 +361,7 @@ def _petviashvili(evaluate, inv_m: np.ndarray, nu: np.ndarray, q: float, dx: flo
                 f"residual {res:.3e}",
                 {"iteration": it, "S": float(s_val), "residual": res},
             )
-        f = _even(s_val**q * apply_table(inv_m, g_nu))
-        xs = xs[-_ANDERSON_DEPTH:] + [nu]
-        fs = fs[-_ANDERSON_DEPTH:] + [f]
-        nu = f
-        if len(xs) > 1:
-            images = np.array(fs)
-            res_k = images - np.array(xs)
-            theta = _anderson_mixing(np.diff(res_k, axis=0), res_k[-1])
-            if theta is None:
-                xs, fs = [], []
-            else:
-                nu = _even(f - theta @ np.diff(images, axis=0))
+        nu = window.mix(nu, _even(s_val**q * apply_table(inv_m, g_nu)))
         m_nu, g_nu = evaluate(nu)
         res = float(np.max(np.abs(m_nu - g_nu)))
         yield nu, s_val, res
@@ -321,7 +369,9 @@ def _petviashvili(evaluate, inv_m: np.ndarray, nu: np.ndarray, q: float, dx: flo
 
 def _solve(red: _Reduced, nu: np.ndarray) -> tuple[WavePair, dict]:
     """The wave of red's equation reached by `_petviashvili` from nu, and its
-    record {iterations, exit, residual, S_minus_1, full_residual}.
+    record {iterations, exit, residual, S_minus_1, full_residual,
+    mixing_restarts}: mixing_restarts counts the refused Anderson fits (window
+    restarts) of the iterations taken.
 
     Stop rule: the reduced residual reaches TOL_RESIDUAL (exit "converged"),
     or it has not halved the smallest residual so far for _STALL_ITERS
@@ -333,7 +383,8 @@ def _solve(red: _Reduced, nu: np.ndarray) -> tuple[WavePair, dict]:
     best_res, best_nu, best_s = math.inf, nu, math.nan
     stalled = iterations = 0
     exit_reason = None
-    iterates = _petviashvili(red.evaluate, 1.0 / red.mhat, nu, _EXPONENT, red.grid.dx)
+    window = _AndersonWindow(nu.size)
+    iterates = _petviashvili(red.evaluate, 1.0 / red.mhat, nu, _EXPONENT, red.grid.dx, window)
     for iterations, (nu, s_val, res) in enumerate(islice(iterates, _MAX_ITERS), 1):
         stalled = 0 if res <= 0.5 * best_res else stalled + 1
         if res < best_res:
@@ -369,6 +420,7 @@ def _solve(red: _Reduced, nu: np.ndarray) -> tuple[WavePair, dict]:
         "residual": best_res,
         "S_minus_1": best_s - 1.0,
         "full_residual": full_res,
+        "mixing_restarts": window.restarts,
     }
 
 
@@ -417,9 +469,10 @@ def _continuation(
     _MIN_STEP of the last solved t truncates the branch and stores label(t)
     of that wave under truncation_key.  A speed at which M is not positive
     is such a failure.  Every solve leaves a record in diagnostics["steps"]:
-    its parameter label(t), whether it was accepted, and its iterations and
-    exit or its error.  Returns the t of every stored wave, the waves, their
-    `_solve` records and the diagnostics.
+    its parameter label(t), whether it was accepted, and its iterations,
+    exit and mixing restarts (`_work_record`) or its error.  Returns the t
+    of every stored wave, the waves, their `_solve` records and the
+    diagnostics.
     """
     current, current_info = start
     current_t = 0.0
@@ -443,12 +496,7 @@ def _continuation(
                 t_try = 0.5 * (current_t + t_try)
                 continue
             diagnostics["steps"].append(
-                {
-                    "parameter": label(t_try),
-                    "accepted": True,
-                    "iterations": info["iterations"],
-                    "exit": info["exit"],
-                }
+                {"parameter": label(t_try), "accepted": True} | _work_record(info)
             )
             current, current_t, current_info = pair, t_try, info
             t_try = target
@@ -499,9 +547,11 @@ def _depth_leg(p: ModelParams, start: tuple[WavePair, dict], milestones: list[fl
     )
 
 
-def _start_record(info: dict) -> dict:
-    """The diagnostics entry of a branch's ground state."""
-    return {"start": {k: info[k] for k in ("iterations", "exit")}}
+def _work_record(info: dict) -> dict:
+    """What branch diagnostics keep of a `_solve` record, for the ground
+    state under "start" and for each accepted step: its iterations, exit
+    and mixing restarts."""
+    return {k: info[k] for k in ("iterations", "exit", "mixing_restarts")}
 
 
 def continue_in_c(p: ModelParams, speeds: list[float], *, grid: Grid) -> SolitaryBranch:
@@ -514,7 +564,7 @@ def continue_in_c(p: ModelParams, speeds: list[float], *, grid: Grid) -> Solitar
     start = _bo_start(p, grid)
     params, waves, infos, diag = _speed_leg("BO", p, start, speeds)
     residuals = [info["full_residual"] for info in infos]
-    diag = _start_record(start[1]) | diag
+    diag = {"start": _work_record(start[1])} | diag
     return SolitaryBranch("BO", params, waves, residuals, diagnostics=diag)
 
 
@@ -537,7 +587,7 @@ def continue_in_mu2(p: ModelParams, depths: list[float], *, grid: Grid) -> Solit
     # under their milestone
     params = [math.inf] + milestones[: len(ts) - 1]
     residuals = [info["full_residual"] for info in infos]
-    diag = _start_record(start[1]) | diag
+    diag = {"start": _work_record(start[1])} | diag
     return SolitaryBranch("ILW", params, waves, residuals, diagnostics=diag)
 
 
@@ -590,8 +640,9 @@ def _bfd_solve(red: _Reduced) -> tuple[WavePair, dict]:
 
 def solve(family: str, p: ModelParams, speed: float, *, grid: Grid) -> tuple[WavePair, dict]:
     """The solitary wave of family at speed c (omega for BFD) on grid, and
-    the `_solve` record of its last solve: iterations (counting every
-    accepted solve on the way), exit, residual, S_minus_1, full_residual.
+    the `_solve` record of its last solve: iterations and mixing_restarts
+    (counting every accepted solve on the way), exit, residual, S_minus_1,
+    full_residual.
 
     p is taken at the family's depth (`family_params`).  BFD waves solve the
     reduced equation from a sech^2 bump (`_bfd_solve`).  BO starts from the
@@ -607,15 +658,17 @@ def solve(family: str, p: ModelParams, speed: float, *, grid: Grid) -> tuple[Wav
     if speed:
         legs.append(lambda s: _speed_leg(fam, p, s, [speed]))
     wave, info = _bo_start(p, grid)
-    iterations = info["iterations"]
+    counts = {k: info[k] for k in ("iterations", "mixing_restarts")}
     for leg in legs:
         _, waves, infos, diag = leg((wave, info))
         if diag["truncated"]:
             ended = diag.get("endpoint_estimate", diag.get("sigma_estimate"))
             raise ConvergenceError(f"the {fam} branch ended at {ended!r}")
         wave, info = waves[-1], infos[-1]
-        iterations += sum(step["iterations"] for step in diag["steps"] if step["accepted"])
-    return wave, info | {"iterations": iterations}
+        for step in diag["steps"]:
+            if step["accepted"]:
+                counts = {k: n + step[k] for k, n in counts.items()}
+    return wave, info | counts
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iswaves.cli import main
 from iswaves.config import (
@@ -56,6 +58,76 @@ def test_parse_assignment_rejections():
         parse_assignment("grid.N = twelve")
     with pytest.raises(ConfigError, match="key = value"):
         parse_assignment("params.gamma 0.5")
+
+
+# a registry key with a value of its kind: any float but NaN (which equals
+# nothing, itself included), any int, a str without surrounding whitespace
+_VALUES = {
+    "float": st.floats(allow_nan=False),
+    "int": st.integers(-(10**12), 10**12),
+    "str": st.text(st.characters(codec="ascii", exclude_characters="\n\r"), max_size=12).map(
+        str.strip
+    ),
+}
+_ASSIGNMENTS = st.sampled_from(sorted(KEY_REGISTRY)).flatmap(
+    lambda key: st.tuples(st.just(key), _VALUES[KEY_REGISTRY[key]])
+)
+
+
+@settings(max_examples=60)
+@given(
+    base=st.lists(_ASSIGNMENTS, max_size=5).map(dict),
+    assignments=st.lists(_ASSIGNMENTS, max_size=12),
+)
+def test_config_round_trips_through_resolved_config(tmp_path_factory, base, assignments):
+    # each assignment written as text parses back to its value, the last of a
+    # key wins over the base, and the resolved config written out as a file
+    # and as overrides reads back as the same config
+    texts = [f"{key}={value}" for key, value in assignments]
+    before = dict(base)
+    cfg = apply_overrides(base, texts)
+    assert base == before  # the input mapping is untouched
+    assert cfg == base | dict(assignments)
+    assert [parse_assignment(text) for text in texts] == assignments
+    resolved = resolved_config(cfg)
+    assert list(resolved) == sorted(cfg)
+    lines = [f"{key} = {value}" for key, value in resolved.items()]
+    assert apply_overrides({}, lines) == cfg
+    path = tmp_path_factory.mktemp("cfg") / "round.cfg"
+    path.write_text("# written from resolved_config\n" + "\n".join(lines) + "\n")
+    assert load_config(str(path)) == cfg
+    assert resolved_config(load_config(str(path))) == resolved
+
+
+_WORD = st.text(st.characters(codec="ascii", exclude_characters="=\n\r"), max_size=20)
+
+
+@settings(max_examples=60)
+@given(key=_WORD, value=_WORD)
+def test_config_rejects_unknown_keys_and_missing_assignments(key, value):
+    if key.strip() not in KEY_REGISTRY:
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            parse_assignment(f"{key}={value}")
+    with pytest.raises(ConfigError, match="expected 'key = value'"):
+        apply_overrides({}, [key + value])
+
+
+@settings(max_examples=60)
+@given(
+    key=st.sampled_from(sorted(k for k, kind in KEY_REGISTRY.items() if kind != "str")),
+    data=st.data(),
+)
+def test_config_rejects_values_of_the_wrong_kind(key, data):
+    # no float text is an int, and no text of letters that spell no
+    # infinity or nan is a float
+    if KEY_REGISTRY[key] == "int":
+        raw = data.draw(st.floats().map(repr))
+    else:
+        raw = data.draw(st.text(alphabet="bcdeghjkopqrsuvwxz_", min_size=1, max_size=12))
+    with pytest.raises(ConfigError, match=f"bad value for {key}"):
+        parse_assignment(f"{key} = {raw}")
+    with pytest.raises(ConfigError, match=f"bad value for {key}"):
+        apply_overrides({key: 1}, [f"{key}={raw}"])
 
 
 def test_solver_keys_follow_solver_config(p1_cfg, tmp_path, capsys):
@@ -328,8 +400,10 @@ def test_cli_solve_reports_work_counts(p1_cfg, tmp_path, sets, keys):
     b1 = (tmp_path / "r1" / "report.json").read_bytes()
     assert b1 == (tmp_path / "r2" / "report.json").read_bytes()
     work = json.loads(b1)["work"]
-    assert set(work) == {"iterations", "exit"} | keys
+    assert set(work) == {"iterations", "exit", "mixing_restarts"} | keys
     assert isinstance(work["iterations"], int) and work["iterations"] >= 1
+    assert isinstance(work["mixing_restarts"], int)
+    assert 0 <= work["mixing_restarts"] < work["iterations"]
     assert work["exit"] in ("converged", "floor")
 
 
@@ -390,9 +464,10 @@ def test_cli_continue_reports_work_counts(p1_cfg, tmp_path, sets):
     assert [step["accepted"] for step in diag["steps"]] == [True, True]
     assert all(step["exit"] in ("converged", "floor") for step in diag["steps"])
     work = report["work"]
-    assert set(work) == {"iterations", "exit"}
+    assert set(work) == {"iterations", "exit", "mixing_restarts"}
     solves = [diag["start"]] + diag["steps"]
     assert work["iterations"] == sum(step["iterations"] for step in solves)
+    assert work["mixing_restarts"] == sum(step["mixing_restarts"] for step in solves)
     assert work["exit"] == diag["steps"][-1]["exit"]
 
 

@@ -4,6 +4,8 @@ import math
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from iswaves.params import (
@@ -140,6 +142,19 @@ def test_eta_roots_bracketing_and_equation():
         assert (2 * m - 1) * math.pi / 2 < e < m * math.pi
         assert e + theta * math.tan(e) == pytest.approx(0.0, abs=1e-9)
     assert all(b > a for a, b in zip(roots, roots[1:]))
+
+
+@settings(max_examples=60)
+@given(theta=st.floats(1e-4, 1e4), count=st.integers(1, 8))
+def test_eta_roots_property(theta, count):
+    # the m-th root lies in ((2m - 1) pi/2, m pi) and solves e + theta tan e
+    # = 0 to the resolution of the bracket (1e-14 in e, times the slope)
+    roots = eta_roots(theta, count)
+    assert len(roots) == count
+    for m, e in enumerate(roots, start=1):
+        assert (2 * m - 1) * math.pi / 2 < e < m * math.pi
+        slope = 1.0 + theta / math.cos(e) ** 2
+        assert abs(e + theta * math.tan(e)) <= 1e-12 * slope
 
 
 def test_eta_roots_rejects_nonpositive_theta():

@@ -150,7 +150,10 @@ def test_reduced_polish_reports_history_and_exit(request, which, exit_reason):
     tol = solvers.TOL_RESIDUAL
     info = request.getfixturevalue(which)["info"]
     assert info["exit"] == exit_reason
-    assert set(info) == {"iterations", "exit", "residual", "S_minus_1", "full_residual"}
+    assert set(info) == {
+        "iterations", "exit", "residual", "S_minus_1", "full_residual", "mixing_restarts"
+    }
+    assert 0 <= info["mixing_restarts"] < info["iterations"]
     assert info["residual"] <= (tol if exit_reason == "converged" else 10.0 * tol)
     if exit_reason == "floor":
         assert info["residual"] > tol
@@ -211,6 +214,25 @@ def test_reduced_start_iteration_count(request, which):
     # the unmixed iteration took 44, 52 and 54 to 1e-8; the floor exits of
     # bfd_finite and bfd_sharp include the stall window
     assert request.getfixturevalue(which)["info"]["iterations"] <= 25
+
+
+def test_fixture_work_counts(bo_state, bo_branch, ilw_chain, bfd_finite, bfd_sharp, bfd_inf):
+    # the iterations of the session fixtures' solves, pinned as upper bounds
+    # at the counts of the normal-equations mixing: a cheaper fit that costs
+    # iterations fails here, whatever the machine
+    for fixture, most, exit_reason in [
+        (bo_state, 16, "converged"),
+        (bfd_finite, 22, "floor"),
+        (bfd_sharp, 22, "floor"),
+        (bfd_inf, 10, "converged"),
+    ]:
+        assert fixture["info"]["iterations"] <= most
+        assert fixture["info"]["exit"] == exit_reason
+    for branch, start, steps in [(bo_branch, 16, [12, 12, 13]), (ilw_chain, 18, [13, 14, 15])]:
+        assert branch.diagnostics["start"]["iterations"] <= start
+        taken = [step["iterations"] for step in branch.diagnostics["steps"]]
+        assert len(taken) == len(steps)
+        assert all(n <= bound for n, bound in zip(taken, steps))
 
 
 def test_constrained_minimizer_agrees_with_reduced(variational):
@@ -377,7 +399,7 @@ def test_depth_chain_inner_solves_are_honest(p1_inf, tmp_path):
     assert not loaded.diagnostics["truncated"]
     assert max(loaded.residuals) <= solvers.TOL_RESIDUAL
     assert loaded.diagnostics == branch.diagnostics
-    assert set(branch.diagnostics["start"]) == {"iterations", "exit"}
+    assert set(branch.diagnostics["start"]) == {"iterations", "exit", "mixing_restarts"}
     steps = loaded.diagnostics["steps"]
     # each milestone is solved and labelled at the mu2 given, not at 1/t^2
     assert [step["parameter"] for step in steps] == [400.0, 100.0]
@@ -386,7 +408,9 @@ def test_depth_chain_inner_solves_are_honest(p1_inf, tmp_path):
         assert 1 <= step["iterations"] <= 25
         red = _Reduced("ILW", replace(p1_inf, mu2=step["parameter"]), grid, 0.0)
         pair, info = solvers._solve(red, before.nu)
-        assert (info["iterations"], info["exit"]) == (step["iterations"], step["exit"])
+        assert solvers._work_record(info) == {
+            k: step[k] for k in ("iterations", "exit", "mixing_restarts")
+        }
         assert np.array_equal(pair.nu, after.nu)
 
 
@@ -406,12 +430,15 @@ def test_solve_returns_the_wave_the_continuations_store(p1_inf, family, speed):
     stored = branch.waves[-1]
     assert pair.grid == stored.grid
     assert np.array_equal(pair.nu, stored.nu) and np.array_equal(pair.xi, stored.xi)
-    assert set(info) == {"iterations", "exit", "residual", "S_minus_1", "full_residual"}
+    assert set(info) == {
+        "iterations", "exit", "residual", "S_minus_1", "full_residual", "mixing_restarts"
+    }
     assert info["full_residual"] == branch.residuals[-1]
     diag = branch.diagnostics
     solves = [diag["start"]] + [step for step in diag["steps"] if step["accepted"]]
     assert len(solves) == (2 if speed or family == "ILW" else 1)
     assert info["iterations"] == sum(step["iterations"] for step in solves)
+    assert info["mixing_restarts"] == sum(step["mixing_restarts"] for step in solves)
     assert info["exit"] == solves[-1]["exit"]
 
 
@@ -427,7 +454,7 @@ def test_rejected_continuation_steps_keep_inner_records(p1_inf, monkeypatch):
     branch = continue_in_mu2(p1_inf, [400.0], grid=grid)
     assert branch.diagnostics["truncated"]
     assert branch.diagnostics["sigma_estimate"] == np.inf
-    assert branch.diagnostics["start"] == {k: start[1][k] for k in ("iterations", "exit")}
+    assert branch.diagnostics["start"] == solvers._work_record(start[1])
     steps = branch.diagnostics["steps"]
     assert len(steps) >= 2
     for step in steps:
@@ -714,11 +741,81 @@ def test_petviashvili_guard_keeps_the_plain_iterate(p1_mu2_4, monkeypatch):
     assert rows == [1, 2, 3, 1, 2, 3, 4, 5]
 
 
+def test_solve_records_mixing_restarts(p1_mu2_4, monkeypatch):
+    # every refused fit restarts the window once and is counted in the
+    # solve's record; this solve refuses none of its own
+    grid = make_grid(8.0, 256)
+    red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
+    nu0 = 3.0 * trivial_threshold(p1_mu2_4) * 1e3 / np.cosh(grid.x) ** 2
+    assert solvers._solve(red, nu0)[1]["mixing_restarts"] == 0
+    fits = []
+    mixing = solvers._anderson_mixing
+
+    def refuse_third_and_fifth(d_res, res):
+        fits.append(d_res.shape[0])
+        return None if len(fits) in (3, 5) else mixing(d_res, res)
+
+    monkeypatch.setattr(solvers, "_anderson_mixing", refuse_third_and_fifth)
+    _, info = solvers._solve(red, nu0)
+    assert fits[:6] == [1, 2, 3, 1, 2, 1]
+    assert info["mixing_restarts"] == 2
+
+
 def test_petviashvili_guard_refuses_bad_fits():
     d_res = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     assert np.array_equal(solvers._anderson_mixing(d_res, np.array([2.0, 3.0, 0.0])), [2.0, 3.0])
     assert solvers._anderson_mixing(1e-20 * d_res, np.array([1.0, 1.0, 0.0])) is None
     assert solvers._anderson_mixing(d_res, np.array([np.nan, 1.0, 0.0])) is None
+
+
+@pytest.mark.parametrize("n", [8, 257, 4096])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_anderson_mixing_matches_least_squares(k, n):
+    # on well-conditioned windows the normal equations give the
+    # least-squares coefficients
+    rng = np.random.default_rng(1000 * k + n)
+    d_res = rng.standard_normal((k, n)) * np.geomspace(1.0, 1e-2, k)[:, None]
+    res = rng.uniform(-10.0, 10.0, k) @ d_res + 0.1 * rng.standard_normal(n)
+    assert np.linalg.cond(d_res) < 1e3
+    theta = solvers._anderson_mixing(d_res, res)
+    reference = np.linalg.lstsq(d_res.T, res, rcond=None)[0]
+    assert np.linalg.norm(theta - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def _chronological_petviashvili(evaluate, inv_m, nu, q, dx, iters):
+    """The mixed iteration with its window kept as chronological lists of
+    iterates and images, differenced by np.diff and fitted by lstsq,
+    written out."""
+    depth = solvers._ANDERSON_DEPTH
+    xs, fs, out = [], [], []
+    for _ in range(iters):
+        m_nu, g_nu = evaluate(nu)
+        s_val = dx * np.dot(nu, m_nu) / (dx * np.dot(nu, g_nu))
+        f = symmetrize_even(s_val**q * apply_table(inv_m, g_nu))
+        xs, fs = xs[-depth:] + [nu], fs[-depth:] + [f]
+        nu = f
+        if len(xs) > 1:
+            images = np.array(fs)
+            res = images - np.array(xs)
+            theta = np.linalg.lstsq(np.diff(res, axis=0).T, res[-1], rcond=None)[0]
+            nu = symmetrize_even(f - theta @ np.diff(images, axis=0))
+        out.append(nu)
+    return out
+
+
+def test_ring_window_matches_the_chronological_window(p1_mu2_4):
+    # twelve iterations write the ring's rows more than twice over; every
+    # iterate is the one of the written-out window up to roundoff
+    grid = make_grid(8.0, 256)
+    red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
+    nu0 = 3.0 * trivial_threshold(p1_mu2_4) * 1e3 / np.cosh(grid.x) ** 2
+    args = (red.evaluate, 1.0 / red.mhat, nu0, solvers._EXPONENT, grid.dx)
+    window = solvers._AndersonWindow(grid.N)
+    ring = [nu for _, (nu, _, _) in zip(range(12), _petviashvili(*args, window))]
+    reference = _chronological_petviashvili(*args, iters=12)
+    assert window.restarts == 0
+    for mixed, written_out in zip(ring, reference):
+        assert np.max(np.abs(mixed - written_out)) <= 1e-12 * np.max(np.abs(written_out))
 
 
 def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo, monkeypatch):
