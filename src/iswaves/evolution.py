@@ -173,27 +173,29 @@ class Etdrk4Stepper(_CharacteristicBase):
 
     The phi-function weights are evaluated by contour averaging over 32
     points of a full circle of radius 1 around each dt*lambda, which is
-    stable for the purely imaginary spectra arising here.
+    stable for the purely imaginary spectra arising here.  The two rows of
+    lambda are conjugate, and so are the weights: they are evaluated on the
+    q+ row, and the q- row takes their conjugate.
     """
 
     def __init__(self, family, p, grid, dt):
         super().__init__(family, p, grid, dt)
-        ldt = self.dt * self.lam
-        self.e_full = np.exp(ldt)
-        self.e_half = np.exp(0.5 * ldt)
+        ldt = self.dt * self.lam[0]
         m = 32
         rts = np.exp(2j * math.pi * (np.arange(1, m + 1) - 0.5) / m)
-        lr = ldt[..., None] + rts[None, None, :]
-        self.q_w = self.dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=-1)
-        self.f1_w = self.dt * np.mean(
-            (-4.0 - lr + np.exp(lr) * (4.0 - 3.0 * lr + lr**2)) / lr**3, axis=-1
+        lr = ldt[:, None] + rts[None, :]
+        e_lr, lr3 = np.exp(lr), lr**3
+        weights = (
+            np.exp(ldt),
+            np.exp(0.5 * ldt),
+            self.dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=-1),
+            self.dt * np.mean((-4.0 - lr + e_lr * (4.0 - 3.0 * lr + lr**2)) / lr3, axis=-1),
+            # carries the factor 2 with which the scheme weights (na + nb)
+            2.0 * self.dt * np.mean((2.0 + lr + e_lr * (-2.0 + lr)) / lr3, axis=-1),
+            self.dt * np.mean((-4.0 - 3.0 * lr - lr**2 + e_lr * (4.0 - lr)) / lr3, axis=-1),
         )
-        # carries the factor 2 with which the scheme weights (na + nb)
-        self.f2_w = 2.0 * self.dt * np.mean(
-            (2.0 + lr + np.exp(lr) * (-2.0 + lr)) / lr**3, axis=-1
-        )
-        self.f3_w = self.dt * np.mean(
-            (-4.0 - 3.0 * lr - lr**2 + np.exp(lr) * (4.0 - lr)) / lr**3, axis=-1
+        self.e_full, self.e_half, self.q_w, self.f1_w, self.f2_w, self.f3_w = (
+            np.stack([w, w.conj()]) for w in weights
         )
         # stage values (n0, na, nb, nc), stage states (e_half q, qa, qb, qc)
         # and one scratch array, allocated once

@@ -31,7 +31,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import InadmissibleParameterError, ModelParams, compute_decay_rates
 from .spectral import Grid, zcothz
@@ -111,6 +110,7 @@ def kernel_K2_quadrature(p: ModelParams, x: float) -> float:
     """
     if x == 0.0:
         raise ValueError("K2 is singular at x = 0 (logarithmic divergence)")
+    from scipy.integrate import quad
     alpha = _k2_alpha(p)
     ax = abs(x)
     upper = max(_laplace_cutoff(ax), 10.0 * alpha)
@@ -136,6 +136,7 @@ def kernel_K_quadrature(p: ModelParams, x: float) -> float:
     """
     if x == 0.0:
         raise ValueError("K is not evaluated at x = 0")
+    from scipy.integrate import quad
     ell, c_k, disc = _infinite_depth_constants(p)
     if disc <= 0.0:
         raise InadmissibleParameterError(f"4 c_K - ell^2 = {disc:.6g} must be positive")

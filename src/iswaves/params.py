@@ -212,26 +212,27 @@ def eta_roots(theta: float, count: int) -> tuple[float, ...]:
     """First `count` positive roots of e + theta*tan(e) = 0.
 
     The m-th root lies in ((2m-1)pi/2, m pi); plain bisection is used since
-    tan blows up at the left endpoint.  Roots are resolved to ~1e-13.
+    tan blows up at the left endpoint.  All brackets are bisected at once,
+    until each is narrower than 1e-14 or, at the spacing of the floats near
+    its root, no longer moves.  Roots are resolved to ~1e-13.
     """
     if theta <= 0.0:
         raise DegenerateParameterError("theta must be positive")
-    roots = []
-    for m in range(1, count + 1):
-        lo = (2 * m - 1) * math.pi / 2 + 1e-9
-        hi = m * math.pi - 1e-12
-        flo = lo + theta * math.tan(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = mid + theta * math.tan(mid)
-            if (flo < 0) == (fmid < 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-            if hi - lo < 1e-14:
-                break
-        roots.append(0.5 * (lo + hi))
-    return tuple(roots)
+    m = np.arange(1, count + 1)
+    lo = (2 * m - 1) * math.pi / 2 + 1e-9
+    hi = m * math.pi - 1e-12
+    # the sign of e + theta tan(e) at every lower end, which bisection keeps
+    neg = lo + theta * np.tan(lo) < 0
+    width = hi - lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        right = (mid + theta * np.tan(mid) < 0) != neg
+        np.copyto(hi, mid, where=right)
+        np.copyto(lo, mid, where=~right)
+        width, last = hi - lo, width
+        if np.all((width < 1e-14) | (width == last)):
+            break
+    return tuple(float(e) for e in 0.5 * (lo + hi))
 
 
 def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:

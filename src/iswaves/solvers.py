@@ -45,26 +45,26 @@ Accelerated Petviashvili.  The fixed point converges only linearly, so
 `_petviashvili` mixes its iterates (Anderson type II over the last
 _ANDERSON_DEPTH differences; Walker & Ni, SIAM J. Numer. Anal. 49 (2011)):
 each plain iterate is replaced by the least-squares combination of the
-window's images.  The window keeps its residual and image differences in
-two preallocated rings of _ANDERSON_DEPTH rows, one new row each per
-iteration (`_AndersonWindow`), and the fit solves the k x k normal equations
-(k <= _ANDERSON_DEPTH) of one Gram product, so a mixing step costs O(k N)
-and allocates no window-sized array.  The combination is taken in physical
-space and costs no transform, and every yielded residual is the true
-residual M nu - G(nu) of the yielded iterate.  A fit that is singular, is
-not finite or has a coefficient above _MAX_MIXING keeps the plain iterate
-and restarts the window; the normal equations square the window's
-condition number, so an ill-conditioned fit restarts too, and every solve
-records its restarts (mixing_restarts).  Against
-cycling minimal polynomial and reduced rank extrapolation (windows 3 to 8;
-Sidi 2017) it reached the same certified residuals with the fewest
-transforms.  With the mixing, the exponents q = 3/2 and 2 take the same
-iterations on every problem, so the exponent is the constant _EXPONENT,
-inside the convergent range of both the quadratic (1 < q < 3) and the cubic
-(1 < q < 2) source (Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42
-(2004)).  An iterate whose stabilizing factor S is not positive and finite,
-or whose residual is not finite, ends the iteration with a ConvergenceError
-before it is mixed.
+window's images.  The window keeps its residual and image differences in two
+preallocated rings of _ANDERSON_DEPTH rows, one new row each per iteration
+(`_AndersonWindow`), next to a ring of their Gram matrix that takes one new
+row and column per iteration, from one matrix-vector product; the fit solves
+the k x k normal equations (k <= _ANDERSON_DEPTH) of that Gram matrix, so a
+mixing step costs O(k N) and allocates no window-sized array.  The
+combination is taken in physical space and costs no transform, and every
+yielded residual is the true residual M nu - G(nu) of the yielded iterate.
+A fit that is singular, is not finite or has a coefficient above _MAX_MIXING
+keeps the plain iterate and restarts the window; the normal equations square
+the window's condition number, so an ill-conditioned fit restarts too, and
+every solve records its restarts (mixing_restarts).  Against cycling minimal
+polynomial and reduced rank extrapolation (windows 3 to 8; Sidi 2017) it
+reached the same certified residuals with the fewest transforms.  With the
+mixing, the exponents q = 3/2 and 2 take the same iterations on every
+problem, so the exponent is the constant _EXPONENT, inside the convergent
+range of both the quadratic (1 < q < 3) and the cubic (1 < q < 2) source
+(Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42 (2004)).  An iterate
+whose stabilizing factor S is not positive and finite, or whose residual is
+not finite, ends the iteration with a ConvergenceError before it is mixed.
 
 All solves work in the even subspace: profiles are symmetrized about x = 0
 at every iteration, which pins the translation mode.
@@ -89,7 +89,6 @@ from dataclasses import dataclass, field, replace
 from itertools import count, islice
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .functionals import energy_gradient, energy_tables, inner
 from .params import ModelParams, family_params
@@ -258,15 +257,13 @@ _MAX_MIXING = 1e3
 _STALL_ITERS = 12
 
 
-def _anderson_mixing(d_res: np.ndarray, res: np.ndarray) -> np.ndarray | None:
+def _anderson_mixing(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """The coefficients theta minimizing ||res - theta d_res||, from the
-    normal equations (d_res d_res^T) theta = d_res res, or None when they are
-    singular, not finite or exceed _MAX_MIXING."""
-    # the Gram product by dgemm: numpy takes d_res @ d_res.T to syrk, which
-    # is about 4 times slower at k <= 5 rows of N >= 1024
-    gram = dgemm(1.0, d_res.T, d_res.T, trans_a=True)
+    normal equations gram theta = rhs with gram = d_res d_res^T and rhs =
+    d_res res, or None when they are singular, not finite or exceed
+    _MAX_MIXING."""
     try:
-        theta = np.linalg.solve(gram, d_res @ res)
+        theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > _MAX_MIXING:
@@ -278,11 +275,17 @@ class _AndersonWindow:
     """The mixing window of `_petviashvili`: the differences of consecutive
     fixed-point residuals F(nu) - nu and of consecutive images F over the last
     _ANDERSON_DEPTH + 1 iterates, kept in two (_ANDERSON_DEPTH, N) rings that
-    take one new row per iteration.  restarts counts the refused fits."""
+    take one new row per iteration, and the Gram matrix of the residual
+    differences in an (_ANDERSON_DEPTH, _ANDERSON_DEPTH) ring whose new row
+    and column come from one matrix-vector product.  A refused fit empties
+    the window, and a refilled row overwrites its whole row and column of the
+    Gram ring, so stale entries are never read.  restarts counts the refused
+    fits."""
 
     def __init__(self, n: int):
         self._d_res = np.empty((_ANDERSON_DEPTH, n))
         self._d_img = np.empty((_ANDERSON_DEPTH, n))
+        self._gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
         # the newest iterate's residual, and the buffer of the next one
         self._res, self._spare = np.empty(n), np.empty(n)
         self._img = None  # the newest iterate's image; None in an empty window
@@ -300,13 +303,15 @@ class _AndersonWindow:
             np.subtract(res, self._res, out=self._d_res[head])
             np.subtract(f, self._img, out=self._d_img[head])
             self._head = (head + 1) % _ANDERSON_DEPTH
-            self._rows = min(self._rows + 1, _ANDERSON_DEPTH)
-            theta = _anderson_mixing(self._d_res[: self._rows], res)
+            rows = self._rows = min(self._rows + 1, _ANDERSON_DEPTH)
+            d_res = self._d_res[:rows]
+            self._gram[head, :rows] = self._gram[:rows, head] = d_res @ d_res[head]
+            theta = _anderson_mixing(self._gram[:rows, :rows], d_res @ res)
             if theta is None:
                 self.restarts += 1
                 self._img, self._rows, self._head = None, 0, 0
                 return f
-            mixed = _even(f - theta @ self._d_img[: self._rows])
+            mixed = _even(f - theta @ self._d_img[:rows])
         self._img = f
         self._res, self._spare = res, self._res
         return mixed
@@ -327,8 +332,9 @@ def _petviashvili(
     differences; the result is projected onto the even subspace.  The
     window (`_AndersonWindow`) keeps those differences in two preallocated
     rings of _ANDERSON_DEPTH rows, one row each written per iteration, and
-    theta solves the k x k normal equations of the fit (k <= _ANDERSON_DEPTH),
-    so a mixing step costs O(k N) and allocates no window-sized array.  The
+    theta solves the k x k normal equations of the fit (k <= _ANDERSON_DEPTH)
+    from a Gram ring that takes one new row and column per iteration, so a
+    mixing step costs O(k N) and allocates no window-sized array.  The
     combination is taken in physical space, so it costs no transform: an
     iteration makes the transforms of one M^{-1} and one evaluate, as the
     plain iteration does.  Guard: a fit that is singular, is not finite or

@@ -11,6 +11,9 @@ literal: its value belongs in the function.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -235,3 +238,45 @@ def test_no_unused_imports():
     paths = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == [], f"imported and never read: {unused}"
+
+
+# validate, solve and evolve on small configs, then kernel-check, in the
+# interpreter that imported iswaves; argv: a config of the parameters and an
+# output directory
+_SCIPY_PROBE = """
+import sys
+from iswaves.cli import main
+
+config, out = sys.argv[1:]
+runs = {
+    "validate": ["validate.omega=0.1"],
+    "solve": ["solve.family=BFD_finite", "solve.omega=0.1", "grid.L=8", "grid.N=256"],
+    "evolve": ["evolve.family=bfd_finite", "evolve.T=0.1", "grid.L=20", "grid.N=64"],
+}
+for command, sets in runs.items():
+    argv = [command, "--config", config, "--out", f"{out}/{command}"]
+    assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0, command
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert loaded == [], loaded
+argv = ["kernel-check", "--config", config, "--out", f"{out}/kc", "--set", "kernel.which=K2"]
+assert main(argv) == 0
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_only_the_kernel_quadratures_import_scipy(tmp_path):
+    # a fresh interpreter, since this one imported scipy.fft in conftest:
+    # importing iswaves and running every command but kernel-check loads no
+    # scipy module; the K and K2 quadratures import scipy.integrate on use
+    config = tmp_path / "p1.cfg"
+    config.write_text(
+        "params.gamma = 0.5\nparams.epsilon = 0.1\nparams.mu = 0.1\n"
+        "params.a = -0.08333333333333333\nparams.b = 0.25\n"
+        "params.c = -0.08333333333333333\nparams.d = 0.25\nparams.mu2 = 4.0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(config), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

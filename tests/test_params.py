@@ -3,6 +3,7 @@
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,37 @@ def test_f_min_matches_brute_force(p1_mu2_4):
             options={"xatol": 1e-14},
         )
         assert f_min == pytest.approx(res.fun, abs=1e-10)
+
+
+@settings(max_examples=60)
+@given(
+    gamma=st.floats(0.05, 0.95),
+    mu=st.floats(1e-3, 10.0),
+    b=st.floats(1.0 / 6.0, 1.0),
+    split=st.floats(0.0, 1.0),
+    speed=st.floats(-0.99, 0.99),
+)
+def test_f_min_property(gamma, mu, b, split, speed):
+    # admissible BFD parameters: b = d in [1/6, 1], a + c = 1/3 - 2b split
+    # between a, c <= 0, and omega inside the speed window of either sign.
+    # f_min and x0 are the minimum of symbol_f found by a brute-force scan:
+    # a geometric grid over [1e-6, 1e6], then a dense grid between the
+    # neighbours of its best point
+    a = split * (1.0 / 3.0 - 2.0 * b)
+    p = ModelParams(gamma=gamma, epsilon=0.1, mu=mu, a=a, b=b, c=1.0 / 3.0 - 2.0 * b - a, d=b)
+    assert validate_bfd_params(p) == []
+    omega = speed * compute_speed_window(p)
+    f_min, x0, beta0 = compute_f_min(p, omega)
+    coarse = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 4001)])
+    i = int(np.argmin(symbol_f(p, omega, coarse)))
+    dense = np.linspace(coarse[max(i - 1, 0)], coarse[i + 1], 20001)
+    values = symbol_f(p, omega, dense)
+    j = int(np.argmin(values))
+    h = dense[1] - dense[0]
+    # f = f_min + mu beta0 (x - x0)^2; roundoff on the size of its terms
+    roundoff = 1e-12 * (1.0 / gamma + abs(omega) + math.sqrt(mu) / gamma**2 * x0)
+    assert -roundoff <= values[j] - f_min <= mu * beta0 * h * h + roundoff
+    assert abs(dense[j] - x0) <= h + math.sqrt(roundoff / (mu * beta0))
 
 
 def test_mu2_threshold_value(p1_mu2_4):

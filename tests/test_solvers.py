@@ -43,11 +43,6 @@ def test_ground_state_frozen_amplitude(bo_state):
     assert np.abs(vals[0]) < 1e-3 * np.max(vals)
 
 
-def test_ground_state_iteration_count(bo_state):
-    # Anderson-mixed Petviashvili; the plain iteration took 93
-    assert bo_state["info"]["iterations"] <= 40
-
-
 def test_ground_state_scaling_symmetry():
     # halving epsilon quarters the cubic coefficient and doubles the wave
     g = make_grid(50.0, 512)
@@ -209,17 +204,12 @@ def test_speed_branch_negative_speeds(p1_inf):
     assert all(step["iterations"] <= 25 for step in steps)
 
 
-@pytest.mark.parametrize("which", ["bfd_finite", "bfd_sharp", "bfd_inf"])
-def test_reduced_start_iteration_count(request, which):
-    # the unmixed iteration took 44, 52 and 54 to 1e-8; the floor exits of
-    # bfd_finite and bfd_sharp include the stall window
-    assert request.getfixturevalue(which)["info"]["iterations"] <= 25
-
-
 def test_fixture_work_counts(bo_state, bo_branch, ilw_chain, bfd_finite, bfd_sharp, bfd_inf):
     # the iterations of the session fixtures' solves, pinned as upper bounds
     # at the counts of the normal-equations mixing: a cheaper fit that costs
-    # iterations fails here, whatever the machine
+    # iterations fails here, whatever the machine.  The unmixed iteration took
+    # 93 on bo_state, and 44, 52 and 54 to 1e-8 on the BFD fixtures; the floor
+    # exits of bfd_finite and bfd_sharp include the stall window
     for fixture, most, exit_reason in [
         (bo_state, 16, "converged"),
         (bfd_finite, 22, "floor"),
@@ -717,7 +707,7 @@ def test_petviashvili_guard_keeps_the_plain_iterate(p1_mu2_4, monkeypatch):
     red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
     nu0 = 3.0 * trivial_threshold(p1_mu2_4) * 1e3 / np.cosh(grid.x) ** 2
     args = (red.evaluate, 1.0 / red.mhat, nu0, 2.0, grid.dx)
-    monkeypatch.setattr(solvers, "_anderson_mixing", lambda d_res, res: None)
+    monkeypatch.setattr(solvers, "_anderson_mixing", lambda gram, rhs: None)
     mixed = [nu for _, (nu, _, _) in zip(range(8), _petviashvili(*args))]
     plain = _plain_petviashvili(*args, iters=8)
     assert all(np.array_equal(a, b) for a, b in zip(mixed, plain))
@@ -731,9 +721,9 @@ def test_petviashvili_guard_keeps_the_plain_iterate(p1_mu2_4, monkeypatch):
     rows = []
     mixing = solvers._anderson_mixing
 
-    def refuse_third(d_res, res):
-        rows.append(d_res.shape[0])
-        return None if len(rows) == 3 else mixing(d_res, res)
+    def refuse_third(gram, rhs):
+        rows.append(gram.shape[0])
+        return None if len(rows) == 3 else mixing(gram, rhs)
 
     monkeypatch.setattr(solvers, "_anderson_mixing", refuse_third)
     for _ in zip(range(10), _petviashvili(*args)):
@@ -751,9 +741,9 @@ def test_solve_records_mixing_restarts(p1_mu2_4, monkeypatch):
     fits = []
     mixing = solvers._anderson_mixing
 
-    def refuse_third_and_fifth(d_res, res):
-        fits.append(d_res.shape[0])
-        return None if len(fits) in (3, 5) else mixing(d_res, res)
+    def refuse_third_and_fifth(gram, rhs):
+        fits.append(gram.shape[0])
+        return None if len(fits) in (3, 5) else mixing(gram, rhs)
 
     monkeypatch.setattr(solvers, "_anderson_mixing", refuse_third_and_fifth)
     _, info = solvers._solve(red, nu0)
@@ -763,9 +753,13 @@ def test_solve_records_mixing_restarts(p1_mu2_4, monkeypatch):
 
 def test_petviashvili_guard_refuses_bad_fits():
     d_res = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert np.array_equal(solvers._anderson_mixing(d_res, np.array([2.0, 3.0, 0.0])), [2.0, 3.0])
-    assert solvers._anderson_mixing(1e-20 * d_res, np.array([1.0, 1.0, 0.0])) is None
-    assert solvers._anderson_mixing(d_res, np.array([np.nan, 1.0, 0.0])) is None
+
+    def fit(d_res, res):
+        return solvers._anderson_mixing(d_res @ d_res.T, d_res @ res)
+
+    assert np.array_equal(fit(d_res, np.array([2.0, 3.0, 0.0])), [2.0, 3.0])
+    assert fit(1e-20 * d_res, np.array([1.0, 1.0, 0.0])) is None
+    assert fit(d_res, np.array([np.nan, 1.0, 0.0])) is None
 
 
 @pytest.mark.parametrize("n", [8, 257, 4096])
@@ -777,7 +771,7 @@ def test_anderson_mixing_matches_least_squares(k, n):
     d_res = rng.standard_normal((k, n)) * np.geomspace(1.0, 1e-2, k)[:, None]
     res = rng.uniform(-10.0, 10.0, k) @ d_res + 0.1 * rng.standard_normal(n)
     assert np.linalg.cond(d_res) < 1e3
-    theta = solvers._anderson_mixing(d_res, res)
+    theta = solvers._anderson_mixing(d_res @ d_res.T, d_res @ res)
     reference = np.linalg.lstsq(d_res.T, res, rcond=None)[0]
     assert np.linalg.norm(theta - reference) <= 1e-10 * np.linalg.norm(reference)
 
@@ -816,6 +810,35 @@ def test_ring_window_matches_the_chronological_window(p1_mu2_4):
     assert window.restarts == 0
     for mixed, written_out in zip(ring, reference):
         assert np.max(np.abs(mixed - written_out)) <= 1e-12 * np.max(np.abs(written_out))
+
+
+def test_gram_ring_matches_the_window(p1_mu2_4, monkeypatch):
+    # the Gram ring takes one row and column per iteration; through a
+    # refused fit and the ring's wrap its block stays the Gram matrix of the
+    # window's residual differences
+    grid = make_grid(8.0, 256)
+    red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
+    nu0 = 3.0 * trivial_threshold(p1_mu2_4) * 1e3 / np.cosh(grid.x) ** 2
+    args = (red.evaluate, 1.0 / red.mhat, nu0, solvers._EXPONENT, grid.dx)
+    fits = []
+    mixing = solvers._anderson_mixing
+
+    def refuse_fourth(gram, rhs):
+        fits.append(gram.shape[0])
+        return None if len(fits) == 4 else mixing(gram, rhs)
+
+    monkeypatch.setattr(solvers, "_anderson_mixing", refuse_fourth)
+    window = solvers._AndersonWindow(grid.N)
+    for _ in zip(range(16), _petviashvili(*args, window)):
+        rows = window._rows
+        d_res = window._d_res[:rows]
+        reference = d_res @ d_res.T
+        gram = window._gram[:rows, :rows]
+        assert np.max(np.abs(gram - reference), initial=0.0) <= 1e-12 * np.max(
+            np.abs(reference), initial=0.0
+        )
+    assert window.restarts == 1
+    assert fits == [1, 2, 3, 4, 1, 2, 3, 4, 5, 5, 5, 5, 5, 5]
 
 
 def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo, monkeypatch):
