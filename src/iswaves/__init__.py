@@ -56,7 +56,6 @@ from .kernels import (
 from .evolution import (
     AmplitudeBoundError,
     check_global_criterion,
-    make_stepper,
     run,
     suggest_dt,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "kernel_symbol",
     "load_branch",
     "make_grid",
-    "make_stepper",
     "quadratic_form_check",
     "residual_norm",
     "run",

@@ -3,8 +3,9 @@ evolve, sweep.
 
 Every subcommand reads a flat key-value config (--config), optionally
 overridden by repeatable --set key=value flags, and writes its artifacts
-under --out.  Exit codes: 0 success, 1 numerical failure or inadmissible
-input, 2 usage/configuration error.
+under --out; `main` adds meta.json once the command returns.  Exit codes:
+0 success, 1 numerical failure or inadmissible input, 2 usage/configuration
+error.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .solvers import (
     save_branch,
     solve,
 )
-from .evolution import INTEGRATORS, AmplitudeBoundError, run, suggest_dt
+from .evolution import AmplitudeBoundError, run, suggest_dt
 from .functionals import energy_E, quadratic_form_check
 
 
@@ -134,7 +135,6 @@ def cmd_validate(cfg: dict, out: str) -> int:
     omega = cfg.get("validate.omega", 0.0)
     report = admissibility_report(p, omega)
     cfgmod.write_json(os.path.join(out, "admissibility.json"), asdict(report), cfg)
-    cfgmod.write_meta(out)
     status = "admissible" if report.admissible else "inadmissible"
     print(f"validate: {status} (speed bound {report.speed_bound:.6g}, "
           f"f_min {report.f_min:.6g}, mu2 threshold {report.mu2_threshold:.6g})")
@@ -166,7 +166,6 @@ def cmd_solve(cfg: dict, out: str) -> int:
         "work": _work([info]),
     }
     cfgmod.write_json(os.path.join(out, "report.json"), report, cfg)
-    cfgmod.write_meta(out)
     print(f"solve: {branch.family} residual {branch.residuals[-1]:.3e}")
     return 0
 
@@ -225,7 +224,6 @@ def cmd_continue(cfg: dict, out: str) -> int:
         "work": _work(_solves(branch)),
     }
     cfgmod.write_json(os.path.join(out, "report.json"), report, cfg)
-    cfgmod.write_meta(out)
     print(f"continue: {len(branch.waves)} samples, max residual "
           f"{max(branch.residuals):.3e}, truncated={branch.diagnostics.get('truncated')}")
     return 0
@@ -255,7 +253,6 @@ def cmd_decay(cfg: dict, out: str) -> int:
         raise ConfigError("decay.kind must be 'algebraic' or 'exponential'")
 
     cfgmod.write_json(os.path.join(out, f"decay_{field_name}.json"), asdict(report), cfg)
-    cfgmod.write_meta(out)
     print(f"decay: {kind} fit of {field_name}: measured {report.measured:.6g}, "
           f"r^2 {report.r_squared:.6f}, flags {report.flags}")
     return 0
@@ -311,7 +308,6 @@ def cmd_kernel_check(cfg: dict, out: str) -> int:
     results["max_abs_diff"] = worst
     results["tolerance"] = 1e-5
     cfgmod.write_json(os.path.join(out, "kernel_check.json"), results, cfg)
-    cfgmod.write_meta(out)
     print(f"kernel-check: max |closed - oracle| = {worst:.3e} (tolerance 1e-5)")
     return 0 if worst < 1e-5 else 1
 
@@ -320,9 +316,6 @@ def cmd_evolve(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
     family, p = _family("evolve.family", _require(cfg, "evolve.family"), p)
     T = _positive("evolve.T", _require(cfg, "evolve.T"))
-    integrator = cfg.get("evolve.integrator", "etdrk4")
-    if integrator not in INTEGRATORS:
-        raise ConfigError(f"evolve.integrator must be one of {INTEGRATORS}, got {integrator!r}")
 
     initial_kind = cfg.get("evolve.initial", "gaussian")
     if initial_kind == "branch":
@@ -345,14 +338,12 @@ def cmd_evolve(cfg: dict, out: str) -> int:
     try:
         summary = run(
             family, p, initial, T, dt,
-            integrator=integrator,
             snapshots_every=snapshots,
             outdir=out if snapshots is not None else None,
         )
     except AmplitudeBoundError as exc:
         cfgmod.write_json(os.path.join(out, "trajectory.json"),
                           {"status": "aborted", "error": str(exc)}, cfg)
-        cfgmod.write_meta(out)
         print(f"evolve: aborted: {exc}", file=sys.stderr)
         return 1
 
@@ -360,7 +351,6 @@ def cmd_evolve(cfg: dict, out: str) -> int:
     if final is not None:
         pair_to_csv(final, os.path.join(out, "final_state.csv"))
     cfgmod.write_json(os.path.join(out, "trajectory.json"), summary, cfg)
-    cfgmod.write_meta(out)
     drift = summary.get("h_drift_max")
     drift_text = f", H drift {drift:.3e}" if drift is not None else ""
     print(f"evolve: {summary['status']} at t = {summary['t_final']:.6g}"
@@ -429,7 +419,6 @@ def cmd_sweep(cfg: dict, out: str) -> int:
         "min_normalized_energy": min_energy,
     }
     cfgmod.write_json(os.path.join(out, "sweep.json"), report, cfg)
-    cfgmod.write_meta(out)
     print(f"sweep: {draws} draws, {len(violations)} violations, "
           f"min form {min_eigen_global:.3e}, min E {min_energy:.3e}")
     return 0 if not violations else 1
@@ -483,13 +472,17 @@ def main(argv=None) -> int:
         if cfg.get("solver.tol_residual", TOL_RESIDUAL) != TOL_RESIDUAL:
             raise ConfigError(f"solver.tol_residual is fixed at {TOL_RESIDUAL:g}")
         out = _outdir(args)
-        return _COMMANDS[args.command](cfg, out)
+        code = _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, InadmissibleParameterError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    # every command that returns has written its outputs; a configuration
+    # error or a numerical failure leaves no meta.json
+    cfgmod.write_meta(out)
+    return code
 
 
 if __name__ == "__main__":

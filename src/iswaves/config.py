@@ -74,7 +74,6 @@ KEY_REGISTRY: dict[str, str] = {
     "evolve.T": "float",
     "evolve.dt": "float",
     "evolve.snapshots_every": "float",
-    "evolve.integrator": "str",
     "evolve.initial": "str",
     "evolve.amplitude": "float",
     "evolve.width": "float",

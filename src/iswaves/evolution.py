@@ -9,10 +9,11 @@ with elliptic factors T1, T2 and dispersive multipliers S1, S2 depending on
 the family: the tables of `spectral.structure`, which the solvers read too.
 The linear part is diagonalized by the characteristic variables
 q+- = zhat +- P vhat, P = sqrt(A/B), A = S1/T1, B = S2/T2, where it reduces
-to pure phase rotation at speeds +-sqrt(AB); ETDRK4 integrates that part
-exactly and the quadratic terms explicitly.  An IMEX-BDF2
-stepper is provided as an independent cross-check.  Quadratic products are
-formed in physical space and dealiased by the 2/3 rule.
+to pure phase rotation at speeds +-sqrt(AB); ETDRK4, the one integrator
+`run` drives, integrates that part exactly and the quadratic terms
+explicitly.  The IMEX-BDF2 stepper is the tests' independent second-order
+reference.  Quadratic products are formed in physical space and dealiased
+by the 2/3 rule.
 
 The two fields always travel together as one stacked (2, .) array, so each
 nonlinear evaluation is one inverse and one forward real FFT (8 per ETDRK4
@@ -38,8 +39,6 @@ import numpy as np
 from .functionals import energy_tables, hamiltonian_H
 from .params import InadmissibleParameterError, ModelParams, family_params
 from .spectral import Grid, WavePair, pair_to_csv, structure
-
-INTEGRATORS = ("etdrk4", "imex")
 
 
 class AmplitudeBoundError(RuntimeError):
@@ -262,14 +261,6 @@ class ImexBdf2Stepper(_CharacteristicBase):
         return qn
 
 
-def make_stepper(integrator: str, family: str, p: ModelParams, grid: Grid, dt: float):
-    if integrator == "etdrk4":
-        return Etdrk4Stepper(family, p, grid, dt)
-    if integrator == "imex":
-        return ImexBdf2Stepper(family, p, grid, dt)
-    raise ValueError(f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}")
-
-
 # ---------------------------------------------------------------------------
 # global-existence criterion
 # ---------------------------------------------------------------------------
@@ -391,11 +382,11 @@ def run(
     initial: WavePair,
     T: float,
     dt: float,
-    integrator: str = "etdrk4",
     snapshots_every: float | None = None,
     outdir: str | None = None,
 ) -> dict:
-    """Integrate to time T, recording conservation and amplitude monitors.
+    """Integrate to time T by ETDRK4 (`Etdrk4Stepper`), recording
+    conservation and amplitude monitors.
 
     p is taken at the family's depth (`family_params`), so the stepper, the
     monitors and the global-existence criterion read the same symbols.  The
@@ -422,7 +413,7 @@ def run(
     grid = initial.grid
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
-    stepper = make_stepper(integrator, fam, p, grid, dt_eff)
+    stepper = Etdrk4Stepper(fam, p, grid, dt_eff)
 
     two_layer = fam in ("BFD_finite", "BFD_inf")
     track_h = two_layer and abs(p.b - p.d) <= 1e-12
@@ -431,7 +422,6 @@ def run(
 
     summary: dict = {
         "family": fam,
-        "integrator": integrator,
         "T": T,
         "dt": dt_eff,
         "steps": nsteps,

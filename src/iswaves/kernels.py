@@ -292,6 +292,16 @@ def _profile_arrays(x, values) -> tuple[np.ndarray, np.ndarray]:
     return x, v
 
 
+def _log_fit(t: np.ndarray, logv: np.ndarray):
+    """The least-squares line of logv against t: its slope, and the r^2 of
+    the fit."""
+    slope, intercept = np.polyfit(t, logv, 1)
+    fitted = slope * t + intercept
+    ss_res = float(np.sum((logv - fitted) ** 2))
+    ss_tot = float(np.sum((logv - np.mean(logv)) ** 2))
+    return slope, 1.0 - ss_res / max(ss_tot, 1e-300)
+
+
 def fit_algebraic_tail(
     x, values, window: tuple[float, float], predicted: float | None = None
 ) -> DecayReport:
@@ -320,11 +330,7 @@ def fit_algebraic_tail(
     keep = np.abs(vs) > floor
     logx = np.log(xs[keep])
     logv = np.log(np.abs(vs[keep]))
-    slope, intercept = np.polyfit(logx, logv, 1)
-    fitted = slope * logx + intercept
-    ss_res = float(np.sum((logv - fitted) ** 2))
-    ss_tot = float(np.sum((logv - np.mean(logv)) ** 2))
-    r2 = 1.0 - ss_res / max(ss_tot, 1e-300)
+    slope, r2 = _log_fit(logx, logv)
 
     flags = []
     if max_dev > 0.10:
@@ -363,12 +369,7 @@ def fit_exponential_tail(
     if xs.size < 8:
         raise ValueError("window under-resolved: fewer than 8 usable samples")
 
-    logv = np.log(vs)
-    slope, intercept = np.polyfit(xs, logv, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((logv - fitted) ** 2))
-    ss_tot = float(np.sum((logv - np.mean(logv)) ** 2))
-    r2 = 1.0 - ss_res / max(ss_tot, 1e-300)
+    slope, r2 = _log_fit(xs, np.log(vs))
     rate = float(-slope)
 
     cap = float(math.log(vs[0] / floor) / (xs[-1] - xs[0])) if vs[0] > floor else 0.0

@@ -74,9 +74,10 @@ Transform economy.  An iteration makes four transforms: one stacked rfft of
 multiplier row, and the rfft/irfft pair of M^{-1}; scalar tables multiply
 in physical space.  The lift of xi reads only its own rows, scalars for BO
 and ILW, so there it makes no transform.  The iteration carries the
-residual of each iterate into the next step, and the BFD start-up amplitude
-scan is closed-form: M is linear and G(a s) = a^2 Q(s) + a^3 C(s), so three
-inner products of one shape s give the ratio at every amplitude.
+residual of each iterate into the next step, and every solve from a shape
+takes a closed-form start amplitude (`_start`): M is linear and G(a s) =
+a^2 Q(s) + a^3 C(s), so three inner products of one shape s give the
+amplitude at which S = 1.
 """
 
 from __future__ import annotations
@@ -430,18 +431,38 @@ def _solve(red: _Reduced, nu: np.ndarray) -> tuple[WavePair, dict]:
     }
 
 
+def _start(red: _Reduced, shape: np.ndarray) -> np.ndarray:
+    """shape scaled to the amplitude a at which the stabilizing factor of a s
+    is 1, the start of every solve from a shape.
+
+    S is scale-invariant where a raw residual is not (a residual search
+    would collapse to the trivial branch as a -> 0).  M is linear and
+    G(a s) = a^2 Q(s) + a^3 C(s), so with q2 = <s, M s>, q3 = <Q(s), s> and
+    q4 = <C(s), s>, S(a) = q2/(a q3 + a^2 q4) is 1 at the positive root of
+    q4 a^2 + q3 a - q2 = 0, a = 2 q2/(q3 + sqrt(q3^2 + 4 q2 q4)); at c = 0,
+    q3 = 0 and a = sqrt(q2/q4).  Raises ConvergenceError when there is no
+    positive root.
+    """
+    m_s, quad_s, cubic_s = red.parts(shape)
+    q2, q3, q4 = (float(np.dot(shape, v)) for v in (m_s, quad_s, cubic_s))
+    disc = q3 * q3 + 4.0 * q2 * q4
+    den = q3 + math.sqrt(disc) if disc >= 0.0 else math.nan
+    if not (q2 > 0.0 and den > 0.0):
+        raise ConvergenceError(
+            f"no start amplitude: S(a) = 1 has no positive root (q2 = {q2:.3e}, "
+            f"q3 = {q3:.3e}, q4 = {q4:.3e})",
+            {"q2": q2, "q3": q3, "q4": q4},
+        )
+    return 2.0 * q2 / den * shape
+
+
 def _bo_start(p: ModelParams, grid: Grid) -> tuple[WavePair, dict]:
     """The c = 0 BO pair: the even positive ground state of op2 nu = 2 r^2
     nu^3/(1-gamma) and xi = r nu^2/(1-gamma), with its `_solve` record."""
     red = _Reduced("BO", p, grid, 0.0)
-    # Lorentzian-squared bump at the dispersive width; the amplitude is fixed
-    # by S(amp) = 1, which is scale-invariant (a raw-residual search would
-    # collapse to the trivial branch as amp -> 0)
+    # Lorentzian-squared bump at the dispersive width
     width = (p.beta - 1.0) / p.gamma * math.sqrt(p.mu)
-    shape = 1.0 / (1.0 + (grid.x / width) ** 2) ** 2
-    m_s, _, cubic_s = red.parts(shape)
-    nu = math.sqrt(np.dot(shape, m_s) / np.dot(shape, cubic_s)) * shape
-    pair, info = _solve(red, nu)
+    pair, info = _solve(red, _start(red, 1.0 / (1.0 + (grid.x / width) ** 2) ** 2))
     if np.min(pair.nu) < -1e-6 * np.max(np.abs(pair.nu)):
         raise ConvergenceError(
             f"loss of positivity: min nu = {np.min(pair.nu):.3e}",
@@ -598,48 +619,6 @@ def continue_in_mu2(p: ModelParams, depths: list[float], *, grid: Grid) -> Solit
 
 
 # ---------------------------------------------------------------------------
-# the two-layer family
-# ---------------------------------------------------------------------------
-
-
-def _scan_ratios(red: _Reduced, shape: np.ndarray, dx: float, amps: np.ndarray) -> np.ndarray:
-    """S(a) = <a s, M a s>/<G(a s), a s> for the start-up amplitude scan; NaN
-    where the denominator is not positive.
-
-    M is linear and G(a s) = a^2 Q(s) + a^3 C(s), so with q2 = <s, M s>,
-    q3 = <Q(s), s> and q4 = <C(s), s> the ratio is a^2 q2/(a^3 q3 + a^4 q4):
-    one evaluation of the shape serves every amplitude.
-    """
-    m_s, quad_s, cubic_s = red.parts(shape)
-    q2 = dx * np.dot(shape, m_s)
-    q3 = dx * np.dot(quad_s, shape)
-    q4 = dx * np.dot(cubic_s, shape)
-    ratios = np.full(len(amps), np.nan)
-    for i, amp in enumerate(amps):
-        den = amp**3 * q3 + amp**4 * q4
-        if den > 0.0:
-            ratios[i] = amp**2 * q2 / den
-    return ratios
-
-
-def _bfd_solve(red: _Reduced) -> tuple[WavePair, dict]:
-    """The BFD wave of red's equation by `_solve`, from a unit-width sech^2
-    bump whose amplitude makes the stabilizing factor closest to 1."""
-    grid = red.grid
-    # the amplitude comes from the scale-invariant condition S(amp) = 1
-    # scanned over a wide range (a raw-residual search would collapse to the
-    # trivial branch as amp -> 0)
-    shape = 1.0 / np.cosh(grid.x) ** 2
-    amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(red.p) * 1e3
-    best, best_dev = amps[0], math.inf
-    for amp, s_try in zip(amps, _scan_ratios(red, shape, grid.dx, amps)):
-        # a skipped amplitude (NaN) never wins; ties keep the first
-        if abs(s_try - 1.0) < best_dev:
-            best, best_dev = amp, abs(s_try - 1.0)
-    return _solve(red, best * shape)
-
-
-# ---------------------------------------------------------------------------
 # one solve for every family
 # ---------------------------------------------------------------------------
 
@@ -651,15 +630,16 @@ def solve(family: str, p: ModelParams, speed: float, *, grid: Grid) -> tuple[Wav
     full_residual.
 
     p is taken at the family's depth (`family_params`).  BFD waves solve the
-    reduced equation from a sech^2 bump (`_bfd_solve`).  BO starts from the
-    ground state (`_bo_start`); ILW continues that in depth to p.mu2
-    (`_depth_leg`, the path of `continue_in_mu2`); at c != 0 both then
-    continue in speed to c (`_speed_leg`).  A leg that ends before its
-    milestone raises ConvergenceError.
+    reduced equation from a unit-width sech^2 bump at its start amplitude
+    (`_start`).  BO starts from the ground state (`_bo_start`); ILW continues
+    that in depth to p.mu2 (`_depth_leg`, the path of `continue_in_mu2`); at
+    c != 0 both then continue in speed to c (`_speed_leg`).  A leg that ends
+    before its milestone raises ConvergenceError.
     """
     fam, p = family_params(family, p)
     if fam not in ("BO", "ILW"):
-        return _bfd_solve(_Reduced(fam, p, grid, speed))
+        red = _Reduced(fam, p, grid, speed)
+        return _solve(red, _start(red, 1.0 / np.cosh(grid.x) ** 2))
     legs = [lambda s: _depth_leg(p, s, [p.mu2])] if fam == "ILW" else []
     if speed:
         legs.append(lambda s: _speed_leg(fam, p, s, [speed]))

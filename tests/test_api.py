@@ -280,3 +280,35 @@ def test_only_the_kernel_quadratures_import_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _config_keys_read() -> set:
+    """The keys cli.py and config.py name as string literals, outside the
+    registry itself, with the params.* keys that config.py reads through
+    _PARAM_KEYS."""
+    from iswaves.config import _PARAM_KEYS
+
+    read = {f"params.{k}" for k in _PARAM_KEYS}
+    for name in ("cli.py", "config.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        registry = [
+            node.value for node in tree.body
+            if isinstance(node, ast.AnnAssign)
+            and getattr(node.target, "id", None) == "KEY_REGISTRY"
+        ]
+        skip = {id(key) for d in registry for key in d.keys}
+        read |= {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in skip
+        }
+    return read
+
+
+def test_every_config_key_is_read():
+    # a key the registry accepts and no command reads would be taken and
+    # silently ignored
+    from iswaves.config import KEY_REGISTRY
+
+    unread = sorted(set(KEY_REGISTRY) - _config_keys_read())
+    assert unread == [], f"config keys cli.py and config.py never read: {unread}"

@@ -637,6 +637,52 @@ def test_cli_evolve_outside_characteristic_window_exits_1(p1_cfg, tmp_path, caps
         assert "numerical failure: characteristic splitting needs positive" in err
 
 
+# (subcommand, --set overrides, the amplitude bound alpha the evolution
+# asserts (None: its own), exit code, the files it writes); the evolve
+# overrides run on a 64-point grid for T = 2 at dt = 0.05
+_EVOLVE_SETS = [
+    "grid.L=20", "grid.N=64", "evolve.family=bfd_finite", "evolve.T=2", "evolve.dt=0.05",
+]
+_EXIT_PATHS = [
+    ("validate", [], None, 0, {"admissibility.json", "meta.json"}),
+    ("validate", ["validate.omega=0.2"], None, 1, {"admissibility.json", "meta.json"}),
+    ("kernel-check", ["kernel.which=K1"], None, 0, {"kernel_check.json", "meta.json"}),
+    # no closed form of K: a numerical failure writes nothing
+    ("kernel-check", ["params.a=3.5", "kernel.which=K"], None, 1, set()),
+    ("evolve", _EVOLVE_SETS, None, 0, {"trajectory.json", "final_state.csv", "meta.json"}),
+    # blown up
+    ("evolve", _EVOLVE_SETS + ["evolve.amplitude=200"], None, 1, {"trajectory.json", "meta.json"}),
+    # aborted at the amplitude bound
+    ("evolve", _EVOLVE_SETS, 1e-6, 1, {"trajectory.json", "meta.json"}),
+    ("evolve", _EVOLVE_SETS + ["evolve.dt=-1"], None, 2, set()),
+]
+
+
+@pytest.mark.parametrize("command, sets, alpha, code, files", _EXIT_PATHS)
+def test_cli_writes_meta_once_a_command_returns(
+    p1_cfg, tmp_path, monkeypatch, capsys, command, sets, alpha, code, files
+):
+    # main writes meta.json once, after the command returns whatever its
+    # exit code; a configuration error or a numerical failure writes none
+    from iswaves import config, evolution
+
+    if alpha is not None:
+        real = evolution.check_global_criterion
+        monkeypatch.setattr(
+            evolution, "check_global_criterion", lambda p, w: dict(real(p, w), alpha=alpha)
+        )
+    calls = []
+    write_meta = config.write_meta
+    monkeypatch.setattr(config, "write_meta", lambda out: calls.append(out) or write_meta(out))
+    out = tmp_path / "o"
+    args = [command, "--config", p1_cfg, "--out", str(out)]
+    with np.errstate(all="ignore"):
+        assert main(args + [a for s in sets for a in ("--set", s)]) == code
+    assert {f.name for f in out.iterdir()} == files
+    assert calls == ([str(out)] if "meta.json" in files else [])
+    capsys.readouterr()
+
+
 def test_cli_sweep_small(tmp_path, capsys):
     out = str(tmp_path / "sw")
     code = main([

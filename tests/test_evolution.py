@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from iswaves import evolution, solvers
 from iswaves.evolution import (
     AmplitudeBoundError,
+    Etdrk4Stepper,
+    ImexBdf2Stepper,
     check_global_criterion,
-    make_stepper,
     run,
     suggest_dt,
 )
@@ -90,7 +91,7 @@ def test_step_matches_run(p1_mu2_4, evo_grid):
     # one stepper advance from the encoded state against a one-step run
     state = _gaussian_pair(evo_grid)
     dt = 0.01
-    stepper = make_stepper("etdrk4", "bfd_finite", p1_mu2_4, evo_grid, dt)
+    stepper = Etdrk4Stepper("bfd_finite", p1_mu2_4, evo_grid, dt)
     one = stepper.decode(stepper.advance(stepper.encode(state)))
     out = run("bfd_finite", p1_mu2_4, state, T=dt, dt=dt)
     final = out["final_state"]
@@ -100,29 +101,38 @@ def test_step_matches_run(p1_mu2_4, evo_grid):
 
 
 def test_make_stepper_validation(p1_mu2_4, evo_grid):
-    with pytest.raises(ValueError):
-        make_stepper("rk4", "bfd_finite", p1_mu2_4, evo_grid, 0.01)
-    with pytest.raises(ValueError):
-        make_stepper("etdrk4", "bfd_finite", p1_mu2_4, evo_grid, -0.1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        Etdrk4Stepper("bfd_finite", p1_mu2_4, evo_grid, -0.1)
     # c > 0 flips the sign of 1 - mu c k^2 at high modes: the characteristic
     # split loses positivity and the stepper refuses
     bad_kw = dict(P1_KW, mu2=4.0, c=1.0 / 12.0, a=-1.0 / 4.0)
     with pytest.raises(ValueError, match="positive symbol quotients"):
-        make_stepper("etdrk4", "bfd_finite", ModelParams(**bad_kw), evo_grid, 0.01)
+        Etdrk4Stepper("bfd_finite", ModelParams(**bad_kw), evo_grid, 0.01)
 
 
-def _self_convergence(integrator, p, grid, dts, ref_dt, T=1.0):
+def _final_state(cls, p, init, T, dt):
+    """The state at T stepped by a stepper of class cls, encoded, advanced
+    and decoded at run()'s step T/round(T/dt)."""
+    nsteps = max(1, round(T / dt))
+    stepper = cls("bfd_finite", p, init.grid, T / nsteps)
+    q = stepper.encode(init)
+    for _ in range(nsteps):
+        q = stepper.advance(q)
+    return stepper.decode(q)
+
+
+def _self_convergence(cls, p, grid, dts, ref_dt, T=1.0):
     init = _gaussian_pair(grid)
-    ref = run("bfd_finite", p, init, T=T, dt=ref_dt, integrator=integrator)["final_state"]
+    ref = _final_state(cls, p, init, T, ref_dt)
     errs = []
     for dt in dts:
-        out = run("bfd_finite", p, init, T=T, dt=dt, integrator=integrator)["final_state"]
+        out = _final_state(cls, p, init, T, dt)
         errs.append(float(np.max(np.abs(out.xi - ref.xi))))
     return errs
 
 
 def test_etdrk4_fourth_order(p1_mu2_4, evo_grid):
-    errs = _self_convergence("etdrk4", p1_mu2_4, evo_grid, [0.32, 0.08, 0.02], 1.0 / 1024)
+    errs = _self_convergence(Etdrk4Stepper, p1_mu2_4, evo_grid, [0.32, 0.08, 0.02], 1.0 / 1024)
     order_a = math.log(errs[0] / errs[1]) / math.log(4.0)
     order_b = math.log(errs[1] / errs[2]) / math.log(4.0)
     assert order_a > 3.5
@@ -130,7 +140,7 @@ def test_etdrk4_fourth_order(p1_mu2_4, evo_grid):
 
 
 def test_imex_second_order(p1_mu2_4, evo_grid):
-    errs = _self_convergence("imex", p1_mu2_4, evo_grid, [0.08, 0.04, 0.02], 1.0 / 1024)
+    errs = _self_convergence(ImexBdf2Stepper, p1_mu2_4, evo_grid, [0.08, 0.04, 0.02], 1.0 / 1024)
     order_a = math.log2(errs[0] / errs[1])
     order_b = math.log2(errs[1] / errs[2])
     assert 1.6 < order_a < 2.4
@@ -139,8 +149,8 @@ def test_imex_second_order(p1_mu2_4, evo_grid):
 
 def test_integrators_agree(p1_mu2_4, evo_grid):
     init = _gaussian_pair(evo_grid)
-    a = run("bfd_finite", p1_mu2_4, init, T=1.0, dt=0.01, integrator="etdrk4")["final_state"]
-    b = run("bfd_finite", p1_mu2_4, init, T=1.0, dt=0.01, integrator="imex")["final_state"]
+    a = run("bfd_finite", p1_mu2_4, init, T=1.0, dt=0.01)["final_state"]
+    b = _final_state(ImexBdf2Stepper, p1_mu2_4, init, 1.0, 0.01)
     assert np.max(np.abs(a.xi - b.xi)) < 5e-4
 
 
@@ -156,7 +166,7 @@ def test_linear_flow_exact(p1_mu2_4, evo_grid, monkeypatch):
     # reproduce the analytic propagator to roundoff
     init = _gaussian_pair(evo_grid)
     T = 1.0
-    stepper = make_stepper("etdrk4", "bfd_finite", p1_mu2_4, evo_grid, 0.25)
+    stepper = Etdrk4Stepper("bfd_finite", p1_mu2_4, evo_grid, 0.25)
     monkeypatch.setattr(stepper, "nonlinear", _zero_nonlinear)
     q = stepper.encode(init)
     for _ in range(4):
@@ -322,13 +332,13 @@ def _random_pair(grid, seed, nyquist=False):
 
 def test_transform_counts(p1_mu2_4, evo_grid, fft_calls):
     init = _gaussian_pair(evo_grid)
-    stepper = make_stepper("etdrk4", "bfd_finite", p1_mu2_4, evo_grid, 0.01)
+    stepper = Etdrk4Stepper("bfd_finite", p1_mu2_4, evo_grid, 0.01)
     q = stepper.encode(init)
     fft_calls["n"] = 0
     stepper.advance(q)
     assert fft_calls["n"] == 8
 
-    imex = make_stepper("imex", "bfd_finite", p1_mu2_4, evo_grid, 0.01)
+    imex = ImexBdf2Stepper("bfd_finite", p1_mu2_4, evo_grid, 0.01)
     q = imex.advance(imex.encode(init))
     fft_calls["n"] = 0
     imex.advance(q)
@@ -382,34 +392,30 @@ def _per_step_reference(stepper, monitor, initial, nsteps, snapshots_every, outd
     return "completed", t, times, zv
 
 
-def _run_case(integrator, snap_stride, amplitude, alpha, status):
-    """A case of test_run_equals_per_step_loop, its id read as integrator,
-    snapshot stride in steps, amplitude, alpha, linear flow (False: every
-    case integrates the full nonlinear system) and status."""
+def _run_case(snap_stride, amplitude, alpha, status):
+    """A case of test_run_equals_per_step_loop, its id read as the
+    integrator (etdrk4, the one run() drives), snapshot stride in steps,
+    amplitude, alpha, linear flow (False: every case integrates the full
+    nonlinear system) and status."""
     return pytest.param(
-        integrator, snap_stride, amplitude, alpha, status,
-        id=f"{integrator}-{snap_stride}-{amplitude}-{alpha}-False-{status}",
+        snap_stride, amplitude, alpha, status,
+        id=f"etdrk4-{snap_stride}-{amplitude}-{alpha}-False-{status}",
     )
 
 
 @pytest.mark.parametrize(
-    "integrator, snap_stride, amplitude, alpha, status",
+    "snap_stride, amplitude, alpha, status",
     [
-        _run_case("etdrk4", 1, 0.5, None, "completed"),
-        _run_case("etdrk4", 3, 0.5, None, "completed"),
-        _run_case("imex", 1, 0.5, None, "completed"),
-        _run_case("imex", 3, 0.5, None, "completed"),
-        _run_case("etdrk4", 1, 200.0, None, "blow_up"),
-        _run_case("imex", 3, 200.0, None, "blow_up"),
-        # sup|zeta| first exceeds alpha at t = 0.35, and at t = 0.45 for
-        # alpha = 0.0275
-        _run_case("etdrk4", 1, 0.02, 0.0265, "aborted"),
-        _run_case("etdrk4", 3, 0.02, 0.0265, "aborted"),
-        _run_case("imex", 1, 0.02, 0.0275, "aborted"),
+        _run_case(1, 0.5, None, "completed"),
+        _run_case(3, 0.5, None, "completed"),
+        _run_case(1, 200.0, None, "blow_up"),
+        # sup|zeta| first exceeds alpha at t = 0.35
+        _run_case(1, 0.02, 0.0265, "aborted"),
+        _run_case(3, 0.02, 0.0265, "aborted"),
     ],
 )
 def test_run_equals_per_step_loop(
-    p1_mu2_4, tmp_path, monkeypatch, integrator, snap_stride, amplitude, alpha, status,
+    p1_mu2_4, tmp_path, monkeypatch, snap_stride, amplitude, alpha, status,
 ):
     # run() monitors each state one step late, from the stepper's first
     # stage; every sample, time, snapshot and the final state must equal
@@ -451,7 +457,7 @@ def test_run_equals_per_step_loop(
 
     def with_run(outdir):
         out = run(
-            "bfd_finite", p1_mu2_4, init, T=T, dt=T / nsteps, integrator=integrator,
+            "bfd_finite", p1_mu2_4, init, T=T, dt=T / nsteps,
             snapshots_every=snaps, outdir=outdir,
         )
         final = out.get("final_state")
@@ -459,7 +465,7 @@ def test_run_equals_per_step_loop(
         return out["status"], out.get("t_blow_up", out["t_final"]), out["times"], zv
 
     def with_loop(outdir):
-        stepper = make_stepper(integrator, "bfd_finite", p1_mu2_4, grid, T / nsteps)
+        stepper = Etdrk4Stepper("bfd_finite", p1_mu2_4, grid, T / nsteps)
         return _per_step_reference(
             stepper, Recording(p1_mu2_4, grid, True), init, nsteps, snaps, outdir, alpha
         )
@@ -524,19 +530,19 @@ _STEPPER_CASES = [
 @settings(max_examples=12, deadline=None)
 @given(
     case=st.sampled_from(_STEPPER_CASES),
-    integrator=st.sampled_from(evolution.INTEGRATORS),
+    cls=st.sampled_from([Etdrk4Stepper, ImexBdf2Stepper]),
     n=st.sampled_from([64, 128, 256]),
     dt=st.floats(1e-3, 0.5),
     seed=st.integers(0, 2**16),
 )
-def test_stepper_coefficients_property(case, integrator, n, dt, seed):
+def test_stepper_coefficients_property(case, cls, n, dt, seed):
     family, kw = case
     p = ModelParams(**kw)
     grid = make_grid(20.0, n)
     state = _random_pair(grid, seed)
 
     # decode(encode(w)) reproduces w to roundoff
-    stepper = make_stepper(integrator, family, p, grid, dt)
+    stepper = cls(family, p, grid, dt)
     back = stepper.decode(stepper.encode(state))
     for got, want in ((back.xi, state.xi), (back.nu, state.nu)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -551,10 +557,10 @@ def test_stepper_coefficients_property(case, integrator, n, dt, seed):
 
     # with the linear part alone one step is the exact rotation for ETDRK4
     # and the trapezoidal (Cayley) factor for the IMEX start-up step
-    linear = make_stepper(integrator, family, p, grid, dt)
+    linear = cls(family, p, grid, dt)
     linear.nonlinear = _zero_nonlinear
     q1 = linear.advance(q)
-    if integrator == "etdrk4":
+    if cls is Etdrk4Stepper:
         exact = linear.e_full * q
     else:
         z = 0.5 * dt * linear.lam

@@ -21,7 +21,7 @@ from iswaves.solvers import (
     trivial_threshold,
 )
 from iswaves import solvers
-from iswaves.solvers import _petviashvili, _Reduced, _System, _scan_ratios
+from iswaves.solvers import _petviashvili, _Reduced, _System
 from iswaves.spectral import WavePair, apply_table, make_grid, symbols, symmetrize_even
 
 from conftest import P1_KW
@@ -860,32 +860,54 @@ def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo, 
             assert np.array_equal(nu, ones) and s_val == 1.0 and not np.any(resid)
 
 
+class _Handed(Exception):
+    """Raised by the stand-in of `_solve` once it has recorded its start."""
+
+
 @pytest.mark.parametrize(
-    "which, L, n, depth",
+    "which, L, n, family",
     [
-        ("p1_mu2_4", 8.0, 2048, "finite"),
-        ("p_sharp", 16.0, 2048, "finite"),
-        ("p1_inf", 200.0, 4096, "infinite"),
+        ("p1_mu2_4", 8.0, 2048, "BFD_finite"),
+        ("p_sharp", 16.0, 2048, "BFD_finite"),
+        ("p1_inf", 200.0, 4096, "BFD_inf"),
+        ("p1_inf", 200.0, 4096, "BO"),
     ],
 )
-def test_closed_form_scan_matches_direct_ratios(request, which, L, n, depth):
-    # the bfd_finite, bfd_sharp and bfd_inf fixture problems
-    p = request.getfixturevalue(which)
-    assert p.finite_depth == (depth == "finite")
+def test_start_amplitude_makes_S_one(request, monkeypatch, which, L, n, family):
+    # the bfd_finite, bfd_sharp and bfd_inf fixture problems and the BO
+    # ground state at c = 0: at the start `_start` hands to `_solve`, the
+    # stabilizing factor <nu, M nu>/<G(nu), nu>, with M applied directly, is 1
+    handed = []
+
+    def record(red, nu):
+        handed.append((red, nu))
+        raise _Handed
+
+    monkeypatch.setattr(solvers, "_solve", record)
     grid = make_grid(L, n)
-    red = _Reduced("BFD_finite" if depth == "finite" else "BFD_inf", p, grid, 0.1)
-    shape = 1.0 / np.cosh(grid.x) ** 2
-    amps = np.geomspace(0.02, 200.0, 241) * trivial_threshold(p) * 1e3
-    direct = np.full(amps.shape, np.nan)
-    for i, amp in enumerate(amps):
-        nu = amp * shape
-        den = grid.dx * np.dot(red.evaluate(nu)[1], nu)
-        if den > 0.0:
-            direct[i] = grid.dx * np.dot(nu, apply_table(red.mhat, nu)) / den
-    closed = _scan_ratios(red, shape, grid.dx, amps)
-    assert np.array_equal(np.isnan(closed), np.isnan(direct))
-    assert np.isfinite(direct).any()
-    ok = np.isfinite(direct)
-    assert np.max(np.abs(closed[ok] - direct[ok]) / np.abs(direct[ok])) <= 1e-12
-    # first minimizer of |S - 1|, as the solver's tie rule picks it
-    assert np.nanargmin(np.abs(closed - 1.0)) == np.nanargmin(np.abs(direct - 1.0))
+    with pytest.raises(_Handed):
+        solve(family, request.getfixturevalue(which), 0.0 if family == "BO" else 0.1, grid=grid)
+    (red, nu), = handed
+    assert red.family == family
+    s_val = np.dot(nu, apply_table(red.mhat, nu)) / np.dot(red.evaluate(nu)[1], nu)
+    assert abs(s_val - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "q2, q3, q4",
+    [
+        (1.0, -1.0, -1.0),  # no real root
+        (1.0, 1.0, -1.0),  # no real root
+        (1.0, -3.0, -1.0),  # two negative roots
+        (1.0, -1.0, 0.0),  # one negative root
+        (1.0, 0.0, 0.0),  # no root
+    ],
+)
+def test_start_refuses_a_shape_without_a_positive_root(p1_mu2_4, monkeypatch, q2, q3, q4):
+    # S(a) = q2/(a q3 + a^2 q4) = 1 has no positive root a
+    red = _Reduced("BFD_finite", p1_mu2_4, make_grid(8.0, 64), 0.1)
+    shape = np.full(64, 0.125)
+    monkeypatch.setattr(red, "parts", lambda nu: tuple(np.full(64, q / 8.0) for q in (q2, q3, q4)))
+    with pytest.raises(ConvergenceError, match="no positive root") as exc:
+        solvers._start(red, shape)
+    assert exc.value.diagnostics == {"q2": q2, "q3": q3, "q4": q4}
