@@ -61,11 +61,13 @@ def energy_tables(p: ModelParams, omega: float, grid: Grid) -> tuple[np.ndarray,
 
 
 def energy_gradient(tables: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    """grad E = A x of a stacked (2, N) pair x, by one rfft/irfft pair;
-    tables are the `energy_tables`."""
+    """grad E = A x of a stacked (2, N) pair x, or of each pair of a
+    (..., 2, N) stack, by one rfft/irfft pair; tables are the
+    `energy_tables`."""
     a11, a12, a22 = tables
     f = np.fft.rfft(x, axis=-1)
-    ax = np.stack([a11 * f[0] + a12 * f[1], a12 * f[0] + a22 * f[1]])
+    xi, nu = f[..., 0, :], f[..., 1, :]
+    ax = np.stack([a11 * xi + a12 * nu, a12 * xi + a22 * nu], axis=-2)
     return np.fft.irfft(ax, n=x.shape[-1], axis=-1)
 
 

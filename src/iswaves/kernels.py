@@ -4,10 +4,17 @@ Four convolution kernels govern the far-field behavior of the solitary
 waves: K (two-layer, infinite depth, algebraic with an oscillatory
 exponential part), K1 (exponential, finite depth), K2 (one-layer infinite
 depth, algebraic), and K3 (one-layer finite depth, exponential series).
-Each has a closed form or rapidly convergent quadrature/series here, its
-symbol as a function of |k| (kernel_symbol), and an independent
-discrete-transform oracle of that symbol (kernel_fft_oracle on the whole
-grid, kernel_oracle_at at chosen points).
+Each has a closed form, quadrature or series here, its symbol as a function
+of |k| (kernel_symbol), and an independent discrete-transform oracle of that
+symbol (kernel_fft_oracle on the whole grid, kernel_oracle_at at chosen
+points).
+
+The quadratures of K and K2 are Laplace integrals int_0^upper f(y) dy whose
+integrand peaks in a spike of width 1/|x| at y = 0.  They are computed in
+numpy by composite Gauss-Legendre on panels graded geometrically from
+1e-3 min(scale, 1/|x|) to upper: each panel compares a 20-point rule with
+a 10-point rule and is bisected until their difference is within its share
+of the tolerance, so the spike is sampled at every x.
 
 Transform convention: unitary, symmetric in the sqrt(2*pi) factor,
     khat(k) = (2*pi)^{-1/2} integral K(x) exp(-i k x) dx,
@@ -26,6 +33,7 @@ the symbol is evaluated a block of rows at a time on those bins alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -40,6 +48,10 @@ _EPS = np.finfo(float).eps
 Symbol = Callable[[np.ndarray], np.ndarray]
 # symbol values evaluated per block of rows in the oracle's fold
 _FOLD_BLOCK = 2**16
+# the Laplace-integral rule: absolute tolerance, shared among the panels by
+# width, and the number of panels at which bisection gives up
+_QUAD_TOL = 1e-13
+_MAX_PANELS = 2000
 
 
 def _infinite_depth_constants(p: ModelParams) -> tuple[float, float, float]:
@@ -71,6 +83,55 @@ class DecayReport:
 def _laplace_cutoff(x: float) -> float:
     # e^{-|x| Y} < 1e-16 for Y = 40/|x|; the analytic tail is below roundoff
     return 40.0 / abs(x)
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] by
+    Golub-Welsch: the eigenvalues of the Legendre Jacobi matrix, and twice
+    the squared first components of its eigenvectors.  The mirrored halves
+    are averaged, since the rule is symmetric and the eigensolver is not."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 * vecs[0] ** 2
+    return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+
+
+def _laplace_integral(
+    f: Callable[[np.ndarray], np.ndarray], scale: float, ax: float, upper: float,
+    breaks: Sequence[float] = (),
+) -> tuple[float, float]:
+    """int_0^upper f(y) dy of a positive integrand that varies on the scales
+    1/ax and scale, with its estimated error.
+
+    The panels are graded geometrically, by factors of 2 from
+    1e-3 min(scale, 1/ax), and split at breaks.  A panel is accepted when
+    its 20- and 10-point Gauss-Legendre values differ by at most its width's
+    share of _QUAD_TOL, or by a few eps of its own value (an absolute
+    tolerance alone stalls at roundoff); every other panel is bisected.
+    The error estimate is the sum of those differences.  Raises
+    RuntimeError past _MAX_PANELS panels.
+    """
+    a0 = 1e-3 * min(scale, 1.0 / ax)
+    grading = a0 * 2.0 ** np.arange(math.ceil(math.log2(upper / a0)))
+    inner = [b for b in breaks if 0.0 < b < upper]
+    edges = np.unique(np.concatenate([[0.0], grading, inner, [upper]]))
+    lo, hi = edges[:-1], edges[1:]
+    while True:
+        if lo.size > _MAX_PANELS:
+            raise RuntimeError(f"quadrature needs more than {_MAX_PANELS} panels")
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        q20, q10 = (
+            half * (f(mid[:, None] + half[:, None] * nodes) @ weights)
+            for nodes, weights in (_gauss_legendre(20), _gauss_legendre(10))
+        )
+        err = np.abs(q20 - q10)
+        bad = err > np.maximum(_QUAD_TOL * (hi - lo) / upper, 8.0 * _EPS * np.abs(q20))
+        if not bad.any():
+            return float(np.sum(q20)), float(np.sum(err))
+        lo = np.concatenate([lo[~bad], lo[bad], mid[bad]])
+        hi = np.concatenate([hi[~bad], mid[bad], hi[bad]])
 
 
 def _k2_alpha(p: ModelParams) -> float:
@@ -106,19 +167,21 @@ def kernel_K2_quadrature(p: ModelParams, x: float) -> float:
     """Algebraic kernel sqrt(2/pi) * int_0^inf y e^{-|x|y}/(alpha^2+y^2) dy.
 
     The symbol is 1/(|k| + alpha) with alpha = gamma/((beta-1) sqrt(mu)).
-    Logarithmically divergent at x = 0, which is refused.
+    The integral is taken by the graded Gauss-Legendre rule up to
+    max(40/|x|, 10 alpha); RuntimeError if its error estimate plus the
+    analytic tail exceeds 1e-10.  Logarithmically divergent at x = 0, which
+    is refused.
     """
     if x == 0.0:
         raise ValueError("K2 is singular at x = 0 (logarithmic divergence)")
-    from scipy.integrate import quad
     alpha = _k2_alpha(p)
     ax = abs(x)
     upper = max(_laplace_cutoff(ax), 10.0 * alpha)
 
-    def integrand(y: float) -> float:
-        return y * math.exp(-ax * y) / (alpha * alpha + y * y)
+    def integrand(y: np.ndarray) -> np.ndarray:
+        return y * np.exp(-ax * y) / (alpha * alpha + y * y)
 
-    val, err = quad(integrand, 0.0, upper, epsabs=1e-12, epsrel=1e-12, limit=400)
+    val, err = _laplace_integral(integrand, alpha, ax, upper)
     # analytic tail bound: integrand < e^{-ax y}/y beyond the cutoff
     tail = math.exp(-ax * upper) / (ax * upper)
     if err + tail > 1e-10:
@@ -133,24 +196,23 @@ def kernel_K_quadrature(p: ModelParams, x: float) -> float:
                + (2 sqrt(2pi)/sqrt(4 cK - ell^2)) e^{-sqrt(4 cK - ell^2)|x|/2} cos(ell x / 2)
 
     The symbol is 1/(k^2 - ell|k| + cK); positivity requires 4 cK > ell^2.
+    The integral is taken by the graded Gauss-Legendre rule up to
+    max(40/|x|, 10 sqrt(cK)), split at sqrt(cK); RuntimeError if its error
+    estimate plus the analytic tail exceeds 1e-10.
     """
     if x == 0.0:
         raise ValueError("K is not evaluated at x = 0")
-    from scipy.integrate import quad
     ell, c_k, disc = _infinite_depth_constants(p)
     if disc <= 0.0:
         raise InadmissibleParameterError(f"4 c_K - ell^2 = {disc:.6g} must be positive")
     ax = abs(x)
     upper = max(_laplace_cutoff(ax), 10.0 * math.sqrt(c_k))
 
-    def integrand(y: float) -> float:
+    def integrand(y: np.ndarray) -> np.ndarray:
         den = (c_k - y * y) ** 2 + ell * ell * y * y
-        return y * math.exp(-ax * y) / den
+        return y * np.exp(-ax * y) / den
 
-    val, err = quad(
-        integrand, 0.0, upper, epsabs=1e-12, epsrel=1e-12, limit=400,
-        points=[math.sqrt(c_k)] if upper > math.sqrt(c_k) else None,
-    )
+    val, err = _laplace_integral(integrand, ell, ax, upper, [math.sqrt(c_k)])
     tail = math.exp(-ax * upper) / (ax * upper**3)
     if err + tail > 1e-10:
         raise RuntimeError(f"quadrature failed to reach tolerance (err {err:.2e})")
@@ -235,8 +297,8 @@ def _oracle_values(fn: Symbol, g: Grid, step: int) -> np.ndarray:
         vals = fn(2.0 * math.pi * (np.minimum(j, n - j) * (1.0 / (n * g.dx))))
         if np.min(vals) <= 0.0:
             raise ValueError("symbol is not strictly positive on the grid")
-        for row in vals:
-            folded += row
+        # a reduction over the first axis adds the rows in order
+        folded = np.add.reduce(np.concatenate([folded[None], vals]), axis=0)
     folded[1::2] *= -1.0
     dk = math.pi / g.L
     return dk / math.sqrt(2.0 * math.pi) * m * np.fft.irfft(folded, n=m)

@@ -240,9 +240,9 @@ def test_no_unused_imports():
     assert unused == [], f"imported and never read: {unused}"
 
 
-# validate, solve and evolve on small configs, then kernel-check, in the
-# interpreter that imported iswaves; argv: a config of the parameters and an
-# output directory
+# every command on a small config (kernel-check on every kernel, decay on
+# the branch continue writes), in the interpreter that imported iswaves;
+# argv: a config of the parameters and an output directory
 _SCIPY_PROBE = """
 import sys
 from iswaves.cli import main
@@ -251,23 +251,25 @@ config, out = sys.argv[1:]
 runs = {
     "validate": ["validate.omega=0.1"],
     "solve": ["solve.family=BFD_finite", "solve.omega=0.1", "grid.L=8", "grid.N=256"],
+    "continue": ["params.mu2=inf", "grid.L=50", "grid.N=256", "continue.parameter=c",
+                 "continue.target=0.02", "continue.milestones=0.01,0.02"],
+    "decay": [f"decay.branch_dir={out}/continue/branch", "decay.window_lo=8",
+              "decay.window_hi=16"],
     "evolve": ["evolve.family=bfd_finite", "evolve.T=0.1", "grid.L=20", "grid.N=64"],
+    "kernel-check": ["kernel.which=all"],
+    "sweep": ["sweep.draws=2"],
 }
 for command, sets in runs.items():
     argv = [command, "--config", config, "--out", f"{out}/{command}"]
     assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0, command
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 assert loaded == [], loaded
-argv = ["kernel-check", "--config", config, "--out", f"{out}/kc", "--set", "kernel.which=K2"]
-assert main(argv) == 0
-assert "scipy.integrate" in sys.modules
 """
 
 
-def test_only_the_kernel_quadratures_import_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter, since this one imported scipy.fft in conftest:
-    # importing iswaves and running every command but kernel-check loads no
-    # scipy module; the K and K2 quadratures import scipy.integrate on use
+    # importing iswaves and running the commands loads no scipy module
     config = tmp_path / "p1.cfg"
     config.write_text(
         "params.gamma = 0.5\nparams.epsilon = 0.1\nparams.mu = 0.1\n"

@@ -2,9 +2,10 @@
 
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,69 @@ def test_k_refuses_degenerate_constants():
     p_undef = ModelParams(mu2=math.inf, a=4.5, **base)
     with pytest.raises(ValueError, match="undefined"):
         kernel_K_quadrature(p_undef, 1.0)
+
+
+# from the core (x = 0.005) to x = 1e4, where the integrands are spikes of
+# width 1e-4 at y = 0
+_QUAD_XS = [0.005, 0.5, 3.0, 50.0, 1000.0, 1e4]
+
+
+def _assert_matches_mpmath(closed, exact):
+    for x in _QUAD_XS:
+        value, ref = closed(x), float(exact(mpmath.mpf(x)))
+        assert abs(value - ref) <= 1e-13, (x, value, ref)
+        assert abs(value - ref) <= 1e-11 * abs(ref), (x, value, ref)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.001], ids=["p1", "alpha_15.8"])
+def test_k2_quadrature_vs_mpmath(p1_mu2_4, mu):
+    p = replace(p1_mu2_4, mu=mu)
+    alpha = mpmath.mpf(kernels._k2_alpha(p))
+
+    def exact(x):
+        f = lambda y: y * mpmath.exp(-x * y) / (alpha**2 + y**2)
+        return mpmath.sqrt(2 / mpmath.pi) * mpmath.quad(f, [0, 1 / x, 10 / x, alpha, mpmath.inf])
+
+    with mpmath.workdps(30):
+        _assert_matches_mpmath(lambda x: kernel_K2_quadrature(p, x), exact)
+
+
+@pytest.mark.parametrize(
+    "kw", [{}, {"mu": 9.6}, {"a": 2.999, "mu": 1.0}], ids=["p1", "ell_0.158", "disc_0.004"]
+)
+def test_k_quadrature_vs_mpmath(p1_inf, kw):
+    p = replace(p1_inf, **kw)
+    # the float constants, so that the reference checks the quadrature and
+    # not the rounding of 4 c_K - ell^2 (1e3 eps relative at disc 0.004)
+    rates = compute_decay_rates(p)
+    ell, c_k, disc = (mpmath.mpf(v) for v in (rates.ell, rates.c_K, rates.discriminant))
+
+    def exact(x):
+        f = lambda y: y * mpmath.exp(-x * y) / ((c_k - y * y) ** 2 + ell**2 * y * y)
+        laplace = mpmath.quad(f, sorted([0, 1 / x, 10 / x, ell, mpmath.sqrt(c_k), mpmath.inf]))
+        osc = 2 * mpmath.sqrt(2 * mpmath.pi / disc) * mpmath.exp(-mpmath.sqrt(disc) * x / 2)
+        return -2 * ell / mpmath.sqrt(2 * mpmath.pi) * laplace + osc * mpmath.cos(ell * x / 2)
+
+    with mpmath.workdps(30):
+        _assert_matches_mpmath(lambda x: kernel_K_quadrature(p, x), exact)
+
+
+def test_quadrature_plateaus_at_large_x(p1_inf, p1_mu2_4):
+    x = 1e4
+    assert x**2 * kernel_K_quadrature(p1_inf, x) == pytest.approx(
+        kernel_K_plateau(p1_inf), rel=1e-3
+    )
+    assert x**2 * kernel_K2_quadrature(p1_mu2_4, x) == pytest.approx(
+        kernel_K2_plateau(p1_mu2_4), rel=1e-3
+    )
+
+
+def test_quadrature_refuses_past_the_panel_cap(p1_inf, p1_mu2_4):
+    with mock.patch.object(kernels, "_MAX_PANELS", 1):
+        with pytest.raises(RuntimeError, match="panels"):
+            kernel_K_quadrature(p1_inf, 2.0)
+        with pytest.raises(RuntimeError, match="panels"):
+            kernel_K2_quadrature(p1_mu2_4, 2.0)
 
 
 def test_k3_series_vs_oracle(p1_mu2_4, k3_oracle):
