@@ -2,12 +2,14 @@
 
 Solitary waves arise two independent ways: as solutions of a reduced
 nonlocal equation (Petviashvili iteration) and as minimizers of the energy E
-subject to fixed cubic constraint F (projected gradient descent with a
-Lagrange multiplier K).  Both are computed here on the same grid; after
+subject to fixed cubic constraint F (spectral renormalization, Anderson-mixed
+and guarded by the energy, at four FFT calls per iteration, with a Lagrange
+multiplier K; a mixed step that raises E is replaced by the plain step and
+counts as a mixing restart).  Both are computed here on the same grid; after
 the K-rescaling that turns a minimizer into a travelling wave, the two
-profiles must agree.  The minimum value I(lambda), the energy the
-minimizer reports at constraint level lambda, also obeys an exact
-two-thirds power scaling in the constraint level, which is checked last.
+profiles must agree.  The minimum value I(lambda), the energy the minimizer
+reports at constraint level lambda, also obeys an exact two-thirds power
+scaling in the constraint level, which is checked last.
 """
 
 import numpy as np
@@ -30,7 +32,8 @@ grid = make_grid(200.0, 2048)
 
 minimizer, k_mult, info = constrained_minimize(p, omega, 1.0, grid)
 print(f"constrained minimizer: {info['iterations']} iterations, "
-      f"gradient norm {info['gradient_norm']:.2e}")
+      f"gradient norm {info['gradient_norm']:.2e}, "
+      f"{info['mixing_restarts']} mixing restarts")
 print(f"constraint F = {info['constraint']:.12f} (target 1)")
 print(f"Lagrange multiplier K = {k_mult:.6f} (positive as required)")
 print(f"multiplier misfit {info['lagrange_misfit_rel']:.2e}")

@@ -399,14 +399,15 @@ def cmd_sweep(cfg: dict, out: str) -> int:
         mu2 = threshold * rng.uniform(1.05, 10.0)
         p = ModelParams(gamma=gamma, epsilon=0.1, mu=mu, a=a, b=b, c=c, d=b, mu2=mu2)
 
-        form = quadratic_form_check(p, omega, grid)
+        tables = energy_tables(p, omega, grid)
+        form = quadratic_form_check(tables, grid)
         min_eigen_global = min(min_eigen_global, form.global_min)
         if form.global_min <= 0.0:
             violations.append({"draw": i, "kind": "quadratic_form",
                                "global_min": form.global_min})
         # E = 1/2 <x, A x> of every pair, by one stacked transform
         pairs = _band_limited_pairs(grid, rng, fields_per_draw)
-        grads = energy_gradient(energy_tables(p, omega, grid), pairs)
+        grads = energy_gradient(tables, pairs)
         for x, ax in zip(pairs, grads):
             scale = grid.dx * (np.dot(x[0], x[0]) + np.dot(x[1], x[1]))
             e_val = 0.5 * inner(grid, x, ax)

@@ -92,15 +92,16 @@ def hamiltonian_H(p: ModelParams, state: WavePair) -> float:
     return energy_E(p, 0.0, state) - p.r * inner(state.grid, zeta, v * v)
 
 
-def quadratic_form_check(p: ModelParams, omega: float, grid: Grid) -> QuadraticFormReport:
-    """Frequency-wise positivity of the quadratic part of E.
+def quadratic_form_check(tables: tuple[np.ndarray, ...], grid: Grid) -> QuadraticFormReport:
+    """Frequency-wise positivity of the quadratic part of E, from its
+    `energy_tables` on grid.
 
     Uses the sharp diagonal split: both A11 - |A12| and A22 - |A12| must stay
     positive.  The coercivity constant is min_k min_eigen(k)/(1 + k^2),
     certifying E >= C/2 ||(xi,nu)||_{1x1}^2.  The symbols are even, so the
     half-spectrum values are mirrored onto the full frequency set.
     """
-    a11, a12, a22 = energy_tables(p, omega, grid)
+    a11, a12, a22 = tables
     cross = np.abs(a12)
     half = np.minimum(a11 - cross, a22 - cross)
     min_eigen = np.concatenate([half, half[-2:0:-1]])

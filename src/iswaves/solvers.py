@@ -32,9 +32,9 @@ it stops halving for _STALL_ITERS iterations within 10 TOL_RESIDUAL (exit
 (`_continuation`) marches branches in the speed c and in the depth parameter
 mu2, each milestone warm-started from the last wave solved.  Constrained
 minimization of the energy on {F = lambda} is an independent path
-(`constrained_minimize`): E's quadratic form A (`functionals`) is its
-metric, so an iteration makes one metric solve of grad F and one
-application of A per trial step, a stacked rfft/irfft pair each.
+(`constrained_minimize`): spectral renormalization in the metric of E's
+quadratic form A (`functionals`), Anderson-mixed on the Petviashvili
+iteration's window, at four FFT calls per iteration.
 
 Certification.  Every returned wave carries the direct-substitution residual
 of its two-field system (`residual_norm`, through `_System`), code the
@@ -45,14 +45,14 @@ Accelerated Petviashvili.  The fixed point converges only linearly, so
 `_petviashvili` mixes its iterates (Anderson type II over the last
 _ANDERSON_DEPTH differences; Walker & Ni, SIAM J. Numer. Anal. 49 (2011)):
 each plain iterate is replaced by the least-squares combination of the
-window's images.  The window keeps its residual and image differences in two
-preallocated rings of _ANDERSON_DEPTH rows, one new row each per iteration
-(`_AndersonWindow`), next to a ring of their Gram matrix that takes one new
-row and column per iteration, from one matrix-vector product; the fit solves
-the k x k normal equations (k <= _ANDERSON_DEPTH) of that Gram matrix, so a
-mixing step costs O(k N) and allocates no window-sized array.  The
-combination is taken in physical space and costs no transform, and every
-yielded residual is the true residual M nu - G(nu) of the yielded iterate.
+window's images.  The window (`_AndersonWindow`) takes iterates of any shape
+(..., N), the reduced equation's profiles and the minimizer's (xi, nu) pairs
+alike; its differences sit in preallocated rings, and their Gram matrix in a
+ring that takes one row and column per iteration, so a fit solves k x k
+normal equations (k <= _ANDERSON_DEPTH), and a mixing step costs O(k N) and
+allocates no window-sized array.  The combination is taken in physical space
+and costs no transform, and every yielded residual is the true residual
+M nu - G(nu) of the yielded iterate.
 A fit that is singular, is not finite or has a coefficient above _MAX_MIXING
 keeps the plain iterate and restarts the window; the normal equations square
 the window's condition number, so an ill-conditioned fit restarts too, and
@@ -112,8 +112,9 @@ class ConvergenceError(RuntimeError):
 
 
 # the reduced residual every solve reaches (or its floor within 10 times it);
-# the iterations a solve, and the constrained descent, may take; the distance
-# in the continuation parameter within which a failed solve ends a branch
+# the iterations a solve, and the constrained minimization, may take; the
+# distance in the continuation parameter within which a failed solve ends a
+# branch
 TOL_RESIDUAL = 1e-11
 _MAX_ITERS = 500
 _MIN_STEP = 1e-5
@@ -273,31 +274,36 @@ def _anderson_mixing(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 
 class _AndersonWindow:
-    """The mixing window of `_petviashvili`: the differences of consecutive
-    fixed-point residuals F(nu) - nu and of consecutive images F over the last
-    _ANDERSON_DEPTH + 1 iterates, kept in two (_ANDERSON_DEPTH, N) rings that
-    take one new row per iteration, and the Gram matrix of the residual
-    differences in an (_ANDERSON_DEPTH, _ANDERSON_DEPTH) ring whose new row
-    and column come from one matrix-vector product.  A refused fit empties
-    the window, and a refilled row overwrites its whole row and column of the
-    Gram ring, so stale entries are never read.  restarts counts the refused
-    fits."""
+    """The Anderson mixing window of a fixed-point iteration on (..., N)
+    iterates, the reduced equation's (N,) profiles or the minimizer's (2, N)
+    pairs: the differences of consecutive residuals F(x) - x and of images F
+    over the last _ANDERSON_DEPTH + 1 iterates, in two (_ANDERSON_DEPTH, ...,
+    N) rings of one new row per iteration, and the Gram matrix of the
+    residual differences over their flattened rows, in a ring whose new row
+    and column come from one matrix-vector product.  A restart (a refused
+    fit, or `restart`) empties the window; a refilled row overwrites its
+    whole row and column of the Gram ring, so stale entries are never read."""
 
-    def __init__(self, n: int):
-        self._d_res = np.empty((_ANDERSON_DEPTH, n))
-        self._d_img = np.empty((_ANDERSON_DEPTH, n))
+    def __init__(self, *shape: int):
+        self._d_res = np.empty((_ANDERSON_DEPTH, *shape))
+        self._d_img = np.empty((_ANDERSON_DEPTH, *shape))
         self._gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
         # the newest iterate's residual, and the buffer of the next one
-        self._res, self._spare = np.empty(n), np.empty(n)
+        self._res, self._spare = np.empty(shape), np.empty(shape)
         self._img = None  # the newest iterate's image; None in an empty window
         self._rows = self._head = 0
         self.restarts = 0
 
-    def mix(self, nu: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The iterate that follows nu, whose plain image is f: the mixed
-        iterate, or f itself when the window held only nu or the fit was
-        refused (which empties the window)."""
-        res = np.subtract(f, nu, out=self._spare)
+    def restart(self) -> None:
+        """Empty the window, counting one restart."""
+        self.restarts += 1
+        self._img, self._rows, self._head = None, 0, 0
+
+    def mix(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The iterate that follows x, whose plain image is f: the mixed
+        iterate, even along the last axis, or f itself when the window held
+        only x or the fit was refused (which restarts the window)."""
+        res = np.subtract(f, x, out=self._spare)
         mixed = f
         if self._img is not None:
             head = self._head
@@ -305,14 +311,14 @@ class _AndersonWindow:
             np.subtract(f, self._img, out=self._d_img[head])
             self._head = (head + 1) % _ANDERSON_DEPTH
             rows = self._rows = min(self._rows + 1, _ANDERSON_DEPTH)
-            d_res = self._d_res[:rows]
+            d_res = self._d_res[:rows].reshape(rows, -1)
             self._gram[head, :rows] = self._gram[:rows, head] = d_res @ d_res[head]
-            theta = _anderson_mixing(self._gram[:rows, :rows], d_res @ res)
+            theta = _anderson_mixing(self._gram[:rows, :rows], d_res @ res.ravel())
             if theta is None:
-                self.restarts += 1
-                self._img, self._rows, self._head = None, 0, 0
+                self.restart()
                 return f
-            mixed = _even(f - theta @ self._d_img[:rows])
+            d_img = self._d_img[:rows].reshape(rows, -1)
+            mixed = _even(f - (theta @ d_img).reshape(f.shape))
         self._img = f
         self._res, self._spare = res, self._res
         return mixed
@@ -326,25 +332,17 @@ def _petviashvili(
 
     The plain iteration maps nu to F(nu) = S^q M^{-1} G(nu), projected onto
     the even subspace, with the stabilizing factor S = <M nu, nu>/<G(nu),
-    nu>.  Anderson mixing (type II, depth _ANDERSON_DEPTH) replaces F(nu_k)
-    by the combination F(nu_k) - sum_j theta_j (F(nu_{j+1}) - F(nu_j)) over
-    the window of past iterates, with theta the least-squares fit of the
-    newest fixed-point residual F(nu_k) - nu_k by the window's residual
-    differences; the result is projected onto the even subspace.  The
-    window (`_AndersonWindow`) keeps those differences in two preallocated
-    rings of _ANDERSON_DEPTH rows, one row each written per iteration, and
-    theta solves the k x k normal equations of the fit (k <= _ANDERSON_DEPTH)
-    from a Gram ring that takes one new row and column per iteration, so a
-    mixing step costs O(k N) and allocates no window-sized array.  The
-    combination is taken in physical space, so it costs no transform: an
+    nu>.  Anderson mixing (type II, depth _ANDERSON_DEPTH, in
+    `_AndersonWindow`) replaces F(nu_k) by the combination F(nu_k) -
+    sum_j theta_j (F(nu_{j+1}) - F(nu_j)) over the window of past iterates,
+    with theta the least-squares fit of the newest fixed-point residual
+    F(nu_k) - nu_k by the window's residual differences, projected onto the
+    even subspace.  The combination is taken in physical space, so an
     iteration makes the transforms of one M^{-1} and one evaluate, as the
-    plain iteration does.  Guard: a fit that is singular, is not finite or
-    has a coefficient above _MAX_MIXING keeps the plain iterate and restarts
-    the window from it; the normal equations square the window's condition
-    number, so an ill-conditioned fit ends there too.  An iterate whose S is
-    not positive and finite, or whose residual is not finite, raises a
-    ConvergenceError carrying the iterate's index (0 for the start), S and
-    residual, before anything is mixed.
+    plain iteration does; a refused fit keeps the plain iterate and restarts
+    the window.  An iterate whose S is not positive and finite, or whose
+    residual is not finite, raises a ConvergenceError carrying the iterate's
+    index (0 for the start), S and residual, before anything is mixed.
 
     evaluate(nu) returns (M nu, G(nu)); its value at one iterate gives both
     that iterate's residual and the next iteration.  Yields (nu, S, ||M nu -
@@ -354,7 +352,7 @@ def _petviashvili(
     `_AndersonWindow` to mix in, whose restarts the caller reads.
     """
     if window is None:
-        window = _AndersonWindow(nu.size)
+        window = _AndersonWindow(*nu.shape)
     m_nu, g_nu = evaluate(nu)
     res = float(np.max(np.abs(m_nu - g_nu)))
     for it in count():
@@ -390,7 +388,7 @@ def _solve(red: _Reduced, nu: np.ndarray) -> tuple[WavePair, dict]:
     best_res, best_nu, best_s = math.inf, nu, math.nan
     stalled = iterations = 0
     exit_reason = None
-    window = _AndersonWindow(nu.size)
+    window = _AndersonWindow(*nu.shape)
     iterates = _petviashvili(red.evaluate, 1.0 / red.mhat, nu, _EXPONENT, red.grid.dx, window)
     for iterations, (nu, s_val, res) in enumerate(islice(iterates, _MAX_ITERS), 1):
         stalled = 0 if res <= 0.5 * best_res else stalled + 1
@@ -662,26 +660,34 @@ def solve(family: str, p: ModelParams, speed: float, *, grid: Grid) -> tuple[Wav
 # ---------------------------------------------------------------------------
 
 
-# the projected-gradient norm at which the constrained descent stops
+# the projected-gradient norm at which the constrained minimization stops, and
+# the rise of E, relative to E, beyond which a mixed step is not roundoff
 _GRADIENT_TOL = 1e-8
+_ENERGY_SLACK = 1e-13
 
 
 def constrained_minimize(p: ModelParams, omega: float, lam: float, grid: Grid):
-    """Minimize E on {F = lambda} by metric-preconditioned projected descent.
+    """Minimize E on {F = lambda} by Anderson-mixed spectral renormalization.
 
-    The metric is A, the symbol matrix of E's quadratic form
-    (`energy_tables`), so the A^{-1}-gradient of E = 1/2 <x, A x> is the
-    iterate x itself; the descent direction is x less its multiple of
-    A^{-1} grad F that makes it tangent to the constraint.  After each trial
-    step the iterate is rescaled by (lambda/F)^{1/3}, which restores
-    F = lambda exactly by cubic homogeneity.  The step delta is accepted when
-    the exact change of E, <A x, delta> + 1/2 <delta, A delta>, is negative:
-    a comparison of two values of E cannot see a decrease below eps |E|.
-    The Lagrange multiplier K is extracted from the stationarity relation
-    grad E = K grad F by least squares.
+    In the metric A of E's quadratic form (`energy_tables`) the gradient of
+    E = 1/2 <x, A x> is x itself, and the projected gradient is x - beta w,
+    w = A^{-1} grad F(x), with beta = <grad F, x>/<grad F, w>; the iteration
+    stops when its norm reaches _GRADIENT_TOL.  The plain step is the
+    spectral-renormalization map x -> (lambda/F(w))^{1/3} w (Ablowitz &
+    Musslimani, Opt. Lett. 30 (2005)), the unit step rescaled onto the
+    constraint by the real cube root (F is cubic).  The steps are mixed on
+    the Petviashvili iteration's window (`_AndersonWindow`, of (2, N)
+    pairs), and a mixed iterate, even by construction, is rescaled; one that
+    raises E by more than _ENERGY_SLACK relative is replaced by the plain
+    step, which restarts the window.  An iteration makes four FFT calls, the
+    metric solve of grad F and A of the new iterate (a replaced step adds
+    two).  K is the least-squares multiplier of grad E = K grad F.
 
-    Returns (pair, K, info); info carries the gradient norm, iteration
-    count, and the relative least-squares misfit of the multiplier relation.
+    Returns (pair, K, info); info holds iterations, gradient_norm, energy,
+    constraint, lagrange_misfit_rel (the relative misfit of the multiplier
+    relation) and mixing_restarts (replaced steps and refused fits).  Raises
+    ConvergenceError, with iterations and gradient_norm as diagnostics, when
+    _MAX_ITERS iterations do not reach _GRADIENT_TOL.
     """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
@@ -704,56 +710,47 @@ def constrained_minimize(p: ModelParams, omega: float, lam: float, grid: Grid):
         return np.stack([r * x[1] * x[1], 2.0 * r * x[0] * x[1]])
 
     def rescale(x: np.ndarray) -> np.ndarray:
-        fv = f_val(x)
-        if fv <= 0.0:
-            raise ConvergenceError("constraint value became non-positive during descent")
-        return (lam / fv) ** (1.0 / 3.0) * x
+        return np.cbrt(lam / f_val(x)) * x
+
+    def placed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        ax = energy_gradient(tables, x)
+        return x, ax, 0.5 * inner(grid, x, ax)
 
     xs = grid.x
     bump = 1.0 / np.cosh(xs / 2.0) ** 2 if np.max(np.abs(xs)) < 100 else 1.0 / (1.0 + xs * xs)
-    x = rescale(_even(np.stack([0.5 * bump**2, bump])))
-    ax = energy_gradient(tables, x)
-
-    tau = 1.0
-    gnorm = math.inf
-    it_done = 0
-    for it in range(_MAX_ITERS):
+    x, ax, e = placed(rescale(_even(np.stack([0.5 * bump**2, bump]))))
+    window = _AndersonWindow(*x.shape)
+    for iterations in range(1, _MAX_ITERS + 1):
         gf = grad_f(x)
         w = metric_inverse(gf)
         d = x - np.vdot(gf, x) / np.vdot(gf, w) * w
         gnorm = math.sqrt(inner(grid, d, d))
-        it_done = it + 1
         if gnorm <= _GRADIENT_TOL:
             break
-        tau_try = min(1.0, tau * 1.5)
-        accepted = False
-        while tau_try > 1e-8:
-            xt = rescale(_even(x - tau_try * d))
-            delta = xt - x
-            a_delta = energy_gradient(tables, delta)
-            if np.vdot(ax, delta) + 0.5 * np.vdot(delta, a_delta) < 0.0:
-                x, ax, tau = xt, ax + a_delta, tau_try
-                accepted = True
-                break
-            tau_try *= 0.5
-        if not accepted:
-            break
+        plain = rescale(_even(w))
+        mixed = window.mix(x, plain)
+        step = placed(plain if mixed is plain else rescale(mixed))
+        if mixed is not plain and not step[2] - e <= _ENERGY_SLACK * e:
+            window.restart()
+            step = placed(plain)
+        x, ax, e = step
+    else:
+        raise ConvergenceError(
+            f"constrained minimization: gradient norm {gnorm:.3e} after {_MAX_ITERS} iterations",
+            {"iterations": _MAX_ITERS, "gradient_norm": gnorm},
+        )
 
-    ax = energy_gradient(tables, x)
-    gf = grad_f(x)
     k_mult = np.vdot(ax, gf) / np.vdot(gf, gf)
     mis = ax - k_mult * gf
     info = {
-        "iterations": it_done,
+        "iterations": iterations,
         "gradient_norm": gnorm,
-        "energy": 0.5 * inner(grid, x, ax),
+        "energy": e,
         "constraint": f_val(x),
         "lagrange_misfit_rel": float(np.linalg.norm(mis) / max(np.linalg.norm(ax), 1e-300)),
+        "mixing_restarts": window.restarts,
     }
-    if gnorm > _GRADIENT_TOL:
-        info["stalled"] = True
-    pair = WavePair(grid=grid, xi=x[0], nu=x[1])
-    return pair, float(k_mult), info
+    return WavePair(grid=grid, xi=x[0], nu=x[1]), float(k_mult), info
 
 
 def rescale_to_wave(pair: WavePair, k_mult: float) -> WavePair:

@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 
 from iswaves.cli import main
 from iswaves.evolution import run
-from iswaves.functionals import quadratic_form_check
+from iswaves.functionals import energy_tables, quadratic_form_check
 from iswaves.kernels import (
     fit_algebraic_tail,
     fit_exponential_tail,
@@ -85,7 +85,8 @@ def test_criterion_02_positivity_sweep(p1_mu2_4, tmp_path, capsys):
     import json
 
     data = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
-    detect = quadratic_form_check(p1_mu2_4, 0.17, make_grid(20.0, 1024))
+    detect_grid = make_grid(20.0, 1024)
+    detect = quadratic_form_check(energy_tables(p1_mu2_4, 0.17, detect_grid), detect_grid)
     ok = (
         code == 0
         and data["violations"] == []

@@ -111,11 +111,11 @@ def test_energy_scaling_quadratic(p1_mu2_4):
 
 def test_quadratic_form_window_detection(p1_mu2_4):
     g = make_grid(20.0, 1024)
-    inside = quadratic_form_check(p1_mu2_4, 0.1, g)
+    inside = quadratic_form_check(energy_tables(p1_mu2_4, 0.1, g), g)
     assert inside.global_min > 0.0
     assert inside.coercivity_const > 0.0
     assert inside.min_eigen_by_freq.shape == (g.N,)
-    outside = quadratic_form_check(p1_mu2_4, 0.17, g)
+    outside = quadratic_form_check(energy_tables(p1_mu2_4, 0.17, g), g)
     assert outside.global_min < 0.0
 
 
@@ -123,7 +123,7 @@ def test_quadratic_form_boundary_is_tight(p1_mu2_4):
     # exactly at the window edge the large-k eigenvalue tends to zero but
     # never crosses: min over a truncated grid stays nonnegative
     g = make_grid(20.0, 2048)
-    edge = quadratic_form_check(p1_mu2_4, 1.0 / 6.0, g)
+    edge = quadratic_form_check(energy_tables(p1_mu2_4, 1.0 / 6.0, g), g)
     assert edge.global_min >= 0.0
     assert edge.global_min < 0.5
 

@@ -25,6 +25,7 @@ from iswaves.params import (
     symbol_f,
     validate_bfd_params,
 )
+from iswaves.spectral import make_grid, symbols
 
 from conftest import P1_KW
 
@@ -124,6 +125,32 @@ def test_f_min_property(gamma, mu, b, split, speed):
     roundoff = 1e-12 * (1.0 / gamma + abs(omega) + math.sqrt(mu) / gamma**2 * x0)
     assert -roundoff <= values[j] - f_min <= mu * beta0 * h * h + roundoff
     assert abs(dense[j] - x0) <= h + math.sqrt(roundoff / (mu * beta0))
+
+
+@settings(max_examples=60)
+@given(
+    gamma=st.floats(0.05, 0.95),
+    mu=st.floats(1e-3, 10.0),
+    b=st.floats(1.0 / 6.0, 0.6),
+    split=st.floats(0.0, 1.0),
+    speed=st.floats(-0.99, 0.99),
+)
+def test_admissibility_f_min_is_the_symbol_minimum(gamma, mu, b, split, speed):
+    # at infinite depth L - |omega| J_b is symbol_f in |k|, so the report's
+    # f_min lies below the minimum of the symbols' tables over the grid's
+    # k >= 0, by at most mu beta0_tilde (dk/2)^2 (the minimizer x0 is within
+    # dk/2 of a grid frequency and far below the band edge, about 206)
+    a = split * (1.0 / 3.0 - 2.0 * b)
+    p = ModelParams(gamma=gamma, epsilon=0.1, mu=mu, a=a, b=b, c=1.0 / 3.0 - 2.0 * b - a, d=b)
+    omega = speed * compute_speed_window(p)
+    report = admissibility_report(p, omega)
+    grid = make_grid(125.0, 2**14)
+    sym = symbols(p, grid)
+    gap = float(np.min(sym.L - abs(omega) * sym.jb)) - report.f_min
+    dk = grid.k_half[1]
+    x0 = compute_f_min(p, omega)[1]
+    roundoff = 1e-12 * (1.0 / gamma + abs(omega) + math.sqrt(mu) / gamma**2 * x0)
+    assert -roundoff <= gap <= mu * report.beta0_tilde * (dk / 2.0) ** 2 + roundoff
 
 
 def test_mu2_threshold_value(p1_mu2_4):

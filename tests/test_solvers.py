@@ -1,5 +1,6 @@
 """Solitary-wave solvers: the reduced equation, its iteration, continuation."""
 
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -244,6 +245,65 @@ def test_constrained_minimizer_transform_count(p1_mu2_4, fft_calls):
     fft_calls["n"] = 0
     _, _, info = solvers.constrained_minimize(p1_mu2_4, 0.1, 1.0, grid)
     assert fft_calls["n"] <= 6 * info["iterations"]
+
+
+def test_constrained_minimizer_sweep(p1_mu2_4):
+    # 72 points: every one reaches the gradient tolerance in at most 20
+    # iterations and on the constraint to roundoff (the line-searched
+    # descent stalled on 15 of them, two at the 500-iteration cap)
+    missed = []
+    for n, L, lam, omega in itertools.product(
+        [1024, 2048, 4096], [100.0, 200.0], [0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [0.05, 0.1]
+    ):
+        _, _, info = solvers.constrained_minimize(p1_mu2_4, omega, lam, make_grid(L, n))
+        if not (
+            info["gradient_norm"] <= solvers._GRADIENT_TOL
+            and info["iterations"] <= 20
+            and abs(info["constraint"] - lam) <= 1e-12 * lam
+        ):
+            missed.append((n, L, lam, omega, info["iterations"], info["gradient_norm"]))
+    assert missed == []
+
+
+def test_constrained_minimizer_raises_at_the_cap(p1_mu2_4, monkeypatch):
+    monkeypatch.setattr(solvers, "_MAX_ITERS", 3)
+    with pytest.raises(ConvergenceError, match="after 3 iterations") as exc:
+        solvers.constrained_minimize(p1_mu2_4, 0.1, 1.0, make_grid(200.0, 2048))
+    assert exc.value.diagnostics["iterations"] == 3
+    assert exc.value.diagnostics["gradient_norm"] > solvers._GRADIENT_TOL
+
+
+def test_constrained_minimizer_energy_safeguard(p1_mu2_4, monkeypatch):
+    # a mixed step that raises E is replaced by the plain step, which
+    # restarts the window; the run still ends at the same minimum
+    grid = make_grid(200.0, 2048)
+    _, _, clean = solvers.constrained_minimize(p1_mu2_4, 0.1, 1.0, grid)
+    assert clean["mixing_restarts"] == 0
+    steps, fits = [], []
+    mix, mixing = solvers._AndersonWindow.mix, solvers._anderson_mixing
+
+    def recorded_mix(window, x, f):
+        steps.append((x, f))
+        return mix(window, x, f)
+
+    def uphill_third(gram, rhs):
+        # the third fit overshoots along the window's images by 50 times
+        # their span, f_k - f_{k-3}
+        fits.append(len(steps) - 1)
+        theta = mixing(gram, rhs)
+        return theta + 50.0 if len(fits) == 3 else theta
+
+    monkeypatch.setattr(solvers._AndersonWindow, "mix", recorded_mix)
+    monkeypatch.setattr(solvers, "_anderson_mixing", uphill_third)
+    _, _, info = solvers.constrained_minimize(p1_mu2_4, 0.1, 1.0, grid)
+    uphill = fits[2]
+    # the step after the uphill fit starts from its plain image itself, and
+    # the refilled window fits again from one row
+    assert steps[uphill + 1][0] is steps[uphill][1]
+    assert fits[3] == uphill + 2
+    assert info["mixing_restarts"] == 1
+    assert info["gradient_norm"] <= solvers._GRADIENT_TOL
+    assert abs(info["energy"] - clean["energy"]) <= 1e-13 * clean["energy"]
 
 
 def test_branch_save_load_roundtrip(tmp_path, ilw_chain):
