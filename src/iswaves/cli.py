@@ -3,9 +3,9 @@ evolve, sweep.
 
 Every subcommand reads a flat key-value config (--config), optionally
 overridden by repeatable --set key=value flags, and writes its artifacts
-under --out; `main` adds meta.json once the command returns.  Exit codes:
-0 success, 1 numerical failure or inadmissible input, 2 usage/configuration
-error.
+under --out; `main` adds meta.json, with the command's wall time
+(`elapsed_s`), once the command returns.  Exit codes: 0 success, 1
+numerical failure or inadmissible input, 2 usage/configuration error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, replace
 from functools import cache
 
@@ -312,12 +313,25 @@ def cmd_kernel_check(cfg: dict, out: str) -> int:
     return 0 if worst < 1e-5 else 1
 
 
+# the keys each initial state of `evolve` does not read: a branch brings its
+# own grid, and a gaussian reads no branch
+_EVOLVE_UNREAD = {
+    "branch": ("grid.L", "grid.N", "evolve.amplitude", "evolve.width"),
+    "gaussian": ("evolve.branch_dir", "evolve.sample"),
+}
+
+
 def cmd_evolve(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
     family, p = _family("evolve.family", _require(cfg, "evolve.family"), p)
     T = _positive("evolve.T", _require(cfg, "evolve.T"))
 
     initial_kind = cfg.get("evolve.initial", "gaussian")
+    if initial_kind not in _EVOLVE_UNREAD:
+        raise ConfigError("evolve.initial must be 'gaussian' or 'branch'")
+    for key in _EVOLVE_UNREAD[initial_kind]:
+        if key in cfg:
+            raise ConfigError(f"{key} does not apply to evolve.initial = {initial_kind}")
     if initial_kind == "branch":
         _, initial = _sample(cfg, "evolve.branch_dir", "evolve.sample")
         grid = initial.grid
@@ -327,8 +341,6 @@ def cmd_evolve(cfg: dict, out: str) -> int:
         width = cfg.get("evolve.width", 1.0)
         bump = amp * np.exp(-((grid.x / width) ** 2))
         initial = WavePair(grid=grid, xi=bump, nu=bump.copy())
-    else:
-        raise ConfigError("evolve.initial must be 'gaussian' or 'branch'")
 
     dt = _positive("evolve.dt", cfg.get("evolve.dt"))
     if dt is None:
@@ -467,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -487,7 +500,7 @@ def main(argv=None) -> int:
         return 1
     # every command that returns has written its outputs; a configuration
     # error or a numerical failure leaves no meta.json
-    cfgmod.write_meta(out)
+    cfgmod.write_meta(out, time.perf_counter() - start)
     return code
 
 

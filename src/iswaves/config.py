@@ -198,10 +198,12 @@ def write_json(path: str, obj: dict, config: dict | None = None) -> None:
         fh.write(text)
 
 
-def write_meta(outdir: str) -> None:
-    """Wall-clock and environment notes, isolated from the reports."""
+def write_meta(outdir: str, elapsed_s: float) -> None:
+    """Wall-clock and environment notes, isolated from the reports: the
+    time stamp, the command's wall time `elapsed_s` and numpy's version."""
     meta = {
         "created": datetime.now(timezone.utc).isoformat(),
+        "elapsed_s": elapsed_s,
         "numpy_version": np.__version__,
     }
     with open(os.path.join(outdir, "meta.json"), "w") as fh:

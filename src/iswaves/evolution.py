@@ -18,15 +18,20 @@ by the 2/3 rule.
 The two fields always travel together as one stacked (2, .) array, so each
 nonlinear evaluation is one inverse and one forward real FFT (8 per ETDRK4
 step), with the constant flux coefficients premultiplied once per stepper
-and the ETDRK4 stages evaluated in buffers allocated once per stepper.
+and the ETDRK4 stages evaluated in place, in buffers allocated once per
+stepper.  Every table a stage multiplies by is complex, so no product casts
+a float operand: the half spectra are (q+ + q-, q+ - q-) times one complex
+table of rows 1/2 and 1/(2P), and the stages form q_w n0 once, for qa and
+qc, and read 2 q_w from a table.
 Each step keeps its first stage: the half spectra, samples and products
 (zeta v, v^2) of the state it starts from.  The run monitors read state n
 from there once step n + 1 is taken, so they add no transform; only the
 last state pays one stacked inverse FFT.  The H1 norms, the top-third
 energy fraction and the quadratic part of the Hamiltonian are Parseval sums
 with tables cached once per run; sup|zeta|, inf(1 - eps/gamma zeta), the
-masses and the cubic term of H are taken in physical space.  The amplitude
-bound is asserted at every step.
+masses and the cubic term of H are taken in physical space, all written
+into one buffer per run that a single `tolist` reads.  The amplitude bound
+is asserted at every step.
 """
 
 from __future__ import annotations
@@ -104,7 +109,9 @@ class _CharacteristicBase:
         self.dt = float(dt)
         t1, t2, a_sym, b_sym = _quotients(family, p, grid)
         self.pfac = np.sqrt(a_sym / b_sym)
-        self._half_over_pfac = 0.5 / self.pfac
+        # complex rows 1/2 and 1/(2P) that take (q+ + q-, q+ - q-) to
+        # (zhat, vhat) in one all-complex multiply
+        self._unmix = np.vstack([np.full_like(self.pfac, 0.5), 0.5 / self.pfac]).astype(complex)
         speed = np.sqrt(a_sym * b_sym)
         ik = 1j * grid.k_half
         # rows: q+ rotates with -ik*speed, q- with +ik*speed
@@ -130,9 +137,8 @@ class _CharacteristicBase:
         """Half spectra (zhat, vhat) of the characteristic state q; no FFT."""
         s = np.empty_like(q) if out is None else out
         np.add(q[0], q[1], out=s[0])
-        s[0] *= 0.5
         np.subtract(q[0], q[1], out=s[1])
-        s[1] *= self._half_over_pfac
+        s *= self._unmix
         return s
 
     def physical(self, s: np.ndarray) -> np.ndarray:
@@ -196,37 +202,40 @@ class Etdrk4Stepper(_CharacteristicBase):
         self.e_full, self.e_half, self.q_w, self.f1_w, self.f2_w, self.f3_w = (
             np.stack([w, w.conj()]) for w in weights
         )
-        # stage values (n0, na, nb, nc), stage states (e_half q, qa, qb, qc)
-        # and one scratch array, allocated once
+        self._q_w2 = 2.0 * self.q_w
+        # stage values (n0, na, nb, nc), e_half q, the stage states (qa, then
+        # qb in the same buffer, and qc), q_w n0 and one scratch array,
+        # allocated once
         self._bufs = [np.empty_like(self.lam) for _ in range(9)]
 
     def advance(self, q: np.ndarray) -> np.ndarray:
-        # every product keeps the operand order of the plain expressions
+        # the Cox-Matthews stages
         #   qa = e_half q + q_w n0,  qb = e_half q + q_w na,
         #   qc = e_half qa + q_w (2 nb - n0),
-        #   q' = e_full q + f1_w n0 + f2_w (na + nb) + f3_w nc
-        n0, na, nb, nc, eq, qa, qb, qc, tmp = self._bufs
+        #   q' = e_full q + f1_w n0 + f2_w (na + nb) + f3_w nc,
+        # with q_w n0 formed once for qa and qc, and qc summed as
+        # (e_half qa - q_w n0) + (2 q_w) nb
+        n0, na, nb, nc, eq, qab, qc, qwn0, tmp = self._bufs
         self.nonlinear(q, n0, self.stage)
         np.multiply(self.e_half, q, out=eq)
-        np.multiply(self.q_w, n0, out=tmp)
-        np.add(eq, tmp, out=qa)
-        self.nonlinear(qa, na)
-        np.multiply(self.q_w, na, out=tmp)
-        np.add(eq, tmp, out=qb)
-        self.nonlinear(qb, nb)
-        np.multiply(2.0, nb, out=tmp)
-        np.subtract(tmp, n0, out=tmp)
-        np.multiply(self.q_w, tmp, out=tmp)
-        np.multiply(self.e_half, qa, out=qc)
-        np.add(qc, tmp, out=qc)
+        np.multiply(self.q_w, n0, out=qwn0)
+        np.add(eq, qwn0, out=qab)
+        self.nonlinear(qab, na)
+        np.multiply(self.e_half, qab, out=qc)
+        qc -= qwn0
+        np.multiply(self.q_w, na, out=qab)
+        qab += eq
+        self.nonlinear(qab, nb)
+        np.multiply(self._q_w2, nb, out=tmp)
+        qc += tmp
         self.nonlinear(qc, nc)
         # the new state is the one array allocated per step: callers keep it
         out = np.multiply(self.e_full, q)
         np.multiply(self.f1_w, n0, out=tmp)
         out += tmp
-        np.add(na, nb, out=tmp)
-        np.multiply(self.f2_w, tmp, out=tmp)
-        out += tmp
+        na += nb
+        na *= self.f2_w
+        out += na
         np.multiply(self.f3_w, nc, out=tmp)
         out += tmp
         return out
@@ -351,24 +360,41 @@ class _Monitor:
         # one row per real and per imaginary part of each bin, so that the
         # squared float view of s is summed by a single product
         self.weights = np.repeat(np.column_stack(cols), 2, axis=0)
+        self._squares = np.empty((2, 2 * m))
+        # every number of a sample lands in one buffer, read by one tolist:
+        # max zeta, min zeta, the sums of zeta and of v, zeta . v^2, then the
+        # Parseval sums of zhat and of vhat, one per weight column
+        self._ncols = len(cols)
+        self._values = np.zeros(5 + 2 * self._ncols)
+        self._z_max, self._z_min, self._cubic = (
+            self._values[i : i + 1].reshape(()) for i in (0, 1, 4)
+        )
+        self._sample_sums = self._values[2:4]
+        self._parseval = self._values[5:].reshape(2, self._ncols)
 
     def __call__(self, s: np.ndarray, zv: np.ndarray, v2: np.ndarray) -> tuple:
         """(sup|zeta|, inf(1 - eps/gamma zeta), mass of zeta, mass of v,
         H1 norm of zeta, H1 norm of v, top-third energy fraction, H or None)
         of the state with half spectra s, samples zv and v^2 = v2."""
-        sums = (np.square(s.view(np.float64)) @ self.weights).tolist()
-        (tot_z, top_z, h1_z, *quad_z), (tot_v, top_v, h1_v, *quad_v) = sums
+        np.square(s.view(np.float64), out=self._squares)
+        np.matmul(self._squares, self.weights, out=self._parseval)
         zeta = zv[0]
-        z_max, z_min = float(zeta.max()), float(zeta.min())
-        masses = zv.sum(axis=1) * self.dx
+        np.maximum.reduce(zeta, out=self._z_max)
+        np.minimum.reduce(zeta, out=self._z_min)
+        np.add.reduce(zv, axis=1, out=self._sample_sums)
+        if self.track_h:
+            np.dot(zeta, v2, out=self._cubic)
+        z_max, z_min, sum_z, sum_v, cubic, *parseval = self._values.tolist()
+        tot_z, top_z, h1_z, *quad_z = parseval[: self._ncols]
+        tot_v, top_v, h1_v, *quad_v = parseval[self._ncols :]
         h = None
         if self.track_h:
-            h = quad_z[0] + quad_v[1] - 0.5 * self.r * self.dx * float(np.dot(zeta, v2))
+            h = quad_z[0] + quad_v[1] - 0.5 * self.r * self.dx * cubic
         return (
             max(z_max, -z_min),
             1.0 - self.r * z_max,  # eps/gamma > 0: the infimum sits at max zeta
-            float(masses[0]),
-            float(masses[1]),
+            sum_z * self.dx,
+            sum_v * self.dx,
             math.sqrt(h1_z),
             math.sqrt(h1_v),
             max(top_z / max(tot_z, 1e-300), top_v / max(tot_v, 1e-300)),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -602,6 +603,72 @@ def test_cli_evolve_gaussian(p1_cfg, tmp_path):
     assert len(snaps) >= 2
 
 
+@pytest.mark.parametrize(
+    "initial, key",
+    [
+        ("branch", "grid.N=512"),
+        ("branch", "grid.L=20"),
+        ("branch", "evolve.amplitude=0.1"),
+        ("branch", "evolve.width=2"),
+        ("gaussian", "evolve.branch_dir=BRANCH"),
+        ("gaussian", "evolve.sample=0"),
+    ],
+)
+def test_cli_evolve_refuses_keys_its_initial_state_does_not_read(
+    p1_cfg, tmp_path, capsys, initial, key
+):
+    # a branch brings its own grid and a gaussian reads no branch: a key the
+    # initial state would ignore is a configuration error that names it
+    from iswaves.solvers import SolitaryBranch, save_branch
+    from iswaves.spectral import WavePair, make_grid
+
+    g = make_grid(8.0, 16)
+    bump = 0.01 * np.exp(-(g.x**2))
+    save_branch(SolitaryBranch("BO", [0.0], [WavePair(g, bump, bump)], [0.0]), str(tmp_path / "b"))
+    sets = ["evolve.family=bfd_finite", "evolve.T=0.1", f"evolve.initial={initial}"]
+    if initial == "branch":
+        sets.append(f"evolve.branch_dir={tmp_path}/b")
+    else:
+        sets += ["grid.L=20", "grid.N=64"]
+    out = tmp_path / "o"
+    args = ["evolve", "--config", p1_cfg, "--out", str(out)]
+    for s in sets:
+        args += ["--set", s]
+    # without the key the run completes
+    assert main(args) == 0
+    capsys.readouterr()
+    shutil.rmtree(out)
+    assert main(args + ["--set", key.replace("BRANCH", f"{tmp_path}/b")]) == 2
+    name = key.partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"config error: {name} does not apply to evolve.initial = {initial}\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_cli_meta_records_the_wall_time(p1_cfg, tmp_path, capsys):
+    # the wall time goes to meta.json and nowhere else: two runs of one
+    # config write byte-identical trajectories and final states
+    files = {}
+    for run_dir in ("a", "b"):
+        out = tmp_path / run_dir
+        assert main([
+            "evolve", "--config", p1_cfg, "--out", str(out),
+            "--set", "evolve.family=bfd_finite", "--set", "evolve.T=0.2",
+            "--set", "evolve.dt=0.02", "--set", "grid.L=20", "--set", "grid.N=64",
+        ]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta) == {"created", "elapsed_s", "numpy_version"}
+        assert 0.0 < meta["elapsed_s"] < 60.0
+        files[run_dir] = {
+            f.name: f.read_bytes() for f in out.iterdir() if f.name != "meta.json"
+        }
+    assert set(files["a"]) == {"trajectory.json", "final_state.csv"}
+    assert files["a"] == files["b"]
+    assert b"elapsed" not in files["a"]["trajectory.json"]
+    capsys.readouterr()
+
+
 def test_cli_evolve_amplitude_bound_abort(p1_cfg, tmp_path, monkeypatch, capsys):
     from iswaves import evolution
 
@@ -673,7 +740,9 @@ def test_cli_writes_meta_once_a_command_returns(
         )
     calls = []
     write_meta = config.write_meta
-    monkeypatch.setattr(config, "write_meta", lambda out: calls.append(out) or write_meta(out))
+    monkeypatch.setattr(
+        config, "write_meta", lambda out, elapsed_s: calls.append(out) or write_meta(out, elapsed_s)
+    )
     out = tmp_path / "o"
     args = [command, "--config", p1_cfg, "--out", str(out)]
     with np.errstate(all="ignore"):
@@ -752,9 +821,14 @@ def test_cli_rejects_bad_values(p1_cfg, tmp_path, capsys, command, sets, key):
     bump = np.exp(-(g.x**2))
     two = SolitaryBranch("BO", [0.0, 0.01], [WavePair(g, bump, bump)] * 2, [0.0, 0.0])
     save_branch(two, str(tmp_path / "branch"))
-    branch = [f"decay.branch_dir={tmp_path}/branch", f"evolve.branch_dir={tmp_path}/branch"]
+    branch = [f"decay.branch_dir={tmp_path}/branch"]
+    base = _BASE_SETS[command]
+    if "evolve.initial=branch" in sets:
+        # a branch initial state reads its branch and brings its own grid
+        branch.append(f"evolve.branch_dir={tmp_path}/branch")
+        base = [s for s in base if not s.startswith("grid.")]
     args = [command, "--config", p1_cfg, "--out", str(tmp_path / "o")]
-    for s in branch + _BASE_SETS[command] + sets:
+    for s in branch + base + sets:
         args += ["--set", s]
     assert main(args) == 2
     err = capsys.readouterr().err

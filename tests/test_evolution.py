@@ -354,6 +354,46 @@ def test_transform_counts(p1_mu2_4, evo_grid, fft_calls):
     assert fft_calls["n"] - two == 3 * 8
 
 
+# the elementwise error of one step against its plain expressions: each
+# stage reorders a few products and sums of complex numbers of size ~ max|q'|
+_STEP_TOL = 64 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+def test_etdrk4_step_is_the_cox_matthews_step(p1_mu2_4, n):
+    # one advance against the plain stage expressions, evaluated with the
+    # stepper's public weights (f2_w carries the factor 2 of na + nb)
+    grid = make_grid(20.0, n)
+    stepper = Etdrk4Stepper("bfd_finite", p1_mu2_4, grid, 0.05)
+    tables = [
+        stepper.lam, stepper._unmix, stepper._flux, stepper._q_w2,
+        stepper.e_full, stepper.e_half, stepper.q_w, stepper.f1_w, stepper.f2_w, stepper.f3_w,
+    ]
+    # all-complex tables: no stage product casts a float64 operand
+    assert all(t.dtype == np.complex128 for t in tables)
+    assert all(t.shape == (2, n // 2 + 1) for t in tables)
+
+    q = stepper.encode(_gaussian_pair(grid))
+    got = stepper.advance(q.copy())
+
+    def nl(x):
+        return stepper.nonlinear(x, np.empty_like(x))
+
+    e_full, e_half, q_w = stepper.e_full, stepper.e_half, stepper.q_w
+    n0 = nl(q)
+    qa = e_half * q + q_w * n0
+    na = nl(qa)
+    qb = e_half * q + q_w * na
+    nb = nl(qb)
+    qc = e_half * qa + q_w * (2.0 * nb - n0)
+    nc = nl(qc)
+    want = e_full * q + stepper.f1_w * n0 + stepper.f2_w * (na + nb) + stepper.f3_w * nc
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= _STEP_TOL * scale
+    # the nonlinear stages move the state by far more than the tolerance
+    assert np.max(np.abs(want - e_full * q)) > 1e6 * _STEP_TOL * scale
+
+
 def test_steppers_define_advance():
     # perfbench/tracing.py times the steppers by patching advance(self, q)
     # in each class's own namespace
