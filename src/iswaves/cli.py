@@ -50,6 +50,7 @@ from .solvers import (
     TOL_RESIDUAL,
     ConvergenceError,
     SolitaryBranch,
+    branch_work,
     continue_in_c,
     continue_in_mu2,
     load_branch,
@@ -102,24 +103,6 @@ def _sample(cfg: dict, dir_key: str, key: str) -> tuple[SolitaryBranch, WavePair
         raise ConfigError(f"{dir_key}: {exc}") from exc
 
 
-def _solves(branch: SolitaryBranch) -> list[dict]:
-    """The records of a branch's accepted solves, its start first."""
-    diag = branch.diagnostics
-    start = [diag["start"]] if "start" in diag else []
-    return start + [step for step in diag["steps"] if step["accepted"]]
-
-
-def _work(solves: list[dict]) -> dict:
-    """report.json's work counts: the iterations and the mixing restarts
-    (refused Anderson fits) of the accepted solves, and the exit of the last
-    one."""
-    return {
-        "iterations": sum(s["iterations"] for s in solves),
-        "mixing_restarts": sum(s["mixing_restarts"] for s in solves),
-        "exit": solves[-1]["exit"],
-    }
-
-
 def _outdir(args) -> str:
     out = args.out or "out"
     os.makedirs(out, exist_ok=True)
@@ -164,7 +147,7 @@ def cmd_solve(cfg: dict, out: str) -> int:
         "residuals": branch.residuals,
         "amplitude_nu": [float(np.max(np.abs(w.nu))) for w in branch.waves],
         "amplitude_xi": [float(np.max(np.abs(w.xi))) for w in branch.waves],
-        "work": _work([info]),
+        "work": {k: info[k] for k in ("iterations", "mixing_restarts", "exit")},
     }
     cfgmod.write_json(os.path.join(out, "report.json"), report, cfg)
     print(f"solve: {branch.family} residual {branch.residuals[-1]:.3e}")
@@ -222,11 +205,13 @@ def cmd_continue(cfg: dict, out: str) -> int:
         "parameter_values": branch.parameter_values,
         "residuals": branch.residuals,
         "diagnostics": branch.diagnostics,
-        "work": _work(_solves(branch)),
+        "work": branch_work(branch.diagnostics),
     }
     cfgmod.write_json(os.path.join(out, "report.json"), report, cfg)
+    diag = branch.diagnostics
+    end = f", end {diag['end']!r}" if diag["truncated"] else ""
     print(f"continue: {len(branch.waves)} samples, max residual "
-          f"{max(branch.residuals):.3e}, truncated={branch.diagnostics.get('truncated')}")
+          f"{max(branch.residuals):.3e}, truncated={diag['truncated']}{end}")
     return 0
 
 

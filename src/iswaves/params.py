@@ -183,14 +183,6 @@ def compute_f_min(p: ModelParams, omega: float) -> tuple[float, float, float]:
     return f_min, x0, beta0_tilde
 
 
-def symbol_f(p: ModelParams, omega: float, x) -> np.ndarray:
-    """The quadratic-in-x lower bound symbol f(x) whose minimum is f_min."""
-    g = p.gamma
-    x = np.abs(np.asarray(x, dtype=float))
-    quad = p.mu * _beta0_tilde(p, omega)
-    return (1.0 / g - abs(omega)) - math.sqrt(p.mu) / g**2 * x + quad * x**2
-
-
 def compute_mu2_threshold(p: ModelParams, omega: float) -> float:
     """Infimum of admissible mu2: mu / (gamma^2 f_min)^2."""
     f_min, _, _ = compute_f_min(p, omega)

@@ -2,12 +2,11 @@
 
 `solve(family, p, speed, grid=grid)` is the one way to a single wave,
 and the one place where the family decides the path to it: a BFD wave is
-solved directly from a sech^2 bump; a BO wave starts from the ground state
-at c = 0 and an ILW wave from the same ground state continued in depth to
-its own mu2 (the path of `continue_in_mu2`), and either is then continued
-in speed to c != 0 (the path of `continue_in_c`).  It returns the wave and
-the record of its last solve, whose iterations and mixing restarts count
-every accepted solve on the way.
+solved directly from a sech^2 bump; a BO or ILW wave is reached by the one
+continuation of the one-layer branch from the BO ground state through (mu2,
+c) points, BO through (inf, c) and ILW through (mu2, 0) and then (mu2, c).
+It returns the wave and the record of its last solve, whose iterations and
+mixing restarts count every accepted solve on the way (`branch_work`).
 
 One scalar equation serves every travelling wave.  Every family's system
 is stated once, by the tables (T1, S1, T2, S2) of `spectral.structure`: a
@@ -28,12 +27,14 @@ TOL_RESIDUAL is stated.  One Petviashvili fixed-point iteration
 (`_petviashvili`) solves it for every family, and one stop rule ends it
 (`_solve`): the reduced residual reaches TOL_RESIDUAL (exit "converged"), or
 it stops halving for _STALL_ITERS iterations within 10 TOL_RESIDUAL (exit
-"floor", the spectral roundoff floor).  One continuation loop
-(`_continuation`) marches branches in the speed c and in the depth parameter
-mu2, each milestone warm-started from the last wave solved.  Constrained
-minimization of the energy on {F = lambda} is an independent path
-(`constrained_minimize`): spectral renormalization in the metric of E's
-quadratic form A (`functionals`), Anderson-mixed on the Petviashvili
+"floor", the spectral roundoff floor).  One continuation (`_continuation`)
+marches the one-layer branch through a list of (mu2, c) points, each
+warm-started from the last wave solved; it bisects a failed segment in
+(1/sqrt(mu2), c) and stores under "end" where a truncated branch ends.
+`continue_in_c`, `continue_in_mu2` and `solve` differ only in their points.
+Constrained minimization of the energy on {F = lambda} is an independent
+path (`constrained_minimize`): spectral renormalization in the metric of
+E's quadratic form A (`functionals`), Anderson-mixed on the Petviashvili
 iteration's window, at four FFT calls per iteration.
 
 Certification.  Every returned wave carries the direct-substitution residual
@@ -475,101 +476,67 @@ def _bo_start(p: ModelParams, grid: Grid) -> tuple[WavePair, dict]:
 
 
 def _continuation(
-    family: str,
-    p_of,
-    speed_of,
-    start: tuple[WavePair, dict],
-    targets: list[float],
-    label,
-    truncation_key: str,
-) -> tuple[list[float], list[WavePair], list[dict], dict]:
-    """March a branch from the wave and `_solve` record start at t = 0
-    through `targets`, each solved by `_solve` warm-started from the last
-    wave solved.
+    p: ModelParams, grid: Grid, points: list[tuple[float, float]]
+) -> tuple[list[WavePair], list[dict], dict]:
+    """March the one-layer branch of p on grid, BO at mu2 = inf and ILW
+    below, from the BO ground state (`_bo_start`) through points, (mu2, c)
+    pairs in order, each solved by `_solve` warm-started from the last wave
+    solved.
 
-    p_of(t) and speed_of(t) map the continuation parameter to model
-    parameters and speed; every wave but the start belongs to family.  When
-    a solve fails, the loop bisects back toward the last solved t and, once
-    a midpoint solves, tries the target again from there; a failure within
-    _MIN_STEP of the last solved t truncates the branch and stores label(t)
-    of that wave under truncation_key.  A speed at which M is not positive
-    is such a failure.  Every solve leaves a record in diagnostics["steps"]:
-    its parameter label(t), whether it was accepted, and its iterations,
-    exit and mixing restarts (`_work_record`) or its error.  Returns the t
-    of every stored wave, the waves, their `_solve` records and the
+    The march runs in the coordinates (t, c), t = 1/sqrt(mu2) regularizing
+    the infinite-depth endpoint t = 0.  When a solve fails, the loop bisects
+    the straight segment back toward the last solved point and, once a
+    midpoint solves, tries the point again from there; a failure within
+    _MIN_STEP of the last solved point, in both coordinates, truncates the
+    branch and stores that point's parameter under "end".  A speed at which
+    M is not positive is such a failure.  Each point is solved at the exact
+    mu2 given (a milestone of 400 at 400.0), a midpoint t at 1/t^2.  Every
+    solve leaves a record in diagnostics["steps"]: its parameter (c on a
+    segment of constant mu2, mu2 on any other), whether it was accepted, and
+    its iterations, exit and mixing restarts (`_work_record`) or its error;
+    diagnostics["start"] keeps the ground state's.  Returns the waves, the
+    ground state and one per point reached, their `_solve` records and the
     diagnostics.
     """
-    current, current_info = start
-    current_t = 0.0
-    ts, waves, infos = [current_t], [current], [current_info]
-    diagnostics: dict = {"truncated": False, "steps": []}
-
-    for target in targets:
-        t_try = target
-        while current_t != target:
-            try:
-                red = _Reduced(family, p_of(t_try), current.grid, speed_of(t_try))
-                pair, info = _solve(red, current.nu)
-            except ConvergenceError as exc:
-                diagnostics["steps"].append(
-                    {"parameter": label(t_try), "accepted": False, "error": str(exc)}
-                )
-                if abs(t_try - current_t) <= _MIN_STEP:
-                    diagnostics["truncated"] = True
-                    diagnostics[truncation_key] = label(current_t)
-                    return ts, waves, infos, diagnostics
-                t_try = 0.5 * (current_t + t_try)
-                continue
-            diagnostics["steps"].append(
-                {"parameter": label(t_try), "accepted": True} | _work_record(info)
-            )
-            current, current_t, current_info = pair, t_try, info
-            t_try = target
-        ts.append(current_t)
-        waves.append(current)
-        infos.append(current_info)
-    return ts, waves, infos, diagnostics
-
-
-def _speed_leg(family: str, p: ModelParams, start: tuple[WavePair, dict], speeds):
-    """`_continuation` in the speed c of a one-layer family at p, from the
-    c = 0 wave start through speeds, in order of |c|."""
-    return _continuation(
-        family,
-        lambda t: p,
-        lambda t: t,
-        start,
-        sorted(speeds, key=abs),
-        label=lambda t: t,
-        truncation_key="endpoint_estimate",
-    )
-
-
-def _depth_leg(p: ModelParams, start: tuple[WavePair, dict], milestones: list[float]):
-    """`_continuation` of the c = 0 ILW wave from the BO wave start through
-    the mu2 milestones, in the order given.
-
-    Continuation runs in the regularizing parameter t = 1/sqrt(mu2), which
-    is 0 at the infinite-depth endpoint; each milestone is solved and
-    labelled at the exact mu2 given, a bisection midpoint t at 1/t^2.
-    """
-    targets = [1.0 / math.sqrt(m) for m in milestones]
-    exact = dict(zip(targets, milestones))
+    exact = {1.0 / math.sqrt(mu2): mu2 for mu2, _ in points} | {0.0: math.inf}
 
     def mu2_of(t: float) -> float:
-        if t in exact:
-            return exact[t]
-        return math.inf if t == 0.0 else 1.0 / t**2
+        return exact[t] if t in exact else 1.0 / t**2
 
-    return _continuation(
-        "ILW",
-        lambda t: replace(p, mu2=mu2_of(t)),
-        lambda t: 0.0,
-        start,
-        targets,
-        label=mu2_of,
-        truncation_key="sigma_estimate",
-    )
+    wave, info = _bo_start(p, grid)
+    waves, infos = [wave], [info]
+    here = (0.0, 0.0)
+    diagnostics: dict = {"start": _work_record(info), "truncated": False, "steps": []}
+    for mu2, c in points:
+        target = (1.0 / math.sqrt(mu2), c)
+        along_c = target[0] == here[0]
+
+        def parameter(point: tuple[float, float]) -> float:
+            return point[1] if along_c else mu2_of(point[0])
+
+        trial = target
+        while here != target:
+            t, speed = trial
+            try:
+                red = _Reduced("ILW" if t else "BO", replace(p, mu2=mu2_of(t)), wave.grid, speed)
+                pair, pair_info = _solve(red, wave.nu)
+            except ConvergenceError as exc:
+                diagnostics["steps"].append(
+                    {"parameter": parameter(trial), "accepted": False, "error": str(exc)}
+                )
+                if max(abs(a - b) for a, b in zip(trial, here)) <= _MIN_STEP:
+                    diagnostics["truncated"] = True
+                    diagnostics["end"] = parameter(here)
+                    return waves, infos, diagnostics
+                trial = tuple(0.5 * (a + b) for a, b in zip(here, trial))
+                continue
+            diagnostics["steps"].append(
+                {"parameter": parameter(trial), "accepted": True} | _work_record(pair_info)
+            )
+            wave, info, here, trial = pair, pair_info, trial, target
+        waves.append(wave)
+        infos.append(info)
+    return waves, infos, diagnostics
 
 
 def _work_record(info: dict) -> dict:
@@ -579,23 +546,36 @@ def _work_record(info: dict) -> dict:
     return {k: info[k] for k in ("iterations", "exit", "mixing_restarts")}
 
 
+def branch_work(diagnostics: dict) -> dict:
+    """The work of a branch from its diagnostics: the iterations and mixing
+    restarts summed over its start and its accepted steps, and the exit of
+    the last of them."""
+    solves = [diagnostics["start"]] + [s for s in diagnostics["steps"] if s["accepted"]]
+    return {
+        "iterations": sum(s["iterations"] for s in solves),
+        "mixing_restarts": sum(s["mixing_restarts"] for s in solves),
+        "exit": solves[-1]["exit"],
+    }
+
+
 def continue_in_c(p: ModelParams, speeds: list[float], *, grid: Grid) -> SolitaryBranch:
-    """Branch of BO travelling pairs in the speed c, from the ground state.
+    """Branch of BO travelling pairs in the speed c, from the ground state
+    (`_continuation`).
 
     The ground state's `_solve` record is kept under diagnostics["start"].
     Stored samples are the speeds given, solved in order of |c|; the c = 0
     endpoint is always stored first.
     """
-    start = _bo_start(p, grid)
-    params, waves, infos, diag = _speed_leg("BO", p, start, speeds)
+    speeds = sorted(speeds, key=abs)
+    points = [(math.inf, c) for c in speeds]
+    waves, infos, diag = _continuation(p, grid, points)
     residuals = [info["full_residual"] for info in infos]
-    diag = {"start": _work_record(start[1])} | diag
-    return SolitaryBranch("BO", params, waves, residuals, diagnostics=diag)
+    return SolitaryBranch("BO", [0.0] + speeds[: len(waves) - 1], waves, residuals, diag)
 
 
 def continue_in_mu2(p: ModelParams, depths: list[float], *, grid: Grid) -> SolitaryBranch:
     """Branch of c = 0 finite-depth pairs in mu2, from the infinite-depth wave
-    (`_depth_leg`).
+    (`_continuation`).
 
     The first stored sample is the BO ground state (parameter value inf; its
     `_solve` record is kept under diagnostics["start"]); the first depth is
@@ -606,14 +586,12 @@ def continue_in_mu2(p: ModelParams, depths: list[float], *, grid: Grid) -> Solit
     if not all(m > 0.0 for m in depths):
         raise ValueError(f"every depth mu2 must be positive, got {depths}")
     milestones = sorted(depths, reverse=True)
-    start = _bo_start(p, grid)
-    ts, waves, infos, diag = _depth_leg(p, start, milestones)
-    # the endpoint is the BO pair, stored bit-for-bit; the others are stored
-    # under their milestone
-    params = [math.inf] + milestones[: len(ts) - 1]
+    points = [(m, 0.0) for m in milestones]
+    waves, infos, diag = _continuation(p, grid, points)
     residuals = [info["full_residual"] for info in infos]
-    diag = {"start": _work_record(start[1])} | diag
-    return SolitaryBranch("ILW", params, waves, residuals, diagnostics=diag)
+    return SolitaryBranch(
+        "ILW", [math.inf] + milestones[: len(waves) - 1], waves, residuals, diag
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,35 +602,24 @@ def continue_in_mu2(p: ModelParams, depths: list[float], *, grid: Grid) -> Solit
 def solve(family: str, p: ModelParams, speed: float, *, grid: Grid) -> tuple[WavePair, dict]:
     """The solitary wave of family at speed c (omega for BFD) on grid, and
     the `_solve` record of its last solve: iterations and mixing_restarts
-    (counting every accepted solve on the way), exit, residual, S_minus_1,
-    full_residual.
+    (counting every accepted solve on the way, `branch_work`), exit,
+    residual, S_minus_1, full_residual.
 
     p is taken at the family's depth (`family_params`).  BFD waves solve the
     reduced equation from a unit-width sech^2 bump at its start amplitude
-    (`_start`).  BO starts from the ground state (`_bo_start`); ILW continues
-    that in depth to p.mu2 (`_depth_leg`, the path of `continue_in_mu2`); at
-    c != 0 both then continue in speed to c (`_speed_leg`).  A leg that ends
-    before its milestone raises ConvergenceError.
+    (`_start`).  BO and ILW are reached by `_continuation` from the ground
+    state through (mu2, 0), for ILW the path of `continue_in_mu2`, and then
+    (mu2, c), the BO one the path of `continue_in_c`.  A branch that ends
+    before (mu2, c) raises ConvergenceError.
     """
     fam, p = family_params(family, p)
     if fam not in ("BO", "ILW"):
         red = _Reduced(fam, p, grid, speed)
         return _solve(red, _start(red, 1.0 / np.cosh(grid.x) ** 2))
-    legs = [lambda s: _depth_leg(p, s, [p.mu2])] if fam == "ILW" else []
-    if speed:
-        legs.append(lambda s: _speed_leg(fam, p, s, [speed]))
-    wave, info = _bo_start(p, grid)
-    counts = {k: info[k] for k in ("iterations", "mixing_restarts")}
-    for leg in legs:
-        _, waves, infos, diag = leg((wave, info))
-        if diag["truncated"]:
-            ended = diag.get("endpoint_estimate", diag.get("sigma_estimate"))
-            raise ConvergenceError(f"the {fam} branch ended at {ended!r}")
-        wave, info = waves[-1], infos[-1]
-        for step in diag["steps"]:
-            if step["accepted"]:
-                counts = {k: n + step[k] for k, n in counts.items()}
-    return wave, info | counts
+    waves, infos, diag = _continuation(p, grid, [(p.mu2, 0.0), (p.mu2, speed)])
+    if diag["truncated"]:
+        raise ConvergenceError(f"the {fam} branch ended at {diag['end']!r}")
+    return waves[-1], infos[-1] | branch_work(diag)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ The heavy solves (continuation chains, reduced solves) are session
 scoped so the unit suites and the acceptance suite share one computation.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -28,6 +30,17 @@ P1_KW = dict(
 SHARP_KW = dict(
     gamma=0.5, b=8.0 / 3.0, d=8.0 / 3.0, a=-4.0, c=-1.0, mu=0.1, epsilon=0.1
 )
+
+
+def symbol_f(p, omega, x):
+    """The quadratic-in-x lower bound symbol f(x) = (1/gamma - |omega|) -
+    (sqrt(mu)/gamma^2) x + mu beta0_tilde x^2, beta0_tilde = -[b|omega| +
+    (a - 1/gamma^2)/gamma], whose minimum `compute_f_min` returns: the
+    independent reference the tests scan for f_min."""
+    g = p.gamma
+    x = np.abs(np.asarray(x, dtype=float))
+    beta0_tilde = -(p.b * abs(omega) + (p.a - 1.0 / g**2) / g)
+    return (1.0 / g - abs(omega)) - math.sqrt(p.mu) / g**2 * x + p.mu * beta0_tilde * x**2
 
 
 @pytest.fixture

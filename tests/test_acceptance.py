@@ -30,7 +30,6 @@ from iswaves.params import (
     compute_M,
     compute_mu2_threshold,
     compute_speed_window,
-    symbol_f,
 )
 from iswaves.solvers import (
     constrained_minimize,
@@ -38,6 +37,8 @@ from iswaves.solvers import (
     solve,
 )
 from iswaves.spectral import WavePair, make_grid
+
+from conftest import symbol_f
 
 
 def _report(capsys, n, ok, detail):

@@ -23,11 +23,7 @@ CALLERS = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"] +
     p for d in ("demos", "perfbench") for p in (ROOT / d).rglob("*.py")
 )
 
-ALLOWED = {
-    # the closed-form f(x) whose minimum compute_f_min returns; criterion 1
-    # scans it as the independent reference for f_min
-    "symbol_f",
-}
+ALLOWED: set[str] = set()
 
 
 OPTIONS_ALLOWED = {

@@ -22,12 +22,11 @@ from iswaves.params import (
     compute_speed_window,
     eta_roots,
     family_params,
-    symbol_f,
     validate_bfd_params,
 )
 from iswaves.spectral import make_grid, symbols
 
-from conftest import P1_KW
+from conftest import P1_KW, symbol_f
 
 
 def test_derived_coefficient_and_depth_flag(p1_mu2_4, p1_inf):

@@ -432,8 +432,8 @@ def test_continuation_truncates_where_the_symbol_turns(p1_inf):
     failed = [step for step in steps if not step["accepted"]]
     assert failed[0]["parameter"] == 0.75
     solved = [step["parameter"] for step in steps if step["accepted"]]
-    assert diag["endpoint_estimate"] == solved[-1]
-    assert 0.01 <= diag["endpoint_estimate"] < 0.75
+    assert diag["end"] == solved[-1]
+    assert 0.01 <= diag["end"] < 0.75
     # the endpoint is resolved to _MIN_STEP: a failure lies within it
     assert any(0.0 < step["parameter"] - solved[-1] <= solvers._MIN_STEP for step in failed)
 
@@ -492,6 +492,44 @@ def test_solve_returns_the_wave_the_continuations_store(p1_inf, family, speed):
     assert info["exit"] == solves[-1]["exit"]
 
 
+def test_ilw_at_speed_chains_the_depth_and_speed_solves(p1_mu2_25):
+    # ILW at c != 0 is the one path of two segments: the depth continuation
+    # to mu2, then the speed continuation at that mu2; here each is one solve
+    grid = make_grid(50.0, 256)
+    ground, ground_info = solvers._bo_start(p1_mu2_25, grid)
+    still, still_info = solvers._solve(_Reduced("ILW", p1_mu2_25, grid, 0.0), ground.nu)
+    moving, moving_info = solvers._solve(_Reduced("ILW", p1_mu2_25, grid, 0.01), still.nu)
+    pair, info = solve("ILW", p1_mu2_25, 0.01, grid=grid)
+    assert np.array_equal(pair.nu, moving.nu) and np.array_equal(pair.xi, moving.xi)
+    assert info["full_residual"] == moving_info["full_residual"]
+    assert info["iterations"] == sum(
+        record["iterations"] for record in (ground_info, still_info, moving_info)
+    )
+
+
+def test_continuation_recovers_after_bisecting(p1_inf):
+    # at L = 200, N = 4096 the ground state does not reach c = 0.4 in one
+    # solve, nor 0.2; 0.1 solves, and from there 0.4 does
+    grid = make_grid(200.0, 4096)
+    branch = continue_in_c(p1_inf, [0.4], grid=grid)
+    diag = branch.diagnostics
+    assert not diag["truncated"] and "end" not in diag
+    assert branch.parameter_values == [0.0, 0.4]
+    steps = diag["steps"]
+    assert [(step["parameter"], step["accepted"]) for step in steps] == [
+        (0.4, False), (0.2, False), (0.1, True), (0.4, True)
+    ]
+    assert "iterate 8: stabilizing factor S" in steps[0]["error"]
+    assert steps[1]["error"].startswith("stagnation")
+    assert [step["iterations"] for step in steps[2:]] == [18, 12]
+    assert all(r <= 1e-9 for r in branch.residuals)
+    # solve takes the same path to the same wave
+    pair, info = solve("BO", p1_inf, 0.4, grid=grid)
+    assert np.array_equal(pair.nu, branch.waves[-1].nu)
+    assert np.array_equal(pair.xi, branch.waves[-1].xi)
+    assert info["iterations"] == diag["start"]["iterations"] + 18 + 12
+
+
 def test_rejected_continuation_steps_keep_inner_records(p1_inf, monkeypatch):
     # one iteration per solve never certifies a wave: every solve is
     # rejected, keeps the error of its solve, and the loop bisects toward
@@ -503,7 +541,7 @@ def test_rejected_continuation_steps_keep_inner_records(p1_inf, monkeypatch):
     monkeypatch.setattr(solvers, "_MAX_ITERS", 1)
     branch = continue_in_mu2(p1_inf, [400.0], grid=grid)
     assert branch.diagnostics["truncated"]
-    assert branch.diagnostics["sigma_estimate"] == np.inf
+    assert branch.diagnostics["end"] == np.inf
     assert branch.diagnostics["start"] == solvers._work_record(start[1])
     steps = branch.diagnostics["steps"]
     assert len(steps) >= 2
