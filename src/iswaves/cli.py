@@ -140,7 +140,7 @@ def cmd_solve(cfg: dict, out: str) -> int:
     pair, info = solve(family, p, speed, grid=grid)
     branch = SolitaryBranch(family, [speed], [pair], [info["full_residual"]])
 
-    save_branch(branch, os.path.join(out, "branch"), cfgmod.resolved_config(cfg))
+    save_branch(branch, os.path.join(out, "branch"), cfg)
     report = {
         "family": branch.family,
         "parameter_values": branch.parameter_values,
@@ -198,7 +198,7 @@ def cmd_continue(cfg: dict, out: str) -> int:
     else:
         raise ConfigError("continue.parameter must be 'c' or 'mu2'")
 
-    save_branch(branch, os.path.join(out, "branch"), cfgmod.resolved_config(cfg))
+    save_branch(branch, os.path.join(out, "branch"), cfg)
     report = {
         "family": branch.family,
         "parameter": parameter,
@@ -231,12 +231,17 @@ def cmd_decay(cfg: dict, out: str) -> int:
             rates = compute_decay_rates(p)
             predicted = rates.ilw_rate if branch.family == "ILW" else rates.sigma
 
-    if kind == "algebraic":
-        report = fit_algebraic_tail(wave.grid.x, values, window=window, predicted=predicted)
-    elif kind == "exponential":
-        report = fit_exponential_tail(wave.grid.x, values, window=window, predicted=predicted)
-    else:
+    if kind not in ("algebraic", "exponential"):
         raise ConfigError("decay.kind must be 'algebraic' or 'exponential'")
+    try:
+        if kind == "algebraic":
+            report = fit_algebraic_tail(wave.grid.x, values, window=window, predicted=predicted)
+        else:
+            report = fit_exponential_tail(wave.grid.x, values, window=window, predicted=predicted)
+    except ValueError as exc:
+        # a window that is reversed, or that holds too few samples of the wave
+        raise ConfigError(f"decay.window_lo, decay.window_hi = {window} on L = "
+                          f"{wave.grid.L:g}: {exc}") from exc
 
     cfgmod.write_json(os.path.join(out, f"decay_{field_name}.json"), asdict(report), cfg)
     print(f"decay: {kind} fit of {field_name}: measured {report.measured:.6g}, "
@@ -259,9 +264,8 @@ def cmd_kernel_check(cfg: dict, out: str) -> int:
     names = ["K", "K1", "K2", "K3"] if which == "all" else [
         w.strip() for w in which.split(",") if w.strip()
     ]
-    for name in names:
-        if name not in _KERNELS:
-            raise ConfigError(f"kernel.which entries must be among K, K1, K2, K3; got {name!r}")
+    if not names or not set(names) <= _KERNELS.keys():
+        raise ConfigError(f"kernel.which must list kernels among K, K1, K2, K3; got {which!r}")
     p = cfgmod.params_from_config(cfg) if "params.gamma" in cfg else None
     sigma = _positive("kernel.sigma", cfg.get("kernel.sigma", 3.0))
     results = {}
@@ -369,8 +373,8 @@ def _band_limited_pairs(grid, rng, count: int) -> np.ndarray:
 
 def cmd_sweep(cfg: dict, out: str) -> int:
     """Randomized admissibility sweep: positive quadratic forms, E >= 0."""
-    draws = cfg.get("sweep.draws", 200)
-    fields_per_draw = cfg.get("sweep.fields_per_draw", 5)
+    draws = _positive("sweep.draws", cfg.get("sweep.draws", 200))
+    fields_per_draw = _positive("sweep.fields_per_draw", cfg.get("sweep.fields_per_draw", 5))
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     grid = make_grid(20.0, 256)

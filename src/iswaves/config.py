@@ -6,9 +6,10 @@ The flat format diffs cleanly across experiment folders.  Every key is
 checked against a registry; unknown keys are rejected rather than ignored
 so typos cannot silently change an experiment.
 
-JSON reports are emitted deterministically (sorted keys, default float
-repr, no wall-clock content); time stamps and environment notes go to a
-separate meta.json so reports from identical configs are byte-identical.
+Every JSON file the package writes goes through `write_json`: sorted keys,
+default float repr, and infinities and NaN as the strings "inf", "-inf" and
+"nan" (valid JSON).  Time stamps and environment notes go to a separate
+meta.json, so reports from identical configs are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,13 +29,8 @@ class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
 
 
-def _parse_float(text: str) -> float:
-    if text.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
-_PARSERS = {"float": _parse_float, "int": int, "str": str}
+# float reads inf, +inf and infinity in any case
+_PARSERS = {"float": float, "int": int, "str": str}
 
 # full registry of accepted keys: name -> value kind
 KEY_REGISTRY: dict[str, str] = {
@@ -188,7 +184,8 @@ def sanitize(obj):
 
 
 def write_json(path: str, obj: dict, config: dict | None = None) -> None:
-    """Write a deterministic JSON report, embedding the resolved config."""
+    """Write obj as deterministic JSON (`sanitize`d, sorted keys, indent 2),
+    with the resolved config under "config" when one is given."""
     payload = dict(sanitize(obj))
     if config is not None:
         payload["config"] = resolved_config(config)
@@ -206,6 +203,4 @@ def write_meta(outdir: str, elapsed_s: float) -> None:
         "elapsed_s": elapsed_s,
         "numpy_version": np.__version__,
     }
-    with open(os.path.join(outdir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "meta.json"), meta)

@@ -100,10 +100,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _laplace_integral(
     f: Callable[[np.ndarray], np.ndarray], scale: float, ax: float, upper: float,
-    breaks: Sequence[float] = (),
-) -> tuple[float, float]:
+    tail: float, breaks: Sequence[float] = (),
+) -> float:
     """int_0^upper f(y) dy of a positive integrand that varies on the scales
-    1/ax and scale, with its estimated error.
+    1/ax and scale, where tail bounds the integral beyond upper.
 
     The panels are graded geometrically, by factors of 2 from
     1e-3 min(scale, 1/ax), and split at breaks.  A panel is accepted when
@@ -111,7 +111,8 @@ def _laplace_integral(
     share of _QUAD_TOL, or by a few eps of its own value (an absolute
     tolerance alone stalls at roundoff); every other panel is bisected.
     The error estimate is the sum of those differences.  Raises
-    RuntimeError past _MAX_PANELS panels.
+    RuntimeError past _MAX_PANELS panels, or when the error estimate plus
+    tail exceeds 1e-10.
     """
     a0 = 1e-3 * min(scale, 1.0 / ax)
     grading = a0 * 2.0 ** np.arange(math.ceil(math.log2(upper / a0)))
@@ -129,9 +130,12 @@ def _laplace_integral(
         err = np.abs(q20 - q10)
         bad = err > np.maximum(_QUAD_TOL * (hi - lo) / upper, 8.0 * _EPS * np.abs(q20))
         if not bad.any():
-            return float(np.sum(q20)), float(np.sum(err))
+            break
         lo = np.concatenate([lo[~bad], lo[bad], mid[bad]])
         hi = np.concatenate([hi[~bad], mid[bad], hi[bad]])
+    if np.sum(err) + tail > 1e-10:
+        raise RuntimeError(f"quadrature failed to reach tolerance (err {np.sum(err):.2e})")
+    return float(np.sum(q20))
 
 
 def _k2_alpha(p: ModelParams) -> float:
@@ -181,12 +185,9 @@ def kernel_K2_quadrature(p: ModelParams, x: float) -> float:
     def integrand(y: np.ndarray) -> np.ndarray:
         return y * np.exp(-ax * y) / (alpha * alpha + y * y)
 
-    val, err = _laplace_integral(integrand, alpha, ax, upper)
     # analytic tail bound: integrand < e^{-ax y}/y beyond the cutoff
     tail = math.exp(-ax * upper) / (ax * upper)
-    if err + tail > 1e-10:
-        raise RuntimeError(f"quadrature failed to reach tolerance (err {err:.2e})")
-    return math.sqrt(2.0 / math.pi) * val
+    return math.sqrt(2.0 / math.pi) * _laplace_integral(integrand, alpha, ax, upper, tail)
 
 
 def kernel_K_quadrature(p: ModelParams, x: float) -> float:
@@ -212,10 +213,8 @@ def kernel_K_quadrature(p: ModelParams, x: float) -> float:
         den = (c_k - y * y) ** 2 + ell * ell * y * y
         return y * np.exp(-ax * y) / den
 
-    val, err = _laplace_integral(integrand, ell, ax, upper, [math.sqrt(c_k)])
     tail = math.exp(-ax * upper) / (ax * upper**3)
-    if err + tail > 1e-10:
-        raise RuntimeError(f"quadrature failed to reach tolerance (err {err:.2e})")
+    val = _laplace_integral(integrand, ell, ax, upper, tail, [math.sqrt(c_k)])
     rate = 0.5 * math.sqrt(disc)
     osc = 2.0 * math.sqrt(2.0 * math.pi) / math.sqrt(disc)
     osc *= math.exp(-rate * ax) * math.cos(0.5 * ell * x)

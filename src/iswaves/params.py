@@ -8,8 +8,8 @@ reductions.  `family_params` names the four systems (BO, ILW, BFD_finite,
 BFD_inf) and fixes the depth each one solves at.  This module also holds
 the closed-form admissibility quantities: the speed window, the minimum of
 the dispersion symbol, the minimal admissible mu2, the amplitude constant M,
-and the tail decay rates (sigma, sigma0, the infinite-depth kernel
-constants, and the eta-roots driving the finite-depth exponential rates).
+and the tail decay rates (sigma, the infinite-depth kernel constants, and
+the eta-roots driving the finite-depth exponential rates).
 """
 
 from __future__ import annotations
@@ -111,17 +111,16 @@ class AdmissibilityReport:
 class DecayRates:
     """Tail decay constants for the solitary-wave families.
 
-    sigma is the exponential rate bound for the finite-mu2 velocity profile,
-    sigma0 the corresponding rate for the interface profile (capped by the
-    inverse-operator scale sqrt(-c mu)).  ell and c_K are the constants of
-    the infinite-depth kernel (its large-x law is `kernels.kernel_K_plateau`).
+    sigma is the exponential rate of the finite-mu2 BFD wave: of nu, and of
+    xi = S2^{-1}(omega J_d nu + r nu^2) while sigma < 1/sqrt(-c mu).  ell
+    and c_K are the constants of the infinite-depth kernel (its large-x law
+    is `kernels.kernel_K_plateau`).
     theta and eta_roots drive the finite-depth one-layer rates: the wave
     decays like exp(-eta_1 |x|/sqrt(mu2)).
     Entries are None when undefined for the given parameters; notes say why.
     """
 
     sigma: float | None
-    sigma0: float | None
     eta_roots: tuple[float, ...]
     theta: float | None
     ell: float | None = None
@@ -231,9 +230,9 @@ def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
     """Collect the closed-form decay constants for parameters p.
 
     sigma^2 = -(1/(a mu)) (1 + mu/(mu2 gamma^2) - sqrt(mu)/(gamma sqrt(mu2)))
-    requires a < 0 and finite mu2.  sigma0 = min(sigma, sqrt(-c mu)) caps the
-    interface rate by the scale of the inverted second-order operator.  The
-    infinite-depth constants use beta1 = -(mu/gamma)(a - 1/gamma^2),
+    requires a < 0 and finite mu2; it is the rate of both fields of the BFD
+    wave while sigma < 1/sqrt(-c mu) (`DecayRates`).  The infinite-depth
+    constants use beta1 = -(mu/gamma)(a - 1/gamma^2),
     ell = sqrt(mu)/(beta1 gamma^2), c_K = 1/(beta1 gamma).  theta =
     gamma sqrt(mu2)/((beta-1) sqrt(mu)) feeds the eta-roots of the one-layer
     finite-depth kernel; the resulting wave rate is eta_1/sqrt(mu2).
@@ -250,7 +249,7 @@ def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
     else:
         notes.append("beta1 <= 0: infinite-depth kernel constants undefined")
 
-    sigma = sigma0 = None
+    sigma = None
     if p.a == 0.0:
         notes.append("a = 0: sigma undefined (degenerate dispersion)")
     elif p.a < 0.0 and p.finite_depth:
@@ -258,11 +257,6 @@ def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
         s2 = -(1.0 / (p.a * p.mu)) * bracket
         if s2 > 0.0:
             sigma = math.sqrt(s2)
-            if p.c < 0.0:
-                sigma0 = min(sigma, math.sqrt(-p.c * p.mu))
-            else:
-                sigma0 = sigma
-                notes.append("c >= 0: interface cap sqrt(-c mu) unavailable")
         else:
             notes.append("sigma^2 <= 0 for these (mu, mu2, gamma)")
     elif not p.finite_depth:
@@ -278,7 +272,6 @@ def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
 
     return DecayRates(
         sigma=sigma,
-        sigma0=sigma0,
         eta_roots=roots,
         theta=theta,
         ell=ell,

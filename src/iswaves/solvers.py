@@ -92,6 +92,7 @@ from itertools import count, islice
 
 import numpy as np
 
+from .config import write_json
 from .functionals import energy_gradient, energy_tables, inner
 from .params import ModelParams, family_params
 from .spectral import (
@@ -663,12 +664,9 @@ def constrained_minimize(p: ModelParams, omega: float, lam: float, grid: Grid):
     det = a11 * a22 - a12 * a12
     if np.min(det) <= 0.0:
         raise ConvergenceError("quadratic form is not positive definite; inadmissible (p, omega)")
+    # A^{-1} has A's symmetric block form, so energy_gradient applies it
+    inverse = (a22 / det, -a12 / det, a11 / det)
     r = p.r
-
-    def metric_inverse(g: np.ndarray) -> np.ndarray:
-        f = np.fft.rfft(g, axis=-1)
-        out = np.stack([a22 * f[0] - a12 * f[1], a11 * f[1] - a12 * f[0]]) / det
-        return np.fft.irfft(out, n=grid.N, axis=-1)
 
     def f_val(x: np.ndarray) -> float:
         return r * inner(grid, x[0], x[1] * x[1])
@@ -683,13 +681,12 @@ def constrained_minimize(p: ModelParams, omega: float, lam: float, grid: Grid):
         ax = energy_gradient(tables, x)
         return x, ax, 0.5 * inner(grid, x, ax)
 
-    xs = grid.x
-    bump = 1.0 / np.cosh(xs / 2.0) ** 2 if np.max(np.abs(xs)) < 100 else 1.0 / (1.0 + xs * xs)
+    bump = 1.0 / (1.0 + grid.x * grid.x)
     x, ax, e = placed(rescale(_even(np.stack([0.5 * bump**2, bump]))))
     window = _AndersonWindow(*x.shape)
     for iterations in range(1, _MAX_ITERS + 1):
         gf = grad_f(x)
-        w = metric_inverse(gf)
+        w = energy_gradient(inverse, gf)
         d = x - np.vdot(gf, x) / np.vdot(gf, w) * w
         gnorm = math.sqrt(inner(grid, d, d))
         if gnorm <= _GRADIENT_TOL:
@@ -731,7 +728,8 @@ def rescale_to_wave(pair: WavePair, k_mult: float) -> WavePair:
 
 
 def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None) -> None:
-    """Write branch.json, schema.json and one binary sample per wave:
+    """Write branch.json and schema.json (`config.write_json`, with config
+    under "config" when given) and one binary sample per wave:
     sample_NNN.npy, a C-ordered float64 array of shape (3, N) with rows x,
     xi, nu, written by np.save without pickling.  branch.json lists the
     sample names in order."""
@@ -744,26 +742,18 @@ def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None)
         sample_files.append(name)
     meta = {
         "family": branch.family,
-        "parameter_values": [
-            "inf" if math.isinf(v) else v for v in branch.parameter_values
-        ],
+        "parameter_values": branch.parameter_values,
         "residuals": branch.residuals,
         "samples": sample_files,
         "diagnostics": branch.diagnostics,
     }
-    if config is not None:
-        meta["config"] = config
-    with open(os.path.join(outdir, "branch.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "branch.json"), meta, config)
     schema = {
         "branch.json": "branch metadata: family, parameter_values, residuals, samples",
         "sample_*.npy": "float64 array of shape (3, N), C order, rows x, xi, nu "
         "(np.load(path, allow_pickle=False)); the grid is (L, N) = (-x[0], N)",
     }
-    with open(os.path.join(outdir, "schema.json"), "w") as fh:
-        json.dump(schema, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "schema.json"), schema)
 
 
 def _read_sample(path: str) -> WavePair:
@@ -805,10 +795,9 @@ def load_branch(outdir: str) -> SolitaryBranch:
     with open(os.path.join(outdir, "branch.json")) as fh:
         meta = json.load(fh)
     waves = _StoredWaves([os.path.join(outdir, name) for name in meta["samples"]])
-    params = [math.inf if v == "inf" else float(v) for v in meta["parameter_values"]]
     return SolitaryBranch(
         family=meta["family"],
-        parameter_values=params,
+        parameter_values=[float(v) for v in meta["parameter_values"]],
         waves=waves,
         residuals=[float(v) for v in meta["residuals"]],
         diagnostics=meta.get("diagnostics", {}),

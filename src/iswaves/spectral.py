@@ -114,18 +114,15 @@ def l1_symbol(k: np.ndarray, mu2: float) -> np.ndarray:
 
 
 class Symbols:
-    """Half-spectrum symbol tables of one (ModelParams, Grid), at finite depth
-    when p.mu2 is finite and at infinite depth when it is inf.
+    """Half-spectrum symbol tables of one (ModelParams, Grid), at the depth
+    p.mu2: one formula per table at every depth, since the deep-water
+    systems are the mu2 -> inf members of the finite-depth ones.
 
     Every table is read-only and evaluated on k = grid.k_half = |k|:
       jb, jc, jd  J_b = 1 + mu b k^2, J_c = 1 - mu c k^2, J_d = 1 + mu d k^2;
-      l1          |k| coth(sqrt(mu2)|k|) at finite depth, |k| at infinite;
-      L           the dispersion symbol, at finite depth
-                  1/gamma - (sqrt(mu)/gamma^2) l1 - (mu/gamma) a k^2
-                  + (mu/gamma^3) l1^2 (at k = 0: 1/gamma
-                  - sqrt(mu)/(gamma^2 sqrt(mu2)) + mu/(gamma^3 mu2)), at
-                  infinite depth 1/gamma - (sqrt(mu)/gamma^2)|k|
-                  + (mu/gamma)(1/gamma^2 - a) k^2;
+      l1          `l1_symbol`: |k| coth(sqrt(mu2)|k|), |k| at mu2 = inf;
+      L           the dispersion symbol 1/gamma - (sqrt(mu)/gamma^2) l1
+                  - (mu/gamma) a k^2 + (mu/gamma^3) l1^2;
       op1, op2    the one-layer operators W, Z (finite depth) or D, B
                   (infinite depth): 1 + (beta/gamma) sqrt(mu) l1 and
                   (1 + ((beta - 1)/gamma) sqrt(mu) l1)/gamma.
@@ -137,20 +134,16 @@ class Symbols:
     def __init__(self, p: ModelParams, grid: Grid):
         k = grid.k_half
         g, mu = p.gamma, p.mu
-        finite = p.finite_depth
         self.jb = 1.0 + mu * p.b * k * k
         self.jc = 1.0 - mu * p.c * k * k
         self.jd = 1.0 + mu * p.d * k * k
-        self.l1 = l1_symbol(k, p.mu2) if finite else k
-        if finite:
-            self.L = (
-                1.0 / g
-                - math.sqrt(mu) / g**2 * self.l1
-                - mu / g * p.a * k * k
-                + mu / g**3 * self.l1**2
-            )
-        else:
-            self.L = 1.0 / g - math.sqrt(mu) / g**2 * k + mu / g * (1.0 / g**2 - p.a) * k * k
+        self.l1 = l1_symbol(k, p.mu2)
+        self.L = (
+            1.0 / g
+            - math.sqrt(mu) / g**2 * self.l1
+            - mu / g * p.a * k * k
+            + mu / g**3 * self.l1**2
+        )
         self.op1 = 1.0 + p.beta / g * math.sqrt(mu) * self.l1
         self.op2 = (1.0 + (p.beta - 1.0) / g * math.sqrt(mu) * self.l1) / g
         for table in (self.jb, self.jc, self.jd, self.l1, self.L, self.op1, self.op2):

@@ -236,6 +236,24 @@ def test_no_unused_imports():
     assert unused == [], f"imported and never read: {unused}"
 
 
+def test_json_is_written_only_by_config():
+    # config.write_json is the package's one JSON writer: json.dump and
+    # json.dumps appear in config.py and nowhere else in the package
+    writers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "json"):
+                names = {node.attr}
+            else:
+                continue
+            if names & {"dump", "dumps"}:
+                writers.add(path.name)
+    assert writers == {"config.py"}
+
+
 # every command on a small config (kernel-check on every kernel, decay on
 # the branch continue writes), in the interpreter that imported iswaves;
 # argv: a config of the parameters and an output directory

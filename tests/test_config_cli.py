@@ -802,6 +802,12 @@ _BAD_VALUES = [
         ["continue.parameter=mu2", "continue.target=25", "continue.family=BFD_finite"],
         "continue.family",
     ),
+    # a reversed window, and a window beyond the stored branch's L = 8
+    ("decay", ["decay.window_lo=60", "decay.window_hi=20"], "decay.window_lo"),
+    ("decay", ["decay.window_lo=20", "decay.window_hi=60"], "decay.window_hi"),
+    ("sweep", ["sweep.fields_per_draw=-1"], "sweep.fields_per_draw"),
+    ("sweep", ["sweep.draws=-3"], "sweep.draws"),
+    ("kernel-check", ["kernel.which=,"], "kernel.which"),
 ]
 _BASE_SETS = {
     "solve": ["grid.L=8", "grid.N=64", "solve.omega=0.1"],
@@ -809,6 +815,7 @@ _BASE_SETS = {
     "kernel-check": ["kernel.which=K1"],
     "decay": [],
     "continue": ["grid.L=8", "grid.N=64", "continue.parameter=c", "continue.target=0.1"],
+    "sweep": ["sweep.draws=2"],
 }
 
 

@@ -187,6 +187,19 @@ def test_quadrature_refuses_past_the_panel_cap(p1_inf, p1_mu2_4):
             kernel_K2_quadrature(p1_mu2_4, 2.0)
 
 
+def test_quadrature_counts_the_tail_in_its_error_bound():
+    # the rule's error estimate plus the analytic tail beyond the cutoff
+    # must stay within 1e-10; e^{-y} on [0, 40] leaves a tail of 4e-18
+    def f(y):
+        return np.exp(-y)
+
+    assert kernels._laplace_integral(f, 1.0, 1.0, 40.0, math.exp(-40.0)) == pytest.approx(
+        1.0, rel=1e-14
+    )
+    with pytest.raises(RuntimeError, match="tolerance"):
+        kernels._laplace_integral(f, 1.0, 1.0, 40.0, 1e-9)
+
+
 def test_k3_series_vs_oracle(p1_mu2_4, k3_oracle):
     xs = [1.0, 2.0, 5.0]
     closed = [kernel_K3_series(p1_mu2_4, x)[0] for x in xs]

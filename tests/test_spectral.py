@@ -71,13 +71,14 @@ def test_j_symbols(p1_mu2_4):
 
 
 def test_dispersive_symbol_matches_infinite_limit(p1_inf):
-    # for mu2 = inf the dedicated formula and the finite-depth one with
-    # |k| coth(sqrt(mu2)|k|) -> |k| coincide
+    # for mu2 = inf the one formula, with |k| coth(sqrt(mu2)|k|) -> |k|,
+    # is the deep-water symbol 1/gamma - (sqrt(mu)/gamma^2)|k|
+    # + (mu/gamma)(1/gamma^2 - a) k^2
     g = make_grid(20.0, 256)
     k = g.k_half
     gam, mu, a = 0.5, 0.1, -1.0 / 12
-    general = 1 / gam - math.sqrt(mu) / gam**2 * k - mu / gam * a * k * k + mu / gam**3 * k * k
-    assert np.allclose(symbols(p1_inf, g).L, general, rtol=1e-14)
+    deep = 1 / gam - math.sqrt(mu) / gam**2 * k + mu / gam * (1 / gam**2 - a) * k * k
+    assert np.allclose(symbols(p1_inf, g).L, deep, rtol=1e-14)
 
 
 def test_dispersive_symbol_depth_convergence():
@@ -132,10 +133,9 @@ def _formulas(p, k, finite):
     if finite:
         s = math.sqrt(p.mu2)
         l1 = zcothz(s * k) / s
-        L = 1.0 / g - math.sqrt(mu) / g**2 * l1 - mu / g * p.a * k * k + mu / g**3 * l1**2
     else:
         l1 = k
-        L = 1.0 / g - math.sqrt(mu) / g**2 * k + mu / g * (1.0 / g**2 - p.a) * k * k
+    L = 1.0 / g - math.sqrt(mu) / g**2 * l1 - mu / g * p.a * k * k + mu / g**3 * l1**2
     jb = 1.0 + mu * p.b * k * k
     jd = 1.0 + mu * p.d * k * k
     return {
