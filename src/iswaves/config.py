@@ -183,14 +183,38 @@ def sanitize(obj):
     return obj
 
 
+def _layout(obj, indent: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) lays it out at the
+    nesting of indent, byte for byte: a dict or list of scalars (floats by
+    float.__repr__) in one call of json's C encoder, instead of its
+    pure-Python indenting encoder."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + "  "
+    values = obj.values() if isinstance(obj, dict) else obj
+    # sanitized containers are plain dicts and lists; json's C encoder lays
+    # out one level when its item separator carries the line break and indent
+    if set(map(type, values)).isdisjoint((dict, list, tuple)):
+        text = json.dumps(obj, separators=(",\n" + inner, ": "), sort_keys=True)
+        return text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(k)}: {_layout(v, inner)}" for k, v in sorted(obj.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    items = (_layout(v, inner) for v in obj)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def write_json(path: str, obj: dict, config: dict | None = None) -> None:
-    """Write obj as deterministic JSON (`sanitize`d, sorted keys, indent 2),
-    with the resolved config under "config" when one is given."""
+    """Write obj as deterministic JSON (`sanitize`d, sorted keys, indent 2,
+    the bytes of json.dumps(..., indent=2, sort_keys=True)), with the
+    resolved config under "config" when one is given."""
     payload = dict(sanitize(obj))
     if config is not None:
         payload["config"] = resolved_config(config)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _layout(payload, "") + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -46,14 +46,14 @@ Accelerated Petviashvili.  The fixed point converges only linearly, so
 `_petviashvili` mixes its iterates (Anderson type II over the last
 _ANDERSON_DEPTH differences; Walker & Ni, SIAM J. Numer. Anal. 49 (2011)):
 each plain iterate is replaced by the least-squares combination of the
-window's images.  The window (`_AndersonWindow`) takes iterates of any shape
-(..., N), the reduced equation's profiles and the minimizer's (xi, nu) pairs
-alike; its differences sit in preallocated rings, and their Gram matrix in a
-ring that takes one row and column per iteration, so a fit solves k x k
-normal equations (k <= _ANDERSON_DEPTH), and a mixing step costs O(k N) and
-allocates no window-sized array.  The combination is taken in physical space
-and costs no transform, and every yielded residual is the true residual
-M nu - G(nu) of the yielded iterate.
+window's images.  The window (`_AndersonWindow`) takes iterates of any
+shape, the reduced equation's half spectra and the minimizer's (xi, nu)
+pairs alike; its differences sit in preallocated rings, and their Gram
+matrix in a ring that takes one row and column per iteration, so a fit
+solves k x k normal equations (k <= _ANDERSON_DEPTH), and a mixing step
+costs O(k N) and allocates no window-sized array.  The combination costs no
+transform, and every yielded residual is the true residual M nu - G(nu) of
+the yielded iterate's samples.
 A fit that is singular, is not finite or has a coefficient above _MAX_MIXING
 keeps the plain iterate and restarts the window; the normal equations square
 the window's condition number, so an ill-conditioned fit restarts too, and
@@ -67,18 +67,28 @@ range of both the quadratic (1 < q < 3) and the cubic (1 < q < 2) source
 whose stabilizing factor S is not positive and finite, or whose residual is
 not finite, ends the iteration with a ConvergenceError before it is mixed.
 
-All solves work in the even subspace: profiles are symmetrized about x = 0
-at every iteration, which pins the translation mode.
+All solves work in the even subspace, which pins the translation mode: the
+iteration carries the real half spectrum nu_hat = Re rfft(nu) of its
+iterate, N/2 + 1 values in Parseval-weighted coordinates (weights 1, 2, ...,
+2, 1, whose square roots scale the values), so that the window fits the
+same coefficients as a window of the even profiles.  Taking the real part is
+the even projection, and the plain step S^q Re(G_hat)/M_hat needs no inverse
+transform.  The samples nu = irfft(nu_hat) are made exactly even by
+mirroring their first half, and every returned wave is one of them.
 
-Transform economy.  An iteration makes four transforms: one stacked rfft of
-(nu^2, nu) (of nu alone for BO/ILW at c = 0), one stacked irfft of every
-multiplier row, and the rfft/irfft pair of M^{-1}; scalar tables multiply
-in physical space.  The lift of xi reads only its own rows, scalars for BO
-and ILW, so there it makes no transform.  The iteration carries the
-residual of each iterate into the next step, and every solve from a shape
-takes a closed-form start amplitude (`_start`): M is linear and G(a s) =
-a^2 Q(s) + a^3 C(s), so three inner products of one shape s give the
-amplitude at which S = 1.
+Transform economy.  An iteration makes four transforms: the irfft of its
+samples, one stacked rfft of (nu^2, nu) and one stacked irfft of every
+multiplier row, from which M nu and G(nu) are formed on the samples, and
+the rfft of G(nu); scalar tables multiply in physical space.  For BO and
+ILW at c = 0, G reads no multiplier and is transformed with nu in one
+rfft, so three.  M nu is not formed from nu_hat directly: that skips a
+transform, but the wave's system residual then sits above the reduced
+residual by more than the consistency gate allows (bfd_finite at N = 2048).
+The lift of xi reads only its own rows, scalars for BO and ILW, so there it
+makes no transform.  The iteration carries the residual of each iterate
+into the next step, and every solve from a shape takes a closed-form start
+amplitude (`_start`): M is linear and G(a s) = a^2 Q(s) + a^3 C(s), so
+three inner products of one shape s give the amplitude at which S = 1.
 """
 
 from __future__ import annotations
@@ -98,7 +108,6 @@ from .params import ModelParams, family_params
 from .spectral import (
     Grid,
     WavePair,
-    apply_table,
     make_grid,
     pair_from_csv,
     structure,
@@ -161,7 +170,9 @@ class _RowPlan:
     def __call__(self, fields) -> list[np.ndarray]:
         rows = iter(())
         if self._reads:
-            spectra = np.fft.rfft(np.stack([fields[k] for k in self._reads]), axis=-1)
+            # fields that are all read, a stacked array above all, go as they are
+            read = fields if len(self._reads) == len(fields) else [fields[k] for k in self._reads]
+            spectra = np.fft.rfft(read, axis=-1)
             rows = iter(np.fft.irfft(self._stack * spectra[self._picks], n=self._n, axis=-1))
         return [next(rows) if is_array else t * fields[k] for t, k, is_array in self._rows]
 
@@ -219,11 +230,25 @@ class _Reduced:
                 f"reduced symbol takes non-positive values (min {np.min(self.mhat):.3e}) at "
                 f"speed {c!r}; parameters are outside the admissible window"
             )
+        # the iteration's coordinates: Re rfft times the square roots of the
+        # Parseval weights 1, 2, ..., 2, 1, in which a dot product is N times
+        # the physical one; M^{-1} in them, and whether G reads no multiplier
+        # (BO and ILW at c = 0)
+        self._root = np.full(grid.N // 2 + 1, math.sqrt(2.0))
+        self._root[[0, -1]] = 1.0
+        self._unroot = 1.0 / self._root
+        self.inv_m = self._root / self.mhat
+        self._local = not c and np.isscalar(s2)
 
     def parts(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M nu, Q(nu), C(nu)): G(nu) = Q(nu) + C(nu), with Q homogeneous of
         degree 2 and C of degree 3."""
-        m_nu, inv_sq, *c_rows = self._plan((nu * nu, nu))
+        return self._parts(np.stack([nu * nu, nu]))
+
+    def _parts(self, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`parts` of the stacked fields (nu^2, nu)."""
+        nu = fields[1]
+        m_nu, inv_sq, *c_rows = self._plan(fields)
         k, c = self._scale_r, self.speed
         if c_rows:
             t1_sq, t2_nu = c_rows
@@ -236,6 +261,38 @@ class _Reduced:
         """(M nu, G(nu))."""
         m_nu, quad, cubic = self.parts(nu)
         return m_nu, quad + cubic
+
+    def spectrum(self, nu: np.ndarray) -> np.ndarray:
+        """The iteration's coordinates of an even nu: its real half spectrum
+        Re rfft(nu), Parseval-weighted."""
+        return self._root * np.fft.rfft(nu).real
+
+    def sampled(self, nu_hat: np.ndarray):
+        """(nu, M nu, G(nu), Re rfft G(nu)) at the samples nu, exactly even, of
+        the weighted half spectrum nu_hat (`spectrum`), with M nu and G(nu)
+        formed from the samples as `evaluate` forms them; the spectrum of G
+        is unweighted (inv_m carries the weights).  Where G reads no
+        multiplier (BO and ILW at c = 0) it is transformed with nu in one
+        rfft: three transforms, four otherwise."""
+        n = self.grid.N
+        # the samples in the second row, and (nu^2, nu) the rows `parts`
+        # transforms or, where G rides along, (G(nu), nu)
+        fields = np.empty((2, n))
+        nu = np.fft.irfft(self._unroot * nu_hat, n=n, out=fields[1])
+        # even to roundoff; the first half mirrored makes it exactly even
+        nu[: n // 2 : -1] = nu[1 : n // 2]
+        if self._local:
+            # G = C(nu), with 1/S2 a scalar, as `parts` forms it
+            (inv_sq,) = self._lift((nu * nu, nu))
+            g_nu = np.multiply(2.0 * self._scale_r * self.p.r * nu, inv_sq, out=fields[0])
+            g_spec, nu_spec = np.fft.rfft(fields)
+            m_nu = np.fft.irfft(self.mhat * nu_spec, n=n)
+        else:
+            np.multiply(nu, nu, out=fields[0])
+            m_nu, quad, cubic = self._parts(fields)
+            g_nu = quad + cubic
+            g_spec = np.fft.rfft(g_nu)
+        return nu, m_nu, g_nu, g_spec.real
 
     def lift(self, nu: np.ndarray) -> np.ndarray:
         """The xi = c T2/S2 nu + r/S2 nu^2 that solves the second equation
@@ -270,7 +327,8 @@ def _anderson_mixing(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > _MAX_MIXING:
+    # a NaN compares false, so it is refused with the infinite and the large
+    if not np.abs(theta).max() <= _MAX_MIXING:
         return None
     return theta
 
@@ -303,8 +361,8 @@ class _AndersonWindow:
 
     def mix(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The iterate that follows x, whose plain image is f: the mixed
-        iterate, even along the last axis, or f itself when the window held
-        only x or the fit was refused (which restarts the window)."""
+        combination, or f itself when the window held only x or the fit was
+        refused (which restarts the window)."""
         res = np.subtract(f, x, out=self._spare)
         mixed = f
         if self._img is not None:
@@ -320,42 +378,44 @@ class _AndersonWindow:
                 self.restart()
                 return f
             d_img = self._d_img[:rows].reshape(rows, -1)
-            mixed = _even(f - (theta @ d_img).reshape(f.shape))
+            mixed = f - (theta @ d_img).reshape(f.shape)
         self._img = f
         self._res, self._spare = res, self._res
         return mixed
 
 
 def _petviashvili(
-    evaluate, inv_m: np.ndarray, nu: np.ndarray, q: float, dx: float, window=None
+    sampled, inv_m: np.ndarray, nu_hat: np.ndarray, q: float, dx: float, window=None
 ):
     """Anderson-accelerated Petviashvili iterates of M nu = G(nu), G
-    homogeneous of degree > 1 or a sum of such terms.
+    homogeneous of degree > 1 or a sum of such terms, carried as the real
+    half spectra nu_hat of even profiles nu (`_Reduced.spectrum`).
 
-    The plain iteration maps nu to F(nu) = S^q M^{-1} G(nu), projected onto
-    the even subspace, with the stabilizing factor S = <M nu, nu>/<G(nu),
-    nu>.  Anderson mixing (type II, depth _ANDERSON_DEPTH, in
+    The plain iteration maps nu_hat to F = S^q M^{-1} Re G_hat, with the
+    stabilizing factor S = <M nu, nu>/<G(nu), nu> on the samples nu: taking
+    the real part is the projection onto the even subspace, and the step
+    makes no transform.  Anderson mixing (type II, depth _ANDERSON_DEPTH, in
     `_AndersonWindow`) replaces F(nu_k) by the combination F(nu_k) -
     sum_j theta_j (F(nu_{j+1}) - F(nu_j)) over the window of past iterates,
     with theta the least-squares fit of the newest fixed-point residual
-    F(nu_k) - nu_k by the window's residual differences, projected onto the
-    even subspace.  The combination is taken in physical space, so an
-    iteration makes the transforms of one M^{-1} and one evaluate, as the
-    plain iteration does; a refused fit keeps the plain iterate and restarts
-    the window.  An iterate whose S is not positive and finite, or whose
-    residual is not finite, raises a ConvergenceError carrying the iterate's
-    index (0 for the start), S and residual, before anything is mixed.
+    F(nu_k) - nu_k by the window's residual differences; in the
+    Parseval-weighted coordinates that is the fit of the samples.  A refused
+    fit keeps the plain iterate and restarts the window.  An iterate whose S
+    is not positive and finite, or whose residual is not finite, raises a
+    ConvergenceError carrying the iterate's index (0 for the start), S and
+    residual, before anything is mixed.
 
-    evaluate(nu) returns (M nu, G(nu)); its value at one iterate gives both
-    that iterate's residual and the next iteration.  Yields (nu, S, ||M nu -
-    G(nu)||_inf) after every iteration, S of the iterate the step started
-    from; the residual is always that of the yielded nu, so the caller's
-    stopping rule reads a true residual.  window, when given, is the empty
-    `_AndersonWindow` to mix in, whose restarts the caller reads.
+    sampled(nu_hat) returns (nu, M nu, G(nu), Re G_hat), inv_m multiplying
+    Re G_hat into nu_hat's coordinates; its value at one iterate gives both
+    that iterate's residual and the next iteration.  Yields (nu_hat, nu, S,
+    ||M nu - G(nu)||_inf) after every iteration, S of the iterate the step
+    started from; the residual is always that of the yielded samples nu, so
+    the caller's stopping rule reads a true residual.  window, when given, is
+    the empty `_AndersonWindow` to mix in, whose restarts the caller reads.
     """
     if window is None:
-        window = _AndersonWindow(*nu.shape)
-    m_nu, g_nu = evaluate(nu)
+        window = _AndersonWindow(*nu_hat.shape)
+    nu, m_nu, g_nu, g_hat = sampled(nu_hat)
     res = float(np.max(np.abs(m_nu - g_nu)))
     for it in count():
         den = dx * np.dot(nu, g_nu)
@@ -368,10 +428,10 @@ def _petviashvili(
                 f"residual {res:.3e}",
                 {"iteration": it, "S": float(s_val), "residual": res},
             )
-        nu = window.mix(nu, _even(s_val**q * apply_table(inv_m, g_nu)))
-        m_nu, g_nu = evaluate(nu)
+        nu_hat = window.mix(nu_hat, s_val**q * (inv_m * g_hat))
+        nu, m_nu, g_nu, g_hat = sampled(nu_hat)
         res = float(np.max(np.abs(m_nu - g_nu)))
-        yield nu, s_val, res
+        yield nu_hat, nu, s_val, res
 
 
 def _solve(red: _Reduced, nu: np.ndarray) -> tuple[WavePair, dict]:
@@ -390,9 +450,10 @@ def _solve(red: _Reduced, nu: np.ndarray) -> tuple[WavePair, dict]:
     best_res, best_nu, best_s = math.inf, nu, math.nan
     stalled = iterations = 0
     exit_reason = None
-    window = _AndersonWindow(*nu.shape)
-    iterates = _petviashvili(red.evaluate, 1.0 / red.mhat, nu, _EXPONENT, red.grid.dx, window)
-    for iterations, (nu, s_val, res) in enumerate(islice(iterates, _MAX_ITERS), 1):
+    nu_hat = red.spectrum(nu)
+    window = _AndersonWindow(*nu_hat.shape)
+    iterates = _petviashvili(red.sampled, red.inv_m, nu_hat, _EXPONENT, red.grid.dx, window)
+    for iterations, (_, nu, s_val, res) in enumerate(islice(iterates, _MAX_ITERS), 1):
         stalled = 0 if res <= 0.5 * best_res else stalled + 1
         if res < best_res:
             best_res, best_nu, best_s = res, nu, s_val
@@ -645,7 +706,7 @@ def constrained_minimize(p: ModelParams, omega: float, lam: float, grid: Grid):
     Musslimani, Opt. Lett. 30 (2005)), the unit step rescaled onto the
     constraint by the real cube root (F is cubic).  The steps are mixed on
     the Petviashvili iteration's window (`_AndersonWindow`, of (2, N)
-    pairs), and a mixed iterate, even by construction, is rescaled; one that
+    pairs), and a mixed iterate is made even and rescaled; one that
     raises E by more than _ENERGY_SLACK relative is replaced by the plain
     step, which restarts the window.  An iteration makes four FFT calls, the
     metric solve of grad F and A of the new iterate (a replaced step adds
@@ -693,7 +754,7 @@ def constrained_minimize(p: ModelParams, omega: float, lam: float, grid: Grid):
             break
         plain = rescale(_even(w))
         mixed = window.mix(x, plain)
-        step = placed(plain if mixed is plain else rescale(mixed))
+        step = placed(plain if mixed is plain else rescale(_even(mixed)))
         if mixed is not plain and not step[2] - e <= _ENERGY_SLACK * e:
             window.restart()
             step = placed(plain)
@@ -759,13 +820,14 @@ def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None)
 def _read_sample(path: str) -> WavePair:
     """The wave of one stored sample: a .npy array of rows (x, xi, nu) on the
     grid (-x[0], N), or an (x, xi, nu) CSV of an older branch.  A file that
-    holds no such wave raises ValueError naming the file."""
+    holds no such wave, an empty one included, raises ValueError naming the
+    file."""
     try:
         if not path.endswith(".npy"):
             return pair_from_csv(path)
         x, xi, nu = np.load(path, allow_pickle=False)
         return WavePair(grid=make_grid(-x[0], x.shape[0]), xi=xi, nu=nu)
-    except ValueError as exc:
+    except (ValueError, EOFError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

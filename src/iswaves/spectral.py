@@ -175,12 +175,6 @@ def structure(family: str, p: ModelParams, grid: Grid):
     return fam, p, (sym.jb, sym.L, sym.jd, og * sym.jc)
 
 
-def apply_table(table_half: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Low-level multiplier application on raw sample arrays."""
-    n = values.shape[0]
-    return np.fft.irfft(table_half * np.fft.rfft(values), n=n)
-
-
 def symmetrize_even(values: np.ndarray) -> np.ndarray:
     """Average a field with its reflection about x = 0 (sample j with N - j,
     along the last axis, so a stack of fields is projected row by row)."""

@@ -43,6 +43,13 @@ def symbol_f(p, omega, x):
     return (1.0 / g - abs(omega)) - math.sqrt(p.mu) / g**2 * x + p.mu * beta0_tilde * x**2
 
 
+def apply_table(table_half, values):
+    """A half-spectrum multiplier table applied to one field through its
+    rfft/irfft pair: the tests' reference for the package's stacked
+    applications."""
+    return np.fft.irfft(table_half * np.fft.rfft(values), n=values.shape[0])
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Counter of the numpy.fft and scipy.fft transform calls made while the

@@ -220,6 +220,37 @@ def test_write_json_embeds_config(tmp_path):
     assert data["config"]["params.mu2"] == "inf"
 
 
+_JSON_SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 1e-300, 1e22, 5e-324, -1.5e308]),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from(["inf", "-inf", "nan"]),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_SCALARS, st.lists(st.floats(allow_nan=False, allow_infinity=False))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300)
+@given(payload=st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5))
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory, payload):
+    # write_json lays out finite-float lists itself; the file is byte for
+    # byte what json.dumps writes, empty and nested lists, -0.0, the extreme
+    # floats, big ints and "inf" strings included
+    path = tmp_path_factory.getbasetemp() / "layout.json"
+    write_json(str(path), payload)
+    assert path.read_text() == json.dumps(sanitize(payload), indent=2, sort_keys=True) + "\n"
+
+
 def test_cli_validate_pass_and_fail(p1_cfg, tmp_path, capsys):
     out = str(tmp_path / "ok")
     assert main(["validate", "--config", p1_cfg, "--out", out]) == 0
@@ -502,8 +533,8 @@ def test_cli_decay_parses_only_its_sample(p1_cfg, tmp_path, capsys):
 
 def _unreadable_branch(tmp_path, case) -> str:
     """A branch directory that cannot be read as a wave: missing, with a
-    CSV sample of two columns or of a header alone, or with a corrupt .npy
-    sample."""
+    CSV sample of two columns or of a header alone, or with a corrupt or
+    empty .npy sample."""
     from iswaves.solvers import SolitaryBranch, save_branch
     from iswaves.spectral import WavePair, make_grid
 
@@ -520,13 +551,13 @@ def _unreadable_branch(tmp_path, case) -> str:
         rows = "1.0,2.0\n3.0,4.0\n" if case == "bad_csv" else ""
         (outdir / "sample_000.csv").write_text("x,xi,nu\n" + rows)
     else:
-        (outdir / "sample_000.npy").write_bytes(b"not a wave\n")
+        (outdir / "sample_000.npy").write_bytes(b"not a wave\n" if case == "bad_npy" else b"")
     return str(outdir)
 
 
 # a warning on the way, such as numpy's on a file without data, fails the test
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", ["missing", "bad_csv", "empty_csv", "bad_npy"])
+@pytest.mark.parametrize("case", ["missing", "bad_csv", "empty_csv", "bad_npy", "empty_npy"])
 @pytest.mark.parametrize(
     "command, sets",
     [
@@ -544,7 +575,7 @@ def test_cli_unreadable_branch_exits_2(p1_cfg, tmp_path, capsys, case, command, 
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
-    names = {"missing": "branch.json", "bad_npy": "sample_000.npy"}
+    names = {"missing": "branch.json", "bad_npy": "sample_000.npy", "empty_npy": "sample_000.npy"}
     assert names.get(case, "sample_000.csv") in err
 
 

@@ -20,9 +20,9 @@ from iswaves.evolution import (
 )
 from iswaves.functionals import hamiltonian_H
 from iswaves.params import ModelParams
-from iswaves.spectral import WavePair, apply_table, make_grid, pair_to_csv, structure, symbols
+from iswaves.spectral import WavePair, make_grid, pair_to_csv, structure, symbols
 
-from conftest import P1_KW
+from conftest import P1_KW, apply_table
 
 
 def rhs(family, p, state, linear=False):

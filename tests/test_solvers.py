@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iswaves.config import load_config, params_from_config
 from iswaves.params import ModelParams
@@ -23,9 +25,9 @@ from iswaves.solvers import (
 )
 from iswaves import solvers
 from iswaves.solvers import _petviashvili, _Reduced, _System
-from iswaves.spectral import WavePair, apply_table, make_grid, symbols, symmetrize_even
+from iswaves.spectral import WavePair, make_grid, symbols, symmetrize_even
 
-from conftest import P1_KW
+from conftest import P1_KW, apply_table
 
 
 def test_trivial_threshold_positive(p1_inf):
@@ -748,14 +750,44 @@ def test_lift_transform_counts(request, family, c, calls, fft_calls):
     assert np.array_equal(xi, symmetrize_even(c * c_rows[1] + whole if c_rows else whole))
 
 
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([64, 256, 1024]))
+@pytest.mark.parametrize("c", [0.0, 0.02])
+@pytest.mark.parametrize("family", ["BO", "ILW", "BFD_finite", "BFD_inf"])
+def test_iteration_evaluates_the_reduced_parts(family, c, seed, n):
+    # the iteration's M nu and G(nu) are those of `_Reduced.parts` on the
+    # same samples, bit for bit, also where G rides in the rfft of nu (BO
+    # and ILW at c = 0); the samples are exactly even and their weighted
+    # half spectrum is the iterate, and the returned spectrum is G's
+    grid = make_grid(20.0, n)
+    p = ModelParams(mu2=np.inf if family in ("BO", "BFD_inf") else 4.0, **P1_KW)
+    red = _Reduced(family, p, grid, c)
+    rng = np.random.default_rng(seed)
+    nu_hat = rng.standard_normal(n // 2 + 1) * np.exp(-0.1 * np.arange(n // 2 + 1)) * n
+    nu, m_nu, g_nu, g_hat = red.sampled(nu_hat)
+    assert np.array_equal(nu, nu[grid.reflect_indices()])
+    m_ref, quad, cubic = red.parts(nu)
+    assert np.array_equal(m_nu, m_ref)
+    assert np.array_equal(g_nu, quad + cubic)
+    assert np.array_equal(g_hat, np.fft.rfft(g_nu).real)
+    assert np.max(np.abs(red.spectrum(nu) - nu_hat)) <= 1e-13 * np.max(np.abs(nu_hat))
+
+
+def test_returned_waves_are_exactly_even(bo_state, bfd_finite, bfd_sharp, bfd_inf, bo_branch, ilw_chain):
+    waves = [f["pair"] for f in (bo_state, bfd_finite, bfd_sharp, bfd_inf)]
+    for w in waves + list(bo_branch.waves) + list(ilw_chain.waves):
+        refl = w.grid.reflect_indices()
+        assert np.array_equal(w.nu, w.nu[refl]) and np.array_equal(w.xi, w.xi[refl])
+
+
 def test_one_layer_solve_transform_count(p1_inf, fft_calls):
-    # the start's parts and evaluation (2 each), four per iteration and the
-    # certificate (2); the lift adds none (it made 2 while it evaluated the
-    # whole row plan)
+    # the start's parts (2), its half spectrum (1) and its evaluation (3),
+    # three per iteration and the certificate (2); the lift adds none (it
+    # made 2 while it evaluated the whole row plan)
     grid = make_grid(50.0, 512)
     fft_calls["n"] = 0
     _, info = solve("BO", p1_inf, 0.0, grid=grid)
-    assert fft_calls["n"] == 4 * info["iterations"] + 6
+    assert fft_calls["n"] == 3 * info["iterations"] + 8
 
 
 def _fft_calls_per_iteration(fft_calls, monkeypatch, solve):
@@ -783,16 +815,23 @@ def _fft_calls_per_iteration(fft_calls, monkeypatch, solve):
     return (ffts_9 - ffts_2) / 7
 
 
-def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, fft_calls):
-    # every iteration: one stacked rfft and one stacked irfft of the
-    # equation's rows, and the rfft/irfft pair of M^-1
+def test_petviashvili_iteration_transform_counts(
+    p1_inf, p1_mu2_4, p1_mu2_25, monkeypatch, fft_calls
+):
+    # every iteration: the irfft of the samples, one stacked rfft and one
+    # stacked irfft of the equation's rows and the rfft of G; for BO and ILW
+    # at c = 0, G reads no multiplier and rides in the rfft of nu
     grid = make_grid(50.0, 512)
     # solved before the helper caps the iterations
     nu0 = solve("BO", p1_inf, 0.0, grid=grid)[0].nu
     per_iter = _fft_calls_per_iteration(
         fft_calls, monkeypatch, lambda: solve("BO", p1_inf, 0.0, grid=grid)
     )
-    assert per_iter == 4
+    assert per_iter == 3
+    per_iter = _fft_calls_per_iteration(
+        fft_calls, monkeypatch, lambda: solvers._solve(_Reduced("ILW", p1_mu2_25, grid, 0.0), nu0)
+    )
+    assert per_iter == 3
 
     # the one-layer equation away from c = 0, from the ground state
     per_iter = _fft_calls_per_iteration(
@@ -807,32 +846,43 @@ def test_petviashvili_iteration_transform_counts(p1_inf, p1_mu2_4, monkeypatch, 
     assert per_iter == 4
 
 
-def _plain_petviashvili(evaluate, inv_m, nu, q, dx, iters):
-    """The unaccelerated iteration nu <- even(S^q M^{-1} G(nu)), written out."""
+def _plain_petviashvili(sampled, inv_m, nu_hat, q, dx, iters):
+    """The unaccelerated iteration on half spectra, nu_hat <- S^q M^{-1}
+    Re G_hat, written out."""
     out = []
     for _ in range(iters):
-        m_nu, g_nu = evaluate(nu)
+        nu, m_nu, g_nu, g_hat = sampled(nu_hat)
         s_val = dx * np.dot(nu, m_nu) / (dx * np.dot(nu, g_nu))
-        nu = symmetrize_even(s_val**q * apply_table(inv_m, g_nu))
-        out.append(nu)
+        nu_hat = s_val**q * (inv_m * g_hat)
+        out.append(nu_hat)
     return out
+
+
+def _bfd_iteration(p, grid):
+    """The arguments of `_petviashvili` for BFD_finite at omega = 0.1 from a
+    sech^2 start, with the equation."""
+    red = _Reduced("BFD_finite", p, grid, 0.1)
+    nu0 = 3.0 * trivial_threshold(p) * 1e3 / np.cosh(grid.x) ** 2
+    return red, (red.sampled, red.inv_m, red.spectrum(nu0))
 
 
 def test_petviashvili_guard_keeps_the_plain_iterate(p1_mu2_4, monkeypatch):
     # a fit the guard refuses leaves the plain iteration, bit for bit
     grid = make_grid(8.0, 256)
-    red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
-    nu0 = 3.0 * trivial_threshold(p1_mu2_4) * 1e3 / np.cosh(grid.x) ** 2
-    args = (red.evaluate, 1.0 / red.mhat, nu0, 2.0, grid.dx)
+    _, start = _bfd_iteration(p1_mu2_4, grid)
+    args = (*start, 2.0, grid.dx)
     monkeypatch.setattr(solvers, "_anderson_mixing", lambda gram, rhs: None)
-    mixed = [nu for _, (nu, _, _) in zip(range(8), _petviashvili(*args))]
+    mixed = [nu_hat for _, (nu_hat, *_) in zip(range(8), _petviashvili(*args))]
     plain = _plain_petviashvili(*args, iters=8)
     assert all(np.array_equal(a, b) for a, b in zip(mixed, plain))
     monkeypatch.undo()
-    accelerated = [nu for _, (nu, _, _) in zip(range(8), _petviashvili(*args))]
-    assert np.array_equal(accelerated[0], plain[0])
-    assert not np.array_equal(accelerated[1], plain[1])
-    assert all(np.array_equal(nu, nu[grid.reflect_indices()]) for nu in accelerated)
+    accelerated = [step for _, step in zip(range(8), _petviashvili(*args))]
+    assert np.array_equal(accelerated[0][0], plain[0])
+    assert not np.array_equal(accelerated[1][0], plain[1])
+    # every iterate is a real half spectrum, and its samples are exactly even
+    for nu_hat, nu, _, _ in accelerated:
+        assert nu_hat.dtype == np.float64 and nu_hat.shape == (grid.N // 2 + 1,)
+        assert np.array_equal(nu, nu[grid.reflect_indices()])
 
     # a refused fit restarts the window from the plain iterate
     rows = []
@@ -893,40 +943,51 @@ def test_anderson_mixing_matches_least_squares(k, n):
     assert np.linalg.norm(theta - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
-def _chronological_petviashvili(evaluate, inv_m, nu, q, dx, iters):
-    """The mixed iteration with its window kept as chronological lists of
-    iterates and images, differenced by np.diff and fitted by lstsq,
-    written out."""
+def _chronological_petviashvili(step, x, iters):
+    """The mixed iteration of the plain map x -> step(x) with its window kept
+    as chronological lists of iterates and images, differenced by np.diff
+    and fitted by lstsq, written out."""
     depth = solvers._ANDERSON_DEPTH
     xs, fs, out = [], [], []
     for _ in range(iters):
-        m_nu, g_nu = evaluate(nu)
-        s_val = dx * np.dot(nu, m_nu) / (dx * np.dot(nu, g_nu))
-        f = symmetrize_even(s_val**q * apply_table(inv_m, g_nu))
-        xs, fs = xs[-depth:] + [nu], fs[-depth:] + [f]
-        nu = f
+        f = step(x)
+        xs, fs = xs[-depth:] + [x], fs[-depth:] + [f]
+        x = f
         if len(xs) > 1:
             images = np.array(fs)
             res = images - np.array(xs)
             theta = np.linalg.lstsq(np.diff(res, axis=0).T, res[-1], rcond=None)[0]
-            nu = symmetrize_even(f - theta @ np.diff(images, axis=0))
-        out.append(nu)
+            x = f - theta @ np.diff(images, axis=0)
+        out.append(x)
     return out
 
 
 def test_ring_window_matches_the_chronological_window(p1_mu2_4):
     # twelve iterations write the ring's rows more than twice over; every
-    # iterate is the one of the written-out window up to roundoff
+    # half-spectrum iterate is the one of the written-out window up to
+    # roundoff, and its samples are those of the physical iteration, mixed
+    # in a window of even profiles: the Parseval weights give the same fit
     grid = make_grid(8.0, 256)
-    red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
-    nu0 = 3.0 * trivial_threshold(p1_mu2_4) * 1e3 / np.cosh(grid.x) ** 2
-    args = (red.evaluate, 1.0 / red.mhat, nu0, solvers._EXPONENT, grid.dx)
-    window = solvers._AndersonWindow(grid.N)
-    ring = [nu for _, (nu, _, _) in zip(range(12), _petviashvili(*args, window))]
-    reference = _chronological_petviashvili(*args, iters=12)
+    red, (sampled, inv_m, nu_hat0) = _bfd_iteration(p1_mu2_4, grid)
+    q, dx = solvers._EXPONENT, grid.dx
+    window = solvers._AndersonWindow(grid.N // 2 + 1)
+    ring = list(zip(range(12), _petviashvili(sampled, inv_m, nu_hat0, q, dx, window)))
     assert window.restarts == 0
-    for mixed, written_out in zip(ring, reference):
-        assert np.max(np.abs(mixed - written_out)) <= 1e-12 * np.max(np.abs(written_out))
+
+    def half_step(nu_hat):
+        nu, m_nu, g_nu, g_hat = sampled(nu_hat)
+        return (np.dot(nu, m_nu) / np.dot(nu, g_nu)) ** q * (inv_m * g_hat)
+
+    def physical_step(nu):
+        m_nu, g_nu = red.evaluate(nu)
+        s_val = np.dot(nu, m_nu) / np.dot(nu, g_nu)
+        return symmetrize_even(s_val**q * apply_table(1.0 / red.mhat, g_nu))
+
+    half = _chronological_petviashvili(half_step, nu_hat0, 12)
+    physical = _chronological_petviashvili(physical_step, sampled(nu_hat0)[0], 12)
+    for (_, (nu_hat, nu, _, _)), written_out, profile in zip(ring, half, physical):
+        assert np.max(np.abs(nu_hat - written_out)) <= 1e-12 * np.max(np.abs(written_out))
+        assert np.max(np.abs(nu - profile)) <= 1e-12 * np.max(np.abs(profile))
 
 
 def test_gram_ring_matches_the_window(p1_mu2_4, monkeypatch):
@@ -934,9 +995,8 @@ def test_gram_ring_matches_the_window(p1_mu2_4, monkeypatch):
     # refused fit and the ring's wrap its block stays the Gram matrix of the
     # window's residual differences
     grid = make_grid(8.0, 256)
-    red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
-    nu0 = 3.0 * trivial_threshold(p1_mu2_4) * 1e3 / np.cosh(grid.x) ** 2
-    args = (red.evaluate, 1.0 / red.mhat, nu0, solvers._EXPONENT, grid.dx)
+    _, start = _bfd_iteration(p1_mu2_4, grid)
+    args = (*start, solvers._EXPONENT, grid.dx)
     fits = []
     mixing = solvers._anderson_mixing
 
@@ -945,7 +1005,7 @@ def test_gram_ring_matches_the_window(p1_mu2_4, monkeypatch):
         return None if len(fits) == 4 else mixing(gram, rhs)
 
     monkeypatch.setattr(solvers, "_anderson_mixing", refuse_fourth)
-    window = solvers._AndersonWindow(grid.N)
+    window = solvers._AndersonWindow(grid.N // 2 + 1)
     for _ in zip(range(16), _petviashvili(*args, window)):
         rows = window._rows
         d_res = window._d_res[:rows]
@@ -972,8 +1032,13 @@ def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo, 
         assert exc.value.diagnostics["residual"] <= 1e-10
         assert abs(exc.value.diagnostics["S"] - 1.0) <= 1e-12
         ones = np.ones(8)
-        iterates = _petviashvili(lambda u: (u, u), np.ones(5), ones, 1.5, 0.1)
-        for _, (nu, s_val, resid) in zip(range(12), iterates):
+
+        def identity(nu_hat):
+            nu = np.fft.irfft(nu_hat, n=8)
+            return nu, nu, nu, np.fft.rfft(nu).real
+
+        iterates = _petviashvili(identity, np.ones(5), np.fft.rfft(ones).real, 1.5, 0.1)
+        for _, (_, nu, s_val, resid) in zip(range(12), iterates):
             assert np.array_equal(nu, ones) and s_val == 1.0 and not np.any(resid)
 
 

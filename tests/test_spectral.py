@@ -9,7 +9,6 @@ import pytest
 from iswaves.params import ModelParams, family_params
 from iswaves.spectral import (
     WavePair,
-    apply_table,
     l1_symbol,
     make_grid,
     pair_from_csv,
@@ -203,10 +202,16 @@ def test_depth_resolver(p1_mu2_4, p1_inf):
 
 
 def test_apply_multiplier_exact_on_modes():
+    # the solvers' row plans apply a multiplier through one stacked
+    # rfft/irfft pair; a scalar table multiplies in physical space
+    from iswaves.solvers import _RowPlan
+
     g = make_grid(5.0, 64)
     k3 = 3 * math.pi / 5.0
-    out = apply_table(g.k_half**2, np.cos(k3 * g.x))
-    assert np.allclose(out, k3**2 * np.cos(k3 * g.x), atol=1e-12)
+    mode = np.cos(k3 * g.x)
+    out, scaled = _RowPlan([g.k_half**2, 2.0], (0, 1), g.N)((mode, np.sin(k3 * g.x)))
+    assert np.allclose(out, k3**2 * mode, atol=1e-12)
+    assert np.array_equal(scaled, 2.0 * np.sin(k3 * g.x))
 
 
 def test_dealias_product_removes_aliased_energy():
