@@ -84,6 +84,13 @@ def _positive(key: str, value):
     return value
 
 
+def _finite(key: str, value: float) -> float:
+    """The value of key, which must be finite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return value
+
+
 def _sample(cfg: dict, dir_key: str, key: str) -> tuple[SolitaryBranch, WavePair]:
     """The branch saved under cfg[dir_key] and its wave at index cfg[key],
     the last one by default; a branch or sample that cannot be read is a
@@ -136,7 +143,7 @@ def cmd_solve(cfg: dict, out: str) -> int:
     key, other = ("solve.speed", "solve.omega") if one_layer else ("solve.omega", "solve.speed")
     if other in cfg:
         raise ConfigError(f"{other} does not apply to {family}; set {key}")
-    speed = cfg.get(key, 0.0) if one_layer else _require(cfg, key)
+    speed = _finite(key, cfg.get(key, 0.0) if one_layer else _require(cfg, key))
     pair, info = solve(family, p, speed, grid=grid)
     branch = SolitaryBranch(family, [speed], [pair], [info["full_residual"]])
 
@@ -173,8 +180,9 @@ def cmd_continue(cfg: dict, out: str) -> int:
             raise ConfigError(
                 f"continue.family must be BO for continue.parameter = c, got {family!r}"
             )
-        target = _require(cfg, "continue.target")
-        if any(abs(m) > abs(target) for m in milestones or ()):
+        target = _finite("continue.target", _require(cfg, "continue.target"))
+        # a NaN milestone lies within no bound
+        if not all(abs(m) <= abs(target) for m in milestones or ()):
             raise ConfigError(
                 f"continue.milestones must lie within |continue.target| = {abs(target)!r}"
             )
@@ -190,7 +198,7 @@ def cmd_continue(cfg: dict, out: str) -> int:
                 raise ConfigError(
                     f"continue.family must be ILW for continue.parameter = mu2, got {family!r}"
                 )
-        if any(m < target for m in milestones or ()):
+        if not all(m >= target for m in milestones or ()):
             raise ConfigError(
                 f"continue.milestones must lie at or above continue.target = {target!r}"
             )
@@ -334,6 +342,8 @@ def cmd_evolve(cfg: dict, out: str) -> int:
     dt = _positive("evolve.dt", cfg.get("evolve.dt"))
     if dt is None:
         dt = suggest_dt(family, p, grid)
+    if not T / dt < math.inf:
+        raise ConfigError(f"evolve.T / evolve.dt = {T!r} / {dt!r} is not a finite step count")
     snapshots = _positive("evolve.snapshots_every", cfg.get("evolve.snapshots_every"))
 
     try:
@@ -376,6 +386,8 @@ def cmd_sweep(cfg: dict, out: str) -> int:
     draws = _positive("sweep.draws", cfg.get("sweep.draws", 200))
     fields_per_draw = _positive("sweep.fields_per_draw", cfg.get("sweep.fields_per_draw", 5))
     seed = cfg.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     grid = make_grid(20.0, 256)
 

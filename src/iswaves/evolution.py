@@ -141,21 +141,10 @@ class _CharacteristicBase:
         s *= self._unmix
         return s
 
-    def physical(self, s: np.ndarray) -> np.ndarray:
-        """Samples (zeta, v) of the half spectra s: one inverse FFT."""
-        return np.fft.irfft(s, n=self.grid.N, axis=-1)
-
     def from_spectral(self, s: np.ndarray) -> np.ndarray:
         """Characteristic state q of the half spectra s = (zhat, vhat)."""
         pv = self.pfac * s[1]
         return np.stack([s[0] + pv, s[0] - pv])
-
-    def encode(self, state: WavePair) -> np.ndarray:
-        return self.from_spectral(np.fft.rfft(np.stack([state.xi, state.nu]), axis=-1))
-
-    def decode(self, q: np.ndarray) -> WavePair:
-        zv = self.physical(self.spectral(q))
-        return WavePair(grid=self.grid, xi=zv[0], nu=zv[1])
 
     def nonlinear(self, q: np.ndarray, out: np.ndarray, stage: tuple | None = None) -> np.ndarray:
         """N(q) written into out.  The stage's half spectra s, samples zv and
@@ -498,7 +487,7 @@ def run(
             break
     else:
         s = stepper.spectral(q)
-        zv = stepper.physical(s)
+        zv = np.fft.irfft(s, n=grid.N, axis=-1)
         observe(nsteps, s, zv, zv[1] * zv[1])
         summary["final_state"] = WavePair(grid=grid, xi=zv[0], nu=zv[1])
 

@@ -52,6 +52,8 @@ _FOLD_BLOCK = 2**16
 # width, and the number of panels at which bisection gives up
 _QUAD_TOL = 1e-13
 _MAX_PANELS = 2000
+# the terms summed of the K3 eigen-series
+_K3_TERMS = 80
 
 
 def _infinite_depth_constants(p: ModelParams) -> tuple[float, float, float]:
@@ -232,31 +234,29 @@ def kernel_K2_plateau(p: ModelParams) -> float:
     return math.sqrt(2.0 / math.pi) / _k2_alpha(p) ** 2
 
 
-def kernel_K3_series(
-    p: ModelParams, x: float, n_terms: int = 80
-) -> tuple[float, float]:
+def kernel_K3_series(p: ModelParams, x: float) -> tuple[float, float]:
     """Finite-depth one-layer kernel by its exponential eigen-series.
 
     K3(x) = (theta/sqrt(mu2)) h(x/sqrt(mu2)) with
     h(X) = sqrt(2pi) sum_m c_m e^{-eta_m |X|}, c_m = eta_m/(eta_m^2 + theta^2 + theta),
     eta_m the positive roots of eta = -theta tan(eta).  Returns the partial
-    sum together with the magnitude of the first omitted term (truncation
-    bound).  The symbol is theta/(zcothz(sqrt(mu2) k) + theta).
+    sum of _K3_TERMS terms together with the magnitude of the first omitted
+    term (truncation bound).  The symbol is theta/(zcothz(sqrt(mu2) k) + theta).
     """
     if x == 0.0:
         raise ValueError("K3 series is evaluated for x != 0")
     if not p.finite_depth:
         raise ValueError("K3 requires finite mu2")
-    rates = compute_decay_rates(p, n_eta=n_terms + 1)
+    rates = compute_decay_rates(p, n_eta=_K3_TERMS + 1)
     theta = rates.theta
     etas = rates.eta_roots
     smu2 = math.sqrt(p.mu2)
     ax = abs(x) / smu2
     total = 0.0
-    for m in range(n_terms):
+    for m in range(_K3_TERMS):
         eta = etas[m]
         total += eta / (eta * eta + theta * theta + theta) * math.exp(-eta * ax)
-    eta_next = etas[n_terms]
+    eta_next = etas[_K3_TERMS]
     bound = (
         math.sqrt(2.0 * math.pi)
         * theta

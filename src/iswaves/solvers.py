@@ -24,14 +24,17 @@ row one of the system for BO and ILW (T2 = 1, S2 = 1 - gamma: the lift is
 algebraic, and at c = 0 M = op2 is the ground-state problem) and (1 - gamma)
 times row one for BFD (T2 = J_d, S2 = (1 - gamma) J_c), the scale in which
 TOL_RESIDUAL is stated.  One Petviashvili fixed-point iteration
-(`_petviashvili`) solves it for every family, and one stop rule ends it
-(`_solve`): the reduced residual reaches TOL_RESIDUAL (exit "converged"), or
-it stops halving for _STALL_ITERS iterations within 10 TOL_RESIDUAL (exit
-"floor", the spectral roundoff floor).  One continuation (`_continuation`)
-marches the one-layer branch through a list of (mu2, c) points, each
-warm-started from the last wave solved; it bisects a failed segment in
-(1/sqrt(mu2), c) and stores under "end" where a truncated branch ends.
-`continue_in_c`, `continue_in_mu2` and `solve` differ only in their points.
+(`_petviashvili`, on a `_Reduced` equation and an Anderson window) solves it
+for every family, and one stop rule ends it (`_solve`): the reduced residual
+reaches TOL_RESIDUAL (exit "converged"), or it stops halving for
+_STALL_ITERS iterations within 10 TOL_RESIDUAL (exit "floor", the spectral
+roundoff floor).  One continuation (`_continuation`) marches the one-layer
+branch through a list of (mu2, c) points, each warm-started from the last
+wave solved; it bisects a failed segment in (1/sqrt(mu2), c) and stores
+under "end" where a truncated branch ends.  It refuses, with ValueError, a
+point of non-finite c or of mu2 outside (0, inf], toward which no bisection
+ends.  `continue_in_c`, `continue_in_mu2` and `solve` differ only in their
+points.
 Constrained minimization of the energy on {F = lambda} is an independent
 path (`constrained_minimize`): spectral renormalization in the metric of
 E's quadratic form A (`functionals`), Anderson-mixed on the Petviashvili
@@ -63,9 +66,11 @@ reached the same certified residuals with the fewest transforms.  With the
 mixing, the exponents q = 3/2 and 2 take the same iterations on every
 problem, so the exponent is the constant _EXPONENT, inside the convergent
 range of both the quadratic (1 < q < 3) and the cubic (1 < q < 2) source
-(Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42 (2004)).  An iterate
-whose stabilizing factor S is not positive and finite, or whose residual is
-not finite, ends the iteration with a ConvergenceError before it is mixed.
+(Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42 (2004)).  The
+stabilizing factor S = <M nu, nu>/<G(nu), nu> is a ratio of dot products of
+the samples, in which the quadrature weight dx cancels.  An iterate whose S
+is not positive and finite, or whose residual is not finite, ends the
+iteration with a ConvergenceError before it is mixed.
 
 All solves work in the even subspace, which pins the translation mode: the
 iteration carries the real half spectrum nu_hat = Re rfft(nu) of its
@@ -257,11 +262,6 @@ class _Reduced:
             quad = np.zeros_like(nu)
         return m_nu, quad, 2.0 * k * self.p.r * nu * inv_sq
 
-    def evaluate(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M nu, G(nu))."""
-        m_nu, quad, cubic = self.parts(nu)
-        return m_nu, quad + cubic
-
     def spectrum(self, nu: np.ndarray) -> np.ndarray:
         """The iteration's coordinates of an even nu: its real half spectrum
         Re rfft(nu), Parseval-weighted."""
@@ -270,7 +270,7 @@ class _Reduced:
     def sampled(self, nu_hat: np.ndarray):
         """(nu, M nu, G(nu), Re rfft G(nu)) at the samples nu, exactly even, of
         the weighted half spectrum nu_hat (`spectrum`), with M nu and G(nu)
-        formed from the samples as `evaluate` forms them; the spectrum of G
+        formed from the samples as `parts` forms them; the spectrum of G
         is unweighted (inv_m carries the weights).  Where G reads no
         multiplier (BO and ILW at c = 0) it is transformed with nu in one
         rfft: three transforms, four otherwise."""
@@ -384,17 +384,16 @@ class _AndersonWindow:
         return mixed
 
 
-def _petviashvili(
-    sampled, inv_m: np.ndarray, nu_hat: np.ndarray, q: float, dx: float, window=None
-):
-    """Anderson-accelerated Petviashvili iterates of M nu = G(nu), G
-    homogeneous of degree > 1 or a sum of such terms, carried as the real
+def _petviashvili(red: _Reduced, nu_hat: np.ndarray, window: _AndersonWindow):
+    """Anderson-accelerated Petviashvili iterates of red's equation M nu =
+    G(nu), G a sum of terms homogeneous of degree > 1, carried as the real
     half spectra nu_hat of even profiles nu (`_Reduced.spectrum`).
 
-    The plain iteration maps nu_hat to F = S^q M^{-1} Re G_hat, with the
-    stabilizing factor S = <M nu, nu>/<G(nu), nu> on the samples nu: taking
-    the real part is the projection onto the even subspace, and the step
-    makes no transform.  Anderson mixing (type II, depth _ANDERSON_DEPTH, in
+    The plain iteration maps nu_hat to F = S^q M^{-1} Re G_hat, q = _EXPONENT,
+    with the stabilizing factor S = <M nu, nu>/<G(nu), nu> of dot products of
+    the samples nu (the quadrature weight dx cancels): taking the real part
+    is the projection onto the even subspace, and the step makes no
+    transform.  Anderson mixing (type II, depth _ANDERSON_DEPTH, in
     `_AndersonWindow`) replaces F(nu_k) by the combination F(nu_k) -
     sum_j theta_j (F(nu_{j+1}) - F(nu_j)) over the window of past iterates,
     with theta the least-squares fit of the newest fixed-point residual
@@ -405,31 +404,29 @@ def _petviashvili(
     ConvergenceError carrying the iterate's index (0 for the start), S and
     residual, before anything is mixed.
 
-    sampled(nu_hat) returns (nu, M nu, G(nu), Re G_hat), inv_m multiplying
-    Re G_hat into nu_hat's coordinates; its value at one iterate gives both
-    that iterate's residual and the next iteration.  Yields (nu_hat, nu, S,
+    red.sampled(nu_hat) gives (nu, M nu, G(nu), Re G_hat), and red.inv_m
+    takes Re G_hat into nu_hat's coordinates; one evaluation per iterate
+    gives both its residual and the next iterate.  Yields (nu_hat, nu, S,
     ||M nu - G(nu)||_inf) after every iteration, S of the iterate the step
     started from; the residual is always that of the yielded samples nu, so
-    the caller's stopping rule reads a true residual.  window, when given, is
-    the empty `_AndersonWindow` to mix in, whose restarts the caller reads.
+    the caller's stopping rule reads a true residual.  window is the empty
+    `_AndersonWindow` to mix in, whose restarts the caller reads.
     """
-    if window is None:
-        window = _AndersonWindow(*nu_hat.shape)
-    nu, m_nu, g_nu, g_hat = sampled(nu_hat)
+    nu, m_nu, g_nu, g_hat = red.sampled(nu_hat)
     res = float(np.max(np.abs(m_nu - g_nu)))
     for it in count():
-        den = dx * np.dot(nu, g_nu)
+        den = np.dot(nu, g_nu)
         if den == 0.0:
             raise ConvergenceError("iterate collapsed to the trivial branch")
-        s_val = dx * np.dot(nu, m_nu) / den
+        s_val = np.dot(nu, m_nu) / den
         if not (0.0 < s_val < math.inf and math.isfinite(res)):
             raise ConvergenceError(
                 f"Petviashvili iterate {it}: stabilizing factor S = {s_val:.3e}, "
                 f"residual {res:.3e}",
                 {"iteration": it, "S": float(s_val), "residual": res},
             )
-        nu_hat = window.mix(nu_hat, s_val**q * (inv_m * g_hat))
-        nu, m_nu, g_nu, g_hat = sampled(nu_hat)
+        nu_hat = window.mix(nu_hat, s_val**_EXPONENT * (red.inv_m * g_hat))
+        nu, m_nu, g_nu, g_hat = red.sampled(nu_hat)
         res = float(np.max(np.abs(m_nu - g_nu)))
         yield nu_hat, nu, s_val, res
 
@@ -452,7 +449,7 @@ def _solve(red: _Reduced, nu: np.ndarray) -> tuple[WavePair, dict]:
     exit_reason = None
     nu_hat = red.spectrum(nu)
     window = _AndersonWindow(*nu_hat.shape)
-    iterates = _petviashvili(red.sampled, red.inv_m, nu_hat, _EXPONENT, red.grid.dx, window)
+    iterates = _petviashvili(red, nu_hat, window)
     for iterations, (_, nu, s_val, res) in enumerate(islice(iterates, _MAX_ITERS), 1):
         stalled = 0 if res <= 0.5 * best_res else stalled + 1
         if res < best_res:
@@ -558,8 +555,12 @@ def _continuation(
     its iterations, exit and mixing restarts (`_work_record`) or its error;
     diagnostics["start"] keeps the ground state's.  Returns the waves, the
     ground state and one per point reached, their `_solve` records and the
-    diagnostics.
+    diagnostics.  Raises ValueError for a point whose c is not finite or
+    whose mu2 lies outside (0, inf]: no bisection toward it could end.
     """
+    bad = [(mu2, c) for mu2, c in points if not (0.0 < mu2 <= math.inf and math.isfinite(c))]
+    if bad:
+        raise ValueError(f"every point needs 0 < mu2 <= inf and a finite c, got {bad}")
     exact = {1.0 / math.sqrt(mu2): mu2 for mu2, _ in points} | {0.0: math.inf}
 
     def mu2_of(t: float) -> float:
@@ -642,11 +643,9 @@ def continue_in_mu2(p: ModelParams, depths: list[float], *, grid: Grid) -> Solit
     The first stored sample is the BO ground state (parameter value inf; its
     `_solve` record is kept under diagnostics["start"]); the first depth is
     solved from it.  The depths are the mu2 values to store, solved in
-    decreasing order; each must be positive.  Every solve leaves a record,
-    keyed by its mu2 value, in diagnostics["steps"].
+    decreasing order; each must lie in (0, inf].  Every solve leaves a
+    record, keyed by its mu2 value, in diagnostics["steps"].
     """
-    if not all(m > 0.0 for m in depths):
-        raise ValueError(f"every depth mu2 must be positive, got {depths}")
     milestones = sorted(depths, reverse=True)
     points = [(m, 0.0) for m in milestones]
     waves, infos, diag = _continuation(p, grid, points)
@@ -789,11 +788,10 @@ def rescale_to_wave(pair: WavePair, k_mult: float) -> WavePair:
 
 
 def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None) -> None:
-    """Write branch.json and schema.json (`config.write_json`, with config
-    under "config" when given) and one binary sample per wave:
-    sample_NNN.npy, a C-ordered float64 array of shape (3, N) with rows x,
-    xi, nu, written by np.save without pickling.  branch.json lists the
-    sample names in order."""
+    """Write branch.json (`config.write_json`, with config under "config"
+    when given) and one binary sample per wave: sample_NNN.npy, a C-ordered
+    float64 array of shape (3, N) with rows x, xi, nu, written by np.save
+    without pickling.  branch.json lists the sample names in order."""
     os.makedirs(outdir, exist_ok=True)
     sample_files = []
     for i, wave in enumerate(branch.waves):
@@ -809,23 +807,20 @@ def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None)
         "diagnostics": branch.diagnostics,
     }
     write_json(os.path.join(outdir, "branch.json"), meta, config)
-    schema = {
-        "branch.json": "branch metadata: family, parameter_values, residuals, samples",
-        "sample_*.npy": "float64 array of shape (3, N), C order, rows x, xi, nu "
-        "(np.load(path, allow_pickle=False)); the grid is (L, N) = (-x[0], N)",
-    }
-    write_json(os.path.join(outdir, "schema.json"), schema)
 
 
 def _read_sample(path: str) -> WavePair:
     """The wave of one stored sample: a .npy array of rows (x, xi, nu) on the
     grid (-x[0], N), or an (x, xi, nu) CSV of an older branch.  A file that
-    holds no such wave, an empty one included, raises ValueError naming the
-    file."""
+    holds no such wave, an empty one or an array of another shape included,
+    raises ValueError naming the file."""
     try:
         if not path.endswith(".npy"):
             return pair_from_csv(path)
-        x, xi, nu = np.load(path, allow_pickle=False)
+        data = np.load(path, allow_pickle=False)
+        if data.ndim != 2 or len(data) != 3 or not data.size:
+            raise ValueError(f"an array of shape {data.shape}, not (3, N)")
+        x, xi, nu = data
         return WavePair(grid=make_grid(-x[0], x.shape[0]), xi=xi, nu=nu)
     except (ValueError, EOFError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -1,13 +1,15 @@
-"""The public API has callers: every public module-level function and class
-of the package is used by the package itself, a demo or the benchmark, and
-every defaulted parameter of a public function, and every defaulted field of
-a public dataclass, is passed by one of them, and not by all of them as the
-same literal.
+"""The package has callers: every public module-level function and class,
+and every method of a package class, is used by the package itself, a demo
+or the benchmark, and every defaulted parameter of a function or method, and
+every defaulted field of a public dataclass, is passed by one of them, and
+not by all of them as the same literal.  A defaulted parameter of a private
+function or method is also left at its default by one of them.
 
 A name that only tests call is a second implementation kept alive by its
 own test; it belongs in the tests, as a reference, or nowhere.  So does an
 option that only tests pass, or one that every caller sets to the same
-literal: its value belongs in the function.
+literal: its value belongs in the function.  A private default that every
+caller overrides serves only the tests: the parameter is required.
 """
 
 import ast
@@ -26,11 +28,7 @@ CALLERS = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"] +
 ALLOWED: set[str] = set()
 
 
-OPTIONS_ALLOWED = {
-    # the truncation-bound test varies the number of series terms to show
-    # the bound shrinking; every caller takes the default
-    "kernel_K3_series.n_terms",
-}
+OPTIONS_ALLOWED: set[str] = set()
 
 
 def _public_definitions():
@@ -104,6 +102,36 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused == [], f"public names with no caller in src/, demos/ or perfbench/: {unused}"
 
 
+def _methods():
+    """(Class.method, file, first line, last line) of each method of a
+    package class, dunders excepted."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                out += [
+                    (f"{node.name}.{fn.name}", path, fn.lineno, fn.end_lineno)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                ]
+    return out
+
+
+def test_every_method_has_a_caller_outside_the_tests():
+    # a method is used where its name is read outside its own definition;
+    # names are matched, not receivers, so a same-named attribute counts
+    uses = _uses()
+    uncalled = sorted(
+        method
+        for method, path, first, last in _methods()
+        if all(
+            p == path and first <= line <= last for p, line in uses.get(method.split(".")[1], ())
+        )
+    )
+    assert uncalled == [], f"methods with no caller in src/, demos/ or perfbench/: {uncalled}"
+
+
 def test_allowlist_is_current():
     defined = {name for name, *_ in _public_definitions()}
     assert ALLOWED <= defined
@@ -122,25 +150,41 @@ def _dataclass_options(node):
     return [(f"{node.name}.{x.target.id}", i) for i, x in enumerate(fields) if x.value is not None]
 
 
-def _options():
-    """(function.parameter, position or None) of every defaulted parameter
-    of a public top-level function, None for a keyword-only one, and
-    (Class.field, position) of every defaulted field of a public dataclass."""
+def _defaulted(fn, name: str, skip: int):
+    """(name.parameter, position or None) of every defaulted parameter of
+    fn, None for a keyword-only one; positions count the arguments a caller
+    passes, past the first skip (self)."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(f"{name}.{x.arg}", i - skip) for i, x in enumerate(positional) if i >= first]
+    out += [
+        (f"{name}.{x.arg}", None)
+        for x, default in zip(a.kwonlyargs, a.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def _options(private: bool = False):
+    """The defaulted parameters (`_defaulted`) of every public top-level
+    function, and (Class.field, position) of every defaulted field of a
+    public dataclass; or, when private, those of every private top-level
+    function and of every method, an __init__ under its class's name."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                out += _dataclass_options(node) if _is_dataclass(node) else []
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                a = node.args
-                positional = a.posonlyargs + a.args
-                first = len(positional) - len(a.defaults)
-                out += [(f"{node.name}.{x.arg}", i) for i, x in enumerate(positional) if i >= first]
-                out += [
-                    (f"{node.name}.{x.arg}", None)
-                    for x, default in zip(a.kwonlyargs, a.kw_defaults)
-                    if default is not None
-                ]
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") == private:
+                out += _defaulted(node, node.name, 0)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not private and not node.name.startswith("_") and _is_dataclass(node):
+                out += _dataclass_options(node)
+            if private:
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        name = node.name if fn.name == "__init__" else fn.name
+                        out += _defaulted(fn, name, 1)
     return out
 
 
@@ -163,7 +207,7 @@ def _calls() -> dict:
 def _unpassed_options() -> list:
     calls = _calls()
     out = []
-    for option, position in _options():
+    for option, position in _options() + _options(private=True):
         name, param = option.split(".")
         got = set().union(*calls.get(name, ()))
         if not ({"*", param, position} & got) and option not in OPTIONS_ALLOWED:
@@ -175,7 +219,7 @@ def _constant_options() -> list:
     """Options that every call passes, each time as the same literal."""
     calls = _calls()
     out = []
-    for option, position in _options():
+    for option, position in _options() + _options(private=True):
         name, param = option.split(".")
         values = [call.get(param, call.get(position)) for call in calls.get(name, ())]
         if (
@@ -183,6 +227,19 @@ def _constant_options() -> list:
             and all(isinstance(v, ast.Constant) for v in values)
             and len({repr(v.value) for v in values}) == 1
         ):
+            out.append(option)
+    return sorted(out)
+
+
+def _overridden_defaults() -> list:
+    """Private options that every call passes: their defaults serve only the
+    tests."""
+    calls = _calls()
+    out = []
+    for option, position in _options(private=True):
+        name, param = option.split(".")
+        passed = [bool({"*", param, position} & set(call)) for call in calls.get(name, ())]
+        if passed and all(passed):
             out.append(option)
     return sorted(out)
 
@@ -196,7 +253,15 @@ def test_every_option_is_passed_outside_the_tests():
 
 
 def test_option_allowlist_is_current():
-    assert OPTIONS_ALLOWED <= {option for option, _ in _options()}
+    assert OPTIONS_ALLOWED <= {option for option, _ in _options() + _options(private=True)}
+
+
+def test_every_private_default_is_taken_outside_the_tests():
+    overridden = _overridden_defaults()
+    assert overridden == [], (
+        f"defaulted parameters of private functions or methods that every caller in src/, "
+        f"demos/ or perfbench/ passes: {overridden}"
+    )
 
 
 def test_no_option_is_always_passed_as_one_constant():

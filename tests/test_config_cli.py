@@ -405,7 +405,7 @@ def test_cli_solve_is_deterministic(p1_cfg, tmp_path):
     assert b1 == b2
     # the branch directory, binary samples included, repeats byte for byte
     names = sorted(p.name for p in (tmp_path / "r1" / "branch").iterdir())
-    assert names == ["branch.json", "sample_000.npy", "schema.json"]
+    assert names == ["branch.json", "sample_000.npy"]
     assert names == sorted(p.name for p in (tmp_path / "r2" / "branch").iterdir())
     for name in names:
         one = (tmp_path / "r1" / "branch" / name).read_bytes()
@@ -534,7 +534,7 @@ def test_cli_decay_parses_only_its_sample(p1_cfg, tmp_path, capsys):
 def _unreadable_branch(tmp_path, case) -> str:
     """A branch directory that cannot be read as a wave: missing, with a
     CSV sample of two columns or of a header alone, or with a corrupt or
-    empty .npy sample."""
+    empty .npy sample, or one of a 0-d or 1-d array."""
     from iswaves.solvers import SolitaryBranch, save_branch
     from iswaves.spectral import WavePair, make_grid
 
@@ -550,6 +550,8 @@ def _unreadable_branch(tmp_path, case) -> str:
         (outdir / "branch.json").write_text(json.dumps(meta))
         rows = "1.0,2.0\n3.0,4.0\n" if case == "bad_csv" else ""
         (outdir / "sample_000.csv").write_text("x,xi,nu\n" + rows)
+    elif case in ("scalar_npy", "row_npy"):
+        np.save(outdir / "sample_000.npy", np.float64(1.0) if case == "scalar_npy" else bump)
     else:
         (outdir / "sample_000.npy").write_bytes(b"not a wave\n" if case == "bad_npy" else b"")
     return str(outdir)
@@ -557,7 +559,9 @@ def _unreadable_branch(tmp_path, case) -> str:
 
 # a warning on the way, such as numpy's on a file without data, fails the test
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", ["missing", "bad_csv", "empty_csv", "bad_npy", "empty_npy"])
+@pytest.mark.parametrize(
+    "case", ["missing", "bad_csv", "empty_csv", "bad_npy", "empty_npy", "scalar_npy", "row_npy"]
+)
 @pytest.mark.parametrize(
     "command, sets",
     [
@@ -575,8 +579,7 @@ def test_cli_unreadable_branch_exits_2(p1_cfg, tmp_path, capsys, case, command, 
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
-    names = {"missing": "branch.json", "bad_npy": "sample_000.npy", "empty_npy": "sample_000.npy"}
-    assert names.get(case, "sample_000.csv") in err
+    assert ("branch.json" if case == "missing" else "sample_000." + case[-3:]) in err
 
 
 def test_cli_kernel_check_k1(tmp_path, capsys):
@@ -839,6 +842,22 @@ _BAD_VALUES = [
     ("sweep", ["sweep.fields_per_draw=-1"], "sweep.fields_per_draw"),
     ("sweep", ["sweep.draws=-3"], "sweep.draws"),
     ("kernel-check", ["kernel.which=,"], "kernel.which"),
+    # non-finite speeds, whose continuation would never end, and values that
+    # numpy or the step count would refuse with a traceback
+    ("solve", ["solve.family=BFD_finite", "solve.omega=nan"], "solve.omega"),
+    ("solve", ["solve.family=BFD_inf", "solve.omega=inf"], "solve.omega"),
+    ("continue", ["continue.target=inf"], "continue.target"),
+    ("continue", ["continue.target=nan"], "continue.target"),
+    ("continue", ["continue.target=-inf", "continue.milestones=inf"], "continue.target"),
+    ("continue", ["continue.milestones=0.05,nan"], "continue.milestones"),
+    ("continue", ["continue.milestones=inf"], "continue.milestones"),
+    (
+        "continue",
+        ["continue.parameter=mu2", "continue.target=25", "continue.milestones=400,nan"],
+        "continue.milestones",
+    ),
+    ("evolve", ["evolve.T=1e300", "evolve.dt=1e-300"], "evolve.dt"),
+    ("sweep", ["seed=-1"], "seed"),
 ]
 _BASE_SETS = {
     "solve": ["grid.L=8", "grid.N=64", "solve.omega=0.1"],
@@ -848,6 +867,25 @@ _BASE_SETS = {
     "continue": ["grid.L=8", "grid.N=64", "continue.parameter=c", "continue.target=0.1"],
     "sweep": ["sweep.draws=2"],
 }
+
+
+@pytest.mark.parametrize(
+    "sets, key",
+    [
+        (["params.mu2=inf", "solve.family=BO", "solve.speed=inf"], "solve.speed"),
+        (["params.mu2=25", "solve.family=ILW", "solve.speed=-inf"], "solve.speed"),
+        (["params.mu2=inf", "solve.family=BO", "solve.speed=nan"], "solve.speed"),
+    ],
+)
+def test_cli_solve_rejects_a_non_finite_speed(p1_cfg, tmp_path, capsys, sets, key):
+    # a one-layer wave at a non-finite speed is refused before any solve:
+    # the continuation toward it would never end
+    args = ["solve", "--config", p1_cfg, "--out", str(tmp_path / "o")]
+    for s in ["grid.L=50", "grid.N=64"] + sets:
+        args += ["--set", s]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
 
 
 @pytest.mark.parametrize("command,sets,key", _BAD_VALUES)

@@ -214,18 +214,21 @@ def test_k3_refusals(p1_mu2_4, p1_inf):
         kernel_K3_series(p1_inf, 1.0)
 
 
-def test_k3_truncation_bound(p1_mu2_4):
+def test_k3_truncation_bound(p1_mu2_4, monkeypatch):
     # all series terms are positive, so the first omitted term is a strict
     # lower bound on the truncation error and, with the ~pi spacing of the
     # decay rates, stays within a small geometric factor of it
     x = 0.5
-    v20, b20 = kernel_K3_series(p1_mu2_4, x, n_terms=20)
-    v200, b200 = kernel_K3_series(p1_mu2_4, x, n_terms=200)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_K3_TERMS", 20)
+        v20, b20 = kernel_K3_series(p1_mu2_4, x)
+        m.setattr(kernels, "_K3_TERMS", 200)
+        v200, b200 = kernel_K3_series(p1_mu2_4, x)
     diff = v200 - v20
     assert diff > 0.0
     assert b20 <= diff <= 2.0 * b20
     assert b200 < b20
-    # the default truncation is far below the value itself
+    # the package's truncation is far below the value itself
     val, bound = kernel_K3_series(p1_mu2_4, x)
     assert bound < 1e-12 * abs(val)
 

@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +30,12 @@ from iswaves.solvers import _petviashvili, _Reduced, _System
 from iswaves.spectral import WavePair, make_grid, symbols, symmetrize_even
 
 from conftest import P1_KW, apply_table
+
+
+def _evaluate(red, nu):
+    """(M nu, G(nu)) of red's equation, from its parts."""
+    m_nu, quad, cubic = red.parts(nu)
+    return m_nu, quad + cubic
 
 
 def test_trivial_threshold_positive(p1_inf):
@@ -166,7 +174,7 @@ def test_reduced_solve_inner_solves_are_honest(p1_mu2_4):
     grid = make_grid(8.0, 512)
     pair, info = solve("BFD_finite", p1_mu2_4, 0.1, grid=grid)
     red = _Reduced("BFD_finite", p1_mu2_4, grid, 0.1)
-    m_nu, g_nu = red.evaluate(pair.nu)
+    m_nu, g_nu = _evaluate(red, pair.nu)
     assert info["residual"] == float(np.max(np.abs(m_nu - g_nu)))
     assert info["full_residual"] == residual_norm("BFD_finite", p1_mu2_4, 0.1, pair) <= 1e-9
     assert np.array_equal(pair.xi, red.lift(pair.nu))
@@ -319,7 +327,10 @@ def test_branch_save_load_roundtrip(tmp_path, ilw_chain):
     for a, b in zip(back.waves, ilw_chain.waves):
         assert a.grid == b.grid
         assert np.array_equal(a.nu, b.nu) and np.array_equal(a.xi, b.xi)
-    assert (outdir / "schema.json").exists()
+    samples = [f"sample_{i:03d}.npy" for i in range(len(ilw_chain.waves))]
+    # no schema.json: the stored branches under perfbench/inputs hold one
+    # and still load (test_stored_csv_branches_still_load_and_certify)
+    assert sorted(p.name for p in outdir.iterdir()) == ["branch.json", *samples]
 
 
 def test_branch_json_stays_json_with_infinite_values(tmp_path):
@@ -404,7 +415,7 @@ def test_one_layer_reduced_residual_is_system_row_one(request, family, c):
     p = _params_of(request, family)
     nu = _random_even(grid, 21, rows=1)[0]
     red = _Reduced(family, p, grid, c)
-    m_nu, g_nu = red.evaluate(nu)
+    m_nu, g_nu = _evaluate(red, nu)
     row1, row2 = _System(family, p, grid, c).residual(np.stack([red.lift(nu), nu]))
     scale = np.max(np.abs(m_nu))
     assert np.max(np.abs((m_nu - g_nu) - row1)) <= 1e-14 * scale
@@ -457,6 +468,26 @@ def test_continuation_truncates_where_the_symbol_turns(p1_inf):
     assert 0.01 <= diag["end"] < 0.75
     # the endpoint is resolved to _MIN_STEP: a failure lies within it
     assert any(0.0 < step["parameter"] - solved[-1] <= solvers._MIN_STEP for step in failed)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p, grid: solve("BO", p, math.inf, grid=grid),
+        lambda p, grid: solve("ILW", replace(p, mu2=25.0), -math.inf, grid=grid),
+        lambda p, grid: solve("BO", p, math.nan, grid=grid),
+        lambda p, grid: continue_in_c(p, [math.inf], grid=grid),
+        lambda p, grid: continue_in_c(p, [0.01, math.nan], grid=grid),
+        lambda p, grid: continue_in_mu2(p, [400.0, 0.0], grid=grid),
+        lambda p, grid: continue_in_mu2(p, [math.nan], grid=grid),
+    ],
+    ids=["BO_inf", "ILW_-inf", "BO_nan", "c_inf", "c_nan", "mu2_zero", "mu2_nan"],
+)
+def test_continuation_refuses_points_it_cannot_reach(p1_inf, run):
+    # no bisection toward a non-finite speed or a depth outside (0, inf]
+    # ends: the midpoint of 0 and inf is inf, and a NaN compares false
+    with pytest.raises(ValueError, match="0 < mu2 <= inf and a finite c"):
+        run(p1_inf, make_grid(50.0, 256))
 
 
 def test_depth_chain_inner_solves_are_honest(p1_inf, tmp_path):
@@ -643,7 +674,7 @@ def test_reduced_jacobian_matches_central_difference(request, which, depth):
     )
 
     def residual(u):
-        m_u, g_u = red.evaluate(u)
+        m_u, g_u = _evaluate(red, u)
         return m_u - g_u
 
     h = 1e-3
@@ -718,7 +749,7 @@ def test_reduced_stacked_evaluation_matches_multiplier_formulas(request, which, 
     assert _close(m_nu, apply_table(mhat, nu))
     assert _close(q_nu, quad)
     assert _close(c_nu, cubic)
-    assert _close(red.evaluate(nu)[1], quad + cubic)
+    assert _close(_evaluate(red, nu)[1], quad + cubic)
 
 
 @pytest.mark.parametrize("family", ["BO", "ILW", "BFD_finite", "BFD_inf"])
@@ -846,37 +877,43 @@ def test_petviashvili_iteration_transform_counts(
     assert per_iter == 4
 
 
-def _plain_petviashvili(sampled, inv_m, nu_hat, q, dx, iters):
+def _plain_petviashvili(red, nu_hat, iters):
     """The unaccelerated iteration on half spectra, nu_hat <- S^q M^{-1}
     Re G_hat, written out."""
     out = []
     for _ in range(iters):
-        nu, m_nu, g_nu, g_hat = sampled(nu_hat)
-        s_val = dx * np.dot(nu, m_nu) / (dx * np.dot(nu, g_nu))
-        nu_hat = s_val**q * (inv_m * g_hat)
+        nu, m_nu, g_nu, g_hat = red.sampled(nu_hat)
+        s_val = np.dot(nu, m_nu) / np.dot(nu, g_nu)
+        nu_hat = s_val**solvers._EXPONENT * (red.inv_m * g_hat)
         out.append(nu_hat)
     return out
 
 
 def _bfd_iteration(p, grid):
-    """The arguments of `_petviashvili` for BFD_finite at omega = 0.1 from a
-    sech^2 start, with the equation."""
+    """The equation BFD_finite at omega = 0.1 and the half spectrum of a
+    sech^2 start, the arguments of `_petviashvili` but its window."""
     red = _Reduced("BFD_finite", p, grid, 0.1)
     nu0 = 3.0 * trivial_threshold(p) * 1e3 / np.cosh(grid.x) ** 2
-    return red, (red.sampled, red.inv_m, red.spectrum(nu0))
+    return red, red.spectrum(nu0)
+
+
+def _iterates(red, nu_hat, count, window=None):
+    """The first count iterates of `_petviashvili` from nu_hat, mixed in
+    window or in a fresh one."""
+    window = window or solvers._AndersonWindow(*nu_hat.shape)
+    return list(itertools.islice(_petviashvili(red, nu_hat, window), count))
 
 
 def test_petviashvili_guard_keeps_the_plain_iterate(p1_mu2_4, monkeypatch):
     # a fit the guard refuses leaves the plain iteration, bit for bit
     grid = make_grid(8.0, 256)
-    _, start = _bfd_iteration(p1_mu2_4, grid)
-    args = (*start, 2.0, grid.dx)
+    args = _bfd_iteration(p1_mu2_4, grid)
     monkeypatch.setattr(solvers, "_anderson_mixing", lambda gram, rhs: None)
-    mixed = [nu_hat for _, (nu_hat, *_) in zip(range(8), _petviashvili(*args))]
+    mixed = [nu_hat for nu_hat, *_ in _iterates(*args, 8)]
     plain = _plain_petviashvili(*args, iters=8)
     assert all(np.array_equal(a, b) for a, b in zip(mixed, plain))
     monkeypatch.undo()
-    accelerated = [step for _, step in zip(range(8), _petviashvili(*args))]
+    accelerated = _iterates(*args, 8)
     assert np.array_equal(accelerated[0][0], plain[0])
     assert not np.array_equal(accelerated[1][0], plain[1])
     # every iterate is a real half spectrum, and its samples are exactly even
@@ -893,8 +930,7 @@ def test_petviashvili_guard_keeps_the_plain_iterate(p1_mu2_4, monkeypatch):
         return None if len(rows) == 3 else mixing(gram, rhs)
 
     monkeypatch.setattr(solvers, "_anderson_mixing", refuse_third)
-    for _ in zip(range(10), _petviashvili(*args)):
-        pass
+    _iterates(*args, 10)
     assert rows == [1, 2, 3, 1, 2, 3, 4, 5]
 
 
@@ -968,24 +1004,24 @@ def test_ring_window_matches_the_chronological_window(p1_mu2_4):
     # roundoff, and its samples are those of the physical iteration, mixed
     # in a window of even profiles: the Parseval weights give the same fit
     grid = make_grid(8.0, 256)
-    red, (sampled, inv_m, nu_hat0) = _bfd_iteration(p1_mu2_4, grid)
-    q, dx = solvers._EXPONENT, grid.dx
+    red, nu_hat0 = _bfd_iteration(p1_mu2_4, grid)
+    q = solvers._EXPONENT
     window = solvers._AndersonWindow(grid.N // 2 + 1)
-    ring = list(zip(range(12), _petviashvili(sampled, inv_m, nu_hat0, q, dx, window)))
+    ring = _iterates(red, nu_hat0, 12, window)
     assert window.restarts == 0
 
     def half_step(nu_hat):
-        nu, m_nu, g_nu, g_hat = sampled(nu_hat)
-        return (np.dot(nu, m_nu) / np.dot(nu, g_nu)) ** q * (inv_m * g_hat)
+        nu, m_nu, g_nu, g_hat = red.sampled(nu_hat)
+        return (np.dot(nu, m_nu) / np.dot(nu, g_nu)) ** q * (red.inv_m * g_hat)
 
     def physical_step(nu):
-        m_nu, g_nu = red.evaluate(nu)
+        m_nu, g_nu = _evaluate(red, nu)
         s_val = np.dot(nu, m_nu) / np.dot(nu, g_nu)
         return symmetrize_even(s_val**q * apply_table(1.0 / red.mhat, g_nu))
 
     half = _chronological_petviashvili(half_step, nu_hat0, 12)
-    physical = _chronological_petviashvili(physical_step, sampled(nu_hat0)[0], 12)
-    for (_, (nu_hat, nu, _, _)), written_out, profile in zip(ring, half, physical):
+    physical = _chronological_petviashvili(physical_step, red.sampled(nu_hat0)[0], 12)
+    for (nu_hat, nu, _, _), written_out, profile in zip(ring, half, physical):
         assert np.max(np.abs(nu_hat - written_out)) <= 1e-12 * np.max(np.abs(written_out))
         assert np.max(np.abs(nu - profile)) <= 1e-12 * np.max(np.abs(profile))
 
@@ -995,8 +1031,7 @@ def test_gram_ring_matches_the_window(p1_mu2_4, monkeypatch):
     # refused fit and the ring's wrap its block stays the Gram matrix of the
     # window's residual differences
     grid = make_grid(8.0, 256)
-    _, start = _bfd_iteration(p1_mu2_4, grid)
-    args = (*start, solvers._EXPONENT, grid.dx)
+    red, nu_hat0 = _bfd_iteration(p1_mu2_4, grid)
     fits = []
     mixing = solvers._anderson_mixing
 
@@ -1006,7 +1041,7 @@ def test_gram_ring_matches_the_window(p1_mu2_4, monkeypatch):
 
     monkeypatch.setattr(solvers, "_anderson_mixing", refuse_fourth)
     window = solvers._AndersonWindow(grid.N // 2 + 1)
-    for _ in zip(range(16), _petviashvili(*args, window)):
+    for _ in zip(range(16), _petviashvili(red, nu_hat0, window)):
         rows = window._rows
         d_res = window._d_res[:rows]
         reference = d_res @ d_res.T
@@ -1037,8 +1072,8 @@ def test_petviashvili_degenerate_window_stays_finite(p1_inf, bo_state, grid_bo, 
             nu = np.fft.irfft(nu_hat, n=8)
             return nu, nu, nu, np.fft.rfft(nu).real
 
-        iterates = _petviashvili(identity, np.ones(5), np.fft.rfft(ones).real, 1.5, 0.1)
-        for _, (_, nu, s_val, resid) in zip(range(12), iterates):
+        equation = SimpleNamespace(sampled=identity, inv_m=np.ones(5))
+        for _, nu, s_val, resid in _iterates(equation, np.fft.rfft(ones).real, 12):
             assert np.array_equal(nu, ones) and s_val == 1.0 and not np.any(resid)
 
 
@@ -1071,7 +1106,7 @@ def test_start_amplitude_makes_S_one(request, monkeypatch, which, L, n, family):
         solve(family, request.getfixturevalue(which), 0.0 if family == "BO" else 0.1, grid=grid)
     (red, nu), = handed
     assert red.family == family
-    s_val = np.dot(nu, apply_table(red.mhat, nu)) / np.dot(red.evaluate(nu)[1], nu)
+    s_val = np.dot(nu, apply_table(red.mhat, nu)) / np.dot(_evaluate(red, nu)[1], nu)
     assert abs(s_val - 1.0) <= 1e-12
 
 
