@@ -45,7 +45,7 @@ from .params import (
     family_params,
     ModelParams,
 )
-from .spectral import WavePair, make_grid, pair_to_csv
+from .spectral import WavePair, irfft, make_grid, pair_to_csv
 from .solvers import (
     TOL_RESIDUAL,
     ConvergenceError,
@@ -378,7 +378,7 @@ def _band_limited_pairs(grid, rng, count: int) -> np.ndarray:
     spec = np.zeros((count, 2, grid.N // 2 + 1), dtype=complex)
     spec[..., : cut + 1] = z[:, :, 0] + 1j * z[:, :, 1]
     spec[..., 0] = spec[..., 0].real
-    return np.fft.irfft(spec, n=grid.N, axis=-1)
+    return irfft(spec, grid.N)
 
 
 def cmd_sweep(cfg: dict, out: str) -> int:

@@ -139,7 +139,8 @@ def params_from_config(cfg: dict) -> ModelParams:
     try:
         return ModelParams(**kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # its message begins with the name of the refused field
+        raise ConfigError(f"params.{exc}") from exc
 
 
 def grid_from_config(cfg: dict) -> Grid:
@@ -148,7 +149,8 @@ def grid_from_config(cfg: dict) -> Grid:
     try:
         return make_grid(cfg["grid.L"], cfg["grid.N"])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # its message begins with the name of the refused field
+        raise ConfigError(f"grid.{exc}") from exc
 
 
 def resolved_config(cfg: dict) -> dict:

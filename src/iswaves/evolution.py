@@ -17,9 +17,10 @@ by the 2/3 rule.
 
 The two fields always travel together as one stacked (2, .) array, so each
 nonlinear evaluation is one inverse and one forward real FFT (8 per ETDRK4
-step), with the constant flux coefficients premultiplied once per stepper
-and the ETDRK4 stages evaluated in place, in buffers allocated once per
-stepper.  Every table a stage multiplies by is complex, so no product casts
+step, each a `spectral.irfft` or `rfft`: numpy's pocketfft kernels without
+np.fft's per-call argument handling), with the constant flux coefficients
+premultiplied once per stepper and the ETDRK4 stages evaluated in place, in
+buffers allocated once per stepper.  Every table a stage multiplies by is complex, so no product casts
 a float operand: the half spectra are (q+ + q-, q+ - q-) times one complex
 table of rows 1/2 and 1/(2P), and the stages form q_w n0 once, for qa and
 qc, and read 2 q_w from a table.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .functionals import energy_tables, hamiltonian_H
 from .params import InadmissibleParameterError, ModelParams, family_params
-from .spectral import Grid, WavePair, pair_to_csv, structure
+from .spectral import Grid, WavePair, irfft, pair_to_csv, rfft, structure
 
 
 class AmplitudeBoundError(RuntimeError):
@@ -152,10 +153,10 @@ class _CharacteristicBase:
         scratch buffers when it is None."""
         s, zv, prod = self._scratch if stage is None else stage
         self.spectral(q, out=s)
-        np.fft.irfft(s, n=self.grid.N, axis=-1, out=zv)
+        irfft(s, self.grid.N, out=zv)
         np.multiply(zv[1], zv, out=prod)
         # one forward FFT of the stacked products (zeta v, v^2)
-        f = np.fft.rfft(prod, axis=-1, out=self._f)
+        f = rfft(prod, out=self._f)
         f *= self._flux
         np.add(f[0], f[1], out=out[0])
         np.subtract(f[0], f[1], out=out[1])
@@ -446,7 +447,7 @@ def run(
 
     monitor = _Monitor(p, grid, track_h)
     zv = np.stack([initial.xi, initial.nu])
-    s = np.fft.rfft(zv, axis=-1)
+    s = rfft(zv)
     q = stepper.from_spectral(s)
     times = [0.0]
     samples = [monitor(s, zv, zv[1] * zv[1])]
@@ -487,7 +488,7 @@ def run(
             break
     else:
         s = stepper.spectral(q)
-        zv = np.fft.irfft(s, n=grid.N, axis=-1)
+        zv = irfft(s, grid.N)
         observe(nsteps, s, zv, zv[1] * zv[1])
         summary["final_state"] = WavePair(grid=grid, xi=zv[0], nu=zv[1])
 

@@ -7,7 +7,7 @@ certifies positivity of E per frequency, which is the computable content of
 the admissibility window.  E's quadratic form A is stated once:
 `energy_tables` reads its three half-spectrum tables from the BFD tables of
 `spectral.structure`, and `energy_gradient` applies A to a stacked (xi, nu)
-pair, which is grad E, with one rfft/irfft pair.  E, H, the positivity
+pair, which is grad E, with one `spectral.rfft`/`irfft` pair.  E, H, the positivity
 check, the evolution monitor and `solvers.constrained_minimize` all read
 these two.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams
-from .spectral import Grid, WavePair, structure
+from .spectral import Grid, WavePair, irfft, rfft, structure
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,10 @@ def energy_gradient(tables: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray
     (..., 2, N) stack, by one rfft/irfft pair; tables are the
     `energy_tables`."""
     a11, a12, a22 = tables
-    f = np.fft.rfft(x, axis=-1)
+    f = rfft(x)
     xi, nu = f[..., 0, :], f[..., 1, :]
     ax = np.stack([a11 * xi + a12 * nu, a12 * xi + a22 * nu], axis=-2)
-    return np.fft.irfft(ax, n=x.shape[-1], axis=-1)
+    return irfft(ax, x.shape[-1])
 
 
 def energy_E(p: ModelParams, omega: float, w: WavePair) -> float:

@@ -22,8 +22,8 @@ so the oracle evaluates K(x) = (2*pi)^{-1/2} integral khat(k) exp(ikx) dk
 by a trapezoidal sum over the grid frequencies.  All closed forms and all
 comparisons in this module state their symbols in this convention.
 
-The symbols are even, so the sum is one real inverse transform (irfft) of
-the half spectrum.  At grid indices that are all multiples of a step
+The symbols are even, so the sum is one real inverse transform
+(`spectral.irfft`) of the half spectrum.  At grid indices that are all multiples of a step
 dividing N/2, the phases depend on the frequency index only modulo
 M = N/step: the N frequencies form step rows of M bins, which are added in
 order, and the transform has length M instead of N.  Only the first
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import InadmissibleParameterError, ModelParams, compute_decay_rates
-from .spectral import Grid, zcothz
+from .spectral import Grid, irfft, zcothz
 
 _EPS = np.finfo(float).eps
 # the convention of every kernel symbol: a vectorized function of |k|
@@ -300,7 +300,7 @@ def _oracle_values(fn: Symbol, g: Grid, step: int) -> np.ndarray:
         folded = np.add.reduce(np.concatenate([folded[None], vals]), axis=0)
     folded[1::2] *= -1.0
     dk = math.pi / g.L
-    return dk / math.sqrt(2.0 * math.pi) * m * np.fft.irfft(folded, n=m)
+    return dk / math.sqrt(2.0 * math.pi) * m * irfft(folded, m)
 
 
 def kernel_fft_oracle(fn: Symbol, g: Grid) -> np.ndarray:

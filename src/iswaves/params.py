@@ -48,14 +48,20 @@ class ModelParams:
     beta: float = 2.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise InadmissibleParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.epsilon <= 0.0 or self.mu <= 0.0:
-            raise InadmissibleParameterError("epsilon and mu must be positive")
-        if self.mu2 <= 0.0:
-            raise InadmissibleParameterError("mu2 must be positive (math.inf allowed)")
-        if self.beta <= 1.0:
-            raise InadmissibleParameterError(f"beta must exceed 1, got {self.beta}")
+        # each range is written so that NaN lies outside it
+        ranges = (
+            ("gamma", 0.0 < self.gamma < 1.0, "lie in (0, 1)"),
+            ("epsilon", 0.0 < self.epsilon < math.inf, "be positive and finite"),
+            ("mu", 0.0 < self.mu < math.inf, "be positive and finite"),
+            *((name, math.isfinite(getattr(self, name)), "be finite") for name in "abcd"),
+            ("mu2", 0.0 < self.mu2 <= math.inf, "be positive (math.inf allowed)"),
+            ("beta", 1.0 < self.beta < math.inf, "exceed 1 and be finite"),
+        )
+        for name, inside, rule in ranges:
+            if not inside:
+                raise InadmissibleParameterError(
+                    f"{name} must {rule}, got {getattr(self, name)!r}"
+                )
 
     @property
     def r(self) -> float:

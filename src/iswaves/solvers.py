@@ -86,7 +86,7 @@ samples, one stacked rfft of (nu^2, nu) and one stacked irfft of every
 multiplier row, from which M nu and G(nu) are formed on the samples, and
 the rfft of G(nu); scalar tables multiply in physical space.  For BO and
 ILW at c = 0, G reads no multiplier and is transformed with nu in one
-rfft, so three.  M nu is not formed from nu_hat directly: that skips a
+rfft, so three.  Every transform is a `spectral.rfft` or `irfft`.  M nu is not formed from nu_hat directly: that skips a
 transform, but the wave's system residual then sits above the reduced
 residual by more than the consistency gate allows (bfd_finite at N = 2048).
 The lift of xi reads only its own rows, scalars for BO and ILW, so there it
@@ -113,8 +113,10 @@ from .params import ModelParams, family_params
 from .spectral import (
     Grid,
     WavePair,
+    irfft,
     make_grid,
     pair_from_csv,
+    rfft,
     structure,
     symmetrize_even as _even,
 )
@@ -177,8 +179,8 @@ class _RowPlan:
         if self._reads:
             # fields that are all read, a stacked array above all, go as they are
             read = fields if len(self._reads) == len(fields) else [fields[k] for k in self._reads]
-            spectra = np.fft.rfft(read, axis=-1)
-            rows = iter(np.fft.irfft(self._stack * spectra[self._picks], n=self._n, axis=-1))
+            spectra = rfft(np.asarray(read))
+            rows = iter(irfft(self._stack * spectra[self._picks], self._n))
         return [next(rows) if is_array else t * fields[k] for t, k, is_array in self._rows]
 
 
@@ -212,7 +214,8 @@ def residual_norm(family: str, p: ModelParams, speed: float, w: WavePair) -> flo
 class _Reduced:
     """The scalar reduced equation M nu = G(nu) of one family at speed c, at
     the family's depth (see the module docstring).  Refuses a speed at which
-    M takes non-positive values: the wave's speed has left the window."""
+    M takes non-positive or NaN values: the wave's speed has left the window,
+    or is not a number."""
 
     def __init__(self, family: str, p: ModelParams, grid: Grid, speed: float):
         self.family, self.p, (t1, s1, t2, s2) = structure(family, p, grid)
@@ -230,10 +233,12 @@ class _Reduced:
         # the lift's own rows, 1/S2 nu^2 and at c != 0 T2/S2 nu: scalars, and
         # so no transform, for BO and ILW
         self._lift = _RowPlan([tables[1], *tables[3:]], (0, 1), grid.N)
-        if np.min(self.mhat) <= 0.0:
+        # written so that a NaN table fails it
+        if not np.min(self.mhat) > 0.0:
             raise ConvergenceError(
-                f"reduced symbol takes non-positive values (min {np.min(self.mhat):.3e}) at "
-                f"speed {c!r}; parameters are outside the admissible window"
+                f"reduced symbol takes non-positive values or NaN (min "
+                f"{np.min(self.mhat):.3e}) at speed {c!r}; parameters are outside the "
+                "admissible window"
             )
         # the iteration's coordinates: Re rfft times the square roots of the
         # Parseval weights 1, 2, ..., 2, 1, in which a dot product is N times
@@ -265,7 +270,7 @@ class _Reduced:
     def spectrum(self, nu: np.ndarray) -> np.ndarray:
         """The iteration's coordinates of an even nu: its real half spectrum
         Re rfft(nu), Parseval-weighted."""
-        return self._root * np.fft.rfft(nu).real
+        return self._root * rfft(nu).real
 
     def sampled(self, nu_hat: np.ndarray):
         """(nu, M nu, G(nu), Re rfft G(nu)) at the samples nu, exactly even, of
@@ -278,20 +283,20 @@ class _Reduced:
         # the samples in the second row, and (nu^2, nu) the rows `parts`
         # transforms or, where G rides along, (G(nu), nu)
         fields = np.empty((2, n))
-        nu = np.fft.irfft(self._unroot * nu_hat, n=n, out=fields[1])
+        nu = irfft(self._unroot * nu_hat, n, out=fields[1])
         # even to roundoff; the first half mirrored makes it exactly even
         nu[: n // 2 : -1] = nu[1 : n // 2]
         if self._local:
             # G = C(nu), with 1/S2 a scalar, as `parts` forms it
             (inv_sq,) = self._lift((nu * nu, nu))
             g_nu = np.multiply(2.0 * self._scale_r * self.p.r * nu, inv_sq, out=fields[0])
-            g_spec, nu_spec = np.fft.rfft(fields)
-            m_nu = np.fft.irfft(self.mhat * nu_spec, n=n)
+            g_spec, nu_spec = rfft(fields)
+            m_nu = irfft(self.mhat * nu_spec, n)
         else:
             np.multiply(nu, nu, out=fields[0])
             m_nu, quad, cubic = self._parts(fields)
             g_nu = quad + cubic
-            g_spec = np.fft.rfft(g_nu)
+            g_spec = rfft(g_nu)
         return nu, m_nu, g_nu, g_spec.real
 
     def lift(self, nu: np.ndarray) -> np.ndarray:

@@ -5,12 +5,14 @@ scoped so the unit suites and the acceptance suite share one computation.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import settings
 
+from iswaves import spectral
 from iswaves.params import ModelParams
 from iswaves.solvers import continue_in_c, continue_in_mu2, solve
 from iswaves.spectral import make_grid
@@ -52,18 +54,29 @@ def apply_table(table_half, values):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counter of the numpy.fft and scipy.fft transform calls made while the
-    test runs."""
+    """Counter of the transform calls made while the test runs: those of
+    numpy.fft and scipy.fft, and the package's own `spectral.rfft` and
+    `spectral.irfft`, counted at every name under which an iswaves module
+    holds them."""
     counter = {"n": 0}
+
+    def count(owners, name):
+        fn = getattr(owners[0], name)
+
+        def counted(*args, **kwargs):
+            counter["n"] += 1
+            return fn(*args, **kwargs)
+
+        for owner in owners:
+            if getattr(owner, name, None) is fn:
+                monkeypatch.setattr(owner, name, counted)
+
     for module in (np.fft, scipy.fft):
         for name in ("rfft", "irfft", "fft", "ifft"):
-            fn = getattr(module, name)
-
-            def counted(*args, _fn=fn, **kwargs):
-                counter["n"] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+            count([module], name)
+    package = [m for key, m in sys.modules.items() if key.partition(".")[0] == "iswaves"]
+    for name in ("rfft", "irfft"):
+        count([spectral, *package], name)
     return counter
 
 

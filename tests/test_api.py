@@ -319,6 +319,48 @@ def test_json_is_written_only_by_config():
     assert writers == {"config.py"}
 
 
+# the transforms of numpy.fft (and of scipy.fft, which has the same names)
+_FFT_TRANSFORMS = {
+    f"{inverse}{kind}fft{dims}"
+    for inverse in ("", "i") for kind in ("", "r", "h") for dims in ("", "2", "n")
+}
+
+
+def _fft_backend_uses(path: Path) -> list:
+    """Lines of a module that call a transform through an `fft` module
+    (np.fft.rfft, scipy.fft.irfft, ...), import a transform from numpy.fft or
+    scipy.fft, or name numpy's private pocketfft modules."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            via_fft = isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
+            names = [node.attr] if via_fft and node.attr in _FFT_TRANSFORMS else []
+            names += [node.attr] if "pocketfft" in node.attr else []
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] if "pocketfft" in module else []
+            names += [
+                alias.name for alias in node.names
+                if "pocketfft" in alias.name
+                or (module in ("numpy.fft", "scipy.fft") and alias.name in _FFT_TRANSFORMS)
+            ]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if "pocketfft" in alias.name]
+        else:
+            continue
+        lines += [f"{path.name}:{node.lineno} {name}" for name in names]
+    return lines
+
+
+def test_only_spectral_knows_the_fft_backend():
+    # spectral.rfft and spectral.irfft are the package's one FFT entry point:
+    # no other module calls a numpy.fft transform or reaches numpy's kernels
+    uses = [line for path in sorted(PACKAGE.glob("*.py")) for line in _fft_backend_uses(path)]
+    outside = [line for line in uses if not line.startswith("spectral.py:")]
+    assert outside == [], f"FFT backend used outside spectral: {outside}"
+    assert uses, "spectral names no FFT backend: the guard looks for the wrong names"
+
+
 # every command on a small config (kernel-check on every kernel, decay on
 # the branch continue writes), in the interpreter that imported iswaves;
 # argv: a config of the parameters and an output directory

@@ -858,6 +858,24 @@ _BAD_VALUES = [
     ),
     ("evolve", ["evolve.T=1e300", "evolve.dt=1e-300"], "evolve.dt"),
     ("sweep", ["seed=-1"], "seed"),
+    # a grid of non-finite length, and parameters outside their ranges, NaN
+    # above all, which no comparison of the form value <= bound refuses
+    ("evolve", ["grid.L=nan"], "grid.L"),
+    ("evolve", ["grid.L=inf"], "grid.L"),
+    ("solve", ["solve.family=BFD_finite", "grid.L=nan"], "grid.L"),
+    ("solve", ["solve.family=BFD_finite", "params.epsilon=nan"], "params.epsilon"),
+    ("solve", ["solve.family=BFD_finite", "params.b=nan"], "params.b"),
+    ("validate", ["params.mu2=nan"], "params.mu2"),
+    ("evolve", ["params.beta=nan"], "params.beta"),
+    ("evolve", ["params.gamma=nan"], "params.gamma"),
+    ("evolve", ["params.mu=nan"], "params.mu"),
+    ("evolve", ["params.mu=inf"], "params.mu"),
+    ("evolve", ["params.a=nan"], "params.a"),
+    ("evolve", ["params.c=inf"], "params.c"),
+    ("evolve", ["params.d=-inf"], "params.d"),
+    ("evolve", ["params.mu2=-inf"], "params.mu2"),
+    ("evolve", ["params.beta=inf"], "params.beta"),
+    ("validate", ["params.epsilon=nan"], "params.epsilon"),
 ]
 _BASE_SETS = {
     "solve": ["grid.L=8", "grid.N=64", "solve.omega=0.1"],
@@ -866,6 +884,7 @@ _BASE_SETS = {
     "decay": [],
     "continue": ["grid.L=8", "grid.N=64", "continue.parameter=c", "continue.target=0.1"],
     "sweep": ["sweep.draws=2"],
+    "validate": [],
 }
 
 
@@ -909,3 +928,4 @@ def test_cli_rejects_bad_values(p1_cfg, tmp_path, capsys, command, sets, key):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert len(err.splitlines()) == 1, err

@@ -40,12 +40,19 @@ def test_derived_coefficient_and_depth_flag(p1_mu2_4, p1_inf):
     [
         dict(gamma=0.0), dict(gamma=1.0), dict(epsilon=0.0), dict(mu=-0.1),
         dict(mu2=0.0), dict(beta=1.0),
+        # NaN fails every range, and only mu2 may be infinite
+        dict(gamma=math.nan), dict(epsilon=math.nan), dict(mu=math.nan), dict(a=math.nan),
+        dict(b=math.nan), dict(c=math.nan), dict(d=math.nan), dict(mu2=math.nan),
+        dict(beta=math.nan), dict(epsilon=math.inf), dict(mu=math.inf), dict(a=-math.inf),
+        dict(d=math.inf), dict(mu2=-math.inf), dict(beta=math.inf),
     ],
 )
 def test_parameter_range_rejection(kw):
     base = dict(P1_KW, mu2=4.0)
     base.update(kw)
-    with pytest.raises(InadmissibleParameterError):
+    # the message begins with the refused field, which the CLI names as its key
+    (name,) = kw
+    with pytest.raises(InadmissibleParameterError, match=f"^{name} must"):
         ModelParams(**base)
 
 

@@ -450,6 +450,16 @@ def test_reduced_symbol_must_be_positive(p1_inf):
     assert np.min(_Reduced("BO", p1_inf, grid, 0.7).mhat) > 0.0
 
 
+def test_reduced_symbol_refuses_a_nan_speed(p1_mu2_4):
+    # a NaN table meets no comparison min <= 0: the refusal is written so
+    # that NaN fails it, and names the speed, before any start is sought
+    grid = make_grid(8.0, 256)
+    with pytest.raises(ConvergenceError, match="at speed nan"):
+        _Reduced("BFD_finite", p1_mu2_4, grid, math.nan)
+    with pytest.raises(ConvergenceError, match="at speed nan"):
+        solve("BFD_finite", p1_mu2_4, math.nan, grid=grid)
+
+
 def test_continuation_truncates_where_the_symbol_turns(p1_inf):
     # the milestone 0.75 lies past the speed where M_c stays positive: the
     # loop bisects back toward the last solved speed and ends there

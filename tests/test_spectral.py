@@ -5,14 +5,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iswaves.params import ModelParams, family_params
 from iswaves.spectral import (
     WavePair,
+    irfft,
     l1_symbol,
     make_grid,
     pair_from_csv,
     pair_to_csv,
+    rfft,
     symbols,
     symmetrize_even,
     zcothz,
@@ -36,6 +40,57 @@ def test_grid_layout():
 def test_grid_rejects_bad_sizes(n):
     with pytest.raises(ValueError):
         make_grid(10.0, n)
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_grid_rejects_lengths_that_are_not_positive_and_finite(length):
+    with pytest.raises(ValueError, match="L must be positive and finite"):
+        make_grid(length, 64)
+
+
+def _laid_out(make, lead: tuple, n: int, layout: str) -> np.ndarray:
+    """An array of shape lead + (n,) from make(shape): contiguous, the second
+    row of a (..., 2, n) buffer, or every other entry of a (..., 2n) one."""
+    if layout == "row":
+        return make(lead + (2, n))[..., 1, :]
+    if layout == "strided":
+        return make(lead + (2 * n,))[..., ::2]
+    return make(lead + (n,))
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(
+    half=st.integers(8, 2048),
+    odd=st.integers(0, 1),
+    lead=st.sampled_from([(), (2,), (4,), (5, 2)]),
+    layout=st.sampled_from(["contiguous", "row", "strided"]),
+    with_out=st.booleans(),
+    real_spectrum=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transforms_equal_numpy_bit_for_bit(half, odd, lead, layout, with_out, real_spectrum, seed):
+    # lengths 15 ... 4096 of either parity, stacks, views and strided slices,
+    # with and without an output buffer (laid out as the input is)
+    n, rng = 2 * half - odd, np.random.default_rng(seed)
+    m = n // 2 + 1
+    x = _laid_out(rng.standard_normal, lead, n, layout)
+    if real_spectrum:
+        s = _laid_out(rng.standard_normal, lead, m, layout)
+    else:
+        s = _laid_out(lambda shape: rng.standard_normal(shape + (2,)).view(complex)[..., 0],
+                      lead, m, layout)
+    if with_out:
+        out_f = _laid_out(lambda shape: np.empty(shape, dtype=complex), lead, m, layout)
+        out_i = _laid_out(np.empty, lead, n, layout)
+        assert rfft(x, out=out_f) is out_f and irfft(s, n, out=out_i) is out_i
+        got_f, got_i = out_f, out_i
+    else:
+        got_f, got_i = rfft(x), irfft(s, n)
+    assert _same(got_f, np.fft.rfft(x))
+    assert _same(got_i, np.fft.irfft(s, n))
 
 
 def test_zcothz_limits_against_mpmath():
