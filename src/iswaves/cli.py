@@ -77,20 +77,6 @@ def _family(key: str, name: str, p: ModelParams) -> tuple[str, ModelParams]:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _positive(key: str, value):
-    """The value of key, which must be positive and finite when given."""
-    if value is not None and not 0.0 < value < math.inf:
-        raise ConfigError(f"{key} must be positive and finite, got {value!r}")
-    return value
-
-
-def _finite(key: str, value: float) -> float:
-    """The value of key, which must be finite."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return value
-
-
 def _sample(cfg: dict, dir_key: str, key: str) -> tuple[SolitaryBranch, WavePair]:
     """The branch saved under cfg[dir_key] and its wave at index cfg[key],
     the last one by default; a branch or sample that cannot be read is a
@@ -108,12 +94,6 @@ def _sample(cfg: dict, dir_key: str, key: str) -> tuple[SolitaryBranch, WavePair
         return branch, branch.waves[index]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{dir_key}: {exc}") from exc
-
-
-def _outdir(args) -> str:
-    out = args.out or "out"
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +123,7 @@ def cmd_solve(cfg: dict, out: str) -> int:
     key, other = ("solve.speed", "solve.omega") if one_layer else ("solve.omega", "solve.speed")
     if other in cfg:
         raise ConfigError(f"{other} does not apply to {family}; set {key}")
-    speed = _finite(key, cfg.get(key, 0.0) if one_layer else _require(cfg, key))
+    speed = cfg.get(key, 0.0) if one_layer else _require(cfg, key)
     pair, info = solve(family, p, speed, grid=grid)
     branch = SolitaryBranch(family, [speed], [pair], [info["full_residual"]])
 
@@ -165,12 +145,9 @@ def cmd_continue(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
     grid = cfgmod.grid_from_config(cfg)
     parameter = cfg.get("continue.parameter", "c")
-    milestones = None
-    if "continue.milestones" in cfg:
-        try:
-            milestones = [float(t) for t in cfg["continue.milestones"].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"continue.milestones must list numbers: {exc}") from exc
+    text = cfg.get("continue.milestones")
+    milestones = None if text is None else [float(t) for t in text.split(",")]
+    target = _require(cfg, "continue.target")
 
     if parameter == "c":
         family, p = _family("continue.family", cfg.get("continue.family", "BO"), p)
@@ -180,17 +157,15 @@ def cmd_continue(cfg: dict, out: str) -> int:
             raise ConfigError(
                 f"continue.family must be BO for continue.parameter = c, got {family!r}"
             )
-        target = _finite("continue.target", _require(cfg, "continue.target"))
-        # a NaN milestone lies within no bound
         if not all(abs(m) <= abs(target) for m in milestones or ()):
             raise ConfigError(
                 f"continue.milestones must lie within |continue.target| = {abs(target)!r}"
             )
-        if milestones is None:
-            milestones = list(np.linspace(target / 8.0, target, 8))
-        branch = continue_in_c(p, milestones, grid=grid)
-    elif parameter == "mu2":
-        target = _positive("continue.target", _require(cfg, "continue.target"))
+        speeds = milestones or list(np.linspace(target / 8.0, target, 8))
+        branch = continue_in_c(p, speeds, grid=grid)
+    else:
+        if not target > 0.0:
+            raise ConfigError(f"continue.target must be positive for mu2, got {target!r}")
         if "continue.family" in cfg:
             # the branch is ILW below mu2 = inf whatever params.mu2 says
             family, _ = _family("continue.family", cfg["continue.family"], replace(p, mu2=target))
@@ -203,8 +178,6 @@ def cmd_continue(cfg: dict, out: str) -> int:
                 f"continue.milestones must lie at or above continue.target = {target!r}"
             )
         branch = continue_in_mu2(p, milestones or [target], grid=grid)
-    else:
-        raise ConfigError("continue.parameter must be 'c' or 'mu2'")
 
     save_branch(branch, os.path.join(out, "branch"), cfg)
     report = {
@@ -226,8 +199,6 @@ def cmd_continue(cfg: dict, out: str) -> int:
 def cmd_decay(cfg: dict, out: str) -> int:
     branch, wave = _sample(cfg, "decay.branch_dir", "decay.sample")
     field_name = cfg.get("decay.field", "nu")
-    if field_name not in ("xi", "nu"):
-        raise ConfigError("decay.field must be 'xi' or 'nu'")
     values = wave.nu if field_name == "nu" else wave.xi
     kind = cfg.get("decay.kind", "algebraic")
     lo, hi = default_fit_window(wave.grid)
@@ -238,9 +209,6 @@ def cmd_decay(cfg: dict, out: str) -> int:
         if kind == "exponential":
             rates = compute_decay_rates(p)
             predicted = rates.ilw_rate if branch.family == "ILW" else rates.sigma
-
-    if kind not in ("algebraic", "exponential"):
-        raise ConfigError("decay.kind must be 'algebraic' or 'exponential'")
     try:
         if kind == "algebraic":
             report = fit_algebraic_tail(wave.grid.x, values, window=window, predicted=predicted)
@@ -269,13 +237,9 @@ _KERNELS = {
 
 def cmd_kernel_check(cfg: dict, out: str) -> int:
     which = cfg.get("kernel.which", "all")
-    names = ["K", "K1", "K2", "K3"] if which == "all" else [
-        w.strip() for w in which.split(",") if w.strip()
-    ]
-    if not names or not set(names) <= _KERNELS.keys():
-        raise ConfigError(f"kernel.which must list kernels among K, K1, K2, K3; got {which!r}")
+    names = sorted(_KERNELS) if which == "all" else [w.strip() for w in which.split(",")]
     p = cfgmod.params_from_config(cfg) if "params.gamma" in cfg else None
-    sigma = _positive("kernel.sigma", cfg.get("kernel.sigma", 3.0))
+    sigma = cfg.get("kernel.sigma", 3.0)
     results = {}
     worst = 0.0
     for name in names:
@@ -321,30 +285,26 @@ _EVOLVE_UNREAD = {
 def cmd_evolve(cfg: dict, out: str) -> int:
     p = cfgmod.params_from_config(cfg)
     family, p = _family("evolve.family", _require(cfg, "evolve.family"), p)
-    T = _positive("evolve.T", _require(cfg, "evolve.T"))
+    T = _require(cfg, "evolve.T")
 
     initial_kind = cfg.get("evolve.initial", "gaussian")
-    if initial_kind not in _EVOLVE_UNREAD:
-        raise ConfigError("evolve.initial must be 'gaussian' or 'branch'")
     for key in _EVOLVE_UNREAD[initial_kind]:
         if key in cfg:
             raise ConfigError(f"{key} does not apply to evolve.initial = {initial_kind}")
     if initial_kind == "branch":
         _, initial = _sample(cfg, "evolve.branch_dir", "evolve.sample")
         grid = initial.grid
-    elif initial_kind == "gaussian":
+    else:
         grid = cfgmod.grid_from_config(cfg)
         amp = cfg.get("evolve.amplitude", 0.02)
         width = cfg.get("evolve.width", 1.0)
         bump = amp * np.exp(-((grid.x / width) ** 2))
         initial = WavePair(grid=grid, xi=bump, nu=bump.copy())
 
-    dt = _positive("evolve.dt", cfg.get("evolve.dt"))
-    if dt is None:
-        dt = suggest_dt(family, p, grid)
+    dt = cfg.get("evolve.dt") or suggest_dt(family, p, grid)
     if not T / dt < math.inf:
         raise ConfigError(f"evolve.T / evolve.dt = {T!r} / {dt!r} is not a finite step count")
-    snapshots = _positive("evolve.snapshots_every", cfg.get("evolve.snapshots_every"))
+    snapshots = cfg.get("evolve.snapshots_every")
 
     try:
         summary = run(
@@ -383,11 +343,9 @@ def _band_limited_pairs(grid, rng, count: int) -> np.ndarray:
 
 def cmd_sweep(cfg: dict, out: str) -> int:
     """Randomized admissibility sweep: positive quadratic forms, E >= 0."""
-    draws = _positive("sweep.draws", cfg.get("sweep.draws", 200))
-    fields_per_draw = _positive("sweep.fields_per_draw", cfg.get("sweep.fields_per_draw", 5))
+    draws = cfg.get("sweep.draws", 200)
+    fields_per_draw = cfg.get("sweep.fields_per_draw", 5)
     seed = cfg.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     grid = make_grid(20.0, 256)
 
@@ -486,12 +444,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has printed the usage error (2) or the help (0)
         return exc.code
+    out = args.out or "out"
     try:
+        os.makedirs(out, exist_ok=True)
         cfg = cfgmod.load_config(args.config) if args.config else {}
         cfg = cfgmod.apply_overrides(cfg, args.set)
         if cfg.get("solver.tol_residual", TOL_RESIDUAL) != TOL_RESIDUAL:
             raise ConfigError(f"solver.tol_residual is fixed at {TOL_RESIDUAL:g}")
-        out = _outdir(args)
         code = _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,7 +4,11 @@ Config files are plain text, one `key = value` per line, `#` comments,
 with dotted section prefixes (params.gamma, grid.N, solve.family).
 The flat format diffs cleanly across experiment folders.  Every key is
 checked against a registry; unknown keys are rejected rather than ignored
-so typos cannot silently change an experiment.
+so typos cannot silently change an experiment.  `KEY_REGISTRY` maps each
+key to the parser of its values: its kind, or a rule where a command cannot
+take every value of the kind.  A refused value is a ConfigError naming the
+key, from a file and --set alike; the commands check only what relates two
+inputs, and the library the ranges of params.*, grid.* and family names.
 
 Every JSON file the package writes goes through `write_json`: sorted keys,
 default float repr, and infinities and NaN as the strings "inf", "-inf" and
@@ -17,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,59 +34,87 @@ class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
 
 
-# float reads inf, +inf and infinity in any case
-_PARSERS = {"float": float, "int": int, "str": str}
+def _rule(parse, holds, must: str):
+    """The parser of the values parse reads and holds accepts; it refuses
+    any other with ConfigError("must <must>, got <value>")."""
 
-# full registry of accepted keys: name -> value kind
-KEY_REGISTRY: dict[str, str] = {
-    "params.gamma": "float",
-    "params.epsilon": "float",
-    "params.mu": "float",
-    "params.mu2": "float",
-    "params.a": "float",
-    "params.b": "float",
-    "params.c": "float",
-    "params.d": "float",
-    "params.beta": "float",
-    "grid.L": "float",
-    "grid.N": "int",
+    def parser(raw: str):
+        value = parse(raw)
+        if not holds(value):
+            raise ConfigError(f"must {must}, got {value!r}")
+        return value
+
+    return parser
+
+
+def _one_of(*names: str):
+    return _rule(str, names.__contains__, "be " + " or ".join(map(repr, names)))
+
+
+_FINITE = _rule(float, math.isfinite, "be finite")
+_POSITIVE = _rule(float, lambda v: 0.0 < v < math.inf, "be positive and finite")
+_POSITIVE_INT = _rule(int, lambda v: v > 0, "be positive")
+# comma lists stay the text the reports echo
+_NUMBER_LIST = _rule(
+    str, lambda s: not any(math.isnan(float(t)) for t in s.split(",")), "list numbers, none NaN"
+)
+_KERNEL_LIST = _rule(
+    str, lambda s: s == "all" or {t.strip() for t in s.split(",")} <= {"K", "K1", "K2", "K3"},
+    "be 'all' or list kernels among K, K1, K2, K3",
+)
+
+# every accepted key and the parser of its values; float reads inf, +inf,
+# infinity and nan in any case
+KEY_REGISTRY: dict[str, Callable[[str], object]] = {
+    "params.gamma": float,
+    "params.epsilon": float,
+    "params.mu": float,
+    "params.mu2": float,
+    "params.a": float,
+    "params.b": float,
+    "params.c": float,
+    "params.d": float,
+    "params.beta": float,
+    "grid.L": float,
+    "grid.N": int,
     # accepted only at the fixed solvers.TOL_RESIDUAL (`cli.main`), for the
     # configs that state it
-    "solver.tol_residual": "float",
-    "seed": "int",
-    "validate.omega": "float",
-    "solve.family": "str",
-    "solve.speed": "float",
-    "solve.omega": "float",
-    "continue.parameter": "str",
-    "continue.family": "str",
-    "continue.target": "float",
-    "continue.milestones": "str",
-    "decay.branch_dir": "str",
-    "decay.sample": "int",
-    "decay.field": "str",
-    "decay.kind": "str",
-    "decay.window_lo": "float",
-    "decay.window_hi": "float",
-    "decay.predicted": "float",
-    "kernel.which": "str",
-    "kernel.sigma": "float",
-    "evolve.family": "str",
-    "evolve.T": "float",
-    "evolve.dt": "float",
-    "evolve.snapshots_every": "float",
-    "evolve.initial": "str",
-    "evolve.amplitude": "float",
-    "evolve.width": "float",
-    "evolve.branch_dir": "str",
-    "evolve.sample": "int",
-    "sweep.draws": "int",
-    "sweep.fields_per_draw": "int",
+    "solver.tol_residual": float,
+    "seed": _rule(int, lambda v: v >= 0, "be non-negative"),
+    # -inf and inf lie outside every speed window: validate reports them
+    "validate.omega": _rule(float, lambda v: not math.isnan(v), "not be NaN"),
+    "solve.family": str,
+    "solve.speed": _FINITE,
+    "solve.omega": _FINITE,
+    "continue.parameter": _one_of("c", "mu2"),
+    "continue.family": str,
+    "continue.target": _FINITE,
+    "continue.milestones": _NUMBER_LIST,
+    "decay.branch_dir": str,
+    "decay.sample": int,
+    "decay.field": _one_of("xi", "nu"),
+    "decay.kind": _one_of("algebraic", "exponential"),
+    "decay.window_lo": _FINITE,
+    "decay.window_hi": _FINITE,
+    "decay.predicted": _FINITE,
+    "kernel.which": _KERNEL_LIST,
+    "kernel.sigma": _POSITIVE,
+    "evolve.family": str,
+    "evolve.T": _POSITIVE,
+    "evolve.dt": _POSITIVE,
+    "evolve.snapshots_every": _POSITIVE,
+    "evolve.initial": _one_of("gaussian", "branch"),
+    "evolve.amplitude": _FINITE,
+    "evolve.width": _POSITIVE,
+    "evolve.branch_dir": str,
+    "evolve.sample": int,
+    "sweep.draws": _POSITIVE_INT,
+    "sweep.fields_per_draw": _POSITIVE_INT,
 }
 
 
 def parse_assignment(line: str) -> tuple[str, object]:
-    """Parse one `key = value` assignment against the registry."""
+    """Parse one `key = value` assignment by its key's parser."""
     if "=" not in line:
         raise ConfigError(f"expected 'key = value', got {line!r}")
     key, _, raw = line.partition("=")
@@ -89,12 +122,12 @@ def parse_assignment(line: str) -> tuple[str, object]:
     raw = raw.strip()
     if key not in KEY_REGISTRY:
         raise ConfigError(f"unknown configuration key {key!r}")
-    kind = KEY_REGISTRY[key]
     try:
-        value = _PARSERS[kind](raw)
+        return key, KEY_REGISTRY[key](raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{key} {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-    return key, value
 
 
 def load_config(path: str) -> dict:

@@ -104,8 +104,8 @@ class _CharacteristicBase:
     """
 
     def __init__(self, family: str, p: ModelParams, grid: Grid, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         self.grid = grid
         self.dt = float(dt)
         t1, t2, a_sym, b_sym = _quotients(family, p, grid)
@@ -425,6 +425,9 @@ def run(
     previous state is monitored; a blow-up ends the run with a report
     carrying the time stamp.
     """
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt < math.inf):
+        raise ValueError(f"T and dt must be positive and finite, and so must T / dt; "
+                         f"got T = {T!r}, dt = {dt!r}")
     fam, p = family_params(family, p)
     grid = initial.grid
     nsteps = max(1, int(round(T / dt)))

@@ -164,8 +164,8 @@ def kernel_symbol(name: str, p: ModelParams | None, sigma: float | None = None) 
 
 def kernel_K1(sigma: float, x: float) -> float:
     """Exponential kernel pi*exp(-sigma|x|); transform of sqrt(2pi)*sigma/(sigma^2+k^2)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     return math.pi * math.exp(-sigma * abs(x))
 
 
@@ -294,7 +294,7 @@ def _oracle_values(fn: Symbol, g: Grid, step: int) -> np.ndarray:
     for s0 in range(0, step, per_block):
         j = np.arange(s0, min(s0 + per_block, step))[:, None] * m + np.arange(half)
         vals = fn(2.0 * math.pi * (np.minimum(j, n - j) * (1.0 / (n * g.dx))))
-        if np.min(vals) <= 0.0:
+        if not np.min(vals) > 0.0:
             raise ValueError("symbol is not strictly positive on the grid")
         # a reduction over the first axis adds the rows in order
         folded = np.add.reduce(np.concatenate([folded[None], vals]), axis=0)

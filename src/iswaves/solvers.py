@@ -722,8 +722,8 @@ def constrained_minimize(p: ModelParams, omega: float, lam: float, grid: Grid):
     ConvergenceError, with iterations and gradient_norm as diagnostics, when
     _MAX_ITERS iterations do not reach _GRADIENT_TOL.
     """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     tables = energy_tables(p, omega, grid)
     a11, a12, a22 = tables
     det = a11 * a22 - a12 * a12
@@ -817,16 +817,20 @@ def save_branch(branch: SolitaryBranch, outdir: str, config: dict | None = None)
 def _read_sample(path: str) -> WavePair:
     """The wave of one stored sample: a .npy array of rows (x, xi, nu) on the
     grid (-x[0], N), or an (x, xi, nu) CSV of an older branch.  A file that
-    holds no such wave, an empty one or an array of another shape included,
-    raises ValueError naming the file."""
+    holds no such wave, an empty one, an array of another shape or a wave
+    with NaN or infinite values included, raises ValueError naming the file."""
     try:
-        if not path.endswith(".npy"):
-            return pair_from_csv(path)
-        data = np.load(path, allow_pickle=False)
-        if data.ndim != 2 or len(data) != 3 or not data.size:
-            raise ValueError(f"an array of shape {data.shape}, not (3, N)")
-        x, xi, nu = data
-        return WavePair(grid=make_grid(-x[0], x.shape[0]), xi=xi, nu=nu)
+        if path.endswith(".npy"):
+            data = np.load(path, allow_pickle=False)
+            if data.ndim != 2 or len(data) != 3 or not data.size:
+                raise ValueError(f"an array of shape {data.shape}, not (3, N)")
+            x, xi, nu = data
+            wave = WavePair(grid=make_grid(-x[0], x.shape[0]), xi=xi, nu=nu)
+        else:
+            wave = pair_from_csv(path)
+        if not (np.isfinite(wave.xi).all() and np.isfinite(wave.nu).all()):
+            raise ValueError("a wave with NaN or infinite values")
+        return wave
     except (ValueError, EOFError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

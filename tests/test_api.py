@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "iswaves"
 # re-exporting a name in __init__ is not a use of it
@@ -118,15 +120,35 @@ def _methods():
     return out
 
 
+def _attribute_reads() -> dict:
+    """name -> [(file, line)] of every attribute read (`x.name`, not an
+    assignment to one)."""
+    reads: dict = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    return reads
+
+
+# the attributes of the built-in containers and of numpy arrays, whose reads
+# a match by name cannot tell from a method's
+_BUILTIN_ATTRIBUTES = set().union(*map(dir, (str, bytes, list, dict, np.ndarray)))
+
+
 def test_every_method_has_a_caller_outside_the_tests():
-    # a method is used where its name is read outside its own definition;
-    # names are matched, not receivers, so a same-named attribute counts
-    uses = _uses()
+    # a method is used where an attribute of its name is read outside its
+    # own definition; names are matched, not receivers, so no method may
+    # share its name with an attribute of str, bytes, list, dict or ndarray
+    methods = _methods()
+    shared = sorted(m for m, *_ in methods if m.split(".")[1] in _BUILTIN_ATTRIBUTES)
+    assert shared == [], f"methods named like a built-in or ndarray attribute: {shared}"
+    reads = _attribute_reads()
     uncalled = sorted(
         method
-        for method, path, first, last in _methods()
+        for method, path, first, last in methods
         if all(
-            p == path and first <= line <= last for p, line in uses.get(method.split(".")[1], ())
+            p == path and first <= line <= last for p, line in reads.get(method.split(".")[1], ())
         )
     )
     assert uncalled == [], f"methods with no caller in src/, demos/ or perfbench/: {uncalled}"

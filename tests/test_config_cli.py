@@ -1,5 +1,7 @@
 """Config parsing and the command-line pipelines, run in process."""
 
+import contextlib
+import io
 import json
 import math
 import shutil
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iswaves.cli import main
+from iswaves.cli import _KERNELS, main
 from iswaves.config import (
     KEY_REGISTRY,
     ConfigError,
@@ -61,18 +63,109 @@ def test_parse_assignment_rejections():
         parse_assignment("params.gamma 0.5")
 
 
-# a registry key with a value of its kind: any float but NaN (which equals
-# nothing, itself included), any int, a str without surrounding whitespace
-_VALUES = {
-    "float": st.floats(allow_nan=False),
-    "int": st.integers(-(10**12), 10**12),
-    "str": st.text(st.characters(codec="ascii", exclude_characters="\n\r"), max_size=12).map(
-        str.strip
-    ),
-}
-_ASSIGNMENTS = st.sampled_from(sorted(KEY_REGISTRY)).flatmap(
-    lambda key: st.tuples(st.just(key), _VALUES[KEY_REGISTRY[key]])
+_TEXT = st.text(st.characters(codec="ascii", exclude_characters="\n\r"), max_size=12).map(
+    str.strip
 )
+# the kernels kernel-check runs are the names kernel.which accepts
+_KERNEL_NAMES = tuple(sorted(_KERNELS))
+
+# (kind, values the key accepts) of a key parsed by its kind alone: any
+# float but NaN (which equals nothing, itself included), any int, a str
+# without surrounding whitespace
+_PLAIN = {
+    float: ("float", st.floats(allow_nan=False)),
+    int: ("int", st.integers(-(10**12), 10**12)),
+    str: ("str", _TEXT),
+}
+
+
+def _floats_refused(*texts):
+    return st.sampled_from(["nan", "NaN", "-nan", *texts])
+
+
+def _one_of(*names):
+    return (
+        "str",
+        st.sampled_from(names),
+        _TEXT.filter(lambda t: t not in names) | st.sampled_from(["nan", names[0].upper() + "x"]),
+    )
+
+
+_FINITE = (
+    "float",
+    st.floats(allow_nan=False, allow_infinity=False),
+    _floats_refused("inf", "-inf", "+Infinity"),
+)
+_POSITIVE = (
+    "float",
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    _floats_refused("inf", "-inf") | st.floats(max_value=0.0, allow_nan=False).map(repr),
+)
+_POSITIVE_INT = (
+    "int",
+    st.integers(1, 10**12),
+    st.integers(-(10**12), 0).map(str) | _floats_refused("1.5"),
+)
+# (kind, accepted values, refused texts) of every key with a rule, which
+# the registry states as a parser of its own
+_RULES = {
+    "seed": ("int", st.integers(0, 10**12), st.integers(-(10**12), -1).map(str) | _floats_refused()),
+    "validate.omega": ("float", st.floats(allow_nan=False), _floats_refused()),
+    "solve.speed": _FINITE,
+    "solve.omega": _FINITE,
+    "continue.parameter": _one_of("c", "mu2"),
+    "continue.target": _FINITE,
+    "continue.milestones": (
+        "str",
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=4).map(
+            lambda v: ",".join(map(repr, v))
+        ),
+        st.lists(st.floats(), min_size=1, max_size=4)
+        .filter(lambda v: any(map(math.isnan, v)))
+        .map(lambda v: ",".join(map(repr, v)))
+        | st.sampled_from(["", ",", "0.1,", "abc", "0.1;0.2"]),
+    ),
+    "decay.field": _one_of("xi", "nu"),
+    "decay.kind": _one_of("algebraic", "exponential"),
+    "decay.window_lo": _FINITE,
+    "decay.window_hi": _FINITE,
+    "decay.predicted": _FINITE,
+    "kernel.which": (
+        "str",
+        st.just("all")
+        | st.lists(st.sampled_from(_KERNEL_NAMES), min_size=1, max_size=4).map(", ".join),
+        st.lists(st.sampled_from(_KERNEL_NAMES + ("K0", "all", "k1", "")), min_size=1, max_size=4)
+        .map(",".join)
+        .filter(lambda t: t != "all" and not set(t.split(",")) <= set(_KERNEL_NAMES))
+        | st.sampled_from(["nan", "ALL"]),
+    ),
+    "kernel.sigma": _POSITIVE,
+    "evolve.T": _POSITIVE,
+    "evolve.dt": _POSITIVE,
+    "evolve.snapshots_every": _POSITIVE,
+    "evolve.initial": _one_of("gaussian", "branch"),
+    "evolve.amplitude": _FINITE,
+    "evolve.width": _POSITIVE,
+    "sweep.draws": _POSITIVE_INT,
+    "sweep.fields_per_draw": _POSITIVE_INT,
+}
+
+
+def _spec(key):
+    """(kind, accepted values) of a key."""
+    parser = KEY_REGISTRY[key]
+    return _PLAIN[parser] if parser in _PLAIN else _RULES[key][:2]
+
+
+_ASSIGNMENTS = st.sampled_from(sorted(KEY_REGISTRY)).flatmap(
+    lambda key: st.tuples(st.just(key), _spec(key)[1])
+)
+
+
+def test_every_key_with_a_rule_is_specified():
+    # the keys the registry parses by more than their kind are the keys
+    # whose rule the property tests below state
+    assert {k for k, parser in KEY_REGISTRY.items() if parser not in _PLAIN} == set(_RULES)
 
 
 @settings(max_examples=60)
@@ -81,9 +174,9 @@ _ASSIGNMENTS = st.sampled_from(sorted(KEY_REGISTRY)).flatmap(
     assignments=st.lists(_ASSIGNMENTS, max_size=12),
 )
 def test_config_round_trips_through_resolved_config(tmp_path_factory, base, assignments):
-    # each assignment written as text parses back to its value, the last of a
-    # key wins over the base, and the resolved config written out as a file
-    # and as overrides reads back as the same config
+    # each accepted assignment written as text parses back to its value, the
+    # last of a key wins over the base, and the resolved config written out
+    # as a file and as overrides reads back as the same config
     texts = [f"{key}={value}" for key, value in assignments]
     before = dict(base)
     cfg = apply_overrides(base, texts)
@@ -115,13 +208,13 @@ def test_config_rejects_unknown_keys_and_missing_assignments(key, value):
 
 @settings(max_examples=60)
 @given(
-    key=st.sampled_from(sorted(k for k, kind in KEY_REGISTRY.items() if kind != "str")),
+    key=st.sampled_from(sorted(k for k in KEY_REGISTRY if _spec(k)[0] != "str")),
     data=st.data(),
 )
 def test_config_rejects_values_of_the_wrong_kind(key, data):
     # no float text is an int, and no text of letters that spell no
     # infinity or nan is a float
-    if KEY_REGISTRY[key] == "int":
+    if _spec(key)[0] == "int":
         raw = data.draw(st.floats().map(repr))
     else:
         raw = data.draw(st.text(alphabet="bcdeghjkopqrsuvwxz_", min_size=1, max_size=12))
@@ -129,6 +222,30 @@ def test_config_rejects_values_of_the_wrong_kind(key, data):
         parse_assignment(f"{key} = {raw}")
     with pytest.raises(ConfigError, match=f"bad value for {key}"):
         apply_overrides({key: 1}, [f"{key}={raw}"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(sorted(_RULES)), data=st.data())
+def test_config_refuses_values_outside_each_keys_rule(tmp_path_factory, key, data):
+    # NaN and every other value outside a key's rule are refused by the
+    # registry, as one line naming the key, from a file and --set alike,
+    # before any command runs
+    raw = data.draw(_RULES[key][2])
+    with pytest.raises(ConfigError) as refused:
+        parse_assignment(f"{key} = {raw}")
+    message = str(refused.value)
+    assert message.startswith((f"{key} ", f"bad value for {key}: ")) and "\n" not in message
+    path = tmp_path_factory.mktemp("cfg") / "refused.cfg"
+    path.write_text(f"# one refused value\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as refused:
+        load_config(str(path))
+    assert str(refused.value) == f"{path}:2: {message}"
+    out = tmp_path_factory.mktemp("out")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["validate", "--out", str(out), "--set", f"{key}={raw}"]) == 2
+    assert err.getvalue() == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_solver_keys_follow_solver_config(p1_cfg, tmp_path, capsys):
@@ -534,7 +651,8 @@ def test_cli_decay_parses_only_its_sample(p1_cfg, tmp_path, capsys):
 def _unreadable_branch(tmp_path, case) -> str:
     """A branch directory that cannot be read as a wave: missing, with a
     CSV sample of two columns or of a header alone, or with a corrupt or
-    empty .npy sample, or one of a 0-d or 1-d array."""
+    empty .npy sample, one of a 0-d or 1-d array, or one that holds NaN
+    and infinite values."""
     from iswaves.solvers import SolitaryBranch, save_branch
     from iswaves.spectral import WavePair, make_grid
 
@@ -552,6 +670,9 @@ def _unreadable_branch(tmp_path, case) -> str:
         (outdir / "sample_000.csv").write_text("x,xi,nu\n" + rows)
     elif case in ("scalar_npy", "row_npy"):
         np.save(outdir / "sample_000.npy", np.float64(1.0) if case == "scalar_npy" else bump)
+    elif case == "nan_npy":
+        xi = np.where(g.x > 0, np.nan, bump)
+        np.save(outdir / "sample_000.npy", np.stack([g.x, xi, np.where(g.x < 0, np.inf, bump)]))
     else:
         (outdir / "sample_000.npy").write_bytes(b"not a wave\n" if case == "bad_npy" else b"")
     return str(outdir)
@@ -560,7 +681,8 @@ def _unreadable_branch(tmp_path, case) -> str:
 # a warning on the way, such as numpy's on a file without data, fails the test
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "case", ["missing", "bad_csv", "empty_csv", "bad_npy", "empty_npy", "scalar_npy", "row_npy"]
+    "case",
+    ["missing", "bad_csv", "empty_csv", "bad_npy", "empty_npy", "scalar_npy", "row_npy", "nan_npy"],
 )
 @pytest.mark.parametrize(
     "command, sets",
@@ -876,6 +998,14 @@ _BAD_VALUES = [
     ("evolve", ["params.mu2=-inf"], "params.mu2"),
     ("evolve", ["params.beta=inf"], "params.beta"),
     ("validate", ["params.epsilon=nan"], "params.epsilon"),
+    # keys no command checked, which took NaN into the numerics
+    ("validate", ["validate.omega=nan"], "validate.omega"),
+    ("decay", ["decay.predicted=nan"], "decay.predicted"),
+    ("decay", ["decay.window_lo=nan"], "decay.window_lo"),
+    ("evolve", ["evolve.width=0"], "evolve.width"),
+    ("evolve", ["evolve.width=nan"], "evolve.width"),
+    ("evolve", ["evolve.amplitude=nan"], "evolve.amplitude"),
+    ("evolve", ["evolve.amplitude=inf"], "evolve.amplitude"),
 ]
 _BASE_SETS = {
     "solve": ["grid.L=8", "grid.N=64", "solve.omega=0.1"],

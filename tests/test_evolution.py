@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ def test_make_stepper_validation(p1_mu2_4, evo_grid):
     bad_kw = dict(P1_KW, mu2=4.0, c=1.0 / 12.0, a=-1.0 / 4.0)
     with pytest.raises(ValueError, match="positive symbol quotients"):
         Etdrk4Stepper("bfd_finite", ModelParams(**bad_kw), evo_grid, 0.01)
+
+
+@pytest.mark.parametrize(
+    "T, dt",
+    [(0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (math.nan, 0.01), (math.inf, 0.01),
+     (-1.0, 0.01), (1e300, 1e-300)],
+)
+def test_run_refuses_times_that_are_not_positive_and_finite(p1_mu2_4, evo_grid, T, dt):
+    # NaN fails every comparison, so each check is written to refuse it
+    bump = 0.01 * np.exp(-(evo_grid.x**2))
+    values = re.escape(f"got T = {T!r}, dt = {dt!r}")
+    with pytest.raises(ValueError, match=f"must be positive and finite.*{values}"):
+        run("bfd_finite", p1_mu2_4, WavePair(evo_grid, bump, bump), T, dt)
+    if not 0.0 < dt < math.inf:
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt!r}"):
+            Etdrk4Stepper("bfd_finite", p1_mu2_4, evo_grid, dt)
 
 
 def _final_state(cls, p, init, T, dt):

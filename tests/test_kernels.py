@@ -270,6 +270,16 @@ def test_oracle_rejects_nonpositive_symbol():
     # a 4-bin sub-lattice, whose folded sums are all positive here
     with pytest.raises(ValueError, match="not strictly positive"):
         kernel_oracle_at(sym, g, [-10.0, -5.0, 0.0, 5.0])
+    # a symbol that takes NaN, K1's at sigma = NaN, is no positive symbol
+    with pytest.raises(ValueError, match="not strictly positive"):
+        kernel_oracle_at(kernel_symbol("K1", None, math.nan), g, [1.0])
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_k1_refuses_a_decay_rate_that_is_not_positive_and_finite(sigma):
+    # NaN fails every comparison, so the check is written to refuse it
+    with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma!r}"):
+        kernel_K1(sigma, 1.0)
 
 
 def test_oracle_at_refuses_points_off_the_period():

@@ -257,6 +257,13 @@ def test_constrained_minimizer_transform_count(p1_mu2_4, fft_calls):
     assert fft_calls["n"] <= 6 * info["iterations"]
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0])
+def test_constrained_minimizer_refuses_a_level_that_is_not_positive_and_finite(p1_mu2_4, lam):
+    # NaN fails every comparison, so the check is written to refuse it
+    with pytest.raises(ValueError, match=f"lam must be positive and finite, got {lam!r}"):
+        solvers.constrained_minimize(p1_mu2_4, 0.1, lam, make_grid(20.0, 64))
+
+
 def test_constrained_minimizer_sweep(p1_mu2_4):
     # 108 points: every one reaches the gradient tolerance in at most 20
     # iterations and on the constraint to roundoff (the line-searched
