@@ -23,12 +23,17 @@ by a trapezoidal sum over the grid frequencies.  All closed forms and all
 comparisons in this module state their symbols in this convention.
 
 The symbols are even, so the sum is one real inverse transform
-(`spectral.irfft`) of the half spectrum.  At grid indices that are all multiples of a step
-dividing N/2, the phases depend on the frequency index only modulo
-M = N/step: the N frequencies form step rows of M bins, which are added in
-order, and the transform has length M instead of N.  Only the first
-M/2 + 1 bins of each row enter, and every |k| of the grid is among them, so
-the symbol is evaluated a block of rows at a time on those bins alone.
+(`spectral.irfft`) of the half spectrum.  At grid indices that are all
+multiples of a step dividing N/2, the phases depend on the frequency index
+only modulo M = N/step: the N frequencies form step rows of M bins, which
+are added in order, and the transform has length M instead of N.  Only the
+first M/2 + 1 bins of each row enter, and every |k| of the grid is among
+them, so the symbol is evaluated a block of rows at a time on those bins
+alone.  A block holds about _FOLD_BLOCK = 2^14 values, so that its
+temporaries stay in a per-core L2 cache, and its rows are added, in order,
+into one accumulator of M/2 + 1 bins.  The frequency indices are formed in
+float64, exact below 2^53, so the fold is bit for bit the sum of the full
+N-point table.
 """
 
 from __future__ import annotations
@@ -46,8 +51,12 @@ from .spectral import Grid, irfft, zcothz
 _EPS = np.finfo(float).eps
 # the convention of every kernel symbol: a vectorized function of |k|
 Symbol = Callable[[np.ndarray], np.ndarray]
-# symbol values evaluated per block of rows in the oracle's fold
-_FOLD_BLOCK = 2**16
+# symbol values evaluated per block of rows in the oracle's fold: the few
+# temporaries of a block (128 KiB each) stay in a 2 MiB per-core L2.  On a
+# 2-core Xeon with 2 MiB L2 per core, kernel-check's median took 51 ms at
+# 2^12, 40 at 2^13, 32 at 2^14, 33 at 2^15 and 46 at 2^16: smaller blocks
+# pay more Python per row, larger ones spill the cache
+_FOLD_BLOCK = 2**14
 # the Laplace-integral rule: absolute tolerance, shared among the panels by
 # width, and the number of panels at which bisection gives up
 _QUAD_TOL = 1e-13
@@ -146,8 +155,10 @@ def _k2_alpha(p: ModelParams) -> float:
 
 def kernel_symbol(name: str, p: ModelParams | None, sigma: float | None = None) -> Symbol:
     """The symbol of kernel name (K, K1, K2 or K3) as a function of |k|, as
-    each closed form states it; only K1 reads sigma, and only the others p."""
+    each closed form states it; only K1 reads sigma, which must lie in
+    (0, inf), and only the others p."""
     if name == "K1":
+        _check_sigma(sigma)
         return lambda k: math.sqrt(2.0 * math.pi) * sigma / (sigma**2 + k**2)
     if name == "K2":
         alpha = _k2_alpha(p)
@@ -162,10 +173,15 @@ def kernel_symbol(name: str, p: ModelParams | None, sigma: float | None = None) 
     raise ValueError(f"kernel must be K, K1, K2 or K3; got {name!r}")
 
 
-def kernel_K1(sigma: float, x: float) -> float:
-    """Exponential kernel pi*exp(-sigma|x|); transform of sqrt(2pi)*sigma/(sigma^2+k^2)."""
+def _check_sigma(sigma: float) -> None:
+    # NaN fails every comparison, so the check is written to refuse it
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+
+
+def kernel_K1(sigma: float, x: float) -> float:
+    """Exponential kernel pi*exp(-sigma|x|); transform of sqrt(2pi)*sigma/(sigma^2+k^2)."""
+    _check_sigma(sigma)
     return math.pi * math.exp(-sigma * abs(x))
 
 
@@ -290,14 +306,21 @@ def _oracle_values(fn: Symbol, g: Grid, step: int) -> np.ndarray:
     m = n // step
     half = m // 2 + 1
     per_block = max(1, _FOLD_BLOCK // half)
+    # float64 indices are exact below 2^53, so every |k| keeps its bits
+    cols = np.arange(half, dtype=float)
     folded = np.zeros(half)
     for s0 in range(0, step, per_block):
-        j = np.arange(s0, min(s0 + per_block, step))[:, None] * m + np.arange(half)
-        vals = fn(2.0 * math.pi * (np.minimum(j, n - j) * (1.0 / (n * g.dx))))
+        k = np.arange(s0, min(s0 + per_block, step), dtype=float)[:, None] * m + cols
+        np.minimum(k, n - k, out=k)
+        k *= 1.0 / (n * g.dx)
+        k *= 2.0 * math.pi
+        vals = fn(k)
         if not np.min(vals) > 0.0:
             raise ValueError("symbol is not strictly positive on the grid")
-        # a reduction over the first axis adds the rows in order
-        folded = np.add.reduce(np.concatenate([folded[None], vals]), axis=0)
+        # the rows are added in order: the accumulator into the first row of
+        # the symbol's new array, then that array's rows into the accumulator
+        vals[0] += folded
+        np.add.reduce(vals, axis=0, out=folded)
     folded[1::2] *= -1.0
     dk = math.pi / g.L
     return dk / math.sqrt(2.0 * math.pi) * m * irfft(folded, m)
@@ -345,7 +368,13 @@ def default_fit_window(g: Grid) -> tuple[float, float]:
     return 0.3 * g.L, 0.9 * g.L
 
 
-def _profile_arrays(x, values) -> tuple[np.ndarray, np.ndarray]:
+def _fit_inputs(x, values, window, predicted) -> tuple[np.ndarray, np.ndarray]:
+    """x and values as float arrays of one shape; a window bound or a
+    predicted value that is not finite is refused by name."""
+    if not all(math.isfinite(b) for b in window):
+        raise ValueError(f"window bounds must be finite, got {tuple(window)!r}")
+    if predicted is not None and not math.isfinite(predicted):
+        raise ValueError(f"predicted must be finite, got {predicted!r}")
     x = np.asarray(x, dtype=float)
     v = np.asarray(values, dtype=float)
     if x.shape != v.shape:
@@ -373,8 +402,10 @@ def fit_algebraic_tail(
     fails this, a genuine quadratic-decay profile passes).  r_squared is
     taken from the log-log regression of |v| against x, whose slope should
     sit near -2 for a true algebraic tail (slope reported in details).
+    A window bound or a predicted value that is not finite raises
+    ValueError.
     """
-    x, v = _profile_arrays(x, values)
+    x, v = _fit_inputs(x, values, window, predicted)
     lo, hi = window
     sel = (x >= lo) & (x <= hi)
     xs, vs = x[sel], v[sel]
@@ -420,9 +451,10 @@ def fit_exponential_tail(
     excluded.  The report always carries the resolvable-rate cap: the
     steepest decay observable before the remaining window hits the floor; a
     predicted rate is compared against min(predicted, cap).  r^2 below 0.99
-    raises the unreliable-fit flag.
+    raises the unreliable-fit flag.  A window bound or a predicted value
+    that is not finite raises ValueError.
     """
-    x, v = _profile_arrays(x, values)
+    x, v = _fit_inputs(x, values, window, predicted)
     lo, hi = window
     floor = 100.0 * _EPS * np.max(np.abs(v))
     sel = (x >= lo) & (x <= hi) & (np.abs(v) > floor)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -232,8 +233,12 @@ def eta_roots(theta: float, count: int) -> tuple[float, ...]:
     return tuple(float(e) for e in 0.5 * (lo + hi))
 
 
+# bounded like `spectral.symbols`; ModelParams is frozen and DecayRates
+# immutable, so every caller may share one result
+@lru_cache(maxsize=32)
 def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
-    """Collect the closed-form decay constants for parameters p.
+    """Collect the closed-form decay constants for parameters p, computed
+    once per (p, n_eta).
 
     sigma^2 = -(1/(a mu)) (1 + mu/(mu2 gamma^2) - sqrt(mu)/(gamma sqrt(mu2)))
     requires a < 0 and finite mu2; it is the rate of both fields of the BFD

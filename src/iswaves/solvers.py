@@ -681,7 +681,11 @@ def solve(family: str, p: ModelParams, speed: float, *, grid: Grid) -> tuple[Wav
     fam, p = family_params(family, p)
     if fam not in ("BO", "ILW"):
         red = _Reduced(fam, p, grid, speed)
-        return _solve(red, _start(red, 1.0 / np.cosh(grid.x) ** 2))
+        # past |x| = 355 cosh^2 overflows to inf and the bump is 0, where
+        # sech^2 is below the smallest normal float anyway
+        with np.errstate(over="ignore"):
+            bump = 1.0 / np.cosh(grid.x) ** 2
+        return _solve(red, _start(red, bump))
     waves, infos, diag = _continuation(p, grid, [(p.mu2, 0.0), (p.mu2, speed)])
     if diag["truncated"]:
         raise ConvergenceError(f"the {fam} branch ended at {diag['end']!r}")

@@ -5,12 +5,14 @@ import io
 import json
 import math
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iswaves import params
 from iswaves.cli import _KERNELS, main
 from iswaves.config import (
     KEY_REGISTRY,
@@ -739,6 +741,16 @@ def test_cli_kernel_check_reports_oracle_grids(p1_cfg, tmp_path):
         assert (entry["L"], entry["N"], entry["oracle_bins"]) == (length, n, bins)
         assert entry["max_abs_diff"] < 1e-5
     assert data["max_abs_diff"] < 1e-5
+
+
+def test_cli_kernel_check_computes_each_set_of_decay_constants_once(p1_cfg, tmp_path):
+    # K and K3 read the decay constants of one parameter set 9 times; the
+    # eta-roots are bisected once for the 12 of K3's symbol and once for
+    # the 81 of its series
+    params.compute_decay_rates.cache_clear()
+    with mock.patch.object(params, "eta_roots", wraps=params.eta_roots) as roots:
+        assert main(["kernel-check", "--config", p1_cfg, "--out", str(tmp_path / "kc")]) == 0
+    assert sorted(c.args[1] for c in roots.call_args_list) == [12, 81]
 
 
 def test_cli_evolve_gaussian(p1_cfg, tmp_path):

@@ -270,16 +270,19 @@ def test_oracle_rejects_nonpositive_symbol():
     # a 4-bin sub-lattice, whose folded sums are all positive here
     with pytest.raises(ValueError, match="not strictly positive"):
         kernel_oracle_at(sym, g, [-10.0, -5.0, 0.0, 5.0])
-    # a symbol that takes NaN, K1's at sigma = NaN, is no positive symbol
+    # a symbol that takes NaN is no positive symbol
     with pytest.raises(ValueError, match="not strictly positive"):
-        kernel_oracle_at(kernel_symbol("K1", None, math.nan), g, [1.0])
+        kernel_oracle_at(lambda k: 1.0 / (k * k + math.nan), g, [1.0])
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
 def test_k1_refuses_a_decay_rate_that_is_not_positive_and_finite(sigma):
-    # NaN fails every comparison, so the check is written to refuse it
+    # NaN fails every comparison, so the check is written to refuse it; the
+    # symbol refuses sigma when it is built, before any |k| is evaluated
     with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma!r}"):
         kernel_K1(sigma, 1.0)
+    with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma!r}"):
+        kernel_symbol("K1", None, sigma)
 
 
 def test_oracle_at_refuses_points_off_the_period():
@@ -400,16 +403,32 @@ def test_streamed_fold_equals_table_fold_property(half, length, a, b, block):
                 assert np.array_equal(_oracle_values(fn, g, step), _table_fold_oracle(fn, g, step))
 
 
-def test_oracle_at_memory_on_the_k2_grid(k2_symbol):
-    # the K2 check folds the 2^22 frequencies onto 2048 bins; an N-point
-    # table, or a grid that builds its arrays up front, takes 32 MB
+# the allocation peak of the fold on the CLI's largest grids: 0.49 MiB (K2)
+# and 0.67 MiB (K3) with 2^14-value blocks, 2.47 and 3.19 MiB with 2^16-value
+# blocks that concatenated the accumulator onto every block
+_ORACLE_PEAK_BOUND = 1.5 * 2**20
+
+
+def _oracle_at_peak(fn, g, xs) -> int:
     tracemalloc.start()
     try:
-        kernel_oracle_at(k2_symbol, make_grid(1024.0, 2**22), [1.0, 5.0, 10.0])
+        kernel_oracle_at(fn, g, xs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    return peak
+
+
+def test_oracle_at_memory_on_the_k2_grid(k2_symbol):
+    # the K2 check folds the 2^22 frequencies onto 2048 bins; an N-point
+    # table, or a grid that builds its arrays up front, takes 32 MB
+    assert _oracle_at_peak(k2_symbol, make_grid(1024.0, 2**22), [1.0, 5.0, 10.0]) < _ORACLE_PEAK_BOUND
+
+
+def test_oracle_at_memory_on_the_k3_grid(p1_mu2_4):
+    # the K3 check folds 2^21 frequencies onto 64 bins, 496 rows a block
+    k3_symbol = kernel_symbol("K3", p1_mu2_4)
+    assert _oracle_at_peak(k3_symbol, make_grid(32.0, 2**21), [1.0, 2.0, 5.0]) < _ORACLE_PEAK_BOUND
 
 
 def test_fit_exponential_synthetic():
@@ -462,6 +481,25 @@ def test_fit_algebraic_negative_control():
     rep = fit_algebraic_tail(x, v, window=(5.0, 15.0))
     assert "non-plateau" in rep.flags
     assert rep.details["max_rel_deviation"] > 0.10
+
+
+@pytest.mark.parametrize("fit", [fit_algebraic_tail, fit_exponential_tail])
+@pytest.mark.parametrize(
+    "window, predicted, name",
+    [
+        ((math.nan, 16.0), None, "window"),
+        ((8.0, math.nan), None, "window"),
+        ((8.0, math.inf), None, "window"),
+        ((8.0, 16.0), math.nan, "predicted"),
+        ((8.0, 16.0), math.inf, "predicted"),
+    ],
+)
+def test_tail_fits_refuse_inputs_that_are_not_finite(fit, window, predicted, name):
+    # NaN bounds used to select no sample ("fewer than 8 samples"), and a NaN
+    # prediction gave a NaN rel_error without a flag
+    x = np.linspace(1.0, 20.0, 200)
+    with pytest.raises(ValueError, match=f"^{name} .*must be finite"):
+        fit(x, np.exp(-x), window=window, predicted=predicted)
 
 
 def test_fit_window_handling():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -1125,6 +1126,29 @@ def test_start_amplitude_makes_S_one(request, monkeypatch, which, L, n, family):
     assert red.family == family
     s_val = np.dot(nu, apply_table(red.mhat, nu)) / np.dot(_evaluate(red, nu)[1], nu)
     assert abs(s_val - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("which, family", [("p1_mu2_4", "BFD_finite"), ("p1_inf", "BFD_inf")])
+def test_bfd_start_is_warning_free_on_a_long_grid(request, monkeypatch, which, family):
+    # on L = 400, cosh(x)^2 overflows past |x| = 355: the unit sech^2 bump
+    # is 0 there, as 1/cosh(x)^2 has it, and no warning is raised
+    handed = []
+
+    def record(red, nu):
+        handed.append((red, nu))
+        raise _Handed
+
+    monkeypatch.setattr(solvers, "_solve", record)
+    grid = make_grid(400.0, 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(_Handed):
+            solve(family, request.getfixturevalue(which), 0.1, grid=grid)
+    (red, nu), = handed
+    with np.errstate(over="ignore"):
+        bump = 1.0 / np.cosh(grid.x) ** 2
+    assert np.all(bump[np.abs(grid.x) > 356.0] == 0.0)
+    assert np.array_equal(nu, solvers._start(red, bump))
 
 
 @pytest.mark.parametrize(
