@@ -6,7 +6,6 @@ functionals, solitary-wave solvers, decay-kernel oracles, and time evolution.
 from .params import (
     AdmissibilityReport,
     DecayRates,
-    DegenerateParameterError,
     InadmissibleParameterError,
     ModelParams,
     admissibility_report,
@@ -68,7 +67,6 @@ __all__ = [
     "ConvergenceError",
     "DecayRates",
     "DecayReport",
-    "DegenerateParameterError",
     "Grid",
     "InadmissibleParameterError",
     "ModelParams",

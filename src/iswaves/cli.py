@@ -36,6 +36,7 @@ from .kernels import (
     kernel_K_quadrature,
 )
 from .params import (
+    ConvergenceError,
     InadmissibleParameterError,
     admissibility_report,
     compute_decay_rates,
@@ -48,7 +49,6 @@ from .params import (
 from .spectral import WavePair, irfft, make_grid, pair_to_csv
 from .solvers import (
     TOL_RESIDUAL,
-    ConvergenceError,
     SolitaryBranch,
     branch_work,
     continue_in_c,
@@ -161,8 +161,8 @@ def cmd_continue(cfg: dict, out: str) -> int:
             raise ConfigError(
                 f"continue.milestones must lie within |continue.target| = {abs(target)!r}"
             )
-        speeds = milestones or list(np.linspace(target / 8.0, target, 8))
-        branch = continue_in_c(p, speeds, grid=grid)
+        values = milestones or list(np.linspace(target / 8.0, target, 8))
+        start, continue_along = 0.0, continue_in_c
     else:
         if not target > 0.0:
             raise ConfigError(f"continue.target must be positive for mu2, got {target!r}")
@@ -177,7 +177,16 @@ def cmd_continue(cfg: dict, out: str) -> int:
             raise ConfigError(
                 f"continue.milestones must lie at or above continue.target = {target!r}"
             )
-        branch = continue_in_mu2(p, milestones or [target], grid=grid)
+        values = milestones or [target]
+        start, continue_along = math.inf, continue_in_mu2
+    # the branch stores its start, then each value once
+    stored = [start, *values]
+    twice = [v for i, v in enumerate(stored) if v in stored[:i]]
+    if twice:
+        key = "continue.target" if milestones is None else "continue.milestones"
+        raise ConfigError(f"{key} gives {parameter} = {float(twice[0])!r} twice: the branch "
+                          f"stores each value once, {parameter} = {start!r} first")
+    branch = continue_along(p, values, grid=grid)
 
     save_branch(branch, os.path.join(out, "branch"), cfg)
     report = {

@@ -275,24 +275,17 @@ def check_global_criterion(p: ModelParams, initial: WavePair) -> dict:
     c < 0, and a <= 0; a = 0 is the degenerate case (flagged: the same
     bound holds with a weaker function-space conclusion).
     """
-    report: dict = {"applicable": True, "notes": []}
-    if abs(p.b - p.d) > 1e-12 or p.b <= 0.0:
-        report["applicable"] = False
-        report["notes"].append("criterion needs b = d > 0")
-        return report
-    if p.c >= 0.0:
-        report["applicable"] = False
-        report["notes"].append("criterion needs c < 0")
-        return report
-    if p.a > 0.0:
-        report["applicable"] = False
-        report["notes"].append("criterion needs a <= 0")
-        return report
-    if p.a == 0.0:
-        report["degenerate"] = True
+    gates = (
+        (abs(p.b - p.d) > 1e-12 or p.b <= 0.0, "criterion needs b = d > 0"),
+        (p.c >= 0.0, "criterion needs c < 0"),
+        (p.a > 0.0, "criterion needs a <= 0"),
+    )
+    for fails, note in gates:
+        if fails:
+            return {"applicable": False, "notes": [note]}
+    report: dict = {"applicable": True, "notes": [], "degenerate": p.a == 0.0}
+    if report["degenerate"]:
         report["notes"].append("a = 0: degenerate case, weaker space but same bound")
-    else:
-        report["degenerate"] = False
 
     h = hamiltonian_H(p, initial)
     g = p.gamma

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import InadmissibleParameterError, ModelParams, compute_decay_rates
+from .params import ConvergenceError, InadmissibleParameterError, ModelParams, compute_decay_rates
 from .spectral import Grid, irfft, zcothz
 
 _EPS = np.finfo(float).eps
@@ -122,8 +122,8 @@ def _laplace_integral(
     share of _QUAD_TOL, or by a few eps of its own value (an absolute
     tolerance alone stalls at roundoff); every other panel is bisected.
     The error estimate is the sum of those differences.  Raises
-    RuntimeError past _MAX_PANELS panels, or when the error estimate plus
-    tail exceeds 1e-10.
+    ConvergenceError past _MAX_PANELS panels, or when the error estimate
+    plus tail exceeds 1e-10.
     """
     a0 = 1e-3 * min(scale, 1.0 / ax)
     grading = a0 * 2.0 ** np.arange(math.ceil(math.log2(upper / a0)))
@@ -132,7 +132,7 @@ def _laplace_integral(
     lo, hi = edges[:-1], edges[1:]
     while True:
         if lo.size > _MAX_PANELS:
-            raise RuntimeError(f"quadrature needs more than {_MAX_PANELS} panels")
+            raise ConvergenceError(f"quadrature needs more than {_MAX_PANELS} panels")
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         q20, q10 = (
             half * (f(mid[:, None] + half[:, None] * nodes) @ weights)
@@ -145,7 +145,7 @@ def _laplace_integral(
         lo = np.concatenate([lo[~bad], lo[bad], mid[bad]])
         hi = np.concatenate([hi[~bad], mid[bad], hi[bad]])
     if np.sum(err) + tail > 1e-10:
-        raise RuntimeError(f"quadrature failed to reach tolerance (err {np.sum(err):.2e})")
+        raise ConvergenceError(f"quadrature failed to reach tolerance (err {np.sum(err):.2e})")
     return float(np.sum(q20))
 
 
@@ -159,7 +159,8 @@ def kernel_symbol(name: str, p: ModelParams | None, sigma: float | None = None) 
     (0, inf), and only the others p."""
     if name == "K1":
         _check_sigma(sigma)
-        return lambda k: math.sqrt(2.0 * math.pi) * sigma / (sigma**2 + k**2)
+        # sigma * sigma is inf, not OverflowError, past 1e154: a zero symbol
+        return lambda k: math.sqrt(2.0 * math.pi) * sigma / (sigma * sigma + k**2)
     if name == "K2":
         alpha = _k2_alpha(p)
         return lambda k: 1.0 / (abs(k) + alpha)
@@ -190,7 +191,7 @@ def kernel_K2_quadrature(p: ModelParams, x: float) -> float:
 
     The symbol is 1/(|k| + alpha) with alpha = gamma/((beta-1) sqrt(mu)).
     The integral is taken by the graded Gauss-Legendre rule up to
-    max(40/|x|, 10 alpha); RuntimeError if its error estimate plus the
+    max(40/|x|, 10 alpha); ConvergenceError if its error estimate plus the
     analytic tail exceeds 1e-10.  Logarithmically divergent at x = 0, which
     is refused.
     """
@@ -216,8 +217,8 @@ def kernel_K_quadrature(p: ModelParams, x: float) -> float:
 
     The symbol is 1/(k^2 - ell|k| + cK); positivity requires 4 cK > ell^2.
     The integral is taken by the graded Gauss-Legendre rule up to
-    max(40/|x|, 10 sqrt(cK)), split at sqrt(cK); RuntimeError if its error
-    estimate plus the analytic tail exceeds 1e-10.
+    max(40/|x|, 10 sqrt(cK)), split at sqrt(cK); ConvergenceError if its
+    error estimate plus the analytic tail exceeds 1e-10.
     """
     if x == 0.0:
         raise ValueError("K is not evaluated at x = 0")
@@ -231,7 +232,7 @@ def kernel_K_quadrature(p: ModelParams, x: float) -> float:
         den = (c_k - y * y) ** 2 + ell * ell * y * y
         return y * np.exp(-ax * y) / den
 
-    tail = math.exp(-ax * upper) / (ax * upper**3)
+    tail = math.exp(-ax * upper) / (ax * upper * upper * upper)
     val = _laplace_integral(integrand, ell, ax, upper, tail, [math.sqrt(c_k)])
     rate = 0.5 * math.sqrt(disc)
     osc = 2.0 * math.sqrt(2.0 * math.pi) / math.sqrt(disc)
@@ -242,7 +243,7 @@ def kernel_K_quadrature(p: ModelParams, x: float) -> float:
 def kernel_K_plateau(p: ModelParams) -> float:
     """Large-x limit of x^2 K(x): -2 ell/(cK^2 sqrt(2pi))."""
     ell, c_k, _ = _infinite_depth_constants(p)
-    return -2.0 * ell / (c_k**2 * math.sqrt(2.0 * math.pi))
+    return -2.0 * ell / (c_k * c_k * math.sqrt(2.0 * math.pi))
 
 
 def kernel_K2_plateau(p: ModelParams) -> float:
@@ -316,7 +317,7 @@ def _oracle_values(fn: Symbol, g: Grid, step: int) -> np.ndarray:
         k *= 2.0 * math.pi
         vals = fn(k)
         if not np.min(vals) > 0.0:
-            raise ValueError("symbol is not strictly positive on the grid")
+            raise InadmissibleParameterError("symbol is not strictly positive on the grid")
         # the rows are added in order: the accumulator into the first row of
         # the symbol's new array, then that array's rows into the accumulator
         vals[0] += folded

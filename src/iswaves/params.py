@@ -9,7 +9,8 @@ BFD_inf) and fixes the depth each one solves at.  This module also holds
 the closed-form admissibility quantities: the speed window, the minimum of
 the dispersion symbol, the minimal admissible mu2, the amplitude constant M,
 and the tail decay rates (sigma, the infinite-depth kernel constants, and
-the eta-roots driving the finite-depth exponential rates).
+the eta-roots driving the finite-depth exponential rates).  Its two error
+types are the numerical failures `cli.main` maps to exit 1.
 """
 
 from __future__ import annotations
@@ -21,12 +22,16 @@ from functools import lru_cache
 import numpy as np
 
 
-class DegenerateParameterError(ValueError):
-    """A parameter combination for which the requested quantity is undefined."""
-
-
 class InadmissibleParameterError(ValueError):
-    """Parameters violate an admissibility precondition."""
+    """Parameters violate a precondition, or leave the quantity undefined."""
+
+
+class ConvergenceError(RuntimeError):
+    """A solver or quadrature missed its tolerance; diagnostics attached."""
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ def validate_bfd_params(p: ModelParams) -> list[str]:
 def compute_speed_window(p: ModelParams) -> float:
     """Half-width of the admissible speed window, (1-gamma) min{1, |c|/b}."""
     if p.b == 0.0:
-        raise DegenerateParameterError("b = 0: speed window undefined")
+        raise InadmissibleParameterError("b = 0: speed window undefined")
     return (1.0 - p.gamma) * min(1.0, abs(p.c) / p.b)
 
 
@@ -215,7 +220,7 @@ def eta_roots(theta: float, count: int) -> tuple[float, ...]:
     its root, no longer moves.  Roots are resolved to ~1e-13.
     """
     if theta <= 0.0:
-        raise DegenerateParameterError("theta must be positive")
+        raise InadmissibleParameterError("theta must be positive")
     m = np.arange(1, count + 1)
     lo = (2 * m - 1) * math.pi / 2 + 1e-9
     hi = m * math.pi - 1e-12
@@ -256,7 +261,7 @@ def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
     if beta1 > 0.0:
         ell = math.sqrt(p.mu) / (beta1 * g**2)
         c_K = 1.0 / (beta1 * g)
-        disc = 4.0 * c_K - ell**2
+        disc = 4.0 * c_K - ell * ell
     else:
         notes.append("beta1 <= 0: infinite-depth kernel constants undefined")
 

@@ -109,7 +109,7 @@ import numpy as np
 
 from .config import write_json
 from .functionals import energy_gradient, energy_tables, inner
-from .params import ModelParams, family_params
+from .params import ConvergenceError, ModelParams, family_params
 from .spectral import (
     Grid,
     WavePair,
@@ -120,14 +120,6 @@ from .spectral import (
     structure,
     symmetrize_even as _even,
 )
-
-class ConvergenceError(RuntimeError):
-    """Solver failed to reach the requested residual; diagnostics attached."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 # the reduced residual every solve reaches (or its floor within 10 times it);
 # the iterations a solve, and the constrained minimization, may take; the

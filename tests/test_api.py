@@ -457,3 +457,39 @@ def test_every_config_key_is_read():
 
     unread = sorted(set(KEY_REGISTRY) - _config_keys_read())
     assert unread == [], f"config keys cli.py and config.py never read: {unread}"
+
+
+def _caught(fn) -> set:
+    """The names a function's except clauses catch."""
+    caught = set()
+    for handler in ast.walk(fn):
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught |= {t.id for t in types if isinstance(t, ast.Name)}
+    return caught
+
+
+def test_every_failure_has_one_path_to_an_exit_code():
+    # the package raises no bare RuntimeError or Exception, and each
+    # exception class it defines is caught in cli.main, which maps it to an
+    # exit code, or by the command that meets it
+    bare, defined = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) in ("RuntimeError", "Exception"):
+                    bare.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(b, "id", "").endswith(("Error", "Exception")) for b in node.bases
+            ):
+                defined.add(node.name)
+    assert bare == [], f"bare RuntimeError or Exception raised at {bare}"
+    cli = {
+        fn.name: fn for fn in ast.parse((PACKAGE / "cli.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    in_main = _caught(cli["main"])
+    assert {"ConfigError", "ConvergenceError", "InadmissibleParameterError"} <= in_main
+    by_commands = set().union(*(_caught(fn) for name, fn in cli.items() if name.startswith("cmd_")))
+    assert defined - in_main - by_commands == set(), defined

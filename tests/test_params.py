@@ -11,7 +11,6 @@ from scipy.optimize import minimize_scalar
 
 from iswaves.params import (
     AdmissibilityReport,
-    DegenerateParameterError,
     InadmissibleParameterError,
     ModelParams,
     admissibility_report,
@@ -223,7 +222,7 @@ def test_eta_roots_property(theta, count):
 
 
 def test_eta_roots_rejects_nonpositive_theta():
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(InadmissibleParameterError, match="theta must be positive"):
         eta_roots(0.0, 3)
 
 
