@@ -20,10 +20,14 @@ nonlinear evaluation is one inverse and one forward real FFT (8 per ETDRK4
 step, each a `spectral.irfft` or `rfft`: numpy's pocketfft kernels without
 np.fft's per-call argument handling), with the constant flux coefficients
 premultiplied once per stepper and the ETDRK4 stages evaluated in place, in
-buffers allocated once per stepper.  Every table a stage multiplies by is complex, so no product casts
-a float operand: the half spectra are (q+ + q-, q+ - q-) times one complex
-table of rows 1/2 and 1/(2P), and the stages form q_w n0 once, for qa and
-qc, and read 2 q_w from a table.
+buffers allocated once per stepper.  The ETDRK4 weights are contour means
+(Kassam & Trefethen) taken in row blocks of _WEIGHT_BLOCK frequencies, so
+that building them holds little more memory than they take, and their
+products are evaluated in one operand order at every N.  Every table a
+stage multiplies by is complex, so no product casts a float operand: the
+half spectra are (q+ + q-, q+ - q-) times one complex table of rows 1/2
+and 1/(2P), and the stages form q_w n0 once, for qa and qc, and read 2 q_w
+from a table.
 Each step keeps its first stage: the half spectra, samples and products
 (zeta v, v^2) of the state it starts from.  The run monitors read state n
 from there once step n + 1 is taken, so they add no transform; only the
@@ -163,6 +167,15 @@ class _CharacteristicBase:
         return out
 
 
+# rows of the ETDRK4 contour means evaluated at once: each (128, 32) complex
+# temporary is 64 KiB, inside a 2 MiB per-core L2 and below the 256 KiB from
+# which numpy reuses a temporary operand in place.  That reuse evaluates
+# e_lr * (...) as (...) * e_lr, and numpy's complex product is not bitwise
+# commutative, so whole (N/2 + 1, 32) slabs would also give weights whose
+# last bits depend on N
+_WEIGHT_BLOCK = 128
+
+
 class Etdrk4Stepper(_CharacteristicBase):
     """Exponential time differencing RK4; exact on the linear part.
 
@@ -170,7 +183,10 @@ class Etdrk4Stepper(_CharacteristicBase):
     points of a full circle of radius 1 around each dt*lambda, which is
     stable for the purely imaginary spectra arising here.  The two rows of
     lambda are conjugate, and so are the weights: they are evaluated on the
-    q+ row, and the q- row takes their conjugate.
+    q+ row, and the q- row takes their conjugate.  The contour means are
+    taken _WEIGHT_BLOCK rows at a time, so construction holds little more
+    than the weights it keeps, and every product is evaluated in its
+    written operand order at every N.
     """
 
     def __init__(self, family, p, grid, dt):
@@ -178,20 +194,23 @@ class Etdrk4Stepper(_CharacteristicBase):
         ldt = self.dt * self.lam[0]
         m = 32
         rts = np.exp(2j * math.pi * (np.arange(1, m + 1) - 0.5) / m)
-        lr = ldt[:, None] + rts[None, :]
-        e_lr, lr3 = np.exp(lr), lr**3
-        weights = (
-            np.exp(ldt),
-            np.exp(0.5 * ldt),
-            self.dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=-1),
-            self.dt * np.mean((-4.0 - lr + e_lr * (4.0 - 3.0 * lr + lr**2)) / lr3, axis=-1),
-            # carries the factor 2 with which the scheme weights (na + nb)
-            2.0 * self.dt * np.mean((2.0 + lr + e_lr * (-2.0 + lr)) / lr3, axis=-1),
-            self.dt * np.mean((-4.0 - 3.0 * lr - lr**2 + e_lr * (4.0 - lr)) / lr3, axis=-1),
-        )
-        self.e_full, self.e_half, self.q_w, self.f1_w, self.f2_w, self.f3_w = (
-            np.stack([w, w.conj()]) for w in weights
-        )
+        # the q+ and q- rows of e_full, e_half, q_w, f1_w, f2_w and f3_w
+        w = np.empty((6, 2, ldt.size), dtype=complex)
+        np.exp(ldt, out=w[0, 0])
+        np.exp(0.5 * ldt, out=w[1, 0])
+        for r0 in range(0, ldt.size, _WEIGHT_BLOCK):
+            rows = slice(r0, r0 + _WEIGHT_BLOCK)
+            lr = ldt[rows, None] + rts[None, :]
+            e_lr, lr3 = np.exp(lr), lr**3
+            w[2:, 0, rows] = (
+                self.dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=-1),
+                self.dt * np.mean((-4.0 - lr + e_lr * (4.0 - 3.0 * lr + lr**2)) / lr3, axis=-1),
+                # carries the factor 2 with which the scheme weights (na + nb)
+                2.0 * self.dt * np.mean((2.0 + lr + e_lr * (-2.0 + lr)) / lr3, axis=-1),
+                self.dt * np.mean((-4.0 - 3.0 * lr - lr**2 + e_lr * (4.0 - lr)) / lr3, axis=-1),
+            )
+        np.conjugate(w[:, 0], out=w[:, 1])
+        self.e_full, self.e_half, self.q_w, self.f1_w, self.f2_w, self.f3_w = w
         self._q_w2 = 2.0 * self.q_w
         # stage values (n0, na, nb, nc), e_half q, the stage states (qa, then
         # qb in the same buffer, and qc), q_w n0 and one scratch array,

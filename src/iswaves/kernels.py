@@ -128,7 +128,12 @@ def _laplace_integral(
     a0 = 1e-3 * min(scale, 1.0 / ax)
     grading = a0 * 2.0 ** np.arange(math.ceil(math.log2(upper / a0)))
     inner = [b for b in breaks if 0.0 < b < upper]
-    edges = np.unique(np.concatenate([[0.0], grading, inner, [upper]]))
+    # the sorted edges without repeats, as np.unique gives them; np.unique
+    # asks np.ma whether its input is masked, which imports numpy.ma (0.6 to
+    # 1.2 MB resident and 9 to 14 ms) into every process that runs
+    # kernel-check
+    edges = np.sort(np.concatenate([[0.0], grading, inner, [upper]]))
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
     lo, hi = edges[:-1], edges[1:]
     while True:
         if lo.size > _MAX_PANELS:
@@ -159,7 +164,14 @@ def kernel_symbol(name: str, p: ModelParams | None, sigma: float | None = None) 
     (0, inf), and only the others p."""
     if name == "K1":
         _check_sigma(sigma)
-        # sigma * sigma is inf, not OverflowError, past 1e154: a zero symbol
+        # sigma * sigma is inf, not OverflowError, past about 1.3e154, where
+        # the symbol would be 0 or NaN on the whole grid, and 0 below about
+        # 1.6e-162, where it would be inf at k = 0
+        if not 0.0 < sigma * sigma < math.inf:
+            raise InadmissibleParameterError(
+                f"symbol is not strictly positive and finite: sigma^2 = {sigma * sigma!r} "
+                f"for sigma = {sigma!r}"
+            )
         return lambda k: math.sqrt(2.0 * math.pi) * sigma / (sigma * sigma + k**2)
     if name == "K2":
         alpha = _k2_alpha(p)
@@ -322,6 +334,9 @@ def _oracle_values(fn: Symbol, g: Grid, step: int) -> np.ndarray:
         # the symbol's new array, then that array's rows into the accumulator
         vals[0] += folded
         np.add.reduce(vals, axis=0, out=folded)
+    # a sum of positive values: it is finite when its largest bin is
+    if not np.max(folded) < math.inf:
+        raise InadmissibleParameterError("symbol is not finite on the grid")
     folded[1::2] *= -1.0
     dk = math.pi / g.L
     return dk / math.sqrt(2.0 * math.pi) * m * irfft(folded, m)

@@ -40,7 +40,10 @@ class ModelParams:
 
     mu2 may be math.inf for the infinite-lower-layer variant.  beta enters
     only the one-layer reductions.  The derived coefficient r = epsilon/(2 gamma)
-    multiplies the quadratic nonlinearities.
+    multiplies the quadratic nonlinearities.  gamma lies in [1e-50, 1),
+    beta in (1, 1e50], epsilon, mu and a finite mu2 in [1e-50, 1e50], and
+    a, b, c and d in [-1e50, 1e50], so that the products and quotients of a
+    few fields that the formulas form stay within the float range.
     """
 
     gamma: float
@@ -56,12 +59,13 @@ class ModelParams:
     def __post_init__(self) -> None:
         # each range is written so that NaN lies outside it
         ranges = (
-            ("gamma", 0.0 < self.gamma < 1.0, "lie in (0, 1)"),
-            ("epsilon", 0.0 < self.epsilon < math.inf, "be positive and finite"),
-            ("mu", 0.0 < self.mu < math.inf, "be positive and finite"),
-            *((name, math.isfinite(getattr(self, name)), "be finite") for name in "abcd"),
-            ("mu2", 0.0 < self.mu2 <= math.inf, "be positive (math.inf allowed)"),
-            ("beta", 1.0 < self.beta < math.inf, "exceed 1 and be finite"),
+            ("gamma", 1e-50 <= self.gamma < 1.0, "lie in [1e-50, 1)"),
+            ("epsilon", 1e-50 <= self.epsilon <= 1e50, "lie in [1e-50, 1e50]"),
+            ("mu", 1e-50 <= self.mu <= 1e50, "lie in [1e-50, 1e50]"),
+            *((n, -1e50 <= getattr(self, n) <= 1e50, "lie in [-1e50, 1e50]") for n in "abcd"),
+            ("mu2", 1e-50 <= self.mu2 <= 1e50 or self.mu2 == math.inf,
+             "lie in [1e-50, 1e50] or be math.inf"),
+            ("beta", 1.0 < self.beta <= 1e50, "exceed 1 and be at most 1e50"),
         )
         for name, inside, rule in ranges:
             if not inside:
@@ -270,9 +274,13 @@ def compute_decay_rates(p: ModelParams, n_eta: int = 12) -> DecayRates:
         notes.append("a = 0: sigma undefined (degenerate dispersion)")
     elif p.a < 0.0 and p.finite_depth:
         bracket = 1.0 + p.mu / (p.mu2 * g**2) - math.sqrt(p.mu) / (g * math.sqrt(p.mu2))
-        s2 = -(1.0 / (p.a * p.mu)) * bracket
-        if s2 > 0.0:
+        # a has no lower magnitude bound, so a mu may underflow to 0
+        a_mu = p.a * p.mu
+        s2 = -(1.0 / a_mu) * bracket if a_mu != 0.0 else math.inf
+        if 0.0 < s2 < math.inf:
             sigma = math.sqrt(s2)
+        elif s2 > 0.0:
+            notes.append("sigma^2 is not finite: |a mu| is too small")
         else:
             notes.append("sigma^2 <= 0 for these (mu, mu2, gamma)")
     elif not p.finite_depth:

@@ -761,8 +761,10 @@ def test_cli_kernel_check_computes_each_set_of_decay_constants_once(p1_cfg, tmp_
         (["params.gamma=1e-9", "kernel.which=K"], "quadrature failed to reach tolerance"),
         # sigma^2 is inf: the symbol is 0 on the whole grid
         (["kernel.sigma=1e300", "kernel.which=K1"], "symbol is not strictly positive"),
+        # sigma^2 is 0: the symbol would be inf at k = 0, and 1/0 warned
+        (["kernel.sigma=1e-200", "kernel.which=K1"], "symbol is not strictly positive and finite"),
     ],
-    ids=["K-mu", "K-gamma", "K1-sigma"],
+    ids=["K-mu", "K-gamma", "K1-sigma", "K1-small-sigma"],
 )
 def test_cli_kernel_check_numerical_failure_exits_1(p1_cfg, tmp_path, capsys, sets, reason):
     # a quadrature that misses its tolerance and a symbol that is not
@@ -775,25 +777,62 @@ def test_cli_kernel_check_numerical_failure_exits_1(p1_cfg, tmp_path, capsys, se
     assert list(out.iterdir()) == []
 
 
-def test_cli_kernel_check_overflowing_constants(p1_cfg, tmp_path):
-    # mu = 1e-300 makes c_K about 1e300: its square and the cube of the
-    # quadrature's cutoff are inf, not an OverflowError, and K and its
-    # plateau are 0 to within the tolerance
+@pytest.mark.filterwarnings("error")
+def test_cli_kernel_check_constants_at_the_magnitude_window(p1_cfg, tmp_path, capsys):
+    # mu = 1e-50, the edge of ModelParams' window, makes c_K about 2.5e49,
+    # and K and its plateau are about 1e-75, well within the tolerance;
+    # mu = 1e-300, whose c_K of about 1e300 squared to inf, is refused
     args = ["kernel-check", "--config", p1_cfg, "--out", str(tmp_path / "kc")]
-    with np.errstate(all="ignore"):
-        assert main(args + ["--set", "params.mu=1e-300", "--set", "kernel.which=K"]) == 0
+    assert main(args + ["--set", "params.mu=1e-50", "--set", "kernel.which=K"]) == 0
     data = json.loads((tmp_path / "kc" / "kernel_check.json").read_text())
-    assert data["K_plateau"] == 0.0 and data["max_abs_diff"] == 0.0
+    assert 0.0 < -data["K_plateau"] < 1e-70 and data["max_abs_diff"] < 1e-70
+    capsys.readouterr()
+    assert main(args + ["--set", "params.mu=1e-300", "--set", "kernel.which=K"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: params.mu must lie in [1e-50, 1e50], got 1e-300\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        # 1.0 / g**2 divided by zero in validate, and on K and K3
+        ("validate", ["params.gamma=1e-200", "validate.omega=0.1"]),
+        ("kernel-check", ["params.gamma=1e-200", "kernel.which=K"]),
+        ("kernel-check", ["params.gamma=1e-200", "kernel.which=K3"]),
+        # K2's alpha was 0, and alpha ** 2 overflowed
+        ("kernel-check", ["params.gamma=5e-324", "kernel.which=K2"]),
+        ("kernel-check", ["params.mu=1.6e-322", "kernel.which=K2"]),
+        ("kernel-check", ["params.mu2=5e-324", "kernel.which=K3"]),
+        ("validate", ["params.a=1e60", "validate.omega=0.1"]),
+        ("validate", ["params.beta=1e60", "validate.omega=0.1"]),
+    ],
+    ids=["validate-gamma", "K-gamma", "K3-gamma", "K2-gamma", "K2-mu", "K3-mu2", "validate-a",
+         "validate-beta"],
+)
+def test_cli_refuses_params_of_extreme_magnitude(p1_cfg, tmp_path, capsys, command, sets):
+    # a params.* value outside its window, [1e-50, 1e50] or [-1e50, 1e50]
+    # for a, b, c and d, is a config error naming its key, before any
+    # formula squares it
+    out = tmp_path / "out"
+    args = [command, "--config", p1_cfg, "--out", str(out)]
+    assert main(args + [a for s in sets for a in ("--set", s)]) == 2
+    key = sets[0].partition("=")[0]
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must ") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
 
 
 _PARAM_KEYS = tuple(k for k in KEY_REGISTRY if k.startswith("params."))
-# params.* take any float; these are the floats of magnitude 1e-9 to 1e6,
-# either sign, and the values ModelParams refuses or takes at an edge.
-# Extreme magnitudes, whose squares or products leave the float range, are
-# left out: there params divides by zero, a defect still open
-_PARAM_VALUES = st.sampled_from([0.0, math.inf, -math.inf, math.nan, 1e-9, 1e6]) | st.tuples(
-    st.floats(-9.0, 6.0), st.sampled_from([1.0, -1.0])
-).map(lambda t: t[1] * 10.0 ** t[0])
+# params.* take any float: the whole float range, the edges of ModelParams'
+# magnitude window, and magnitudes spread evenly from 1e-60 to 1e60
+_PARAM_VALUES = (
+    st.floats()
+    | st.sampled_from([1e-50, 1e50, -1e-50, -1e50, 1e-200, 5e-324, 1e300])
+    | st.tuples(st.floats(-60.0, 60.0), st.sampled_from([1.0, -1.0])).map(
+        lambda t: t[1] * 10.0 ** t[0]
+    )
+)
 
 
 @settings(max_examples=120, deadline=None)

@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,56 @@ def test_etdrk4_step_is_the_cox_matthews_step(p1_mu2_4, n):
     assert np.max(np.abs(got - want)) <= _STEP_TOL * scale
     # the nonlinear stages move the state by far more than the tolerance
     assert np.max(np.abs(want - e_full * q)) > 1e6 * _STEP_TOL * scale
+
+
+def _one_slab_weights(stepper):
+    """e_full, e_half, q_w, f1_w, f2_w and f3_w on the q+ row, with the
+    Kassam-Trefethen contour means taken over one (N/2 + 1, 32) slab."""
+    dt, ldt = stepper.dt, stepper.dt * stepper.lam[0]
+    rts = np.exp(2j * math.pi * (np.arange(1, 33) - 0.5) / 32)
+    lr = ldt[:, None] + rts[None, :]
+    e_lr, lr3 = np.exp(lr), lr**3
+    return (
+        np.exp(ldt),
+        np.exp(0.5 * ldt),
+        dt * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=-1),
+        dt * np.mean((-4.0 - lr + e_lr * (4.0 - 3.0 * lr + lr**2)) / lr3, axis=-1),
+        2.0 * dt * np.mean((2.0 + lr + e_lr * (-2.0 + lr)) / lr3, axis=-1),
+        dt * np.mean((-4.0 - 3.0 * lr - lr**2 + e_lr * (4.0 - lr)) / lr3, axis=-1),
+    )
+
+
+@pytest.mark.parametrize("n, rel", [(256, 0.0), (512, 0.0), (2048, 1e-14)])
+def test_etdrk4_weights_equal_the_one_slab_means(p1_mu2_4, n, rel):
+    # the weights built in row blocks against one slab: bit for bit while
+    # the slab's temporaries are below the 256 KiB from which numpy reuses
+    # one in place (N < 1024), and to roundoff beyond, where that reuse
+    # reorders the complex products of the slab.  The q- row is the
+    # conjugate of the q+ row
+    stepper = Etdrk4Stepper("bfd_finite", p1_mu2_4, make_grid(8.0, n), 2e-3)
+    got = (stepper.e_full, stepper.e_half, stepper.q_w, stepper.f1_w, stepper.f2_w, stepper.f3_w)
+    for w, want in zip(got, _one_slab_weights(stepper)):
+        assert np.array_equal(w[1], w[0].conj())
+        if rel == 0.0:
+            assert np.array_equal(w[0], want)
+        else:
+            assert np.max(np.abs(w[0] - want) / np.abs(want)) <= rel
+
+
+@pytest.mark.parametrize("n", [2048, 16384])
+def test_etdrk4_construction_holds_little_more_than_it_keeps(p1_mu2_4, n):
+    # the allocation peak of construction against the memory the stepper
+    # keeps: 1.2 and 1.02 times with row blocks, about 4 times with whole
+    # (N/2 + 1, 32) slabs
+    grid = make_grid(8.0, n)
+    tracemalloc.start()
+    try:
+        stepper = Etdrk4Stepper("bfd_finite", p1_mu2_4, grid, 2e-3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stepper.f3_w.shape == (2, n // 2 + 1)
+    assert peak <= 1.5 * kept
 
 
 def test_steppers_define_advance():

@@ -27,7 +27,7 @@ from iswaves.kernels import (
     kernel_K_quadrature,
     kernel_symbol,
 )
-from iswaves.params import ModelParams, compute_decay_rates
+from iswaves.params import InadmissibleParameterError, ModelParams, compute_decay_rates
 from iswaves.spectral import make_grid
 
 
@@ -273,6 +273,34 @@ def test_oracle_rejects_nonpositive_symbol():
     # a symbol that takes NaN is no positive symbol
     with pytest.raises(ValueError, match="not strictly positive"):
         kernel_oracle_at(lambda k: 1.0 / (k * k + math.nan), g, [1.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_rejects_an_infinite_symbol():
+    # inf passes the positivity check; the fold is checked once for a sum
+    # that is not finite, not block by block
+    g = make_grid(10.0, 64)
+    sym = lambda k: np.where(k == 0.0, math.inf, 1.0 / (1.0 + k * k))  # noqa: E731
+    with pytest.raises(InadmissibleParameterError, match="^symbol is not finite on the grid$"):
+        kernel_fft_oracle(sym, g)
+    with pytest.raises(InadmissibleParameterError, match="^symbol is not finite on the grid$"):
+        kernel_oracle_at(sym, g, [-10.0, -5.0, 0.0, 5.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma, square_in_range", [
+    (1e-200, False), (1e-163, False), (1e-160, True), (1e154, True), (1e155, False), (1e300, False),
+])
+def test_k1_symbol_refuses_a_sigma_whose_square_leaves_the_float_range(sigma, square_in_range):
+    # sigma^2 of 0 makes the symbol infinite at k = 0, and of inf makes it
+    # 0 (or NaN at k = inf): both are refused where the symbol is built
+    if square_in_range:
+        sym = kernel_symbol("K1", None, sigma)
+        assert 0.0 < sym(np.array([0.0, 1.0]))[0] < math.inf
+    else:
+        refused = "^symbol is not strictly positive and finite"
+        with pytest.raises(InadmissibleParameterError, match=refused):
+            kernel_symbol("K1", None, sigma)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])

@@ -44,6 +44,9 @@ def test_derived_coefficient_and_depth_flag(p1_mu2_4, p1_inf):
         dict(b=math.nan), dict(c=math.nan), dict(d=math.nan), dict(mu2=math.nan),
         dict(beta=math.nan), dict(epsilon=math.inf), dict(mu=math.inf), dict(a=-math.inf),
         dict(d=math.inf), dict(mu2=-math.inf), dict(beta=math.inf),
+        # a magnitude outside [1e-50, 1e50], or for a, b, c, d above 1e50
+        dict(gamma=1e-200), dict(epsilon=1e51), dict(mu=5e-324), dict(a=-1e60), dict(b=1e60),
+        dict(c=1e51), dict(d=-1e51), dict(mu2=1e-300), dict(mu2=1e300), dict(beta=1e51),
     ],
 )
 def test_parameter_range_rejection(kw):
@@ -53,6 +56,27 @@ def test_parameter_range_rejection(kw):
     (name,) = kw
     with pytest.raises(InadmissibleParameterError, match=f"^{name} must"):
         ModelParams(**base)
+
+
+def test_parameter_magnitude_window_edges_are_accepted():
+    # the windows are closed; a, b, c, d may be 0 or of any smaller
+    # magnitude, and mu2 infinite
+    tiny = dict(gamma=1e-50, epsilon=1e-50, mu=1e-50, a=-5e-324, b=1e-300, c=-0.0, d=0.0,
+                mu2=1e-50, beta=1.0 + 2.0**-52)
+    huge = dict(gamma=0.5, epsilon=1e50, mu=1e50, a=-1e50, b=1e50, c=-1e50, d=1e50, mu2=1e50,
+                beta=1e50)
+    zero = dict(P1_KW, a=0.0, b=0.0, c=-0.0, d=0.0, mu2=math.inf)
+    for kw in (tiny, huge, zero):
+        assert ModelParams(**kw) == ModelParams(**kw)
+
+
+def test_decay_rates_of_a_vanishing_a():
+    # a mu underflows to 0, or 1/(a mu) overflows: sigma^2 is not finite,
+    # which the rates note instead of dividing by zero
+    for a in (-5e-324, -1e-260):
+        rates = compute_decay_rates(ModelParams(**dict(P1_KW, a=a, mu=1e-50, mu2=4.0)))
+        assert rates.sigma is None
+        assert "sigma^2 is not finite: |a mu| is too small" in rates.notes
 
 
 def test_canonical_family_names(p1_mu2_4, p1_inf):
