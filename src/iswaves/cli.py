@@ -57,8 +57,8 @@ from .solvers import (
     save_branch,
     solve,
 )
-from .evolution import AmplitudeBoundError, run, suggest_dt
-from .functionals import energy_gradient, energy_tables, inner, quadratic_form_check
+from .evolution import AmplitudeBoundError, run, step_count, suggest_dt
+from .functionals import energy_gradient, quadratic_form_check, stacked_energy_tables
 
 
 def _require(cfg: dict, key: str):
@@ -311,8 +311,10 @@ def cmd_evolve(cfg: dict, out: str) -> int:
         initial = WavePair(grid=grid, xi=bump, nu=bump.copy())
 
     dt = cfg.get("evolve.dt") or suggest_dt(family, p, grid)
-    if not T / dt < math.inf:
-        raise ConfigError(f"evolve.T / evolve.dt = {T!r} / {dt!r} is not a finite step count")
+    try:
+        step_count(T, dt)
+    except ValueError as exc:
+        raise ConfigError(f"evolve.T / evolve.dt: {exc}") from exc
     snapshots = cfg.get("evolve.snapshots_every")
 
     try:
@@ -338,29 +340,22 @@ def cmd_evolve(cfg: dict, out: str) -> int:
     return 0 if summary["status"] == "completed" else 1
 
 
-def _band_limited_pairs(grid, rng, count: int) -> np.ndarray:
-    """count random real (xi, nu) pairs, shape (count, 2, N), whose spectra
-    fill the retained 2/3 band; each field draws the real, then the
-    imaginary parts of its band."""
-    cut = grid.dealias_cut
-    z = rng.standard_normal((count, 2, 2, cut + 1))
-    spec = np.zeros((count, 2, grid.N // 2 + 1), dtype=complex)
-    spec[..., : cut + 1] = z[:, :, 0] + 1j * z[:, :, 1]
-    spec[..., 0] = spec[..., 0].real
-    return irfft(spec, grid.N)
+# kept draws a sweep evaluates together.  At 5 fields per draw, 6 keep every
+# array of a block under 128 KiB, glibc malloc's default threshold for
+# mapping fresh pages per allocation, whatever the process allocated before:
+# in the `evolve_checks` benchmark process on a 2-core Xeon, 12 draws took
+# 0.46 ref a sweep against 0.36 at 6 (and 0.35 at 8, just over the
+# threshold).  The traced peak stays under a megabyte at any number of draws
+_SWEEP_BLOCK = 6
 
 
-def cmd_sweep(cfg: dict, out: str) -> int:
-    """Randomized admissibility sweep: positive quadratic forms, E >= 0."""
-    draws = cfg.get("sweep.draws", 200)
-    fields_per_draw = cfg.get("sweep.fields_per_draw", 5)
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    grid = make_grid(20.0, 256)
-
-    violations = []
-    min_eigen_global = math.inf
-    min_energy = math.inf
+def _kept_blocks(rng, draws: int, fields_per_draw: int, cut: int):
+    """The sweep's draws in generator order, in blocks of at most
+    _SWEEP_BLOCK kept draws (draw index, params, omega, normals).  Each draw
+    takes its uniforms; one whose f_min <= 0 is skipped before its depth and
+    normals are drawn, and a kept one draws its (fields_per_draw, 2, 2,
+    cut + 1) normals last."""
+    block = []
     for i in range(draws):
         gamma = rng.uniform(0.1, 0.9)
         b = rng.uniform(1.0 / 6.0, 0.6)
@@ -378,23 +373,71 @@ def cmd_sweep(cfg: dict, out: str) -> int:
         threshold = compute_mu2_threshold(p_inf, omega)
         mu2 = threshold * rng.uniform(1.05, 10.0)
         p = ModelParams(gamma=gamma, epsilon=0.1, mu=mu, a=a, b=b, c=c, d=b, mu2=mu2)
+        block.append((i, p, omega, rng.standard_normal((fields_per_draw, 2, 2, cut + 1))))
+        if len(block) == _SWEEP_BLOCK:
+            yield block
+            block = []
+    if block:
+        yield block
 
-        tables = energy_tables(p, omega, grid)
-        form = quadratic_form_check(tables, grid)
-        min_eigen_global = min(min_eigen_global, form.global_min)
-        if form.global_min <= 0.0:
-            violations.append({"draw": i, "kind": "quadratic_form",
-                               "global_min": form.global_min})
-        # E = 1/2 <x, A x> of every pair, by one stacked transform
-        pairs = _band_limited_pairs(grid, rng, fields_per_draw)
-        grads = energy_gradient(tables, pairs)
-        for x, ax in zip(pairs, grads):
-            scale = grid.dx * (np.dot(x[0], x[0]) + np.dot(x[1], x[1]))
-            e_val = 0.5 * inner(grid, x, ax)
-            e_norm = e_val / scale
-            min_energy = min(min_energy, e_norm)
-            if e_norm < -1e-12:
-                violations.append({"draw": i, "kind": "energy", "value": e_norm})
+
+def _band_limited_pairs(grid, z: np.ndarray) -> np.ndarray:
+    """The real (xi, nu) pairs, shape (..., 2, N), whose spectra fill the
+    retained 2/3 band with the normals z, shape (..., 2, 2, cut + 1): each
+    field takes the real, then the imaginary parts of its band."""
+    cut = grid.dealias_cut
+    spec = np.zeros(z.shape[:-2] + (grid.N // 2 + 1,), dtype=complex)
+    spec.real[..., : cut + 1] = z[..., 0, :]
+    spec.imag[..., 1 : cut + 1] = z[..., 1, 1:]
+    return irfft(spec, grid.N)
+
+
+def _block_minima(grid, block) -> tuple[list, list]:
+    """Per kept draw of block, the global minimum of its quadratic form and
+    the normalized energies E / ||x||^2 of its pairs: one stack of tables and
+    one `quadratic_form_check` of it, one irfft for the pairs, one
+    `energy_gradient`, and the inner products as matmuls of row vectors,
+    which give np.dot's bits."""
+    tables = stacked_energy_tables([(p, omega) for _, p, omega, _ in block], grid)
+    form_mins = quadratic_form_check(tables, grid).global_min[:, 0]
+    pairs = _band_limited_pairs(grid, np.stack([z for *_, z in block]))
+    grads = energy_gradient(tables, pairs)
+    rows = pairs.reshape(pairs.shape[:2] + (1, -1))
+    e_vals = 0.5 * (grid.dx * (rows @ grads.reshape(grads.shape[:2] + (-1, 1))))
+    norms = pairs[..., None, :] @ pairs[..., :, None]
+    scales = grid.dx * (norms[:, :, 0] + norms[:, :, 1])
+    return form_mins.tolist(), (e_vals / scales).reshape(len(block), -1).tolist()
+
+
+def cmd_sweep(cfg: dict, out: str) -> int:
+    """Randomized admissibility sweep: positive quadratic forms, E >= 0.
+
+    Each kept draw (`_kept_blocks`) is one parameter set inside the speed
+    window and the mu2 threshold, with fields_per_draw random band-limited
+    pairs; its quadratic form must have a positive split minimum and every
+    pair a normalized energy above -1e-12.  The draws are made one by one,
+    in generator order, and evaluated in blocks (`_block_minima`), so a
+    sweep makes 3 transform calls per block and leaves the `symbols` cache
+    untouched."""
+    draws = cfg.get("sweep.draws", 200)
+    fields_per_draw = cfg.get("sweep.fields_per_draw", 5)
+    seed = cfg.get("seed", 0)
+    rng = np.random.default_rng(seed)
+    grid = make_grid(20.0, 256)
+
+    violations = []
+    min_eigen_global = math.inf
+    min_energy = math.inf
+    for block in _kept_blocks(rng, draws, fields_per_draw, grid.dealias_cut):
+        for (i, *_), form_min, energies in zip(block, *_block_minima(grid, block)):
+            min_eigen_global = min(min_eigen_global, form_min)
+            if form_min <= 0.0:
+                violations.append({"draw": i, "kind": "quadratic_form",
+                                   "global_min": form_min})
+            for e_norm in energies:
+                min_energy = min(min_energy, e_norm)
+                if e_norm < -1e-12:
+                    violations.append({"draw": i, "kind": "energy", "value": e_norm})
 
     report = {
         "draws": draws,

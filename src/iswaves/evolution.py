@@ -84,6 +84,22 @@ def _quotients(family: str, p: ModelParams, grid: Grid):
 _MAX_PHASE = math.pi / 4.0
 
 
+# the most steps `run` takes, far above the 20,000 of criterion 9's run: the
+# suggested dt of parameters at the edge of their window can ask for 1e75
+MAX_STEPS = 10**8
+
+
+def step_count(T: float, dt: float) -> int:
+    """The number of steps `run` takes to T at about dt, max(1, round(T / dt));
+    ValueError unless T and dt are positive and finite and T / dt is at most
+    MAX_STEPS."""
+    # written so that NaN fails it
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt <= MAX_STEPS):
+        raise ValueError(f"T and dt must be positive and finite, and T / dt at most "
+                         f"{MAX_STEPS:.0e}; got T = {T!r}, dt = {dt!r}")
+    return max(1, int(round(T / dt)))
+
+
 def suggest_dt(family: str, p: ModelParams, grid: Grid) -> float:
     """Largest dt for which the fastest linear mode advances < _MAX_PHASE per step."""
     _, _, a_sym, b_sym = _quotients(family, p, grid)
@@ -437,12 +453,9 @@ def run(
     previous state is monitored; a blow-up ends the run with a report
     carrying the time stamp.
     """
-    if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt < math.inf):
-        raise ValueError(f"T and dt must be positive and finite, and so must T / dt; "
-                         f"got T = {T!r}, dt = {dt!r}")
+    nsteps = step_count(T, dt)
     fam, p = family_params(family, p)
     grid = initial.grid
-    nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
     stepper = Etdrk4Stepper(fam, p, grid, dt_eff)
 
@@ -489,23 +502,25 @@ def run(
 
     # state n is observed once step n + 1 is taken, from that step's first
     # stage, which holds its spectra, samples and products; the last state
-    # pays its own transform
+    # pays its own transform.  An overflowing step is reported by the
+    # non-finite test alone, not by numpy's warnings as well
     t = 0.0
-    for istep in range(1, nsteps + 1):
-        q = stepper.advance(q)
-        if istep > 1:
-            s, zv, prod = stepper.stage
-            observe(istep - 1, s, zv, prod[1])
-        t = istep * dt_eff
-        if not np.isfinite(q).all():
-            summary["status"] = "blow_up"
-            summary["t_blow_up"] = t
-            break
-    else:
-        s = stepper.spectral(q)
-        zv = irfft(s, grid.N)
-        observe(nsteps, s, zv, zv[1] * zv[1])
-        summary["final_state"] = WavePair(grid=grid, xi=zv[0], nu=zv[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for istep in range(1, nsteps + 1):
+            q = stepper.advance(q)
+            if istep > 1:
+                s, zv, prod = stepper.stage
+                observe(istep - 1, s, zv, prod[1])
+            t = istep * dt_eff
+            if not np.isfinite(q).all():
+                summary["status"] = "blow_up"
+                summary["t_blow_up"] = t
+                break
+        else:
+            s = stepper.spectral(q)
+            zv = irfft(s, grid.N)
+            observe(nsteps, s, zv, zv[1] * zv[1])
+            summary["final_state"] = WavePair(grid=grid, xi=zv[0], nu=zv[1])
 
     sup_z, min_one, mass_z, mass_v, h1_z, h1_v, top_frac, h_values = map(list, zip(*samples))
     summary.update(

@@ -9,13 +9,17 @@ to half of a transform at N = 256).
 
 All operators of the three model families are even Fourier multipliers, so
 real fields stay real under application.  The model symbols (J_b, J_c, J_d,
-L and the one-layer pairs W, Z and D, B) live in one read-only `Symbols`
-bundle per (params, grid), at the depth of params.mu2, tabulated on the
-half spectrum k_half = pi j / L, j = 0..N/2, to which the rfft path applies
-them; a grid builds x and k_half on first use.  `structure` maps a family
-to the tables of its system, the one place where the family decides the
-equation.  Removable singularities at k = 0 and the cancellation-prone coth
-evaluation are handled explicitly.
+L and the one-layer pairs W, Z and D, B) are stated once, by `Symbols`, from
+the scalar `table_coefficients` of a parameter set, at the depth of
+params.mu2, tabulated on the half spectrum k_half = pi j / L, j = 0..N/2, to
+which the rfft path applies them; a grid builds x and k_half on first use.
+`symbols` shares one read-only bundle per (params, grid).  A stack of
+parameter sets, one coefficient column each, gets its tables from the same
+formulas by broadcasting, uncached: the admissibility sweep builds its
+blocks so.  `system_tables` maps a family to the tables of its system, the
+one place where the family decides the equation, and `structure` reads them
+from the shared bundle.  Removable singularities at k = 0 and the
+cancellation-prone coth evaluation are handled explicitly.
 """
 
 from __future__ import annotations
@@ -135,21 +139,40 @@ def zcothz(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def l1_symbol(k: np.ndarray, mu2: float) -> np.ndarray:
-    """|k| coth(sqrt(mu2)|k|); value 1/sqrt(mu2) at k = 0; |k| when mu2 = inf."""
+def l1_symbol(k: np.ndarray, mu2: float | np.ndarray) -> np.ndarray:
+    """|k| coth(sqrt(mu2)|k|); value 1/sqrt(mu2) at k = 0; |k| when mu2 = inf.
+    mu2 is a float, or an array of finite depths broadcast against k (the
+    square root is correctly rounded, so each entry gets math.sqrt's bits)."""
     k = np.abs(np.asarray(k, dtype=float))
-    if not math.isfinite(mu2):
+    if np.ndim(mu2) == 0 and not math.isfinite(mu2):
         return k
-    s = math.sqrt(mu2)
+    s = np.sqrt(mu2)
     return zcothz(s * k) / s
 
 
-class Symbols:
-    """Half-spectrum symbol tables of one (ModelParams, Grid), at the depth
-    p.mu2: one formula per table at every depth, since the deep-water
-    systems are the mu2 -> inf members of the finite-depth ones.
+def table_coefficients(p: ModelParams) -> tuple[float, ...]:
+    """The scalars of p's symbol tables, in the order `Symbols` reads them:
+    (mu b, mu c, mu d, mu2, 1/gamma, sqrt(mu)/gamma^2, (mu/gamma) a,
+    mu/gamma^3, (beta/gamma) sqrt(mu), ((beta - 1)/gamma) sqrt(mu), gamma).
+    Each is a Python float formed per parameter set; `Symbols` only
+    broadcasts a stack of them against k, since numpy's power on a column of
+    gammas does not give every bit of Python's."""
+    g, mu = p.gamma, p.mu
+    root = math.sqrt(mu)
+    return (
+        mu * p.b, mu * p.c, mu * p.d, p.mu2,
+        1.0 / g, root / g**2, mu / g * p.a, mu / g**3,
+        p.beta / g * root, (p.beta - 1.0) / g * root, g,
+    )
 
-    Every table is read-only and evaluated on k = grid.k_half = |k|:
+
+class Symbols:
+    """Half-spectrum symbol tables on k >= 0 of one parameter set's
+    `table_coefficients`, or of a stack of sets, each coefficient then an
+    array of one entry per set that broadcasts against k (all depths
+    finite).  One formula per table at every depth, since the deep-water
+    systems are the mu2 -> inf members of the finite-depth ones, and this
+    is the one statement of each:
       jb, jc, jd  J_b = 1 + mu b k^2, J_c = 1 - mu c k^2, J_d = 1 + mu d k^2;
       l1          `l1_symbol`: |k| coth(sqrt(mu2)|k|), |k| at mu2 = inf;
       L           the dispersion symbol 1/gamma - (sqrt(mu)/gamma^2) l1
@@ -157,53 +180,55 @@ class Symbols:
       op1, op2    the one-layer operators W, Z (finite depth) or D, B
                   (infinite depth): 1 + (beta/gamma) sqrt(mu) l1 and
                   (1 + ((beta - 1)/gamma) sqrt(mu) l1)/gamma.
-    `symbols` hands out one shared instance per key, so the solver
-    residuals, E, H and the evolution operator read the same tables, and
-    `structure` arranges them into the tables of each family's system.
+    `symbols` hands out one shared, read-only instance per (params, grid),
+    on k = grid.k_half, so the solver residuals, E, H and the evolution
+    operator read the same tables, and `system_tables` arranges them into
+    the tables of each family's system.
     """
 
-    def __init__(self, p: ModelParams, grid: Grid):
-        k = grid.k_half
-        g, mu = p.gamma, p.mu
-        self.jb = 1.0 + mu * p.b * k * k
-        self.jc = 1.0 - mu * p.c * k * k
-        self.jd = 1.0 + mu * p.d * k * k
-        self.l1 = l1_symbol(k, p.mu2)
-        self.L = (
-            1.0 / g
-            - math.sqrt(mu) / g**2 * self.l1
-            - mu / g * p.a * k * k
-            + mu / g**3 * self.l1**2
-        )
-        self.op1 = 1.0 + p.beta / g * math.sqrt(mu) * self.l1
-        self.op2 = (1.0 + (p.beta - 1.0) / g * math.sqrt(mu) * self.l1) / g
-        for table in (self.jb, self.jc, self.jd, self.l1, self.L, self.op1, self.op2):
-            table.setflags(write=False)
+    def __init__(self, k: np.ndarray, coefficients):
+        mb, mc, md, mu2, inv_g, c_l1, c_k2, c_l2, c_op1, c_op2, g = coefficients
+        self.jb = 1.0 + mb * k * k
+        self.jc = 1.0 - mc * k * k
+        self.jd = 1.0 + md * k * k
+        self.l1 = l1_symbol(k, mu2)
+        self.L = inv_g - c_l1 * self.l1 - c_k2 * k * k + c_l2 * self.l1**2
+        self.op1 = 1.0 + c_op1 * self.l1
+        self.op2 = (1.0 + c_op2 * self.l1) / g
 
 
 # bounded: every continuation step has parameters of its own
 @lru_cache(maxsize=32)
 def symbols(p: ModelParams, grid: Grid) -> Symbols:
-    """The shared symbol tables of (p, grid), at the depth of p.mu2."""
-    return Symbols(p, grid)
+    """The shared, read-only symbol tables of (p, grid), at the depth of p.mu2."""
+    sym = Symbols(grid.k_half, table_coefficients(p))
+    for table in vars(sym).values():
+        table.setflags(write=False)
+    return sym
 
 
 def structure(family: str, p: ModelParams, grid: Grid):
     """(family, p, (T1, S1, T2, S2)): the family's name and p at its depth
-    (`family_params`), and the tables of its system
+    (`family_params`), and the `system_tables` of its system, from the
+    shared `symbols` of (p, grid)."""
+    fam, p = family_params(family, p)
+    return fam, p, system_tables(fam, symbols(p, grid), 1.0 - p.gamma)
+
+
+def system_tables(family: str, sym: Symbols, og):
+    """(T1, S1, T2, S2) of the canonical family's system
 
         T1 xi_t = -(S1 nu - 2 r xi nu)_x,   T2 nu_t = -(S2 xi - r nu^2)_x,
 
     whose solitary waves of speed c solve -c T1 xi + S1 nu - 2 r xi nu = 0
-    and -c T2 nu + S2 xi - r nu^2 = 0.  The tables are (op1, op2, 1,
-    1 - gamma) for BO and ILW, the last two Python scalars, and (J_b, L, J_d,
-    (1 - gamma) J_c) for BFD at either depth."""
-    fam, p = family_params(family, p)
-    sym = symbols(p, grid)
-    og = 1.0 - p.gamma
-    if fam in ("BO", "ILW"):
-        return fam, p, (sym.op1, sym.op2, 1.0, og)
-    return fam, p, (sym.jb, sym.L, sym.jd, og * sym.jc)
+    and -c T2 nu + S2 xi - r nu^2 = 0, from its tables sym and og = 1 - gamma
+    (a float, or an array of one entry per set of a stack of `Symbols`).
+    They are (op1, op2, 1, og) for BO and ILW, the last two scalars, and
+    (J_b, L, J_d, og J_c) for BFD at either depth: the one place where the
+    family decides the equation."""
+    if family in ("BO", "ILW"):
+        return sym.op1, sym.op2, 1.0, og
+    return sym.jb, sym.L, sym.jd, og * sym.jc
 
 
 def symmetrize_even(values: np.ndarray) -> np.ndarray:

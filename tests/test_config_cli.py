@@ -5,6 +5,8 @@ import io
 import json
 import math
 import shutil
+import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -1006,6 +1008,47 @@ def test_cli_evolve_outside_characteristic_window_exits_1(p1_cfg, tmp_path, caps
         assert main(args + dt) == 1
         err = capsys.readouterr().err
         assert "numerical failure: characteristic splitting needs positive" in err
+
+
+# a 64-point gaussian run to T = 0.1, as in the reproducers below
+_SMALL_EVOLVE = [
+    "--set", "evolve.family=bfd_finite", "--set", "evolve.T=0.1",
+    "--set", "grid.L=20", "--set", "grid.N=64",
+]
+
+
+@pytest.mark.parametrize("extreme", ["params.gamma=1e-50", "params.a=-1e50"])
+def test_cli_evolve_refuses_a_step_count_above_the_bound(p1_cfg, tmp_path, capsys, extreme):
+    # without evolve.dt these parameters suggest dt = 1.5e-76 and 1.5e-26, a
+    # run of about 7e74 and 7e24 steps that once went on without end; the
+    # step count is refused before any stepper is built
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = main(["evolve", "--config", p1_cfg, "--out", str(out), *_SMALL_EVOLVE,
+                 "--set", extreme])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: evolve.T / evolve.dt: ") and err.count("\n") == 1, err
+    assert "T / dt at most 1e+08" in err
+    assert list(out.iterdir()) == []
+
+
+def test_cli_evolve_overflow_is_reported_by_the_blow_up_alone(p1_cfg, tmp_path, capsys):
+    # epsilon = 1e50 overflows the first step's flux; the non-finite test
+    # ends the run, and numpy warns of nothing
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["evolve", "--config", p1_cfg, "--out", str(out), *_SMALL_EVOLVE,
+                     "--set", "params.epsilon=1e50", "--set", "evolve.dt=0.01"])
+    assert code == 1
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evolve: blow_up at t = 0.01,"), lines
+    traj = json.loads((out / "trajectory.json").read_text())
+    assert traj["status"] == "blow_up"
+    assert traj["t_blow_up"] == 0.01
 
 
 # (subcommand, --set overrides, the amplitude bound alpha the evolution

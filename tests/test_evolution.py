@@ -139,6 +139,19 @@ def test_run_refuses_times_that_are_not_positive_and_finite(p1_mu2_4, evo_grid, 
             Etdrk4Stepper("bfd_finite", p1_mu2_4, evo_grid, dt)
 
 
+def test_run_refuses_more_than_max_steps_before_building_a_stepper(
+    p1_mu2_4, evo_grid, monkeypatch
+):
+    # T / dt = MAX_STEPS is the longest run; one step more is refused before
+    # a stepper is built, as a suggested dt can ask for about 1e75 steps
+    assert evolution.step_count(1.0, 1e-8) == evolution.MAX_STEPS == 10**8
+    monkeypatch.setattr(evolution, "Etdrk4Stepper", None)
+    bump = 0.01 * np.exp(-(evo_grid.x**2))
+    for dt in (0.999e-8, 1.5e-76):
+        with pytest.raises(ValueError, match=re.escape("T / dt at most 1e+08; got T = 1.0")):
+            run("bfd_finite", p1_mu2_4, WavePair(evo_grid, bump, bump), 1.0, dt)
+
+
 def _final_state(cls, p, init, T, dt):
     """The state at T stepped by a stepper of class cls, encoded, advanced
     and decoded at run()'s step T/round(T/dt)."""

@@ -10,6 +10,7 @@ from iswaves.functionals import (
     hamiltonian_H,
     inner,
     quadratic_form_check,
+    stacked_energy_tables,
 )
 from iswaves.params import ModelParams
 from iswaves.solvers import constrained_minimize
@@ -126,6 +127,29 @@ def test_quadratic_form_boundary_is_tight(p1_mu2_4):
     edge = quadratic_form_check(energy_tables(p1_mu2_4, 1.0 / 6.0, g), g)
     assert edge.global_min >= 0.0
     assert edge.global_min < 0.5
+
+
+def test_stacked_energy_tables_are_the_rows_of_energy_tables(p1_mu2_4, p_sharp, p1_inf):
+    # each row of a stack is the shared tables of its (p, omega) bit for bit,
+    # and its quadratic-form check one row of the stack's; a set of infinite
+    # depth is refused, as its l1 row would not be finite
+    g = make_grid(20.0, 256)
+    points = [(p1_mu2_4, 0.1), (p_sharp, 0.05), (p1_mu2_4, 0.17)]
+    stacked = stacked_energy_tables(points, g)
+    form = quadratic_form_check(stacked, g)
+    assert form.global_min.shape == form.coercivity_const.shape == (3, 1)
+    assert form.min_eigen_by_freq.shape == (3, 1, g.N)
+    for row, (p, omega) in enumerate(points):
+        tables = energy_tables(p, omega, g)
+        for got, want in zip(stacked, tables):
+            assert got.shape == (3, 1, g.N // 2 + 1)
+            assert np.array_equal(got[row, 0], want)
+        one = quadratic_form_check(tables, g)
+        assert form.global_min[row, 0] == one.global_min
+        assert form.coercivity_const[row, 0] == one.coercivity_const
+        assert np.array_equal(form.min_eigen_by_freq[row, 0], one.min_eigen_by_freq)
+    with pytest.raises(ValueError, match="finite depth"):
+        stacked_energy_tables([(p1_mu2_4, 0.1), (p1_inf, 0.1)], g)
 
 
 def test_hamiltonian_requires_equal_weights(p1_mu2_4):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from iswaves.params import ModelParams, family_params
 from iswaves.spectral import (
+    Symbols,
     WavePair,
     irfft,
     l1_symbol,
@@ -19,6 +20,7 @@ from iswaves.spectral import (
     rfft,
     symbols,
     symmetrize_even,
+    table_coefficients,
     zcothz,
 )
 
@@ -226,6 +228,24 @@ def test_symbol_bundle_matches_formulas(family, n):
         got = getattr(sym, name)
         assert got.shape == (n // 2 + 1,)
         assert np.array_equal(got, table), name
+
+
+@pytest.mark.parametrize("L, n", [(20.0, 256), (8.0, 2048), (16.0, 2048), (200.0, 4096)])
+def test_fixture_symbols_and_their_stack_match_formulas(p1_mu2_4, p1_inf, p_sharp, L, n):
+    # the shared tables of the fixture parameter sets are the per-table
+    # expressions bit for bit, and so is each row of a stack of the
+    # finite-depth sets, whose coefficients are broadcast against k
+    g = make_grid(L, n)
+    k = np.abs(2.0 * math.pi * np.fft.rfftfreq(n, d=g.dx))
+    finite = (p1_mu2_4, p_sharp)
+    stack = Symbols(g.k_half, [np.array(c)[:, None] for c in zip(*map(table_coefficients, finite))])
+    for p in (p1_mu2_4, p1_inf, p_sharp):
+        sym = symbols(p, g)
+        for name, table in _formulas(p, k, p.finite_depth).items():
+            assert np.array_equal(getattr(sym, name), table), (p, name)
+    for row, p in enumerate(finite):
+        for name, table in _formulas(p, k, True).items():
+            assert np.array_equal(getattr(stack, name)[row], table), (p, name)
 
 
 def test_symbol_bundle_tables_are_read_only(p1_mu2_4):
