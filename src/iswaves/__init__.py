@@ -44,7 +44,6 @@ from .kernels import (
     DecayReport,
     fit_algebraic_tail,
     fit_exponential_tail,
-    kernel_fft_oracle,
     kernel_oracle_at,
     kernel_symbol,
     kernel_K1,
@@ -53,7 +52,6 @@ from .kernels import (
     kernel_K_quadrature,
 )
 from .evolution import (
-    AmplitudeBoundError,
     check_global_criterion,
     run,
     suggest_dt,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport",
-    "AmplitudeBoundError",
     "ConvergenceError",
     "DecayRates",
     "DecayReport",
@@ -92,7 +89,6 @@ __all__ = [
     "kernel_K2_quadrature",
     "kernel_K3_series",
     "kernel_K_quadrature",
-    "kernel_fft_oracle",
     "kernel_oracle_at",
     "kernel_symbol",
     "load_branch",

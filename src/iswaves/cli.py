@@ -57,7 +57,7 @@ from .solvers import (
     save_branch,
     solve,
 )
-from .evolution import AmplitudeBoundError, run, step_count, suggest_dt
+from .evolution import run, step_count, suggest_dt
 from .functionals import energy_gradient, quadratic_form_check, stacked_energy_tables
 
 
@@ -161,7 +161,7 @@ def cmd_continue(cfg: dict, out: str) -> int:
             raise ConfigError(
                 f"continue.milestones must lie within |continue.target| = {abs(target)!r}"
             )
-        values = milestones or list(np.linspace(target / 8.0, target, 8))
+        values = milestones or np.linspace(target / 8.0, target, 8).tolist()
         start, continue_along = 0.0, continue_in_c
     else:
         if not target > 0.0:
@@ -317,26 +317,24 @@ def cmd_evolve(cfg: dict, out: str) -> int:
         raise ConfigError(f"evolve.T / evolve.dt: {exc}") from exc
     snapshots = cfg.get("evolve.snapshots_every")
 
-    try:
-        summary = run(
-            family, p, initial, T, dt,
-            snapshots_every=snapshots,
-            outdir=out if snapshots is not None else None,
-        )
-    except AmplitudeBoundError as exc:
-        cfgmod.write_json(os.path.join(out, "trajectory.json"),
-                          {"status": "aborted", "error": str(exc)}, cfg)
-        print(f"evolve: aborted: {exc}", file=sys.stderr)
-        return 1
+    summary = run(
+        family, p, initial, T, dt,
+        snapshots_every=snapshots,
+        outdir=out if snapshots is not None else None,
+    )
 
     final = summary.pop("final_state", None)
     if final is not None:
         pair_to_csv(final, os.path.join(out, "final_state.csv"))
     cfgmod.write_json(os.path.join(out, "trajectory.json"), summary, cfg)
+    # after a blow-up the monitors end at the last finite state
+    t_final, t_last = summary["t_final"], summary["times"][-1]
+    last_text = f", last finite state t = {t_last:.6g}" if t_last != t_final else ""
     drift = summary.get("h_drift_max")
     drift_text = f", H drift {drift:.3e}" if drift is not None else ""
-    print(f"evolve: {summary['status']} at t = {summary['t_final']:.6g}"
-          f"{drift_text}, sup|zeta| {summary['sup_zeta_max']:.6g}")
+    error_text = f": {summary['error']}" if "error" in summary else ""
+    print(f"evolve: {summary['status']} at t = {t_final:.6g}{last_text}"
+          f"{drift_text}, sup|zeta| {summary['sup_zeta_max']:.6g}{error_text}")
     return 0 if summary["status"] == "completed" else 1
 
 

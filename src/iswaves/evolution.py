@@ -35,8 +35,9 @@ last state pays one stacked inverse FFT.  The H1 norms, the top-third
 energy fraction and the quadratic part of the Hamiltonian are Parseval sums
 with tables cached once per run; sup|zeta|, inf(1 - eps/gamma zeta), the
 masses and the cubic term of H are taken in physical space, all written
-into one buffer per run that a single `tolist` reads.  The amplitude bound
-is asserted at every step.
+into one buffer per run that a single `tolist` reads.  A run ends in one
+of three statuses: `completed`, `blow_up` at a non-finite state, or
+`aborted` at a state above the amplitude bound of the small-data criterion.
 """
 
 from __future__ import annotations
@@ -49,21 +50,6 @@ import numpy as np
 from .functionals import energy_tables, hamiltonian_H
 from .params import InadmissibleParameterError, ModelParams, family_params
 from .spectral import Grid, WavePair, irfft, pair_to_csv, rfft, structure
-
-
-class AmplitudeBoundError(RuntimeError):
-    """Raised when sup|zeta| exceeds the a-priori bound alpha of data that
-    satisfies the global-existence criterion."""
-
-    def __init__(self, t: float, sup_zeta: float, alpha: float):
-        super().__init__(
-            f"amplitude bound violated: sup|zeta| = {sup_zeta:.6g} > alpha = "
-            f"{alpha:.6g} at t = {t:.6g}; the run is under-resolved "
-            "or the stepper is wrong"
-        )
-        self.t = t
-        self.sup_zeta = sup_zeta
-        self.alpha = alpha
 
 
 def _quotients(family: str, p: ModelParams, grid: Grid):
@@ -445,13 +431,16 @@ def run(
     the cubic term of H come from the samples; the initial values, h0
     included, take the same path from the initial data's own transform.
     Snapshots are written from the same samples, after the state's
-    monitors.  When the initial data satisfies the global-existence
-    criterion, the amplitude bound sup|zeta| <= alpha is asserted at every
-    step and a violation raises AmplitudeBoundError carrying the state's own
-    t, the observed sup and alpha (a violation can only mean under-resolution
-    or a bug).  Every step's state is tested for non-finite values after the
-    previous state is monitored; a blow-up ends the run with a report
-    carrying the time stamp.
+    monitors.  The run ends in one status.  "completed" reaches T and
+    keeps the last state as "final_state".  "blow_up" stops at the first
+    state that is not finite, tested after the previous state is
+    monitored: "t_blow_up" and "t_final" are its time, and the series end
+    at the state before it.  "aborted" stops at the first state with
+    sup|zeta| > alpha, asserted at every state when the initial data
+    satisfies the global-existence criterion (a violation can only mean
+    under-resolution or a bug): "t_final" is its time, the series run
+    through it, "error" names t, the observed sup and alpha, and the state
+    is neither snapshot nor kept.
     """
     nsteps = step_count(T, dt)
     fam, p = family_params(family, p)
@@ -485,47 +474,54 @@ def run(
         pair_to_csv(initial, os.path.join(outdir, "snapshot_t0.csv"))
         snap_next = snapshots_every
 
-    def observe(n: int, s: np.ndarray, zv: np.ndarray, v2: np.ndarray) -> None:
+    def observe(n: int, s: np.ndarray, zv: np.ndarray, v2: np.ndarray) -> bool:
         """Monitor state n from its half spectra s, samples zv and v^2 = v2,
-        and snapshot it when one is due."""
+        and snapshot it when one is due; True, with the run aborted, when it
+        exceeds the amplitude bound."""
         nonlocal snap_next
         t_n = n * dt_eff
         sample = monitor(s, zv, v2)
         times.append(t_n)
         samples.append(sample)
         if alpha_bound is not None and sample[0] > alpha_bound * (1.0 + 1e-9):
-            raise AmplitudeBoundError(t_n, sample[0], alpha_bound)
+            summary["status"] = "aborted"
+            summary["error"] = (
+                f"amplitude bound violated: sup|zeta| = {sample[0]:.6g} > alpha = "
+                f"{alpha_bound:.6g} at t = {t_n:.6g}; the run is under-resolved "
+                "or the stepper is wrong"
+            )
+            return True
         if snap_next is not None and t_n + 1e-12 >= snap_next:
             pair = WavePair(grid=grid, xi=zv[0], nu=zv[1])
             pair_to_csv(pair, os.path.join(outdir, f"snapshot_t{t_n:.6g}.csv"))
             snap_next += snapshots_every
+        return False
 
     # state n is observed once step n + 1 is taken, from that step's first
     # stage, which holds its spectra, samples and products; the last state
     # pays its own transform.  An overflowing step is reported by the
     # non-finite test alone, not by numpy's warnings as well
-    t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for istep in range(1, nsteps + 1):
             q = stepper.advance(q)
             if istep > 1:
                 s, zv, prod = stepper.stage
-                observe(istep - 1, s, zv, prod[1])
-            t = istep * dt_eff
+                if observe(istep - 1, s, zv, prod[1]):
+                    break
             if not np.isfinite(q).all():
                 summary["status"] = "blow_up"
-                summary["t_blow_up"] = t
+                summary["t_blow_up"] = istep * dt_eff
                 break
         else:
             s = stepper.spectral(q)
             zv = irfft(s, grid.N)
-            observe(nsteps, s, zv, zv[1] * zv[1])
-            summary["final_state"] = WavePair(grid=grid, xi=zv[0], nu=zv[1])
+            if not observe(nsteps, s, zv, zv[1] * zv[1]):
+                summary["final_state"] = WavePair(grid=grid, xi=zv[0], nu=zv[1])
 
     sup_z, min_one, mass_z, mass_v, h1_z, h1_v, top_frac, h_values = map(list, zip(*samples))
     summary.update(
         {
-            "t_final": t,
+            "t_final": summary.get("t_blow_up", times[-1]),
             "times": times,
             "sup_zeta": sup_z,
             "sup_zeta_max": max(sup_z),

@@ -6,8 +6,7 @@ exponential part), K1 (exponential, finite depth), K2 (one-layer infinite
 depth, algebraic), and K3 (one-layer finite depth, exponential series).
 Each has a closed form, quadrature or series here, its symbol as a function
 of |k| (kernel_symbol), and an independent discrete-transform oracle of that
-symbol (kernel_fft_oracle on the whole grid, kernel_oracle_at at chosen
-points).
+symbol at chosen grid points (kernel_oracle_at).
 
 The quadratures of K and K2 are Laplace integrals int_0^upper f(y) dy whose
 integrand peaks in a spike of width 1/|x| at y = 0.  They are computed in
@@ -342,27 +341,18 @@ def _oracle_values(fn: Symbol, g: Grid, step: int) -> np.ndarray:
     return dk / math.sqrt(2.0 * math.pi) * m * irfft(folded, m)
 
 
-def kernel_fft_oracle(fn: Symbol, g: Grid) -> np.ndarray:
-    """Inverse unitary transform of the kernel symbol fn(|k|), on the grid.
+def kernel_oracle_at(fn: Symbol, g: Grid, xs: Sequence[float]) -> tuple[np.ndarray, int]:
+    """Inverse unitary transform of the kernel symbol fn(|k|) at the grid
+    points nearest to xs.
 
     Approximates (2pi)^{-1/2} int khat(k) e^{ikx} dk by the trapezoidal sum
-    over the grid's frequency set, computed as one irfft of the half
-    spectrum (the symbol is even); the alternating phase recenters the
-    output on x in [-L, L).  Refuses symbols that are not strictly positive
-    (all kernel symbols here are positive; a sign change would signal an
-    inadmissible parameter set).  Returns the values at the points g.x.
-    """
-    return _oracle_values(fn, g, 1)
-
-
-def kernel_oracle_at(fn: Symbol, g: Grid, xs: Sequence[float]) -> tuple[np.ndarray, int]:
-    """The kernel_fft_oracle values at the grid points nearest to xs.
-
-    The trapezoidal sum is evaluated only on the coarsest sub-lattice of
-    the grid that holds the requested indices: with step the greatest
-    common divisor of N/2 and the indices, the symbol is folded onto
-    M = N/step bins (kernel_fft_oracle's full transform when step is 1).
-    Returns the values and M, the number of bins transformed.
+    over the grid's frequency set (`_oracle_values`), evaluated only on the
+    coarsest sub-lattice of the grid that holds the requested indices: with
+    step the greatest common divisor of N/2 and the indices, the symbol is
+    folded onto M = N/step bins (the whole grid's transform when step is
+    1).  Refuses symbols that are not strictly positive (all kernel symbols
+    here are positive; a sign change would signal an inadmissible parameter
+    set).  Returns the values and M, the number of bins transformed.
     """
     n = g.N
     idx = [int(round((x + g.L) / g.dx)) for x in xs]

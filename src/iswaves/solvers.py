@@ -217,7 +217,10 @@ class _Reduced:
         # a multiplier S2 (BFD), the scale in which its tolerances are stated
         scale = 1.0 if np.isscalar(s2) else 1.0 - self.p.gamma
         self._scale_r = scale * self.p.r
-        self.mhat = scale * (s1 - c * c * t1 * t2 / s2)
+        # a speed near the float range overflows c^2 T1 T2: the refusal below
+        # reports it, not numpy's warnings as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.mhat = scale * (s1 - c * c * t1 * t2 / s2)
         # rows on (nu^2, nu): M nu and 1/S2 nu^2, and at c != 0 the rows that c
         # multiplies, T1/S2 nu^2 and T2/S2 nu
         tables = [self.mhat, 1.0 / s2] + ([t1 / s2, t2 / s2] if c else [])
@@ -543,8 +546,9 @@ def _continuation(
     the infinite-depth endpoint t = 0.  When a solve fails, the loop bisects
     the straight segment back toward the last solved point and, once a
     midpoint solves, tries the point again from there; a failure within
-    _MIN_STEP of the last solved point, in both coordinates, truncates the
-    branch and stores that point's parameter under "end".  A speed at which
+    _MIN_STEP of the last solved point, in both coordinates, or whose
+    midpoint rounds onto an end of the segment, truncates the branch and
+    stores that point's parameter under "end".  A speed at which
     M is not positive is such a failure.  Each point is solved at the exact
     mu2 given (a milestone of 400 at 400.0), a midpoint t at 1/t^2.  Every
     solve leaves a record in diagnostics["steps"]: its parameter (c on a
@@ -584,11 +588,15 @@ def _continuation(
                 diagnostics["steps"].append(
                     {"parameter": parameter(trial), "accepted": False, "error": str(exc)}
                 )
-                if max(abs(a - b) for a, b in zip(trial, here)) <= _MIN_STEP:
+                # far from t = 0 the float spacing can exceed _MIN_STEP, and
+                # the midpoint then rounds onto an end of the segment
+                midpoint = tuple(0.5 * (a + b) for a, b in zip(here, trial))
+                if (max(abs(a - b) for a, b in zip(trial, here)) <= _MIN_STEP
+                        or midpoint in (here, trial)):
                     diagnostics["truncated"] = True
                     diagnostics["end"] = parameter(here)
                     return waves, infos, diagnostics
-                trial = tuple(0.5 * (a + b) for a, b in zip(here, trial))
+                trial = midpoint
                 continue
             diagnostics["steps"].append(
                 {"parameter": parameter(trial), "accepted": True} | _work_record(pair_info)

@@ -4,9 +4,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +31,8 @@ from iswaves.config import (
     sanitize,
     write_json,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 P1_LINES = """\
 # canonical two-layer point
@@ -891,6 +897,70 @@ def test_cli_continue_refuses_a_value_stored_twice(p1_cfg, tmp_path, capsys, set
     assert "twice" in err and list(out.iterdir()) == []
 
 
+def test_cli_continue_prints_its_end_as_a_float(p1_cfg, tmp_path, capsys):
+    # the default speeds are Python floats, so the line shows the end as
+    # report.json holds it, not as np.float64(...)
+    out = tmp_path / "o"
+    assert main(["continue", "--config", p1_cfg, "--out", str(out), "--set", "grid.L=20",
+                 "--set", "grid.N=64", "--set", "continue.target=0.9"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    end = report["diagnostics"]["end"]
+    assert end == pytest.approx(0.75361, abs=1e-5)
+    assert capsys.readouterr().out == (
+        f"continue: {len(report['parameter_values'])} samples, max residual "
+        f"{max(report['residuals']):.3e}, truncated=True, end {end!r}\n"
+    )
+
+
+# a 64-point grid on L = 20, as in the reproducers below
+_SMALL_GRID = ["--set", "grid.L=20", "--set", "grid.N=64"]
+
+
+@pytest.mark.parametrize("sets, code", [
+    pytest.param(["solve.family=BO", "solve.speed=1e300"], 1, id="solve-1e300"),
+    pytest.param(["solve.family=BO", "solve.speed=1e160"], 1, id="solve-1e160"),
+    pytest.param(["continue.target=1e300"], 0, id="continue-1e300"),
+])
+def test_cli_speed_near_the_float_range_is_reported_once(p1_cfg, tmp_path, capsys, sets, code):
+    # the bisection toward such a speed passes |c| near 1e154, where
+    # c^2 T1 T2 overflows: the reduced symbol's refusal is the one report
+    command = "continue" if sets[0].startswith("continue") else "solve"
+    args = [command, "--config", p1_cfg, "--out", str(tmp_path / "o"), *_SMALL_GRID]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + [a for s in sets for a in ("--set", s)]) == code
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(("numerical failure: the BO branch ended at ", "continue: ")), lines
+
+
+@pytest.mark.parametrize("command, sets, code, line", [
+    pytest.param("solve", ["solve.family=ILW", "params.mu2=1e-24"], 1,
+                 "numerical failure: the ILW branch ended at 1.000", id="solve-1e-24"),
+    pytest.param("solve", ["solve.family=ILW", "params.mu2=1e-50"], 1,
+                 "numerical failure: the ILW branch ended at 1.0", id="solve-1e-50"),
+    pytest.param("continue", ["continue.parameter=mu2", "continue.target=1e-40"], 0,
+                 "continue: 1 samples, max residual ", id="continue-1e-40"),
+])
+def test_cli_bisection_ends_where_the_midpoint_rounds_onto_an_end(
+    p1_cfg, tmp_path, command, sets, code, line
+):
+    # far from t = 1/sqrt(mu2) = 0 the float spacing exceeds the 1e-5 step
+    # at which a failed continuation ends, so the midpoint of a failed
+    # segment rounds onto one of its ends; those runs once went on without
+    # end, so each runs in a subprocess that a timeout stops
+    args = [sys.executable, "-m", "iswaves.cli", command, "--config", p1_cfg,
+            "--out", str(tmp_path / "o"), *_SMALL_GRID]
+    proc = subprocess.run(
+        args + [a for s in sets for a in ("--set", s)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    lines = (proc.stdout + proc.stderr).splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line), lines
+
+
 def test_cli_evolve_gaussian(p1_cfg, tmp_path):
     out = str(tmp_path / "evo")
     code = main([
@@ -990,10 +1060,27 @@ def test_cli_evolve_amplitude_bound_abort(p1_cfg, tmp_path, monkeypatch, capsys)
     ])
     assert code == 1
     traj = json.loads((tmp_path / "evo" / "trajectory.json").read_text())
+    # the run stops at the first state above the bound, t = 0.02, and keeps
+    # every monitor up to and through it
     assert traj["status"] == "aborted"
-    assert "amplitude bound violated" in traj["error"]
-    assert "at t = 0.02" in traj["error"]
-    assert "aborted" in capsys.readouterr().err
+    assert traj["error"].startswith("amplitude bound violated: sup|zeta| = ")
+    assert "> alpha = 1e-06 at t = 0.02;" in traj["error"]
+    assert traj["t_final"] == 0.02 and traj["times"] == [0.0, 0.02]
+    assert set(traj) == {
+        "family", "T", "dt", "steps", "condH", "status", "error", "t_final", "times",
+        "sup_zeta", "sup_zeta_max", "min_one_minus", "h1_zeta", "h1_v",
+        "dealias_top_fraction_max", "mass_drift_zeta", "mass_drift_v",
+        "h0", "h_drift", "h_drift_max", "config",
+    }
+    assert all(len(traj[k]) == 2 for k in ("sup_zeta", "h1_zeta", "h1_v", "h_drift"))
+    assert traj["sup_zeta_max"] == max(traj["sup_zeta"]) and traj["sup_zeta"][-1] > 1e-6
+    assert {f.name for f in (tmp_path / "evo").iterdir()} == {"trajectory.json", "meta.json"}
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        f"evolve: aborted at t = 0.02, H drift {traj['h_drift_max']:.3e}, "
+        f"sup|zeta| {traj['sup_zeta_max']:.6g}: {traj['error']}\n"
+    )
 
 
 def test_cli_evolve_outside_characteristic_window_exits_1(p1_cfg, tmp_path, capsys):
@@ -1045,10 +1132,12 @@ def test_cli_evolve_overflow_is_reported_by_the_blow_up_alone(p1_cfg, tmp_path, 
     assert code == 1
     captured = capsys.readouterr()
     lines = (captured.out + captured.err).splitlines()
-    assert len(lines) == 1 and lines[0].startswith("evolve: blow_up at t = 0.01,"), lines
+    # the monitors end at the initial state, the last finite one
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("evolve: blow_up at t = 0.01, last finite state t = 0, "), lines
     traj = json.loads((out / "trajectory.json").read_text())
     assert traj["status"] == "blow_up"
-    assert traj["t_blow_up"] == 0.01
+    assert traj["t_blow_up"] == traj["t_final"] == 0.01 and traj["times"] == [0.0]
 
 
 # (subcommand, --set overrides, the amplitude bound alpha the evolution
@@ -1096,7 +1185,10 @@ def test_cli_writes_meta_once_a_command_returns(
         assert main(args + [a for s in sets for a in ("--set", s)]) == code
     assert {f.name for f in out.iterdir()} == files
     assert calls == ([str(out)] if "meta.json" in files else [])
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    if command == "evolve":
+        # every outcome of a run, and a refused one, is one line
+        assert (captured.out + captured.err).count("\n") == 1, captured
 
 
 def test_cli_sweep_small(tmp_path, capsys):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from iswaves import evolution, solvers
 from iswaves.evolution import (
-    AmplitudeBoundError,
     Etdrk4Stepper,
     ImexBdf2Stepper,
     check_global_criterion,
@@ -335,7 +334,7 @@ def test_travelling_wave_preserved(p1_mu2_4, bfd_finite):
     assert rel_v < 1e-8
 
 
-def test_amplitude_bound_violation_is_typed(p1_mu2_4, evo_grid, monkeypatch):
+def test_amplitude_bound_violation_aborts_the_run(p1_mu2_4, evo_grid, monkeypatch):
     # a satisfied criterion with a tiny bound alpha
     real = evolution.check_global_criterion
     monkeypatch.setattr(
@@ -344,14 +343,19 @@ def test_amplitude_bound_violation_is_typed(p1_mu2_4, evo_grid, monkeypatch):
     init = WavePair(
         grid=evo_grid, xi=0.02 * np.exp(-evo_grid.x**2), nu=np.zeros(evo_grid.N)
     )
-    with pytest.raises(AmplitudeBoundError) as exc:
-        run("bfd_finite", p1_mu2_4, init, T=0.2, dt=0.02)
-    err = exc.value
-    # the first monitored step already exceeds the bound
-    assert err.t == pytest.approx(0.02)
-    assert err.alpha == 1e-6
-    assert err.sup_zeta > err.alpha
-    assert "t = 0.02" in str(err)
+    out = run("bfd_finite", p1_mu2_4, init, T=0.2, dt=0.02)
+    # the first monitored step already exceeds the bound: the run stops
+    # there, with the series through that state and no final state
+    assert out["status"] == "aborted"
+    assert out["t_final"] == out["times"][-1] == 0.02
+    assert out["times"] == [0.0, 0.02]
+    assert len(out["sup_zeta"]) == len(out["h_drift"]) == 2
+    assert out["sup_zeta"][-1] > 1e-6
+    assert out["error"] == (
+        f"amplitude bound violated: sup|zeta| = {out['sup_zeta'][-1]:.6g} > alpha = 1e-06 "
+        "at t = 0.02; the run is under-resolved or the stepper is wrong"
+    )
+    assert "final_state" not in out and "t_blow_up" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +520,7 @@ def _per_step_reference(stepper, monitor, initial, nsteps, snapshots_every, outd
         sample = monitor(s, zv, zv[1] * zv[1])
         times.append(t)
         if alpha is not None and sample[0] > alpha * (1.0 + 1e-9):
-            raise AmplitudeBoundError(t, sample[0], alpha)
+            return "aborted", t, times, None
         if t + 1e-12 >= snap_next:
             pair = WavePair(grid=grid, xi=zv[0], nu=zv[1])
             pair_to_csv(pair, os.path.join(outdir, f"snapshot_t{t:.6g}.csv"))
@@ -577,14 +581,11 @@ def test_run_equals_per_step_loop(
     monkeypatch.setattr(evolution, "_Monitor", Recording)
 
     def outcome(outdir, go):
-        """go(outdir)'s result (an abort as its t, sup and alpha), the files
-        it wrote and the samples of the monitor it made."""
+        """go(outdir)'s result, the files it wrote and the samples of the
+        monitor it made."""
         outdir.mkdir()
         with np.errstate(all="ignore"):
-            try:
-                got = go(str(outdir))
-            except AmplitudeBoundError as exc:
-                got = ("aborted", exc.t, exc.sup_zeta, exc.alpha)
+            got = go(str(outdir))
         return got, {f.name: f.read_bytes() for f in outdir.iterdir()}, monitors[-1].samples
 
     def with_run(outdir):
@@ -594,7 +595,7 @@ def test_run_equals_per_step_loop(
         )
         final = out.get("final_state")
         zv = None if final is None else np.stack([final.xi, final.nu])
-        return out["status"], out.get("t_blow_up", out["t_final"]), out["times"], zv
+        return out["status"], out["t_final"], out["times"], zv
 
     def with_loop(outdir):
         stepper = Etdrk4Stepper("bfd_finite", p1_mu2_4, grid, T / nsteps)

@@ -17,7 +17,6 @@ from iswaves.kernels import (
     default_fit_window,
     fit_algebraic_tail,
     fit_exponential_tail,
-    kernel_fft_oracle,
     kernel_oracle_at,
     kernel_K1,
     kernel_K2_plateau,
@@ -38,8 +37,8 @@ def _oracle_at(oracle, xs):
 
 
 def _oracle(fn, g):
-    """The grid and kernel_fft_oracle's values on it."""
-    return g, kernel_fft_oracle(fn, g)
+    """The grid and the oracle's values at all of its points."""
+    return g, _oracle_values(fn, g, 1)
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +264,7 @@ def test_oracle_rejects_nonpositive_symbol():
     g = make_grid(10.0, 64)
     sym = lambda k: k**2 - 1.0  # noqa: E731
     with pytest.raises(ValueError):
-        kernel_fft_oracle(sym, g)
+        _oracle_values(sym, g, 1)
     # checked on the symbol values, before folding: the points below lie on
     # a 4-bin sub-lattice, whose folded sums are all positive here
     with pytest.raises(ValueError, match="not strictly positive"):
@@ -282,7 +281,7 @@ def test_oracle_rejects_an_infinite_symbol():
     g = make_grid(10.0, 64)
     sym = lambda k: np.where(k == 0.0, math.inf, 1.0 / (1.0 + k * k))  # noqa: E731
     with pytest.raises(InadmissibleParameterError, match="^symbol is not finite on the grid$"):
-        kernel_fft_oracle(sym, g)
+        _oracle_values(sym, g, 1)
     with pytest.raises(InadmissibleParameterError, match="^symbol is not finite on the grid$"):
         kernel_oracle_at(sym, g, [-10.0, -5.0, 0.0, 5.0])
 
@@ -364,7 +363,7 @@ def test_full_oracle_matches_direct_sum(n):
     sym = lambda k: 2.0 / (0.7 + k * k)  # noqa: E731
     idx = [0, 1, n // 4, n // 2 - 1, n // 2, n - 1]
     direct = _direct_oracle(sym, g, idx)
-    got = kernel_fft_oracle(sym, g)[idx]
+    got = _oracle_values(sym, g, 1)[idx]
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
@@ -398,7 +397,7 @@ def test_oracle_at_matches_full_oracle_property(data):
     idx = idx + specials
     xs = [float(g.x[i]) for i in idx]
 
-    full = kernel_fft_oracle(fn, g)
+    full = _oracle_values(fn, g, 1)
     vals, bins = kernel_oracle_at(fn, g, xs)
     assert np.max(np.abs(vals - full[idx])) <= 1e-13 * np.max(np.abs(full))
     assert bins % 2 == 0 and n % bins == 0
